@@ -6,7 +6,6 @@
 package rica_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -256,47 +255,6 @@ func BenchmarkInstrumentedThroughput(b *testing.B) {
 	}
 	if snap := hub.Snapshot(); snap.EventsDispatched != events {
 		b.Fatalf("hub folded %d events, runs reported %d", snap.EventsDispatched, events)
-	}
-}
-
-// BenchmarkShardedThroughput measures single-run multicore scaling:
-// events per wall second on the metro-500 scenario (500 terminals, the
-// densest catalog entry) at 1, 2, 4, and 8 spatial shards. The 1-shard
-// sub-benchmark is the serial baseline; results are bit-identical across
-// shard counts (pinned by TestShardedSimulationBitIdentical), so any
-// ratio between sub-benchmarks is pure wall-clock. scripts/bench.sh
-// records the sweep as the BENCH JSON's "scaling" array.
-func BenchmarkShardedThroughput(b *testing.B) {
-	spec, err := rica.ScenarioByName("metro-500")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				res, err := rica.RunBatch(rica.BatchConfig{
-					Scenarios: []rica.Scenario{spec},
-					Protocols: []rica.Protocol{rica.ProtocolRICA},
-					Trials:    1,
-					BaseSeed:  int64(i + 1),
-					Workers:   1, // one cell: all parallelism comes from the shards
-					Shards:    shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range res.Cells {
-					events += c.Events
-				}
-			}
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				b.ReportMetric(float64(events)/secs, "events/sec")
-			}
-		})
 	}
 }
 

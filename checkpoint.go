@@ -33,7 +33,7 @@ import (
 // the snapshot — a mismatch fails with a clean error instead of
 // continuing from silently divergent state. The verified run then
 // continues to the horizon; its summary fingerprint is bit-identical to
-// an uninterrupted run's, serial and sharded alike.
+// an uninterrupted run's.
 //
 // ErrInterrupted is returned (wrapped) by the checkpointing run loops
 // when the caller's stop channel ended the run early; the partial run's
@@ -145,7 +145,6 @@ func newScenarioCkRun(r ScenarioRun) (*ckRun, error) {
 			HorizonNs:     int64(wcfg.Duration),
 			Protocol:      r.Protocol.String(),
 			Seed:          r.Seed,
-			Shards:        r.Shards,
 			MaxDurationNs: int64(r.MaxDuration),
 			Scenario:      raw,
 		},
@@ -174,7 +173,6 @@ func newSimCkRun(cfg SimConfig) (*ckRun, error) {
 		Protocol:  cfg.Protocol.String(),
 		Seed:      cfg.Seed,
 		SeedZero:  cfg.SeedZero,
-		Shards:    cfg.Shards,
 		Sim:       sp,
 	}
 	if cfg.Telemetry != nil {
@@ -206,7 +204,6 @@ func ckRunFromDescriptor(d checkpoint.Descriptor) (*ckRun, error) {
 			Scenario:    spec,
 			Protocol:    proto,
 			Seed:        d.Seed,
-			Shards:      d.Shards,
 			MaxDuration: time.Duration(d.MaxDurationNs),
 		})
 		if err != nil {
@@ -225,7 +222,6 @@ func ckRunFromDescriptor(d checkpoint.Descriptor) (*ckRun, error) {
 			Seed:         d.Seed,
 			SeedZero:     d.SeedZero,
 			BufferCap:    d.Sim.BufferCap,
-			Shards:       d.Shards,
 		}
 		if d.Sim.Flows != nil {
 			if err := json.Unmarshal(d.Sim.Flows, &cfg.Flows); err != nil {
@@ -399,7 +395,6 @@ func simWorldConfig(cfg SimConfig) world.Config {
 		wcfg.Node.BufferCap = cfg.BufferCap
 	}
 	wcfg.Obs = cfg.Obs
-	wcfg.Shards = cfg.Shards
 	if cfg.Telemetry != nil {
 		if cfg.Telemetry.Streaming {
 			wcfg.Timeseries = timeseries.NewStreamingCollector(cfg.Telemetry.Interval, wcfg.Duration)

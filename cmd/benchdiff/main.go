@@ -16,23 +16,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // benchRecord mirrors bench.sh's fixed schema.
 type benchRecord struct {
-	Label      string       `json:"label"`
-	Go         string       `json:"go"`
-	Benchmarks []benchLine  `json:"benchmarks"`
-	Scaling    []scalePoint `json:"scaling,omitempty"`
-}
-
-// scalePoint is one entry of the core-scaling sweep bench.sh records
-// with -scaling (BenchmarkShardedThroughput at a fixed shard count).
-type scalePoint struct {
-	Shards       int     `json:"shards"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
+	Label      string      `json:"label"`
+	Go         string      `json:"go"`
+	Benchmarks []benchLine `json:"benchmarks"`
 }
 
 type benchLine struct {
@@ -56,23 +46,11 @@ type delta struct {
 	PostOnly     bool    `json:"post_only,omitempty"`
 }
 
-// scaleDelta is one shard count's before/after comparison, plus each
-// record's own speedup over its 1-shard point (how much the shards buy
-// relative to running the same build serially).
-type scaleDelta struct {
-	Shards          int     `json:"shards"`
-	SpeedupNs       float64 `json:"speedup_ns,omitempty"`
-	EventsRatio     float64 `json:"events_per_sec_ratio,omitempty"`
-	BaselineScaling float64 `json:"baseline_speedup_vs_1shard,omitempty"`
-	PostScaling     float64 `json:"post_speedup_vs_1shard,omitempty"`
-}
-
 type report struct {
-	Baseline string       `json:"baseline"`
-	Post     string       `json:"post"`
-	Deltas   []delta      `json:"deltas"`
-	Scaling  []scaleDelta `json:"scaling,omitempty"`
-	Summary  string       `json:"summary"`
+	Baseline string  `json:"baseline"`
+	Post     string  `json:"post"`
+	Deltas   []delta `json:"deltas"`
+	Summary  string  `json:"summary"`
 }
 
 func load(path string) (benchRecord, error) {
@@ -163,74 +141,8 @@ func buildReport(base, post benchRecord) report {
 			rep.Deltas = append(rep.Deltas, delta{Name: p.Name, PostOnly: true})
 		}
 	}
-	rep.Scaling = diffScaling(base.Scaling, post.Scaling)
-	for _, sd := range rep.Scaling {
-		if sd.PostScaling > 0 {
-			if summary != "" {
-				summary += "; "
-			}
-			summary += fmt.Sprintf("scaling@%d-shards: %.2fx vs 1-shard", sd.Shards, sd.PostScaling)
-		}
-	}
 	rep.Summary = summary
 	return rep
-}
-
-// diffScaling pairs the two records' core-scaling sweeps by shard count.
-// A record missing the sweep contributes nothing; a shard count present
-// on only one side still reports that side's speedup-vs-1-shard.
-func diffScaling(base, post []scalePoint) []scaleDelta {
-	if len(base) == 0 && len(post) == 0 {
-		return nil
-	}
-	baseBy := make(map[int]scalePoint, len(base))
-	var baseSerial, postSerial float64
-	for _, p := range base {
-		baseBy[p.Shards] = p
-		if p.Shards == 1 {
-			baseSerial = p.NsPerOp
-		}
-	}
-	seen := make(map[int]bool)
-	var shards []int
-	for _, p := range post {
-		if p.Shards == 1 {
-			postSerial = p.NsPerOp
-		}
-		shards = append(shards, p.Shards)
-		seen[p.Shards] = true
-	}
-	for _, p := range base {
-		if !seen[p.Shards] {
-			shards = append(shards, p.Shards)
-		}
-	}
-	sort.Ints(shards)
-
-	postBy := make(map[int]scalePoint, len(post))
-	for _, p := range post {
-		postBy[p.Shards] = p
-	}
-	var out []scaleDelta
-	for _, s := range shards {
-		b, inBase := baseBy[s]
-		p, inPost := postBy[s]
-		d := scaleDelta{Shards: s}
-		if inBase && inPost {
-			d.SpeedupNs = round3(ratio(b.NsPerOp, p.NsPerOp))
-			if b.EventsPerSec > 0 && p.EventsPerSec > 0 {
-				d.EventsRatio = round3(p.EventsPerSec / b.EventsPerSec)
-			}
-		}
-		if inBase {
-			d.BaselineScaling = round3(ratio(baseSerial, b.NsPerOp))
-		}
-		if inPost {
-			d.PostScaling = round3(ratio(postSerial, p.NsPerOp))
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 func round3(x float64) float64 {

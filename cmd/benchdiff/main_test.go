@@ -105,75 +105,6 @@ func TestBuildReportDegenerateMetrics(t *testing.T) {
 	}
 }
 
-func TestBuildReportScalingSweep(t *testing.T) {
-	base, post := goldenRecords()
-	base.Scaling = []scalePoint{
-		{Shards: 1, NsPerOp: 8000, EventsPerSec: 1e6},
-		{Shards: 2, NsPerOp: 5000, EventsPerSec: 1.6e6},
-		{Shards: 8, NsPerOp: 2000, EventsPerSec: 4e6},
-	}
-	post.Scaling = []scalePoint{
-		{Shards: 1, NsPerOp: 4000, EventsPerSec: 2e6},
-		{Shards: 2, NsPerOp: 2000, EventsPerSec: 4e6},
-		{Shards: 4, NsPerOp: 1000, EventsPerSec: 8e6},
-	}
-	rep := buildReport(base, post)
-
-	if len(rep.Scaling) != 4 {
-		t.Fatalf("want 4 scaling deltas (shards 1,2,4,8), got %d: %+v", len(rep.Scaling), rep.Scaling)
-	}
-	for i, want := range []int{1, 2, 4, 8} {
-		if rep.Scaling[i].Shards != want {
-			t.Fatalf("scaling not sorted by shard count: %+v", rep.Scaling)
-		}
-	}
-
-	s1 := rep.Scaling[0]
-	if s1.SpeedupNs != 2.0 || s1.EventsRatio != 2.0 {
-		t.Errorf("1-shard delta = %+v, want 2.0x both", s1)
-	}
-	if s1.BaselineScaling != 1.0 || s1.PostScaling != 1.0 {
-		t.Errorf("1-shard self-scaling must be 1.0: %+v", s1)
-	}
-
-	s2 := rep.Scaling[1]
-	if s2.SpeedupNs != 2.5 || s2.EventsRatio != 2.5 {
-		t.Errorf("2-shard delta = %+v, want 2.5x both", s2)
-	}
-	if s2.BaselineScaling != 1.6 || s2.PostScaling != 2.0 {
-		t.Errorf("2-shard speedup-vs-1-shard = %+v, want 1.6 baseline / 2.0 post", s2)
-	}
-
-	// Shards present on one side only still report that side's scaling.
-	s4 := rep.Scaling[2]
-	if s4.SpeedupNs != 0 || s4.EventsRatio != 0 {
-		t.Errorf("post-only shard count must not cross-compare: %+v", s4)
-	}
-	if s4.BaselineScaling != 0 || s4.PostScaling != 4.0 {
-		t.Errorf("post-only 4-shard scaling = %+v, want PostScaling 4.0", s4)
-	}
-	s8 := rep.Scaling[3]
-	if s8.BaselineScaling != 4.0 || s8.PostScaling != 0 || s8.SpeedupNs != 0 {
-		t.Errorf("baseline-only 8-shard scaling = %+v, want BaselineScaling 4.0", s8)
-	}
-
-	if !strings.Contains(rep.Summary, "scaling@2-shards: 2.00x vs 1-shard") {
-		t.Errorf("summary missing paired scaling line: %q", rep.Summary)
-	}
-	if !strings.Contains(rep.Summary, "scaling@4-shards: 4.00x vs 1-shard") {
-		t.Errorf("summary missing post-only scaling line: %q", rep.Summary)
-	}
-	if strings.Contains(rep.Summary, "scaling@8-shards") {
-		t.Errorf("summary reports baseline-only shard count as post scaling: %q", rep.Summary)
-	}
-}
-
-func TestDiffScalingEmpty(t *testing.T) {
-	if got := diffScaling(nil, nil); got != nil {
-		t.Errorf("no sweeps on either side must yield nil, got %+v", got)
-	}
-}
-
 func TestRound3(t *testing.T) {
 	for _, tc := range []struct{ in, want float64 }{
 		{1.23456, 1.235},

@@ -101,27 +101,38 @@ func TestServeChaosByteIdentical(t *testing.T) {
 		return s
 	}
 
+	// The loop asks for the result first, on every pass, and only then
+	// looks at the state: anything other than 409 "no result yet" must be
+	// the complete export — a 200 with an empty, partial or otherwise
+	// different body at any moment of the run is a torn result.
 	kills := 0
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("chaos run did not finish: %+v", poll())
 		}
-		s := poll()
-		switch s.State {
-		case "done":
+		if result, ok := fetchResult(t, baseURL, st.ID); ok {
+			if !json.Valid(result) {
+				t.Fatalf("/result answered 200 with an unparsable %d-byte body", len(result))
+			}
+			if !bytes.Equal(result, baseline) {
+				t.Fatalf("chaos export differs from undisturbed run: %d vs %d bytes", len(result), len(baseline))
+			}
+			s := poll()
+			if s.State != "done" {
+				t.Errorf("/result served while the job is %s", s.State)
+			}
 			if kills == 0 {
 				t.Fatal("grid finished before any worker was killed; grow the grid")
 			}
 			if s.Restarts < kills {
 				t.Errorf("restarts=%d after %d kills", s.Restarts, kills)
 			}
-			result := fetchResult(t, baseURL, st.ID)
-			if !bytes.Equal(result, baseline) {
-				t.Fatalf("chaos export differs from undisturbed run: %d vs %d bytes", len(result), len(baseline))
-			}
 			t.Logf("byte-identical after %d kill -9s (restored %d cells on last resume)", kills, s.Restored)
 			return
+		}
+		s := poll()
+		switch s.State {
 		case "failed", "canceled":
 			t.Fatalf("job %s: %s", s.State, s.Reason)
 		case "running":
@@ -216,13 +227,18 @@ func startServeDaemon(t *testing.T, bin, dataDir string, extra ...string) (*exec
 	}
 }
 
-func fetchResult(t *testing.T, baseURL, id string) []byte {
+// fetchResult asks for the job's export. ok is false while the daemon
+// answers 409 (no result yet); any other non-200 status fails the test.
+func fetchResult(t *testing.T, baseURL, id string) (body []byte, ok bool) {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusConflict {
+		return nil, false
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result fetch: %d", resp.StatusCode)
 	}
@@ -230,5 +246,5 @@ func fetchResult(t *testing.T, baseURL, id string) []byte {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), true
 }

@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"rica"
+	"rica/internal/durable"
 )
 
 // Exit statuses: 0 success, 1 error, exitInterrupted when a signal (or
@@ -64,7 +66,6 @@ func main() {
 		protocols   = flag.String("protocols", "", "comma-separated protocol subset (default: all five)")
 		format      = flag.String("format", "table", "output format: table, csv, json (batch), or chart (figures 6a/6b)")
 		parallelism = flag.Int("parallelism", 0, "max concurrent trials — whole runs side by side (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 1, "spatial shards inside each run: broadcast geometry fans out across this many cores (0 = GOMAXPROCS, 1 = serial); results are bit-identical for every value, unlike -parallelism this speeds up a single run")
 		scenarios   = flag.String("scenario", "", "run a batch over comma-separated scenario names and/or JSON spec files")
 		verify      = flag.Bool("verify", false, "run each -scenario cell under the invariant harness (conservation, ledger agreement, replay determinism, zero leak) instead of the batch engine; exits 1 on any violation")
 		list        = flag.Bool("list-scenarios", false, "print the built-in scenario catalog and exit")
@@ -96,12 +97,6 @@ func main() {
 	}
 	if *stats < 0 {
 		fatalf("-stats must be positive, got %v", *stats)
-	}
-	if *shards < 0 {
-		fatalf("-shards must be non-negative, got %d (0 = one shard per core)", *shards)
-	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 	if *ckptEvery <= 0 {
 		fatalf("-checkpoint-every must be positive, got %v", *ckptEvery)
@@ -135,7 +130,6 @@ func main() {
 	if *stats > 0 || *statsAddr != "" || *obsOut != "" {
 		hub = rica.NewObsHub()
 		hub.PoolFunc = rica.PoolStats
-		hub.ShardFunc = rica.ShardStats
 	}
 	if *statsAddr != "" {
 		ln, err := net.Listen("tcp", *statsAddr)
@@ -230,17 +224,17 @@ func main() {
 			if flagSet("duration") {
 				maxDur = *duration
 			}
-			runVerify(*scenarios, *protocols, *seed, *shards, maxDur)
+			runVerify(*scenarios, *protocols, *seed, maxDur)
 			return
 		}
 		if *ckptPath != "" {
-			if runCheckpointed(*scenarios, *protocols, *seed, *shards, *duration, flagSet("duration"),
+			if runCheckpointed(*scenarios, *protocols, *seed, *duration, flagSet("duration"),
 				*ckptPath, *ckptEvery, installStopSignal()) {
 				exitCutShort()
 			}
 			return
 		}
-		if runBatch(*scenarios, *protocols, *trials, *seed, *parallelism, *shards,
+		if runBatch(*scenarios, *protocols, *trials, *seed, *parallelism,
 			*duration, *format, *out, *timeline, *interval, *streaming, *manifest, hub,
 			installStopSignal()) {
 			exitCutShort()
@@ -257,17 +251,11 @@ func main() {
 	if *timeline != "" {
 		fatalf("-timeline is only supported with -scenario batches")
 	}
-	// The figure experiments simulate the paper's 50-terminal field; more
-	// shards than terminals could never all own work.
-	if *shards > 50 {
-		fatalf("-shards %d exceeds the figure experiments' 50 terminals", *shards)
-	}
 	opts := rica.Options{
 		Trials:      *trials,
 		Duration:    *duration,
 		BaseSeed:    *seed,
 		Parallelism: *parallelism,
-		Shards:      *shards,
 	}
 	var err error
 	if opts.Speeds, err = parseFloats(*speeds); err != nil {
@@ -422,7 +410,7 @@ func loadSpec(part string) rica.Scenario {
 // runCheckpointed executes one scenario × protocol cell under the
 // periodic-snapshot regime. Returns true when the run was interrupted
 // (the final snapshot resumes it).
-func runCheckpointed(scenarioArg, protocols string, seed int64, shards int,
+func runCheckpointed(scenarioArg, protocols string, seed int64,
 	duration time.Duration, durationSet bool, path string, every time.Duration,
 	stop <-chan struct{}) bool {
 	if strings.Contains(scenarioArg, ",") {
@@ -436,10 +424,7 @@ func runCheckpointed(scenarioArg, protocols string, seed int64, shards int,
 	if durationSet {
 		spec.Duration = rica.ScenarioDuration(duration)
 	}
-	if n := spec.Topology.NodeCount(); shards > n {
-		fatalf("-shards %d exceeds scenario %s's %d nodes", shards, spec.Name, n)
-	}
-	r := rica.ScenarioRun{Scenario: spec, Protocol: protos[0], Seed: seed, Shards: shards}
+	r := rica.ScenarioRun{Scenario: spec, Protocol: protos[0], Seed: seed}
 	s, interrupted, err := rica.RunCheckpointed(r, path, every, stop)
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "ricasim: interrupted — resume with: ricasim -resume %s\n", path)
@@ -499,7 +484,7 @@ func listScenarios() {
 // harness, one at a time (the pooled-packet leak check needs the process
 // to itself). Each cell simulates twice: once for the ledger checks,
 // once to prove replay determinism.
-func runVerify(list, protocols string, seed int64, shards int, maxDur time.Duration) {
+func runVerify(list, protocols string, seed int64, maxDur time.Duration) {
 	protos := parseProtocols(protocols)
 	if protos == nil {
 		protos = rica.AllProtocols()
@@ -509,8 +494,7 @@ func runVerify(list, protocols string, seed int64, shards int, maxDur time.Durat
 		spec := loadSpec(part)
 		for _, p := range protos {
 			s, err := rica.VerifyScenario(rica.ScenarioRun{
-				Scenario: spec, Protocol: p, Seed: seed,
-				Shards: shards, MaxDuration: maxDur,
+				Scenario: spec, Protocol: p, Seed: seed, MaxDuration: maxDur,
 			})
 			meter.events += 2 * s.Events // the harness runs each cell twice
 			if err != nil {
@@ -533,7 +517,7 @@ func runVerify(list, protocols string, seed int64, shards int, maxDur time.Durat
 // interrupted: the partial results and telemetry still flush (and the
 // manifest, when set, journals every finished cell for resume), but the
 // process must exit with the interrupted status.
-func runBatch(list, protocols string, trials int, seed int64, parallelism, shards int,
+func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	duration time.Duration, format, out, timeline string, interval time.Duration,
 	streaming bool, manifest string, hub *rica.ObsHub, stop <-chan struct{}) bool {
 	durationSet := flagSet("duration")
@@ -546,7 +530,6 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 		Trials:   trials,
 		BaseSeed: seed,
 		Workers:  parallelism,
-		Shards:   shards,
 		Hub:      hub,
 		Manifest: manifest,
 		Stop:     stop,
@@ -557,11 +540,11 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 	}
 
 	var (
-		timelineFile *os.File
+		timelineFile *pendingFile
 		timelineBuf  *bufio.Writer
 	)
 	if timeline != "" {
-		f, err := os.Create(timeline)
+		f, err := createPending(timeline)
 		if err != nil {
 			fatalf("-timeline: %v", err)
 		}
@@ -584,17 +567,14 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 		if durationSet {
 			spec.Duration = rica.ScenarioDuration(duration)
 		}
-		if n := spec.Topology.NodeCount(); shards > n {
-			fatalf("-shards %d exceeds scenario %s's %d nodes", shards, spec.Name, n)
-		}
 		cfg.Scenarios = append(cfg.Scenarios, spec)
 	}
 	cfg.Protocols = parseProtocols(protocols)
 
 	// Open the output before burning batch time on it.
-	var outFile *os.File
+	var outFile *pendingFile
 	if out != "" {
-		f, err := os.Create(out)
+		f, err := createPending(out)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -620,8 +600,8 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 	// that buffered timeline and result bytes reach disk.
 	if timelineFile != nil {
 		err := timelineBuf.Flush()
-		if cerr := timelineFile.Close(); err == nil {
-			err = cerr
+		if err == nil {
+			err = timelineFile.commit()
 		}
 		if err != nil {
 			fatalf("writing %s: %v", timeline, err)
@@ -639,8 +619,8 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 		} else {
 			err = res.WriteJSON(outFile)
 		}
-		if cerr := outFile.Close(); err == nil {
-			err = cerr
+		if err == nil {
+			err = outFile.commit()
 		}
 		if err != nil {
 			fatalf("writing %s: %v", out, err)
@@ -662,6 +642,44 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism, shard
 		fmt.Print(res.Table())
 	}
 	return interrupted
+}
+
+// pendingFile is an output that appears under its final name only once
+// it is complete: bytes go to a temp file in the same directory, and
+// commit fsyncs it and renames it over path. A reader — the daemon's
+// /result handler, the supervisor's "exit 0 with a result" check — can
+// therefore never see an empty or half-written file, and a crash
+// mid-write leaves whatever was at path before untouched.
+type pendingFile struct {
+	*os.File
+	path string
+}
+
+// createPending opens the temp file up front, so an unwritable
+// directory fails before any simulation time is spent.
+func createPending(path string) (*pendingFile, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	exitHooks = append(exitHooks, func() { os.Remove(f.Name()) }) // no-op once commit has renamed it
+	return &pendingFile{File: f, path: path}, nil
+}
+
+// commit publishes the fully written file under its final name.
+func (p *pendingFile) commit() error {
+	// CreateTemp's 0600 is right for a scratch file, not for results.
+	err := p.Chmod(0o644)
+	if err == nil {
+		err = p.Sync()
+	}
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return durable.Rename(p.Name(), p.path)
 }
 
 // flagSet reports whether the named flag was given explicitly.

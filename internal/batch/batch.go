@@ -53,12 +53,6 @@ type Config struct {
 	// sink serially, in grid order, after all cells complete — so equal
 	// batches stream byte-identical telemetry regardless of Workers.
 	Telemetry *Telemetry
-	// Shards, when ≥ 2, runs every cell's broadcast geometry scans across
-	// that many spatial shards inside the run (see rica.SimConfig.Shards).
-	// Orthogonal to Workers: Workers parallelizes across cells, Shards
-	// within each. Cell summaries are bit-identical for every value, so
-	// exports stay reproducible regardless of either knob.
-	Shards int
 	// Hub, when non-nil, has every in-flight cell's observability registry
 	// attached for the duration of its run, so live surfaces (the stats
 	// heartbeat, the HTTP endpoint) see batch-wide aggregate counters while
@@ -241,7 +235,7 @@ func Run(cfg Config) (Result, error) {
 	restoredCells := map[int]CellResult{}
 	if cfg.Manifest != "" {
 		var err error
-		man, restoredCells, err = openManifest(cfg.Manifest, gridSignature(cells, baseSeed, trials, cfg.Shards), len(cells))
+		man, restoredCells, err = openManifest(cfg.Manifest, gridSignature(cells, baseSeed, trials), len(cells))
 		if err != nil {
 			return Result{}, err
 		}
@@ -462,7 +456,6 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
 	tele, hub := cfg.Telemetry, cfg.Hub
 	wcfg := c.cfg // each cell mutates its own copy
 	wcfg.Seed = c.seed
-	wcfg.Shards = cfg.Shards
 	if tele != nil {
 		if tele.Streaming {
 			wcfg.Timeseries = timeseries.NewStreamingCollector(tele.Interval, wcfg.Duration)

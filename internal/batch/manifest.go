@@ -17,8 +17,8 @@ import (
 // JSON-Lines file recording every finished cell the moment it finishes,
 // fsync'd per line so a killed process loses at most its in-flight
 // cells. The first line is a header binding the journal to one exact
-// grid (a signature over the scenario specs, protocols, trials, seeds,
-// and shards); re-running that grid with the same manifest path
+// grid (a signature over the scenario specs, protocols, trials and
+// seeds); re-running that grid with the same manifest path
 // restores journaled cells verbatim — cell rows JSON round-trip exactly
 // (integers verbatim, floats by shortest representation), so a resumed
 // batch's exported Result is byte-identical to an uninterrupted one —
@@ -46,13 +46,13 @@ type manifest struct {
 }
 
 // gridSignature fingerprints the expanded grid: any change to the
-// scenario specs, protocol set, trial count, seeds, or sharding yields
-// a different signature, so a stale journal can never resume the wrong
+// scenario specs, protocol set, trial count or seeds yields a
+// different signature, so a stale journal can never resume the wrong
 // grid.
-func gridSignature(cells []cell, baseSeed int64, trials, shards int) string {
+func gridSignature(cells []cell, baseSeed int64, trials int) string {
 	h := fnv.New64a()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	w("base=%d trials=%d shards=%d cells=%d\n", baseSeed, trials, shards, len(cells))
+	w("base=%d trials=%d cells=%d\n", baseSeed, trials, len(cells))
 	for i := range cells {
 		c := &cells[i]
 		spec, err := json.Marshal(c.spec)

@@ -49,7 +49,6 @@ type Model struct {
 	snap    *snapshot
 	trans   transCache // exact AR(1)-coefficient cache shared by all links
 	obs     *obs.Registry
-	shard   *shardState // sharded scan machinery; nil = serial-only (the default)
 }
 
 // NewModel builds the channel for n terminals whose positions are given by

@@ -13,7 +13,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "RICACKP1"            format name + version
+//	magic   [8]byte  "RICACKP2"            format name + version
 //	section: tag [4]byte | len uint32 | payload [len]byte | crc32 uint32
 //	...                                    (one or more sections)
 //	tail:    tag "TAIL" | len 8 | count uint32, filecrc uint32 | crc32
@@ -25,9 +25,9 @@
 // skipped by readers — a newer writer may add sections without breaking
 // an older reader's ability to reject or inspect the file. The magic
 // string carries the format version: any incompatible change to the
-// container or to a section payload's encoding bumps "RICACKP1" to
-// "RICACKP2", and old readers reject new files outright (and vice
-// versa) instead of mis-restoring.
+// container or to a section payload's encoding bumps the trailing digit
+// ("RICACKP2" to "RICACKP3"), and old readers reject new files outright
+// (and vice versa) instead of mis-restoring.
 package checkpoint
 
 import (
@@ -42,7 +42,7 @@ import (
 )
 
 // Magic identifies the container format and its version.
-const Magic = "RICACKP1"
+const Magic = "RICACKP2"
 
 // tailTag closes every file; it is not a user section.
 const tailTag = "TAIL"
@@ -222,11 +222,10 @@ type Descriptor struct {
 	HorizonNs int64 `json:"horizon_ns"`
 	// Protocol names the routing protocol under test.
 	Protocol string `json:"protocol"`
-	// Seed, SeedZero, Shards and MaxDurationNs mirror the fields of
+	// Seed, SeedZero and MaxDurationNs mirror the fields of
 	// rica.ScenarioRun / rica.SimConfig they came from.
 	Seed          int64 `json:"seed,omitempty"`
 	SeedZero      bool  `json:"seed_zero,omitempty"`
-	Shards        int   `json:"shards,omitempty"`
 	MaxDurationNs int64 `json:"max_duration_ns,omitempty"`
 	// Scenario is the validated scenario spec, verbatim (kind "scenario").
 	Scenario json.RawMessage `json:"scenario,omitempty"`

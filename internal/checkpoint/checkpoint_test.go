@@ -75,10 +75,12 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsVersionSkew(t *testing.T) {
 	snap := mustWrite(t, sampleSections())
-	skewed := append([]byte("RICACKP2"), snap[len(Magic):]...)
-	_, err := Read(bytes.NewReader(skewed))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version magic: err = %v, want ErrCorrupt mentioning version", err)
+	for _, magic := range []string{"RICACKP1", "RICACKP3"} { // the previous and the next version
+		skewed := append([]byte(magic), snap[len(Magic):]...)
+		_, err := Read(bytes.NewReader(skewed))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("magic %s: err = %v, want ErrCorrupt mentioning version", magic, err)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                         // truncated
 	f.Add(append([]byte(nil), valid[:len(valid)-1]...)) // missing last byte
-	skew := append([]byte("RICACKP2"), valid[len(Magic):]...)
+	skew := append([]byte("RICACKP3"), valid[len(Magic):]...)
 	f.Add(skew) // version-skewed magic
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/3] ^= 0x10

@@ -17,10 +17,6 @@ type Options struct {
 	BaseSeed  int64
 	// Parallelism caps concurrent trials per cell; 0 means GOMAXPROCS.
 	Parallelism int
-	// Shards spreads each trial's broadcast geometry scans across spatial
-	// shards (see world.Config.Shards); 0 or 1 keeps trials serial.
-	// Parallelism spans trials, Shards works within one.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -71,7 +67,6 @@ func Sweep(load float64, o Options) SweepResult {
 				Trials:       o.Trials,
 				BaseSeed:     o.BaseSeed,
 				Parallelism:  o.Parallelism,
-				Shards:       o.Shards,
 			})
 		}
 		out.Cells[p] = rows
@@ -160,7 +155,6 @@ func Quality(speedKmh, load float64, o Options) QualityResult {
 			Trials:       o.Trials,
 			BaseSeed:     o.BaseSeed,
 			Parallelism:  o.Parallelism,
-			Shards:       o.Shards,
 		})
 	}
 	return out
@@ -208,7 +202,6 @@ func Series(load, speedKmh float64, o Options) SeriesResult {
 			Trials:       o.Trials,
 			BaseSeed:     o.BaseSeed,
 			Parallelism:  o.Parallelism,
-			Shards:       o.Shards,
 		})
 	}
 	return out

@@ -27,9 +27,6 @@ type RunConfig struct {
 	BaseSeed int64
 	// Parallelism caps concurrent trials; 0 means GOMAXPROCS.
 	Parallelism int
-	// Shards spreads each trial's broadcast geometry scans across spatial
-	// shards (see world.Config.Shards); 0 or 1 keeps trials serial.
-	Shards int
 }
 
 // Result is the across-trial average of one cell.
@@ -87,7 +84,6 @@ func runTrial(cfg RunConfig, seed int64) metrics.Summary {
 	wcfg := world.DefaultConfig(cfg.MeanSpeedKmh, cfg.Rate)
 	wcfg.Duration = cfg.Duration
 	wcfg.Seed = seed
-	wcfg.Shards = cfg.Shards
 	return world.New(wcfg, Factory(cfg.Protocol, cfg.Rate)).Run()
 }
 

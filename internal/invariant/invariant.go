@@ -1,10 +1,10 @@
 // Package invariant checks the simulator's conservation laws on any
 // completed run. The checks are deliberately post-hoc — they consume
 // only a metrics.Summary (plus the pooled-packet gauge for leak
-// detection), so the same harness applies to a hand-built world, a
-// compiled scenario, the serial engine, or the sharded one. The fuzzer
-// and the catalog sweep both fail through this package, which keeps "the
-// simulation is self-consistent" defined in exactly one place.
+// detection), so the same harness applies to a hand-built world or a
+// compiled scenario. The fuzzer and the catalog sweep both fail through
+// this package, which keeps "the simulation is self-consistent" defined
+// in exactly one place.
 //
 // The laws, in strength order:
 //

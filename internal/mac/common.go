@@ -63,17 +63,6 @@ type LinkOracle interface {
 	Interferes(i, j int, at time.Duration) bool
 }
 
-// BroadcastScanner is the optional sharded geometry fast path
-// (channel.Model implements it): one call computes the sender's
-// neighbour list and the neighbour list of every interfering
-// transmitter, fanned out across a worker pool. A nil return means the
-// scan declined (sharding disabled, or below the fan-out grain) and the
-// serial Neighbors/Interferes path must run instead; a non-nil result is
-// bit-identical to what that path would derive.
-type BroadcastScanner interface {
-	BroadcastScan(from int, others []int, at time.Duration) *channel.ScanLists
-}
-
 // ReceiveFunc handles a control packet arriving at a terminal. Each
 // receiver gets its own clone, so handlers may mutate the packet freely.
 type ReceiveFunc func(pkt *packet.Packet, now time.Duration)
@@ -98,11 +87,6 @@ type CommonChannel struct {
 	nbuf     []int           // reusable neighbour scratch for broadcast delivery
 	obuf     []*transmission // reusable overlap-set scratch for one completion
 	vbuf     []int           // reusable victim scratch for collision marking
-	cbuf     []int           // reusable transmitter-id scratch for sharded scans
-
-	// scanner is the model's sharded broadcast fast path, when it offers
-	// one (see BroadcastScanner); nil keeps every completion serial.
-	scanner BroadcastScanner
 
 	// colStamp/colEpoch mark, per terminal, whether the current
 	// completion's overlapping transmissions reach it: one neighbourhood
@@ -156,9 +140,6 @@ func NewCommonChannel(kernel *sim.Kernel, model LinkOracle, rng *rand.Rand) *Com
 		rng:      rng,
 		handlers: make([]ReceiveFunc, model.N()),
 		colStamp: make([]uint64, model.N()),
-	}
-	if sc, ok := model.(BroadcastScanner); ok {
-		c.scanner = sc
 	}
 	c.completeFn = c.completeSlot
 	c.retryFn = c.retrySlot
@@ -407,8 +388,6 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 				c.obs.Inc(obs.CMACCollisions)
 			}
 		}
-	} else if sl := c.shardScan(tx, now); sl != nil {
-		c.finishShardScan(sl, tx, now)
 	} else if c.nbuf = c.model.Neighbors(tx.from, now, c.nbuf[:0]); len(c.nbuf) > 0 {
 		c.overlaps(tx, now)
 		// Settle the survivor set before any handler runs: handlers may
@@ -452,74 +431,6 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 	tx.pkt.Release()
 	tx.pkt = nil
 	c.prune(now)
-}
-
-// shardScan hands a broadcast completion to the model's sharded scanner:
-// the temporal-overlap transmitter set (the same window test overlaps()
-// applies, before its interference filter — the scanner applies that
-// itself) plus the sender. A nil return routes the completion to the
-// serial branch.
-func (c *CommonChannel) shardScan(tx *transmission, now time.Duration) *channel.ScanLists {
-	if c.scanner == nil {
-		return nil
-	}
-	c.cbuf = c.cbuf[:0]
-	for _, other := range c.active {
-		if other == tx || other.start >= tx.end || other.end <= tx.start {
-			continue
-		}
-		if other.from == tx.from {
-			// The sender's own radio carried a second burst over this
-			// completion — only a jammer gets here (honest sends defer to
-			// their own carrier) — and Interferes(i, i) makes the serial
-			// verdict a full wipe: the jam reaches every receiver the
-			// sender does. The scanner's centre set excludes the sender,
-			// so decline the fan-out and let the serial branch rule.
-			return nil
-		}
-		c.cbuf = append(c.cbuf, other.from)
-	}
-	return c.scanner.BroadcastScan(tx.from, c.cbuf, now)
-}
-
-// finishShardScan applies the MAC's collision verdict and delivery to a
-// sharded scan's lists — the exact markCollided fold: every interfering
-// transmitter jams its own radio and everything in range of it, and a
-// receiver collided exactly when it carries the completion's stamp. The
-// verdict per receiver is identical to the serial branch's, pairwise or
-// scanned (see markCollided), so the delivered set is too.
-func (c *CommonChannel) finishShardScan(sl *channel.ScanLists, tx *transmission, now time.Duration) {
-	sender := sl.Sender()
-	if len(sender) == 0 {
-		return
-	}
-	// Settle the survivor set before any handler runs: handlers may send
-	// synchronously, and those sends' carrier sensing reuses the stamp
-	// array — and may re-enter the scanner, invalidating sl's buffers.
-	c.nbuf = append(c.nbuf[:0], sender...)
-	c.colEpoch++
-	for k := 0; k < sl.Others(); k++ {
-		id, lst := sl.Other(k)
-		c.colStamp[id] = c.colEpoch
-		for _, v := range lst {
-			c.colStamp[v] = c.colEpoch
-		}
-	}
-	w := 0
-	for _, j := range c.nbuf {
-		if c.handlers[j] == nil {
-			continue
-		}
-		if c.colStamp[j] == c.colEpoch {
-			c.obs.Inc(obs.CMACCollisions)
-			continue
-		}
-		c.nbuf[w] = j
-		w++
-	}
-	for _, j := range c.nbuf[:w] {
-		c.deliver(j, tx.pkt, now)
-	}
 }
 
 // deliver hands receiver j its own pooled, mutable copy of pkt. The copy

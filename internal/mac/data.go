@@ -76,9 +76,15 @@ func NewDataPlane(kernel *sim.Kernel, model LinkOracle) *DataPlane {
 type exchange struct {
 	from, to int
 	tries    int
-	pkt      *packet.Packet
-	done     func(SendResult)
-	class    channel.Class
+	// pkt is the packet while the sender still owns it; it is dropped at
+	// hand-off, because the receiver may release it (back into a pool
+	// other runs share) at any time after. id and size are kept by value
+	// so the checkpoint export never has to look through the pointer.
+	pkt   *packet.Packet
+	id    uint64
+	size  int
+	done  func(SendResult)
+	class channel.Class
 	// handed flips when the receiver takes delivery: from then until the
 	// ACK airtime closes the exchange, the sender's queue head is a stale
 	// reference to a packet the receiver now owns (see EachHandedOff).
@@ -111,6 +117,7 @@ func (d *DataPlane) Send(from, to int, pkt *packet.Packet, done func(SendResult)
 	}
 	x := d.allocX()
 	x.from, x.to, x.pkt, x.done = from, to, pkt, done
+	x.id, x.size = pkt.ID, pkt.Size
 	d.attempt(x, d.parkX(x))
 }
 
@@ -122,18 +129,18 @@ func (d *DataPlane) attempt(x *exchange, slot int) {
 	now := d.kernel.Now()
 	x.class = d.model.Class(x.from, x.to, now)
 	if d.OnDataTransmit != nil {
-		d.OnDataTransmit(x.from, x.to, x.class, x.pkt.Size, now)
+		d.OnDataTransmit(x.from, x.to, x.class, x.size, now)
 	}
 	if !x.class.Usable() {
 		// The receiver is gone, but the sender cannot know that yet: it
 		// transmits blind at the most robust rate and only concludes
 		// failure when no ACK arrives. This detection latency is what
 		// stalls a queue behind a broken link.
-		blind := channel.ClassD.TransmitDuration(x.pkt.Size) + ackTimeout
+		blind := channel.ClassD.TransmitDuration(x.size) + ackTimeout
 		d.kernel.ScheduleArg(blind, d.blindFn, slot, 0)
 		return
 	}
-	txDur := x.class.TransmitDuration(x.pkt.Size)
+	txDur := x.class.TransmitDuration(x.size)
 	d.kernel.ScheduleArg(txDur, d.arriveFn, slot, 0)
 }
 
@@ -170,12 +177,13 @@ func (d *DataPlane) arrive(arrival time.Duration, slot, _ int) {
 	}
 	// Per-hop quality trace for the paper's route-quality figures:
 	// hops taken, per-hop class throughputs, and CSI hop distances.
-	x.pkt.TraversedHops++
-	x.pkt.TraversedBps += x.class.ThroughputBps()
-	x.pkt.TraversedCSI += x.class.HopDistance()
-	x.handed = true
+	pkt := x.pkt
+	pkt.TraversedHops++
+	pkt.TraversedBps += x.class.ThroughputBps()
+	pkt.TraversedCSI += x.class.HopDistance()
+	x.pkt, x.handed = nil, true
 	if h := d.handlers[x.to]; h != nil {
-		h(x.pkt, arrival)
+		h(pkt, arrival)
 	}
 	ackDur := x.class.TransmitDuration(packet.SizeAck)
 	d.kernel.ScheduleArg(ackDur, d.ackFn, slot, 0)

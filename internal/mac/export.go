@@ -102,15 +102,11 @@ func (d *DataPlane) ExportExchanges() []ExchangeState {
 		if x == nil {
 			continue
 		}
-		st := ExchangeState{
+		out = append(out, ExchangeState{
 			Slot: slot, From: x.from, To: x.to,
 			Tries: x.tries, Class: x.class, Handed: x.handed,
-		}
-		if x.pkt != nil {
-			st.PktID = x.pkt.ID
-			st.Size = x.pkt.Size
-		}
-		out = append(out, st)
+			PktID: x.id, Size: x.size,
+		})
 	}
 	return out
 }

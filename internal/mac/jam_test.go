@@ -108,9 +108,7 @@ func TestSelfJamWipesOwnBroadcast(t *testing.T) {
 	}
 	// The jammer's own radio steps on its honest transmission: Jam skips
 	// carrier sense, so node 0 can burst mid-broadcast. Every receiver of
-	// the broadcast hears the overlap, so nothing survives — and the
-	// sharded engine must agree (its scanner declines this case; see
-	// CommonChannel.shardScan).
+	// the broadcast hears the overlap, so nothing survives.
 	pkt := ctrlPkt(packet.TypeRREQ, 0, packet.Broadcast)
 	pkt.Size = 512
 	c.Send(pkt)

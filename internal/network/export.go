@@ -31,11 +31,7 @@ func (nd *Node) ExportQueues() []QueueState {
 		}
 		st := QueueState{To: to, Busy: q.busy}
 		for _, it := range q.items[q.head:] {
-			qp := QueuedPacket{At: it.at}
-			if it.pkt != nil {
-				qp.PktID = it.pkt.ID
-			}
-			st.Items = append(st.Items, qp)
+			st.Items = append(st.Items, QueuedPacket{PktID: it.id, At: it.at})
 		}
 		out = append(out, st)
 	}

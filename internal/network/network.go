@@ -119,12 +119,8 @@ type Drainer interface {
 // Env is the service surface a Node exposes to its Agent.
 //
 // Concurrency: every Agent callback and every Env method runs on the
-// single event-dispatch goroutine, even when the world is configured
-// with Shards > 1. The sharded engine parallelizes only the geometry
-// oracle inside a broadcast completion (see internal/channel's
-// BroadcastScan); by the time any Receive/LinkFailed fires, the fan-out
-// has joined. Agents therefore never need locks, and Rand() draws stay
-// in the same global order regardless of shard count.
+// world's single event-dispatch goroutine. Agents therefore never need
+// locks, and Rand() draws stay in one global order.
 type Env interface {
 	// ID is this terminal's identifier.
 	ID() int

@@ -300,7 +300,7 @@ func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {
 		pkt.Release()
 		return
 	}
-	q.push(queued{pkt: pkt, at: nd.kernel.Now()})
+	q.push(queued{pkt: pkt, id: pkt.ID, at: nd.kernel.Now()})
 	if !q.busy {
 		nd.serve(next, q)
 	}
@@ -377,9 +377,14 @@ func (nd *Node) linkFailed(next int, q *linkQueue, failed *packet.Packet) {
 	nd.drainBuf = backlog[:0]
 }
 
-// queued is one buffered data packet with its enqueue time.
+// queued is one buffered data packet with its enqueue time. id is the
+// packet's ID by value: a busy queue's head stays queued through the
+// exchange's ACK window, after the receiver took the packet over (see
+// DiscardStaleHead), and the checkpoint export must not read through
+// pkt then.
 type queued struct {
 	pkt *packet.Packet
+	id  uint64
 	at  time.Duration
 }
 

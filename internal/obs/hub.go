@@ -20,12 +20,6 @@ type Hub struct {
 	// without the lock.
 	PoolFunc func() PoolStats
 
-	// ShardFunc, when non-nil, supplies the process-global sharded-engine
-	// stats (fan-out count, wall time stalled at the epoch barrier).
-	// Same contract as PoolFunc: set before serving, read without the
-	// lock, process-scoped surfaces only.
-	ShardFunc func() ShardStats
-
 	mu     sync.Mutex
 	active map[*Registry]struct{}
 	done   fold // totals folded in from detached registries
@@ -84,10 +78,6 @@ func (h *Hub) Snapshot() Snapshot {
 		p := h.PoolFunc()
 		s.Pool = &p
 	}
-	if h.ShardFunc != nil {
-		sh := h.ShardFunc()
-		s.Shard = &sh
-	}
 	return s
 }
 
@@ -120,15 +110,6 @@ func (h *Hub) WriteProm(w io.Writer) error {
 		_, err := fmt.Fprintf(w,
 			"rica_pool_gets_total %d\nrica_pool_releases_total %d\nrica_pool_live %d\nrica_pool_high_water %d\n",
 			p.Gets, p.Releases, p.Live, p.HighWater)
-		if err != nil {
-			return err
-		}
-	}
-	if h.ShardFunc != nil {
-		sh := h.ShardFunc()
-		_, err := fmt.Fprintf(w,
-			"rica_shard_pool_fanouts_total %d\nrica_shard_pool_stall_seconds %g\n",
-			sh.Fanouts, float64(sh.StallNs)/1e9)
 		if err != nil {
 			return err
 		}

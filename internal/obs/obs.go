@@ -44,11 +44,6 @@ const (
 	// MAC.
 	CMACBackoffs   // common-channel sends deferred by carrier sense
 	CMACCollisions // receptions suppressed by collision
-	// Sharded engine (PR 7). All three are deterministic per run: they
-	// count decisions of the deterministic fan-out gate, not scheduling.
-	CShardFanouts   // broadcast completions scanned across the shard pool
-	CShardBoundary  // fan-outs whose centre disks spanned more than one stripe
-	CShardFallbacks // completions below the fan-out grain, handled serially
 	// Routing.
 	CFloodSuppressed // flood copies dropped as duplicate/non-improving
 	CHistorySpills   // history entries too wide for the packed table
@@ -108,9 +103,6 @@ var counterNames = [NumCounters]string{
 	CAnnulusChecks:    "chan_annulus_checks",
 	CMACBackoffs:      "mac_backoffs",
 	CMACCollisions:    "mac_collisions",
-	CShardFanouts:     "shard_fanouts",
-	CShardBoundary:    "shard_boundary_events",
-	CShardFallbacks:   "shard_serial_fallbacks",
 	CFloodSuppressed:  "route_flood_suppressed",
 	CHistorySpills:    "route_history_spills",
 	CSPTRecomputes:    "route_spt_recomputes",
@@ -340,18 +332,6 @@ type PoolStats struct {
 	HighWater int64  `json:"high_water"`
 }
 
-// ShardStats is the process-global sharded-engine accounting: fan-out
-// count plus the wall time the simulation goroutine spent blocked at the
-// epoch barrier. Wall time is scheduling noise, so like PoolStats these
-// numbers belong on the live surfaces and the CLI's process snapshot,
-// never inside a per-cell deterministic export (the per-run shard
-// counters — fanouts, boundary events, grain fallbacks — are the
-// deterministic ones and live in the registry).
-type ShardStats struct {
-	Fanouts uint64 `json:"fanouts"`
-	StallNs uint64 `json:"stall_ns"`
-}
-
 // Snapshot is the deterministic export form: fixed fields only — no
 // maps, no reflection-ordered output — so embedding it in batch results
 // or BENCH JSON never introduces run-to-run noise. Pool is the one
@@ -378,10 +358,6 @@ type Snapshot struct {
 	MACBackoffs   uint64 `json:"mac_backoffs"`
 	MACCollisions uint64 `json:"mac_collisions"`
 
-	ShardFanouts   uint64 `json:"shard_fanouts"`
-	ShardBoundary  uint64 `json:"shard_boundary_events"`
-	ShardFallbacks uint64 `json:"shard_serial_fallbacks"`
-
 	FloodSuppressed uint64 `json:"route_flood_suppressed"`
 	HistorySpills   uint64 `json:"route_history_spills"`
 	SPTRecomputes   uint64 `json:"route_spt_recomputes"`
@@ -399,8 +375,7 @@ type Snapshot struct {
 	DelayP50Ns uint64 `json:"delay_p50_ns"`
 	DelayP95Ns uint64 `json:"delay_p95_ns"`
 
-	Pool  *PoolStats  `json:"pool,omitempty"`
-	Shard *ShardStats `json:"shard,omitempty"`
+	Pool *PoolStats `json:"pool,omitempty"`
 }
 
 // counter maps a slot to the snapshot's field, in slot order.
@@ -436,12 +411,6 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 		return &s.MACBackoffs
 	case CMACCollisions:
 		return &s.MACCollisions
-	case CShardFanouts:
-		return &s.ShardFanouts
-	case CShardBoundary:
-		return &s.ShardBoundary
-	case CShardFallbacks:
-		return &s.ShardFallbacks
 	case CFloodSuppressed:
 		return &s.FloodSuppressed
 	case CHistorySpills:

@@ -98,9 +98,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Only a terminal job has a result to serve: while a worker may
+	// still run (or be restarted), whatever sits at the path belongs to
+	// an attempt the supervisor has not accepted yet.
 	path := filepath.Join(j.Dir, workerResult)
-	if _, err := os.Stat(path); err != nil {
-		writeError(w, http.StatusConflict, "job %s is %s; no result yet", j.ID, j.State())
+	st := j.State()
+	_, err := os.Stat(path)
+	if !st.Terminal() || err != nil {
+		writeError(w, http.StatusConflict, "job %s is %s; no result yet", j.ID, st)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -26,9 +26,6 @@ type JobSpec struct {
 	Trials int `json:"trials,omitempty"`
 	// Seed is the base seed; 0 means 1 (matching the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// Shards enables the sharded engine inside each cell (≥ 2); results
-	// are bit-identical for every value.
-	Shards int `json:"shards,omitempty"`
 	// DurationS overrides every scenario's horizon, in simulated seconds.
 	DurationS float64 `json:"duration_s,omitempty"`
 }
@@ -60,20 +57,11 @@ func (s JobSpec) normalize() (JobSpec, int, error) {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Shards < 0 {
-		return s, 0, fmt.Errorf("shards %d is negative", s.Shards)
-	}
 	if s.DurationS < 0 {
 		return s, 0, fmt.Errorf("duration_s %g is negative", s.DurationS)
 	}
 	if d := time.Duration(s.DurationS * float64(time.Second)); scenario.Duration(d) > scenario.MaxDuration {
 		return s, 0, fmt.Errorf("duration_s %g exceeds the %v bound", s.DurationS, time.Duration(scenario.MaxDuration))
-	}
-	minNodes := 0
-	note := func(spec scenario.Spec) {
-		if n := spec.Topology.NodeCount(); minNodes == 0 || n < minNodes {
-			minNodes = n
-		}
 	}
 	for _, name := range s.Scenarios {
 		// Names travel to the worker on a comma-separated flag, and a
@@ -81,21 +69,14 @@ func (s JobSpec) normalize() (JobSpec, int, error) {
 		if strings.ContainsAny(name, ", \t\n") || strings.HasSuffix(name, ".json") {
 			return s, 0, fmt.Errorf("scenario name %q is not a catalog name", name)
 		}
-		spec, err := scenario.ByName(name)
-		if err != nil {
+		if _, err := scenario.ByName(name); err != nil {
 			return s, 0, err
 		}
-		note(spec)
 	}
 	for i, raw := range s.Specs {
-		spec, err := scenario.ParseJSON(raw)
-		if err != nil {
+		if _, err := scenario.ParseJSON(raw); err != nil {
 			return s, 0, fmt.Errorf("specs[%d]: %w", i, err)
 		}
-		note(spec)
-	}
-	if s.Shards > 1 && s.Shards > minNodes {
-		return s, 0, fmt.Errorf("shards %d exceeds the smallest scenario's %d nodes", s.Shards, minNodes)
 	}
 	protocols := len(s.Protocols)
 	if protocols == 0 {

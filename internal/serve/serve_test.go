@@ -187,7 +187,6 @@ func TestJobSpecValidation(t *testing.T) {
 		"negative trials":  {Scenarios: []string{"chain-10"}, Trials: -1},
 		"huge trials":      {Scenarios: []string{"chain-10"}, Trials: maxJobTrials + 1},
 		"bad inline spec":  {Specs: []json.RawMessage{json.RawMessage(`{"name":""}`)}},
-		"too many shards":  {Scenarios: []string{"chain-10"}, Shards: 11},
 	}
 	for name, spec := range cases {
 		if _, _, err := spec.normalize(); err == nil {
@@ -358,6 +357,44 @@ func TestRestartBudget(t *testing.T) {
 	}
 	if !strings.Contains(final.Reason, "budget") {
 		t.Errorf("reason %q does not mention the budget", final.Reason)
+	}
+}
+
+// TestResultOnlyFromTerminalJob: while the worker runs, whatever sits at
+// the result path (here a leftover, as an attempt that was killed after
+// writing would leave) is not the job's result and must draw 409; once
+// the job is done the worker's own bytes are served.
+func TestResultOnlyFromTerminalJob(t *testing.T) {
+	s := newTestServer(t, "block", func(c *Config) { c.HungTimeout = 10 * time.Second })
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	st := submitJob(t, s)
+	waitState(t, s, st.ID, StateRunning)
+	j, _ := s.Job(st.ID)
+	if err := os.WriteFile(filepath.Join(j.Dir, workerResult), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("result of a running job: code %d, want 409", resp.StatusCode)
+	}
+
+	_ = os.WriteFile(filepath.Join(j.Dir, "release"), nil, 0o644)
+	waitState(t, s, st.ID, StateDone)
+	resp, err = http.Get(ts.URL + "/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct{ Results []json.RawMessage }
+	if err := json.NewDecoder(resp.Body).Decode(&got); resp.StatusCode != http.StatusOK || err != nil || len(got.Results) != 1 {
+		t.Fatalf("result of a done job: code %d, decode err %v, %d rows", resp.StatusCode, err, len(got.Results))
 	}
 }
 

@@ -293,6 +293,9 @@ func (s *Server) classifyExit(j *Job, waitErr error, hung, termSent, graceSent b
 
 	switch {
 	case waitErr == nil:
+		// The worker renames its result into place only once it is
+		// fully written and fsynced (ricasim -out), so a file at this
+		// path is a complete one.
 		if _, err := os.Stat(filepath.Join(j.Dir, workerResult)); err != nil {
 			return outcomeCrash, "worker exited 0 without writing " + workerResult
 		}

@@ -50,9 +50,6 @@ func defaultWorkerCommand(bin string, j *Job) *exec.Cmd {
 	if len(j.Spec.Protocols) > 0 {
 		args = append(args, "-protocols", strings.Join(j.Spec.Protocols, ","))
 	}
-	if j.Spec.Shards != 0 {
-		args = append(args, "-shards", strconv.Itoa(j.Spec.Shards))
-	}
 	if j.Spec.DurationS > 0 {
 		args = append(args, "-duration", time.Duration(j.Spec.DurationS*float64(time.Second)).String())
 	}

@@ -244,10 +244,9 @@ func (w *World) encodeTimeseries() []byte {
 
 func (w *World) encodeObs() ([]byte, error) {
 	snap := w.Obs.Snapshot()
-	// Pool and shard stats are process-global (shared across concurrent
-	// runs); everything else in the snapshot is deterministic per run.
+	// Pool stats are process-global (shared across concurrent runs);
+	// everything else in the snapshot is deterministic per run.
 	snap.Pool = nil
-	snap.Shard = nil
 	return json.Marshal(&snap)
 }
 

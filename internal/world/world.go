@@ -101,15 +101,6 @@ type Config struct {
 	// event order and every RNG stream are identical with or without an
 	// external registry attached.
 	Obs *obs.Registry
-	// Shards, when ≥ 2, runs this world's broadcast geometry scans across
-	// that many spatial shards (clamped to N) on a worker pool; 0 or 1
-	// keeps every scan serial. Event dispatch is serial either way and the
-	// summary is bit-identical for every value — shards trade wall-clock
-	// time only (see DESIGN.md §10).
-	Shards int
-	// ShardGrain overrides the fan-out work threshold: 0 selects
-	// channel.DefaultShardGrain, negative fans out every scan (tests).
-	ShardGrain int
 }
 
 // DefaultConfig returns the paper's simulation environment with the given
@@ -177,7 +168,6 @@ type World struct {
 	Flows     []traffic.Flow
 	Obs       *obs.Registry
 
-	pool    *sim.ShardPool  // nil unless cfg.Shards ≥ 2
 	topo0   *routing.Graph  // lazily built boot topology snapshot
 	gossip  *traffic.Gossip // nil unless cfg.Gossip is set
 	jammers []*jamRunner    // one per cfg.Jammers entry
@@ -235,14 +225,6 @@ func New(cfg Config, factory AgentFactory) *World {
 			}
 			return false
 		})
-	}
-	var pool *sim.ShardPool
-	if shards := cfg.Shards; shards >= 2 {
-		if shards > cfg.N {
-			shards = cfg.N
-		}
-		pool = sim.NewShardPool(shards)
-		model.EnableSharding(pool, cfg.ShardGrain)
 	}
 	common := mac.NewCommonChannel(kernel, model, streams.Stream(streamKindMAC))
 	common.SetObs(reg)
@@ -307,7 +289,6 @@ func New(cfg Config, factory AgentFactory) *World {
 		Collector: collector,
 		Meter:     meter,
 		Obs:       reg,
-		pool:      pool,
 		gossip:    gossip,
 	}
 	for _, j := range cfg.Jammers {
@@ -467,7 +448,6 @@ func (w *World) Finish() metrics.Summary {
 	}
 	w.Obs.Add(obs.CDrainReleased, uint64(dataDrained+ctlDrained))
 	w.Obs.Add(obs.CDrainData, uint64(dataDrained))
-	w.pool.Close() // nil-safe; parks the shard workers for good
 	s := w.Collector.Summary()
 	s.Energy = w.Meter.Stats(s.GoodputBps * w.Cfg.Duration.Seconds())
 	s.Events = w.Kernel.Executed()

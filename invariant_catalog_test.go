@@ -20,12 +20,11 @@ func catalogHorizon(name string) time.Duration {
 }
 
 // TestInvariantCatalog holds every built-in scenario × protocol cell to
-// the simulation invariants, on both engines: the serial run must
-// replay bit-identically and close its conservation and ledger books,
-// and the sharded run must land on the very same fingerprint. The leak
-// law is deliberately not checked here — the golden tests run in
-// parallel in this binary and share the process-global packet pool;
-// the scenario fuzz sweep covers leaks in its own process.
+// the simulation invariants: the run must close its conservation and
+// ledger books and replay bit-identically. The leak law is deliberately
+// not checked here — the golden tests run in parallel in this binary
+// and share the process-global packet pool; the scenario fuzz sweep
+// covers leaks in its own process.
 func TestInvariantCatalog(t *testing.T) {
 	names := rica.ScenarioNames()
 	if testing.Short() {
@@ -40,30 +39,23 @@ func TestInvariantCatalog(t *testing.T) {
 			spec, p := spec, p
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				t.Parallel()
-				run := func(shards int) rica.Summary {
+				run := func() rica.Summary {
 					s, err := rica.SimulateScenario(rica.ScenarioRun{
 						Scenario: spec, Protocol: p, Seed: 3,
-						Shards: shards, MaxDuration: catalogHorizon(spec.Name),
+						MaxDuration: catalogHorizon(spec.Name),
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return s
 				}
-				serial := run(1)
-				if err := rica.CheckInvariants(serial); err != nil {
-					t.Errorf("serial run: %v", err)
+				first := run()
+				if err := rica.CheckInvariants(first); err != nil {
+					t.Errorf("run: %v", err)
 				}
-				want := rica.Fingerprint(serial)
-				if got := rica.Fingerprint(run(1)); got != want {
-					t.Errorf("serial replay diverged\n got: %s\nwant: %s", got, want)
-				}
-				sharded := run(2)
-				if err := rica.CheckInvariants(sharded); err != nil {
-					t.Errorf("sharded run: %v", err)
-				}
-				if got := rica.Fingerprint(sharded); got != want {
-					t.Errorf("sharded run diverged from serial\n got: %s\nwant: %s", got, want)
+				want := rica.Fingerprint(first)
+				if got := rica.Fingerprint(run()); got != want {
+					t.Errorf("replay diverged\n got: %s\nwant: %s", got, want)
 				}
 
 				// Timeline monotonicity: re-run the cell as a 1×1×1 batch

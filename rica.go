@@ -54,7 +54,6 @@ import (
 	"rica/internal/obs"
 	"rica/internal/packet"
 	"rica/internal/scenario"
-	"rica/internal/sim"
 	"rica/internal/timeseries"
 	"rica/internal/trace"
 	"rica/internal/traffic"
@@ -122,13 +121,6 @@ type SimConfig struct {
 	// private registry and the end-of-run snapshot still lands on
 	// Summary.Obs.
 	Obs *ObsRegistry
-	// Shards, when ≥ 2, spreads the run's broadcast geometry scans across
-	// that many spatial shards on a worker pool (clamped to the terminal
-	// count); 0 or 1 keeps the run fully serial. The Summary is
-	// bit-identical for every value — sharding trades wall-clock time
-	// only, never results (see DESIGN.md §10). This parallelizes inside
-	// one run; BatchConfig.Workers parallelizes across runs.
-	Shards int
 	// CheckpointPath, when set, is the snapshot file the run writes at
 	// every CheckpointEvery of virtual time, atomically, so a killed
 	// process can be resumed via Resume. Honoured by
@@ -325,9 +317,6 @@ type ScenarioRun struct {
 	Protocol Protocol
 	// Seed overrides the scenario's compiled seed when nonzero.
 	Seed int64
-	// Shards, when ≥ 2, enables the sharded engine exactly as
-	// SimConfig.Shards does; results stay bit-identical.
-	Shards int
 	// MaxDuration, when positive, truncates the scenario's horizon — the
 	// fuzzer and the invariant sweep run long catalog entries at short
 	// horizons without editing the specs.
@@ -346,7 +335,6 @@ func (r ScenarioRun) config() (world.Config, error) {
 	if r.MaxDuration > 0 && r.MaxDuration < wcfg.Duration {
 		wcfg.Duration = r.MaxDuration
 	}
-	wcfg.Shards = r.Shards
 	return wcfg, nil
 }
 
@@ -382,8 +370,8 @@ func VerifyScenario(r ScenarioRun) (Summary, error) {
 // counted in flight at the horizon; independently maintained ledgers
 // (delay histogram, traffic counters, adversary drops, kernel event
 // counts) agree; the delivery ratio is consistent. A nil error means the
-// summary is self-consistent. Works on any Summary — serial or sharded,
-// Simulate or batch cell.
+// summary is self-consistent. Works on any Summary — Simulate or batch
+// cell.
 func CheckInvariants(s Summary) error { return invariant.CheckSummary(s) }
 
 // Fingerprint renders a Summary into an exact, platform-independent
@@ -442,11 +430,10 @@ var ErrBatchInterrupted = batch.ErrInterrupted
 // live JSON/Prometheus surfaces; ObsPoolStats is the process-global
 // pooled-packet accounting.
 type (
-	ObsRegistry   = obs.Registry
-	ObsSnapshot   = obs.Snapshot
-	ObsHub        = obs.Hub
-	ObsPoolStats  = obs.PoolStats
-	ObsShardStats = obs.ShardStats
+	ObsRegistry  = obs.Registry
+	ObsSnapshot  = obs.Snapshot
+	ObsHub       = obs.Hub
+	ObsPoolStats = obs.PoolStats
 )
 
 // NewObsRegistry builds an empty observability registry to pass as
@@ -467,11 +454,3 @@ func PoolStats() ObsPoolStats {
 	gets, releases, live, high := packet.PoolStats()
 	return ObsPoolStats{Gets: gets, Releases: releases, Live: live, HighWater: high}
 }
-
-// ShardStats reports the process-global sharded-engine accounting: total
-// epoch-barrier fan-outs and the wall time callers spent stalled at the
-// barrier after finishing their own shard. Wall time is scheduling
-// noise, so like PoolStats this belongs on live surfaces only, never in
-// per-cell deterministic exports (the deterministic per-run shard
-// counters live in Summary.Obs). Wire it as ObsHub.ShardFunc.
-func ShardStats() ObsShardStats { return sim.ShardStatsNow() }

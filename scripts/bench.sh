@@ -5,7 +5,7 @@
 #
 # Usage:
 #   scripts/bench.sh [-bench REGEX] [-benchtime SPEC] [-count N] [-label TEXT] [-out FILE]
-#                    [-cpuprofile FILE] [-scaling]
+#                    [-cpuprofile FILE]
 #   scripts/bench.sh -diff BASELINE.json POST.json
 #
 # Defaults run the figure-scale suite plus the throughput benchmark a few
@@ -26,13 +26,6 @@
 # Numbers are the per-benchmark MINIMUM across -count repetitions — the
 # least-noise estimate on a shared machine.
 #
-# -scaling additionally runs the BenchmarkShardedThroughput core-scaling
-# sweep (metro-500 at 1/2/4/8 spatial shards) and records it as a
-# "scaling" array of {"shards", "ns_per_op", "events_per_sec"} objects,
-# so BENCH_<n>.json tracks single-run multicore scaling alongside the
-# serial trajectory. The sweep is opt-in: it simulates the densest
-# catalog scenario four times and dominates wall time when enabled.
-#
 # -diff compares two such records (cmd/benchdiff) and prints the delta
 # summary BENCH_<n>.json files embed, so perf PRs stop hand-computing
 # ratios. -cpuprofile additionally runs ONE extra repetition of the
@@ -48,7 +41,6 @@ COUNT=3
 LABEL=""
 OUT=""
 CPUPROFILE=""
-SCALING=0
 
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -58,7 +50,6 @@ while [ $# -gt 0 ]; do
         -label)      LABEL="$2"; shift 2 ;;
         -out)        OUT="$2"; shift 2 ;;
         -cpuprofile) CPUPROFILE="$2"; shift 2 ;;
-        -scaling)    SCALING=1; shift ;;
         -diff)
             [ $# -eq 3 ] || { echo "bench.sh: -diff needs BASELINE.json POST.json" >&2; exit 2; }
             exec go run ./cmd/benchdiff "$2" "$3"
@@ -114,39 +105,16 @@ END {
     print "]}"
 }')
 
-if [ "$SCALING" = 1 ]; then
-    SRAW=$(go test -run 'ZZnone' -bench '^BenchmarkShardedThroughput$' -benchmem -benchtime 1x -count 1 . 2>/dev/null \
-        | grep -E '^BenchmarkShardedThroughput/')
-    SCAL=$(printf '%s\n' "$SRAW" | awk '
-    {
-        split($1, parts, "/")
-        sub(/^shards-/, "", parts[2])
-        split(parts[2], nums, "-") # drop any GOMAXPROCS suffix
-        shards = nums[1]
-        ns = ""; evps = ""
-        for (i = 2; i < NF; i++) {
-            if ($(i+1) == "ns/op")      ns = $i
-            if ($(i+1) == "events/sec") evps = $i
-        }
-        if (ns == "") next
-        if (!first) first = 1; else printf ", "
-        printf "{\"shards\": %s, \"ns_per_op\": %s", shards, ns
-        if (evps != "") printf ", \"events_per_sec\": %s", evps
-        printf "}"
-    }')
-    JSON="${JSON%\}}, \"scaling\": [${SCAL}]}"
-fi
-
 # Counter snapshot of the fixed reference run, folded into the record.
-# The snapshot is per-cell deterministic; the process-wide pool and
-# shard-pool stats it carries (gets/releases/high-water, barrier stall
-# wall time) vary with the run, so strip those objects.
+# The snapshot is per-cell deterministic; the process-wide pool stats it
+# carries (gets/releases/high-water) vary with the run, so strip that
+# object.
 OBS_TMP=$(mktemp)
 trap 'rm -f "$OBS_TMP"' EXIT
 go run ./cmd/ricasim -scenario chain-10 -protocols RICA -trials 1 -duration 10s \
     -obs "$OBS_TMP" >/dev/null 2>&1
 OBS=$(awk '
-    /"(pool|shard)": \{/ { inpool = 1; next }
+    /"pool": \{/ { inpool = 1; next }
     inpool { if (/\}/) inpool = 0; next }
     { lines[++n] = $0 }
     END {
