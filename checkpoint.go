@@ -6,34 +6,31 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"rica/internal/checkpoint"
 	"rica/internal/durable"
 	"rica/internal/experiment"
 	"rica/internal/scenario"
-	"rica/internal/timeseries"
 	"rica/internal/world"
 )
 
 // Checkpoint/resume. A snapshot is a versioned, self-describing binary
-// file (see internal/checkpoint) holding the run's recipe plus a
-// complete capture of simulation state at one instant boundary: the
-// kernel's pending-event skeleton, every RNG stream's 607-word state,
-// mobility legs, fading links, in-flight MAC transmissions and
-// exchanges, link queues, route tables, workload cursors, obs counters,
-// and the telemetry digest.
+// file (see internal/checkpoint) holding the run's recipe, the capture
+// instant, and one digest per section of the simulation state captured
+// at that instant boundary: the kernel's pending-event skeleton, every
+// RNG stream's 607-word state, mobility legs, fading links, in-flight
+// MAC transmissions and exchanges, link queues and route tables,
+// workload cursors, and obs counters.
 //
 // Resume rebuilds the identical world from the embedded recipe in a
 // fresh process, replays it to the capture instant (the simulator is
 // deterministic, so replay IS restoration), then proves the replay by
-// re-capturing and comparing every state section byte-for-byte against
-// the snapshot — a mismatch fails with a clean error instead of
-// continuing from silently divergent state. The verified run then
-// continues to the horizon; its summary fingerprint is bit-identical to
-// an uninterrupted run's.
+// re-capturing and comparing every state section's digest against the
+// snapshot — a mismatch fails with a clean error naming the section
+// instead of continuing from silently divergent state. The verified run
+// then continues to the horizon; its summary fingerprint is
+// bit-identical to an uninterrupted run's.
 //
 // ErrInterrupted is returned (wrapped) by the checkpointing run loops
 // when the caller's stop channel ended the run early; the partial run's
@@ -62,22 +59,12 @@ func Checkpoint(r ScenarioRun, at time.Duration, w io.Writer) error {
 }
 
 // Resume reads a snapshot, rebuilds and replays the run to the capture
-// instant, verifies the replayed state against the snapshot
-// byte-for-byte, and runs on to the horizon, returning the completed
-// summary. The fingerprint equals the uninterrupted run's.
+// instant, verifies the replayed state against the snapshot's digests,
+// and runs on to the horizon, returning the completed summary. The
+// fingerprint equals the uninterrupted run's.
 func Resume(rd io.Reader) (Summary, error) {
 	s, _, err := resume(rd, "", 0, nil)
 	return s, err
-}
-
-// ResumeFile is Resume reading from a snapshot file.
-func ResumeFile(path string) (Summary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Summary{}, err
-	}
-	defer f.Close()
-	return Resume(f)
 }
 
 // RunCheckpointed executes r to completion, writing a snapshot to path
@@ -101,18 +88,6 @@ func RunCheckpointed(r ScenarioRun, path string, every time.Duration, stop <-cha
 // snapshot regime as RunCheckpointed.
 func ResumeCheckpointed(rd io.Reader, path string, every time.Duration, stop <-chan struct{}) (Summary, bool, error) {
 	return resume(rd, path, every, stop)
-}
-
-// SimulateCheckpointed is Simulate honouring cfg.CheckpointPath and
-// cfg.CheckpointEvery (and a stop channel), for SimConfig-shaped runs;
-// the scenario-based entry points above are the primary surface.
-func SimulateCheckpointed(cfg SimConfig, stop <-chan struct{}) (Summary, bool, error) {
-	cr, err := newSimCkRun(cfg)
-	if err != nil {
-		return Summary{}, false, err
-	}
-	cr.w.Start()
-	return cr.loop(0, cfg.CheckpointPath, cfg.CheckpointEvery, stop)
 }
 
 // defaultCheckpointEvery is the periodic snapshot cadence (virtual
@@ -141,7 +116,6 @@ func newScenarioCkRun(r ScenarioRun) (*ckRun, error) {
 		w:       world.New(wcfg, experiment.Factory(r.Protocol, r.Scenario.Traffic.Rate)),
 		horizon: wcfg.Duration,
 		desc: checkpoint.Descriptor{
-			Kind:          "scenario",
 			HorizonNs:     int64(wcfg.Duration),
 			Protocol:      r.Protocol.String(),
 			Seed:          r.Seed,
@@ -151,97 +125,26 @@ func newScenarioCkRun(r ScenarioRun) (*ckRun, error) {
 	}, nil
 }
 
-// newSimCkRun builds the world and descriptor for a SimConfig run.
-func newSimCkRun(cfg SimConfig) (*ckRun, error) {
-	wcfg := simWorldConfig(cfg)
-	sp := &checkpoint.SimParams{
-		MeanSpeedKmh: cfg.MeanSpeedKmh,
-		Rate:         cfg.Rate,
-		DurationNs:   int64(cfg.Duration),
-		BufferCap:    cfg.BufferCap,
-	}
-	if cfg.Flows != nil {
-		raw, err := json.Marshal(cfg.Flows)
-		if err != nil {
-			return nil, err
-		}
-		sp.Flows = raw
-	}
-	d := checkpoint.Descriptor{
-		Kind:      "sim",
-		HorizonNs: int64(wcfg.Duration),
-		Protocol:  cfg.Protocol.String(),
-		Seed:      cfg.Seed,
-		SeedZero:  cfg.SeedZero,
-		Sim:       sp,
-	}
-	if cfg.Telemetry != nil {
-		d.Telemetry = &checkpoint.TelemetryParams{
-			IntervalNs: int64(cfg.Telemetry.Interval),
-			Streaming:  cfg.Telemetry.Streaming,
-		}
-	}
-	return &ckRun{
-		w:       world.New(wcfg, experiment.Factory(cfg.Protocol, cfg.Rate)),
-		horizon: wcfg.Duration,
-		desc:    d,
-	}, nil
-}
-
 // ckRunFromDescriptor rebuilds the world a snapshot's recipe describes.
 func ckRunFromDescriptor(d checkpoint.Descriptor) (*ckRun, error) {
 	proto, err := ParseProtocol(d.Protocol)
 	if err != nil {
 		return nil, fmt.Errorf("%w: descriptor: %v", ErrCheckpointCorrupt, err)
 	}
-	switch d.Kind {
-	case "scenario":
-		spec, err := scenario.ParseJSON(d.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("%w: descriptor scenario: %v", ErrCheckpointCorrupt, err)
-		}
-		cr, err := newScenarioCkRun(ScenarioRun{
-			Scenario:    spec,
-			Protocol:    proto,
-			Seed:        d.Seed,
-			MaxDuration: time.Duration(d.MaxDurationNs),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return cr, nil
-	case "sim":
-		if d.Sim == nil {
-			return nil, fmt.Errorf("%w: sim descriptor lacks parameters", ErrCheckpointCorrupt)
-		}
-		cfg := SimConfig{
-			Protocol:     proto,
-			MeanSpeedKmh: d.Sim.MeanSpeedKmh,
-			Rate:         d.Sim.Rate,
-			Duration:     time.Duration(d.Sim.DurationNs),
-			Seed:         d.Seed,
-			SeedZero:     d.SeedZero,
-			BufferCap:    d.Sim.BufferCap,
-		}
-		if d.Sim.Flows != nil {
-			if err := json.Unmarshal(d.Sim.Flows, &cfg.Flows); err != nil {
-				return nil, fmt.Errorf("%w: descriptor flows: %v", ErrCheckpointCorrupt, err)
-			}
-		}
-		if d.Telemetry != nil {
-			cfg.Telemetry = &Telemetry{
-				Interval:  time.Duration(d.Telemetry.IntervalNs),
-				Streaming: d.Telemetry.Streaming,
-			}
-		}
-		return newSimCkRun(cfg)
-	default:
-		return nil, fmt.Errorf("%w: descriptor kind %q", ErrCheckpointCorrupt, d.Kind)
+	spec, err := scenario.ParseJSON(d.Scenario)
+	if err != nil {
+		return nil, fmt.Errorf("%w: descriptor scenario: %v", ErrCheckpointCorrupt, err)
 	}
+	return newScenarioCkRun(ScenarioRun{
+		Scenario:    spec,
+		Protocol:    proto,
+		Seed:        d.Seed,
+		MaxDuration: time.Duration(d.MaxDurationNs),
+	})
 }
 
 // write captures the world's state at instant at and writes a complete
-// snapshot to wr.
+// snapshot to wr: the recipe verbatim, the state sections as digests.
 func (c *ckRun) write(wr io.Writer, at time.Duration) error {
 	secs, err := c.w.CaptureState()
 	if err != nil {
@@ -253,34 +156,24 @@ func (c *ckRun) write(wr io.Writer, at time.Duration) error {
 	if err != nil {
 		return err
 	}
-	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, secs...)
+	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, checkpoint.Digest(secs)...)
 	return checkpoint.Write(wr, all)
 }
 
-// writeFile writes a snapshot atomically and durably: temp file in the
-// same directory, fsync, rename, fsync the directory (the rename is an
-// entry operation — without the directory sync a machine crash can
-// roll it back and lose the snapshot). A crash mid-write leaves the
-// previous complete snapshot (if any) untouched.
+// writeFile publishes a snapshot atomically and durably (see
+// durable.Pending): a crash mid-write leaves the previous complete
+// snapshot (if any) untouched, and a machine crash after it returns
+// cannot roll the new one back.
 func (c *ckRun) writeFile(path string, at time.Duration) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	f, err := durable.CreatePending(path)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := c.write(tmp, at); err != nil {
-		tmp.Close()
+	defer f.Abort()
+	if err := c.write(f, at); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return durable.Rename(tmp.Name(), path)
+	return f.Commit()
 }
 
 // loop runs from virtual time `from` to the horizon, stopping at every
@@ -337,8 +230,11 @@ func resume(rd io.Reader, path string, every time.Duration, stop <-chan struct{}
 	if err != nil {
 		return Summary{}, false, err
 	}
-	if at := time.Duration(d.AtNs); at > cr.horizon {
-		return Summary{}, false, fmt.Errorf("%w: capture instant %v past horizon %v", ErrCheckpointCorrupt, at, cr.horizon)
+	// The decoder has bounded at_ns by the recorded horizon; a recorded
+	// horizon this binary does not compile from the recipe would replay
+	// to a different end.
+	if stored := time.Duration(d.HorizonNs); stored != cr.horizon {
+		return Summary{}, false, fmt.Errorf("%w: snapshot records horizon %v, its recipe compiles to %v", ErrCheckpointCorrupt, stored, cr.horizon)
 	}
 	cr.w.Start()
 	at := time.Duration(d.AtNs)
@@ -346,61 +242,32 @@ func resume(rd io.Reader, path string, every time.Duration, stop <-chan struct{}
 	if err := verifyReplay(cr.w, secs); err != nil {
 		return Summary{}, false, err
 	}
-	s, interrupted, err := cr.loop(at, path, every, stop)
-	return s, interrupted, err
+	return cr.loop(at, path, every, stop)
 }
 
 // verifyReplay re-captures the replayed world and compares every state
-// section byte-for-byte against the snapshot. The simulator being
+// section's digest against the snapshot. The simulator being
 // deterministic, any mismatch means the snapshot and this binary
 // disagree about the run (corruption that survived the CRCs is
 // practically impossible; the realistic causes are a changed binary or
 // an edited descriptor) — resuming would continue a different run, so
 // fail instead.
 func verifyReplay(w *world.World, stored []checkpoint.Section) error {
-	fresh, err := w.CaptureState()
+	captured, err := w.CaptureState()
 	if err != nil {
 		return err
 	}
-	for _, s := range fresh {
-		if world.VerifyExempt(s.Tag) {
-			continue
-		}
+	for _, s := range checkpoint.Digest(captured) {
 		got := checkpoint.Find(stored, s.Tag)
 		if got == nil {
 			return fmt.Errorf("%w: snapshot lacks section %s (version skew?)", ErrCheckpointCorrupt, s.Tag)
+		}
+		if len(got) != len(s.Payload) {
+			return fmt.Errorf("%w: section %s holds %d bytes, want a %d-byte digest", ErrCheckpointCorrupt, s.Tag, len(got), len(s.Payload))
 		}
 		if !bytes.Equal(got, s.Payload) {
 			return fmt.Errorf("%w: replayed state diverges from snapshot in section %s", ErrCheckpointCorrupt, s.Tag)
 		}
 	}
 	return nil
-}
-
-// simWorldConfig compiles a SimConfig into a world configuration (the
-// construction Simulate performs, factored out so resume can rebuild
-// the identical world from a snapshot descriptor).
-func simWorldConfig(cfg SimConfig) world.Config {
-	wcfg := world.DefaultConfig(cfg.MeanSpeedKmh, cfg.Rate)
-	if cfg.Duration > 0 {
-		wcfg.Duration = cfg.Duration
-	}
-	if cfg.Seed != 0 || cfg.SeedZero {
-		wcfg.Seed = cfg.Seed
-	}
-	if cfg.Flows != nil {
-		wcfg.Flows = cfg.Flows
-	}
-	if cfg.BufferCap > 0 {
-		wcfg.Node.BufferCap = cfg.BufferCap
-	}
-	wcfg.Obs = cfg.Obs
-	if cfg.Telemetry != nil {
-		if cfg.Telemetry.Streaming {
-			wcfg.Timeseries = timeseries.NewStreamingCollector(cfg.Telemetry.Interval, wcfg.Duration)
-		} else {
-			wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
-		}
-	}
-	return wcfg
 }

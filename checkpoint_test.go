@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rica"
+	"rica/internal/checkpoint"
 )
 
 // ckDuration truncates catalog horizons for the round-trip grid: long
@@ -24,6 +27,16 @@ func ckRun(t *testing.T, name string, p rica.Protocol) rica.ScenarioRun {
 		t.Fatalf("ScenarioByName(%q): %v", name, err)
 	}
 	return rica.ScenarioRun{Scenario: spec, Protocol: p, MaxDuration: ckDuration}
+}
+
+// resumeFile resumes the snapshot file at path.
+func resumeFile(path string) (rica.Summary, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return rica.Summary{}, err
+	}
+	defer f.Close()
+	return rica.Resume(f)
 }
 
 // checkRoundTrip checkpoints r at instant at, resumes the snapshot in a
@@ -147,9 +160,9 @@ func TestRunCheckpointedCompletes(t *testing.T) {
 	}
 	// The last periodic snapshot (t=4.5s of the 6 s horizon) must resume
 	// to the same place.
-	resumed, err := rica.ResumeFile(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
-		t.Fatalf("ResumeFile: %v", err)
+		t.Fatalf("Resume: %v", err)
 	}
 	if got, want := rica.Fingerprint(resumed), rica.Fingerprint(base); got != want {
 		t.Errorf("resume of last periodic snapshot diverged\n got: %s\nwant: %s", got, want)
@@ -180,52 +193,102 @@ func TestRunCheckpointedInterruptResume(t *testing.T) {
 	if !errors.Is(err, rica.ErrInterrupted) {
 		t.Fatalf("interrupt error = %v, want ErrInterrupted", err)
 	}
-	resumed, err := rica.ResumeFile(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
-		t.Fatalf("ResumeFile after interrupt: %v", err)
+		t.Fatalf("Resume after interrupt: %v", err)
 	}
 	if got, want := rica.Fingerprint(resumed), rica.Fingerprint(base); got != want {
 		t.Errorf("post-interrupt resume diverged\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// TestSimulateCheckpointed covers the SimConfig-shaped runs (the "sim"
-// descriptor kind, including telemetry reconstruction): interrupt, then
-// resume to the plain Simulate fingerprint.
-func TestSimulateCheckpointed(t *testing.T) {
+// stateTags are the eight state sections a snapshot carries after DESC,
+// in file order.
+var stateTags = []string{
+	checkpoint.TagKern, checkpoint.TagRNGs, checkpoint.TagMobi, checkpoint.TagLink,
+	checkpoint.TagMACs, checkpoint.TagNode, checkpoint.TagTraf, checkpoint.TagObsC,
+}
+
+// reencode parses a valid snapshot, lets edit alter the payload of the
+// section tagged tag, and frames the result again — so the container's
+// CRCs pass and only resume's own checks stand between the edit and a
+// run.
+func reencode(t *testing.T, snap []byte, tag string, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	secs, err := checkpoint.Read(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("Read of a valid snapshot: %v", err)
+	}
+	for i := range secs {
+		if secs[i].Tag == tag {
+			secs[i].Payload = edit(secs[i].Payload)
+		}
+	}
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, secs); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotIsBytes holds the format's promise: a snapshot is the
+// recipe, the instant and eight 32-byte digests, so it stays under
+// 4 KiB for every catalog scenario — 7 terminals or 500 — and late in
+// the paper's cell as much as early in it. Everything but the recipe
+// is the same number of bytes in every snapshot.
+func TestSnapshotIsBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sim-kind interrupt + resume")
+		t.Skip("one capture per catalog scenario, one at t=300s")
 	}
 	t.Parallel()
-	cfg := rica.SimConfig{
-		Protocol:     rica.ProtocolAODV,
-		MeanSpeedKmh: 36,
-		Rate:         10,
-		Duration:     ckDuration,
-		Seed:         2,
-		Telemetry:    &rica.Telemetry{Interval: time.Second},
+	type shot struct {
+		name string
+		at   time.Duration
 	}
-	base := rica.Simulate(cfg)
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "sim.ckpt")
-	cfg.CheckpointEvery = 2 * time.Second
-	stop := make(chan struct{})
-	close(stop)
-	_, interrupted, err := rica.SimulateCheckpointed(cfg, stop)
-	if !interrupted || !errors.Is(err, rica.ErrInterrupted) {
-		t.Fatalf("SimulateCheckpointed: interrupted=%v err=%v", interrupted, err)
+	shots := []shot{{"paper-baseline", 300 * time.Second}}
+	for _, name := range rica.ScenarioNames() {
+		shots = append(shots, shot{name, time.Second})
 	}
-	resumed, err := rica.ResumeFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatalf("ResumeFile: %v", err)
-	}
-	if got, want := rica.Fingerprint(resumed), rica.Fingerprint(base); got != want {
-		t.Errorf("sim-kind resume diverged\n got: %s\nwant: %s", got, want)
+	for _, sh := range shots {
+		sh := sh
+		t.Run(fmt.Sprintf("%s@%v", sh.name, sh.at), func(t *testing.T) {
+			t.Parallel()
+			spec, err := rica.ScenarioByName(sh.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := rica.Checkpoint(rica.ScenarioRun{Scenario: spec, Protocol: rica.ProtocolRICA}, sh.at, &buf); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if buf.Len() > 4096 {
+				t.Errorf("snapshot is %d bytes, want at most 4096", buf.Len())
+			}
+			secs, err := checkpoint.Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if len(secs) != 1+len(stateTags) || secs[0].Tag != checkpoint.TagDesc {
+				t.Fatalf("snapshot holds %d sections starting with %s, want DESC + %d", len(secs), secs[0].Tag, len(stateTags))
+			}
+			for i, tag := range stateTags {
+				if s := secs[1+i]; s.Tag != tag || len(s.Payload) != 32 {
+					t.Errorf("section %d is %s with %d bytes, want %s with a 32-byte digest", 1+i, s.Tag, len(s.Payload), tag)
+				}
+			}
+			// Magic, nine section frames, eight digests and the tail.
+			const framing = 8 + 9*12 + 8*32 + 20
+			if got := buf.Len() - len(secs[0].Payload); got != framing {
+				t.Errorf("snapshot is %d bytes beyond its recipe, want %d", got, framing)
+			}
+		})
 	}
 }
 
-// TestResumeRejectsDamage flips single bytes across a valid snapshot
-// and truncates it at several prefixes: every damaged variant must fail
-// cleanly with ErrCheckpointCorrupt — never panic, never resume.
+// TestResumeRejectsDamage flips single bytes across a valid snapshot,
+// truncates it at several prefixes, and re-encodes it with an edited
+// horizon and edited digests: every damaged variant must fail cleanly
+// with ErrCheckpointCorrupt — never panic, never resume.
 func TestResumeRejectsDamage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("damage sweep over a real snapshot")
@@ -254,5 +317,49 @@ func TestResumeRejectsDamage(t *testing.T) {
 	// Trailing garbage after a valid file.
 	if _, err := rica.Resume(bytes.NewReader(append(append([]byte(nil), snap...), 0xEE))); !errors.Is(err, rica.ErrCheckpointCorrupt) {
 		t.Fatalf("Resume with trailing byte: err = %v, want ErrCheckpointCorrupt", err)
+	}
+	// A recorded horizon the embedded recipe does not compile to: the
+	// container is intact, the run it describes is not this one.
+	longer := reencode(t, snap, checkpoint.TagDesc, func(payload []byte) []byte {
+		d, err := checkpoint.DecodeDescriptor(payload)
+		if err != nil {
+			t.Fatalf("DecodeDescriptor: %v", err)
+		}
+		d.HorizonNs += int64(time.Second)
+		edited, err := checkpoint.EncodeDescriptor(d)
+		if err != nil {
+			t.Fatalf("EncodeDescriptor: %v", err)
+		}
+		return edited
+	})
+	_, err := rica.Resume(bytes.NewReader(longer))
+	if !errors.Is(err, rica.ErrCheckpointCorrupt) {
+		t.Fatalf("Resume with an edited horizon: err = %v, want ErrCheckpointCorrupt", err)
+	}
+	for _, horizon := range []time.Duration{ckDuration + time.Second, ckDuration} {
+		if !strings.Contains(err.Error(), horizon.String()) {
+			t.Fatalf("Resume with an edited horizon: err = %v, want it to name %v", err, horizon)
+		}
+	}
+	// One altered digest is a divergence in exactly that section; a
+	// stored digest of any other width is not a digest.
+	for _, tag := range stateTags {
+		altered := reencode(t, snap, tag, func(payload []byte) []byte {
+			payload[7] ^= 0x01
+			return payload
+		})
+		if _, err := rica.Resume(bytes.NewReader(altered)); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tag) {
+			t.Fatalf("Resume with the %s digest altered: err = %v, want ErrCheckpointCorrupt naming %s", tag, err, tag)
+		}
+	}
+	for _, resize := range []func([]byte) []byte{
+		func(p []byte) []byte { return p[:31] },
+		func(p []byte) []byte { return append(p, 0) },
+		func([]byte) []byte { return []byte{} },
+	} {
+		resized := reencode(t, snap, checkpoint.TagKern, resize)
+		if _, err := rica.Resume(bytes.NewReader(resized)); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), checkpoint.TagKern) {
+			t.Fatalf("Resume with a mis-sized KERN digest: err = %v, want ErrCheckpointCorrupt naming KERN", err)
+		}
 	}
 }

@@ -47,6 +47,15 @@ func TestExitCodeContract(t *testing.T) {
 			wantErr:  "no-such-scenario",
 		},
 		{
+			// Rejected on the flags alone, before the file is opened.
+			name: "a snapshot cadence with nowhere to write is 1",
+			args: func(dir string) []string {
+				return []string{"-resume", filepath.Join(dir, "run.ckpt"), "-checkpoint-every", "5s"}
+			},
+			wantCode: 1,
+			wantErr:  "-checkpoint-every needs a -checkpoint",
+		},
+		{
 			name: "interrupted batch is 3",
 			args: func(dir string) []string {
 				return []string{"-scenario", "dense-urban", "-protocols", "RICA", "-trials", "50",

@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -81,7 +80,7 @@ func main() {
 		obsOut      = flag.String("obs", "", "write the end-of-process observability snapshot (counters + pool stats) to this JSON file")
 		ckptPath    = flag.String("checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
 		ckptEvery   = flag.Duration("checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
-		resumePath  = flag.String("resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify state byte-for-byte, run to the horizon")
+		resumePath  = flag.String("resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
 		manifest    = flag.String("manifest", "", "journal every finished -scenario batch cell to this append-only file (fsync'd per cell); re-running the same grid resumes from it")
 	)
 	flag.Parse()
@@ -107,6 +106,9 @@ func main() {
 				fatalf("-resume and -%s are mutually exclusive", bad)
 			}
 		}
+	}
+	if flagSet("checkpoint-every") && *ckptPath == "" {
+		fatalf("-checkpoint-every needs a -checkpoint file to write to")
 	}
 	if *ckptPath != "" && *resumePath == "" {
 		if *scenarios == "" {
@@ -540,7 +542,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	}
 
 	var (
-		timelineFile *pendingFile
+		timelineFile *durable.Pending
 		timelineBuf  *bufio.Writer
 	)
 	if timeline != "" {
@@ -572,7 +574,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	cfg.Protocols = parseProtocols(protocols)
 
 	// Open the output before burning batch time on it.
-	var outFile *pendingFile
+	var outFile *durable.Pending
 	if out != "" {
 		f, err := createPending(out)
 		if err != nil {
@@ -601,7 +603,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	if timelineFile != nil {
 		err := timelineBuf.Flush()
 		if err == nil {
-			err = timelineFile.commit()
+			err = timelineFile.Commit()
 		}
 		if err != nil {
 			fatalf("writing %s: %v", timeline, err)
@@ -620,7 +622,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 			err = res.WriteJSON(outFile)
 		}
 		if err == nil {
-			err = outFile.commit()
+			err = outFile.Commit()
 		}
 		if err != nil {
 			fatalf("writing %s: %v", out, err)
@@ -644,42 +646,19 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	return interrupted
 }
 
-// pendingFile is an output that appears under its final name only once
-// it is complete: bytes go to a temp file in the same directory, and
-// commit fsyncs it and renames it over path. A reader — the daemon's
-// /result handler, the supervisor's "exit 0 with a result" check — can
-// therefore never see an empty or half-written file, and a crash
-// mid-write leaves whatever was at path before untouched.
-type pendingFile struct {
-	*os.File
-	path string
-}
-
-// createPending opens the temp file up front, so an unwritable
-// directory fails before any simulation time is spent.
-func createPending(path string) (*pendingFile, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+// createPending opens an output that appears under its final name only
+// once it is complete (see durable.Pending) — the daemon's /result
+// handler and the supervisor's "exit 0 with a result" check can never
+// see an empty or half-written file. The temp file is opened up front,
+// so an unwritable directory fails before any simulation time is spent,
+// and removed at exit if the run never commits it.
+func createPending(path string) (*durable.Pending, error) {
+	f, err := durable.CreatePending(path)
 	if err != nil {
 		return nil, err
 	}
-	exitHooks = append(exitHooks, func() { os.Remove(f.Name()) }) // no-op once commit has renamed it
-	return &pendingFile{File: f, path: path}, nil
-}
-
-// commit publishes the fully written file under its final name.
-func (p *pendingFile) commit() error {
-	// CreateTemp's 0600 is right for a scratch file, not for results.
-	err := p.Chmod(0o644)
-	if err == nil {
-		err = p.Sync()
-	}
-	if cerr := p.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return durable.Rename(p.Name(), p.path)
+	exitHooks = append(exitHooks, f.Abort)
+	return f, nil
 }
 
 // flagSet reports whether the named flag was given explicitly.

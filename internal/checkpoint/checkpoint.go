@@ -3,17 +3,22 @@
 // binary sections, each integrity-checked with a CRC, closed by a tail
 // record protecting the whole file.
 //
-// The format is deliberately dumb: it knows nothing about simulations.
-// Section payloads are produced by the world layer (see
-// world.World.CaptureState) and interpreted by the resume path in the
-// public rica package; this package only guarantees that what was
-// written is what is read — a truncated, bit-flipped, or
-// version-skewed file fails with a clean error, never a panic and
-// never a silent partial decode.
+// The container is deliberately dumb: it knows nothing about
+// simulations, and guarantees only that what was written is what is
+// read — a truncated, bit-flipped, or version-skewed file fails with a
+// clean error, never a panic and never a silent partial read.
+//
+// What a snapshot holds is decided here too. The world layer captures
+// full state payloads (see world.World.CaptureState); resume only ever
+// compares a fresh capture against the stored one, so a snapshot keeps
+// the run recipe (DESC, which carries the capture instant) verbatim and,
+// through Digest, one fixed-width hash per state section: the same
+// verification power — a divergence still names its section — in under
+// a kilobyte instead of megabytes.
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "RICACKP2"            format name + version
+//	magic   [8]byte  "RICACKP3"            format name + version
 //	section: tag [4]byte | len uint32 | payload [len]byte | crc32 uint32
 //	...                                    (one or more sections)
 //	tail:    tag "TAIL" | len 8 | count uint32, filecrc uint32 | crc32
@@ -25,12 +30,13 @@
 // skipped by readers — a newer writer may add sections without breaking
 // an older reader's ability to reject or inspect the file. The magic
 // string carries the format version: any incompatible change to the
-// container or to a section payload's encoding bumps the trailing digit
-// ("RICACKP2" to "RICACKP3"), and old readers reject new files outright
-// (and vice versa) instead of mis-restoring.
+// container or to what a section holds bumps the trailing digit
+// ("RICACKP3" to "RICACKP4"), and old readers reject new files outright
+// (and vice versa) instead of mis-verifying.
 package checkpoint
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -42,15 +48,15 @@ import (
 )
 
 // Magic identifies the container format and its version.
-const Magic = "RICACKP2"
+const Magic = "RICACKP3"
 
 // tailTag closes every file; it is not a user section.
 const tailTag = "TAIL"
 
-// Section tags written by the world capture (the resume path verifies a
-// fresh capture against these byte-for-byte). DESC and POOL are exempt
-// from verification: DESC is the run recipe itself, and POOL reports
-// process-global pool accounting that other concurrent runs perturb.
+// Section tags. DESC is the run recipe, stored verbatim and exempt from
+// verification; the other eight are the world capture's state sections,
+// stored as digests that the resume path compares a fresh capture's
+// against.
 const (
 	TagDesc = "DESC" // JSON run descriptor (see Descriptor)
 	TagKern = "KERN" // kernel clock, sequence counter, pending-event skeleton
@@ -60,17 +66,16 @@ const (
 	TagMACs = "MACS" // common-channel transmissions + data-plane exchanges
 	TagNode = "NODE" // per-terminal link-queue skeletons
 	TagTraf = "TRAF" // traffic generator and gossip workload state
-	TagTser = "TSER" // timeseries collector digest
 	TagObsC = "OBSC" // observability counter snapshot (JSON)
-	TagPool = "POOL" // process-global pooled-packet accounting (informational)
 )
 
 // Limits a strict reader enforces before trusting any length field.
 const (
-	// MaxSectionLen bounds one payload: the largest legitimate section
-	// (RNGS for a dense population) is a few tens of megabytes.
+	// MaxSectionLen bounds one payload. A snapshot's own sections are a
+	// recipe and digests, but the container also frames full captures
+	// (a dense population's RNGS payload is a few tens of megabytes).
 	MaxSectionLen = 1 << 28
-	// maxSections bounds the section count; the writer emits ~11.
+	// maxSections bounds the section count; the writer emits 9.
 	maxSections = 256
 )
 
@@ -208,48 +213,35 @@ func Find(sections []Section, tag string) []byte {
 	return nil
 }
 
+// Digest turns captured state sections into what a snapshot stores: the
+// same tags in the same order, each payload replaced by its SHA-256.
+// Resume digests its fresh capture the same way and compares per tag, so
+// a divergence is still reported by section.
+func Digest(captured []Section) []Section {
+	out := make([]Section, len(captured))
+	for i, s := range captured {
+		sum := sha256.Sum256(s.Payload)
+		out[i] = Section{Tag: s.Tag, Payload: sum[:]}
+	}
+	return out
+}
+
 // Descriptor is the JSON run recipe embedded in every snapshot (the
 // DESC section): everything needed to rebuild the identical world in a
 // fresh process and replay it to the capture instant. Durations are
 // nanoseconds so the JSON stays integer-exact.
 type Descriptor struct {
-	// Kind discriminates the run recipe: "scenario" (a declarative
-	// scenario spec) or "sim" (a SimConfig-shaped parameter set).
-	Kind string `json:"kind"`
 	// AtNs is the virtual instant the state sections were captured at.
 	AtNs int64 `json:"at_ns"`
 	// HorizonNs is the run's full horizon; resume continues to it.
 	HorizonNs int64 `json:"horizon_ns"`
 	// Protocol names the routing protocol under test.
 	Protocol string `json:"protocol"`
-	// Seed, SeedZero and MaxDurationNs mirror the fields of
-	// rica.ScenarioRun / rica.SimConfig they came from.
+	// Seed and MaxDurationNs mirror the rica.ScenarioRun fields.
 	Seed          int64 `json:"seed,omitempty"`
-	SeedZero      bool  `json:"seed_zero,omitempty"`
 	MaxDurationNs int64 `json:"max_duration_ns,omitempty"`
-	// Scenario is the validated scenario spec, verbatim (kind "scenario").
+	// Scenario is the validated scenario spec, verbatim.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
-	// Sim carries the single-run parameters (kind "sim").
-	Sim *SimParams `json:"sim,omitempty"`
-	// Telemetry, when non-nil, re-enables timeline collection on resume
-	// with the same interval and percentile path.
-	Telemetry *TelemetryParams `json:"telemetry,omitempty"`
-}
-
-// SimParams is the serializable subset of rica.SimConfig.
-type SimParams struct {
-	MeanSpeedKmh float64 `json:"mean_speed_kmh"`
-	Rate         float64 `json:"rate"`
-	DurationNs   int64   `json:"duration_ns,omitempty"`
-	BufferCap    int     `json:"buffer_cap,omitempty"`
-	// Flows is the pinned workload as JSON, when the run set one.
-	Flows json.RawMessage `json:"flows,omitempty"`
-}
-
-// TelemetryParams records a run's timeline collection settings.
-type TelemetryParams struct {
-	IntervalNs int64 `json:"interval_ns,omitempty"`
-	Streaming  bool  `json:"streaming,omitempty"`
 }
 
 // EncodeDescriptor renders d as the DESC payload.
@@ -264,11 +256,6 @@ func DecodeDescriptor(payload []byte) (Descriptor, error) {
 	if err := json.Unmarshal(payload, &d); err != nil {
 		return d, corruptf("descriptor: %v", err)
 	}
-	switch d.Kind {
-	case "scenario", "sim":
-	default:
-		return d, corruptf("descriptor kind %q unknown", d.Kind)
-	}
 	if d.AtNs < 0 || d.HorizonNs < 0 || d.AtNs > d.HorizonNs {
 		return d, corruptf("descriptor instant %dns outside horizon %dns", d.AtNs, d.HorizonNs)
 	}
@@ -280,7 +267,7 @@ func DecodeDescriptor(payload []byte) (Descriptor, error) {
 
 // Enc is a little-endian append-only encoder for section payloads. All
 // captures go through it so payload bytes are a pure function of the
-// captured values — the resume path compares payloads byte-for-byte.
+// captured values — the resume path compares digests of them.
 type Enc struct{ buf []byte }
 
 // Bytes returns the encoded payload.
@@ -311,69 +298,4 @@ func (e *Enc) Bool(v bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-}
-
-// Dec is the matching bounds-checked decoder. After any short read it
-// latches an error and returns zeros; check Err once at the end.
-type Dec struct {
-	b   []byte
-	err error
-}
-
-// NewDec wraps a payload for decoding.
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
-
-// Err reports the first decode failure, if any.
-func (d *Dec) Err() error { return d.err }
-
-// Len reports the unread byte count.
-func (d *Dec) Len() int { return len(d.b) }
-
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = corruptf("payload truncated (want %d bytes, have %d)", n, len(d.b))
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-// U32 reads a uint32.
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a uint64.
-func (d *Dec) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int encoded as int64.
-func (d *Dec) Int() int { return int(d.I64()) }
-
-// Dur reads a time.Duration.
-func (d *Dec) Dur() time.Duration { return time.Duration(d.I64()) }
-
-// F64 reads a float64 by bit pattern.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a one-byte bool.
-func (d *Dec) Bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
 }

@@ -5,15 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func sampleSections() []Section {
 	return []Section{
-		{Tag: "DESC", Payload: []byte(`{"kind":"sim"}`)},
+		{Tag: "DESC", Payload: []byte(`{"protocol":"RICA"}`)},
 		{Tag: "KERN", Payload: []byte{1, 2, 3, 4, 5}},
 		{Tag: "EMPT", Payload: nil}, // zero-length payloads are legal
 		{Tag: "RNGS", Payload: bytes.Repeat([]byte{0xAB}, 1000)},
@@ -75,7 +73,7 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsVersionSkew(t *testing.T) {
 	snap := mustWrite(t, sampleSections())
-	for _, magic := range []string{"RICACKP1", "RICACKP3"} { // the previous and the next version
+	for _, magic := range []string{"RICACKP2", "RICACKP4"} { // the previous and the next version
 		skewed := append([]byte(magic), snap[len(Magic):]...)
 		_, err := Read(bytes.NewReader(skewed))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
@@ -158,56 +156,34 @@ func TestWriteRejectsBadTags(t *testing.T) {
 	}
 }
 
-func TestEncDecRoundTrip(t *testing.T) {
-	var e Enc
-	e.U32(7)
-	e.U64(1 << 60)
-	e.I64(-42)
-	e.Int(12345)
-	e.Dur(3 * time.Second)
-	e.F64(math.Pi)
-	e.F64(math.Inf(-1))
-	e.Bool(true)
-	e.Bool(false)
-	d := NewDec(e.Bytes())
-	if v := d.U32(); v != 7 {
-		t.Errorf("U32 = %d", v)
+// TestDigest: a snapshot's state sections are fixed-width whatever the
+// capture's size, keep their tags and order, and differ when — and only
+// when — the payloads do.
+func TestDigest(t *testing.T) {
+	captured := sampleSections()
+	got := Digest(captured)
+	if len(got) != len(captured) {
+		t.Fatalf("Digest returned %d sections, want %d", len(got), len(captured))
 	}
-	if v := d.U64(); v != 1<<60 {
-		t.Errorf("U64 = %d", v)
+	for i, s := range got {
+		if s.Tag != captured[i].Tag {
+			t.Errorf("section %d tag = %q, want %q", i, s.Tag, captured[i].Tag)
+		}
+		if len(s.Payload) != 32 {
+			t.Errorf("section %s digest is %d bytes, want 32", s.Tag, len(s.Payload))
+		}
 	}
-	if v := d.I64(); v != -42 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.Int(); v != 12345 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := d.Dur(); v != 3*time.Second {
-		t.Errorf("Dur = %v", v)
-	}
-	if v := d.F64(); v != math.Pi {
-		t.Errorf("F64 = %v", v)
-	}
-	if v := d.F64(); !math.IsInf(v, -1) {
-		t.Errorf("F64 inf = %v", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round trip failed")
-	}
-	if d.Err() != nil || d.Len() != 0 {
-		t.Errorf("decoder state: err=%v len=%d", d.Err(), d.Len())
-	}
-	// Over-read latches ErrCorrupt and yields zeros from then on.
-	if v := d.U64(); v != 0 || !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("over-read: v=%d err=%v", v, d.Err())
-	}
-	if v := d.Int(); v != 0 {
-		t.Errorf("post-error read = %d, want 0", v)
+	again := sampleSections()
+	again[3].Payload[999] ^= 1
+	for i, s := range Digest(again) {
+		if same := bytes.Equal(s.Payload, got[i].Payload); same != (i != 3) {
+			t.Errorf("section %s: digest equal = %v after altering only RNGS", s.Tag, same)
+		}
 	}
 }
 
 func TestDescriptorValidation(t *testing.T) {
-	good := Descriptor{Kind: "scenario", AtNs: 5, HorizonNs: 10, Protocol: "RICA"}
+	good := Descriptor{AtNs: 5, HorizonNs: 10, Protocol: "RICA"}
 	payload, err := EncodeDescriptor(good)
 	if err != nil {
 		t.Fatalf("EncodeDescriptor: %v", err)
@@ -216,10 +192,9 @@ func TestDescriptorValidation(t *testing.T) {
 		t.Fatalf("DecodeDescriptor(valid): %v", err)
 	}
 	bad := []Descriptor{
-		{Kind: "mystery", AtNs: 0, HorizonNs: 1, Protocol: "RICA"},
-		{Kind: "sim", AtNs: 5, HorizonNs: 1, Protocol: "RICA"}, // instant past horizon
-		{Kind: "sim", AtNs: -1, HorizonNs: 1, Protocol: "RICA"},
-		{Kind: "sim", AtNs: 0, HorizonNs: 1}, // no protocol
+		{AtNs: 5, HorizonNs: 1, Protocol: "RICA"}, // instant past horizon
+		{AtNs: -1, HorizonNs: 1, Protocol: "RICA"},
+		{AtNs: 0, HorizonNs: 1}, // no protocol
 	}
 	for i, d := range bad {
 		p, err := EncodeDescriptor(d)

@@ -15,7 +15,7 @@ func FuzzRead(f *testing.F) {
 	valid := func() []byte {
 		var buf bytes.Buffer
 		err := Write(&buf, []Section{
-			{Tag: "DESC", Payload: []byte(`{"kind":"sim","protocol":"RICA","horizon_ns":10}`)},
+			{Tag: "DESC", Payload: []byte(`{"protocol":"RICA","horizon_ns":10}`)},
 			{Tag: "KERN", Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 			{Tag: "EMPT", Payload: nil},
 		})
@@ -27,8 +27,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                         // truncated
 	f.Add(append([]byte(nil), valid[:len(valid)-1]...)) // missing last byte
-	skew := append([]byte("RICACKP3"), valid[len(Magic):]...)
-	f.Add(skew) // version-skewed magic
+	// Version-skewed magics: the previous and the next version.
+	for _, magic := range []string{"RICACKP2", "RICACKP4"} {
+		f.Add(append([]byte(magic), valid[len(Magic):]...))
+	}
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/3] ^= 0x10
 	f.Add(flip) // bit-flipped

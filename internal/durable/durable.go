@@ -9,7 +9,8 @@
 //
 // Rename and SyncFile bundle the missing directory sync with the
 // operations that need it, so checkpoint snapshots and manifest
-// journals survive not just process death but whole-machine crashes.
+// journals survive not just process death but whole-machine crashes;
+// Pending is the whole atomic-publish sequence built on Rename.
 package durable
 
 import (
@@ -61,4 +62,50 @@ func SyncFile(f *os.File) error {
 		return err
 	}
 	return SyncDir(filepath.Dir(f.Name()))
+}
+
+// Pending is a file that appears under its final name only once it is
+// complete: bytes go to a temp file in the same directory, and Commit
+// fsyncs it and renames it over path. A reader can therefore never see
+// an empty or half-written file, and a crash mid-write leaves whatever
+// was at path before untouched.
+type Pending struct {
+	*os.File
+	path string
+}
+
+// CreatePending opens the temp file beside path, so an unwritable
+// directory fails before any work is spent on the contents.
+func CreatePending(path string) (*Pending, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	return &Pending{File: f, path: path}, nil
+}
+
+// Commit publishes the fully written file under its final name,
+// durably: fsync, close, Rename.
+func (p *Pending) Commit() error {
+	// CreateTemp's 0600 is right for a scratch file, not for a result.
+	err := p.Chmod(0o644)
+	if err == nil {
+		err = p.Sync()
+	}
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return Rename(p.Name(), p.path)
+}
+
+// Abort discards the temp file. It is a no-op once Commit has renamed
+// it, so it is safe to defer.
+func (p *Pending) Abort() {
+	// Both errors are expected after Commit (already closed, already
+	// renamed away) and change nothing before it: nothing was published.
+	_ = p.Close()
+	_ = os.Remove(p.Name())
 }

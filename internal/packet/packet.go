@@ -334,18 +334,3 @@ func (p *Packet) Key() FloodKey {
 	}
 	return MakeFloodKey(origin, p.Dst, p.BroadcastID, p.Type)
 }
-
-// PoolSnapshot is the pool accounting in struct form, for embedding in
-// process-level snapshots (the checkpoint file's informational POOL
-// section). Process-global — concurrent runs share the pool — so it is
-// recorded for operators but exempt from checkpoint verification.
-type PoolSnapshot struct {
-	Gets, Releases  uint64
-	Live, HighWater int64
-}
-
-// SnapshotPool reads the process-global pool accounting.
-func SnapshotPool() PoolSnapshot {
-	gets, releases, live, high := PoolStats()
-	return PoolSnapshot{Gets: gets, Releases: releases, Live: live, HighWater: high}
-}

@@ -372,63 +372,3 @@ func (t *tee) RouteInvalidated(node int, now time.Duration) {
 	}
 	t.c.RouteInvalidated(node, now)
 }
-
-// StateDigest hashes the collector's raw mid-run state — bucket
-// counters, drop breakdowns, sealed quantiles, and an order-insensitive
-// fold of retained delay samples — into one FNV-1a word. Unlike
-// Timeline it is a strict read: no interval is sealed, no slice is
-// sorted, so capturing a digest mid-run cannot perturb anything.
-// Checkpoint verification compares digests across processes.
-func (c *Collector) StateDigest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(c.interval))
-	if c.streaming {
-		mix(1)
-	}
-	mix(uint64(c.histIdx))
-	mix(uint64(len(c.buckets)))
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		mix(uint64(b.generated))
-		mix(uint64(b.delivered))
-		mix(uint64(b.delaySum))
-		mix(uint64(len(b.delays)))
-		// Order-insensitive: Timeline's quantile sort may permute delays
-		// in place, and the sample multiset is what must match.
-		var sum, xor uint64
-		for _, d := range b.delays {
-			sum += uint64(d)
-			xor ^= uint64(d) * prime64
-		}
-		mix(sum)
-		mix(xor)
-		mix(uint64(b.deliveredBits))
-		mix(uint64(b.p50))
-		mix(uint64(b.p95))
-		if b.sealed {
-			mix(1)
-		} else {
-			mix(0)
-		}
-		for _, d := range b.drops {
-			mix(uint64(d))
-		}
-		mix(uint64(b.controlPkts))
-		mix(uint64(b.controlBits))
-		mix(uint64(b.controlDrop))
-		mix(uint64(b.ackBits))
-		mix(uint64(b.routeInstalls))
-		mix(uint64(b.routeInvalidations))
-	}
-	return h
-}

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"rica/internal/channel"
 	"rica/internal/checkpoint"
 	"rica/internal/mac"
 	"rica/internal/network"
-	"rica/internal/packet"
 	"rica/internal/routing"
 	"rica/internal/sim"
 )
@@ -28,10 +26,11 @@ type routeExporter interface {
 // no cache fills — capturing and then continuing the run is
 // bit-identical to never having captured.
 //
-// The resume path re-captures in a fresh process after replaying to the
-// same instant and compares payloads byte-for-byte (see the rica
-// package), so every encoder here must be a pure function of simulation
-// state with deterministic iteration order.
+// A snapshot stores one digest per section returned here, and the
+// resume path re-captures in a fresh process after replaying to the same
+// instant and compares digests (see the rica package), so every encoder
+// here must be a pure function of simulation state with deterministic
+// iteration order.
 func (w *World) CaptureState() ([]checkpoint.Section, error) {
 	if !w.started {
 		return nil, errors.New("world: CaptureState before Start")
@@ -56,13 +55,11 @@ func (w *World) CaptureState() ([]checkpoint.Section, error) {
 	add(checkpoint.TagMACs, w.encodeMAC())
 	add(checkpoint.TagNode, w.encodeNodes())
 	add(checkpoint.TagTraf, w.encodeTraffic())
-	add(checkpoint.TagTser, w.encodeTimeseries())
 	obsc, err := w.encodeObs()
 	if err != nil {
 		return nil, fmt.Errorf("world: capture obs: %w", err)
 	}
 	add(checkpoint.TagObsC, obsc)
-	add(checkpoint.TagPool, encodePool())
 	return secs, nil
 }
 
@@ -231,17 +228,6 @@ func (w *World) encodeTraffic() []byte {
 	return e.Bytes()
 }
 
-func (w *World) encodeTimeseries() []byte {
-	var e checkpoint.Enc
-	if w.Cfg.Timeseries == nil {
-		e.Bool(false)
-		return e.Bytes()
-	}
-	e.Bool(true)
-	e.U64(w.Cfg.Timeseries.StateDigest())
-	return e.Bytes()
-}
-
 func (w *World) encodeObs() ([]byte, error) {
 	snap := w.Obs.Snapshot()
 	// Pool stats are process-global (shared across concurrent runs);
@@ -250,26 +236,7 @@ func (w *World) encodeObs() ([]byte, error) {
 	return json.Marshal(&snap)
 }
 
-// encodePool records the process-global pooled-packet accounting. The
-// section is informational — other runs in the process perturb it — and
-// is exempt from resume verification.
-func encodePool() []byte {
-	ps := packet.SnapshotPool()
-	var e checkpoint.Enc
-	e.U64(ps.Gets)
-	e.U64(ps.Releases)
-	e.I64(ps.Live)
-	e.I64(ps.HighWater)
-	return e.Bytes()
-}
-
-// VerifyExempt reports whether a section tag is exempt from the
-// byte-for-byte resume verification: the descriptor is the recipe
-// itself, and the pool section is process-global.
-func VerifyExempt(tag string) bool {
-	return tag == checkpoint.TagDesc || tag == checkpoint.TagPool
-}
-
-// CaptureAt reports the instant the kernel clock reads — the boundary a
-// capture taken now is stamped with.
-func (w *World) CaptureAt() time.Duration { return w.Kernel.Now() }
+// VerifyExempt reports whether a snapshot section is exempt from the
+// resume verification: only the descriptor, which is the recipe itself
+// rather than captured state.
+func VerifyExempt(tag string) bool { return tag == checkpoint.TagDesc }

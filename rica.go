@@ -121,15 +121,6 @@ type SimConfig struct {
 	// private registry and the end-of-run snapshot still lands on
 	// Summary.Obs.
 	Obs *ObsRegistry
-	// CheckpointPath, when set, is the snapshot file the run writes at
-	// every CheckpointEvery of virtual time, atomically, so a killed
-	// process can be resumed via Resume. Honoured by
-	// SimulateCheckpointed (plain Simulate ignores it, as it has no way
-	// to surface a snapshot write error). See docs/OPERATIONS.md.
-	CheckpointPath string
-	// CheckpointEvery is the virtual-time snapshot cadence; zero means
-	// every 10 simulated seconds.
-	CheckpointEvery time.Duration
 }
 
 // Telemetry configures per-interval timeline collection for one run.
@@ -208,7 +199,27 @@ func SimulateTraced(cfg SimConfig, capacity int) (Summary, []TraceEvent) {
 }
 
 func simulate(cfg SimConfig, rec *trace.Recorder) (Summary, Timeline, *trace.Recorder) {
-	wcfg := simWorldConfig(cfg)
+	wcfg := world.DefaultConfig(cfg.MeanSpeedKmh, cfg.Rate)
+	if cfg.Duration > 0 {
+		wcfg.Duration = cfg.Duration
+	}
+	if cfg.Seed != 0 || cfg.SeedZero {
+		wcfg.Seed = cfg.Seed
+	}
+	if cfg.Flows != nil {
+		wcfg.Flows = cfg.Flows
+	}
+	if cfg.BufferCap > 0 {
+		wcfg.Node.BufferCap = cfg.BufferCap
+	}
+	wcfg.Obs = cfg.Obs
+	if cfg.Telemetry != nil {
+		if cfg.Telemetry.Streaming {
+			wcfg.Timeseries = timeseries.NewStreamingCollector(cfg.Telemetry.Interval, wcfg.Duration)
+		} else {
+			wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
+		}
+	}
 	wcfg.Trace = rec
 	summary := world.New(wcfg, experiment.Factory(cfg.Protocol, cfg.Rate)).Run()
 	var tl Timeline
