@@ -71,7 +71,6 @@ func main() {
 		out         = flag.String("out", "", "write batch results to this file (.json or .csv; default stdout)")
 		timeline    = flag.String("timeline", "", "write per-interval telemetry for every batch cell to this file (.csv for CSV, anything else for JSONL)")
 		interval    = flag.Duration("interval", time.Second, "telemetry bucket width for -timeline")
-		streaming   = flag.Bool("streaming", false, "bounded-memory -timeline percentiles (histogram approximation, ~3% error; see docs/OBSERVABILITY.md)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile taken at exit to this file")
 		eventsRate  = flag.Bool("events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
@@ -91,11 +90,8 @@ func main() {
 	if flagSet("interval") && *interval <= 0 {
 		fatalf("-interval must be positive, got %v", *interval)
 	}
-	if *streaming && *timeline == "" {
-		fatalf("-streaming only applies to -timeline batches")
-	}
 	if *stats < 0 {
-		fatalf("-stats must be positive, got %v", *stats)
+		fatalf("-stats must not be negative, got %v", *stats)
 	}
 	if *ckptEvery <= 0 {
 		fatalf("-checkpoint-every must be positive, got %v", *ckptEvery)
@@ -237,7 +233,7 @@ func main() {
 			return
 		}
 		if runBatch(*scenarios, *protocols, *trials, *seed, *parallelism,
-			*duration, *format, *out, *timeline, *interval, *streaming, *manifest, hub,
+			*duration, *format, *out, *timeline, *interval, *manifest, hub,
 			installStopSignal()) {
 			exitCutShort()
 		}
@@ -521,7 +517,7 @@ func runVerify(list, protocols string, seed int64, maxDur time.Duration) {
 // process must exit with the interrupted status.
 func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	duration time.Duration, format, out, timeline string, interval time.Duration,
-	streaming bool, manifest string, hub *rica.ObsHub, stop <-chan struct{}) bool {
+	manifest string, hub *rica.ObsHub, stop <-chan struct{}) bool {
 	durationSet := flagSet("duration")
 	outFormat := ""
 	if out != "" {
@@ -562,7 +558,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 		}
 		fmt.Fprintf(os.Stderr, "timeline: writing %s to %s (%v buckets)\n",
 			sinkFormat, timeline, interval)
-		cfg.Telemetry = &rica.BatchTelemetry{Interval: interval, Sink: sink, Streaming: streaming}
+		cfg.Telemetry = &rica.BatchTelemetry{Interval: interval, Sink: sink}
 	}
 	for _, part := range strings.Split(list, ",") {
 		spec := loadSpec(part)

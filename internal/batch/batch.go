@@ -95,10 +95,6 @@ type Telemetry struct {
 	Interval time.Duration
 	// Sink receives one Emit per cell, in grid order. Required.
 	Sink timeseries.Sink
-	// Streaming switches each cell's delay percentiles to the
-	// bounded-memory histogram path (see timeseries.NewStreamingCollector):
-	// constant memory per interval at ~3 % relative quantile error.
-	Streaming bool
 }
 
 // Progress reports one finished cell.
@@ -457,11 +453,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
 	wcfg := c.cfg // each cell mutates its own copy
 	wcfg.Seed = c.seed
 	if tele != nil {
-		if tele.Streaming {
-			wcfg.Timeseries = timeseries.NewStreamingCollector(tele.Interval, wcfg.Duration)
-		} else {
-			wcfg.Timeseries = timeseries.NewCollector(tele.Interval, wcfg.Duration)
-		}
+		wcfg.Timeseries = timeseries.NewCollector(tele.Interval, wcfg.Duration)
 	}
 	wcfg.Obs = obs.NewRegistry()
 	if hub != nil {

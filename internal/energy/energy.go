@@ -48,7 +48,7 @@ func NewMeter(model Model, n int) *Meter {
 }
 
 // ControlTransmitted accounts one routing packet on the common channel
-// (chain with the metrics collector on mac.CommonChannel.OnTransmit).
+// (mac.CommonChannel.OnTransmit).
 func (m *Meter) ControlTransmitted(pkt *packet.Packet, from int, _ time.Duration) {
 	airtime := float64(pkt.Size*8) / m.model.CommonBitrate
 	j := m.model.TxPowerW * airtime

@@ -56,6 +56,7 @@ func CheckTimeline(tl timeseries.Timeline) error {
 			{"drop_expired", int64(p.DropExpired)},
 			{"drop_no_route", int64(p.DropNoRoute)},
 			{"drop_link_break", int64(p.DropLinkBreak)},
+			{"drop_adversary", int64(p.DropAdversary)},
 			{"route_installs", int64(p.RouteInstalls)},
 			{"route_invalidations", int64(p.RouteInvalidations)},
 		}
@@ -67,7 +68,7 @@ func CheckTimeline(tl timeseries.Timeline) error {
 
 		cumGen += int64(p.Generated)
 		cumDel += int64(p.Delivered)
-		cumDrop += int64(p.DropCongestion + p.DropExpired + p.DropNoRoute + p.DropLinkBreak)
+		cumDrop += int64(p.DropCongestion + p.DropExpired + p.DropNoRoute + p.DropLinkBreak + p.DropAdversary)
 		if cumDel+cumDrop > cumGen {
 			fail("timeline-conservation",
 				"after interval %d: cumulative delivered %d + dropped %d exceeds generated %d",

@@ -27,7 +27,13 @@ const (
 	DropNoRoute                          // routing gave up finding a route
 	DropLinkBreak                        // transmission failed, not repaired
 	DropAdversary                        // discarded by a byzantine transit terminal
+	dropReasonEnd                        // keep last: new reasons go above
 )
+
+// NumDropReasons is how many drop reasons exist; reasons run
+// 1..NumDropReasons, so per-reason tables are sized by it and indexed by
+// reason-1.
+const NumDropReasons = int(dropReasonEnd) - 1
 
 var dropNames = map[DropReason]string{
 	DropCongestion: "congestion",
@@ -57,7 +63,9 @@ type LinkOracle interface {
 }
 
 // Recorder receives the data-plane lifecycle events the metrics layer
-// aggregates. Implemented by metrics.Collector.
+// aggregates. In a world every node's Recorder is the world's observation
+// seam, which hands each event to the attached consumers; metrics.Collector
+// and test fakes implement it directly.
 type Recorder interface {
 	DataGenerated(pkt *packet.Packet, now time.Duration)
 	DataDelivered(pkt *packet.Packet, now time.Duration)
@@ -67,9 +75,9 @@ type Recorder interface {
 // RouteRecorder is an optional extension of Recorder: a recorder that
 // also implements it receives route-table churn — entries installed and
 // entries invalidated, per terminal — which the timeseries telemetry
-// buckets into per-interval convergence curves. Node runtimes detect the
-// extension with a type assertion at construction, so plain Recorders
-// pay nothing.
+// buckets into per-interval convergence curves. NewNode detects the
+// extension with a type assertion, so plain Recorders (test fakes) pay
+// nothing; the world's observation seam is the one production implementer.
 type RouteRecorder interface {
 	// RouteInstalled reports that terminal node installed or replaced one
 	// route-table entry.

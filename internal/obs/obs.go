@@ -308,19 +308,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return bucketMid(histBuckets - 1)
 }
 
-// Reset zeroes the histogram for reuse (the streaming timeseries path
-// recycles one histogram across intervals instead of retaining samples).
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // PoolStats is the process-global pooled-packet accounting. It is
 // process-wide, not per-run: parallel batch cells share one pool, so
 // these numbers belong on the live surfaces and the CLI's single-run

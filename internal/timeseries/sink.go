@@ -58,7 +58,7 @@ const csvHeader = "scenario,protocol,seed,interval_s,i,t_s," +
 	"generated,delivered,delivery_ratio," +
 	"avg_delay_ms,p50_delay_ms,p95_delay_ms,goodput_kbps," +
 	"control_packets,control_dropped,overhead_kbps," +
-	"drop_congestion,drop_expired,drop_no_route,drop_link_break," +
+	"drop_congestion,drop_expired,drop_no_route,drop_link_break,drop_adversary," +
 	"route_installs,route_invalidations\n"
 
 // CSVSink streams timelines as comma-separated values: a header once,
@@ -92,12 +92,12 @@ func (s *CSVSink) Emit(run Run, tl Timeline) error {
 	}
 	for _, p := range tl.Points {
 		_, err := fmt.Fprintf(s.w,
-			"%s,%s,%d,%g,%d,%g,%d,%d,%.4f,%.3f,%.3f,%.3f,%.3f,%d,%d,%.3f,%d,%d,%d,%d,%d,%d\n",
+			"%s,%s,%d,%g,%d,%g,%d,%d,%.4f,%.3f,%.3f,%.3f,%.3f,%d,%d,%.3f,%d,%d,%d,%d,%d,%d,%d\n",
 			csvField(run.Scenario), csvField(run.Protocol), run.Seed, tl.IntervalS, p.Index, p.StartS,
 			p.Generated, p.Delivered, p.DeliveryRatio,
 			p.AvgDelayMs, p.P50DelayMs, p.P95DelayMs, p.GoodputKbps,
 			p.ControlPackets, p.ControlDropped, p.OverheadKbps,
-			p.DropCongestion, p.DropExpired, p.DropNoRoute, p.DropLinkBreak,
+			p.DropCongestion, p.DropExpired, p.DropNoRoute, p.DropLinkBreak, p.DropAdversary,
 			p.RouteInstalls, p.RouteInvalidations)
 		if err != nil {
 			return err

@@ -9,9 +9,9 @@
 // at all.
 //
 // A Collector implements network.Recorder (and the optional
-// network.RouteRecorder extension), so it attaches to a run exactly like
-// the metrics collector does; WrapRecorder tees the data-plane events to
-// both. Collectors are strictly per-run: they hold no global state, so
+// network.RouteRecorder extension) plus the control-plane hooks, so the
+// world's observation seam hands it every event the metrics collector
+// sees. Collectors are strictly per-run: they hold no global state, so
 // parallel batch cells each collect independently and the batch engine
 // emits the finished timelines in deterministic grid order.
 //
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"rica/internal/network"
-	"rica/internal/obs"
 	"rica/internal/packet"
 )
 
@@ -41,17 +40,6 @@ const DefaultInterval = time.Second
 type Collector struct {
 	interval time.Duration
 	buckets  []bucket
-
-	// Streaming mode (NewStreamingCollector): instead of retaining every
-	// delivery's delay until Timeline sorts it, one fixed-size log-bucketed
-	// histogram is recycled across intervals. Simulation time is monotone,
-	// so when a delivery lands in a later interval the open one is sealed —
-	// its p50/p95 frozen from the histogram — and the histogram reset.
-	// Memory per interval is therefore a constant ~15 KiB shared histogram
-	// instead of one time.Duration per delivery.
-	streaming bool
-	hist      obs.Histogram
-	histIdx   int // interval the histogram currently covers
 }
 
 // bucket accumulates the raw counters of one interval.
@@ -62,11 +50,7 @@ type bucket struct {
 	delays        []time.Duration
 	deliveredBits int64
 
-	// Streaming mode only: quantiles frozen when the interval was sealed.
-	p50, p95 time.Duration
-	sealed   bool
-
-	drops [4]int // indexed by network.DropReason - 1
+	drops [network.NumDropReasons]int // indexed by network.DropReason - 1
 
 	controlPkts int64
 	controlBits int64
@@ -98,24 +82,6 @@ func NewCollector(interval, horizon time.Duration) *Collector {
 	return &Collector{interval: interval, buckets: make([]bucket, n)}
 }
 
-// NewStreamingCollector builds a collector whose per-interval delay
-// quantiles come from a recycled fixed-size histogram instead of
-// retained samples: memory is constant per interval regardless of
-// delivery volume. The trade-off is approximation — p50/p95 are bucket
-// midpoints, within ~3.2 % relative of the exact nearest-rank sample
-// (see obs.Histogram.Quantile). The exact collector remains the default
-// and the golden oracle; use streaming for very long or very hot runs
-// where retaining every delay is the dominant allocation.
-func NewStreamingCollector(interval, horizon time.Duration) *Collector {
-	c := NewCollector(interval, horizon)
-	c.streaming = true
-	return c
-}
-
-// Streaming reports whether this collector uses the bounded-memory
-// histogram path for delay quantiles.
-func (c *Collector) Streaming() bool { return c.streaming }
-
 // Interval reports the bucket width.
 func (c *Collector) Interval() time.Duration { return c.interval }
 
@@ -144,44 +110,22 @@ func (c *Collector) DataDelivered(pkt *packet.Packet, now time.Duration) {
 	b.delivered++
 	delay := now - pkt.CreatedAt
 	b.delaySum += delay
-	if c.streaming {
-		idx := int(now / c.interval)
-		if idx != c.histIdx {
-			// Deliveries arrive in simulation-time order, so the previously
-			// open interval is complete: freeze its quantiles and recycle the
-			// histogram for the new one.
-			c.seal()
-			c.histIdx = idx
-		}
-		c.hist.Observe(uint64(delay))
-	} else {
-		b.delays = append(b.delays, delay)
-	}
+	b.delays = append(b.delays, delay)
 	b.deliveredBits += int64(pkt.Size * 8)
 }
 
-// seal freezes the open streaming interval's quantiles out of the shared
-// histogram and resets it.
-func (c *Collector) seal() {
-	if c.histIdx < len(c.buckets) {
-		b := &c.buckets[c.histIdx]
-		b.p50 = time.Duration(c.hist.Quantile(0.50))
-		b.p95 = time.Duration(c.hist.Quantile(0.95))
-		b.sealed = true
-	}
-	c.hist.Reset()
-}
-
-// DataDropped implements network.Recorder.
+// DataDropped implements network.Recorder. A reason outside the enum is a
+// bug in the caller and panics rather than vanishing from the books
+// CheckTimeline balances.
 func (c *Collector) DataDropped(_ *packet.Packet, reason network.DropReason, now time.Duration) {
-	b := c.at(now)
-	if i := int(reason) - 1; i >= 0 && i < len(b.drops) {
-		b.drops[i]++
+	if reason < 1 || int(reason) > network.NumDropReasons {
+		panic("timeseries: unknown drop reason " + reason.String())
 	}
+	c.at(now).drops[reason-1]++
 }
 
 // ControlTransmitted observes a routing packet put on the common channel
-// (chained after the metrics hook on mac.CommonChannel.OnTransmit).
+// (mac.CommonChannel.OnTransmit).
 func (c *Collector) ControlTransmitted(pkt *packet.Packet, _ int, now time.Duration) {
 	b := c.at(now)
 	b.controlPkts++
@@ -189,13 +133,13 @@ func (c *Collector) ControlTransmitted(pkt *packet.Packet, _ int, now time.Durat
 }
 
 // ControlDropped observes a routing packet abandoned to congestion
-// (chained on mac.CommonChannel.OnDropped).
+// (mac.CommonChannel.OnDropped).
 func (c *Collector) ControlDropped(_ *packet.Packet, _ int, now time.Duration) {
 	c.at(now).controlDrop++
 }
 
-// AckTransmitted observes a data-channel acknowledgment (chained on
-// mac.DataPlane.OnAck); ACK bits count toward control overhead, matching
+// AckTransmitted observes a data-channel acknowledgment
+// (mac.DataPlane.OnAck); ACK bits count toward control overhead, matching
 // the aggregate metrics.
 func (c *Collector) AckTransmitted(sizeBytes int, now time.Duration) {
 	c.at(now).ackBits += int64(sizeBytes * 8)
@@ -248,6 +192,7 @@ type Point struct {
 	DropExpired    int `json:"drop_expired"`
 	DropNoRoute    int `json:"drop_no_route"`
 	DropLinkBreak  int `json:"drop_link_break"`
+	DropAdversary  int `json:"drop_adversary"`
 	// RouteInstalls and RouteInvalidations measure route-table churn:
 	// entries written and entries killed across all terminals. For the
 	// link-state baseline, installs count shortest-path-tree recomputes.
@@ -285,6 +230,7 @@ func (c *Collector) Timeline() Timeline {
 			DropExpired:    b.drops[network.DropExpired-1],
 			DropNoRoute:    b.drops[network.DropNoRoute-1],
 			DropLinkBreak:  b.drops[network.DropLinkBreak-1],
+			DropAdversary:  b.drops[network.DropAdversary-1],
 
 			RouteInstalls:      b.routeInstalls,
 			RouteInvalidations: b.routeInvalidations,
@@ -294,19 +240,8 @@ func (c *Collector) Timeline() Timeline {
 		}
 		if b.delivered > 0 {
 			p.AvgDelayMs = float64(b.delaySum) / float64(b.delivered) / float64(time.Millisecond)
-			switch {
-			case !c.streaming:
-				p.P50DelayMs = float64(durationQuantile(b.delays, 0.50)) / float64(time.Millisecond)
-				p.P95DelayMs = float64(durationQuantile(b.delays, 0.95)) / float64(time.Millisecond)
-			case b.sealed:
-				p.P50DelayMs = float64(b.p50) / float64(time.Millisecond)
-				p.P95DelayMs = float64(b.p95) / float64(time.Millisecond)
-			case i == c.histIdx:
-				// Still-open interval: read the live histogram without
-				// resetting it, keeping Timeline a pure read.
-				p.P50DelayMs = float64(c.hist.Quantile(0.50)) / float64(time.Millisecond)
-				p.P95DelayMs = float64(c.hist.Quantile(0.95)) / float64(time.Millisecond)
-			}
+			p.P50DelayMs = float64(durationQuantile(b.delays, 0.50)) / float64(time.Millisecond)
+			p.P95DelayMs = float64(durationQuantile(b.delays, 0.95)) / float64(time.Millisecond)
 		}
 		tl.Points[i] = p
 	}
@@ -322,53 +257,4 @@ func durationQuantile(samples []time.Duration, q float64) time.Duration {
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	idx := int(q*float64(len(samples)-1) + 0.5)
 	return samples[idx]
-}
-
-// WrapRecorder decorates a network.Recorder so the data-plane lifecycle
-// events flow into c as well as the wrapped recorder. The returned
-// recorder also implements network.RouteRecorder, so node runtimes
-// forward route-table churn to c.
-func WrapRecorder(inner network.Recorder, c *Collector) network.Recorder {
-	return &tee{inner: inner, c: c}
-}
-
-// tee fans data-plane events out to the timeseries collector after the
-// wrapped recorder (the aggregate metrics) has seen them.
-type tee struct {
-	inner network.Recorder
-	c     *Collector
-}
-
-var (
-	_ network.Recorder      = (*tee)(nil)
-	_ network.RouteRecorder = (*tee)(nil)
-)
-
-func (t *tee) DataGenerated(pkt *packet.Packet, now time.Duration) {
-	t.inner.DataGenerated(pkt, now)
-	t.c.DataGenerated(pkt, now)
-}
-
-func (t *tee) DataDelivered(pkt *packet.Packet, now time.Duration) {
-	t.inner.DataDelivered(pkt, now)
-	t.c.DataDelivered(pkt, now)
-}
-
-func (t *tee) DataDropped(pkt *packet.Packet, reason network.DropReason, now time.Duration) {
-	t.inner.DataDropped(pkt, reason, now)
-	t.c.DataDropped(pkt, reason, now)
-}
-
-func (t *tee) RouteInstalled(node int, now time.Duration) {
-	if rr, ok := t.inner.(network.RouteRecorder); ok {
-		rr.RouteInstalled(node, now)
-	}
-	t.c.RouteInstalled(node, now)
-}
-
-func (t *tee) RouteInvalidated(node int, now time.Duration) {
-	if rr, ok := t.inner.(network.RouteRecorder); ok {
-		rr.RouteInvalidated(node, now)
-	}
-	t.c.RouteInvalidated(node, now)
 }

@@ -128,36 +128,29 @@ func TestControlAndChurnCounters(t *testing.T) {
 	}
 }
 
-type countingRec struct{ gen, dlv, drp int }
-
-func (r *countingRec) DataGenerated(*packet.Packet, time.Duration)                   { r.gen++ }
-func (r *countingRec) DataDelivered(*packet.Packet, time.Duration)                   { r.dlv++ }
-func (r *countingRec) DataDropped(*packet.Packet, network.DropReason, time.Duration) { r.drp++ }
-
-func TestWrapRecorderTees(t *testing.T) {
-	inner := &countingRec{}
+// TestEveryDropReasonHasAColumn: each reason in the enum lands in its
+// own timeline column, and one outside it panics instead of vanishing.
+func TestEveryDropReasonHasAColumn(t *testing.T) {
 	c := NewCollector(time.Second, time.Second)
-	w := WrapRecorder(inner, c)
-	w.DataGenerated(pkt(512, 0), 0)
-	w.DataDelivered(pkt(512, 0), 100*time.Millisecond)
-	w.DataDropped(pkt(512, 0), network.DropExpired, 200*time.Millisecond)
-	if inner.gen != 1 || inner.dlv != 1 || inner.drp != 1 {
-		t.Fatalf("inner missed events: %+v", inner)
+	for r := network.DropReason(1); int(r) <= network.NumDropReasons; r++ {
+		c.DataDropped(pkt(512, 0), r, 0)
 	}
 	p := c.Timeline().Points[0]
-	if p.Generated != 1 || p.Delivered != 1 || p.DropExpired != 1 {
-		t.Fatalf("collector missed events: %+v", p)
+	cols := []int{p.DropCongestion, p.DropExpired, p.DropNoRoute, p.DropLinkBreak, p.DropAdversary}
+	if len(cols) != network.NumDropReasons {
+		t.Fatalf("Point has %d drop columns, the enum has %d reasons", len(cols), network.NumDropReasons)
 	}
-	// The tee must surface the RouteRecorder extension even though the
-	// inner recorder lacks it.
-	rr, ok := w.(network.RouteRecorder)
-	if !ok {
-		t.Fatal("wrapped recorder does not implement RouteRecorder")
+	for i, n := range cols {
+		if n != 1 {
+			t.Fatalf("drop column %d = %d, want 1 (%+v)", i, n, p)
+		}
 	}
-	rr.RouteInstalled(0, 300*time.Millisecond)
-	if got := c.Timeline().Points[0].RouteInstalls; got != 1 {
-		t.Fatalf("route installs = %d, want 1", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown drop reason did not panic")
+		}
+	}()
+	c.DataDropped(pkt(512, 0), network.DropReason(network.NumDropReasons+1), 0)
 }
 
 func TestJSONLSink(t *testing.T) {

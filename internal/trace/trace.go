@@ -133,50 +133,43 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// WrapRecorder decorates a network.Recorder so that data-plane lifecycle
-// events flow into r as well as into the wrapped metrics collector.
-func WrapRecorder(inner network.Recorder, r *Recorder) network.Recorder {
-	return &tee{inner: inner, trace: r}
-}
+// The event methods below record one Event per observed occurrence. The
+// data-plane three match network.Recorder and the control pair matches
+// the mac.CommonChannel hooks; the world's observation seam calls them
+// alongside the other consumers.
 
-type tee struct {
-	inner network.Recorder
-	trace *Recorder
-}
-
-func (t *tee) DataGenerated(pkt *packet.Packet, now time.Duration) {
-	t.inner.DataGenerated(pkt, now)
-	t.trace.Record(Event{
-		At: now, Kind: KindGenerated, Node: pkt.Src,
+func (r *Recorder) recordPacket(kind Kind, node int, pkt *packet.Packet, now time.Duration, detail string) {
+	r.Record(Event{
+		At: now, Kind: kind, Node: node,
 		PacketID: pkt.ID, PacketType: pkt.Type, Src: pkt.Src, Dst: pkt.Dst,
+		Detail: detail,
 	})
 }
 
-func (t *tee) DataDelivered(pkt *packet.Packet, now time.Duration) {
-	t.inner.DataDelivered(pkt, now)
-	t.trace.Record(Event{
-		At: now, Kind: KindDelivered, Node: pkt.Dst,
-		PacketID: pkt.ID, PacketType: pkt.Type, Src: pkt.Src, Dst: pkt.Dst,
-		Detail: fmt.Sprintf("delay=%s hops=%d", (now - pkt.CreatedAt).Round(time.Millisecond), pkt.TraversedHops),
-	})
+// DataGenerated records a data packet created at its source.
+func (r *Recorder) DataGenerated(pkt *packet.Packet, now time.Duration) {
+	r.recordPacket(KindGenerated, pkt.Src, pkt, now, "")
 }
 
-func (t *tee) DataDropped(pkt *packet.Packet, reason network.DropReason, now time.Duration) {
-	t.inner.DataDropped(pkt, reason, now)
-	t.trace.Record(Event{
-		At: now, Kind: KindDropped, Node: pkt.From,
-		PacketID: pkt.ID, PacketType: pkt.Type, Src: pkt.Src, Dst: pkt.Dst,
-		Detail: reason.String(),
-	})
+// DataDelivered records a data packet reaching its destination.
+func (r *Recorder) DataDelivered(pkt *packet.Packet, now time.Duration) {
+	r.recordPacket(KindDelivered, pkt.Dst, pkt, now,
+		fmt.Sprintf("delay=%s hops=%d", (now-pkt.CreatedAt).Round(time.Millisecond), pkt.TraversedHops))
 }
 
-// ControlHook returns a mac.CommonChannel.OnTransmit-compatible function
-// that records control transmissions; chain it after the metrics hook.
-func (r *Recorder) ControlHook() func(pkt *packet.Packet, from int, now time.Duration) {
-	return func(pkt *packet.Packet, from int, now time.Duration) {
-		r.Record(Event{
-			At: now, Kind: KindControl, Node: from,
-			PacketID: pkt.ID, PacketType: pkt.Type, Src: pkt.Src, Dst: pkt.Dst,
-		})
-	}
+// DataDropped records a data packet discarded at the terminal that held it.
+func (r *Recorder) DataDropped(pkt *packet.Packet, reason network.DropReason, now time.Duration) {
+	r.recordPacket(KindDropped, pkt.From, pkt, now, reason.String())
+}
+
+// ControlTransmitted records a routing packet put on the common channel
+// by terminal from.
+func (r *Recorder) ControlTransmitted(pkt *packet.Packet, from int, now time.Duration) {
+	r.recordPacket(KindControl, from, pkt, now, "")
+}
+
+// ControlDropped records a routing packet terminal from abandoned to
+// congestion after exhausting its backoff attempts.
+func (r *Recorder) ControlDropped(pkt *packet.Packet, from int, now time.Duration) {
+	r.recordPacket(KindControlLost, from, pkt, now, "")
 }

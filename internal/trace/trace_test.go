@@ -119,31 +119,23 @@ func TestNegativeCapacityPanics(t *testing.T) {
 	NewRecorder(-1)
 }
 
-type sink struct {
-	gen, dlv, drp int
-}
-
-func (s *sink) DataGenerated(*packet.Packet, time.Duration)                   { s.gen++ }
-func (s *sink) DataDelivered(*packet.Packet, time.Duration)                   { s.dlv++ }
-func (s *sink) DataDropped(*packet.Packet, network.DropReason, time.Duration) { s.drp++ }
-
-func TestWrapRecorderTees(t *testing.T) {
-	inner := &sink{}
+func TestDataEvents(t *testing.T) {
 	r := NewRecorder(10)
-	w := WrapRecorder(inner, r)
-	pkt := &packet.Packet{Type: packet.TypeData, ID: 7, Src: 1, Dst: 2, CreatedAt: time.Second}
-	w.DataGenerated(pkt, time.Second)
-	w.DataDelivered(pkt, 2*time.Second)
-	w.DataDropped(pkt, network.DropCongestion, 3*time.Second)
-	if inner.gen != 1 || inner.dlv != 1 || inner.drp != 1 {
-		t.Fatalf("inner recorder missed events: %+v", inner)
-	}
+	pkt := &packet.Packet{Type: packet.TypeData, ID: 7, Src: 1, Dst: 2, From: 4, CreatedAt: time.Second}
+	r.DataGenerated(pkt, time.Second)
+	r.DataDelivered(pkt, 2*time.Second)
+	r.DataDropped(pkt, network.DropCongestion, 3*time.Second)
 	evs := r.Events()
 	if len(evs) != 3 {
 		t.Fatalf("trace events = %d, want 3", len(evs))
 	}
 	if evs[0].Kind != KindGenerated || evs[1].Kind != KindDelivered || evs[2].Kind != KindDropped {
 		t.Fatalf("kinds = %v %v %v", evs[0].Kind, evs[1].Kind, evs[2].Kind)
+	}
+	// Each kind is stamped with the terminal where it happened: the
+	// source, the destination, the holder that discarded it.
+	if evs[0].Node != 1 || evs[1].Node != 2 || evs[2].Node != 4 {
+		t.Fatalf("nodes = %d %d %d, want 1 2 4", evs[0].Node, evs[1].Node, evs[2].Node)
 	}
 	if !strings.Contains(evs[1].Detail, "delay=1s") {
 		t.Fatalf("delivery detail = %q", evs[1].Detail)
@@ -153,13 +145,20 @@ func TestWrapRecorderTees(t *testing.T) {
 	}
 }
 
-func TestControlHook(t *testing.T) {
+func TestControlEvents(t *testing.T) {
 	r := NewRecorder(4)
-	hook := r.ControlHook()
-	hook(&packet.Packet{Type: packet.TypeCSIC, Src: 1, Dst: 2}, 5, time.Second)
+	pkt := &packet.Packet{Type: packet.TypeCSIC, ID: 9, Src: 1, Dst: 2}
+	r.ControlTransmitted(pkt, 5, time.Second)
+	r.ControlDropped(pkt, 6, 2*time.Second)
 	evs := r.Events()
-	if len(evs) != 1 || evs[0].Kind != KindControl || evs[0].Node != 5 {
+	if len(evs) != 2 {
 		t.Fatalf("events = %+v", evs)
+	}
+	if evs[0].Kind != KindControl || evs[0].Node != 5 || evs[0].PacketID != 9 {
+		t.Fatalf("transmit event = %+v", evs[0])
+	}
+	if evs[1].Kind != KindControlLost || evs[1].Node != 6 || evs[1].At != 2*time.Second {
+		t.Fatalf("lost event = %+v", evs[1])
 	}
 }
 

@@ -32,10 +32,9 @@ type GossipConfig struct {
 // leaves the field zero) can never alias rumor 0.
 const gossipRumorBase = 1
 
-// Gossip drives one epidemic workload. Construct with NewGossip before
-// the world's recorder chain is assembled (the delivery tee feeds
-// Delivered), Bind the node set once terminals exist, and Start it
-// alongside the flow generator.
+// Gossip drives one epidemic workload. Construct with NewGossip, hand it
+// to the world's observation seam (which feeds Delivered), Bind the node
+// set once terminals exist, and Start it alongside the flow generator.
 type Gossip struct {
 	kernel *sim.Kernel
 	rng    *rand.Rand
@@ -64,8 +63,8 @@ func NewGossip(kernel *sim.Kernel, cfg GossipConfig, rng *rand.Rand, reg *obs.Re
 }
 
 // Bind attaches the terminal set (a second phase, because the world
-// builds its recorder chain — which tees deliveries into this gossip —
-// before it builds the nodes that consume the chain).
+// builds its observation seam — which feeds deliveries into this gossip —
+// before it builds the nodes that report to the seam).
 func (g *Gossip) Bind(nodes []*network.Node) { g.nodes = nodes }
 
 // Start seeds every rumor at a random origin at the current instant and
@@ -83,7 +82,7 @@ func (g *Gossip) Start(stop time.Duration) {
 	}
 }
 
-// Delivered is the recorder-tee hook: a data packet reached its
+// Delivered is the observation-seam hook: a data packet reached its
 // destination; if it carries a rumor, the destination is now infected
 // and starts pushing. Non-gossip data (BroadcastID zero, or a rumor
 // index this workload never seeded) passes through untouched.

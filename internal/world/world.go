@@ -65,8 +65,8 @@ type Config struct {
 	Outages []Outage
 	// Gossip, when non-nil, runs an epidemic push-dissemination workload
 	// alongside the flow workload (set Flows to an empty non-nil slice to
-	// run gossip alone). Deliveries feed infection state through a
-	// recorder tee, so the sender set grows as the epidemic spreads.
+	// run gossip alone). Deliveries feed infection state through the
+	// observation seam, so the sender set grows as the epidemic spreads.
 	Gossip *traffic.GossipConfig
 	// Jammers plants adversarial interferers on the common channel: each
 	// puts periodic noise bursts on the air with no carrier sense and no
@@ -231,52 +231,22 @@ func New(cfg Config, factory AgentFactory) *World {
 	data := mac.NewDataPlane(kernel, model)
 	collector := metrics.NewCollector(cfg.Duration)
 	meter := energy.NewMeter(energy.DefaultModel(), cfg.N)
-	traceControl := func(*packet.Packet, int, time.Duration) {}
-	if cfg.Trace != nil {
-		traceControl = cfg.Trace.ControlHook()
-	}
-	common.OnTransmit = func(pkt *packet.Packet, from int, now time.Duration) {
-		collector.ControlTransmitted(pkt, from, now)
-		meter.ControlTransmitted(pkt, from, now)
-		traceControl(pkt, from, now)
-		if cfg.Timeseries != nil {
-			cfg.Timeseries.ControlTransmitted(pkt, from, now)
-		}
-	}
-	common.OnDropped = collector.ControlDropped
-	data.OnAck = collector.AckTransmitted
-	if ts := cfg.Timeseries; ts != nil {
-		common.OnDropped = func(pkt *packet.Packet, from int, now time.Duration) {
-			collector.ControlDropped(pkt, from, now)
-			ts.ControlDropped(pkt, from, now)
-		}
-		data.OnAck = func(sizeBytes int, now time.Duration) {
-			collector.AckTransmitted(sizeBytes, now)
-			ts.AckTransmitted(sizeBytes, now)
-		}
-	}
-	data.OnDataTransmit = meter.DataTransmitted
-
-	// Innermost recorder wrapper: the delivery-delay histogram must see
-	// every delivery, and sitting inside the trace/timeseries tees keeps
-	// their RouteRecorder promotion (which must stay outermost) intact.
-	var recorder network.Recorder = &obsRecorder{inner: collector, reg: reg}
 	var gossip *traffic.Gossip
 	if cfg.Gossip != nil {
-		// The infection tee sits just outside the obs recorder — like it,
-		// it must not implement RouteRecorder, so the timeseries tee keeps
-		// winning the node runtime's type assertion.
 		gossip = traffic.NewGossip(kernel, *cfg.Gossip, streams.Stream(streamKindGossip), reg)
-		recorder = &gossipRecorder{inner: recorder, gossip: gossip}
 	}
-	if cfg.Trace != nil {
-		recorder = trace.WrapRecorder(recorder, cfg.Trace)
+	seam := &observers{
+		gossip:    gossip,
+		reg:       reg,
+		collector: collector,
+		meter:     meter,
+		trace:     cfg.Trace,
+		series:    cfg.Timeseries,
 	}
-	if cfg.Timeseries != nil {
-		// Outermost wrapper: the node runtime's RouteRecorder type
-		// assertion must see the timeseries tee.
-		recorder = timeseries.WrapRecorder(recorder, cfg.Timeseries)
-	}
+	common.OnTransmit = seam.ControlTransmitted
+	common.OnDropped = seam.ControlDropped
+	data.OnAck = seam.AckTransmitted
+	data.OnDataTransmit = seam.DataTransmitted
 
 	w := &World{
 		Cfg:       cfg,
@@ -312,7 +282,7 @@ func New(cfg Config, factory AgentFactory) *World {
 	w.Nodes = make([]*network.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		nd := network.NewNode(i, kernel, common, data, model,
-			streams.StreamAt(streamKindNode, uint64(i)), recorder, cfg.Node)
+			streams.StreamAt(streamKindNode, uint64(i)), seam, cfg.Node)
 		w.Nodes[i] = nd
 	}
 	// Agents are attached in a second pass so factories may inspect the
@@ -454,51 +424,6 @@ func (w *World) Finish() metrics.Summary {
 	snap := w.Obs.Snapshot()
 	s.Obs = &snap
 	return s
-}
-
-// obsRecorder is the innermost recorder decorator: it observes each
-// delivery's end-to-end delay into the registry's streaming histogram
-// before the aggregate collector sees the event. It deliberately does
-// NOT implement network.RouteRecorder — route churn discovery must keep
-// resolving to the outermost timeseries tee.
-type obsRecorder struct {
-	inner network.Recorder
-	reg   *obs.Registry
-}
-
-func (r *obsRecorder) DataGenerated(pkt *packet.Packet, now time.Duration) {
-	r.inner.DataGenerated(pkt, now)
-}
-
-func (r *obsRecorder) DataDelivered(pkt *packet.Packet, now time.Duration) {
-	r.reg.Observe(obs.HDelayNs, uint64(now-pkt.CreatedAt))
-	r.inner.DataDelivered(pkt, now)
-}
-
-func (r *obsRecorder) DataDropped(pkt *packet.Packet, reason network.DropReason, now time.Duration) {
-	r.inner.DataDropped(pkt, reason, now)
-}
-
-// gossipRecorder tees data deliveries into the epidemic's infection
-// state before the inner recorders see them. Like obsRecorder it
-// deliberately does NOT implement network.RouteRecorder — route churn
-// discovery must keep resolving to the outermost timeseries tee.
-type gossipRecorder struct {
-	inner  network.Recorder
-	gossip *traffic.Gossip
-}
-
-func (r *gossipRecorder) DataGenerated(pkt *packet.Packet, now time.Duration) {
-	r.inner.DataGenerated(pkt, now)
-}
-
-func (r *gossipRecorder) DataDelivered(pkt *packet.Packet, now time.Duration) {
-	r.gossip.Delivered(pkt, now)
-	r.inner.DataDelivered(pkt, now)
-}
-
-func (r *gossipRecorder) DataDropped(pkt *packet.Packet, reason network.DropReason, now time.Duration) {
-	r.inner.DataDropped(pkt, reason, now)
 }
 
 // jamRunner drives one Jammer's periodic noise bursts. One bound handler

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rica"
+	"rica/internal/network"
 )
 
 // catalogHorizon picks a truncated horizon per scenario so the full
@@ -76,8 +77,30 @@ func TestInvariantCatalog(t *testing.T) {
 				if n := len(sink.Runs); n != 1 {
 					t.Fatalf("timeline batch emitted %d timelines, want 1", n)
 				}
-				if err := rica.CheckTimelineInvariants(sink.Runs[0].Timeline); err != nil {
+				tl := sink.Runs[0].Timeline
+				if err := rica.CheckTimelineInvariants(tl); err != nil {
 					t.Errorf("timeline laws: %v", err)
+				}
+				// The timeline accounts for every drop: each reason's column
+				// sums to the summary's count for the same cell.
+				cols := map[network.DropReason]int{}
+				for _, pt := range tl.Points {
+					cols[network.DropCongestion] += pt.DropCongestion
+					cols[network.DropExpired] += pt.DropExpired
+					cols[network.DropNoRoute] += pt.DropNoRoute
+					cols[network.DropLinkBreak] += pt.DropLinkBreak
+					cols[network.DropAdversary] += pt.DropAdversary
+				}
+				if len(cols) != network.NumDropReasons {
+					t.Fatalf("test sums %d drop columns, the enum has %d reasons", len(cols), network.NumDropReasons)
+				}
+				for r, n := range cols {
+					if n != first.Dropped[r] {
+						t.Errorf("timeline drop[%s] sums to %d, summary counts %d", r, n, first.Dropped[r])
+					}
+				}
+				if name == "byzantine-drop" && p == rica.ProtocolRICA && first.Dropped[network.DropAdversary] == 0 {
+					t.Error("byzantine-drop/RICA recorded no adversary drops; the fifth column is unexercised")
 				}
 			})
 		}

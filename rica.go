@@ -130,12 +130,6 @@ type Telemetry struct {
 	// Sink, when non-nil, receives the finished timeline after the run
 	// (stamped with the protocol and effective seed).
 	Sink TimelineSink
-	// Streaming switches delay percentiles to the bounded-memory
-	// histogram path: constant memory per interval instead of one sample
-	// per delivery, at ~3 % relative quantile error (see
-	// docs/OBSERVABILITY.md). Off by default; the exact path remains the
-	// golden oracle.
-	Streaming bool
 }
 
 // Simulate runs one simulation and returns its measurements.
@@ -214,11 +208,7 @@ func simulate(cfg SimConfig, rec *trace.Recorder) (Summary, Timeline, *trace.Rec
 	}
 	wcfg.Obs = cfg.Obs
 	if cfg.Telemetry != nil {
-		if cfg.Telemetry.Streaming {
-			wcfg.Timeseries = timeseries.NewStreamingCollector(cfg.Telemetry.Interval, wcfg.Duration)
-		} else {
-			wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
-		}
+		wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
 	}
 	wcfg.Trace = rec
 	summary := world.New(wcfg, experiment.Factory(cfg.Protocol, cfg.Rate)).Run()

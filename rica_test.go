@@ -67,6 +67,34 @@ func TestSimulateBufferCapOverride(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsControlLosses: on a cell loaded enough to saturate the
+// common channel, the trace shows every routing transmission and every
+// routing packet abandoned to congestion — the counts the summary reports.
+func TestTraceRecordsControlLosses(t *testing.T) {
+	s, events := rica.SimulateTraced(rica.SimConfig{
+		Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 20,
+		Duration: 10 * time.Second, Seed: 4,
+	}, 1<<20)
+	if s.ControlDropped == 0 {
+		t.Fatal("cell lost no control packets; pick a heavier load")
+	}
+	var sent, lost int64
+	for _, e := range events {
+		switch e.Kind {
+		case rica.TraceControl:
+			sent++
+		case rica.TraceControlLost:
+			lost++
+		}
+	}
+	if lost != s.ControlDropped {
+		t.Fatalf("trace shows %d CTL-LOST events, summary counts %d", lost, s.ControlDropped)
+	}
+	if sent != s.ControlPackets {
+		t.Fatalf("trace shows %d CTL events, summary counts %d", sent, s.ControlPackets)
+	}
+}
+
 func TestParseProtocolRoundTrip(t *testing.T) {
 	for _, p := range rica.AllProtocols() {
 		got, err := rica.ParseProtocol(p.String())
