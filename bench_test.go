@@ -6,6 +6,7 @@
 package rica_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -334,5 +335,32 @@ func BenchmarkAblationAdaptiveCheck(b *testing.B) {
 			b.ReportMetric(s.OverheadBps/1000, "overhead-kbps")
 			b.ReportMetric(float64(s.AvgDelay.Milliseconds()), "delay-ms")
 		})
+	}
+}
+
+// BenchmarkCheckpointCapture measures what one snapshot costs the run
+// that takes it: the paper's cell run to t=100 s once, then one
+// CaptureDigests per op. Capture streams live state into a hash, so it
+// must allocate nothing that grows with the state (the RNG section alone
+// covers 607 words per created stream, megabytes here). The allocs/op
+// budget in scripts/alloc_budget.txt catches a payload grown by appends
+// on the snapshot path; the bytes check below catches one allocated at
+// its final size, which is a single allocation.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	w := startedWorld(b, "paper-baseline", rica.ProtocolRICA, 1, 0)
+	w.RunTo(100 * time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.CaptureDigests(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > 256<<10 {
+		b.Fatalf("one capture allocates %d KB: a payload is being materialised on the snapshot path", perOp>>10)
 	}
 }

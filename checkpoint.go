@@ -146,7 +146,7 @@ func ckRunFromDescriptor(d checkpoint.Descriptor) (*ckRun, error) {
 // write captures the world's state at instant at and writes a complete
 // snapshot to wr: the recipe verbatim, the state sections as digests.
 func (c *ckRun) write(wr io.Writer, at time.Duration) error {
-	secs, err := c.w.CaptureState()
+	digests, err := c.w.CaptureDigests()
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func (c *ckRun) write(wr io.Writer, at time.Duration) error {
 	if err != nil {
 		return err
 	}
-	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, checkpoint.Digest(secs)...)
+	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, digests...)
 	return checkpoint.Write(wr, all)
 }
 
@@ -201,8 +201,10 @@ func (c *ckRun) loop(from time.Duration, path string, every time.Duration, stop 
 		if t < c.horizon && path != "" {
 			// Final-or-periodic snapshot at this boundary. At the horizon
 			// itself there is nothing left to resume, so none is written.
+			// A failed write is never an interruption, stop signal or not:
+			// there is no snapshot to resume.
 			if err := c.writeFile(path, t); err != nil {
-				return Summary{}, interrupted, err
+				return Summary{}, false, err
 			}
 		}
 		if interrupted && t < c.horizon {
@@ -253,11 +255,11 @@ func resume(rd io.Reader, path string, every time.Duration, stop <-chan struct{}
 // an edited descriptor) — resuming would continue a different run, so
 // fail instead.
 func verifyReplay(w *world.World, stored []checkpoint.Section) error {
-	captured, err := w.CaptureState()
+	digests, err := w.CaptureDigests()
 	if err != nil {
 		return err
 	}
-	for _, s := range checkpoint.Digest(captured) {
+	for _, s := range digests {
 		got := checkpoint.Find(stored, s.Tag)
 		if got == nil {
 			return fmt.Errorf("%w: snapshot lacks section %s (version skew?)", ErrCheckpointCorrupt, s.Tag)

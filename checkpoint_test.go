@@ -2,6 +2,7 @@ package rica_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,8 @@ import (
 
 	"rica"
 	"rica/internal/checkpoint"
+	"rica/internal/experiment"
+	"rica/internal/world"
 )
 
 // ckDuration truncates catalog horizons for the round-trip grid: long
@@ -199,6 +202,145 @@ func TestRunCheckpointedInterruptResume(t *testing.T) {
 	}
 	if got, want := rica.Fingerprint(resumed), rica.Fingerprint(base); got != want {
 		t.Errorf("post-interrupt resume diverged\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestRunCheckpointedInterruptWriteFails interrupts a run whose
+// checkpoint directory has been removed: the final snapshot cannot be
+// written, so the run must fail with the write's error and must not
+// report a resumable interruption — the CLI tells the user to resume the
+// snapshot on ErrInterrupted.
+func TestRunCheckpointedInterruptWriteFails(t *testing.T) {
+	t.Parallel()
+	gone := filepath.Join(t.TempDir(), "gone") // as after an rm -r: the directory is not there
+	stop := make(chan struct{})
+	close(stop)
+	_, interrupted, err := rica.RunCheckpointed(ckRun(t, "chain-10", rica.ProtocolRICA), filepath.Join(gone, "run.ckpt"), time.Second, stop)
+	if err == nil || interrupted || errors.Is(err, rica.ErrInterrupted) {
+		t.Fatalf("interrupt with an unwritable snapshot: interrupted=%v err=%v, want the write error and no resumable interruption", interrupted, err)
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("err = %v, want it to carry the failed write (os.ErrNotExist)", err)
+	}
+}
+
+// startedWorld builds and starts the world of one catalog cell, the way
+// the checkpointing run loops do, so a test can drive RunTo and the
+// capture sinks directly. A zero seed keeps the scenario's own; a zero
+// horizon keeps its full duration.
+func startedWorld(tb testing.TB, name string, p rica.Protocol, seed int64, horizon time.Duration) *world.World {
+	tb.Helper()
+	spec, err := rica.ScenarioByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg, err := spec.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	if horizon > 0 {
+		cfg.Duration = horizon
+	}
+	w := world.New(cfg, experiment.Factory(p, spec.Traffic.Rate))
+	w.Start()
+	return w
+}
+
+// TestCaptureSinksAgree is the law behind "one encoding, two sinks": the
+// digests a snapshot stores (CaptureDigests, streamed into the hash) are
+// the SHA-256 of the payloads the debugging sink returns (CaptureState),
+// tag for tag in the same order, with checkpoint.Digest as the oracle.
+// A capture is also a strict read: taken twice at one instant it is
+// equal, and the run that was captured finishes with the fingerprint of
+// one that never was.
+func TestCaptureSinksAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog × protocol capture grid, one capture at t=300s")
+	}
+	t.Parallel()
+	type shot struct {
+		name string
+		p    rica.Protocol
+		at   time.Duration
+	}
+	shots := []shot{{"paper-baseline", rica.ProtocolRICA, 300 * time.Second}}
+	for _, name := range rica.ScenarioNames() {
+		for _, p := range rica.AllProtocols() {
+			shots = append(shots, shot{name, p, time.Second})
+		}
+	}
+	for _, sh := range shots {
+		sh := sh
+		t.Run(fmt.Sprintf("%s/%s@%v", sh.name, sh.p, sh.at), func(t *testing.T) {
+			t.Parallel()
+			horizon := sh.at + time.Second
+			w := startedWorld(t, sh.name, sh.p, 0, horizon)
+			w.RunTo(sh.at)
+			digests, err := w.CaptureDigests()
+			if err != nil {
+				t.Fatalf("CaptureDigests: %v", err)
+			}
+			payloads, err := w.CaptureState()
+			if err != nil {
+				t.Fatalf("CaptureState: %v", err)
+			}
+			again, err := w.CaptureDigests()
+			if err != nil {
+				t.Fatalf("second CaptureDigests: %v", err)
+			}
+			want := checkpoint.Digest(payloads)
+			if len(digests) != len(stateTags) || len(want) != len(stateTags) || len(again) != len(stateTags) {
+				t.Fatalf("captures hold %d, %d and %d sections, want %d each", len(digests), len(want), len(again), len(stateTags))
+			}
+			for i, tag := range stateTags {
+				if digests[i].Tag != tag || want[i].Tag != tag {
+					t.Errorf("section %d is %s in the digest sink and %s in the payload sink, want %s", i, digests[i].Tag, want[i].Tag, tag)
+				}
+				if !bytes.Equal(digests[i].Payload, want[i].Payload) {
+					t.Errorf("%s: streamed digest %x, SHA-256 of the %d-byte payload %x", tag, digests[i].Payload, len(payloads[i].Payload), want[i].Payload)
+				}
+				if !bytes.Equal(again[i].Payload, digests[i].Payload) || again[i].Tag != tag {
+					t.Errorf("%s: a second capture at the same instant differs", tag)
+				}
+			}
+			w.RunTo(horizon)
+			captured := rica.Fingerprint(w.Finish())
+			pw := startedWorld(t, sh.name, sh.p, 0, horizon)
+			pw.RunTo(horizon)
+			if plain := rica.Fingerprint(pw.Finish()); captured != plain {
+				t.Errorf("capturing moved the run's fingerprint\n got: %s\nwant: %s", captured, plain)
+			}
+		})
+	}
+}
+
+// snapshotGolden is the SHA-256 of the complete snapshot of chain-10
+// under ABR, seed 1, horizon 6 s, captured at t=1 s — taken from the
+// commit before capture became a streaming hash, and equal on it.
+const snapshotGolden = "731761ff00ab67680601acaec9df4d0ff4f50f0e08d5f177796edab93572fd53"
+
+// TestSnapshotBytesPinned pins the format's bytes (an ABI test): the
+// recipe, the section order and framing, and every value each encoder
+// feeds its digest, in order and width. Without it an encoder edit first
+// shows as a resume calling an older binary's snapshot corrupt; this
+// fails at the edit and says to bump the magic.
+func TestSnapshotBytesPinned(t *testing.T) {
+	t.Parallel()
+	r := ckRun(t, "chain-10", rica.ProtocolABR)
+	r.Seed = 1
+	var buf bytes.Buffer
+	if err := rica.Checkpoint(r, time.Second, &buf); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != snapshotGolden {
+		t.Errorf("snapshot of chain-10/ABR/seed 1 at t=1s hashes to\n     %s\nwant %s\n"+
+			"Snapshots written before this change no longer verify against this binary. If the run itself moved "+
+			"(the behaviour goldens fail too) or chain-10's recipe was edited, update the constant; if an encoder, "+
+			"a section or the container changed, bump checkpoint.Magic as well so old snapshots are refused by "+
+			"version instead of reported corrupt.", got, snapshotGolden)
 	}
 }
 

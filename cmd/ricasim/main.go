@@ -423,8 +423,10 @@ func runCheckpointed(scenarioArg, protocols string, seed int64,
 		spec.Duration = rica.ScenarioDuration(duration)
 	}
 	r := rica.ScenarioRun{Scenario: spec, Protocol: protos[0], Seed: seed}
-	s, interrupted, err := rica.RunCheckpointed(r, path, every, stop)
-	if interrupted {
+	s, _, err := rica.RunCheckpointed(r, path, every, stop)
+	// Only ErrInterrupted promises a snapshot to resume; a final snapshot
+	// that failed to write is an error like any other.
+	if errors.Is(err, rica.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "ricasim: interrupted — resume with: ricasim -resume %s\n", path)
 		return true
 	}
@@ -443,8 +445,8 @@ func runResume(path, ckpt string, every time.Duration, stop <-chan struct{}) boo
 		fatalf("-resume: %v", err)
 	}
 	defer f.Close()
-	s, interrupted, err := rica.ResumeCheckpointed(f, ckpt, every, stop)
-	if interrupted {
+	s, _, err := rica.ResumeCheckpointed(f, ckpt, every, stop)
+	if errors.Is(err, rica.ErrInterrupted) {
 		fmt.Fprintln(os.Stderr, "ricasim: interrupted again before the horizon")
 		return true
 	}

@@ -44,6 +44,7 @@ type Model struct {
 	pos     []Positioner
 	caps    []caps  // optional per-terminal capabilities, resolved once
 	links   []*Link // upper-triangular pair index, created lazily
+	nlinks  int     // how many of them exist
 	streams *sim.Streams
 	down    func(i int, at time.Duration) bool
 	snap    *snapshot
@@ -80,6 +81,7 @@ func (m *Model) linkAt(idx, i, j int) *Link {
 		l = NewLink(&m.cfg, m.streams.StreamAt(streamKindChannel, uint64(idx)))
 		l.trans = &m.trans
 		m.links[idx] = l
+		m.nlinks++
 	}
 	return l
 }
@@ -236,6 +238,10 @@ func (m *Model) Position(i int, at time.Duration) geom.Point {
 	s := m.sync(at)
 	return m.positionAt(s, i, at)
 }
+
+// LinkCount reports how many links have been created — how many EachLink
+// visits.
+func (m *Model) LinkCount() int { return m.nlinks }
 
 // EachLink visits every lazily-created link in triangular index order
 // (uncreated pairs are skipped), without advancing any of them. The

@@ -8,13 +8,17 @@
 // read — a truncated, bit-flipped, or version-skewed file fails with a
 // clean error, never a panic and never a silent partial read.
 //
-// What a snapshot holds is decided here too. The world layer captures
-// full state payloads (see world.World.CaptureState); resume only ever
-// compares a fresh capture against the stored one, so a snapshot keeps
-// the run recipe (DESC, which carries the capture instant) verbatim and,
-// through Digest, one fixed-width hash per state section: the same
-// verification power — a divergence still names its section — in under
-// a kilobyte instead of megabytes.
+// What a snapshot holds is decided here too. Resume only ever compares
+// a fresh capture against the stored one, so a snapshot keeps the run
+// recipe (DESC, which carries the capture instant) verbatim and one
+// fixed-width hash per state section: the same verification power — a
+// divergence still names its section — in under a kilobyte instead of
+// megabytes. The payloads those hashes stand for are never built on the
+// snapshot path: the world layer's encoders write through an Enc in
+// digest mode, which hashes the values as they stream (see
+// world.World.CaptureDigests). The same encoders over an accumulating
+// Enc return the full payloads (world.World.CaptureState) for diffing a
+// divergence by hand, and Digest maps one form to the other.
 //
 // Layout (all integers little-endian):
 //
@@ -41,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -213,10 +218,10 @@ func Find(sections []Section, tag string) []byte {
 	return nil
 }
 
-// Digest turns captured state sections into what a snapshot stores: the
-// same tags in the same order, each payload replaced by its SHA-256.
-// Resume digests its fresh capture the same way and compares per tag, so
-// a divergence is still reported by section.
+// Digest turns captured state payloads into what a snapshot stores: the
+// same tags in the same order, each payload replaced by its SHA-256. The
+// snapshot path computes the same digests without the payloads (a
+// digest-mode Enc); this is the definition the tests hold it to.
 func Digest(captured []Section) []Section {
 	out := make([]Section, len(captured))
 	for i, s := range captured {
@@ -266,18 +271,69 @@ func DecodeDescriptor(payload []byte) (Descriptor, error) {
 }
 
 // Enc is a little-endian append-only encoder for section payloads. All
-// captures go through it so payload bytes are a pure function of the
+// captures go through it so the encoded bytes are a pure function of the
 // captured values — the resume path compares digests of them.
-type Enc struct{ buf []byte }
+//
+// It has two sinks behind the one set of append methods. The zero value
+// accumulates each section's payload in memory. NewDigestEnc returns one
+// that never holds a payload: appends fill a small fixed chunk that
+// spills into a running SHA-256, so capturing costs one hash pass over
+// the live state and no buffer proportional to it. Cut closes a section
+// on either.
+type Enc struct {
+	buf []byte
+	h   hash.Hash // digest mode when set: buf is the fixed chunk feeding it
+}
 
-// Bytes returns the encoded payload.
-func (e *Enc) Bytes() []byte { return e.buf }
+// digestChunk is the digest-mode chunk size: a multiple of SHA-256's
+// 64-byte block, large enough that spills are rare next to appends.
+const digestChunk = 4096
+
+// NewDigestEnc returns an encoder whose Cut yields the SHA-256 of the
+// section instead of its bytes.
+func NewDigestEnc() *Enc {
+	return &Enc{buf: make([]byte, 0, digestChunk), h: sha256.New()}
+}
+
+// Cut closes the current section and starts the next: it returns the
+// accumulated payload, or in digest mode the payload's SHA-256 — what
+// Digest would make of the payload the other sink returns.
+func (e *Enc) Cut() []byte {
+	if e.h == nil {
+		p := e.buf
+		e.buf = nil
+		return p
+	}
+	e.spill()
+	sum := e.h.Sum(nil)
+	e.h.Reset()
+	return sum
+}
+
+// room makes the next n ≤ digestChunk appended bytes fit the digest
+// chunk without growing it; the accumulating sink just grows.
+func (e *Enc) room(n int) {
+	if e.h != nil && len(e.buf)+n > cap(e.buf) {
+		e.spill()
+	}
+}
+
+func (e *Enc) spill() {
+	e.h.Write(e.buf) // hash.Hash.Write never returns an error
+	e.buf = e.buf[:0]
+}
 
 // U32 appends a uint32.
-func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Enc) U32(v uint32) {
+	e.room(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
 
 // U64 appends a uint64.
-func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Enc) U64(v uint64) {
+	e.room(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
 
 // I64 appends an int64.
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
@@ -293,9 +349,21 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // Bool appends a bool as one byte.
 func (e *Enc) Bool(v bool) {
+	e.room(1)
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
 		e.buf = append(e.buf, 0)
 	}
+}
+
+// Raw appends p verbatim (a section that is already bytes, such as the
+// obs counters' JSON).
+func (e *Enc) Raw(p []byte) {
+	if e.h != nil {
+		e.spill()
+		e.h.Write(p)
+		return
+	}
+	e.buf = append(e.buf, p...)
 }

@@ -2,11 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleSections() []Section {
@@ -178,6 +180,34 @@ func TestDigest(t *testing.T) {
 	for i, s := range Digest(again) {
 		if same := bytes.Equal(s.Payload, got[i].Payload); same != (i != 3) {
 			t.Errorf("section %s: digest equal = %v after altering only RNGS", s.Tag, same)
+		}
+	}
+}
+
+// TestEncSinksAgree drives both of Enc's sinks with the same appends —
+// sections shorter than, equal to and several times the digest chunk,
+// every width, byte-wide appends that leave the chunk misaligned — and
+// requires the digest sink's Cut to be the SHA-256 of the payload sink's,
+// section by section, with an empty section hashing as empty.
+func TestEncSinksAgree(t *testing.T) {
+	payload, digest := new(Enc), NewDigestEnc()
+	for _, words := range []int{0, 1, digestChunk/8 - 1, digestChunk / 8, 3*digestChunk/8 + 5, 0} {
+		for _, e := range []*Enc{payload, digest} {
+			for i := 0; i < words; i++ {
+				e.I64(int64(i) * -7)
+				e.Bool(i%3 == 0)
+				e.U32(uint32(i))
+				e.F64(float64(i) / 3)
+				e.Dur(time.Duration(i))
+				if i%100 == 0 {
+					e.Raw(bytes.Repeat([]byte{byte(i)}, i))
+				}
+			}
+		}
+		p := payload.Cut()
+		want := sha256.Sum256(p)
+		if got := digest.Cut(); !bytes.Equal(got, want[:]) {
+			t.Errorf("%d rounds (%d-byte payload): digest sink cut %x, SHA-256 of the payload is %x", words, len(p), got, want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -57,12 +58,11 @@ func (k *Kernel) ExportState() KernelState {
 			A1:        ev.a1,
 		})
 	})
-	sort.Slice(st.Events, func(i, j int) bool {
-		a, b := &st.Events[i], &st.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
+	slices.SortFunc(st.Events, func(a, b EventState) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return st
 }
@@ -78,18 +78,4 @@ func (q *eventQueue) each(fn func(*event)) {
 	for _, ev := range q.far {
 		fn(ev)
 	}
-}
-
-// StreamState is the complete state of one RNG stream: the component id
-// it was created under and the lagged-Fibonacci generator's tap/feed
-// cursor and 607-word vector, exactly as math/rand's source holds them.
-type StreamState struct {
-	ID        uint64
-	Tap, Feed int
-	Vec       [rngLen]int64
-}
-
-// state observes the source without advancing it.
-func (s *fastSource) state() (tap, feed int, vec [rngLen]int64) {
-	return s.tap, s.feed, s.vec
 }

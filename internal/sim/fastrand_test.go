@@ -59,6 +59,65 @@ func TestFastSourceReseed(t *testing.T) {
 	}
 }
 
+// TestEachStateLendsLiveState holds the checkpoint seam's contract: the
+// visit walks streams in creation order, shows each one's live cursor
+// and vector (a draw between two visits is seen by the second), and
+// advances nothing — a visited factory draws what an unvisited one does.
+// A factory holding a stream whose state cannot be read visits nothing.
+func TestEachStateLendsLiveState(t *testing.T) {
+	visited, plain := NewStreams(7), NewStreams(7)
+	ids := []uint64{3, 1, 4}
+	var vr, pr []*rand.Rand
+	for _, id := range ids {
+		vr = append(vr, visited.Stream(id))
+		pr = append(pr, plain.Stream(id))
+	}
+	type seen struct {
+		id        uint64
+		tap, feed int
+		last      int64 // the word under the feed cursor: what the latest draw wrote
+	}
+	visit := func() (out []seen) {
+		ok := visited.EachState(func(id uint64, tap, feed int, vec []int64) {
+			if len(vec) != rngLen {
+				t.Fatalf("stream %d lends %d words, want %d", id, len(vec), rngLen)
+			}
+			out = append(out, seen{id, tap, feed, vec[feed]})
+		})
+		if !ok || len(out) != visited.Len() {
+			t.Fatalf("EachState: ok=%v, visited %d of %d streams", ok, len(out), visited.Len())
+		}
+		return out
+	}
+	before := visit()
+	for i, s := range before {
+		if s.id != ids[i] || s.tap != 0 || s.feed != rngLen-rngTap {
+			t.Errorf("fresh stream %d seen as %+v, want id %d at the seeded cursor", i, s, ids[i])
+		}
+	}
+	drawn := vr[1].Uint64()
+	pr[1].Uint64()
+	after := visit()
+	if after[0] != before[0] || after[2] != before[2] {
+		t.Errorf("a draw on stream 1 moved its neighbours: %+v -> %+v", before, after)
+	}
+	if want := rngLen - rngTap - 1; after[1].feed != want || uint64(after[1].last) != drawn {
+		t.Errorf("after one draw stream 1 is seen as %+v, want feed %d holding the drawn word %d", after[1], want, drawn)
+	}
+	for i := range vr {
+		for k := 0; k < 2*rngLen; k++ {
+			if a, b := vr[i].Uint64(), pr[i].Uint64(); a != b {
+				t.Fatalf("stream %d draw %d: visited factory drew %d, unvisited %d", i, k, a, b)
+			}
+		}
+	}
+
+	visited.recs = append(visited.recs, streamRec{id: 9}) // a stock-fallback stream
+	if visited.EachState(func(uint64, int, int, []int64) { t.Error("visited a stream of an unreadable factory") }) {
+		t.Error("EachState reported an unreadable factory as ok")
+	}
+}
+
 // BenchmarkSourceSeedingStd and BenchmarkSourceSeedingFast quantify the
 // seeding speedup the lazy fading-link path rides.
 func BenchmarkSourceSeedingStd(b *testing.B) {

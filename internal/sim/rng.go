@@ -21,7 +21,7 @@ type Streams struct {
 	// record doubles as the canonical iteration order for checkpoint
 	// capture. Sources created through the stock math/rand fallback are
 	// recorded with a nil src — their internal state is unreadable, and
-	// ExportStates reports the whole factory as unexportable.
+	// EachState reports the whole factory as unexportable.
 	recs []streamRec
 }
 
@@ -51,23 +51,29 @@ func (s *Streams) Stream(id uint64) *rand.Rand {
 	return rand.New(src)
 }
 
-// ExportStates snapshots every stream created so far, in creation
-// order, without advancing any of them. ok is false when any stream
-// rode the stock math/rand fallback (its state cannot be read) — the
-// caller should report checkpointing unsupported rather than write a
-// snapshot that cannot be verified.
-func (s *Streams) ExportStates() (states []StreamState, ok bool) {
-	states = make([]StreamState, 0, len(s.recs))
+// EachState lends fn the live state of every stream created so far, in
+// creation order: the component id it was created under and the
+// lagged-Fibonacci generator's tap/feed cursor and 607-word vector,
+// exactly as math/rand's source holds them. Nothing is copied and no
+// stream advances; vec aliases the generator's own state, so fn must
+// neither write through it nor keep it past its return. ok is false, and
+// nothing is visited, when any stream rode the stock math/rand fallback
+// (its state cannot be read) — the caller should report checkpointing
+// unsupported rather than write a snapshot that cannot be verified.
+func (s *Streams) EachState(fn func(id uint64, tap, feed int, vec []int64)) (ok bool) {
 	for _, rec := range s.recs {
 		if rec.src == nil {
-			return nil, false
+			return false
 		}
-		st := StreamState{ID: rec.id}
-		st.Tap, st.Feed, st.Vec = rec.src.state()
-		states = append(states, st)
 	}
-	return states, true
+	for _, rec := range s.recs {
+		fn(rec.id, rec.src.tap, rec.src.feed, rec.src.vec[:])
+	}
+	return true
 }
+
+// Len reports how many streams have been created.
+func (s *Streams) Len() int { return len(s.recs) }
 
 // StreamAt is a convenience for two-part component identifiers, e.g.
 // (streamKindChannel, linkIndex).

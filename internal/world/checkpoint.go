@@ -10,7 +10,6 @@ import (
 	"rica/internal/mac"
 	"rica/internal/network"
 	"rica/internal/routing"
-	"rica/internal/sim"
 )
 
 // routeExporter is the optional seam a routing agent implements to let
@@ -20,52 +19,69 @@ type routeExporter interface {
 	ExportRoutes() []routing.Entry
 }
 
-// CaptureState serializes the complete simulation state into checkpoint
-// sections, in a fixed order with fixed per-section encodings. It is a
-// strict read at an instant boundary: no RNG draws, no lazy advances,
-// no cache fills — capturing and then continuing the run is
-// bit-identical to never having captured.
+// CaptureDigests is the snapshot path's capture: the simulation state at
+// an instant boundary, as one SHA-256 per state section, in a fixed order
+// with fixed per-section encodings. The encoders stream live state into
+// the hash — no payload is materialised, whatever the population. It is
+// a strict read: no RNG draws, no lazy advances, no cache fills —
+// capturing and then continuing the run is bit-identical to never having
+// captured.
 //
-// A snapshot stores one digest per section returned here, and the
-// resume path re-captures in a fresh process after replaying to the same
-// instant and compares digests (see the rica package), so every encoder
-// here must be a pure function of simulation state with deterministic
-// iteration order.
+// A snapshot stores exactly these sections, and the resume path
+// re-captures in a fresh process after replaying to the same instant and
+// compares them (see the rica package), so every encoder here must be a
+// pure function of simulation state with deterministic iteration order.
+func (w *World) CaptureDigests() ([]checkpoint.Section, error) {
+	return w.capture(checkpoint.NewDigestEnc())
+}
+
+// CaptureState is the debugging sink of the same encoding: the full
+// payload of every section CaptureDigests hashes (each digest is the
+// SHA-256 of the payload here), for diffing a divergence resume has
+// named. Megabytes for a paper-scale population; nothing on the
+// snapshot path calls it.
 func (w *World) CaptureState() ([]checkpoint.Section, error) {
+	return w.capture(new(checkpoint.Enc))
+}
+
+// capture runs the eight section encoders in file order over e, cutting
+// a section after each.
+func (w *World) capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
 	if !w.started {
-		return nil, errors.New("world: CaptureState before Start")
+		return nil, errors.New("world: capture before Start")
 	}
-	rngs, ok := w.Streams.ExportStates()
-	if !ok {
+	secs := make([]checkpoint.Section, 0, 8)
+	cut := func(tag string) {
+		secs = append(secs, checkpoint.Section{Tag: tag, Payload: e.Cut()})
+	}
+	w.encodeKernel(e)
+	cut(checkpoint.TagKern)
+	if !w.encodeRNGs(e) {
 		// The stock math/rand fallback is in use (the fast-source replica
 		// failed its init self-check on this platform); its internal state
 		// cannot be read, so a snapshot could not be verified on resume.
 		return nil, errors.New("world: checkpointing unsupported: RNG stream state is not exportable on this platform")
 	}
-
-	var secs []checkpoint.Section
-	add := func(tag string, payload []byte) {
-		secs = append(secs, checkpoint.Section{Tag: tag, Payload: payload})
-	}
-
-	add(checkpoint.TagKern, w.encodeKernel())
-	add(checkpoint.TagRNGs, encodeRNGs(rngs))
-	add(checkpoint.TagMobi, w.encodeMobility())
-	add(checkpoint.TagLink, w.encodeLinks())
-	add(checkpoint.TagMACs, w.encodeMAC())
-	add(checkpoint.TagNode, w.encodeNodes())
-	add(checkpoint.TagTraf, w.encodeTraffic())
-	obsc, err := w.encodeObs()
-	if err != nil {
+	cut(checkpoint.TagRNGs)
+	w.encodeMobility(e)
+	cut(checkpoint.TagMobi)
+	w.encodeLinks(e)
+	cut(checkpoint.TagLink)
+	w.encodeMAC(e)
+	cut(checkpoint.TagMACs)
+	w.encodeNodes(e)
+	cut(checkpoint.TagNode)
+	w.encodeTraffic(e)
+	cut(checkpoint.TagTraf)
+	if err := w.encodeObs(e); err != nil {
 		return nil, fmt.Errorf("world: capture obs: %w", err)
 	}
-	add(checkpoint.TagObsC, obsc)
+	cut(checkpoint.TagObsC)
 	return secs, nil
 }
 
-func (w *World) encodeKernel() []byte {
+func (w *World) encodeKernel(e *checkpoint.Enc) {
 	st := w.Kernel.ExportState()
-	var e checkpoint.Enc
 	e.Dur(st.Now)
 	e.U64(st.Seq)
 	e.U64(st.Executed)
@@ -79,26 +95,22 @@ func (w *World) encodeKernel() []byte {
 		e.Int(ev.A0)
 		e.Int(ev.A1)
 	}
-	return e.Bytes()
 }
 
-func encodeRNGs(states []sim.StreamState) []byte {
-	var e checkpoint.Enc
-	e.Int(len(states))
-	for i := range states {
-		s := &states[i]
-		e.U64(s.ID)
-		e.Int(s.Tap)
-		e.Int(s.Feed)
-		for _, v := range s.Vec {
+// encodeRNGs reports false when the streams' state cannot be read.
+func (w *World) encodeRNGs(e *checkpoint.Enc) bool {
+	e.Int(w.Streams.Len())
+	return w.Streams.EachState(func(id uint64, tap, feed int, vec []int64) {
+		e.U64(id)
+		e.Int(tap)
+		e.Int(feed)
+		for _, v := range vec {
 			e.I64(v)
 		}
-	}
-	return e.Bytes()
+	})
 }
 
-func (w *World) encodeMobility() []byte {
-	var e checkpoint.Enc
+func (w *World) encodeMobility(e *checkpoint.Enc) {
 	e.Int(len(w.Mobility)) // zero for pinned/static topologies
 	for _, n := range w.Mobility {
 		leg := n.ExportLeg()
@@ -109,14 +121,10 @@ func (w *World) encodeMobility() []byte {
 		e.Dur(leg.Depart)
 		e.Dur(leg.Arrive)
 	}
-	return e.Bytes()
 }
 
-func (w *World) encodeLinks() []byte {
-	var e checkpoint.Enc
-	count := 0
-	w.Model.EachLink(func(int, channel.LinkState) { count++ })
-	e.Int(count)
+func (w *World) encodeLinks(e *checkpoint.Enc) {
+	e.Int(w.Model.LinkCount())
 	w.Model.EachLink(func(idx int, st channel.LinkState) {
 		e.Int(idx)
 		e.Dur(st.Last)
@@ -127,11 +135,9 @@ func (w *World) encodeLinks() []byte {
 		e.F64(st.LastD)
 		e.F64(st.LastPathLoss)
 	})
-	return e.Bytes()
 }
 
-func (w *World) encodeMAC() []byte {
-	var e checkpoint.Enc
+func (w *World) encodeMAC(e *checkpoint.Enc) {
 	cs := w.Common.ExportState()
 	e.Dur(cs.MaxAir)
 	e.Int(len(cs.Active))
@@ -167,11 +173,9 @@ func (w *World) encodeMAC() []byte {
 		e.U64(x.PktID)
 		e.Int(x.Size)
 	}
-	return e.Bytes()
 }
 
-func (w *World) encodeNodes() []byte {
-	var e checkpoint.Enc
+func (w *World) encodeNodes(e *checkpoint.Enc) {
 	e.Int(len(w.Nodes))
 	for id, nd := range w.Nodes {
 		qs := nd.ExportQueues()
@@ -200,7 +204,6 @@ func (w *World) encodeNodes() []byte {
 			e.Bool(r.Valid)
 		}
 	}
-	return e.Bytes()
 }
 
 func exportAgentRoutes(nd *network.Node) []routing.Entry {
@@ -210,12 +213,11 @@ func exportAgentRoutes(nd *network.Node) []routing.Entry {
 	return nil
 }
 
-func (w *World) encodeTraffic() []byte {
-	var e checkpoint.Enc
+func (w *World) encodeTraffic(e *checkpoint.Enc) {
 	e.U64(w.gen.NextID())
 	if w.gossip == nil {
 		e.Bool(false)
-		return e.Bytes()
+		return
 	}
 	e.Bool(true)
 	gs := w.gossip.ExportState()
@@ -225,15 +227,19 @@ func (w *World) encodeTraffic() []byte {
 	for _, b := range gs.Infected {
 		e.Bool(b)
 	}
-	return e.Bytes()
 }
 
-func (w *World) encodeObs() ([]byte, error) {
+func (w *World) encodeObs(e *checkpoint.Enc) error {
 	snap := w.Obs.Snapshot()
 	// Pool stats are process-global (shared across concurrent runs);
 	// everything else in the snapshot is deterministic per run.
 	snap.Pool = nil
-	return json.Marshal(&snap)
+	js, err := json.Marshal(&snap)
+	if err != nil {
+		return err
+	}
+	e.Raw(js)
+	return nil
 }
 
 // VerifyExempt reports whether a snapshot section is exempt from the
