@@ -15,6 +15,7 @@ import (
 	"rica"
 	"rica/internal/checkpoint"
 	"rica/internal/experiment"
+	"rica/internal/obs"
 	"rica/internal/world"
 )
 
@@ -317,10 +318,45 @@ func TestCaptureSinksAgree(t *testing.T) {
 	}
 }
 
+// TestEffortCountersOutsideWitness: OBSC witnesses what a run computed,
+// not how. Moving a cache-efficacy counter leaves the section's digest
+// alone — so an optimisation of the channel layer does not make resume
+// call the previous binary's snapshot corrupt — while a counter of
+// simulated behaviour still moves it.
+func TestEffortCountersOutsideWitness(t *testing.T) {
+	t.Parallel()
+	w := startedWorld(t, "paper-baseline", rica.ProtocolRICA, 0, 3*time.Second)
+	w.RunTo(2 * time.Second)
+	obsc := func() []byte {
+		t.Helper()
+		digests, err := w.CaptureDigests()
+		if err != nil {
+			t.Fatalf("CaptureDigests: %v", err)
+		}
+		return checkpoint.Find(digests, checkpoint.TagObsC)
+	}
+	before := obsc()
+	for _, c := range []obs.Counter{
+		obs.CClassHits, obs.CDistHits, obs.CDistMisses, obs.CTransHits,
+		obs.CTransMisses, obs.CGridRebuilds, obs.CAnnulusChecks,
+	} {
+		w.Obs.Inc(c)
+	}
+	if !bytes.Equal(obsc(), before) {
+		t.Error("OBSC moved with the effort counters")
+	}
+	w.Obs.Inc(obs.CClassMisses)
+	if bytes.Equal(obsc(), before) {
+		t.Error("OBSC did not move with chan_class_misses")
+	}
+}
+
 // snapshotGolden is the SHA-256 of the complete snapshot of chain-10
-// under ABR, seed 1, horizon 6 s, captured at t=1 s — taken from the
-// commit before capture became a streaming hash, and equal on it.
-const snapshotGolden = "731761ff00ab67680601acaec9df4d0ff4f50f0e08d5f177796edab93572fd53"
+// under ABR, seed 1, horizon 6 s, captured at t=1 s — re-taken once for
+// RICACKP4, which differs from the RICACKP3 snapshot of the same instant
+// in the magic, the OBSC digest (effort counters zeroed) and the tail
+// CRC only.
+const snapshotGolden = "678dc43756c10f8708773c3b7e93ea52d082895d2d736a4ed27d76f18f633998"
 
 // TestSnapshotBytesPinned pins the format's bytes (an ABI test): the
 // recipe, the section order and framing, and every value each encoder

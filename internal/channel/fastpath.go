@@ -1,5 +1,5 @@
-// Channel query fast path: per-instant pair memoization and fused
-// neighbour scans (DESIGN.md §9).
+// Channel query fast path: per-instant pair memoization, fused neighbour
+// scans and kinetic neighbour lists (DESIGN.md §9).
 //
 // Everything here is bit-identical to the plain query path by
 // construction. The pair caches answer repeated same-instant queries
@@ -8,11 +8,14 @@
 // re-quantizing an unchanged SNR against the hysteresis state the first
 // quantization left behind reproduces the first answer exactly. The
 // fused scans change how candidate pairs are enumerated and where their
-// distances are computed, never which links get advanced at which
-// instants, so every fading stream sees the identical query sequence.
+// distances are computed, and the kinetic lists whether a range verdict
+// is re-derived or carried over a window in which it cannot change —
+// never which links get advanced at which instants, so every fading
+// stream sees the identical query sequence.
 package channel
 
 import (
+	"math"
 	"time"
 
 	"rica/internal/geom"
@@ -102,13 +105,18 @@ func (m *Model) candidates(s *snapshot, g *geom.Grid, i int) []candEntry {
 // build-time distances are the current distances bit-for-bit (and are
 // fed into the pair-distance cache, so the class probes that follow a
 // broadcast reuse them); against a stale grid only the candidates inside
-// the drift annulus need an exact distance check.
+// the drift annulus need an exact distance check — and such a scan keeps
+// its result as the node's kinetic list, which answers repeat scans for
+// as long as no pair around the node can have crossed the range boundary.
 func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 	s := m.sync(at)
 	if m.downAt(s, i, at) {
 		return dst
 	}
 	g, slack := m.gridAt(s, at)
+	if m.down == nil && s.kinStamp[i] == s.candGen && s.kinFrom[i] <= at && at < s.kinUntil[i] {
+		return append(dst, s.kin[i]...)
+	}
 	cands := m.candidates(s, g, i)
 
 	if slack == 0 {
@@ -132,22 +140,61 @@ func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 	// since the build, so a build distance ≤ Range−2·safe guarantees the
 	// pair is still in range, beyond Range+2·safe it provably is not, and
 	// only the annulus needs an exact check against current positions.
+	// margin is how close any candidate can be to the range boundary now:
+	// exact inside the annulus, the certainty bound elsewhere.
 	safe := slack + slack*slackEps + slackEps
 	in, out := m.cfg.Range-2*safe, m.cfg.Range+2*safe
+	margin := math.Inf(1)
+	from := len(dst)
 	for _, c := range cands {
 		j := int(c.id)
-		if c.d > out || m.downAt(s, j, at) {
+		if c.d > out {
+			margin = math.Min(margin, c.d-out)
+			continue
+		}
+		if m.downAt(s, j, at) {
 			continue
 		}
 		if c.d > in {
 			m.obs.Inc(obs.CAnnulusChecks)
-			if m.distAtIdx(s, int(c.idx), i, j, at) > m.cfg.Range {
+			d := m.distAtIdx(s, int(c.idx), i, j, at)
+			margin = math.Min(margin, math.Abs(d-m.cfg.Range))
+			if d > m.cfg.Range {
 				continue
 			}
+		} else {
+			margin = math.Min(margin, in-c.d)
 		}
 		dst = append(dst, j)
 	}
+	if m.down == nil {
+		// Kinetic list: two terminals close on each other at no more than
+		// 2·gridVmax, so until that eats the margin no pair around i crosses
+		// the range boundary and a repeat scan within this build is a copy.
+		// Terminals outside the candidate list stay out of range for as long
+		// as the build serves at all. With an outage oracle installed the
+		// list is not kept: a flip must be honoured at its own instant.
+		s.kin[i] = append(s.kin[i][:0], dst[from:]...)
+		s.kinStamp[i] = s.candGen
+		s.kinFrom[i] = at
+		s.kinUntil[i] = at + holdFor(margin, s.gridVmax)
+	}
 	return dst
+}
+
+// holdFor converts a distance margin into the virtual time for which a
+// pair closing at up to 2·vmax provably cannot use it up. The margin is
+// shaved by the drift bound's float padding and the result truncated
+// toward zero, so every rounding shortens the window.
+func holdFor(margin, vmax float64) time.Duration {
+	ns := (margin - margin*slackEps - slackEps) / (2 * vmax) * float64(time.Second)
+	if !(ns > 0) {
+		return 0
+	}
+	if ns >= float64(foreverStable/2) {
+		return foreverStable / 2
+	}
+	return time.Duration(ns)
 }
 
 // NeighborClasses appends to dst every terminal within radio range of i

@@ -194,23 +194,30 @@ func (m *Model) InRange(i, j int, at time.Duration) bool {
 }
 
 // interferenceEps absorbs float rounding in the triangle-inequality
-// argument behind Interferes: exclusion is only claimed with a metre-µ
+// argument behind Interferers: exclusion is only claimed with a metre-µ
 // margin, so a correctly-rounded distance can never flip a verdict that
 // matters.
 const interferenceEps = 1e-6
 
-// Interferes reports whether a transmission by i can reach any terminal
-// that hears j: by the triangle inequality, everything in range of j is
-// within 2·Range of j, so i beyond that (plus a float-safety margin)
-// cannot touch any of j's receivers. Outage state is deliberately not
+// Interferers appends to dst every terminal whose transmission could
+// reach a terminal that hears i, in ascending id order (i included): by
+// the triangle inequality, everything in range of i is within 2·Range of
+// whatever reaches it, so a terminal beyond that (plus a float-safety
+// margin) cannot touch any of i's receivers. The answer is a superset
+// read off the grid's build positions — each endpoint has drifted at
+// most the build's slack budget, so the cut is widened by two of them —
+// and is computed once per (terminal, grid build): a completion's overlap
+// filter derives no position at all. Outage state is deliberately not
 // consulted — this is a conservative spatial filter, and the exact
 // per-receiver InRange check keeps the final say.
-func (m *Model) Interferes(i, j int, at time.Duration) bool {
-	if i == j {
-		return true
-	}
+func (m *Model) Interferers(i int, at time.Duration, dst []int) []int {
 	s := m.sync(at)
-	return m.distAtIdx(s, m.pairIndex(i, j), i, j, at) <= 2*m.cfg.Range+interferenceEps
+	g, _ := m.gridAt(s, at)
+	if s.irfStamp[i] != s.candGen {
+		s.irf[i] = g.Near(g.PointAt(i), s.irfRadius, s.irf[i][:0])
+		s.irfStamp[i] = s.candGen
+	}
+	return append(dst, s.irf[i]...)
 }
 
 // bruteNeighbors is the pre-grid reference scan: every other terminal's

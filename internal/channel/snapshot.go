@@ -132,6 +132,22 @@ type snapshot struct {
 	safeMax    float64       // per-terminal drift bound incl. float-safety padding
 	candRadius float64
 
+	// Kinetic neighbour lists (fastpath.go): the result of node i's last
+	// stale-grid scan, valid for instants in [kinFrom[i], kinUntil[i]) of
+	// the build kinStamp[i] names — the window in which no pair around i
+	// can have crossed the range boundary.
+	kin      [][]int
+	kinStamp []uint64
+	kinFrom  []time.Duration
+	kinUntil []time.Duration
+
+	// Per-node interference lists over the current grid build (see
+	// Model.Interferers): everything within irfRadius at build time, which
+	// covers twice the radio range at every instant the build serves.
+	irf       [][]int
+	irfStamp  []uint64
+	irfRadius float64
+
 	grid      geom.Grid
 	gridBuilt bool
 	gridAt    time.Duration // instant the grid was built for
@@ -190,6 +206,15 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 
 		cand:      make([][]candEntry, n),
 		candStamp: make([]uint64, n),
+
+		kin:      make([][]int, n),
+		kinStamp: make([]uint64, n),
+		kinFrom:  make([]time.Duration, n),
+		kinUntil: make([]time.Duration, n),
+
+		irf:       make([][]int, n),
+		irfStamp:  make([]uint64, n),
+		irfRadius: 2*rangeM + interferenceEps + 2*safeMax,
 
 		grid: *geom.NewGrid(cell),
 	}

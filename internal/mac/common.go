@@ -53,14 +53,14 @@ type LinkOracle interface {
 	// collision bookkeeping interchanges one neighbourhood scan for many
 	// pairwise probes whichever is cheaper.
 	Neighbors(i int, at time.Duration, dst []int) []int
-	// Interferes reports whether a transmission by i can reach any
-	// terminal that hears j — the CSMA collision-relevance question. It
-	// must return true whenever i is within radio range of j or of any
-	// terminal in range of j (twice the radio range covers both, by the
-	// triangle inequality); returning true beyond that is allowed, just
-	// slower. Implementations must not consult outage state: the exact
-	// InRange verdict stays with the collision check itself.
-	Interferes(i, j int, at time.Duration) bool
+	// Interferers appends to dst every terminal whose transmission could
+	// reach a terminal that hears i — the CSMA collision-relevance
+	// question. The list must hold i itself, everything in radio range of
+	// i, and everything in range of any of those (twice the radio range
+	// covers all three, by the triangle inequality); holding more is
+	// allowed, just slower. Implementations must not consult outage state:
+	// the exact InRange verdict stays with the collision check itself.
+	Interferers(i int, at time.Duration, dst []int) []int
 }
 
 // ReceiveFunc handles a control packet arriving at a terminal. Each
@@ -88,13 +88,21 @@ type CommonChannel struct {
 	obuf     []*transmission // reusable overlap-set scratch for one completion
 	vbuf     []int           // reusable victim scratch for collision marking
 
-	// colStamp/colEpoch mark, per terminal, whether the current
-	// completion's overlapping transmissions reach it: one neighbourhood
-	// scan per overlapping transmitter replaces a pairwise range probe
-	// per (transmitter, receiver) combination. An epoch bump invalidates
-	// the whole array in O(1).
+	// colStamp/colEpoch mark terminals for the current completion, first
+	// as the sender's possible interferers (overlaps), then — under a new
+	// epoch — as the terminals its overlapping transmissions reach
+	// (markCollided): one list per question replaces a pairwise probe per
+	// combination. An epoch bump invalidates the whole array in O(1).
 	colStamp []uint64
 	colEpoch uint64
+
+	// txUntil[v] is the latest end of anything terminal v has put on air,
+	// honest or jam, and airUntil the latest end field-wide: carrier sense
+	// reads them instead of walking the active list. Both are functions of
+	// active for every value that can still matter (an end in the future
+	// is never pruned), so the checkpoint seam does not capture them.
+	txUntil  []time.Duration
+	airUntil time.Duration
 
 	// Per-packet timers ride the kernel's closure-free fast path: the
 	// event carries a slot index into these arenas instead of a captured
@@ -140,6 +148,7 @@ func NewCommonChannel(kernel *sim.Kernel, model LinkOracle, rng *rand.Rand) *Com
 		rng:      rng,
 		handlers: make([]ReceiveFunc, model.N()),
 		colStamp: make([]uint64, model.N()),
+		txUntil:  make([]time.Duration, model.N()),
 	}
 	c.completeFn = c.completeSlot
 	c.retryFn = c.retrySlot
@@ -219,17 +228,36 @@ func (c *CommonChannel) attempt(pkt *packet.Packet, tries int) {
 		return
 	}
 
-	airtime := time.Duration(float64(pkt.Size*8) / commonBitrate * float64(time.Second))
-	if airtime > c.maxAir {
-		c.maxAir = airtime
-	}
-	tx := c.allocTx()
-	tx.from, tx.start, tx.end, tx.pkt = pkt.From, now, now+airtime, pkt
-	c.active = append(c.active, tx)
+	tx := c.onAir(pkt, now)
 	if c.OnTransmit != nil {
 		c.OnTransmit(pkt, pkt.From, now)
 	}
-	c.kernel.ScheduleArg(airtime, c.completeFn, c.txSlot(tx), 0)
+	c.kernel.ScheduleArg(tx.end-now, c.completeFn, c.txSlot(tx), 0)
+}
+
+// airtime is how long a packet of size bytes occupies the common channel.
+func airtime(size int) time.Duration {
+	return time.Duration(float64(size*8) / commonBitrate * float64(time.Second))
+}
+
+// onAir starts pkt's transmission at now: it records the airtime window
+// in the active list and in the carrier-sense stamps, and returns the
+// record for the caller to schedule its completion.
+func (c *CommonChannel) onAir(pkt *packet.Packet, now time.Duration) *transmission {
+	air := airtime(pkt.Size)
+	if air > c.maxAir {
+		c.maxAir = air
+	}
+	tx := c.allocTx()
+	tx.from, tx.start, tx.end, tx.pkt = pkt.From, now, now+air, pkt
+	c.active = append(c.active, tx)
+	if tx.end > c.txUntil[tx.from] {
+		c.txUntil[tx.from] = tx.end
+	}
+	if tx.end > c.airUntil {
+		c.airUntil = tx.end
+	}
+	return tx
 }
 
 // Jam puts pkt on the air immediately — no carrier sense, no backoff, no
@@ -244,15 +272,10 @@ func (c *CommonChannel) attempt(pkt *packet.Packet, tries int) {
 // leaves the air.
 func (c *CommonChannel) Jam(pkt *packet.Packet) {
 	now := c.kernel.Now()
-	airtime := time.Duration(float64(pkt.Size*8) / commonBitrate * float64(time.Second))
-	if airtime > c.maxAir {
-		c.maxAir = airtime
-	}
-	tx := c.allocTx()
-	tx.from, tx.start, tx.end, tx.pkt, tx.jam = pkt.From, now, now+airtime, pkt, true
-	c.active = append(c.active, tx)
+	tx := c.onAir(pkt, now)
+	tx.jam = true
 	c.obs.Inc(obs.CJamTransmitted)
-	c.kernel.ScheduleArg(airtime, c.completeFn, c.txSlot(tx), 0)
+	c.kernel.ScheduleArg(tx.end-now, c.completeFn, c.txSlot(tx), 0)
 }
 
 // retrySlot resumes a backed-off attempt (the ScheduleArg fast path).
@@ -312,51 +335,27 @@ func (c *CommonChannel) backoff(tries int) time.Duration {
 	return time.Duration(c.rng.Int63n(int64(window))) + time.Millisecond
 }
 
-// senseBusyScanMin is the live-transmitter count above which senseBusy
-// switches from pairwise range probes to one neighbourhood scan: a scan
-// costs about as much as a handful of probes, so small carrier counts
-// stay on the probe path. collideScanMin is the same trade for the
-// broadcast collision check, in units of (overlaps × receivers)
-// pairwise probes.
-const (
-	senseBusyScanMin = 4
-	collideScanMin   = 16
-)
+// collideScanMin is the (overlaps × receivers) product above which the
+// broadcast collision check switches from pairwise range probes to one
+// neighbourhood scan per overlapping transmitter: a scan costs about as
+// much as a handful of probes.
+const collideScanMin = 16
 
-// senseBusy reports whether terminal from hears an ongoing transmission.
-// With few carriers on air it probes each pairwise; in a dense storm it
-// takes one Neighbors scan of from and tests the carriers against it —
-// the same verdict (InRange is exactly Neighbors membership) at a cost
-// independent of the carrier count.
+// senseBusy reports whether terminal from hears an ongoing transmission:
+// its own, or one by a terminal in radio range. Neighbors membership is
+// InRange by the LinkOracle contract, so one neighbourhood walk over the
+// per-terminal air stamps gives the verdict a pairwise probe of every
+// live transmission would, at a cost independent of how many there are.
 func (c *CommonChannel) senseBusy(from int, now time.Duration) bool {
-	live := 0
-	for _, tx := range c.active {
-		if tx.end <= now {
-			continue
-		}
-		if tx.from == from {
-			return true // own radio transmitting
-		}
-		live++
+	if c.airUntil <= now {
+		return false // nothing on air anywhere
 	}
-	if live == 0 {
-		return false
-	}
-	if live < senseBusyScanMin {
-		for _, tx := range c.active {
-			if tx.end > now && c.model.InRange(tx.from, from, now) {
-				return true
-			}
-		}
-		return false
+	if c.txUntil[from] > now {
+		return true // own radio transmitting
 	}
 	c.vbuf = c.model.Neighbors(from, now, c.vbuf[:0])
-	c.colEpoch++
 	for _, v := range c.vbuf {
-		c.colStamp[v] = c.colEpoch
-	}
-	for _, tx := range c.active {
-		if tx.end > now && c.colStamp[tx.from] == c.colEpoch {
+		if c.txUntil[v] > now {
 			return true
 		}
 	}
@@ -392,7 +391,7 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 		c.overlaps(tx, now)
 		// Settle the survivor set before any handler runs: handlers may
 		// send synchronously, and the sends' carrier sensing reuses the
-		// collision stamps and scratch this fan-out fills. Small overlap
+		// scratch this fan-out fills. Small overlap
 		// sets stay on the pairwise probes; storms amortize one scan per
 		// overlapping transmitter across all receivers.
 		w := 0
@@ -458,17 +457,28 @@ func (c *CommonChannel) deliver(j int, pkt *packet.Packet, now time.Duration) {
 // completion, so it is computed once, and transmitters beyond interference
 // range of the sender are dropped — they cannot reach any terminal that
 // hears tx.from, so no receiver's InRange check against them could
-// succeed. Called only when at least one delivery is actually possible.
+// succeed. The spatial question is asked once, not per pair: the first
+// temporal overlap stamps the sender's interferer list, and every
+// candidate after that is one array read. Called only when at least one
+// delivery is actually possible.
 func (c *CommonChannel) overlaps(tx *transmission, now time.Duration) {
 	c.obuf = c.obuf[:0]
+	stamped := false
 	for _, other := range c.active {
 		if other == tx || other.start >= tx.end || other.end <= tx.start {
 			continue
 		}
-		if !c.model.Interferes(other.from, tx.from, now) {
-			continue
+		if !stamped {
+			stamped = true
+			c.colEpoch++
+			c.vbuf = c.model.Interferers(tx.from, now, c.vbuf[:0])
+			for _, v := range c.vbuf {
+				c.colStamp[v] = c.colEpoch
+			}
 		}
-		c.obuf = append(c.obuf, other)
+		if c.colStamp[other.from] == c.colEpoch {
+			c.obuf = append(c.obuf, other)
+		}
 	}
 }
 

@@ -47,9 +47,14 @@ func (f *fakeOracle) InRange(i, j int, at time.Duration) bool {
 	return f.Class(i, j, at).Usable()
 }
 
-// Interferes is allowed to be conservative; a geometry-free fake keeps
-// every candidate and lets InRange decide.
-func (f *fakeOracle) Interferes(i, j int, at time.Duration) bool { return true }
+// Interferers is allowed to be conservative; a geometry-free fake keeps
+// every terminal and lets InRange decide.
+func (f *fakeOracle) Interferers(i int, at time.Duration, dst []int) []int {
+	for j := 0; j < f.n; j++ {
+		dst = append(dst, j)
+	}
+	return dst
+}
 
 func (f *fakeOracle) Neighbors(i int, at time.Duration, dst []int) []int {
 	from := len(dst)

@@ -420,6 +420,25 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 	panic("obs: unknown counter slot")
 }
 
+// effortCounters say how an answer was computed, not what it was: cache
+// hits and misses, exact checks, index rebuilds. A pure optimisation of
+// the channel layer moves them and nothing else, so they belong on every
+// surface that reports a run (exports, /stats.json) and in no surface
+// that witnesses one. chan_class_misses is not among them: a class miss
+// is a fading link advanced, which is simulated state.
+var effortCounters = [...]Counter{
+	CClassHits, CDistHits, CDistMisses, CTransHits, CTransMisses,
+	CGridRebuilds, CAnnulusChecks,
+}
+
+// ZeroEffort clears the effort counters, leaving what a determinism
+// witness (the checkpoint's OBSC section) may compare across binaries.
+func (s *Snapshot) ZeroEffort() {
+	for _, c := range effortCounters {
+		*s.counter(c) = 0
+	}
+}
+
 // fold is the summation form shared by Registry.Snapshot and the Hub:
 // plain arrays a single reader accumulates registries into.
 type fold struct {

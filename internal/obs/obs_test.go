@@ -155,6 +155,32 @@ func TestSnapshotMapsEverySlot(t *testing.T) {
 	}
 }
 
+// TestZeroEffortClearsOnlyEffort: the determinism witness must lose the
+// seven how-it-was-computed counters and nothing else — in particular
+// chan_class_misses (a fading link advanced) stays.
+func TestZeroEffortClearsOnlyEffort(t *testing.T) {
+	r := NewRegistry()
+	for c := Counter(0); c < NumCounters; c++ {
+		r.Add(c, uint64(c)+1)
+	}
+	s := r.Snapshot()
+	s.ZeroEffort()
+	effort := map[string]bool{
+		"chan_class_hits": true, "chan_dist_hits": true, "chan_dist_misses": true,
+		"chan_trans_hits": true, "chan_trans_misses": true,
+		"chan_grid_rebuilds": true, "chan_annulus_checks": true,
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		want := uint64(c) + 1
+		if effort[counterNames[c]] {
+			want = 0
+		}
+		if got := *s.counter(c); got != want {
+			t.Errorf("%s = %d after ZeroEffort, want %d", counterNames[c], got, want)
+		}
+	}
+}
+
 // TestHubFoldsDetached: a detached registry's totals must keep counting
 // toward the hub aggregate, and active registries are read live.
 func TestHubFoldsDetached(t *testing.T) {
