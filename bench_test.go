@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rica"
-	"rica/internal/experiment"
 	"rica/internal/network"
 	ricaproto "rica/internal/routing/rica"
 	"rica/internal/world"
@@ -216,13 +215,10 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		r := experiment.Run(experiment.RunConfig{
-			Protocol: experiment.RICA, MeanSpeedKmh: 36, Rate: 10,
-			Duration: 30 * time.Second, Trials: 1, BaseSeed: int64(i + 1),
-		})
-		for _, s := range r.Trials {
-			events += s.Events
-		}
+		events += rica.Simulate(rica.SimConfig{
+			Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 10,
+			Duration: 30 * time.Second, Seed: int64(i + 1),
+		}).Events
 	}
 	if secs := time.Since(start).Seconds(); secs > 0 {
 		b.ReportMetric(float64(events)/secs, "events/sec")

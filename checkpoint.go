@@ -10,7 +10,7 @@ import (
 
 	"rica/internal/checkpoint"
 	"rica/internal/durable"
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/world"
 )
@@ -113,7 +113,7 @@ func newScenarioCkRun(r ScenarioRun) (*ckRun, error) {
 		return nil, err
 	}
 	return &ckRun{
-		w:       world.New(wcfg, experiment.Factory(r.Protocol, r.Scenario.Traffic.Rate)),
+		w:       world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)),
 		horizon: wcfg.Duration,
 		desc: checkpoint.Descriptor{
 			HorizonNs:     int64(wcfg.Duration),

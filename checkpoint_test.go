@@ -14,8 +14,8 @@ import (
 
 	"rica"
 	"rica/internal/checkpoint"
-	"rica/internal/experiment"
 	"rica/internal/obs"
+	"rica/internal/protocol"
 	"rica/internal/world"
 )
 
@@ -245,7 +245,7 @@ func startedWorld(tb testing.TB, name string, p rica.Protocol, seed int64, horiz
 	if horizon > 0 {
 		cfg.Duration = horizon
 	}
-	w := world.New(cfg, experiment.Factory(p, spec.Traffic.Rate))
+	w := world.New(cfg, protocol.Factory(p, spec.Traffic.Rate))
 	w.Start()
 	return w
 }
@@ -337,7 +337,7 @@ func TestEffortCountersOutsideWitness(t *testing.T) {
 	}
 	before := obsc()
 	for _, c := range []obs.Counter{
-		obs.CClassHits, obs.CDistHits, obs.CDistMisses, obs.CTransHits,
+		obs.CClassHits, obs.CDistMisses, obs.CTransHits,
 		obs.CTransMisses, obs.CGridRebuilds, obs.CAnnulusChecks,
 	} {
 		w.Obs.Inc(c)
@@ -353,10 +353,11 @@ func TestEffortCountersOutsideWitness(t *testing.T) {
 
 // snapshotGolden is the SHA-256 of the complete snapshot of chain-10
 // under ABR, seed 1, horizon 6 s, captured at t=1 s — re-taken once for
-// RICACKP4, which differs from the RICACKP3 snapshot of the same instant
-// in the magic, the OBSC digest (effort counters zeroed) and the tail
-// CRC only.
-const snapshotGolden = "678dc43756c10f8708773c3b7e93ea52d082895d2d736a4ed27d76f18f633998"
+// RICACKP5, which differs from the RICACKP4 snapshot of the same instant
+// in the magic, the OBSC digest (the section's JSON lost its always-zero
+// chan_dist_hits key with the pair-distance table) and the tail CRC
+// only.
+const snapshotGolden = "ab18aec1c6a757660f36819e6716ee50b752e9e5d3fad97507b1f59d6744fc2a"
 
 // TestSnapshotBytesPinned pins the format's bytes (an ABI test): the
 // recipe, the section order and framing, and every value each encoder

@@ -29,6 +29,7 @@ func TestExitCodeContract(t *testing.T) {
 		signals  int
 		wantCode int
 		wantErr  string // substring required on stderr
+		banErr   string // substring that must not appear on stderr
 	}{
 		{
 			name: "success is 0",
@@ -54,6 +55,37 @@ func TestExitCodeContract(t *testing.T) {
 			},
 			wantCode: 1,
 			wantErr:  "-checkpoint-every needs a -checkpoint",
+		},
+		{
+			// The sweep options read BaseSeed 0 as "the default": refused,
+			// never replaced by seed 1.
+			name: "a figure at -seed 0 is 1",
+			args: func(string) []string {
+				return []string{"-figure", "2a", "-trials", "1", "-duration", "2s", "-speeds", "36", "-seed", "0"}
+			},
+			wantCode: 1,
+			wantErr:  "-seed 0 cannot be expressed",
+			banErr:   "running ",
+		},
+		{
+			// A figure point is a scenario, so the spec validator refuses
+			// it — before the valid points ahead of it in the list run.
+			name: "a negative figure speed is 1",
+			args: func(string) []string {
+				return []string{"-figure", "2a", "-trials", "1", "-duration", "2s", "-speeds=36,-5"}
+			},
+			wantCode: 1,
+			wantErr:  "mean speed must be a non-negative number, got -5",
+			banErr:   "running ",
+		},
+		{
+			name: "a NaN figure speed is 1",
+			args: func(string) []string {
+				return []string{"-figure", "2a", "-trials", "1", "-duration", "2s", "-speeds=nan"}
+			},
+			wantCode: 1,
+			wantErr:  "mean speed must be a non-negative number, got NaN",
+			banErr:   "running ",
 		},
 		{
 			name: "interrupted batch is 3",
@@ -132,6 +164,9 @@ func TestExitCodeContract(t *testing.T) {
 			if tc.wantErr != "" && !strings.Contains(collected.String(), tc.wantErr) {
 				t.Errorf("stderr lacks %q:\n%s", tc.wantErr, collected.String())
 			}
+			if tc.banErr != "" && strings.Contains(collected.String(), tc.banErr) {
+				t.Errorf("stderr has %q:\n%s", tc.banErr, collected.String())
+			}
 		})
 	}
 }
@@ -205,5 +240,35 @@ func TestInterruptedManifestResumes(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "manifest: restored") {
 		t.Errorf("resume run did not restore journaled cells:\n%s", out)
+	}
+}
+
+// TestBatchSeedZeroIsHonoured: the -seed flag defaults to 1, so a 0 is
+// always asked for, and "trial t uses seed+t" means the grid starts at
+// seed 0 — not at the default the engine's zero sentinel stands for.
+func TestBatchSeedZeroIsHonoured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	bin := ricasimBinary(t)
+	run := func(seed string) (stdout, stderr string) {
+		var out, errb strings.Builder
+		cmd := exec.Command(bin, "-scenario", "chain-10", "-protocols", "RICA", "-trials", "1",
+			"-duration", "2s", "-format", "json", "-seed", seed)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("-seed %s: %v\n%s", seed, err, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	zero, progress := run("0")
+	if !strings.Contains(progress, "seed=0 ") {
+		t.Errorf("-seed 0 did not run seed 0:\n%s", progress)
+	}
+	if !strings.Contains(zero, `"base_seed": 0`) {
+		t.Errorf("-seed 0 export does not record base seed 0:\n%s", zero)
+	}
+	if one, _ := run("1"); one == zero {
+		t.Error("-seed 0 and -seed 1 exported the same bytes")
 	}
 }

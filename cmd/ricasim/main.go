@@ -38,6 +38,7 @@ import (
 
 	"rica"
 	"rica/internal/durable"
+	"rica/internal/experiment"
 )
 
 // Exit statuses: 0 success, 1 error, exitInterrupted when a signal (or
@@ -213,6 +214,12 @@ func main() {
 		}
 		return
 	}
+	// The flag defaults to 1, so a 0 was asked for. Only the batch config
+	// can say it (SeedZero); the others read 0 as "the default", and
+	// running seed 1 in its place would be a silent substitution.
+	if *seed == 0 && (*scenarios == "" || *verify || *ckptPath != "") {
+		fatalf("-seed 0 cannot be expressed in -figure, -verify and -checkpoint runs (their configs read 0 as \"the default\"); use a nonzero seed")
+	}
 	if *scenarios != "" {
 		if flagSet("figure") {
 			fatalf("-figure and -scenario are mutually exclusive")
@@ -260,6 +267,13 @@ func main() {
 		fatalf("bad -speeds: %v", err)
 	}
 	opts.Protocols = parseProtocols(*protocols)
+	// A figure point is a scenario: the spec validator is the one rule
+	// for what -speeds and -duration may be, applied before any run.
+	for _, speed := range opts.Speeds {
+		if _, err := experiment.FieldSpec(speed, 10, opts.Duration); err != nil {
+			fatalf("-figure: %v", err)
+		}
+	}
 
 	want := strings.ToLower(*figure)
 	ran := false
@@ -529,6 +543,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	cfg := rica.BatchConfig{
 		Trials:   trials,
 		BaseSeed: seed,
+		SeedZero: seed == 0, // the flag defaults to 1, so a 0 was asked for
 		Workers:  parallelism,
 		Hub:      hub,
 		Manifest: manifest,

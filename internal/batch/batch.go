@@ -17,9 +17,9 @@ import (
 	"sync"
 	"time"
 
-	"rica/internal/experiment"
 	"rica/internal/metrics"
 	"rica/internal/obs"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/timeseries"
 	"rica/internal/world"
@@ -30,7 +30,7 @@ type Config struct {
 	// Scenarios and Protocols span the grid; empty Protocols means the
 	// paper's full five-protocol comparison set.
 	Scenarios []scenario.Spec
-	Protocols []experiment.Protocol
+	Protocols []protocol.Protocol
 	// Trials is the number of seeds per (scenario, protocol) cell;
 	// defaults to 3.
 	Trials int
@@ -129,6 +129,12 @@ type CellResult struct {
 	Error string `json:"error,omitempty"`
 	// Stack is the recovered panic's stack trace (panic poisoning only).
 	Stack string `json:"stack,omitempty"`
+	// Summary is the run's full measurement set, for in-process callers
+	// that need more than the headline columns (the figure harness reads
+	// hop counts and the throughput series from it). It is never
+	// serialized — journal lines and exports keep their bytes — so it is
+	// nil for cells restored from a manifest, and for poisoned cells.
+	Summary *metrics.Summary `json:"-"`
 }
 
 // Poisoned reports whether the cell was quarantined instead of measured.
@@ -173,7 +179,7 @@ type Result struct {
 type cell struct {
 	spec     scenario.Spec
 	cfg      world.Config
-	protocol experiment.Protocol
+	protocol protocol.Protocol
 	seed     int64
 }
 
@@ -191,7 +197,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	protocols := cfg.Protocols
 	if len(protocols) == 0 {
-		protocols = experiment.AllProtocols()
+		protocols = protocol.AllProtocols()
 	}
 	trials := cfg.Trials
 	if trials <= 0 {
@@ -354,7 +360,7 @@ func Run(cfg Config) (Result, error) {
 // testCellHook, when non-nil, runs at the top of every cell attempt —
 // the tests' injection point for panics and stalls. Never set outside
 // tests.
-var testCellHook func(scenarioName string, protocol experiment.Protocol, seed int64)
+var testCellHook func(scenarioName string, p protocol.Protocol, seed int64)
 
 // runCellResilient executes one cell under the crash shield: panics are
 // quarantined immediately (deterministic cells panic again on retry),
@@ -460,7 +466,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
 		hub.Attach(wcfg.Obs)
 		defer hub.Detach(wcfg.Obs)
 	}
-	s := world.New(wcfg, experiment.Factory(c.protocol, c.spec.Traffic.Rate)).Run()
+	s := world.New(wcfg, protocol.Factory(c.protocol, c.spec.Traffic.Rate)).Run()
 	if tele != nil {
 		*tl = wcfg.Timeseries.Timeline()
 	}
@@ -478,6 +484,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
 		AvgHops:      s.AvgHops,
 		Events:       s.Events,
 		Obs:          s.Obs,
+		Summary:      &s,
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/world"
 )
@@ -29,7 +29,7 @@ func TestBatchDeterministic(t *testing.T) {
 	run := func(workers int) []byte {
 		res, err := Run(Config{
 			Scenarios: []scenario.Spec{testSpec(15 * time.Second)},
-			Protocols: []experiment.Protocol{experiment.RICA, experiment.AODV},
+			Protocols: []protocol.Protocol{protocol.RICA, protocol.AODV},
 			Trials:    2,
 			BaseSeed:  7,
 			Workers:   workers,
@@ -59,7 +59,7 @@ func TestBatchGridOrderAndProgress(t *testing.T) {
 	var seen int
 	res, err := Run(Config{
 		Scenarios: []scenario.Spec{testSpec(10 * time.Second)},
-		Protocols: []experiment.Protocol{experiment.RICA, experiment.AODV},
+		Protocols: []protocol.Protocol{protocol.RICA, protocol.AODV},
 		Trials:    3,
 		Workers:   4,
 		OnProgress: func(p Progress) {
@@ -104,7 +104,7 @@ func TestBatchGridOrderAndProgress(t *testing.T) {
 func TestBatchSeedZero(t *testing.T) {
 	res, err := Run(Config{
 		Scenarios: []scenario.Spec{testSpec(5 * time.Second)},
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    2,
 		SeedZero:  true,
 	})
@@ -152,7 +152,7 @@ func TestFailureScheduleDropsThenRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Seed = 5
-		sum := world.New(cfg, experiment.Factory(experiment.AODV, s.Traffic.Rate)).Run()
+		sum := world.New(cfg, protocol.Factory(protocol.AODV, s.Traffic.Rate)).Run()
 		return sum.ThroughputSeries // bits/s per 4 s bucket
 	}
 

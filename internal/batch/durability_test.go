@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"rica/internal/durable"
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 )
 
@@ -23,7 +23,7 @@ func TestManifestCreationSyncsDir(t *testing.T) {
 
 	_, err := Run(Config{
 		Scenarios: []scenario.Spec{testSpec(2 * time.Second)},
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    1,
 		Manifest:  filepath.Join(dir, "grid.manifest"),
 	})
@@ -45,7 +45,7 @@ func TestManifestCreationSyncsDir(t *testing.T) {
 	synced = nil
 	if _, err := Run(Config{
 		Scenarios: []scenario.Spec{testSpec(2 * time.Second)},
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    1,
 		Manifest:  filepath.Join(dir, "grid.manifest"),
 	}); err != nil {

@@ -10,13 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 )
 
 // setCellHook installs the test-only per-attempt hook; hook-using tests
 // must not run in parallel with each other.
-func setCellHook(t *testing.T, fn func(scenarioName string, p experiment.Protocol, seed int64)) {
+func setCellHook(t *testing.T, fn func(scenarioName string, p protocol.Protocol, seed int64)) {
 	t.Helper()
 	testCellHook = fn
 	t.Cleanup(func() { testCellHook = nil })
@@ -33,14 +33,14 @@ func scenarioSpecList(t *testing.T) []scenario.Spec {
 // attribution and its stack, the rest of the grid completes, and the
 // aggregates exclude the poisoned row.
 func TestBatchPanicQuarantine(t *testing.T) {
-	setCellHook(t, func(name string, p experiment.Protocol, seed int64) {
-		if p == experiment.AODV && seed == 2 {
+	setCellHook(t, func(name string, p protocol.Protocol, seed int64) {
+		if p == protocol.AODV && seed == 2 {
 			panic("injected cell failure")
 		}
 	})
 	res, err := Run(Config{
 		Scenarios: scenarioSpecList(t),
-		Protocols: []experiment.Protocol{experiment.RICA, experiment.AODV},
+		Protocols: []protocol.Protocol{protocol.RICA, protocol.AODV},
 		Trials:    2,
 		Workers:   4,
 	})
@@ -81,14 +81,14 @@ func TestBatchPanicQuarantine(t *testing.T) {
 // TestBatchTimeoutPoison: a cell that stalls past CellTimeout on every
 // attempt is quarantined; retries disabled keeps it to one attempt.
 func TestBatchTimeoutPoison(t *testing.T) {
-	setCellHook(t, func(name string, p experiment.Protocol, seed int64) {
+	setCellHook(t, func(name string, p protocol.Protocol, seed int64) {
 		if seed == 1 {
 			time.Sleep(2 * time.Second)
 		}
 	})
 	res, err := Run(Config{
 		Scenarios:   scenarioSpecList(t),
-		Protocols:   []experiment.Protocol{experiment.RICA},
+		Protocols:   []protocol.Protocol{protocol.RICA},
 		Trials:      2,
 		Workers:     2,
 		CellTimeout: 100 * time.Millisecond,
@@ -114,14 +114,14 @@ func TestBatchTimeoutPoison(t *testing.T) {
 // succeeds on the retry.
 func TestBatchTimeoutRetry(t *testing.T) {
 	var attempts atomic.Int32
-	setCellHook(t, func(name string, p experiment.Protocol, seed int64) {
+	setCellHook(t, func(name string, p protocol.Protocol, seed int64) {
 		if attempts.Add(1) == 1 {
 			time.Sleep(2 * time.Second)
 		}
 	})
 	res, err := Run(Config{
 		Scenarios:   scenarioSpecList(t),
-		Protocols:   []experiment.Protocol{experiment.RICA},
+		Protocols:   []protocol.Protocol{protocol.RICA},
 		Trials:      1,
 		Workers:     1,
 		CellTimeout: 150 * time.Millisecond,
@@ -147,7 +147,7 @@ func TestBatchManifestResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.manifest")
 	cfg := Config{
 		Scenarios: scenarioSpecList(t),
-		Protocols: []experiment.Protocol{experiment.RICA, experiment.ABR},
+		Protocols: []protocol.Protocol{protocol.RICA, protocol.ABR},
 		Trials:    2,
 		Workers:   3,
 		Manifest:  path,
@@ -160,7 +160,7 @@ func TestBatchManifestResume(t *testing.T) {
 		t.Fatalf("first run Restored = %d", first.Restored)
 	}
 	var computed atomic.Int32
-	setCellHook(t, func(string, experiment.Protocol, int64) { computed.Add(1) })
+	setCellHook(t, func(string, protocol.Protocol, int64) { computed.Add(1) })
 	second, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("resumed Run: %v", err)
@@ -195,7 +195,7 @@ func TestBatchInterruptThenManifestResume(t *testing.T) {
 	var stopOnce atomic.Bool
 	cfg := Config{
 		Scenarios: scenarioSpecList(t),
-		Protocols: []experiment.Protocol{experiment.RICA, experiment.BGCA},
+		Protocols: []protocol.Protocol{protocol.RICA, protocol.BGCA},
 		Trials:    3,
 		Workers:   1,
 		Manifest:  path,
@@ -220,7 +220,7 @@ func TestBatchInterruptThenManifestResume(t *testing.T) {
 		t.Fatalf("interrupt landed at %d/%d finished cells; wanted a partial grid", journaled, len(partial.Cells))
 	}
 	var computed atomic.Int32
-	setCellHook(t, func(string, experiment.Protocol, int64) { computed.Add(1) })
+	setCellHook(t, func(string, protocol.Protocol, int64) { computed.Add(1) })
 	cfg.Stop = nil
 	cfg.OnProgress = nil
 	full, err := Run(cfg)
@@ -244,7 +244,7 @@ func TestBatchManifestRejectsForeignGrid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.manifest")
 	cfg := Config{
 		Scenarios: scenarioSpecList(t),
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    1,
 		Manifest:  path,
 	}
@@ -265,7 +265,7 @@ func TestBatchManifestToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.manifest")
 	cfg := Config{
 		Scenarios: scenarioSpecList(t),
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    2,
 		Manifest:  path,
 	}

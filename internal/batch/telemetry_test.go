@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/timeseries"
 )
@@ -20,7 +20,7 @@ func telemetryGrid(t *testing.T) Config {
 	}
 	return Config{
 		Scenarios: []scenario.Spec{spec},
-		Protocols: []experiment.Protocol{experiment.RICA},
+		Protocols: []protocol.Protocol{protocol.RICA},
 		Trials:    2,
 	}
 }

@@ -29,19 +29,14 @@ type NeighborClass struct {
 	Class Class
 }
 
-// distAtIdx returns the pair's memoized distance at the snapshot's
-// instant, computing and caching it on miss. idx is the model's
-// triangular index for (i, j).
-func (m *Model) distAtIdx(s *snapshot, idx, i, j int, at time.Duration) float64 {
-	if s.pairDistGen[idx] == s.gen {
-		m.obs.Inc(obs.CDistHits)
-		return s.pairDist[idx]
-	}
+// distAt derives the exact distance between i and j at the snapshot's
+// instant from their memoized positions. There is no per-pair distance
+// memo: a pair's distance is asked for about once per instant, and two
+// cached position reads and a square root cost less than the table that
+// remembered them (ROADMAP item 5).
+func (m *Model) distAt(s *snapshot, i, j int, at time.Duration) float64 {
 	m.obs.Inc(obs.CDistMisses)
-	d := m.positionAt(s, i, at).DistanceTo(m.positionAt(s, j, at))
-	s.pairDist[idx] = d
-	s.pairDistGen[idx] = s.gen
-	return d
+	return m.positionAt(s, i, at).DistanceTo(m.positionAt(s, j, at))
 }
 
 // classMiss computes, caches, and returns the pair's class at the
@@ -51,7 +46,7 @@ func (m *Model) distAtIdx(s *snapshot, idx, i, j int, at time.Duration) float64 
 // repeats are answered from the cache without touching it.
 func (m *Model) classMiss(s *snapshot, idx, i, j int, at time.Duration) Class {
 	m.obs.Inc(obs.CClassMisses)
-	d := m.distAtIdx(s, idx, i, j, at)
+	d := m.distAt(s, i, j, at)
 	if m.pairDown(s, i, j, at) {
 		// Radio-silent endpoint: feed the link an out-of-range distance so
 		// its fading process still advances in step with real time.
@@ -102,12 +97,11 @@ func (m *Model) candidates(s *snapshot, g *geom.Grid, i int) []candEntry {
 // in ascending id order, and returns the extended slice. Pass a reusable
 // buffer to avoid allocation in flood hot paths. The scan walks the
 // node's per-build candidate list: with a fresh grid the recorded
-// build-time distances are the current distances bit-for-bit (and are
-// fed into the pair-distance cache, so the class probes that follow a
-// broadcast reuse them); against a stale grid only the candidates inside
-// the drift annulus need an exact distance check — and such a scan keeps
-// its result as the node's kinetic list, which answers repeat scans for
-// as long as no pair around the node can have crossed the range boundary.
+// build-time distances are the current distances bit-for-bit; against a
+// stale grid only the candidates inside the drift annulus need an exact
+// distance check — and such a scan keeps its result as the node's
+// kinetic list, which answers repeat scans for as long as no pair around
+// the node can have crossed the range boundary.
 func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 	s := m.sync(at)
 	if m.downAt(s, i, at) {
@@ -121,15 +115,10 @@ func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 
 	if slack == 0 {
 		// The indexed positions are the current ones bit-for-bit, so the
-		// recorded build distance is exact — no position derivation at all,
-		// and the distance cache is warmed for free.
+		// recorded build distance is exact — no position derivation at all.
 		for _, c := range cands {
 			if c.d > m.cfg.Range || m.downAt(s, int(c.id), at) {
 				continue
-			}
-			if s.pairDistGen[c.idx] != s.gen {
-				s.pairDist[c.idx] = c.d
-				s.pairDistGen[c.idx] = s.gen
 			}
 			dst = append(dst, int(c.id))
 		}
@@ -157,7 +146,7 @@ func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 		}
 		if c.d > in {
 			m.obs.Inc(obs.CAnnulusChecks)
-			d := m.distAtIdx(s, int(c.idx), i, j, at)
+			d := m.distAt(s, i, j, at)
 			margin = math.Min(margin, math.Abs(d-m.cfg.Range))
 			if d > m.cfg.Range {
 				continue
@@ -229,13 +218,9 @@ func (m *Model) NeighborClasses(i int, at time.Duration, dst []NeighborClass) []
 		if c.d > out || m.downAt(s, j, at) {
 			continue
 		}
-		if slack == 0 && s.pairDistGen[idx] != s.gen {
-			s.pairDist[idx] = c.d // exact: build positions are current ones
-			s.pairDistGen[idx] = s.gen
-		}
 		if c.d > in {
 			m.obs.Inc(obs.CAnnulusChecks)
-			if m.distAtIdx(s, idx, i, j, at) > m.cfg.Range {
+			if m.distAt(s, i, j, at) > m.cfg.Range {
 				continue
 			}
 		}

@@ -134,8 +134,7 @@ func (m *Model) Distance(i, j int, at time.Duration) float64 {
 	if i == j {
 		return 0
 	}
-	s := m.sync(at)
-	return m.distAtIdx(s, m.pairIndex(i, j), i, j, at)
+	return m.distAt(m.sync(at), i, j, at)
 }
 
 // relSpeed bounds the pair's relative speed by the sum of the terminals'
@@ -173,7 +172,7 @@ func (m *Model) SNR(i, j int, at time.Duration) float64 {
 	if s.pairSNRGen[idx] == s.gen {
 		return s.pairSNR[idx]
 	}
-	d := m.distAtIdx(s, idx, i, j, at)
+	d := m.distAt(s, i, j, at)
 	v := m.linkAt(idx, i, j).SNR(d, m.relSpeed(s, i, j, at), at)
 	s.pairSNR[idx] = v
 	s.pairSNRGen[idx] = s.gen
@@ -190,7 +189,7 @@ func (m *Model) InRange(i, j int, at time.Duration) bool {
 	if i == j {
 		return true // a terminal trivially hears itself
 	}
-	return m.distAtIdx(s, m.pairIndex(i, j), i, j, at) <= m.cfg.Range
+	return m.distAt(s, i, j, at) <= m.cfg.Range
 }
 
 // interferenceEps absorbs float rounding in the triangle-inequality

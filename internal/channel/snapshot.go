@@ -81,8 +81,8 @@ func resolveCaps(pos []Positioner) []caps {
 // so an event that makes many queries at one kernel.Now() (a flood
 // delivery, a carrier-sense sweep, a topology install) derives each
 // terminal's position once instead of once per pair, and each pair's
-// distance, class, and SNR at most once per instant (see fastpath.go for
-// the pair caches and the fused neighbour scans).
+// class and SNR at most once per instant (see fastpath.go for the pair
+// caches and the fused neighbour scans).
 //
 // Positions additionally persist *across* instants while their terminal
 // is paused: the Stabler boundary says exactly when a cached position
@@ -110,12 +110,9 @@ type snapshot struct {
 	downGen []uint64
 
 	// Per-pair, per-instant memo of derived link quantities, indexed by
-	// the model's triangular pair index and stamped with gen. Distance is
-	// warmed by the fused neighbour scans, so the Class probe a flood
-	// delivery triggers right after a Neighbors sweep reuses the scan's
-	// arithmetic. The SNR lane is allocated lazily — only diagnostics ask.
-	pairDistGen  []uint64
-	pairDist     []float64
+	// the model's triangular pair index and stamped with gen. Distances
+	// are not memoized (see distAt). The SNR lane is allocated lazily —
+	// only diagnostics ask.
 	pairClassGen []uint64
 	pairClass    []Class
 	pairSNRGen   []uint64
@@ -199,8 +196,6 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 		down:       make([]bool, n),
 		downGen:    make([]uint64, n),
 
-		pairDistGen:  make([]uint64, npairs),
-		pairDist:     make([]float64, npairs),
 		pairClassGen: make([]uint64, npairs),
 		pairClass:    make([]Class, npairs),
 
@@ -218,13 +213,6 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 
 		grid: *geom.NewGrid(cell),
 	}
-}
-
-// pairDistance returns the distance between i and j at instant at,
-// without touching the pair cache (grid-rebuild internals and the brute
-// reference use it). Cached queries go through distAtIdx in fastpath.go.
-func (m *Model) pairDistance(s *snapshot, i, j int, at time.Duration) float64 {
-	return m.positionAt(s, i, at).DistanceTo(m.positionAt(s, j, at))
 }
 
 // sync points the snapshot at virtual instant at. Same-instant calls are

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rica/internal/protocol"
 )
 
 // ciOptions is the scaled-down grid used to keep CI fast; the shapes the
@@ -17,23 +19,15 @@ func ciOptions() Options {
 	}
 }
 
-func TestParseProtocol(t *testing.T) {
-	for _, p := range AllProtocols() {
-		got, err := ParseProtocol(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParseProtocol(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParseProtocol("OSPF"); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
+// onePoint runs a one-point grid: protocol p on the paper field at one
+// mean speed and 10 packets/s.
+func onePoint(p protocol.Protocol, speedKmh float64, o Options) Result {
+	o.Speeds, o.Protocols = []float64{speedKmh}, []protocol.Protocol{p}
+	return Sweep(10, o).Cells[p][0]
 }
 
 func TestRunAveragesTrials(t *testing.T) {
-	res := Run(RunConfig{
-		Protocol: AODV, MeanSpeedKmh: 20, Rate: 10,
-		Duration: 15 * time.Second, Trials: 3, BaseSeed: 5,
-	})
+	res := onePoint(protocol.AODV, 20, Options{Duration: 15 * time.Second, Trials: 3, BaseSeed: 5})
 	if len(res.Trials) != 3 {
 		t.Fatalf("trials = %d", len(res.Trials))
 	}
@@ -56,17 +50,20 @@ func TestRunAveragesTrials(t *testing.T) {
 	}
 }
 
+// TestRunParallelDeterminism: the worker count decides only how long a
+// figure takes, never a byte of it.
 func TestRunParallelDeterminism(t *testing.T) {
-	cfg := RunConfig{
-		Protocol: RICA, MeanSpeedKmh: 30, Rate: 10,
-		Duration: 15 * time.Second, Trials: 4, BaseSeed: 2, Parallelism: 4,
+	o := Options{
+		Speeds:    []float64{0, 30},
+		Protocols: []protocol.Protocol{protocol.RICA, protocol.AODV},
+		Duration:  15 * time.Second, Trials: 2, BaseSeed: 2, Parallelism: 4,
 	}
-	a := Run(cfg)
-	cfg.Parallelism = 1
-	b := Run(cfg)
-	for i := range a.Trials {
-		if a.Trials[i].Delivered != b.Trials[i].Delivered || a.Trials[i].AvgDelay != b.Trials[i].AvgDelay {
-			t.Fatalf("trial %d differs between parallel and serial execution", i)
+	a := Sweep(10, o)
+	o.Parallelism = 1
+	b := Sweep(10, o)
+	for _, m := range []Metric{MetricDelay, MetricDelivery, MetricOverhead} {
+		if a.Table(m) != b.Table(m) || a.CSV(m) != b.CSV(m) {
+			t.Fatalf("%v differs between 4 workers and 1:\n%s\n%s", m, a.Table(m), b.Table(m))
 		}
 	}
 }
@@ -79,59 +76,59 @@ func TestPaperShapes(t *testing.T) {
 	}
 	o := ciOptions()
 	sweep := Sweep(10, o)
-	at := func(p Protocol, speedIdx int) Averages { return sweep.Cells[p][speedIdx].Mean }
+	at := func(p protocol.Protocol, speedIdx int) Averages { return sweep.Cells[p][speedIdx].Mean }
 	const static, mid, fast = 0, 1, 2
 
 	// Figure 2 — delay. The channel-adaptive protocols transmit over
 	// better links and beat AODV at every mobility point.
 	for _, idx := range []int{static, mid, fast} {
-		if at(RICA, idx).DelayMs >= at(AODV, idx).DelayMs {
+		if at(protocol.RICA, idx).DelayMs >= at(protocol.AODV, idx).DelayMs {
 			t.Errorf("fig2: RICA delay %.0f not below AODV %.0f at speed idx %d",
-				at(RICA, idx).DelayMs, at(AODV, idx).DelayMs, idx)
+				at(protocol.RICA, idx).DelayMs, at(protocol.AODV, idx).DelayMs, idx)
 		}
-		if at(BGCA, idx).DelayMs >= at(AODV, idx).DelayMs {
+		if at(protocol.BGCA, idx).DelayMs >= at(protocol.AODV, idx).DelayMs {
 			t.Errorf("fig2: BGCA delay %.0f not below AODV %.0f at speed idx %d",
-				at(BGCA, idx).DelayMs, at(AODV, idx).DelayMs, idx)
+				at(protocol.BGCA, idx).DelayMs, at(protocol.AODV, idx).DelayMs, idx)
 		}
 	}
 	// Link state: best delay when static, degrading under mobility.
-	if at(LinkState, static).DelayMs >= at(AODV, static).DelayMs {
+	if at(protocol.LinkState, static).DelayMs >= at(protocol.AODV, static).DelayMs {
 		t.Errorf("fig2: static link-state delay %.0f not below AODV %.0f",
-			at(LinkState, static).DelayMs, at(AODV, static).DelayMs)
+			at(protocol.LinkState, static).DelayMs, at(protocol.AODV, static).DelayMs)
 	}
-	if at(LinkState, fast).DelayMs <= at(LinkState, static).DelayMs {
+	if at(protocol.LinkState, fast).DelayMs <= at(protocol.LinkState, static).DelayMs {
 		t.Errorf("fig2: link-state delay did not rise with mobility: %.0f → %.0f",
-			at(LinkState, static).DelayMs, at(LinkState, fast).DelayMs)
+			at(protocol.LinkState, static).DelayMs, at(protocol.LinkState, fast).DelayMs)
 	}
 	// AODV overtakes ABR at high mobility (paper §III.B).
-	if at(ABR, fast).DelayMs <= at(AODV, fast).DelayMs*0.95 {
+	if at(protocol.ABR, fast).DelayMs <= at(protocol.AODV, fast).DelayMs*0.95 {
 		t.Errorf("fig2: ABR delay %.0f clearly below AODV %.0f at 72 km/h; paper expects the opposite",
-			at(ABR, fast).DelayMs, at(AODV, fast).DelayMs)
+			at(protocol.ABR, fast).DelayMs, at(protocol.AODV, fast).DelayMs)
 	}
 
 	// Figure 3 — delivery. RICA top across the sweep; AODV and link state
 	// fall off sharply with speed.
-	for _, p := range []Protocol{BGCA, AODV, ABR, LinkState} {
-		if at(RICA, fast).DeliveryPercent < at(p, fast).DeliveryPercent {
+	for _, p := range []protocol.Protocol{protocol.BGCA, protocol.AODV, protocol.ABR, protocol.LinkState} {
+		if at(protocol.RICA, fast).DeliveryPercent < at(p, fast).DeliveryPercent {
 			t.Errorf("fig3: RICA delivery %.1f%% below %v %.1f%% at 72 km/h",
-				at(RICA, fast).DeliveryPercent, p, at(p, fast).DeliveryPercent)
+				at(protocol.RICA, fast).DeliveryPercent, p, at(p, fast).DeliveryPercent)
 		}
 	}
-	if drop := at(AODV, static).DeliveryPercent - at(AODV, fast).DeliveryPercent; drop < 15 {
+	if drop := at(protocol.AODV, static).DeliveryPercent - at(protocol.AODV, fast).DeliveryPercent; drop < 15 {
 		t.Errorf("fig3: AODV delivery fell only %.1f points with mobility, want a sharp fall", drop)
 	}
-	if drop := at(LinkState, static).DeliveryPercent - at(LinkState, fast).DeliveryPercent; drop < 15 {
+	if drop := at(protocol.LinkState, static).DeliveryPercent - at(protocol.LinkState, fast).DeliveryPercent; drop < 15 {
 		t.Errorf("fig3: link-state delivery fell only %.1f points with mobility", drop)
 	}
-	if at(RICA, fast).DeliveryPercent-at(RICA, static).DeliveryPercent < -15 {
+	if at(protocol.RICA, fast).DeliveryPercent-at(protocol.RICA, static).DeliveryPercent < -15 {
 		t.Errorf("fig3: RICA delivery collapsed with mobility (%.1f → %.1f); it should stay high",
-			at(RICA, static).DeliveryPercent, at(RICA, fast).DeliveryPercent)
+			at(protocol.RICA, static).DeliveryPercent, at(protocol.RICA, fast).DeliveryPercent)
 	}
 
 	// Figure 4 — overhead ordering at mobility: ABR ≤ AODV < BGCA < RICA
 	// ≪ link state, with BGCA ≈ 1.5× and RICA ≈ 4× AODV.
-	ao, ab := at(AODV, fast).OverheadKbps, at(ABR, fast).OverheadKbps
-	bg, ri, ls := at(BGCA, fast).OverheadKbps, at(RICA, fast).OverheadKbps, at(LinkState, fast).OverheadKbps
+	ao, ab := at(protocol.AODV, fast).OverheadKbps, at(protocol.ABR, fast).OverheadKbps
+	bg, ri, ls := at(protocol.BGCA, fast).OverheadKbps, at(protocol.RICA, fast).OverheadKbps, at(protocol.LinkState, fast).OverheadKbps
 	if ab > ao*1.05 {
 		t.Errorf("fig4: ABR overhead %.0f above AODV %.0f; paper has ABR least", ab, ao)
 	}
@@ -147,41 +144,41 @@ func TestPaperShapes(t *testing.T) {
 
 	// Figure 5 — route quality at 72 km/h.
 	q := Quality(72, 10, o)
-	qa := func(p Protocol) Averages { return q.Cells[p].Mean }
+	qa := func(p protocol.Protocol) Averages { return q.Cells[p].Mean }
 	// 5(a): channel-adaptive protocols and Dijkstra pick better links.
-	if qa(RICA).LinkThroughputK <= qa(AODV).LinkThroughputK ||
-		qa(BGCA).LinkThroughputK <= qa(AODV).LinkThroughputK {
+	if qa(protocol.RICA).LinkThroughputK <= qa(protocol.AODV).LinkThroughputK ||
+		qa(protocol.BGCA).LinkThroughputK <= qa(protocol.AODV).LinkThroughputK {
 		t.Errorf("fig5a: RICA %.0f / BGCA %.0f not above AODV %.0f",
-			qa(RICA).LinkThroughputK, qa(BGCA).LinkThroughputK, qa(AODV).LinkThroughputK)
+			qa(protocol.RICA).LinkThroughputK, qa(protocol.BGCA).LinkThroughputK, qa(protocol.AODV).LinkThroughputK)
 	}
-	if qa(LinkState).LinkThroughputK <= qa(AODV).LinkThroughputK {
+	if qa(protocol.LinkState).LinkThroughputK <= qa(protocol.AODV).LinkThroughputK {
 		t.Errorf("fig5a: link state %.0f not above AODV %.0f (Dijkstra should pick good links)",
-			qa(LinkState).LinkThroughputK, qa(AODV).LinkThroughputK)
+			qa(protocol.LinkState).LinkThroughputK, qa(protocol.AODV).LinkThroughputK)
 	}
-	diff := qa(ABR).LinkThroughputK - qa(AODV).LinkThroughputK
+	diff := qa(protocol.ABR).LinkThroughputK - qa(protocol.AODV).LinkThroughputK
 	if diff < -15 || diff > 15 {
 		t.Errorf("fig5a: ABR %.0f and AODV %.0f should be close (both channel-oblivious)",
-			qa(ABR).LinkThroughputK, qa(AODV).LinkThroughputK)
+			qa(protocol.ABR).LinkThroughputK, qa(protocol.AODV).LinkThroughputK)
 	}
 	// 5(b): ABR's stable routes run longer than AODV's; link-state loops
 	// show up as packets traversing far beyond the network diameter.
-	if qa(ABR).CSIHops <= qa(AODV).CSIHops {
-		t.Errorf("fig5b: ABR hops %.2f not above AODV %.2f", qa(ABR).CSIHops, qa(AODV).CSIHops)
+	if qa(protocol.ABR).CSIHops <= qa(protocol.AODV).CSIHops {
+		t.Errorf("fig5b: ABR hops %.2f not above AODV %.2f", qa(protocol.ABR).CSIHops, qa(protocol.AODV).CSIHops)
 	}
-	if qa(LinkState).MaxHops < 15 {
-		t.Errorf("fig5b: link-state max hops %d shows no loops", qa(LinkState).MaxHops)
+	if qa(protocol.LinkState).MaxHops < 15 {
+		t.Errorf("fig5b: link-state max hops %d shows no loops", qa(protocol.LinkState).MaxHops)
 	}
 
 	// Figure 6 — aggregate throughput: RICA and BGCA carry the most data.
 	series := Series(20, 36, Options{Speeds: o.Speeds, Trials: 2, Duration: 60 * time.Second, BaseSeed: 1})
-	for _, p := range []Protocol{AODV, LinkState} {
-		if series.MeanSeries(RICA) <= series.MeanSeries(p) {
+	for _, p := range []protocol.Protocol{protocol.AODV, protocol.LinkState} {
+		if series.MeanSeries(protocol.RICA) <= series.MeanSeries(p) {
 			t.Errorf("fig6: RICA mean throughput %.0f not above %v %.0f",
-				series.MeanSeries(RICA), p, series.MeanSeries(p))
+				series.MeanSeries(protocol.RICA), p, series.MeanSeries(p))
 		}
-		if series.MeanSeries(BGCA) <= series.MeanSeries(p) {
+		if series.MeanSeries(protocol.BGCA) <= series.MeanSeries(p) {
 			t.Errorf("fig6: BGCA mean throughput %.0f not above %v %.0f",
-				series.MeanSeries(BGCA), p, series.MeanSeries(p))
+				series.MeanSeries(protocol.BGCA), p, series.MeanSeries(p))
 		}
 	}
 
@@ -193,7 +190,7 @@ func TestPaperShapes(t *testing.T) {
 }
 
 func TestSeriesTableRendering(t *testing.T) {
-	s := Series(10, 20, Options{Trials: 1, Duration: 20 * time.Second, Protocols: []Protocol{AODV}})
+	s := Series(10, 20, Options{Trials: 1, Duration: 20 * time.Second, Protocols: []protocol.Protocol{protocol.AODV}})
 	tbl := s.Table()
 	if !strings.Contains(tbl, "t (s)") || !strings.Contains(tbl, "AODV") {
 		t.Fatalf("series table broken:\n%s", tbl)
@@ -205,7 +202,7 @@ func TestSeriesTableRendering(t *testing.T) {
 }
 
 func TestQualityTableRendering(t *testing.T) {
-	q := Quality(36, 10, Options{Trials: 1, Duration: 15 * time.Second, Protocols: []Protocol{AODV, RICA}})
+	q := Quality(36, 10, Options{Trials: 1, Duration: 15 * time.Second, Protocols: []protocol.Protocol{protocol.AODV, protocol.RICA}})
 	tbl := q.Table()
 	if !strings.Contains(tbl, "linkTP") || !strings.Contains(tbl, "RICA") {
 		t.Fatalf("quality table broken:\n%s", tbl)

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"strings"
+
+	"rica/internal/protocol"
 )
 
 // CSV renders one metric of the sweep as comma-separated values with a
@@ -72,12 +74,12 @@ func (s SeriesResult) CSV() string {
 const chartHeight = 14
 
 // protocolGlyphs mark each protocol's curve in ASCII charts.
-var protocolGlyphs = map[Protocol]byte{
-	RICA:      'R',
-	BGCA:      'B',
-	AODV:      'A',
-	ABR:       'S', // stability
-	LinkState: 'L',
+var protocolGlyphs = map[protocol.Protocol]byte{
+	protocol.RICA:      'R',
+	protocol.BGCA:      'B',
+	protocol.AODV:      'A',
+	protocol.ABR:       'S', // stability
+	protocol.LinkState: 'L',
 }
 
 // Chart renders the throughput series as a rough ASCII line chart — the

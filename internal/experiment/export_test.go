@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rica/internal/protocol"
 )
 
-func tinyOptions(protocols ...Protocol) Options {
+func tinyOptions(protocols ...protocol.Protocol) Options {
 	return Options{
 		Speeds:    []float64{0, 36},
 		Protocols: protocols,
@@ -18,7 +20,7 @@ func tinyOptions(protocols ...Protocol) Options {
 }
 
 func TestSweepCSVWellFormed(t *testing.T) {
-	sweep := Sweep(10, tinyOptions(AODV, RICA))
+	sweep := Sweep(10, tinyOptions(protocol.AODV, protocol.RICA))
 	csv := sweep.CSV(MetricDelivery)
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 3 { // header + 2 speeds
@@ -41,7 +43,7 @@ func TestSweepCSVWellFormed(t *testing.T) {
 }
 
 func TestQualityCSVWellFormed(t *testing.T) {
-	q := Quality(36, 10, tinyOptions(AODV))
+	q := Quality(36, 10, tinyOptions(protocol.AODV))
 	csv := q.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
@@ -56,7 +58,7 @@ func TestQualityCSVWellFormed(t *testing.T) {
 }
 
 func TestSeriesCSVAndChart(t *testing.T) {
-	s := Series(10, 18, tinyOptions(AODV, RICA))
+	s := Series(10, 18, tinyOptions(protocol.AODV, protocol.RICA))
 	csv := s.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if lines[0] != "t_seconds,AODV,RICA" {
@@ -83,7 +85,7 @@ func TestSeriesCSVAndChart(t *testing.T) {
 }
 
 func TestChartEmptySeries(t *testing.T) {
-	s := SeriesResult{Order: []Protocol{AODV}, Cells: map[Protocol]Result{AODV: {}}}
+	s := SeriesResult{Order: []protocol.Protocol{protocol.AODV}, Cells: map[protocol.Protocol]Result{protocol.AODV: {}}}
 	if got := s.Chart(); got != "(no data)\n" {
 		t.Fatalf("empty chart = %q", got)
 	}

@@ -6,19 +6,20 @@ import (
 
 	"rica/internal/geom"
 	"rica/internal/metrics"
+	"rica/internal/protocol"
 	"rica/internal/traffic"
 	"rica/internal/world"
 )
 
 // scriptedRun builds a static scripted topology and runs one protocol.
-func scriptedRun(t *testing.T, p Protocol, positions []geom.Point, flows []traffic.Flow, dur time.Duration) metrics.Summary {
+func scriptedRun(t *testing.T, p protocol.Protocol, positions []geom.Point, flows []traffic.Flow, dur time.Duration) metrics.Summary {
 	t.Helper()
 	cfg := world.DefaultConfig(0, 10)
 	cfg.StaticPositions = positions
 	cfg.Flows = flows
 	cfg.Duration = dur
 	cfg.Seed = 3
-	return world.New(cfg, Factory(p, 10)).Run()
+	return world.New(cfg, protocol.Factory(p, 10)).Run()
 }
 
 // TestPartitionIsolation injects a network partition: two 3-terminal
@@ -37,7 +38,7 @@ func TestPartitionIsolation(t *testing.T) {
 		{Src: 3, Dst: 5, Rate: 10}, // intra-island B
 		{Src: 0, Dst: 4, Rate: 10}, // across the partition: hopeless
 	}
-	for _, p := range AllProtocols() {
+	for _, p := range protocol.AllProtocols() {
 		s := scriptedRun(t, p, positions, flows, 20*time.Second)
 		var crossDelivered, intraRatioSum float64
 		intraFlows := 0
@@ -73,7 +74,7 @@ func TestChainTopologyAllHopsUsed(t *testing.T) {
 		{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}, {X: 600, Y: 0}, {X: 800, Y: 0},
 	}
 	flows := []traffic.Flow{{Src: 0, Dst: 4, Rate: 10}}
-	for _, p := range AllProtocols() {
+	for _, p := range protocol.AllProtocols() {
 		s := scriptedRun(t, p, positions, flows, 20*time.Second)
 		if s.DeliveryRatio < 0.75 {
 			t.Errorf("%v: chain delivery %.2f, want > 0.75 (drops %v)",
@@ -96,7 +97,7 @@ func TestIsolatedSourceDegradesGracefully(t *testing.T) {
 		{Src: 0, Dst: 2, Rate: 20},
 		{Src: 1, Dst: 2, Rate: 10},
 	}
-	for _, p := range AllProtocols() {
+	for _, p := range protocol.AllProtocols() {
 		s := scriptedRun(t, p, positions, flows, 15*time.Second)
 		for _, f := range s.PerFlow {
 			if f.Src == 0 && f.Delivered != 0 {
@@ -125,7 +126,7 @@ func TestSingleSharedRelayCongestion(t *testing.T) {
 		{Src: 0, Dst: 3, Rate: 25},
 		{Src: 1, Dst: 4, Rate: 25},
 	}
-	for _, p := range AllProtocols() {
+	for _, p := range protocol.AllProtocols() {
 		s := scriptedRun(t, p, positions, flows, 20*time.Second)
 		// The offered 50 packets/s exceed the relay's ~25-30 packet/s
 		// service rate, so roughly half the load must die as congestion —

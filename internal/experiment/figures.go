@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"rica/internal/protocol"
 )
 
 // Options sets the sweep grid; zero values fall back to paper-scale
@@ -11,11 +13,12 @@ import (
 // CI-scale callers shrink Trials and Duration.
 type Options struct {
 	Speeds    []float64
-	Protocols []Protocol
+	Protocols []protocol.Protocol
 	Trials    int
 	Duration  time.Duration
 	BaseSeed  int64
-	// Parallelism caps concurrent trials per cell; 0 means GOMAXPROCS.
+	// Parallelism caps concurrent trials across the grid; 0 means
+	// GOMAXPROCS.
 	Parallelism int
 }
 
@@ -24,7 +27,7 @@ func (o Options) withDefaults() Options {
 		o.Speeds = []float64{0, 12, 24, 36, 48, 60, 72}
 	}
 	if o.Protocols == nil {
-		o.Protocols = AllProtocols()
+		o.Protocols = protocol.AllProtocols()
 	}
 	if o.Trials <= 0 {
 		o.Trials = 25
@@ -43,35 +46,28 @@ func (o Options) withDefaults() Options {
 type SweepResult struct {
 	Load   float64
 	Speeds []float64
-	Cells  map[Protocol][]Result
-	Order  []Protocol
+	Cells  map[protocol.Protocol][]Result
+	Order  []protocol.Protocol
 }
 
 // Sweep runs every (protocol, speed) cell at the given per-flow load.
 func Sweep(load float64, o Options) SweepResult {
 	o = o.withDefaults()
-	out := SweepResult{
+	return SweepResult{
 		Load:   load,
 		Speeds: o.Speeds,
-		Cells:  make(map[Protocol][]Result, len(o.Protocols)),
+		Cells:  o.grid(load, o.Speeds),
 		Order:  o.Protocols,
 	}
-	for _, p := range o.Protocols {
-		rows := make([]Result, len(o.Speeds))
-		for i, speed := range o.Speeds {
-			rows[i] = Run(RunConfig{
-				Protocol:     p,
-				MeanSpeedKmh: speed,
-				Rate:         load,
-				Duration:     o.Duration,
-				Trials:       o.Trials,
-				BaseSeed:     o.BaseSeed,
-				Parallelism:  o.Parallelism,
-			})
-		}
-		out.Cells[p] = rows
+}
+
+// point runs the one-speed grid behind Figures 5 and 6.
+func (o Options) point(load, speedKmh float64) map[protocol.Protocol]Result {
+	cells := make(map[protocol.Protocol]Result, len(o.Protocols))
+	for p, rows := range o.grid(load, []float64{speedKmh}) {
+		cells[p] = rows[0]
 	}
-	return out
+	return cells
 }
 
 // Metric selects the projection of a sweep a figure plots.
@@ -134,30 +130,14 @@ func (s SweepResult) Table(m Metric) string {
 // mobility point (the paper tests 72 km/h).
 type QualityResult struct {
 	SpeedKmh float64
-	Order    []Protocol
-	Cells    map[Protocol]Result
+	Order    []protocol.Protocol
+	Cells    map[protocol.Protocol]Result
 }
 
 // Quality runs the Figure 5 experiment.
 func Quality(speedKmh, load float64, o Options) QualityResult {
 	o = o.withDefaults()
-	out := QualityResult{
-		SpeedKmh: speedKmh,
-		Order:    o.Protocols,
-		Cells:    make(map[Protocol]Result, len(o.Protocols)),
-	}
-	for _, p := range o.Protocols {
-		out.Cells[p] = Run(RunConfig{
-			Protocol:     p,
-			MeanSpeedKmh: speedKmh,
-			Rate:         load,
-			Duration:     o.Duration,
-			Trials:       o.Trials,
-			BaseSeed:     o.BaseSeed,
-			Parallelism:  o.Parallelism,
-		})
-	}
-	return out
+	return QualityResult{SpeedKmh: speedKmh, Order: o.Protocols, Cells: o.point(load, speedKmh)}
 }
 
 // Table renders Figure 5(a) and 5(b): average link throughput and average
@@ -180,31 +160,14 @@ func (q QualityResult) Table() string {
 type SeriesResult struct {
 	Load     float64
 	SpeedKmh float64
-	Order    []Protocol
-	Cells    map[Protocol]Result
+	Order    []protocol.Protocol
+	Cells    map[protocol.Protocol]Result
 }
 
 // Series runs the Figure 6 experiment: throughput sampled every 4 s.
 func Series(load, speedKmh float64, o Options) SeriesResult {
 	o = o.withDefaults()
-	out := SeriesResult{
-		Load:     load,
-		SpeedKmh: speedKmh,
-		Order:    o.Protocols,
-		Cells:    make(map[Protocol]Result, len(o.Protocols)),
-	}
-	for _, p := range o.Protocols {
-		out.Cells[p] = Run(RunConfig{
-			Protocol:     p,
-			MeanSpeedKmh: speedKmh,
-			Rate:         load,
-			Duration:     o.Duration,
-			Trials:       o.Trials,
-			BaseSeed:     o.BaseSeed,
-			Parallelism:  o.Parallelism,
-		})
-	}
-	return out
+	return SeriesResult{Load: load, SpeedKmh: speedKmh, Order: o.Protocols, Cells: o.point(load, speedKmh)}
 }
 
 // Table renders the series with one row per 4 s bucket.
@@ -240,7 +203,7 @@ func (s SeriesResult) Table() string {
 
 // MeanSeries reports the time-average of a protocol's Figure 6 curve,
 // skipping the warm-up bucket.
-func (s SeriesResult) MeanSeries(p Protocol) float64 {
+func (s SeriesResult) MeanSeries(p protocol.Protocol) float64 {
 	series := s.Cells[p].Mean.ThroughputSeries
 	if len(series) <= 1 {
 		return 0

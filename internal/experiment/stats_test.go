@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rica/internal/metrics"
+	"rica/internal/protocol"
 )
 
 // fakeResult builds a Result with scripted delivery ratios.
@@ -58,10 +59,7 @@ func TestCI95ShrinksWithTrials(t *testing.T) {
 }
 
 func TestCIRealRunIsFinite(t *testing.T) {
-	r := Run(RunConfig{
-		Protocol: AODV, MeanSpeedKmh: 20, Rate: 10,
-		Duration: 10 * time.Second, Trials: 3, BaseSeed: 1,
-	})
+	r := onePoint(protocol.AODV, 20, Options{Duration: 10 * time.Second, Trials: 3, BaseSeed: 1})
 	for _, m := range []Metric{MetricDelay, MetricDelivery, MetricOverhead} {
 		ci := r.CI95(m)
 		if math.IsNaN(ci) || ci < 0 {

@@ -35,8 +35,7 @@ const (
 	// Channel fast path: the PR 5 caches.
 	CClassHits     // per-instant pair class answered from cache
 	CClassMisses   // pair class derived from fading + quantizer
-	CDistHits      // pair distance answered from cache
-	CDistMisses    // pair distance recomputed from positions
+	CDistMisses    // exact pair distance derived from positions (not cached)
 	CTransHits     // AR(1) coefficient pair answered from trans cache
 	CTransMisses   // AR(1) coefficients recomputed (exp/sqrt)
 	CGridRebuilds  // spatial index rebuilt for a new instant
@@ -95,7 +94,6 @@ var counterNames = [NumCounters]string{
 	CLadderFarPushes:  "ladder_far_pushes",
 	CClassHits:        "chan_class_hits",
 	CClassMisses:      "chan_class_misses",
-	CDistHits:         "chan_dist_hits",
 	CDistMisses:       "chan_dist_misses",
 	CTransHits:        "chan_trans_hits",
 	CTransMisses:      "chan_trans_misses",
@@ -335,7 +333,6 @@ type Snapshot struct {
 
 	ClassHits     uint64 `json:"chan_class_hits"`
 	ClassMisses   uint64 `json:"chan_class_misses"`
-	DistHits      uint64 `json:"chan_dist_hits"`
 	DistMisses    uint64 `json:"chan_dist_misses"`
 	TransHits     uint64 `json:"chan_trans_hits"`
 	TransMisses   uint64 `json:"chan_trans_misses"`
@@ -382,8 +379,6 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 		return &s.ClassHits
 	case CClassMisses:
 		return &s.ClassMisses
-	case CDistHits:
-		return &s.DistHits
 	case CDistMisses:
 		return &s.DistMisses
 	case CTransHits:
@@ -427,7 +422,7 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 // that witnesses one. chan_class_misses is not among them: a class miss
 // is a fading link advanced, which is simulated state.
 var effortCounters = [...]Counter{
-	CClassHits, CDistHits, CDistMisses, CTransHits, CTransMisses,
+	CClassHits, CDistMisses, CTransHits, CTransMisses,
 	CGridRebuilds, CAnnulusChecks,
 }
 

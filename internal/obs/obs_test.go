@@ -166,7 +166,7 @@ func TestZeroEffortClearsOnlyEffort(t *testing.T) {
 	s := r.Snapshot()
 	s.ZeroEffort()
 	effort := map[string]bool{
-		"chan_class_hits": true, "chan_dist_hits": true, "chan_dist_misses": true,
+		"chan_class_hits": true, "chan_dist_misses": true,
 		"chan_trans_hits": true, "chan_trans_misses": true,
 		"chan_grid_rebuilds": true, "chan_annulus_checks": true,
 	}

@@ -1,10 +1,9 @@
-// Package experiment reproduces the paper's evaluation (§III): it runs
-// multi-trial simulations of the five routing protocols across the
-// mobility and load grid and regenerates every figure's rows — end-to-end
-// delay (Figure 2), delivery percentage (Figure 3), routing overhead
-// (Figure 4), route quality (Figure 5), and the aggregate-throughput time
-// series (Figure 6).
-package experiment
+// Package protocol names the five routing protocols the paper compares
+// and builds each one's agents. It is a leaf over the routing packages
+// and world, so the batch engine, the daemon, the figure harness and the
+// public API all select protocols through it without importing each
+// other.
+package protocol
 
 import (
 	"fmt"
@@ -53,7 +52,7 @@ func ParseProtocol(name string) (Protocol, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("experiment: unknown protocol %q", name)
+	return 0, fmt.Errorf("protocol: unknown protocol %q", name)
 }
 
 // AllProtocols lists the paper's comparison set in its plotting order.
@@ -87,6 +86,6 @@ func Factory(p Protocol, rate float64) world.AgentFactory {
 			return linkstate.New(env, linkstate.DefaultConfig(), w.BootTopology())
 		}
 	default:
-		panic(fmt.Sprintf("experiment: Factory(%v)", p))
+		panic(fmt.Sprintf("protocol: Factory(%v)", p))
 	}
 }

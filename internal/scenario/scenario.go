@@ -339,8 +339,10 @@ func (s Spec) Validate() error {
 			return fail("topology.width/height %g×%g exceeds the %d m bound",
 				s.Topology.Width, s.Topology.Height, MaxCoordM)
 		}
-		if s.Topology.MeanSpeedKmh < 0 {
-			return fail("negative mean speed %g", s.Topology.MeanSpeedKmh)
+		// Written so NaN fails too: JSON cannot carry one, a Go caller
+		// (a figure sweep's speed list) can.
+		if !(s.Topology.MeanSpeedKmh >= 0) {
+			return fail("mean speed must be a non-negative number, got %g", s.Topology.MeanSpeedKmh)
 		}
 		if s.Topology.MeanSpeedKmh > MaxSpeedKmh {
 			return fail("topology.mean_speed_kmh %g exceeds the %d km/h bound",

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"rica/internal/experiment"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 )
 
@@ -80,10 +80,10 @@ func (s JobSpec) normalize() (JobSpec, int, error) {
 	}
 	protocols := len(s.Protocols)
 	if protocols == 0 {
-		protocols = len(experiment.AllProtocols())
+		protocols = len(protocol.AllProtocols())
 	}
 	for _, p := range s.Protocols {
-		if _, err := experiment.ParseProtocol(p); err != nil {
+		if _, err := protocol.ParseProtocol(p); err != nil {
 			return s, 0, err
 		}
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
 	"rica/internal/geom"
 	"rica/internal/metrics"
 	"rica/internal/network"
+	"rica/internal/protocol"
 	"rica/internal/traffic"
 	"rica/internal/world"
 )
@@ -31,7 +31,7 @@ func relayConfig(d time.Duration) world.Config {
 }
 
 func runRICA(cfg world.Config) metrics.Summary {
-	return world.New(cfg, experiment.Factory(experiment.RICA, 10)).Run()
+	return world.New(cfg, protocol.Factory(protocol.RICA, 10)).Run()
 }
 
 func TestGossipEpidemicSpreadsAndAccounts(t *testing.T) {
@@ -48,7 +48,7 @@ func TestGossipEpidemicSpreadsAndAccounts(t *testing.T) {
 	cfg.Gossip = &traffic.GossipConfig{Rumors: 2, Rate: 4, Pushes: 3}
 	cfg.Duration = 8 * time.Second
 	cfg.Seed = 5
-	w := world.New(cfg, experiment.Factory(experiment.RICA, 4))
+	w := world.New(cfg, protocol.Factory(protocol.RICA, 4))
 	s := w.Run()
 	if s.Generated == 0 {
 		t.Fatal("gossip workload generated no data")

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
 	"rica/internal/invariant"
+	"rica/internal/protocol"
 	"rica/internal/traffic"
 	"rica/internal/world"
 )
@@ -20,7 +20,7 @@ func TestConservationInsideAckWindow(t *testing.T) {
 	cfg := world.DefaultConfig(36, 10)
 	cfg.Duration = 3 * time.Second
 	cfg.Seed = 1
-	s := world.New(cfg, experiment.Factory(experiment.AODV, 10)).Run()
+	s := world.New(cfg, protocol.Factory(protocol.AODV, 10)).Run()
 	if err := invariant.CheckSummary(s); err != nil {
 		t.Fatalf("conservation broken at an ACK-window horizon: %v", err)
 	}
@@ -63,8 +63,8 @@ func TestCatalogSummariesSatisfyInvariants(t *testing.T) {
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, p := range experiment.AllProtocols() {
-				s := world.New(build(), experiment.Factory(p, 10)).Run()
+			for _, p := range protocol.AllProtocols() {
+				s := world.New(build(), protocol.Factory(p, 10)).Run()
 				if err := invariant.CheckSummary(s); err != nil {
 					t.Errorf("%s/%s: %v", name, p, err)
 				}

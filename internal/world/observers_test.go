@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"rica/internal/experiment"
 	"rica/internal/geom"
 	"rica/internal/invariant"
 	"rica/internal/network"
+	"rica/internal/protocol"
 	"rica/internal/timeseries"
 	"rica/internal/trace"
 	"rica/internal/traffic"
@@ -40,7 +40,7 @@ func seamCells() map[string]world.Config {
 func TestObserversLaw(t *testing.T) {
 	for name, base := range seamCells() {
 		t.Run(name, func(t *testing.T) {
-			factory := experiment.Factory(experiment.RICA, base.FlowRate)
+			factory := protocol.Factory(protocol.RICA, base.FlowRate)
 			bare := world.New(base, factory).Run()
 			if bare.Delivered == 0 || bare.ControlDropped == 0 {
 				t.Fatalf("cell is idle: %+v", bare)

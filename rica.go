@@ -53,6 +53,7 @@ import (
 	"rica/internal/metrics"
 	"rica/internal/obs"
 	"rica/internal/packet"
+	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/timeseries"
 	"rica/internal/trace"
@@ -61,22 +62,22 @@ import (
 )
 
 // Protocol selects one of the five compared routing protocols.
-type Protocol = experiment.Protocol
+type Protocol = protocol.Protocol
 
 // The five protocols of the paper's comparison.
 const (
-	ProtocolRICA      = experiment.RICA
-	ProtocolBGCA      = experiment.BGCA
-	ProtocolAODV      = experiment.AODV
-	ProtocolABR       = experiment.ABR
-	ProtocolLinkState = experiment.LinkState
+	ProtocolRICA      = protocol.RICA
+	ProtocolBGCA      = protocol.BGCA
+	ProtocolAODV      = protocol.AODV
+	ProtocolABR       = protocol.ABR
+	ProtocolLinkState = protocol.LinkState
 )
 
 // AllProtocols lists the comparison set in plotting order.
-func AllProtocols() []Protocol { return experiment.AllProtocols() }
+func AllProtocols() []Protocol { return protocol.AllProtocols() }
 
 // ParseProtocol resolves a protocol name ("RICA", "AODV", ...).
-func ParseProtocol(name string) (Protocol, error) { return experiment.ParseProtocol(name) }
+func ParseProtocol(name string) (Protocol, error) { return protocol.ParseProtocol(name) }
 
 // Summary is one simulation run's aggregated measurements.
 type Summary = metrics.Summary
@@ -211,7 +212,7 @@ func simulate(cfg SimConfig, rec *trace.Recorder) (Summary, Timeline, *trace.Rec
 		wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
 	}
 	wcfg.Trace = rec
-	summary := world.New(wcfg, experiment.Factory(cfg.Protocol, cfg.Rate)).Run()
+	summary := world.New(wcfg, protocol.Factory(cfg.Protocol, cfg.Rate)).Run()
 	var tl Timeline
 	if cfg.Telemetry != nil {
 		tl = wcfg.Timeseries.Timeline()
@@ -226,17 +227,12 @@ func simulate(cfg SimConfig, rec *trace.Recorder) (Summary, Timeline, *trace.Rec
 	return summary, tl, rec
 }
 
-// RunConfig describes one experimental cell (a protocol × speed × load
-// point averaged over trials); Result carries its per-trial summaries and
-// across-trial means.
+// Result is one figure point (a protocol × speed × load cell): its
+// per-trial summaries and their across-trial means.
 type (
-	RunConfig = experiment.RunConfig
-	Result    = experiment.Result
-	Averages  = experiment.Averages
+	Result   = experiment.Result
+	Averages = experiment.Averages
 )
-
-// Run executes one experimental cell.
-func Run(cfg RunConfig) Result { return experiment.Run(cfg) }
 
 // Options sets the experiment grid (speeds, trials, duration, protocols);
 // zero values default to the paper's full scale.
@@ -345,7 +341,7 @@ func SimulateScenario(r ScenarioRun) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	return world.New(wcfg, experiment.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run(), nil
+	return world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run(), nil
 }
 
 // VerifyScenario executes the run under the full invariant harness: the
@@ -362,7 +358,7 @@ func VerifyScenario(r ScenarioRun) (Summary, error) {
 	}
 	return invariant.Verify(func() Summary {
 		cfg := wcfg // runs must not share mutable state
-		return world.New(cfg, experiment.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run()
+		return world.New(cfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run()
 	})
 }
 
