@@ -353,11 +353,13 @@ func TestEffortCountersOutsideWitness(t *testing.T) {
 
 // snapshotGolden is the SHA-256 of the complete snapshot of chain-10
 // under ABR, seed 1, horizon 6 s, captured at t=1 s — re-taken once for
-// RICACKP5, which differs from the RICACKP4 snapshot of the same instant
-// in the magic, the OBSC digest (the section's JSON lost its always-zero
-// chan_dist_hits key with the pair-distance table) and the tail CRC
-// only.
-const snapshotGolden = "ab18aec1c6a757660f36819e6716ee50b752e9e5d3fad97507b1f59d6744fc2a"
+// RICACKP6, which differs from the RICACKP5 snapshot of the same instant
+// in the magic, the KERN digest (the section lists live events only and
+// lost the per-event cancelled flag) and the tail CRC only: the other
+// seven section digests — RNGS and LINK above all, which the in-place
+// link streams feed — were compared against the parent commit's and are
+// equal.
+const snapshotGolden = "ae7a5d4abb80f3e00c4d4e23b8a36ae349014e7a15a891a5f4dd3786d0f8a9ff"
 
 // TestSnapshotBytesPinned pins the format's bytes (an ABI test): the
 // recipe, the section order and framing, and every value each encoder

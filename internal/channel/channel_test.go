@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rica/internal/geom"
 	"rica/internal/sim"
@@ -302,6 +303,34 @@ func TestPairIndexBijective(t *testing.T) {
 	}
 	if len(seen) != n*(n-1)/2 {
 		t.Fatalf("pairIndex covered %d slots, want %d", len(seen), n*(n-1)/2)
+	}
+}
+
+// TestLinkHotFieldsShareFirstCacheLine guards the layout the N=500 class
+// query is sized around: a miss lands on the link, and what every query
+// reads — the advance clock, the three process values, the per-instant
+// memo stamp and the stream pointer — must come in with that one line.
+// A model-owned link starts its allocation, so the line is the record's
+// first 64 bytes too.
+func TestLinkHotFieldsShareFirstCacheLine(t *testing.T) {
+	var l Link
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"last", unsafe.Offsetof(l.last), unsafe.Sizeof(l.last)},
+		{"shadow", unsafe.Offsetof(l.shadow), unsafe.Sizeof(l.shadow)},
+		{"fi", unsafe.Offsetof(l.fi), unsafe.Sizeof(l.fi)},
+		{"fq", unsafe.Offsetof(l.fq), unsafe.Sizeof(l.fq)},
+		{"memoGen", unsafe.Offsetof(l.memoGen), unsafe.Sizeof(l.memoGen)},
+		{"rng", unsafe.Offsetof(l.rng), unsafe.Sizeof(l.rng)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("Link.%s ends at byte %d, outside the first cache line", f.name, f.off+f.size)
+		}
+	}
+	if off := unsafe.Offsetof(linkRec{}.Link); off != 0 {
+		t.Errorf("linkRec puts %d bytes ahead of the link's hot line", off)
 	}
 }
 

@@ -2,11 +2,12 @@
 // scans and kinetic neighbour lists (DESIGN.md §9).
 //
 // Everything here is bit-identical to the plain query path by
-// construction. The pair caches answer repeated same-instant queries
-// without touching the fading links — Link.advance no-ops at dt ≤ 0, so
-// a repeated query never consumed random draws in the first place, and
-// re-quantizing an unchanged SNR against the hysteresis state the first
-// quantization left behind reproduces the first answer exactly. The
+// construction. The pair memo (a generation stamp and the value, on the
+// Link itself) answers repeated same-instant queries without advancing
+// the fading link — Link.advance no-ops at dt ≤ 0, so a repeated query
+// never consumed random draws in the first place, and re-quantizing an
+// unchanged SNR against the hysteresis state the first quantization
+// left behind reproduces the first answer exactly. The
 // fused scans change how candidate pairs are enumerated and where their
 // distances are computed, and the kinetic lists whether a range verdict
 // is re-derived or carried over a window in which it cannot change —
@@ -39,11 +40,12 @@ func (m *Model) distAt(s *snapshot, i, j int, at time.Duration) float64 {
 	return m.positionAt(s, i, at).DistanceTo(m.positionAt(s, j, at))
 }
 
-// classMiss computes, caches, and returns the pair's class at the
-// snapshot's instant. It is the one place the fading link is consulted,
-// so the advance pattern each link observes is exactly the pre-cache
-// one: the first class query of a pair at a new instant advances it,
-// repeats are answered from the cache without touching it.
+// classMiss computes the pair's class at the snapshot's instant, stamps
+// it on the link as the instant's memo, and returns it. It is the one
+// place the fading link is consulted, so the advance pattern each link
+// observes is exactly the unmemoized one: the first class query of a
+// pair at a new instant advances it, repeats are answered from the memo
+// without touching it.
 func (m *Model) classMiss(s *snapshot, idx, i, j int, at time.Duration) Class {
 	m.obs.Inc(obs.CClassMisses)
 	d := m.distAt(s, i, j, at)
@@ -52,9 +54,10 @@ func (m *Model) classMiss(s *snapshot, idx, i, j int, at time.Duration) Class {
 		// its fading process still advances in step with real time.
 		d = m.cfg.Range + 1
 	}
-	c := m.linkAt(idx, i, j).ClassAt(d, m.relSpeed(s, i, j, at), at)
-	s.pairClass[idx] = c
-	s.pairClassGen[idx] = s.gen
+	l := m.linkAt(idx, i, j)
+	c := l.ClassAt(d, m.relSpeed(s, i, j, at), at)
+	l.memoClass = c
+	l.memoGen = s.gen
 	return c
 }
 
@@ -70,7 +73,7 @@ type candEntry struct {
 // candidates returns node i's candidate list over the current grid
 // build: every other terminal whose build-time distance from i's
 // build-time position is within candRadius, ascending by id, each with
-// that build-time distance and the pair's cache index. The list is
+// that build-time distance and the pair's link index. The list is
 // computed once per (node, grid build) and reused until the next
 // rebuild — it depends only on the indexed positions, not on the query
 // instant — so repeated neighbour scans between rebuilds skip the
@@ -191,7 +194,7 @@ func holdFor(margin, vmax float64) time.Duration {
 // fused form of a Neighbors sweep followed by a Class probe per
 // neighbour. One pass over the candidate list performs the range filter,
 // the outage filter, the distance computation, and the class
-// quantization, sharing the per-instant pair caches with the individual
+// quantization, sharing the per-instant pair memo with the individual
 // query paths.
 //
 // The call advances exactly the links a Neighbors-then-Class loop would
@@ -225,9 +228,9 @@ func (m *Model) NeighborClasses(i int, at time.Duration, dst []NeighborClass) []
 			}
 		}
 		var cl Class
-		if s.pairClassGen[idx] == s.gen {
+		if l := m.links[idx]; l != nil && l.memoGen == s.gen {
 			m.obs.Inc(obs.CClassHits)
-			cl = s.pairClass[idx]
+			cl = l.memoClass
 		} else {
 			cl = m.classMiss(s, idx, i, j, at)
 		}

@@ -69,23 +69,36 @@ func DefaultConfig() Config {
 // fading processes by the elapsed interval. Queries at or before the last
 // update time return the current state unchanged, so all events within one
 // simulator instant observe a consistent channel.
+//
+// Field order is layout, not taste: at N=500 a class query is a cache
+// miss on the link, so what every query reads — the advance clock, the
+// three process values, the owning model's per-instant class memo and
+// the stream pointer — sits in the first 64 bytes (held by
+// TestLinkHotFieldsShareFirstCacheLine), and a model-owned link's stream
+// storage follows in the same allocation (linkRec).
 type Link struct {
-	cfg *Config
+	last time.Duration
+
+	shadow float64 // dB, N(0, ShadowSigma²) marginally
+	fi, fq float64 // fading quadratures, N(0,1) marginally
+
+	// memoGen/memoClass are the owning Model's per-instant class memo:
+	// the class ClassAt returned at the snapshot generation memoGen (see
+	// Model.Class). A link outside a Model never stamps it; generation 0
+	// is never current, so the zero value cannot false-hit.
+	memoGen   uint64
+	memoClass Class
+
 	rng *rand.Rand
+	cfg *Config
+
+	lastClass Class // hysteresis memory; ClassNone until first quantization
 
 	// trans, when non-nil, memoizes the speed-scaled AR(1) coefficients
 	// shared across a model's links (see trans.go). Links built outside a
 	// Model compute them directly; the sampled processes are identical
 	// either way, because the cache is exact.
 	trans *transCache
-
-	last   time.Duration
-	inited bool
-
-	shadow float64 // dB, N(0, ShadowSigma²) marginally
-	fi, fq float64 // fading quadratures, N(0,1) marginally
-
-	lastClass Class // hysteresis memory; ClassNone until first quantization
 
 	// lastD/lastPathLoss memoize the deterministic log-distance term of
 	// the most recent SNR evaluation. Keyed on the exact distance bits
@@ -94,21 +107,32 @@ type Link struct {
 	// queries — parked pairs and static topologies.
 	lastD        float64
 	lastPathLoss float64
+
+	// snrGen/snr are the per-instant memo of Model.SNR, the diagnostics'
+	// twin of memoGen/memoClass.
+	snrGen uint64
+	snr    float64
 }
 
 // NewLink creates a link process with its private random stream. The
 // initial state is drawn from the stationary distribution, so t = 0 is not
 // special.
 func NewLink(cfg *Config, rng *rand.Rand) *Link {
+	l := new(Link)
+	l.init(cfg, rng)
+	return l
+}
+
+// init draws the zero link's initial state from rng.
+func (l *Link) init(cfg *Config, rng *rand.Rand) {
 	if rng == nil {
 		panic("channel: NewLink requires a random stream")
 	}
-	l := &Link{cfg: cfg, rng: rng}
+	l.cfg = cfg
+	l.rng = rng
 	l.shadow = rng.NormFloat64() * cfg.ShadowSigma
 	l.fi = rng.NormFloat64()
 	l.fq = rng.NormFloat64()
-	l.inited = true
-	return l
 }
 
 // advance evolves shadowing and fading to time at. relSpeed is the pair's

@@ -34,11 +34,11 @@ const streamKindChannel = 0x_C4A1
 //
 // Queries route through a per-instant snapshot (see snapshot.go): the
 // positions, speeds, and outage states behind them are derived once per
-// virtual instant, each pair's distance and class at most once per
-// instant, and neighbourhood scans walk per-build candidate lists over a
-// spatial grid rather than the terminal set (see fastpath.go). The
-// per-pair fading streams are untouched by all of the caching, so
-// results are bit-identical to the uncached scans.
+// virtual instant, each pair's class at most once per instant (the memo
+// rides on the link), and neighbourhood scans walk per-build candidate
+// lists over a spatial grid rather than the terminal set (see
+// fastpath.go). The per-pair fading streams are untouched by all of the
+// caching, so results are bit-identical to the uncached scans.
 type Model struct {
 	cfg     Config
 	pos     []Positioner
@@ -73,13 +73,23 @@ func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 	}
 }
 
+// linkRec is a model-owned link as it is allocated: the fading state up
+// front and, behind it, the storage of the private stream it draws from
+// — one object per pair, so an advance chases no pointer out of it.
+type linkRec struct {
+	Link
+	stream sim.StreamMem
+}
+
 // linkAt fetches (creating on first use) the fading process of the pair
 // whose triangular index is idx.
 func (m *Model) linkAt(idx, i, j int) *Link {
 	l := m.links[idx]
 	if l == nil {
-		l = NewLink(&m.cfg, m.streams.StreamAt(streamKindChannel, uint64(idx)))
-		l.trans = &m.trans
+		rec := new(linkRec)
+		rec.init(&m.cfg, m.streams.SeedAt(&rec.stream, streamKindChannel, uint64(idx)))
+		rec.trans = &m.trans
+		l = &rec.Link
 		m.links[idx] = l
 		m.nlinks++
 	}
@@ -145,38 +155,33 @@ func (m *Model) relSpeed(s *snapshot, i, j int, at time.Duration) float64 {
 
 // Class reports the channel class between i and j at time at. The link is
 // symmetric: Class(i, j) == Class(j, i) by construction. Repeated queries
-// of a pair within one instant are answered from the snapshot's class
-// cache — the fading link is advanced exactly once per instant either
-// way, so the cache never perturbs a sample path.
+// of a pair within one instant are answered from the memo on the link —
+// the fading link is advanced exactly once per instant either way, so
+// the memo never perturbs a sample path.
 func (m *Model) Class(i, j int, at time.Duration) Class {
 	s := m.sync(at)
 	idx := m.pairIndex(i, j)
-	if s.pairClassGen[idx] == s.gen {
+	if l := m.links[idx]; l != nil && l.memoGen == s.gen {
 		m.obs.Inc(obs.CClassHits)
-		return s.pairClass[idx]
+		return l.memoClass
 	}
 	return m.classMiss(s, idx, i, j, at)
 }
 
 // SNR reports the instantaneous link SNR in dB (ignoring the range
 // cutoff); exported for diagnostics and tests. Memoized per pair per
-// instant like Class; the SNR cache lane is allocated on first use so
-// simulation runs that never ask pay nothing.
+// instant like Class.
 func (m *Model) SNR(i, j int, at time.Duration) float64 {
 	s := m.sync(at)
 	idx := m.pairIndex(i, j)
-	if s.pairSNRGen == nil {
-		s.pairSNRGen = make([]uint64, len(m.links))
-		s.pairSNR = make([]float64, len(m.links))
-	}
-	if s.pairSNRGen[idx] == s.gen {
-		return s.pairSNR[idx]
+	if l := m.links[idx]; l != nil && l.snrGen == s.gen {
+		return l.snr
 	}
 	d := m.distAt(s, i, j, at)
-	v := m.linkAt(idx, i, j).SNR(d, m.relSpeed(s, i, j, at), at)
-	s.pairSNR[idx] = v
-	s.pairSNRGen[idx] = s.gen
-	return v
+	l := m.linkAt(idx, i, j)
+	l.snr = l.SNR(d, m.relSpeed(s, i, j, at), at)
+	l.snrGen = s.gen
+	return l.snr
 }
 
 // InRange reports whether i and j are within radio reception range (and

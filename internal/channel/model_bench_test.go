@@ -76,6 +76,36 @@ func BenchmarkNeighborsBrute(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkBirth times the lazy creation of one fading link — stream
+// seeded in place, initial state drawn — and is in the alloc gate for
+// its allocs/op: a link is one object (scripts/alloc_budget.txt). A
+// fresh model every 256 births keeps the live set a few megabytes; its
+// first births are left untimed so that the stream factory's record
+// slice has done its early doublings.
+func BenchmarkLinkBirth(b *testing.B) {
+	const warm, timed = 600, 256
+	pos := make([]Positioner, 42) // 861 pairs
+	for i := range pos {
+		pos[i] = fixedPos{X: float64(i)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *Model
+	idx := warm + timed
+	for i := 0; i < b.N; i++ {
+		if idx == warm+timed {
+			b.StopTimer()
+			m = NewModel(DefaultConfig(), sim.NewStreams(11), pos)
+			for idx = 0; idx < warm; idx++ {
+				m.linkAt(idx, 0, 0)
+			}
+			b.StartTimer()
+		}
+		m.linkAt(idx, 0, 0)
+		idx++
+	}
+}
+
 func sizeLabel(n int) string {
 	switch n {
 	case 50:

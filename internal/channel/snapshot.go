@@ -76,13 +76,13 @@ func resolveCaps(pos []Positioner) []caps {
 }
 
 // snapshot memoizes the kinematic state of one virtual instant —
-// positions, speeds, outage flags, and derived per-pair quantities — plus
-// a spatial grid over the positions. Every Model query routes through it,
-// so an event that makes many queries at one kernel.Now() (a flood
-// delivery, a carrier-sense sweep, a topology install) derives each
-// terminal's position once instead of once per pair, and each pair's
-// class and SNR at most once per instant (see fastpath.go for the pair
-// caches and the fused neighbour scans).
+// positions, speeds and outage flags — plus a spatial grid over the
+// positions. Every Model query routes through it, so an event that makes
+// many queries at one kernel.Now() (a flood delivery, a carrier-sense
+// sweep, a topology install) derives each terminal's position once
+// instead of once per pair. Everything in it is per terminal: a pair's
+// class and SNR are memoized per instant too, but on the pair's Link,
+// stamped with this snapshot's gen (see fastpath.go).
 //
 // Positions additionally persist *across* instants while their terminal
 // is paused: the Stabler boundary says exactly when a cached position
@@ -108,15 +108,6 @@ type snapshot struct {
 
 	down    []bool
 	downGen []uint64
-
-	// Per-pair, per-instant memo of derived link quantities, indexed by
-	// the model's triangular pair index and stamped with gen. Distances
-	// are not memoized (see distAt). The SNR lane is allocated lazily —
-	// only diagnostics ask.
-	pairClassGen []uint64
-	pairClass    []Class
-	pairSNRGen   []uint64
-	pairSNR      []float64
 
 	// Per-node candidate lists over the current grid build (fastpath.go).
 	// candGen identifies the build; a node's list is valid while its stamp
@@ -170,7 +161,6 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 	}
 	maxSlack := cell / 16
 	safeMax := maxSlack + maxSlack*slackEps + slackEps
-	npairs := n * (n - 1) / 2
 	return &snapshot{
 		// The drift budget trades rebuild rate against the width of the
 		// exact-check annulus every stale-grid query must walk. Rebuilds
@@ -195,9 +185,6 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 		speedUntil: make([]time.Duration, n),
 		down:       make([]bool, n),
 		downGen:    make([]uint64, n),
-
-		pairClassGen: make([]uint64, npairs),
-		pairClass:    make([]Class, npairs),
 
 		cand:      make([][]candEntry, n),
 		candStamp: make([]uint64, n),

@@ -22,7 +22,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "RICACKP5"            format name + version
+//	magic   [8]byte  "RICACKP6"            format name + version
 //	section: tag [4]byte | len uint32 | payload [len]byte | crc32 uint32
 //	...                                    (one or more sections)
 //	tail:    tag "TAIL" | len 8 | count uint32, filecrc uint32 | crc32
@@ -35,7 +35,7 @@
 // an older reader's ability to reject or inspect the file. The magic
 // string carries the format version: any incompatible change to the
 // container or to what a section holds bumps the trailing digit
-// ("RICACKP5" to "RICACKP6"), and old readers reject new files outright
+// ("RICACKP6" to "RICACKP7"), and old readers reject new files outright
 // (and vice versa) instead of mis-verifying.
 package checkpoint
 
@@ -53,7 +53,7 @@ import (
 )
 
 // Magic identifies the container format and its version.
-const Magic = "RICACKP5"
+const Magic = "RICACKP6"
 
 // tailTag closes every file; it is not a user section.
 const tailTag = "TAIL"
@@ -64,7 +64,7 @@ const tailTag = "TAIL"
 // against.
 const (
 	TagDesc = "DESC" // JSON run descriptor (see Descriptor)
-	TagKern = "KERN" // kernel clock, sequence counter, pending-event skeleton
+	TagKern = "KERN" // kernel clock, sequence counter, live-event skeleton
 	TagRNGs = "RNGS" // every RNG stream's lagged-Fibonacci state, creation order
 	TagMobi = "MOBI" // per-terminal waypoint leg state
 	TagLink = "LINK" // per-pair fading link state, triangular index order

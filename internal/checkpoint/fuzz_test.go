@@ -28,7 +28,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid[:len(valid)/2])                         // truncated
 	f.Add(append([]byte(nil), valid[:len(valid)-1]...)) // missing last byte
 	// Version-skewed magics: the previous and the next version.
-	for _, magic := range []string{"RICACKP4", "RICACKP6"} {
+	for _, magic := range []string{"RICACKP5", "RICACKP7"} {
 		f.Add(append([]byte(magic), valid[len(Magic):]...))
 	}
 	flip := append([]byte(nil), valid...)

@@ -13,14 +13,12 @@ import (
 
 // EventState is the serializable skeleton of one pending event. The
 // handler itself is a Go function value and cannot be serialized; the
-// skeleton pins the event's identity ((At, Seq) dispatch order), its
-// cancellation flag, and the closure-free path's arguments, which is
-// exactly what snapshot verification needs to prove two kernels hold
-// the same schedule.
+// skeleton pins the event's identity ((At, Seq) dispatch order) and the
+// closure-free path's arguments, which is exactly what snapshot
+// verification needs to prove two kernels hold the same schedule.
 type EventState struct {
-	At        time.Duration
-	Seq       uint64
-	Cancelled bool
+	At  time.Duration
+	Seq uint64
 	// Arg reports a closure-free (ScheduleArg) event; A0/A1 carry its
 	// arguments. Closure events have Arg false and zero A0/A1.
 	Arg    bool
@@ -28,8 +26,9 @@ type EventState struct {
 }
 
 // KernelState is a read-only snapshot of the scheduler: the clock, the
-// identity counters, and every queued event (lazily-cancelled entries
-// included) sorted into dispatch order.
+// identity counters, and the live schedule sorted into dispatch order.
+// Lazily-cancelled entries still physically queued are not part of it —
+// when the queue drops them is housekeeping, not simulation state.
 type KernelState struct {
 	Now      time.Duration
 	Seq      uint64
@@ -46,16 +45,15 @@ func (k *Kernel) ExportState() KernelState {
 		Seq:      k.seq,
 		Executed: k.executed,
 		Live:     k.live,
-		Events:   make([]EventState, 0, k.queue.size()),
+		Events:   make([]EventState, 0, k.live),
 	}
-	k.queue.each(func(ev *event) {
+	k.queue.eachLive(func(ev *event) {
 		st.Events = append(st.Events, EventState{
-			At:        ev.at,
-			Seq:       ev.seq,
-			Cancelled: ev.cancelled,
-			Arg:       ev.afn != nil,
-			A0:        ev.a0,
-			A1:        ev.a1,
+			At:  ev.at,
+			Seq: ev.seq,
+			Arg: ev.afn != nil,
+			A0:  ev.a0,
+			A1:  ev.a1,
 		})
 	})
 	slices.SortFunc(st.Events, func(a, b EventState) int {
@@ -67,15 +65,18 @@ func (k *Kernel) ExportState() KernelState {
 	return st
 }
 
-// each visits every queued event (both tiers, cancelled included) in
-// arbitrary order.
-func (q *eventQueue) each(fn func(*event)) {
-	for i := range q.slots {
-		for _, ev := range q.slots[i] {
-			fn(ev)
+// eachLive visits every queued event that has not been cancelled (both
+// tiers) in arbitrary order.
+func (q *eventQueue) eachLive(fn func(*event)) {
+	visit := func(h entryHeap) {
+		for _, e := range h {
+			if !e.ev.cancelled {
+				fn(e.ev)
+			}
 		}
 	}
-	for _, ev := range q.far {
-		fn(ev)
+	for i := range q.slots {
+		visit(q.slots[i])
 	}
+	visit(q.far)
 }

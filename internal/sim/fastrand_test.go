@@ -118,6 +118,92 @@ func TestEachStateLendsLiveState(t *testing.T) {
 	}
 }
 
+// TestSeedAtMatchesStreamAt: a stream seeded in caller-owned memory is
+// the stream StreamAt hands out for the same (kind, index) — draw for
+// draw past two laps of the vector and through the ziggurat — and is
+// recorded like one: EachState lends the inline state, in creation
+// order among heap-allocated streams, and sees the in-place stream's
+// draws.
+func TestSeedAtMatchesStreamAt(t *testing.T) {
+	inPlace, plain := NewStreams(11), NewStreams(11)
+	type owner struct {
+		hot [4]uint64 // the caller's own state ahead of the stream
+		mem StreamMem
+	}
+	var own owner
+	inPlace.Stream(5)
+	got := inPlace.SeedAt(&own.mem, 0xC4A1, 42)
+	inPlace.Stream(6)
+	plain.Stream(5)
+	want := plain.StreamAt(0xC4A1, 42)
+	plain.Stream(6)
+
+	for k := 0; k < 2*rngLen; k++ {
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("draw %d: in-place Uint64 %d, StreamAt %d", k, a, b)
+		}
+	}
+	for k := 0; k < 1000; k++ {
+		if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+			t.Fatalf("draw %d: in-place NormFloat64 %x, StreamAt %x", k, a, b)
+		}
+	}
+	if own.hot != [4]uint64{} {
+		t.Fatal("seeding in place wrote outside the stream's memory")
+	}
+
+	type seen struct {
+		id        uint64
+		tap, feed int
+		head      *int64
+	}
+	visit := func(s *Streams) (out []seen) {
+		if !s.EachState(func(id uint64, tap, feed int, vec []int64) {
+			out = append(out, seen{id, tap, feed, &vec[0]})
+		}) {
+			t.Fatal("EachState reports a fast-source factory unexportable")
+		}
+		return out
+	}
+	a, b := visit(inPlace), visit(plain)
+	if len(a) != 3 || len(b) != 3 {
+		t.Fatalf("visited %d and %d streams, want 3 each", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].id != b[i].id || a[i].tap != b[i].tap || a[i].feed != b[i].feed {
+			t.Errorf("stream %d: in-place factory lends (id %#x, tap %d, feed %d), plain (id %#x, tap %d, feed %d)",
+				i, a[i].id, a[i].tap, a[i].feed, b[i].id, b[i].tap, b[i].feed)
+		}
+	}
+	if a[1].head != &own.mem.src.vec[0] {
+		t.Error("EachState lends a copy of the in-place stream's vector, not the caller's memory")
+	}
+}
+
+// TestSeedAtFallback forces the stock-source path the replica's failed
+// self-check would select: the in-place stream must still draw what
+// StreamAt draws, and the factory must report itself unexportable.
+func TestSeedAtFallback(t *testing.T) {
+	want := NewStreams(3).StreamAt(9, 1) // fast replica: identical to stock by TestFastSourceMatchesStdlibDraws
+	defer func(ok bool) { fastSourceOK = ok }(fastSourceOK)
+	fastSourceOK = false
+
+	s := NewStreams(3)
+	var mem StreamMem
+	got := s.SeedAt(&mem, 9, 1)
+	for k := 0; k < 2*rngLen; k++ {
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("draw %d: fallback in-place Uint64 %d, StreamAt %d", k, a, b)
+		}
+	}
+	if s.Len() != 1 {
+		t.Fatalf("fallback stream not recorded: Len() = %d", s.Len())
+	}
+	if s.EachState(func(uint64, int, int, []int64) { t.Error("visited a stock-source stream") }) {
+		t.Error("EachState reported a stock-source factory as ok")
+	}
+}
+
 // BenchmarkSourceSeedingStd and BenchmarkSourceSeedingFast quantify the
 // seeding speedup the lazy fading-link path rides.
 func BenchmarkSourceSeedingStd(b *testing.B) {

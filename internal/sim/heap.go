@@ -9,11 +9,12 @@ import (
 // scan reads better with it).
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
-// event is a single queue entry. Events are ordered by (at, seq): seq is a
-// strictly increasing scheduling counter, so two events scheduled for the
-// same instant fire in the order they were scheduled (FIFO). Cancellation
-// is lazy: cancelled entries stay queued and are skipped (and recycled) on
-// pop, which makes Timer.Cancel O(1).
+// event is a single scheduled callback. Events are ordered by (at, seq):
+// seq is a strictly increasing scheduling counter, so two events scheduled
+// for the same instant fire in the order they were scheduled (FIFO).
+// Cancellation is lazy: Timer.Cancel only sets the flag, which is O(1);
+// the queued entry stays where it is and is recycled when it surfaces as
+// the queue's minimum (or when a compaction sweeps it out).
 //
 // Events are pooled: once dispatched or compacted away they return to the
 // kernel's free list and are reused by later Schedule calls, so the steady
@@ -38,22 +39,115 @@ type event struct {
 	a1  int
 }
 
-// less orders events by (at, seq) — the kernel's total dispatch order.
-func (e *event) less(o *event) bool {
+// entry is one queued event with its ordering key inline. Every
+// comparison the queue makes reads the key off the entry itself, so
+// ordering never dereferences an event record: a sift touches the
+// bucket's own contiguous array and nothing else.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	ev  *event
+}
+
+// less orders entries by (at, seq) — the kernel's total dispatch order.
+// seq is unique, so the order is strict and a heap over it is FIFO among
+// same-instant events by construction.
+func (e entry) less(o entry) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
 
+// entryHeap is a binary min-heap of entries over (at, seq): every ladder
+// bucket is one, and so is the far tier. Hand-rolled (no container/heap
+// interface indirection) because every scheduled event passes through
+// one; sifts move a hole rather than swapping, one store per level.
+type entryHeap []entry
+
+func (h *entryHeap) push(e entry) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+	*h = s
+}
+
+// pop removes and returns the least entry. The heap must be nonempty.
+func (h *entryHeap) pop() entry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = entry{} // drop the vacated cell's record reference
+	s = s[:n]
+	*h = s
+	if n > 0 {
+		s.down(0, last)
+	}
+	return top
+}
+
+// down sifts e into the subtree rooted at the hole i.
+func (s entryHeap) down(i int, e entry) {
+	n := len(s)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if right := least + 1; right < n && s[right].less(s[least]) {
+			least = right
+		}
+		if !s[least].less(e) {
+			break
+		}
+		s[i] = s[least]
+		i = least
+	}
+	s[i] = e
+}
+
+// dropCancelled filters cancelled entries out in place, handing their
+// records to recycle, and re-establishes the heap invariant over the
+// survivors. It reports how many entries went.
+func (h *entryHeap) dropCancelled(recycle func(*event)) int {
+	s := *h
+	keep := s[:0]
+	for _, e := range s {
+		if e.ev.cancelled {
+			recycle(e.ev)
+			continue
+		}
+		keep = append(keep, e)
+	}
+	dropped := len(s) - len(keep)
+	for i := len(keep); i < len(s); i++ {
+		s[i] = entry{}
+	}
+	for i := len(keep)/2 - 1; i >= 0; i-- {
+		keep.down(i, keep[i])
+	}
+	*h = keep
+	return dropped
+}
+
 // Ladder-queue geometry. The near tier is a circular array of buckets
 // each spanning 2^ladderShift nanoseconds; together the buckets cover a
 // ~268 ms horizon in front of the clock, which comfortably holds the
 // dense MAC band (backoff slots, control airtimes, ACK timeouts are all
-// single-digit milliseconds). Events beyond the horizon wait in a binary
+// single-digit milliseconds). Events beyond the horizon wait in the far
 // heap and migrate into buckets as the clock approaches them — so the
-// heap only ever sees the sparse far population (beacon intervals, CSI
-// check periods), while the hot band pays O(1) insertion.
+// far heap only ever sees the sparse far population (beacon intervals,
+// CSI check periods), while the hot band sifts within its own
+// millisecond: O(log k) in one window's occupancy, not in the queue's.
 const (
 	ladderShift   = 20 // bucket width 2^20 ns ≈ 1.05 ms
 	ladderBuckets = 256
@@ -65,28 +159,35 @@ func ladderWin(t time.Duration) int64 { return int64(t) >> ladderShift }
 
 // eventQueue is the kernel's two-tier pending-event store.
 type eventQueue struct {
-	slots [ladderBuckets][]*event
+	slots [ladderBuckets]entryHeap
 	// busy is a bitmap of nonempty slots (bit k ↔ slots[k]): pop jumps
 	// over runs of empty windows with a trailing-zeros scan instead of
 	// probing them one by one — the dominant cost of sparse phases.
 	busy [ladderBuckets / 64]uint64
-	// slotCount is how many events (live + cancelled) sit in slots.
+	// slotCount is how many entries (live + cancelled) sit in slots.
 	slotCount int
 	// minWin is a lower bound on the window number of every slotted
-	// event; pop scans forward from it and tightens it as windows drain.
+	// entry; pop scans forward from it and tightens it as windows drain.
 	minWin int64
-	// far holds events beyond the bucket horizon, ordered by (at, seq).
-	far eventHeap
+	// horizon is the near tier's exclusive upper window bound: every
+	// slotted entry's window is below it and every far entry's at or
+	// above it, so the near tier's minimum is the queue's. It only grows
+	// — with the clock, and past it when migration jumps an empty near
+	// tier forward to the far minimum (after which a Run horizon can leave
+	// the clock far behind the slotted events).
+	horizon int64
+	// far holds entries at or beyond the horizon.
+	far entryHeap
 }
 
 // markBusy/clearBusy maintain the nonempty-slot bitmap.
 func (q *eventQueue) markBusy(slot int64)  { q.busy[slot>>6] |= 1 << (slot & 63) }
 func (q *eventQueue) clearBusy(slot int64) { q.busy[slot>>6] &^= 1 << (slot & 63) }
 
-// nextBusyWin returns the smallest window w' ≥ w whose slot is nonempty.
-// The caller guarantees at least one slot is nonempty; every slotted
-// event's window lies within [w, w+ladderBuckets) whenever w is a valid
-// lower bound, so the circular scan terminates within one lap.
+// nextBusyWin returns the smallest window w' ≥ w whose slot is nonempty,
+// looking one lap ahead at most. The caller guarantees at least one slot
+// is nonempty, so the circular scan finds one; whether the entries in it
+// belong to w' or to a later lap is the caller's check.
 func (q *eventQueue) nextBusyWin(w int64) int64 {
 	slot := w & ladderMask
 	word := slot >> 6
@@ -105,17 +206,32 @@ func (q *eventQueue) nextBusyWin(w int64) int64 {
 	return w // unreachable under the caller's nonempty guarantee
 }
 
-// size reports queued events, cancelled ones included.
+// size reports queued entries, cancelled ones included.
 func (q *eventQueue) size() int { return q.slotCount + len(q.far) }
+
+// reach moves the horizon up to a full ladder in front of the clock.
+func (q *eventQueue) reach(now time.Duration) {
+	if h := ladderWin(now) + ladderBuckets; h > q.horizon {
+		q.horizon = h
+	}
+}
 
 // push files ev under the current clock reading now.
 func (q *eventQueue) push(ev *event, now time.Duration) {
-	w := ladderWin(ev.at)
-	if w < ladderWin(now)+ladderBuckets {
-		q.pushSlot(ev, w)
+	q.reach(now)
+	e := entry{at: ev.at, seq: ev.seq, ev: ev}
+	if w := ladderWin(ev.at); w < q.horizon {
+		q.pushSlot(e, w)
 		return
 	}
-	q.far.push(ev)
+	q.far.push(e)
+}
+
+// unpop puts back the event the last pop returned (Run met its horizon).
+// Its window is below the queue's horizon by the fact that it was
+// slotted, so it goes back into its bucket whatever the clock reads.
+func (q *eventQueue) unpop(ev *event) {
+	q.pushSlot(entry{at: ev.at, seq: ev.seq, ev: ev}, ladderWin(ev.at))
 }
 
 // slotInitCap seeds a bucket's first allocation. Growing a nil slice to
@@ -124,12 +240,12 @@ func (q *eventQueue) push(ev *event, now time.Duration) {
 // makes it one.
 const slotInitCap = 8
 
-func (q *eventQueue) pushSlot(ev *event, w int64) {
-	s := q.slots[w&ladderMask]
-	if s == nil {
-		s = make([]*event, 0, slotInitCap)
+func (q *eventQueue) pushSlot(e entry, w int64) {
+	h := &q.slots[w&ladderMask]
+	if *h == nil {
+		*h = make(entryHeap, 0, slotInitCap)
 	}
-	q.slots[w&ladderMask] = append(s, ev)
+	h.push(e)
 	q.markBusy(w & ladderMask)
 	q.slotCount++
 	if w < q.minWin || q.slotCount == 1 {
@@ -138,210 +254,72 @@ func (q *eventQueue) pushSlot(ev *event, w int64) {
 }
 
 // pop removes and returns the earliest live event in (at, seq) order, or
-// nil when none remain. Cancelled events encountered along the way are
-// compacted out and handed to recycle.
+// nil when none remain. A cancelled entry is handed to recycle when it
+// surfaces as the queue's minimum — never before, so nothing here walks
+// a bucket.
 func (q *eventQueue) pop(now time.Duration, recycle func(*event)) *event {
-	q.migrate(now)
-	if q.slotCount == 0 {
-		return nil
-	}
-	// Scan windows from the lower bound, jumping empty runs via the busy
-	// bitmap. A slot can also hold events one lap ahead (window
-	// w+ladderBuckets maps to the same slot while stale cancelled entries
-	// linger), so the per-window min considers only events whose window
-	// matches; later-lap events stay put.
-	for w := q.minWin; ; w++ {
-		w = q.nextBusyWin(w)
-		s := q.slots[w&ladderMask]
-		// Fast path: no cancelled entries (the common case) needs no
-		// compaction writes — one scan picks the minimum, one swap removes
-		// it.
-		best := -1
-		dirty := false
-		for i, ev := range s {
-			if ev.cancelled {
-				dirty = true
-				break
-			}
-			if ladderWin(ev.at) == w && (best < 0 || ev.less(s[best])) {
-				best = i
-			}
-		}
-		if dirty {
-			best = q.scrubSlot(w, recycle)
-			s = q.slots[w&ladderMask]
-		}
-		if best >= 0 {
-			ev := s[best]
-			last := len(s) - 1
-			s[best] = s[last]
-			s[last] = nil
-			q.slots[w&ladderMask] = s[:last]
-			if last == 0 {
-				q.clearBusy(w & ladderMask)
-			}
-			q.slotCount--
-			q.minWin = w
-			return ev
-		}
+	for {
+		// Also after a cancelled entry emptied the near tier: the far tier
+		// may hold work that now jumps into it.
+		q.migrate(now)
 		if q.slotCount == 0 {
-			// Only cancelled events remained; the far tier may still hold
-			// work that now migrates into an empty near tier.
-			q.migrate(now)
-			if q.slotCount == 0 {
-				return nil
-			}
-			w = q.minWin - 1
+			return nil
+		}
+		w := q.nextBusyWin(q.minWin)
+		h := &q.slots[w&ladderMask]
+		if ladderWin((*h)[0].at) != w {
+			// The bucket's minimum belongs to a later lap (window
+			// w+k·ladderBuckets maps to the same slot), so nothing of
+			// window w is queued: w+1 is the next lower bound.
+			q.minWin = w + 1
 			continue
 		}
-		q.minWin = w + 1
+		e := h.pop()
+		if len(*h) == 0 {
+			q.clearBusy(w & ladderMask)
+		}
+		q.slotCount--
+		q.minWin = w
+		if e.ev.cancelled {
+			recycle(e.ev)
+			continue
+		}
+		return e.ev
 	}
 }
 
-// scrubSlot compacts cancelled events out of window w's slot, handing them
-// to recycle, and returns the index of the minimum event belonging to
-// window w among the survivors (-1 when only later-lap events remain).
-func (q *eventQueue) scrubSlot(w int64, recycle func(*event)) int {
-	s := q.slots[w&ladderMask]
-	keep := s[:0]
-	best := -1
-	for _, ev := range s {
-		if ev.cancelled {
-			q.slotCount--
-			recycle(ev)
-			continue
-		}
-		keep = append(keep, ev)
-		if ladderWin(ev.at) == w && (best < 0 || ev.less(keep[best])) {
-			best = len(keep) - 1
-		}
-	}
-	for i := len(keep); i < len(s); i++ {
-		s[i] = nil // release compacted references
-	}
-	q.slots[w&ladderMask] = keep
-	if len(keep) == 0 {
-		q.clearBusy(w & ladderMask)
-	}
-	return best
-}
-
-// migrate pulls far events that fall inside the bucket horizon into the
+// migrate pulls far entries that fall inside the bucket horizon into the
 // near tier. When the near tier is empty the horizon jumps forward to the
 // heap's minimum, so a sparse far-future schedule never strands events.
 func (q *eventQueue) migrate(now time.Duration) {
 	if len(q.far) == 0 {
 		return
 	}
-	curWin := ladderWin(now)
+	q.reach(now)
 	for len(q.far) > 0 {
 		topWin := ladderWin(q.far[0].at)
-		if q.slotCount == 0 && topWin > curWin {
-			curWin = topWin
+		if q.slotCount == 0 && topWin >= q.horizon {
+			q.horizon = topWin + ladderBuckets
 		}
-		if topWin >= curWin+ladderBuckets {
+		if topWin >= q.horizon {
 			return
 		}
 		q.pushSlot(q.far.pop(), topWin)
 	}
 }
 
-// compact removes every cancelled event from both tiers, handing each to
-// recycle, and restores the far tier's heap invariant in one pass.
+// compact removes every cancelled entry from both tiers, handing each
+// record to recycle, and re-heapifies what it filtered.
 func (q *eventQueue) compact(recycle func(*event)) {
 	for i := range q.slots {
-		s := q.slots[i]
-		keep := s[:0]
-		for _, ev := range s {
-			if ev.cancelled {
-				q.slotCount--
-				recycle(ev)
-				continue
-			}
-			keep = append(keep, ev)
+		h := &q.slots[i]
+		if len(*h) == 0 {
+			continue
 		}
-		for j := len(keep); j < len(s); j++ {
-			s[j] = nil
-		}
-		q.slots[i] = keep
-		if len(keep) == 0 {
+		q.slotCount -= h.dropCancelled(recycle)
+		if len(*h) == 0 {
 			q.clearBusy(int64(i))
 		}
 	}
-	live := q.far[:0]
-	for _, ev := range q.far {
-		if ev.cancelled {
-			recycle(ev)
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(q.far); i++ {
-		q.far[i] = nil
-	}
-	q.far = live
-	q.far.init()
-}
-
-// eventHeap is a hand-rolled binary min-heap over (at, seq) — the far
-// tier of the ladder queue. We avoid container/heap's interface
-// indirection because even the far tier sees thousands of pushes per run.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool { return h[i].less(h[j]) }
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil // allow the popped event to be collected
-	*h = old[:n-1]
-	if n > 1 {
-		h.down(0)
-	}
-	return top
-}
-
-// init establishes the heap invariant over arbitrary contents (used after
-// in-place compaction).
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && h.less(right, left) {
-			least = right
-		}
-		if !h.less(least, i) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
+	q.far.dropCancelled(recycle)
 }

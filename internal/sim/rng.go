@@ -51,6 +51,38 @@ func (s *Streams) Stream(id uint64) *rand.Rand {
 	return rand.New(src)
 }
 
+// StreamMem is caller-owned storage for one stream: the generator's
+// 607-word state and the rand.Rand drawing from it, laid out so a
+// component that embeds one keeps its stream in its own allocation
+// instead of two more. The zero value is unseeded; see Streams.SeedAt.
+type StreamMem struct {
+	rng rand.Rand
+	src fastSource
+}
+
+// SeedAt is StreamAt into caller-owned memory: it seeds mem in place as
+// the stream for (kind, index) and returns the generator living in it —
+// the same sequence StreamAt(kind, index) draws, the same record in
+// creation order, no allocation. mem must stay where it is for as long
+// as the stream is in use (the returned pointer and EachState both alias
+// it). When the fast replica failed its self-check the stream rides a
+// stock math/rand source allocated on the side, as Stream's does.
+func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
+	id := mix(kind, index)
+	seed := int64(mix(s.seed, id))
+	rec := streamRec{id: id}
+	var src rand.Source
+	if fastSourceOK {
+		mem.src.Seed(seed)
+		rec.src, src = &mem.src, &mem.src
+	} else {
+		src = rand.NewSource(seed)
+	}
+	s.recs = append(s.recs, rec)
+	mem.rng = *rand.New(src)
+	return &mem.rng
+}
+
 // EachState lends fn the live state of every stream created so far, in
 // creation order: the component id it was created under and the
 // lagged-Fibonacci generator's tap/feed cursor and 607-word vector,

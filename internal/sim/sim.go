@@ -256,9 +256,13 @@ func (k *Kernel) dispatch(ev *event) {
 
 // Run dispatches events until the queue drains, the virtual clock passes
 // until, or Stop is called. Events scheduled exactly at until still run.
-// On return the clock reads min(until, time of last event) unless the
-// queue held later events, in which case it reads until.
+// On return the clock reads until, unless Stop cut the run short (then
+// the time of the last event). A horizon behind the clock is a no-op: the
+// clock never moves backwards, and nothing else is touched.
 func (k *Kernel) Run(until time.Duration) {
+	if until < k.now {
+		return
+	}
 	k.stopped = false
 	for !k.stopped {
 		ev := k.queue.pop(k.now, k.recycleFn())
@@ -268,7 +272,7 @@ func (k *Kernel) Run(until time.Duration) {
 		if ev.at > until {
 			// Past the horizon: put it back (its (at, seq) identity is
 			// unchanged, so ordering is unaffected) and stop here.
-			k.queue.push(ev, k.now)
+			k.queue.unpop(ev)
 			k.now = until
 			return
 		}

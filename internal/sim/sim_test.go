@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -154,6 +157,68 @@ func TestRunAdvancesClockToHorizonWhenQueueDrains(t *testing.T) {
 	}
 }
 
+// TestRunBehindClockIsNoOp: a horizon behind the clock must not rewind
+// it. Before the guard, Run(3s) after Run(10s) popped the 20 s event, put
+// it back and set the clock to 3 s — and a Schedule(1s) then fired at 4 s
+// on a clock that had already read 10 s.
+func TestRunBehindClockIsNoOp(t *testing.T) {
+	k := NewKernel()
+	var fired []time.Duration
+	note := func(now time.Duration) { fired = append(fired, now) }
+	k.Schedule(5*time.Second, note)
+	k.Schedule(20*time.Second, note)
+	k.Run(10 * time.Second)
+	seq, executed, pending, queued := k.seq, k.Executed(), k.Pending(), k.queue.size()
+
+	k.Run(3 * time.Second)
+	if k.Now() != 10*time.Second {
+		t.Fatalf("Run(3s) after Run(10s) left the clock at %v, want 10s", k.Now())
+	}
+	if k.seq != seq || k.Executed() != executed || k.Pending() != pending || k.queue.size() != queued {
+		t.Fatalf("Run behind the clock moved kernel state: seq %d→%d executed %d→%d pending %d→%d queued %d→%d",
+			seq, k.seq, executed, k.Executed(), pending, k.Pending(), queued, k.queue.size())
+	}
+	k.Schedule(time.Second, note)
+	k.Run(30 * time.Second)
+	want := []time.Duration{5 * time.Second, 11 * time.Second, 20 * time.Second}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestExportStateIsLiveScheduleOnly: two kernels holding the same live
+// schedule export the same state, however many lazily-cancelled entries
+// one of them still has physically queued — when the queue drops those is
+// housekeeping, and a snapshot section hashed from the export must not
+// move with it.
+func TestExportStateIsLiveScheduleOnly(t *testing.T) {
+	build := func(sweep bool) KernelState {
+		k := NewKernel()
+		noop := func(time.Duration) {}
+		k.Schedule(2*time.Millisecond, noop)
+		doomedNear := k.Schedule(3*time.Millisecond, noop)
+		k.ScheduleArg(4*time.Millisecond, func(time.Duration, int, int) {}, 7, 9)
+		doomedFar := k.Schedule(time.Minute, noop)
+		k.Schedule(time.Hour, noop)
+		doomedNear.Cancel()
+		doomedFar.Cancel()
+		if sweep {
+			k.queue.compact(k.recycleFn())
+		}
+		return k.ExportState()
+	}
+	lazy, swept := build(false), build(true)
+	if len(lazy.Events) != 3 || lazy.Live != 3 {
+		t.Fatalf("export lists %d events (Live %d), want the 3 live ones", len(lazy.Events), lazy.Live)
+	}
+	if !reflect.DeepEqual(lazy, swept) {
+		t.Fatalf("export depends on queue housekeeping:\n lazy  %+v\n swept %+v", lazy, swept)
+	}
+	if ev := lazy.Events[1]; !ev.Arg || ev.A0 != 7 || ev.A1 != 9 || ev.At != 4*time.Millisecond {
+		t.Fatalf("second live event exported as %+v, want the 4ms ScheduleArg(7, 9)", ev)
+	}
+}
+
 func TestStopInterruptsRun(t *testing.T) {
 	k := NewKernel()
 	count := 0
@@ -217,22 +282,16 @@ func TestNilHandlerPanics(t *testing.T) {
 // out sorted, for many random configurations.
 func TestHeapPropertyOrdering(t *testing.T) {
 	f := func(delaysRaw []uint32) bool {
-		var h eventHeap
+		var h entryHeap
 		for i, d := range delaysRaw {
-			h.push(&event{at: time.Duration(d) * time.Microsecond, seq: uint64(i)})
+			h.push(entry{at: time.Duration(d) * time.Microsecond, seq: uint64(i)})
 		}
-		var prev *event
-		for len(h) > 0 {
-			ev := h.pop()
-			if prev != nil {
-				if ev.at < prev.at {
-					return false
-				}
-				if ev.at == prev.at && ev.seq < prev.seq {
-					return false // FIFO violated among ties
-				}
+		for prev, first := (entry{}), true; len(h) > 0; first = false {
+			e := h.pop()
+			if !first && !prev.less(e) {
+				return false // out of time order, or FIFO violated among ties
 			}
-			prev = ev
+			prev = e
 		}
 		return true
 	}
@@ -336,5 +395,38 @@ func BenchmarkKernelScheduleAndRun(b *testing.B) {
 			k.Schedule(time.Duration(j%97)*time.Millisecond, func(time.Duration) {})
 		}
 		k.RunAll()
+	}
+}
+
+// BenchmarkKernelDenseWindow is the kernel at steady state with k events
+// in every 1 ms window — each event, when it fires, files its successor
+// at a pseudo-random offset in the next window — so one op is one pop
+// from, and one push into, a bucket holding ≈ k entries. ns/op must grow
+// like log k (a bucket is a heap), not like k (a scan); the alloc gate
+// holds it at zero allocations, one untimed lap of the ladder having
+// grown every bucket to its working size.
+func BenchmarkKernelDenseWindow(b *testing.B) {
+	for _, per := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("k=%d", per), func(b *testing.B) {
+			k := NewKernel()
+			rnd := uint64(per)
+			var tick ArgHandler
+			tick = func(now time.Duration, _, _ int) {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				next := (now>>ladderShift+1)<<ladderShift + time.Duration(rnd>>(64-ladderShift))
+				k.AtArg(next, tick, 0, 0)
+			}
+			for i := 0; i < per; i++ {
+				k.ScheduleArg(0, tick, 0, 0)
+			}
+			for i := 0; i < (ladderBuckets+1)*per; i++ {
+				k.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
 	}
 }

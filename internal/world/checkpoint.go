@@ -90,7 +90,6 @@ func (w *World) encodeKernel(e *checkpoint.Enc) {
 	for _, ev := range st.Events {
 		e.Dur(ev.At)
 		e.U64(ev.Seq)
-		e.Bool(ev.Cancelled)
 		e.Bool(ev.Arg)
 		e.Int(ev.A0)
 		e.Int(ev.A1)
