@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rica"
+	"rica/internal/checkpoint"
 	"rica/internal/network"
 	ricaproto "rica/internal/routing/rica"
 	"rica/internal/world"
@@ -335,28 +336,40 @@ func BenchmarkAblationAdaptiveCheck(b *testing.B) {
 }
 
 // BenchmarkCheckpointCapture measures what one snapshot costs the run
-// that takes it: the paper's cell run to t=100 s once, then one
-// CaptureDigests per op. Capture streams live state into a hash, so it
-// must allocate nothing that grows with the state (the RNG section alone
-// covers 607 words per created stream, megabytes here). The allocs/op
-// budget in scripts/alloc_budget.txt catches a payload grown by appends
-// on the snapshot path; the bytes check below catches one allocated at
-// its final size, which is a single allocation.
+// that takes it: the paper's cell run to t=100 s once, then one digest
+// capture per op. Capture streams live state into a hash, so it must
+// allocate nothing that grows with the state, and what it streams must
+// stay a description of the state, not a copy of the generators behind
+// it: one capture here encodes 85 KB (a stream is its id and draw count;
+// its 607-word vector would make that 3.4 MB), and the byte budget below
+// — the next power of two above four times that — trips on every box,
+// whatever its clock, when a vector creeps back into a section. The
+// allocs/op budget in scripts/alloc_budget.txt catches a payload grown
+// by appends on the snapshot path; the allocation check catches one
+// allocated at its final size, which is a single allocation.
 func BenchmarkCheckpointCapture(b *testing.B) {
+	const fedBudget = 512 << 10
 	w := startedWorld(b, "paper-baseline", rica.ProtocolRICA, 1, 0)
 	w.RunTo(100 * time.Second)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
+	fed := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := w.CaptureDigests(); err != nil {
+		e := checkpoint.NewDigestEnc()
+		if _, err := w.Capture(e); err != nil {
 			b.Fatal(err)
 		}
+		fed = e.Fed()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > 256<<10 {
 		b.Fatalf("one capture allocates %d KB: a payload is being materialised on the snapshot path", perOp>>10)
 	}
+	if fed > fedBudget {
+		b.Fatalf("one capture feeds the hashes %d KB, budget %d KB: a section is encoding bulk state again", fed>>10, fedBudget>>10)
+	}
+	b.ReportMetric(float64(fed), "fed-B/op")
 }

@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -230,79 +229,6 @@ func TestNeighborClassesMatchesNeighborsPlusClass(t *testing.T) {
 					t.Fatalf("at %v: Class(%d,%d) = %v, fused sweep %v", at, i, ids[k], got, nc[k].Class)
 				}
 			}
-		}
-	}
-}
-
-// TestTransCacheExactness replays keys through the shared coefficient
-// cache and checks every output against the direct transcendental
-// computation, bit for bit — on first sight (miss), on replay (hit), and
-// after eviction by a colliding key. The cache must be an exact memo,
-// never an approximation.
-func TestTransCacheExactness(t *testing.T) {
-	cfg := DefaultConfig()
-	var tc transCache
-	rng := rand.New(rand.NewSource(41))
-
-	keys := make([]struct {
-		dt    time.Duration
-		speed float64
-	}, 64)
-	for i := range keys {
-		keys[i].dt = time.Duration(1 + rng.Int63n(int64(3*time.Second)))
-		if i%4 == 0 {
-			keys[i].speed = cfg.MinSpeed // the parked-pair floor, heavily shared
-		} else {
-			keys[i].speed = cfg.MinSpeed + rng.Float64()*25
-		}
-	}
-	check := func(dt time.Duration, speed float64) {
-		rhoS, sigS, rhoF, sigF := tc.coeffs(&cfg, dt, speed)
-		stretch := cfg.RefSpeed / speed
-		wantRhoS := math.Exp(-dt.Seconds() / (cfg.ShadowTau.Seconds() * stretch))
-		wantRhoF := math.Exp(-dt.Seconds() / (cfg.FadeTau.Seconds() * stretch))
-		if rhoS != wantRhoS || sigS != math.Sqrt(1-wantRhoS*wantRhoS) ||
-			rhoF != wantRhoF || sigF != math.Sqrt(1-wantRhoF*wantRhoF) {
-			t.Fatalf("coeffs(%v, %v) = (%x %x %x %x), direct math says (%x %x %x %x)",
-				dt, speed, rhoS, sigS, rhoF, sigF,
-				wantRhoS, math.Sqrt(1-wantRhoS*wantRhoS), wantRhoF, math.Sqrt(1-wantRhoF*wantRhoF))
-		}
-	}
-	// Three passes: fill, replay (hits), and a shuffled replay so keys
-	// that collide in the direct-mapped table are recomputed after
-	// eviction.
-	for pass := 0; pass < 3; pass++ {
-		order := rng.Perm(len(keys))
-		for _, k := range order {
-			check(keys[k].dt, keys[k].speed)
-		}
-	}
-}
-
-// TestLinkWithAndWithoutTransCache drives two links on identical streams
-// through the same query schedule, one with the shared cache attached and
-// one computing directly: every SNR must match bit for bit, proving the
-// cache cannot perturb a sample path.
-func TestLinkWithAndWithoutTransCache(t *testing.T) {
-	cfg := DefaultConfig()
-	var tc transCache
-	cached := NewLink(&cfg, rand.New(rand.NewSource(77)))
-	cached.trans = &tc
-	plain := NewLink(&cfg, rand.New(rand.NewSource(77)))
-
-	rng := rand.New(rand.NewSource(5))
-	at := time.Duration(0)
-	for k := 0; k < 4000; k++ {
-		at += time.Duration(rng.Int63n(int64(40 * time.Millisecond)))
-		d := 20 + rng.Float64()*260
-		rel := rng.Float64() * 22
-		if rng.Intn(3) == 0 {
-			rel = 0 // exercise the MinSpeed floor (the shared cache key)
-		}
-		a := cached.SNR(d, rel, at)
-		b := plain.SNR(d, rel, at)
-		if a != b {
-			t.Fatalf("query %d at %v: cached link SNR %x, plain link %x", k, at, a, b)
 		}
 	}
 }

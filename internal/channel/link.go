@@ -94,12 +94,6 @@ type Link struct {
 
 	lastClass Class // hysteresis memory; ClassNone until first quantization
 
-	// trans, when non-nil, memoizes the speed-scaled AR(1) coefficients
-	// shared across a model's links (see trans.go). Links built outside a
-	// Model compute them directly; the sampled processes are identical
-	// either way, because the cache is exact.
-	trans *transCache
-
 	// lastD/lastPathLoss memoize the deterministic log-distance term of
 	// the most recent SNR evaluation. Keyed on the exact distance bits
 	// (d ≥ 1 always, so the zero value can never false-hit), the memo is
@@ -154,15 +148,13 @@ func (l *Link) advance(at time.Duration, relSpeed float64) {
 	}
 
 	// AR(1) / Ornstein-Uhlenbeck update preserving the stationary law:
-	// x' = ρx + sqrt(1-ρ²)·σ·N(0,1), ρ = exp(−dt/τ). The coefficients
-	// depend only on (dt, speedScale); the shared exact-key cache answers
-	// recurring spacings without recomputing the transcendentals.
-	var rhoS, sigS, rhoF, sigF float64
-	if l.trans != nil {
-		rhoS, sigS, rhoF, sigF = l.trans.coeffs(l.cfg, dt, speedScale)
-	} else {
-		rhoS, sigS, rhoF, sigF = arCoeffs(l.cfg, dt, speedScale)
-	}
+	// x' = ρx + sqrt(1-ρ²)·σ·N(0,1), ρ = exp(−dt/τ), τ stretched by
+	// RefSpeed/speedScale.
+	stretch := l.cfg.RefSpeed / speedScale
+	rhoS := math.Exp(-dt.Seconds() / (l.cfg.ShadowTau.Seconds() * stretch))
+	sigS := math.Sqrt(1 - rhoS*rhoS)
+	rhoF := math.Exp(-dt.Seconds() / (l.cfg.FadeTau.Seconds() * stretch))
+	sigF := math.Sqrt(1 - rhoF*rhoF)
 	l.shadow = rhoS*l.shadow + sigS*l.cfg.ShadowSigma*l.rng.NormFloat64()
 	l.fi = rhoF*l.fi + sigF*l.rng.NormFloat64()
 	l.fq = rhoF*l.fq + sigF*l.rng.NormFloat64()

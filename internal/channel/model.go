@@ -48,7 +48,6 @@ type Model struct {
 	streams *sim.Streams
 	down    func(i int, at time.Duration) bool
 	snap    *snapshot
-	trans   transCache // exact AR(1)-coefficient cache shared by all links
 	obs     *obs.Registry
 }
 
@@ -88,7 +87,6 @@ func (m *Model) linkAt(idx, i, j int) *Link {
 	if l == nil {
 		rec := new(linkRec)
 		rec.init(&m.cfg, m.streams.SeedAt(&rec.stream, streamKindChannel, uint64(idx)))
-		rec.trans = &m.trans
 		l = &rec.Link
 		m.links[idx] = l
 		m.nlinks++
@@ -99,13 +97,10 @@ func (m *Model) linkAt(idx, i, j int) *Link {
 // N reports the number of terminals.
 func (m *Model) N() int { return len(m.pos) }
 
-// SetObs wires the fast-path cache counters (pair class/distance,
-// transcendental coefficients, grid rebuilds, annulus checks) into r.
-// The model works identically — and counts nothing — without one.
-func (m *Model) SetObs(r *obs.Registry) {
-	m.obs = r
-	m.trans.obs = r
-}
+// SetObs wires the fast-path cache counters (pair class/distance, grid
+// rebuilds, annulus checks) into r. The model works identically — and
+// counts nothing — without one.
+func (m *Model) SetObs(r *obs.Registry) { m.obs = r }
 
 // SetOutage installs a radio-outage oracle: while fn reports terminal i
 // down, every link touching i behaves exactly as if the pair were out of

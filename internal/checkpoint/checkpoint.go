@@ -22,7 +22,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "RICACKP6"            format name + version
+//	magic   [8]byte  "RICACKP7"            format name + version
 //	section: tag [4]byte | len uint32 | payload [len]byte | crc32 uint32
 //	...                                    (one or more sections)
 //	tail:    tag "TAIL" | len 8 | count uint32, filecrc uint32 | crc32
@@ -35,7 +35,7 @@
 // an older reader's ability to reject or inspect the file. The magic
 // string carries the format version: any incompatible change to the
 // container or to what a section holds bumps the trailing digit
-// ("RICACKP6" to "RICACKP7"), and old readers reject new files outright
+// ("RICACKP7" to "RICACKP8"), and old readers reject new files outright
 // (and vice versa) instead of mis-verifying.
 package checkpoint
 
@@ -53,7 +53,7 @@ import (
 )
 
 // Magic identifies the container format and its version.
-const Magic = "RICACKP6"
+const Magic = "RICACKP7"
 
 // tailTag closes every file; it is not a user section.
 const tailTag = "TAIL"
@@ -65,7 +65,7 @@ const tailTag = "TAIL"
 const (
 	TagDesc = "DESC" // JSON run descriptor (see Descriptor)
 	TagKern = "KERN" // kernel clock, sequence counter, live-event skeleton
-	TagRNGs = "RNGS" // every RNG stream's lagged-Fibonacci state, creation order
+	TagRNGs = "RNGS" // every RNG stream's (id, draws since seeding), creation order
 	TagMobi = "MOBI" // per-terminal waypoint leg state
 	TagLink = "LINK" // per-pair fading link state, triangular index order
 	TagMACs = "MACS" // common-channel transmissions + data-plane exchanges
@@ -77,9 +77,13 @@ const (
 // Limits a strict reader enforces before trusting any length field.
 const (
 	// MaxSectionLen bounds one payload. A snapshot's own sections are a
-	// recipe and digests, but the container also frames full captures
-	// (a dense population's RNGS payload is a few tens of megabytes).
-	MaxSectionLen = 1 << 28
+	// recipe and digests, but the container also frames full captures,
+	// whose largest section over the catalog is metro-500's LINK at its
+	// horizon, 516 KB; 16 MB is 32× that and twice what LINK would be had
+	// every pair of 500 terminals met. Read allocates as bytes arrive, so
+	// the bound limits what a well-formed file may hold, not what a forged
+	// header costs.
+	MaxSectionLen = 1 << 24
 	// maxSections bounds the section count; the writer emits 9.
 	maxSections = 256
 )
@@ -171,8 +175,14 @@ func Read(r io.Reader) ([]Section, error) {
 		if n > MaxSectionLen {
 			return nil, corruptf("section %q claims %d bytes (max %d)", tag, n, MaxSectionLen)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(tr, payload); err != nil {
+		// ReadAll grows its buffer with the bytes delivered, so a header
+		// claiming more than the file holds fails having allocated little
+		// more than the file gave it.
+		payload, err := io.ReadAll(io.LimitReader(tr, int64(n)))
+		if err == nil && len(payload) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, corruptf("section %q truncated: %v", tag, err)
 		}
 		var sum [4]byte
@@ -283,6 +293,7 @@ func DecodeDescriptor(payload []byte) (Descriptor, error) {
 type Enc struct {
 	buf []byte
 	h   hash.Hash // digest mode when set: buf is the fixed chunk feeding it
+	fed int       // bytes of closed sections and spilled chunks; see Fed
 }
 
 // digestChunk is the digest-mode chunk size: a multiple of SHA-256's
@@ -302,6 +313,7 @@ func (e *Enc) Cut() []byte {
 	if e.h == nil {
 		p := e.buf
 		e.buf = nil
+		e.fed += len(p)
 		return p
 	}
 	e.spill()
@@ -320,8 +332,14 @@ func (e *Enc) room(n int) {
 
 func (e *Enc) spill() {
 	e.h.Write(e.buf) // hash.Hash.Write never returns an error
+	e.fed += len(e.buf)
 	e.buf = e.buf[:0]
 }
+
+// Fed reports how many bytes the encoder has been fed over every section
+// cut so far, on either sink: the size of what a capture hashes, which a
+// test can hold to a budget where the digests alone would hide it.
+func (e *Enc) Fed() int { return e.fed }
 
 // U32 appends a uint32.
 func (e *Enc) U32(v uint32) {
@@ -363,6 +381,7 @@ func (e *Enc) Raw(p []byte) {
 	if e.h != nil {
 		e.spill()
 		e.h.Write(p)
+		e.fed += len(p)
 		return
 	}
 	e.buf = append(e.buf, p...)

@@ -75,7 +75,7 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsVersionSkew(t *testing.T) {
 	snap := mustWrite(t, sampleSections())
-	for _, magic := range []string{"RICACKP5", "RICACKP7"} { // the previous and the next version
+	for _, magic := range []string{"RICACKP6", "RICACKP8"} { // the previous and the next version
 		skewed := append([]byte(magic), snap[len(Magic):]...)
 		_, err := Read(bytes.NewReader(skewed))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {
@@ -93,7 +93,7 @@ func TestReadRejectsTrailingData(t *testing.T) {
 
 func TestReadRejectsOversizedLength(t *testing.T) {
 	// Hand-craft a header claiming a payload larger than MaxSectionLen;
-	// the reader must refuse before allocating it.
+	// the reader must refuse it on the length alone.
 	var buf bytes.Buffer
 	buf.WriteString(Magic)
 	var hdr [8]byte
@@ -102,6 +102,33 @@ func TestReadRejectsOversizedLength(t *testing.T) {
 	buf.Write(hdr[:])
 	if _, err := Read(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized length: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadLargeSections round-trips payloads many times the reader's
+// first allocation, whose buffer grows as bytes arrive, and cuts the
+// largest short: the growth path must deliver every byte or fail.
+func TestReadLargeSections(t *testing.T) {
+	var secs []Section
+	for i, n := range []int{511, 512, 513, 300<<10 + 3} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(j*7 + i)
+		}
+		secs = append(secs, Section{Tag: "BIG" + string(rune('0'+i)), Payload: p})
+	}
+	snap := mustWrite(t, secs)
+	got, err := Read(bytes.NewReader(snap))
+	if err != nil || len(got) != len(secs) {
+		t.Fatalf("Read: %d sections, err = %v", len(got), err)
+	}
+	for i := range secs {
+		if got[i].Tag != secs[i].Tag || !bytes.Equal(got[i].Payload, secs[i].Payload) {
+			t.Errorf("section %s (%d bytes) changed in the round trip", secs[i].Tag, len(secs[i].Payload))
+		}
+	}
+	if _, err := Read(bytes.NewReader(snap[:len(snap)-100<<10])); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("snapshot cut inside its last payload: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -188,9 +215,11 @@ func TestDigest(t *testing.T) {
 // sections shorter than, equal to and several times the digest chunk,
 // every width, byte-wide appends that leave the chunk misaligned — and
 // requires the digest sink's Cut to be the SHA-256 of the payload sink's,
-// section by section, with an empty section hashing as empty.
+// section by section, with an empty section hashing as empty. Both sinks
+// report having been fed the bytes the payload sink returned.
 func TestEncSinksAgree(t *testing.T) {
 	payload, digest := new(Enc), NewDigestEnc()
+	fed := 0
 	for _, words := range []int{0, 1, digestChunk/8 - 1, digestChunk / 8, 3*digestChunk/8 + 5, 0} {
 		for _, e := range []*Enc{payload, digest} {
 			for i := 0; i < words; i++ {
@@ -208,6 +237,9 @@ func TestEncSinksAgree(t *testing.T) {
 		want := sha256.Sum256(p)
 		if got := digest.Cut(); !bytes.Equal(got, want[:]) {
 			t.Errorf("%d rounds (%d-byte payload): digest sink cut %x, SHA-256 of the payload is %x", words, len(p), got, want)
+		}
+		if fed += len(p); payload.Fed() != fed || digest.Fed() != fed {
+			t.Errorf("%d rounds: payload sink reports %d bytes fed, digest sink %d, the payloads so far hold %d", words, payload.Fed(), digest.Fed(), fed)
 		}
 	}
 }

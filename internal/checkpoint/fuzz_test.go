@@ -2,13 +2,17 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
 // FuzzRead throws arbitrary bytes at the snapshot reader: it must never
-// panic, never allocate unboundedly from a forged length field, and —
-// when it does accept an input — hand back sections that re-encode into
-// a snapshot it accepts again (read/write/read fixpoint). Truncations,
+// panic, never allocate from a forged length field more than a small
+// multiple of the bytes it was given (measured per input, the way
+// BenchmarkCheckpointCapture measures a capture), and — when it does
+// accept an input — hand back sections that re-encode into a snapshot it
+// accepts again (read/write/read fixpoint). Truncations,
 // bit flips, and version-skewed magics in the corpus must all fail with
 // a clean error.
 func FuzzRead(f *testing.F) {
@@ -28,7 +32,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid[:len(valid)/2])                         // truncated
 	f.Add(append([]byte(nil), valid[:len(valid)-1]...)) // missing last byte
 	// Version-skewed magics: the previous and the next version.
-	for _, magic := range []string{"RICACKP5", "RICACKP7"} {
+	for _, magic := range []string{"RICACKP6", "RICACKP8"} {
 		f.Add(append([]byte(magic), valid[len(Magic):]...))
 	}
 	flip := append([]byte(nil), valid...)
@@ -36,9 +40,19 @@ func FuzzRead(f *testing.F) {
 	f.Add(flip) // bit-flipped
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
+	// Twenty bytes claiming the largest section the reader admits, over no
+	// body at all.
+	hostile := append([]byte(Magic), "HUGE"...)
+	f.Add(binary.LittleEndian.AppendUint32(hostile, MaxSectionLen))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		secs, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+4*uint64(len(data)) {
+			t.Fatalf("Read of %d bytes allocated %d KB: a length field is being trusted before its bytes arrive", len(data), grew>>10)
+		}
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}

@@ -36,8 +36,6 @@ const (
 	CClassHits     // per-instant pair class answered from cache
 	CClassMisses   // pair class derived from fading + quantizer
 	CDistMisses    // exact pair distance derived from positions (not cached)
-	CTransHits     // AR(1) coefficient pair answered from trans cache
-	CTransMisses   // AR(1) coefficients recomputed (exp/sqrt)
 	CGridRebuilds  // spatial index rebuilt for a new instant
 	CAnnulusChecks // stale-grid candidates resolved by exact distance
 	// MAC.
@@ -95,8 +93,6 @@ var counterNames = [NumCounters]string{
 	CClassHits:        "chan_class_hits",
 	CClassMisses:      "chan_class_misses",
 	CDistMisses:       "chan_dist_misses",
-	CTransHits:        "chan_trans_hits",
-	CTransMisses:      "chan_trans_misses",
 	CGridRebuilds:     "chan_grid_rebuilds",
 	CAnnulusChecks:    "chan_annulus_checks",
 	CMACBackoffs:      "mac_backoffs",
@@ -334,8 +330,6 @@ type Snapshot struct {
 	ClassHits     uint64 `json:"chan_class_hits"`
 	ClassMisses   uint64 `json:"chan_class_misses"`
 	DistMisses    uint64 `json:"chan_dist_misses"`
-	TransHits     uint64 `json:"chan_trans_hits"`
-	TransMisses   uint64 `json:"chan_trans_misses"`
 	GridRebuilds  uint64 `json:"chan_grid_rebuilds"`
 	AnnulusChecks uint64 `json:"chan_annulus_checks"`
 
@@ -381,10 +375,6 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 		return &s.ClassMisses
 	case CDistMisses:
 		return &s.DistMisses
-	case CTransHits:
-		return &s.TransHits
-	case CTransMisses:
-		return &s.TransMisses
 	case CGridRebuilds:
 		return &s.GridRebuilds
 	case CAnnulusChecks:
@@ -422,8 +412,7 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 // that witnesses one. chan_class_misses is not among them: a class miss
 // is a fading link advanced, which is simulated state.
 var effortCounters = [...]Counter{
-	CClassHits, CDistMisses, CTransHits, CTransMisses,
-	CGridRebuilds, CAnnulusChecks,
+	CClassHits, CDistMisses, CGridRebuilds, CAnnulusChecks,
 }
 
 // ZeroEffort clears the effort counters, leaving what a determinism

@@ -156,7 +156,7 @@ func TestSnapshotMapsEverySlot(t *testing.T) {
 }
 
 // TestZeroEffortClearsOnlyEffort: the determinism witness must lose the
-// seven how-it-was-computed counters and nothing else — in particular
+// four how-it-was-computed counters and nothing else — in particular
 // chan_class_misses (a fading link advanced) stays.
 func TestZeroEffortClearsOnlyEffort(t *testing.T) {
 	r := NewRegistry()
@@ -167,7 +167,6 @@ func TestZeroEffortClearsOnlyEffort(t *testing.T) {
 	s.ZeroEffort()
 	effort := map[string]bool{
 		"chan_class_hits": true, "chan_dist_misses": true,
-		"chan_trans_hits": true, "chan_trans_misses": true,
 		"chan_grid_rebuilds": true, "chan_annulus_checks": true,
 	}
 	for c := Counter(0); c < NumCounters; c++ {

@@ -75,14 +75,24 @@ func lcgSeed0(seed int64) int64 {
 	return seed
 }
 
+// drawSource is a rand.Source64 that knows how many values it has
+// produced since it was seeded. An additive generator seeded with s and
+// stepped k times is in exactly one state, so (seed, draws) names the
+// state a checkpoint would otherwise have to hash word by word.
+type drawSource interface {
+	rand.Source64
+	draws() uint64
+}
+
 // fastSource is a bit-exact replica of math/rand's rngSource with O(1)-
-// depth seeding. It implements rand.Source64.
+// depth seeding.
 type fastSource struct {
 	tap, feed int
+	laps      int // times tap has wrapped: draws = rngLen·laps − tap
 	vec       [rngLen]int64
 }
 
-var _ rand.Source64 = (*fastSource)(nil)
+var _ drawSource = (*fastSource)(nil)
 
 // newFastSource returns a seeded source whose sequence is identical to
 // rand.NewSource(seed)'s.
@@ -98,6 +108,7 @@ func newFastSource(seed int64) *fastSource {
 func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
+	s.laps = 0
 	x0 := lcgSeed0(seed)
 	for i := 0; i < rngLen; i++ {
 		base := 20 + 3*i
@@ -109,11 +120,14 @@ func (s *fastSource) Seed(seed int64) {
 	}
 }
 
-// Uint64 mirrors rngSource.Uint64: one additive-generator step.
+// Uint64 mirrors rngSource.Uint64: one additive-generator step. The
+// draw count rides the tap's wrap — once per 607 steps — so counting adds
+// nothing to a step.
 func (s *fastSource) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
+		s.laps++
 	}
 	s.feed--
 	if s.feed < 0 {
@@ -126,6 +140,23 @@ func (s *fastSource) Uint64() uint64 {
 
 // Int63 mirrors rngSource.Int63.
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
+
+// draws reports how many steps the generator has taken since Seed.
+func (s *fastSource) draws() uint64 { return uint64(rngLen*s.laps - s.tap) }
+
+// countedSource is the stock math/rand source behind a draw counter: what
+// a stream rides when the replica failed its self-check. The stock
+// source's state cannot be read, but its seed and its step count name it
+// just as well.
+type countedSource struct {
+	src rand.Source64
+	n   uint64
+}
+
+func (c *countedSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
+func (c *countedSource) Int63() int64    { c.n++; return c.src.Int63() }
+func (c *countedSource) Uint64() uint64  { c.n++; return c.src.Uint64() }
+func (c *countedSource) draws() uint64   { return c.n }
 
 // stdRngLayout mirrors math/rand.rngSource's memory layout, which has
 // been stable since Go 1 (the package's sequences are frozen by the
@@ -193,9 +224,9 @@ func init() {
 
 // newSource returns the fastest available source for seed whose sequence
 // is bit-identical to rand.NewSource(seed)'s.
-func newSource(seed int64) rand.Source {
+func newSource(seed int64) drawSource {
 	if fastSourceOK {
 		return newFastSource(seed)
 	}
-	return rand.NewSource(seed)
+	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
 }

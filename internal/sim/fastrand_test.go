@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestFastSourceVerified asserts the init-time proof ran and passed on
@@ -59,50 +61,46 @@ func TestFastSourceReseed(t *testing.T) {
 	}
 }
 
+// states collects what EachState shows, in visit order.
+func states(s *Streams) (ids, draws []uint64) {
+	s.EachState(func(id, n uint64) {
+		ids = append(ids, id)
+		draws = append(draws, n)
+	})
+	return ids, draws
+}
+
 // TestEachStateLendsLiveState holds the checkpoint seam's contract: the
-// visit walks streams in creation order, shows each one's live cursor
-// and vector (a draw between two visits is seen by the second), and
-// advances nothing — a visited factory draws what an unvisited one does.
-// A factory holding a stream whose state cannot be read visits nothing.
+// visit walks streams in creation order, shows each one's live draw
+// count (a draw between two visits is seen by the second, through the
+// tap's wrap as much as before it), and advances nothing — a visited
+// factory draws what an unvisited one does.
 func TestEachStateLendsLiveState(t *testing.T) {
 	visited, plain := NewStreams(7), NewStreams(7)
-	ids := []uint64{3, 1, 4}
+	want := []uint64{3, 1, 4}
 	var vr, pr []*rand.Rand
-	for _, id := range ids {
+	for _, id := range want {
 		vr = append(vr, visited.Stream(id))
 		pr = append(pr, plain.Stream(id))
 	}
-	type seen struct {
-		id        uint64
-		tap, feed int
-		last      int64 // the word under the feed cursor: what the latest draw wrote
+	ids, draws := states(visited)
+	if len(ids) != visited.Len() {
+		t.Fatalf("EachState visited %d of %d streams", len(ids), visited.Len())
 	}
-	visit := func() (out []seen) {
-		ok := visited.EachState(func(id uint64, tap, feed int, vec []int64) {
-			if len(vec) != rngLen {
-				t.Fatalf("stream %d lends %d words, want %d", id, len(vec), rngLen)
-			}
-			out = append(out, seen{id, tap, feed, vec[feed]})
-		})
-		if !ok || len(out) != visited.Len() {
-			t.Fatalf("EachState: ok=%v, visited %d of %d streams", ok, len(out), visited.Len())
-		}
-		return out
-	}
-	before := visit()
-	for i, s := range before {
-		if s.id != ids[i] || s.tap != 0 || s.feed != rngLen-rngTap {
-			t.Errorf("fresh stream %d seen as %+v, want id %d at the seeded cursor", i, s, ids[i])
+	for i := range want {
+		if ids[i] != want[i] || draws[i] != 0 {
+			t.Errorf("fresh stream %d seen as (id %d, draws %d), want (id %d, draws 0)", i, ids[i], draws[i], want[i])
 		}
 	}
-	drawn := vr[1].Uint64()
-	pr[1].Uint64()
-	after := visit()
-	if after[0] != before[0] || after[2] != before[2] {
-		t.Errorf("a draw on stream 1 moved its neighbours: %+v -> %+v", before, after)
+	for _, step := range []int{1, rngLen - 1, 1, rngLen} { // up to, onto and past the wrap
+		for k := 0; k < step; k++ {
+			vr[1].Uint64()
+			pr[1].Uint64()
+		}
+		want[1] += uint64(step)
 	}
-	if want := rngLen - rngTap - 1; after[1].feed != want || uint64(after[1].last) != drawn {
-		t.Errorf("after one draw stream 1 is seen as %+v, want feed %d holding the drawn word %d", after[1], want, drawn)
+	if _, draws = states(visited); draws[0] != 0 || draws[2] != 0 || draws[1] != 2*rngLen+1 {
+		t.Errorf("after %d draws on stream 1 the factory shows draws %v, want [0 %d 0]", 2*rngLen+1, draws, 2*rngLen+1)
 	}
 	for i := range vr {
 		for k := 0; k < 2*rngLen; k++ {
@@ -111,19 +109,14 @@ func TestEachStateLendsLiveState(t *testing.T) {
 			}
 		}
 	}
-
-	visited.recs = append(visited.recs, streamRec{id: 9}) // a stock-fallback stream
-	if visited.EachState(func(uint64, int, int, []int64) { t.Error("visited a stream of an unreadable factory") }) {
-		t.Error("EachState reported an unreadable factory as ok")
-	}
 }
 
 // TestSeedAtMatchesStreamAt: a stream seeded in caller-owned memory is
 // the stream StreamAt hands out for the same (kind, index) — draw for
 // draw past two laps of the vector and through the ziggurat — and is
-// recorded like one: EachState lends the inline state, in creation
-// order among heap-allocated streams, and sees the in-place stream's
-// draws.
+// recorded like one: EachState shows it in creation order among
+// heap-allocated streams, with the draws made through the caller's
+// memory.
 func TestSeedAtMatchesStreamAt(t *testing.T) {
 	inPlace, plain := NewStreams(11), NewStreams(11)
 	type owner struct {
@@ -152,37 +145,27 @@ func TestSeedAtMatchesStreamAt(t *testing.T) {
 		t.Fatal("seeding in place wrote outside the stream's memory")
 	}
 
-	type seen struct {
-		id        uint64
-		tap, feed int
-		head      *int64
+	aID, aDraws := states(inPlace)
+	bID, bDraws := states(plain)
+	if len(aID) != 3 || len(bID) != 3 {
+		t.Fatalf("visited %d and %d streams, want 3 each", len(aID), len(bID))
 	}
-	visit := func(s *Streams) (out []seen) {
-		if !s.EachState(func(id uint64, tap, feed int, vec []int64) {
-			out = append(out, seen{id, tap, feed, &vec[0]})
-		}) {
-			t.Fatal("EachState reports a fast-source factory unexportable")
-		}
-		return out
-	}
-	a, b := visit(inPlace), visit(plain)
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("visited %d and %d streams, want 3 each", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].id != b[i].id || a[i].tap != b[i].tap || a[i].feed != b[i].feed {
-			t.Errorf("stream %d: in-place factory lends (id %#x, tap %d, feed %d), plain (id %#x, tap %d, feed %d)",
-				i, a[i].id, a[i].tap, a[i].feed, b[i].id, b[i].tap, b[i].feed)
+	for i := range aID {
+		if aID[i] != bID[i] || aDraws[i] != bDraws[i] {
+			t.Errorf("stream %d: in-place factory shows (id %#x, draws %d), plain (id %#x, draws %d)",
+				i, aID[i], aDraws[i], bID[i], bDraws[i])
 		}
 	}
-	if a[1].head != &own.mem.src.vec[0] {
-		t.Error("EachState lends a copy of the in-place stream's vector, not the caller's memory")
+	if aDraws[1] < 2*rngLen+1000 || aDraws[1] != own.mem.src.draws() {
+		t.Errorf("EachState shows %d draws on the in-place stream, the caller's memory holds %d (≥ %d made)",
+			aDraws[1], own.mem.src.draws(), 2*rngLen+1000)
 	}
 }
 
 // TestSeedAtFallback forces the stock-source path the replica's failed
 // self-check would select: the in-place stream must still draw what
-// StreamAt draws, and the factory must report itself unexportable.
+// StreamAt draws, and the factory is as exportable as any — the stock
+// source rides a draw counter.
 func TestSeedAtFallback(t *testing.T) {
 	want := NewStreams(3).StreamAt(9, 1) // fast replica: identical to stock by TestFastSourceMatchesStdlibDraws
 	defer func(ok bool) { fastSourceOK = ok }(fastSourceOK)
@@ -191,16 +174,116 @@ func TestSeedAtFallback(t *testing.T) {
 	s := NewStreams(3)
 	var mem StreamMem
 	got := s.SeedAt(&mem, 9, 1)
+	heap := s.Stream(8)
+	heap.Float64()
 	for k := 0; k < 2*rngLen; k++ {
 		if a, b := got.Uint64(), want.Uint64(); a != b {
 			t.Fatalf("draw %d: fallback in-place Uint64 %d, StreamAt %d", k, a, b)
 		}
 	}
-	if s.Len() != 1 {
-		t.Fatalf("fallback stream not recorded: Len() = %d", s.Len())
+	ids, draws := states(s)
+	if len(ids) != 2 || ids[0] != mix(9, 1) || ids[1] != 8 || draws[0] != 2*rngLen || draws[1] != 1 {
+		t.Errorf("fallback factory shows ids %#x draws %v, want [%#x 0x8] [%d 1]", ids, draws, mix(9, 1), 2*rngLen)
 	}
-	if s.EachState(func(uint64, int, int, []int64) { t.Error("visited a stock-source stream") }) {
-		t.Error("EachState reported a stock-source factory as ok")
+}
+
+// drawMix draws through one of the rand.Rand methods the tree uses,
+// chosen by pick.
+func drawMix(r *rand.Rand, pick int) {
+	switch pick % 5 {
+	case 0:
+		r.Int63()
+	case 1:
+		r.Int63n(1_000_003)
+	case 2:
+		r.Float64()
+	case 3:
+		r.NormFloat64()
+	case 4:
+		r.Intn(97)
+	}
+}
+
+// genState is a generator's whole state as math/rand holds it.
+type genState struct {
+	tap, feed int
+	vec       [rngLen]int64
+}
+
+// stateOf reads the state behind a stream's source: the replica's own
+// fields, or the stock source's through the layout recoverCooked
+// verified at init.
+func stateOf(t *testing.T, src drawSource) genState {
+	switch s := src.(type) {
+	case *fastSource:
+		return genState{s.tap, s.feed, s.vec}
+	case *countedSource:
+		std := (*stdRngLayout)(unsafe.Pointer(reflect.ValueOf(s.src).Pointer()))
+		return genState{std.tap, std.feed, std.vec}
+	}
+	t.Fatalf("unknown source %T", src)
+	return genState{}
+}
+
+// TestDrawCountNamesState is the law RNGS rests on: two streams of one
+// seed report equal draw counts exactly when their generators are in the
+// same state — cursor and all 607 words — whichever mix of rand.Rand
+// methods moved them (NormFloat64 and Int63n take a data-dependent number
+// of source steps, so calls and draws are different counts). Held over
+// Stream, SeedAt and the counting fallback.
+func TestDrawCountNamesState(t *testing.T) {
+	if !fastSourceOK {
+		t.Skip("stock source layout unverified") // TestFastSourceVerified reports it
+	}
+	defer func() { fastSourceOK = true }()
+	makers := []struct {
+		name string
+		fast bool
+		make func(s *Streams, kind, index uint64) *rand.Rand
+	}{
+		{"Stream", true, (*Streams).StreamAt},
+		{"SeedAt", true, func(s *Streams, kind, index uint64) *rand.Rand { return s.SeedAt(new(StreamMem), kind, index) }},
+		{"fallback", false, (*Streams).StreamAt},
+	}
+	rng := rand.New(rand.NewSource(19))
+	equal := 0
+	for it := 0; it < 10_000; it++ {
+		mk := makers[it%len(makers)]
+		fastSourceOK = mk.fast
+		seed, kind, index := rng.Int63(), rng.Uint64(), rng.Uint64()
+		fa, fb := NewStreams(seed), NewStreams(seed)
+		a, b := mk.make(fa, kind, index), mk.make(fb, kind, index)
+		// a moves through a random mix. On even iterations b moves through
+		// a mix of its own; on odd ones it takes a's draw count in plain
+		// single steps, so equal counts reached differently are compared.
+		ka := rng.Intn(3*rngLen + 1)
+		for i := 0; i < ka; i++ {
+			drawMix(a, rng.Intn(5))
+		}
+		_, da := states(fa)
+		if da[0] < uint64(ka) || da[0] > uint64(2*ka+64) {
+			t.Fatalf("%s iter %d (seed %d): %d draws reported after %d calls of at least one step each", mk.name, it, seed, da[0], ka)
+		}
+		if it%2 == 0 {
+			for i, k := 0, rng.Intn(3*rngLen+1); i < k; i++ {
+				drawMix(b, rng.Intn(5))
+			}
+		} else {
+			for i := uint64(0); i < da[0]; i++ {
+				b.Int63()
+			}
+		}
+		_, db := states(fb)
+		same := stateOf(t, fa.recs[0].src) == stateOf(t, fb.recs[0].src)
+		if (da[0] == db[0]) != same {
+			t.Fatalf("%s iter %d (seed %d): draws %d and %d, states equal = %v", mk.name, it, seed, da[0], db[0], same)
+		}
+		if same {
+			equal++
+		}
+	}
+	if equal < 4000 || equal > 6000 {
+		t.Errorf("%d of 10000 iterations compared equal states: the loop is not exercising both directions", equal)
 	}
 }
 

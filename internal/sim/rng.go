@@ -15,20 +15,17 @@ import "math/rand"
 type Streams struct {
 	seed uint64
 
-	// recs records every created stream in creation order, each with its
-	// concrete source when the fast replica is in use. Creation order is
-	// deterministic (stream creation is itself simulation work), so the
-	// record doubles as the canonical iteration order for checkpoint
-	// capture. Sources created through the stock math/rand fallback are
-	// recorded with a nil src — their internal state is unreadable, and
-	// EachState reports the whole factory as unexportable.
+	// recs records every created stream in creation order, each with the
+	// source it draws from. Creation order is deterministic (stream
+	// creation is itself simulation work), so the record doubles as the
+	// canonical iteration order for checkpoint capture.
 	recs []streamRec
 }
 
 // streamRec remembers one created stream.
 type streamRec struct {
 	id  uint64
-	src *fastSource // nil when the stock fallback source was used
+	src drawSource
 }
 
 // NewStreams returns a stream factory for the given trial seed.
@@ -46,8 +43,7 @@ func NewStreams(seed int64) *Streams {
 // dominates lazy fading-link creation.
 func (s *Streams) Stream(id uint64) *rand.Rand {
 	src := newSource(int64(mix(s.seed, id)))
-	fs, _ := src.(*fastSource)
-	s.recs = append(s.recs, streamRec{id: id, src: fs})
+	s.recs = append(s.recs, streamRec{id: id, src: src})
 	return rand.New(src)
 }
 
@@ -64,44 +60,35 @@ type StreamMem struct {
 // the stream for (kind, index) and returns the generator living in it —
 // the same sequence StreamAt(kind, index) draws, the same record in
 // creation order, no allocation. mem must stay where it is for as long
-// as the stream is in use (the returned pointer and EachState both alias
-// it). When the fast replica failed its self-check the stream rides a
-// stock math/rand source allocated on the side, as Stream's does.
+// as the stream is in use (the returned pointer and the factory's record
+// both alias it). When the fast replica failed its self-check the stream
+// rides a counted stock math/rand source allocated on the side, as
+// Stream's does.
 func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 	id := mix(kind, index)
 	seed := int64(mix(s.seed, id))
-	rec := streamRec{id: id}
-	var src rand.Source
+	var src drawSource
 	if fastSourceOK {
 		mem.src.Seed(seed)
-		rec.src, src = &mem.src, &mem.src
+		src = &mem.src
 	} else {
-		src = rand.NewSource(seed)
+		src = newSource(seed)
 	}
-	s.recs = append(s.recs, rec)
+	s.recs = append(s.recs, streamRec{id: id, src: src})
 	mem.rng = *rand.New(src)
 	return &mem.rng
 }
 
-// EachState lends fn the live state of every stream created so far, in
-// creation order: the component id it was created under and the
-// lagged-Fibonacci generator's tap/feed cursor and 607-word vector,
-// exactly as math/rand's source holds them. Nothing is copied and no
-// stream advances; vec aliases the generator's own state, so fn must
-// neither write through it nor keep it past its return. ok is false, and
-// nothing is visited, when any stream rode the stock math/rand fallback
-// (its state cannot be read) — the caller should report checkpointing
-// unsupported rather than write a snapshot that cannot be verified.
-func (s *Streams) EachState(fn func(id uint64, tap, feed int, vec []int64)) (ok bool) {
+// EachState shows fn the state of every stream created so far, in
+// creation order: the component id it was created under and how many
+// values have been drawn from its generator since seeding. The id fixes
+// the seed and a seeded additive generator stepped draws times is in
+// exactly one state, so the pair stands for the generator's cursor and
+// 607-word vector without reading them. No stream advances.
+func (s *Streams) EachState(fn func(id, draws uint64)) {
 	for _, rec := range s.recs {
-		if rec.src == nil {
-			return false
-		}
+		fn(rec.id, rec.src.draws())
 	}
-	for _, rec := range s.recs {
-		fn(rec.id, rec.src.tap, rec.src.feed, rec.src.vec[:])
-	}
-	return true
 }
 
 // Len reports how many streams have been created.

@@ -32,21 +32,22 @@ type routeExporter interface {
 // compares them (see the rica package), so every encoder here must be a
 // pure function of simulation state with deterministic iteration order.
 func (w *World) CaptureDigests() ([]checkpoint.Section, error) {
-	return w.capture(checkpoint.NewDigestEnc())
+	return w.Capture(checkpoint.NewDigestEnc())
 }
 
 // CaptureState is the debugging sink of the same encoding: the full
 // payload of every section CaptureDigests hashes (each digest is the
 // SHA-256 of the payload here), for diffing a divergence resume has
-// named. Megabytes for a paper-scale population; nothing on the
-// snapshot path calls it.
+// named. About a hundred kilobytes for the paper's cell, a megabyte for
+// metro-500 at its horizon; nothing on the snapshot path calls it.
 func (w *World) CaptureState() ([]checkpoint.Section, error) {
-	return w.capture(new(checkpoint.Enc))
+	return w.Capture(new(checkpoint.Enc))
 }
 
-// capture runs the eight section encoders in file order over e, cutting
-// a section after each.
-func (w *World) capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
+// Capture runs the eight section encoders in file order over e, cutting
+// a section after each; e.Fed then says how many bytes the capture
+// encoded.
+func (w *World) Capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
 	if !w.started {
 		return nil, errors.New("world: capture before Start")
 	}
@@ -56,12 +57,7 @@ func (w *World) capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
 	}
 	w.encodeKernel(e)
 	cut(checkpoint.TagKern)
-	if !w.encodeRNGs(e) {
-		// The stock math/rand fallback is in use (the fast-source replica
-		// failed its init self-check on this platform); its internal state
-		// cannot be read, so a snapshot could not be verified on resume.
-		return nil, errors.New("world: checkpointing unsupported: RNG stream state is not exportable on this platform")
-	}
+	w.encodeRNGs(e)
 	cut(checkpoint.TagRNGs)
 	w.encodeMobility(e)
 	cut(checkpoint.TagMobi)
@@ -96,16 +92,15 @@ func (w *World) encodeKernel(e *checkpoint.Enc) {
 	}
 }
 
-// encodeRNGs reports false when the streams' state cannot be read.
-func (w *World) encodeRNGs(e *checkpoint.Enc) bool {
+// encodeRNGs witnesses every stream by (id, draws): DESC pins the trial
+// seed and the id the stream's own, so the count names the generator's
+// whole state. The values drawn are witnessed where they land (LINK,
+// MOBI, MACS, TRAF).
+func (w *World) encodeRNGs(e *checkpoint.Enc) {
 	e.Int(w.Streams.Len())
-	return w.Streams.EachState(func(id uint64, tap, feed int, vec []int64) {
+	w.Streams.EachState(func(id, draws uint64) {
 		e.U64(id)
-		e.Int(tap)
-		e.Int(feed)
-		for _, v := range vec {
-			e.I64(v)
-		}
+		e.U64(draws)
 	})
 }
 
