@@ -187,10 +187,9 @@ func BenchmarkAblationBuffer(b *testing.B) {
 		b.Run(sizeName(cap), func(b *testing.B) {
 			var s rica.Summary
 			for i := 0; i < b.N; i++ {
-				s = rica.Simulate(rica.SimConfig{
-					Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 20,
-					Duration: 20 * time.Second, Seed: 1, BufferCap: cap,
-				})
+				r := paperRun(b, rica.ProtocolRICA, 36, 20, 20*time.Second, 1)
+				r.Scenario.BufferCap = cap
+				s = mustRun(b, r, rica.RunOptions{})
 			}
 			b.ReportMetric(s.DeliveryRatio*100, "delivery%")
 			b.ReportMetric(float64(s.AvgDelay.Milliseconds()), "delay-ms")
@@ -216,10 +215,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		events += rica.Simulate(rica.SimConfig{
-			Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 10,
-			Duration: 30 * time.Second, Seed: int64(i + 1),
-		}).Events
+		events += mustRun(b, paperRun(b, rica.ProtocolRICA, 36, 10, 30*time.Second, int64(i+1)), rica.RunOptions{}).Events
 	}
 	if secs := time.Since(start).Seconds(); secs > 0 {
 		b.ReportMetric(float64(events)/secs, "events/sec")
@@ -241,10 +237,7 @@ func BenchmarkInstrumentedThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reg := rica.NewObsRegistry()
 		hub.Attach(reg)
-		s := rica.Simulate(rica.SimConfig{
-			Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 10,
-			Duration: 30 * time.Second, Seed: int64(i + 1), Obs: reg,
-		})
+		s := mustRun(b, paperRun(b, rica.ProtocolRICA, 36, 10, 30*time.Second, int64(i+1)), rica.RunOptions{Obs: reg})
 		hub.Detach(reg)
 		events += s.Events
 	}
@@ -271,14 +264,10 @@ func BenchmarkGossipThroughput(b *testing.B) {
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		s, err := rica.SimulateScenario(rica.ScenarioRun{
+		events += mustRun(b, rica.ScenarioRun{
 			Scenario: spec, Protocol: rica.ProtocolRICA,
 			Seed: int64(i + 1), MaxDuration: 5 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += s.Events
+		}, rica.RunOptions{}).Events
 	}
 	if secs := time.Since(start).Seconds(); secs > 0 {
 		b.ReportMetric(float64(events)/secs, "events/sec")
@@ -299,14 +288,10 @@ func BenchmarkJammerThroughput(b *testing.B) {
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		s, err := rica.SimulateScenario(rica.ScenarioRun{
+		events += mustRun(b, rica.ScenarioRun{
 			Scenario: spec, Protocol: rica.ProtocolRICA,
 			Seed: int64(i + 1), MaxDuration: 10 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += s.Events
+		}, rica.RunOptions{}).Events
 	}
 	if secs := time.Since(start).Seconds(); secs > 0 {
 		b.ReportMetric(float64(events)/secs, "events/sec")

@@ -10,7 +10,6 @@ import (
 
 	"rica/internal/checkpoint"
 	"rica/internal/durable"
-	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/world"
 )
@@ -19,9 +18,10 @@ import (
 // file (see internal/checkpoint) holding the run's recipe, the capture
 // instant, and one digest per section of the simulation state captured
 // at that instant boundary: the kernel's pending-event skeleton, every
-// RNG stream's 607-word state, mobility legs, fading links, in-flight
+// RNG stream's id and draw count, mobility legs, fading links, in-flight
 // MAC transmissions and exchanges, link queues and route tables,
-// workload cursors, and obs counters.
+// workload cursors, and obs counters. Run writes them (see
+// RunOptions.CheckpointPath); a snapshot's recipe is a ScenarioRun.
 //
 // Resume rebuilds the identical world from the embedded recipe in a
 // fresh process, replays it to the capture instant (the simulator is
@@ -32,219 +32,100 @@ import (
 // then continues to the horizon; its summary fingerprint is
 // bit-identical to an uninterrupted run's.
 //
-// ErrInterrupted is returned (wrapped) by the checkpointing run loops
-// when the caller's stop channel ended the run early; the partial run's
-// final snapshot has been written and can be resumed.
+// ErrInterrupted is returned (wrapped) by Run and Resume when
+// RunOptions.Stop ended the run early; when RunOptions.CheckpointPath
+// is set, the final snapshot has been written there and can be resumed.
 var ErrInterrupted = errors.New("rica: run interrupted")
 
 // ErrCheckpointCorrupt wraps every snapshot integrity or verification
 // failure, so callers can distinguish damage from I/O errors.
 var ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 
-// Checkpoint runs r up to virtual time at (an instant boundary: every
-// event at or before at has dispatched) and writes a snapshot to w.
-// The run is then abandoned — use RunCheckpointed to checkpoint
-// periodically while running to completion.
-func Checkpoint(r ScenarioRun, at time.Duration, w io.Writer) error {
-	cr, err := newScenarioCkRun(r)
-	if err != nil {
-		return err
-	}
-	if at < 0 || at > cr.horizon {
-		return fmt.Errorf("rica: checkpoint instant %v outside run horizon %v", at, cr.horizon)
-	}
-	cr.w.Start()
-	cr.w.RunTo(at)
-	return cr.write(w, at)
-}
-
 // Resume reads a snapshot, rebuilds and replays the run to the capture
 // instant, verifies the replayed state against the snapshot's digests,
-// and runs on to the horizon, returning the completed summary. The
-// fingerprint equals the uninterrupted run's.
-func Resume(rd io.Reader) (Summary, error) {
-	s, _, err := resume(rd, "", 0, nil)
-	return s, err
-}
-
-// RunCheckpointed executes r to completion, writing a snapshot to path
-// at every multiple of the virtual-time cadence `every` (default 10 s
-// of simulated time). Writes are atomic (temp file + rename), so a
-// process killed mid-write leaves the previous complete snapshot
-// intact. If stop closes mid-run, the run halts at the next boundary,
-// writes a final snapshot, and returns interrupted = true with an
-// ErrInterrupted-wrapped error; resume the snapshot to continue.
-func RunCheckpointed(r ScenarioRun, path string, every time.Duration, stop <-chan struct{}) (Summary, bool, error) {
-	cr, err := newScenarioCkRun(r)
+// and runs on to the horizon under the given options — the same ones Run
+// takes, so a resumed run can keep checkpointing, be stopped again, or be
+// observed from t=0. The completed summary's fingerprint equals the
+// uninterrupted run's.
+func Resume(rd io.Reader, o RunOptions) (Summary, error) {
+	secs, err := checkpoint.Read(rd)
 	if err != nil {
-		return Summary{}, false, err
+		return Summary{}, err
 	}
-	cr.w.Start()
-	return cr.loop(0, path, every, stop)
-}
-
-// ResumeCheckpointed is Resume that keeps checkpointing: after the
-// verified replay it continues to the horizon under the same periodic
-// snapshot regime as RunCheckpointed.
-func ResumeCheckpointed(rd io.Reader, path string, every time.Duration, stop <-chan struct{}) (Summary, bool, error) {
-	return resume(rd, path, every, stop)
-}
-
-// defaultCheckpointEvery is the periodic snapshot cadence (virtual
-// time) when the caller leaves it zero.
-const defaultCheckpointEvery = 10 * time.Second
-
-// ckRun is one checkpointable run: the built world plus the recipe that
-// rebuilds it.
-type ckRun struct {
-	w       *world.World
-	horizon time.Duration
-	desc    checkpoint.Descriptor // AtNs filled per snapshot
-}
-
-// newScenarioCkRun builds the world and descriptor for a scenario run.
-func newScenarioCkRun(r ScenarioRun) (*ckRun, error) {
-	wcfg, err := r.config()
+	d, err := checkpoint.DecodeDescriptor(checkpoint.Find(secs, checkpoint.TagDesc))
 	if err != nil {
-		return nil, err
+		return Summary{}, err
 	}
-	raw, err := json.Marshal(r.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	return &ckRun{
-		w:       world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)),
-		horizon: wcfg.Duration,
-		desc: checkpoint.Descriptor{
-			HorizonNs:     int64(wcfg.Duration),
-			Protocol:      r.Protocol.String(),
-			Seed:          r.Seed,
-			MaxDurationNs: int64(r.MaxDuration),
-			Scenario:      raw,
-		},
-	}, nil
-}
-
-// ckRunFromDescriptor rebuilds the world a snapshot's recipe describes.
-func ckRunFromDescriptor(d checkpoint.Descriptor) (*ckRun, error) {
 	proto, err := ParseProtocol(d.Protocol)
 	if err != nil {
-		return nil, fmt.Errorf("%w: descriptor: %v", ErrCheckpointCorrupt, err)
+		return Summary{}, fmt.Errorf("%w: descriptor: %v", ErrCheckpointCorrupt, err)
 	}
 	spec, err := scenario.ParseJSON(d.Scenario)
 	if err != nil {
-		return nil, fmt.Errorf("%w: descriptor scenario: %v", ErrCheckpointCorrupt, err)
+		return Summary{}, fmt.Errorf("%w: descriptor scenario: %v", ErrCheckpointCorrupt, err)
 	}
-	return newScenarioCkRun(ScenarioRun{
+	r := ScenarioRun{
 		Scenario:    spec,
 		Protocol:    proto,
 		Seed:        d.Seed,
 		MaxDuration: time.Duration(d.MaxDurationNs),
+	}
+	return execute(r, o, &snapshot{
+		at:       time.Duration(d.AtNs),
+		horizon:  time.Duration(d.HorizonNs),
+		sections: secs,
 	})
 }
 
-// write captures the world's state at instant at and writes a complete
-// snapshot to wr: the recipe verbatim, the state sections as digests.
-func (c *ckRun) write(wr io.Writer, at time.Duration) error {
-	digests, err := c.w.CaptureDigests()
-	if err != nil {
-		return err
-	}
-	d := c.desc
-	d.AtNs = int64(at)
-	desc, err := checkpoint.EncodeDescriptor(d)
-	if err != nil {
-		return err
-	}
-	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, digests...)
-	return checkpoint.Write(wr, all)
+// snapshot is what Resume hands the run loop: the capture instant, the
+// horizon the writer recorded, and the stored sections to verify the
+// replay against.
+type snapshot struct {
+	at, horizon time.Duration
+	sections    []checkpoint.Section
 }
 
-// writeFile publishes a snapshot atomically and durably (see
-// durable.Pending): a crash mid-write leaves the previous complete
-// snapshot (if any) untouched, and a machine crash after it returns
-// cannot roll the new one back.
-func (c *ckRun) writeFile(path string, at time.Duration) error {
+// descriptor is the run's recipe as a snapshot stores it (AtNs is
+// filled per snapshot).
+func (r ScenarioRun) descriptor(horizon time.Duration) (checkpoint.Descriptor, error) {
+	raw, err := json.Marshal(r.Scenario)
+	if err != nil {
+		return checkpoint.Descriptor{}, err
+	}
+	return checkpoint.Descriptor{
+		HorizonNs:     int64(horizon),
+		Protocol:      r.Protocol.String(),
+		Seed:          r.Seed,
+		MaxDurationNs: int64(r.MaxDuration),
+		Scenario:      raw,
+	}, nil
+}
+
+// writeSnapshot captures w's state at instant at and publishes a complete
+// snapshot — the recipe verbatim, the state sections as digests —
+// atomically and durably (see durable.Pending): a crash mid-write leaves
+// the previous complete snapshot (if any) untouched, and a machine crash
+// after it returns cannot roll the new one back.
+func writeSnapshot(w *world.World, recipe checkpoint.Descriptor, path string, at time.Duration) error {
+	digests, err := w.CaptureDigests()
+	if err != nil {
+		return err
+	}
+	recipe.AtNs = int64(at)
+	desc, err := checkpoint.EncodeDescriptor(recipe)
+	if err != nil {
+		return err
+	}
 	f, err := durable.CreatePending(path)
 	if err != nil {
 		return err
 	}
 	defer f.Abort()
-	if err := c.write(f, at); err != nil {
+	all := append([]checkpoint.Section{{Tag: checkpoint.TagDesc, Payload: desc}}, digests...)
+	if err := checkpoint.Write(f, all); err != nil {
 		return err
 	}
 	return f.Commit()
-}
-
-// loop runs from virtual time `from` to the horizon, stopping at every
-// multiple of the cadence to write a snapshot (when path is set) and to
-// poll the stop channel. Chunked kernel runs dispatch the identical
-// event sequence a single run would, so the summary — and its
-// fingerprint — is bit-identical regardless of cadence.
-func (c *ckRun) loop(from time.Duration, path string, every time.Duration, stop <-chan struct{}) (Summary, bool, error) {
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
-	for t := from; t < c.horizon; {
-		next := t - t%every + every
-		if next > c.horizon {
-			next = c.horizon
-		}
-		c.w.RunTo(next)
-		t = next
-		interrupted := false
-		select {
-		case <-stop:
-			interrupted = true
-		default:
-		}
-		if t < c.horizon && path != "" {
-			// Final-or-periodic snapshot at this boundary. At the horizon
-			// itself there is nothing left to resume, so none is written.
-			// A failed write is never an interruption, stop signal or not:
-			// there is no snapshot to resume.
-			if err := c.writeFile(path, t); err != nil {
-				return Summary{}, false, err
-			}
-		}
-		if interrupted && t < c.horizon {
-			if path != "" {
-				return Summary{}, true, fmt.Errorf("%w at t=%v (snapshot: %s)", ErrInterrupted, t, path)
-			}
-			return Summary{}, true, fmt.Errorf("%w at t=%v", ErrInterrupted, t)
-		}
-	}
-	return c.w.Finish(), false, nil
-}
-
-// resume is the shared resume path: read, rebuild, replay, verify,
-// continue (with optional periodic checkpointing).
-func resume(rd io.Reader, path string, every time.Duration, stop <-chan struct{}) (Summary, bool, error) {
-	secs, err := checkpoint.Read(rd)
-	if err != nil {
-		return Summary{}, false, err
-	}
-	d, err := checkpoint.DecodeDescriptor(checkpoint.Find(secs, checkpoint.TagDesc))
-	if err != nil {
-		return Summary{}, false, err
-	}
-	cr, err := ckRunFromDescriptor(d)
-	if err != nil {
-		return Summary{}, false, err
-	}
-	// The decoder has bounded at_ns by the recorded horizon; a recorded
-	// horizon this binary does not compile from the recipe would replay
-	// to a different end.
-	if stored := time.Duration(d.HorizonNs); stored != cr.horizon {
-		return Summary{}, false, fmt.Errorf("%w: snapshot records horizon %v, its recipe compiles to %v", ErrCheckpointCorrupt, stored, cr.horizon)
-	}
-	cr.w.Start()
-	at := time.Duration(d.AtNs)
-	cr.w.RunTo(at)
-	if err := verifyReplay(cr.w, secs); err != nil {
-		return Summary{}, false, err
-	}
-	return cr.loop(at, path, every, stop)
 }
 
 // verifyReplay re-captures the replayed world and compares every state

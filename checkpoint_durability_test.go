@@ -27,12 +27,9 @@ func TestCheckpointWriteSyncsDir(t *testing.T) {
 	}
 	spec.Duration = rica.ScenarioDuration(4 * time.Second)
 	path := filepath.Join(dir, "run.ckpt")
-	_, interrupted, err := rica.RunCheckpointed(rica.ScenarioRun{
+	mustRun(t, rica.ScenarioRun{
 		Scenario: spec, Protocol: rica.ProtocolRICA, Seed: 3,
-	}, path, time.Second, nil)
-	if err != nil || interrupted {
-		t.Fatalf("RunCheckpointed: interrupted=%v err=%v", interrupted, err)
-	}
+	}, rica.RunOptions{CheckpointPath: path, CheckpointEvery: time.Second})
 	if len(synced) == 0 {
 		t.Fatal("periodic snapshot writes never synced the checkpoint directory")
 	}

@@ -33,14 +33,40 @@ func ckRun(t *testing.T, name string, p rica.Protocol) rica.ScenarioRun {
 	return rica.ScenarioRun{Scenario: spec, Protocol: p, MaxDuration: ckDuration}
 }
 
-// resumeFile resumes the snapshot file at path.
-func resumeFile(path string) (rica.Summary, error) {
+// resumeFile resumes the snapshot file at path under options o.
+func resumeFile(path string, o rica.RunOptions) (rica.Summary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return rica.Summary{}, err
 	}
 	defer f.Close()
-	return rica.Resume(f)
+	return rica.Resume(f, o)
+}
+
+// snapshotAt runs r to virtual time at — an instant boundary short of
+// the horizon — and returns the snapshot of that instant. It is Run with
+// a checkpoint file in dir, the instant as the cadence, and a stop
+// channel that is closed before the first boundary, so the run writes
+// exactly one snapshot and ends.
+func snapshotAt(dir string, r rica.ScenarioRun, at time.Duration) ([]byte, error) {
+	path := filepath.Join(dir, "at.ckpt")
+	stop := make(chan struct{})
+	close(stop)
+	_, err := rica.Run(r, rica.RunOptions{CheckpointPath: path, CheckpointEvery: at, Stop: stop})
+	if !errors.Is(err, rica.ErrInterrupted) {
+		return nil, fmt.Errorf("run stopped at its first boundary: err = %v, want ErrInterrupted", err)
+	}
+	return os.ReadFile(path)
+}
+
+// mustSnapshotAt is snapshotAt on the test's goroutine.
+func mustSnapshotAt(tb testing.TB, r rica.ScenarioRun, at time.Duration) []byte {
+	tb.Helper()
+	snap, err := snapshotAt(tb.TempDir(), r, at)
+	if err != nil {
+		tb.Fatalf("snapshot at %v: %v", at, err)
+	}
+	return snap
 }
 
 // checkRoundTrip checkpoints r at instant at, resumes the snapshot in a
@@ -48,18 +74,11 @@ func resumeFile(path string) (rica.Summary, error) {
 // uninterrupted run's, with invariants holding on both.
 func checkRoundTrip(t *testing.T, r rica.ScenarioRun, at time.Duration) {
 	t.Helper()
-	base, err := rica.SimulateScenario(r)
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
+	base := mustRun(t, r, rica.RunOptions{})
 	if err := rica.CheckInvariants(base); err != nil {
 		t.Fatalf("uninterrupted run invariants: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := rica.Checkpoint(r, at, &buf); err != nil {
-		t.Fatalf("Checkpoint at %v: %v", at, err)
-	}
-	resumed, err := rica.Resume(bytes.NewReader(buf.Bytes()))
+	resumed, err := rica.Resume(bytes.NewReader(mustSnapshotAt(t, r, at)), rica.RunOptions{})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -123,15 +142,16 @@ func TestCheckpointResumeConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		dir := t.TempDir()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				var buf bytes.Buffer
-				if err := rica.Checkpoint(r, 5900*time.Millisecond, &buf); err != nil {
-					t.Errorf("Checkpoint: %v", err)
+				snap, err := snapshotAt(dir, r, 5900*time.Millisecond)
+				if err != nil {
+					t.Errorf("snapshot: %v", err)
 					return
 				}
-				if _, err := rica.Resume(&buf); err != nil {
+				if _, err := rica.Resume(bytes.NewReader(snap), rica.RunOptions{}); err != nil {
 					t.Errorf("Resume: %v", err)
 					return
 				}
@@ -142,29 +162,21 @@ func TestCheckpointResumeConcurrent(t *testing.T) {
 }
 
 // TestRunCheckpointedCompletes runs to the horizon under a periodic
-// snapshot regime and requires the summary — and a resume of the last
-// periodic snapshot — to match the plain run bit-for-bit.
+// snapshot regime, then resumes the last periodic snapshot: it must
+// finish where the plain run does. (That the regime itself leaves the
+// summary alone is TestOptionsAreObservers' law.)
 func TestRunCheckpointedCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpointed full run")
 	}
 	t.Parallel()
 	r := ckRun(t, "chain-10", rica.ProtocolRICA)
-	base, err := rica.SimulateScenario(r)
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
+	base := mustRun(t, r, rica.RunOptions{})
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	s, interrupted, err := rica.RunCheckpointed(r, path, 1500*time.Millisecond, nil)
-	if err != nil || interrupted {
-		t.Fatalf("RunCheckpointed: interrupted=%v err=%v", interrupted, err)
-	}
-	if got, want := rica.Fingerprint(s), rica.Fingerprint(base); got != want {
-		t.Errorf("checkpointed run fingerprint diverged\n got: %s\nwant: %s", got, want)
-	}
+	mustRun(t, r, rica.RunOptions{CheckpointPath: path, CheckpointEvery: 1500 * time.Millisecond})
 	// The last periodic snapshot (t=4.5s of the 6 s horizon) must resume
 	// to the same place.
-	resumed, err := resumeFile(path)
+	resumed, err := resumeFile(path, rica.RunOptions{})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -183,21 +195,15 @@ func TestRunCheckpointedInterruptResume(t *testing.T) {
 	}
 	t.Parallel()
 	r := ckRun(t, "dense-urban", rica.ProtocolBGCA)
-	base, err := rica.SimulateScenario(r)
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
+	base := mustRun(t, r, rica.RunOptions{})
 	stop := make(chan struct{})
 	close(stop) // "signal" arrives before the first boundary
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, interrupted, err := rica.RunCheckpointed(r, path, time.Second, stop)
-	if !interrupted {
-		t.Fatalf("RunCheckpointed with closed stop: interrupted=false err=%v", err)
-	}
+	_, err := rica.Run(r, rica.RunOptions{CheckpointPath: path, CheckpointEvery: time.Second, Stop: stop})
 	if !errors.Is(err, rica.ErrInterrupted) {
-		t.Fatalf("interrupt error = %v, want ErrInterrupted", err)
+		t.Fatalf("Run with closed stop: err = %v, want ErrInterrupted", err)
 	}
-	resumed, err := resumeFile(path)
+	resumed, err := resumeFile(path, rica.RunOptions{})
 	if err != nil {
 		t.Fatalf("Resume after interrupt: %v", err)
 	}
@@ -216,9 +222,11 @@ func TestRunCheckpointedInterruptWriteFails(t *testing.T) {
 	gone := filepath.Join(t.TempDir(), "gone") // as after an rm -r: the directory is not there
 	stop := make(chan struct{})
 	close(stop)
-	_, interrupted, err := rica.RunCheckpointed(ckRun(t, "chain-10", rica.ProtocolRICA), filepath.Join(gone, "run.ckpt"), time.Second, stop)
-	if err == nil || interrupted || errors.Is(err, rica.ErrInterrupted) {
-		t.Fatalf("interrupt with an unwritable snapshot: interrupted=%v err=%v, want the write error and no resumable interruption", interrupted, err)
+	_, err := rica.Run(ckRun(t, "chain-10", rica.ProtocolRICA), rica.RunOptions{
+		CheckpointPath: filepath.Join(gone, "run.ckpt"), CheckpointEvery: time.Second, Stop: stop,
+	})
+	if err == nil || errors.Is(err, rica.ErrInterrupted) {
+		t.Fatalf("interrupt with an unwritable snapshot: err = %v, want the write error and no resumable interruption", err)
 	}
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("err = %v, want it to carry the failed write (os.ErrNotExist)", err)
@@ -226,7 +234,7 @@ func TestRunCheckpointedInterruptWriteFails(t *testing.T) {
 }
 
 // startedWorld builds and starts the world of one catalog cell, the way
-// the checkpointing run loops do, so a test can drive RunTo and the
+// rica.Run does, so a test can drive RunTo and the
 // capture sinks directly. A zero seed keeps the scenario's own; a zero
 // horizon keeps its full duration.
 func startedWorld(tb testing.TB, name string, p rica.Protocol, seed int64, horizon time.Duration) *world.World {
@@ -371,11 +379,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	t.Parallel()
 	r := ckRun(t, "chain-10", rica.ProtocolABR)
 	r.Seed = 1
-	var buf bytes.Buffer
-	if err := rica.Checkpoint(r, time.Second, &buf); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != snapshotGolden {
+	if got := fmt.Sprintf("%x", sha256.Sum256(mustSnapshotAt(t, r, time.Second))); got != snapshotGolden {
 		t.Errorf("snapshot of chain-10/ABR/seed 1 at t=1s hashes to\n     %s\nwant %s\n"+
 			"Snapshots written before this change no longer verify against this binary. If the run itself moved "+
 			"(the behaviour goldens fail too) or chain-10's recipe was edited, update the constant; if an encoder, "+
@@ -439,14 +443,11 @@ func TestSnapshotIsBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := rica.Checkpoint(rica.ScenarioRun{Scenario: spec, Protocol: rica.ProtocolRICA}, sh.at, &buf); err != nil {
-				t.Fatalf("Checkpoint: %v", err)
+			snap := mustSnapshotAt(t, rica.ScenarioRun{Scenario: spec, Protocol: rica.ProtocolRICA}, sh.at)
+			if len(snap) > 4096 {
+				t.Errorf("snapshot is %d bytes, want at most 4096", len(snap))
 			}
-			if buf.Len() > 4096 {
-				t.Errorf("snapshot is %d bytes, want at most 4096", buf.Len())
-			}
-			secs, err := checkpoint.Read(bytes.NewReader(buf.Bytes()))
+			secs, err := checkpoint.Read(bytes.NewReader(snap))
 			if err != nil {
 				t.Fatalf("Read: %v", err)
 			}
@@ -460,7 +461,7 @@ func TestSnapshotIsBytes(t *testing.T) {
 			}
 			// Magic, nine section frames, eight digests and the tail.
 			const framing = 8 + 9*12 + 8*32 + 20
-			if got := buf.Len() - len(secs[0].Payload); got != framing {
+			if got := len(snap) - len(secs[0].Payload); got != framing {
 				t.Errorf("snapshot is %d bytes beyond its recipe, want %d", got, framing)
 			}
 		})
@@ -476,28 +477,27 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Skip("damage sweep over a real snapshot")
 	}
 	t.Parallel()
-	r := ckRun(t, "chain-10", rica.ProtocolABR)
-	var buf bytes.Buffer
-	if err := rica.Checkpoint(r, time.Second, &buf); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	snap := mustSnapshotAt(t, ckRun(t, "chain-10", rica.ProtocolABR), time.Second)
+	resume := func(snap []byte) error {
+		_, err := rica.Resume(bytes.NewReader(snap), rica.RunOptions{})
+		return err
 	}
-	snap := buf.Bytes()
 	// Single-byte corruption at positions spread across the file.
 	for i := 0; i < len(snap); i += len(snap)/37 + 1 {
 		bad := append([]byte(nil), snap...)
 		bad[i] ^= 0x40
-		if _, err := rica.Resume(bytes.NewReader(bad)); err == nil {
+		if err := resume(bad); err == nil {
 			t.Fatalf("Resume accepted snapshot with byte %d flipped", i)
 		}
 	}
 	// Truncations, including an empty file.
 	for _, n := range []int{0, 3, 8, 20, len(snap) / 2, len(snap) - 1} {
-		if _, err := rica.Resume(bytes.NewReader(snap[:n])); !errors.Is(err, rica.ErrCheckpointCorrupt) {
+		if err := resume(snap[:n]); !errors.Is(err, rica.ErrCheckpointCorrupt) {
 			t.Fatalf("Resume of %d-byte truncation: err = %v, want ErrCheckpointCorrupt", n, err)
 		}
 	}
 	// Trailing garbage after a valid file.
-	if _, err := rica.Resume(bytes.NewReader(append(append([]byte(nil), snap...), 0xEE))); !errors.Is(err, rica.ErrCheckpointCorrupt) {
+	if err := resume(append(append([]byte(nil), snap...), 0xEE)); !errors.Is(err, rica.ErrCheckpointCorrupt) {
 		t.Fatalf("Resume with trailing byte: err = %v, want ErrCheckpointCorrupt", err)
 	}
 	// A recorded horizon the embedded recipe does not compile to: the
@@ -514,7 +514,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 		}
 		return edited
 	})
-	_, err := rica.Resume(bytes.NewReader(longer))
+	err := resume(longer)
 	if !errors.Is(err, rica.ErrCheckpointCorrupt) {
 		t.Fatalf("Resume with an edited horizon: err = %v, want ErrCheckpointCorrupt", err)
 	}
@@ -530,7 +530,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 			payload[7] ^= 0x01
 			return payload
 		})
-		if _, err := rica.Resume(bytes.NewReader(altered)); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tag) {
+		if err := resume(altered); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), tag) {
 			t.Fatalf("Resume with the %s digest altered: err = %v, want ErrCheckpointCorrupt naming %s", tag, err, tag)
 		}
 	}
@@ -540,7 +540,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 		func([]byte) []byte { return []byte{} },
 	} {
 		resized := reencode(t, snap, checkpoint.TagKern, resize)
-		if _, err := rica.Resume(bytes.NewReader(resized)); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), checkpoint.TagKern) {
+		if err := resume(resized); !errors.Is(err, rica.ErrCheckpointCorrupt) || !strings.Contains(err.Error(), checkpoint.TagKern) {
 			t.Fatalf("Resume with a mis-sized KERN digest: err = %v, want ErrCheckpointCorrupt naming KERN", err)
 		}
 	}

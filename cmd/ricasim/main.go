@@ -38,7 +38,6 @@ import (
 
 	"rica"
 	"rica/internal/durable"
-	"rica/internal/experiment"
 )
 
 // Exit statuses: 0 success, 1 error, exitInterrupted when a signal (or
@@ -49,6 +48,69 @@ const (
 	exitCodeForced      = 130
 )
 
+// options is the command line, parsed once: main dispatches on it and
+// every mode function takes it whole.
+type options struct {
+	figure      string
+	trials      int
+	duration    time.Duration
+	seed        int64
+	speeds      string
+	protocols   string
+	format      string
+	parallelism int
+	scenarios   string
+	verify      bool
+	list        bool
+	out         string
+	timeline    string
+	interval    time.Duration
+	cpuprofile  string
+	memprofile  string
+	eventsRate  bool
+	stats       time.Duration
+	statsAddr   string
+	obsOut      string
+	ckptPath    string
+	ckptEvery   time.Duration
+	resumePath  string
+	manifest    string
+
+	// hub aggregates the live counters of whatever the mode runs; nil
+	// unless -stats, -statsaddr or -obs asked for them.
+	hub *rica.ObsHub
+}
+
+func parseFlags() options {
+	var o options
+	flag.StringVar(&o.figure, "figure", "all", "figure to regenerate: 2a..6b or 'all'")
+	flag.IntVar(&o.trials, "trials", 5, "trials per experimental cell (paper: 25)")
+	flag.DurationVar(&o.duration, "duration", 120*time.Second, "simulated time per trial (paper: 500s; scenarios default to their spec)")
+	flag.Int64Var(&o.seed, "seed", 1, "base random seed; trial t uses seed+t")
+	flag.StringVar(&o.speeds, "speeds", "0,12,24,36,48,60,72", "comma-separated mean speeds (km/h)")
+	flag.StringVar(&o.protocols, "protocols", "", "comma-separated protocol subset (default: all five)")
+	flag.StringVar(&o.format, "format", "table", "output format: table, csv, json (batch), or chart (figures 6a/6b)")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "max concurrent trials — whole runs side by side (0 = GOMAXPROCS)")
+	flag.StringVar(&o.scenarios, "scenario", "", "run a batch over comma-separated scenario names and/or JSON spec files")
+	flag.BoolVar(&o.verify, "verify", false, "run each -scenario cell under the invariant harness (conservation, ledger agreement, replay determinism, zero leak) instead of the batch engine; exits 1 on any violation")
+	flag.BoolVar(&o.list, "list-scenarios", false, "print the built-in scenario catalog and exit")
+	flag.StringVar(&o.out, "out", "", "write batch results to this file (.json or .csv; default stdout)")
+	flag.StringVar(&o.timeline, "timeline", "", "write per-interval telemetry for every batch cell to this file (.csv for CSV, anything else for JSONL)")
+	flag.DurationVar(&o.interval, "interval", time.Second, "telemetry bucket width for -timeline")
+	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile taken at exit to this file")
+	flag.BoolVar(&o.eventsRate, "events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
+	flag.DurationVar(&o.stats, "stats", 0, "emit a live counter heartbeat to stderr at this period (every mode but -verify; 0 disables)")
+	flag.StringVar(&o.statsAddr, "statsaddr", "", "serve live stats over HTTP on this address (GET /stats.json, /metrics)")
+	flag.StringVar(&o.obsOut, "obs", "", "write the end-of-process observability snapshot (counters + pool stats) to this JSON file")
+	flag.StringVar(&o.ckptPath, "checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
+	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
+	flag.StringVar(&o.resumePath, "resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
+	flag.StringVar(&o.manifest, "manifest", "", "journal every finished -scenario batch cell to this append-only file (fsync'd per cell); re-running the same grid resumes from it")
+	flag.Parse()
+	return o
+}
+
 func main() {
 	// `ricasim serve` is a subcommand with its own flag set: the
 	// long-lived self-healing service that re-execs this binary as its
@@ -57,58 +119,79 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
-	var (
-		figure      = flag.String("figure", "all", "figure to regenerate: 2a..6b or 'all'")
-		trials      = flag.Int("trials", 5, "trials per experimental cell (paper: 25)")
-		duration    = flag.Duration("duration", 120*time.Second, "simulated time per trial (paper: 500s; scenarios default to their spec)")
-		seed        = flag.Int64("seed", 1, "base random seed; trial t uses seed+t")
-		speeds      = flag.String("speeds", "0,12,24,36,48,60,72", "comma-separated mean speeds (km/h)")
-		protocols   = flag.String("protocols", "", "comma-separated protocol subset (default: all five)")
-		format      = flag.String("format", "table", "output format: table, csv, json (batch), or chart (figures 6a/6b)")
-		parallelism = flag.Int("parallelism", 0, "max concurrent trials — whole runs side by side (0 = GOMAXPROCS)")
-		scenarios   = flag.String("scenario", "", "run a batch over comma-separated scenario names and/or JSON spec files")
-		verify      = flag.Bool("verify", false, "run each -scenario cell under the invariant harness (conservation, ledger agreement, replay determinism, zero leak) instead of the batch engine; exits 1 on any violation")
-		list        = flag.Bool("list-scenarios", false, "print the built-in scenario catalog and exit")
-		out         = flag.String("out", "", "write batch results to this file (.json or .csv; default stdout)")
-		timeline    = flag.String("timeline", "", "write per-interval telemetry for every batch cell to this file (.csv for CSV, anything else for JSONL)")
-		interval    = flag.Duration("interval", time.Second, "telemetry bucket width for -timeline")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap profile taken at exit to this file")
-		eventsRate  = flag.Bool("events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
-		stats       = flag.Duration("stats", 0, "emit a live counter heartbeat to stderr at this period (scenario batches; 0 disables)")
-		statsAddr   = flag.String("statsaddr", "", "serve live stats over HTTP on this address (GET /stats.json, /metrics)")
-		obsOut      = flag.String("obs", "", "write the end-of-process observability snapshot (counters + pool stats) to this JSON file")
-		ckptPath    = flag.String("checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
-		ckptEvery   = flag.Duration("checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
-		resumePath  = flag.String("resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
-		manifest    = flag.String("manifest", "", "journal every finished -scenario batch cell to this append-only file (fsync'd per cell); re-running the same grid resumes from it")
-	)
-	flag.Parse()
-	meter.enabled = *eventsRate
+	o := parseFlags()
+	meter.enabled = o.eventsRate
 	meter.start = time.Now()
 	defer meter.print()
 
-	if flagSet("interval") && *interval <= 0 {
-		fatalf("-interval must be positive, got %v", *interval)
+	o.checkCombinations()
+	o.startLiveStats()
+	o.startProfiles()
+	defer func() {
+		runExitHooks()
+		if exitFailed {
+			os.Exit(1)
+		}
+	}()
+
+	if o.list {
+		if o.eventsRate {
+			fatalf("-events-per-sec needs a run; it cannot meter -list-scenarios")
+		}
+		listScenarios()
+		return
 	}
-	if *stats < 0 {
-		fatalf("-stats must not be negative, got %v", *stats)
+	if o.verify && o.scenarios == "" {
+		fatalf("-verify needs -scenario cells to check")
 	}
-	if *ckptEvery <= 0 {
-		fatalf("-checkpoint-every must be positive, got %v", *ckptEvery)
+	if o.resumePath != "" {
+		runResume(o)
+		return
 	}
-	if *resumePath != "" {
+	// The flag defaults to 1, so a 0 was asked for. Only the batch config
+	// can say it (SeedZero); the others read 0 as "the default", and
+	// running seed 1 in its place would be a silent substitution.
+	if o.seed == 0 && (o.scenarios == "" || o.verify || o.ckptPath != "") {
+		fatalf("-seed 0 cannot be expressed in -figure, -verify and -checkpoint runs (their configs read 0 as \"the default\"); use a nonzero seed")
+	}
+	switch {
+	case o.scenarios == "":
+		runFigures(o)
+	case flagSet("figure"):
+		fatalf("-figure and -scenario are mutually exclusive")
+	case o.verify:
+		runVerify(o)
+	case o.ckptPath != "":
+		runCheckpoint(o)
+	default:
+		runBatch(o)
+	}
+}
+
+// checkCombinations refuses flag values and combinations no mode
+// accepts, before anything is opened or run.
+func (o *options) checkCombinations() {
+	if flagSet("interval") && o.interval <= 0 {
+		fatalf("-interval must be positive, got %v", o.interval)
+	}
+	if o.stats < 0 {
+		fatalf("-stats must not be negative, got %v", o.stats)
+	}
+	if o.ckptEvery <= 0 {
+		fatalf("-checkpoint-every must be positive, got %v", o.ckptEvery)
+	}
+	if o.resumePath != "" {
 		for _, bad := range []string{"figure", "scenario", "verify", "timeline", "out", "manifest", "list-scenarios"} {
 			if flagSet(bad) {
 				fatalf("-resume and -%s are mutually exclusive", bad)
 			}
 		}
 	}
-	if flagSet("checkpoint-every") && *ckptPath == "" {
+	if flagSet("checkpoint-every") && o.ckptPath == "" {
 		fatalf("-checkpoint-every needs a -checkpoint file to write to")
 	}
-	if *ckptPath != "" && *resumePath == "" {
-		if *scenarios == "" {
+	if o.ckptPath != "" && o.resumePath == "" {
+		if o.scenarios == "" {
 			fatalf("-checkpoint needs a -scenario cell to run (or -resume to continue one)")
 		}
 		for _, bad := range []string{"figure", "verify", "timeline", "out", "manifest"} {
@@ -117,21 +200,36 @@ func main() {
 			}
 		}
 	}
-	if *manifest != "" {
-		if *timeline != "" {
+	if o.manifest != "" {
+		if o.timeline != "" {
 			fatalf("-manifest and -timeline are mutually exclusive (timelines are not journaled)")
 		}
-		if *verify {
+		if o.verify {
 			fatalf("-manifest and -verify are mutually exclusive")
 		}
 	}
-	var hub *rica.ObsHub
-	if *stats > 0 || *statsAddr != "" || *obsOut != "" {
-		hub = rica.NewObsHub()
-		hub.PoolFunc = rica.PoolStats
+	if o.verify {
+		// The harness runs every cell twice: a live view would count both.
+		for _, bad := range []string{"stats", "statsaddr", "obs"} {
+			if flagSet(bad) {
+				fatalf("-%s is not supported with -verify", bad)
+			}
+		}
 	}
-	if *statsAddr != "" {
-		ln, err := net.Listen("tcp", *statsAddr)
+}
+
+// startLiveStats builds the hub when -stats, -statsaddr or -obs asked
+// for one and starts their surfaces: the HTTP endpoint, the stderr
+// heartbeat, and the exit hook that writes the final snapshot.
+func (o *options) startLiveStats() {
+	if o.stats <= 0 && o.statsAddr == "" && o.obsOut == "" {
+		return
+	}
+	hub := rica.NewObsHub()
+	hub.PoolFunc = rica.PoolStats
+	o.hub = hub
+	if o.statsAddr != "" {
+		ln, err := net.Listen("tcp", o.statsAddr)
 		if err != nil {
 			fatalf("-statsaddr: %v", err)
 		}
@@ -140,11 +238,11 @@ func main() {
 		srv := &http.Server{Handler: hub.Handler()}
 		go func() { _ = srv.Serve(ln) }() // dies with the process
 	}
-	if *stats > 0 {
-		go heartbeat(hub, *stats)
+	if o.stats > 0 {
+		go heartbeat(hub, o.stats)
 	}
-	if *obsOut != "" {
-		path := *obsOut
+	if o.obsOut != "" {
+		path := o.obsOut
 		exitHooks = append(exitHooks, func() {
 			data, err := json.MarshalIndent(hub.Snapshot(), "", "  ")
 			if err != nil {
@@ -158,9 +256,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		})
 	}
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// startProfiles starts -cpuprofile and registers the exit hooks that
+// finish it and write -memprofile.
+func (o *options) startProfiles() {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fatalf("-cpuprofile: %v", err)
 		}
@@ -174,8 +276,8 @@ func main() {
 			}
 		})
 	}
-	if *memprofile != "" {
-		path := *memprofile
+	if o.memprofile != "" {
+		path := o.memprofile
 		exitHooks = append(exitHooks, func() {
 			f, err := os.Create(path)
 			if err != nil {
@@ -191,179 +293,131 @@ func main() {
 			}
 		})
 	}
-	defer func() {
-		runExitHooks()
-		if exitFailed {
-			os.Exit(1)
-		}
-	}()
+}
 
-	if *list {
-		if *eventsRate {
-			fatalf("-events-per-sec needs a run; it cannot meter -list-scenarios")
-		}
-		listScenarios()
-		return
-	}
-	if *verify && *scenarios == "" {
-		fatalf("-verify needs -scenario cells to check")
-	}
-	if *resumePath != "" {
-		if runResume(*resumePath, *ckptPath, *ckptEvery, installStopSignal()) {
-			exitCutShort()
-		}
-		return
-	}
-	// The flag defaults to 1, so a 0 was asked for. Only the batch config
-	// can say it (SeedZero); the others read 0 as "the default", and
-	// running seed 1 in its place would be a silent substitution.
-	if *seed == 0 && (*scenarios == "" || *verify || *ckptPath != "") {
-		fatalf("-seed 0 cannot be expressed in -figure, -verify and -checkpoint runs (their configs read 0 as \"the default\"); use a nonzero seed")
-	}
-	if *scenarios != "" {
-		if flagSet("figure") {
-			fatalf("-figure and -scenario are mutually exclusive")
-		}
-		if *verify {
-			var maxDur time.Duration
-			if flagSet("duration") {
-				maxDur = *duration
-			}
-			runVerify(*scenarios, *protocols, *seed, maxDur)
-			return
-		}
-		if *ckptPath != "" {
-			if runCheckpointed(*scenarios, *protocols, *seed, *duration, flagSet("duration"),
-				*ckptPath, *ckptEvery, installStopSignal()) {
-				exitCutShort()
-			}
-			return
-		}
-		if runBatch(*scenarios, *protocols, *trials, *seed, *parallelism,
-			*duration, *format, *out, *timeline, *interval, *manifest, hub,
-			installStopSignal()) {
-			exitCutShort()
-		}
-		return
-	}
+// figureRun is one -figure invocation: the grid options every figure
+// shares, and the sweeps and quality cells already run, so `-figure all`
+// runs each grid once however many figures project it.
+type figureRun struct {
+	format  string // -format
+	opts    rica.Options
+	sweeps  map[float64]rica.SweepResult
+	quality *rica.QualityResult
+}
 
-	if *format == "json" {
+// runFigures regenerates the asked-for figure tables (or all of them).
+func runFigures(o options) {
+	if o.format == "json" {
 		fatalf("-format json is only supported with -scenario batches")
 	}
-	if *out != "" {
+	if o.out != "" {
 		fatalf("-out is only supported with -scenario batches")
 	}
-	if *timeline != "" {
+	if o.timeline != "" {
 		fatalf("-timeline is only supported with -scenario batches")
 	}
-	opts := rica.Options{
-		Trials:      *trials,
-		Duration:    *duration,
-		BaseSeed:    *seed,
-		Parallelism: *parallelism,
-	}
+	f := figureRun{format: o.format, sweeps: map[float64]rica.SweepResult{}, opts: rica.Options{
+		Trials:      o.trials,
+		Duration:    o.duration,
+		BaseSeed:    o.seed,
+		Parallelism: o.parallelism,
+		Hub:         o.hub,
+	}}
 	var err error
-	if opts.Speeds, err = parseFloats(*speeds); err != nil {
+	if f.opts.Speeds, err = parseFloats(o.speeds); err != nil {
 		fatalf("bad -speeds: %v", err)
 	}
-	opts.Protocols = parseProtocols(*protocols)
+	f.opts.Protocols = parseProtocols(o.protocols)
 	// A figure point is a scenario: the spec validator is the one rule
 	// for what -speeds and -duration may be, applied before any run.
-	for _, speed := range opts.Speeds {
-		if _, err := experiment.FieldSpec(speed, 10, opts.Duration); err != nil {
+	for _, speed := range f.opts.Speeds {
+		if _, err := rica.PaperField(speed, 10, f.opts.Duration); err != nil {
 			fatalf("-figure: %v", err)
 		}
 	}
 
-	want := strings.ToLower(*figure)
+	want := strings.ToLower(o.figure)
 	ran := false
-	run := func(id string, fn func()) {
-		if want == "all" || want == id {
-			fn()
+	for _, fig := range []struct {
+		id    string
+		print func()
+	}{
+		{"2a", func() { f.sweep(10, rica.MetricDelay) }},
+		{"2b", func() { f.sweep(20, rica.MetricDelay) }},
+		{"3a", func() { f.sweep(10, rica.MetricDelivery) }},
+		{"3b", func() { f.sweep(20, rica.MetricDelivery) }},
+		{"4a", func() { f.sweep(10, rica.MetricOverhead) }},
+		{"4b", func() { f.sweep(20, rica.MetricOverhead) }},
+		{"5a", f.qualityTable},
+		{"5b", func() {
+			if want == "5b" { // avoid printing the shared table twice under 'all'
+				f.qualityTable()
+			}
+		}},
+		{"6a", func() { f.series(20) }},
+		{"6b", func() { f.series(60) }},
+	} {
+		if want == "all" || want == fig.id {
+			fig.print()
 			ran = true
 		}
 	}
-
-	var sweep10, sweep20 *rica.SweepResult
-	getSweep := func(load float64) rica.SweepResult {
-		cache := &sweep10
-		if load == 20 {
-			cache = &sweep20
-		}
-		if *cache == nil {
-			fmt.Fprintf(os.Stderr, "running %d-cell sweep at %.0f packets/s (%d trials × %v)...\n",
-				len(opts.Speeds)*len(protocolsOf(opts)), load, opts.Trials, opts.Duration)
-			s := rica.Sweep(load, opts)
-			for _, rows := range s.Cells {
-				for _, r := range rows {
-					meter.addTrials(r.Trials)
-				}
-			}
-			*cache = &s
-		}
-		return **cache
+	if !ran {
+		fatalf("unknown figure %q (want 2a..6b or all)", o.figure)
 	}
+}
 
-	sweepOut := func(load float64, m rica.Metric) {
-		s := getSweep(load)
-		if *format == "csv" {
-			fmt.Println(s.CSV(m))
-			return
-		}
-		fmt.Println(s.Table(m))
-	}
-	run("2a", func() { sweepOut(10, rica.MetricDelay) })
-	run("2b", func() { sweepOut(20, rica.MetricDelay) })
-	run("3a", func() { sweepOut(10, rica.MetricDelivery) })
-	run("3b", func() { sweepOut(20, rica.MetricDelivery) })
-	run("4a", func() { sweepOut(10, rica.MetricOverhead) })
-	run("4b", func() { sweepOut(20, rica.MetricOverhead) })
-
-	var quality *rica.QualityResult
-	getQuality := func() rica.QualityResult {
-		if quality == nil {
-			fmt.Fprintln(os.Stderr, "running route-quality cells at 72 km/h...")
-			q := rica.Quality(72, 10, opts)
-			for _, r := range q.Cells {
+// sweep prints one projection (Figures 2–4) of the mobility sweep at load.
+func (f *figureRun) sweep(load float64, m rica.Metric) {
+	s, ok := f.sweeps[load]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "running %d-cell sweep at %.0f packets/s (%d trials × %v)...\n",
+			len(f.opts.Speeds)*len(protocolsOf(f.opts)), load, f.opts.Trials, f.opts.Duration)
+		s = rica.Sweep(load, f.opts)
+		for _, rows := range s.Cells {
+			for _, r := range rows {
 				meter.addTrials(r.Trials)
 			}
-			quality = &q
 		}
-		return *quality
+		f.sweeps[load] = s
 	}
-	qualityOut := func() {
-		if *format == "csv" {
-			fmt.Println(getQuality().CSV())
-			return
-		}
-		fmt.Println(getQuality().Table())
+	if f.format == "csv" {
+		fmt.Println(s.CSV(m))
+		return
 	}
-	run("5a", func() { qualityOut() })
-	run("5b", func() {
-		if want == "5b" { // avoid printing the shared table twice under 'all'
-			qualityOut()
-		}
-	})
+	fmt.Println(s.Table(m))
+}
 
-	seriesOut := func(load float64) {
-		s := rica.Series(load, rica.Figure6SpeedKmh, opts)
-		for _, r := range s.Cells {
+// qualityTable prints Figure 5's route-quality table.
+func (f *figureRun) qualityTable() {
+	if f.quality == nil {
+		fmt.Fprintln(os.Stderr, "running route-quality cells at 72 km/h...")
+		q := rica.Quality(72, 10, f.opts)
+		for _, r := range q.Cells {
 			meter.addTrials(r.Trials)
 		}
-		switch *format {
-		case "csv":
-			fmt.Println(s.CSV())
-		case "chart":
-			fmt.Println(s.Chart())
-		default:
-			fmt.Println(s.Table())
-		}
+		f.quality = &q
 	}
-	run("6a", func() { seriesOut(20) })
-	run("6b", func() { seriesOut(60) })
+	if f.format == "csv" {
+		fmt.Println(f.quality.CSV())
+		return
+	}
+	fmt.Println(f.quality.Table())
+}
 
-	if !ran {
-		fatalf("unknown figure %q (want 2a..6b or all)", *figure)
+// series prints Figure 6's throughput time series at load.
+func (f *figureRun) series(load float64) {
+	s := rica.Series(load, rica.Figure6SpeedKmh, f.opts)
+	for _, r := range s.Cells {
+		meter.addTrials(r.Trials)
+	}
+	switch f.format {
+	case "csv":
+		fmt.Println(s.CSV())
+	case "chart":
+		fmt.Println(s.Chart())
+	default:
+		fmt.Println(s.Table())
 	}
 }
 
@@ -419,56 +473,71 @@ func loadSpec(part string) rica.Scenario {
 	return spec
 }
 
-// runCheckpointed executes one scenario × protocol cell under the
-// periodic-snapshot regime. Returns true when the run was interrupted
-// (the final snapshot resumes it).
-func runCheckpointed(scenarioArg, protocols string, seed int64,
-	duration time.Duration, durationSet bool, path string, every time.Duration,
-	stop <-chan struct{}) bool {
-	if strings.Contains(scenarioArg, ",") {
-		fatalf("-checkpoint runs a single scenario; got %q", scenarioArg)
+// withDuration gives spec the -duration horizon when one was asked for;
+// otherwise a scenario keeps its own.
+func (o *options) withDuration(spec rica.Scenario) rica.Scenario {
+	if flagSet("duration") {
+		spec.Duration = rica.ScenarioDuration(o.duration)
 	}
-	protos := parseProtocols(protocols)
+	return spec
+}
+
+// singleRunOptions is what -checkpoint and -resume hand rica.Run and
+// rica.Resume: the snapshot file and cadence, the signal-driven stop
+// channel, and a registry on the hub so -stats, -statsaddr and -obs see
+// the run.
+func (o *options) singleRunOptions() rica.RunOptions {
+	reg := rica.NewObsRegistry()
+	o.hub.Attach(reg) // a nil hub ignores it
+	return rica.RunOptions{
+		Obs:             reg,
+		CheckpointPath:  o.ckptPath,
+		CheckpointEvery: o.ckptEvery,
+		Stop:            installStopSignal(),
+	}
+}
+
+// runCheckpoint executes one scenario × protocol cell under the
+// periodic-snapshot regime; interrupted, its final snapshot resumes it.
+func runCheckpoint(o options) {
+	if strings.Contains(o.scenarios, ",") {
+		fatalf("-checkpoint runs a single scenario; got %q", o.scenarios)
+	}
+	protos := parseProtocols(o.protocols)
 	if len(protos) != 1 {
 		fatalf("-checkpoint runs a single cell: pass -protocols with exactly one name")
 	}
-	spec := loadSpec(scenarioArg)
-	if durationSet {
-		spec.Duration = rica.ScenarioDuration(duration)
-	}
-	r := rica.ScenarioRun{Scenario: spec, Protocol: protos[0], Seed: seed}
-	s, _, err := rica.RunCheckpointed(r, path, every, stop)
+	r := rica.ScenarioRun{Scenario: o.withDuration(loadSpec(o.scenarios)), Protocol: protos[0], Seed: o.seed}
+	s, err := rica.Run(r, o.singleRunOptions())
 	// Only ErrInterrupted promises a snapshot to resume; a final snapshot
 	// that failed to write is an error like any other.
 	if errors.Is(err, rica.ErrInterrupted) {
-		fmt.Fprintf(os.Stderr, "ricasim: interrupted — resume with: ricasim -resume %s\n", path)
-		return true
+		fmt.Fprintf(os.Stderr, "ricasim: interrupted — resume with: ricasim -resume %s\n", o.ckptPath)
+		exitCutShort()
 	}
 	if err != nil {
 		fatalf("%v", err)
 	}
 	printRunResult(s)
-	return false
 }
 
-// runResume continues a snapshot to its horizon (optionally still
-// checkpointing). Returns true when interrupted again.
-func runResume(path, ckpt string, every time.Duration, stop <-chan struct{}) bool {
-	f, err := os.Open(path)
+// runResume continues a snapshot to its horizon (still checkpointing
+// when -checkpoint is given too).
+func runResume(o options) {
+	f, err := os.Open(o.resumePath)
 	if err != nil {
 		fatalf("-resume: %v", err)
 	}
 	defer f.Close()
-	s, _, err := rica.ResumeCheckpointed(f, ckpt, every, stop)
+	s, err := rica.Resume(f, o.singleRunOptions())
 	if errors.Is(err, rica.ErrInterrupted) {
 		fmt.Fprintln(os.Stderr, "ricasim: interrupted again before the horizon")
-		return true
+		exitCutShort()
 	}
 	if err != nil {
 		fatalf("-resume: %v", err)
 	}
 	printRunResult(s)
-	return false
 }
 
 // printRunResult emits a single checkpointed/resumed run's summary. The
@@ -497,18 +566,23 @@ func listScenarios() {
 // runVerify puts every scenario × protocol cell through the invariant
 // harness, one at a time (the pooled-packet leak check needs the process
 // to itself). Each cell simulates twice: once for the ledger checks,
-// once to prove replay determinism.
-func runVerify(list, protocols string, seed int64, maxDur time.Duration) {
-	protos := parseProtocols(protocols)
+// once to prove replay determinism. An explicit -duration truncates
+// long scenarios; it never extends one.
+func runVerify(o options) {
+	protos := parseProtocols(o.protocols)
 	if protos == nil {
 		protos = rica.AllProtocols()
 	}
+	var maxDur time.Duration
+	if flagSet("duration") {
+		maxDur = o.duration
+	}
 	failed := false
-	for _, part := range strings.Split(list, ",") {
+	for _, part := range strings.Split(o.scenarios, ",") {
 		spec := loadSpec(part)
 		for _, p := range protos {
 			s, err := rica.VerifyScenario(rica.ScenarioRun{
-				Scenario: spec, Protocol: p, Seed: seed, MaxDuration: maxDur,
+				Scenario: spec, Protocol: p, Seed: o.seed, MaxDuration: maxDur,
 			})
 			meter.events += 2 * s.Events // the harness runs each cell twice
 			if err != nil {
@@ -527,27 +601,24 @@ func runVerify(list, protocols string, seed int64, maxDur time.Duration) {
 }
 
 // runBatch executes the scenario × protocol × seed grid and writes the
-// results in the requested format. Returns true when the grid was
-// interrupted: the partial results and telemetry still flush (and the
-// manifest, when set, journals every finished cell for resume), but the
-// process must exit with the interrupted status.
-func runBatch(list, protocols string, trials int, seed int64, parallelism int,
-	duration time.Duration, format, out, timeline string, interval time.Duration,
-	manifest string, hub *rica.ObsHub, stop <-chan struct{}) bool {
-	durationSet := flagSet("duration")
+// results in the requested format. An interrupted grid still flushes its
+// partial results and telemetry (and the manifest, when set, journals
+// every finished cell for resume), then exits with the interrupted
+// status.
+func runBatch(o options) {
 	outFormat := ""
-	if out != "" {
-		outFormat = outputFormat(out, format) // resolve (and conflict-check) up front
+	if o.out != "" {
+		outFormat = outputFormat(o.out, o.format) // resolve (and conflict-check) up front
 	}
 
 	cfg := rica.BatchConfig{
-		Trials:   trials,
-		BaseSeed: seed,
-		SeedZero: seed == 0, // the flag defaults to 1, so a 0 was asked for
-		Workers:  parallelism,
-		Hub:      hub,
-		Manifest: manifest,
-		Stop:     stop,
+		Trials:   o.trials,
+		BaseSeed: o.seed,
+		SeedZero: o.seed == 0, // the flag defaults to 1, so a 0 was asked for
+		Workers:  o.parallelism,
+		Hub:      o.hub,
+		Manifest: o.manifest,
+		Stop:     installStopSignal(),
 		OnProgress: func(p rica.BatchProgress) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s seed=%d delivery=%.1f%%\n",
 				p.Done, p.Total, p.Cell.Scenario, p.Cell.Protocol, p.Cell.Seed, p.Cell.DeliveryPct)
@@ -558,8 +629,8 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 		timelineFile *durable.Pending
 		timelineBuf  *bufio.Writer
 	)
-	if timeline != "" {
-		f, err := createPending(timeline)
+	if o.timeline != "" {
+		f, err := createPending(o.timeline)
 		if err != nil {
 			fatalf("-timeline: %v", err)
 		}
@@ -569,27 +640,23 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 		timelineBuf = bufio.NewWriter(f)
 		sink := rica.NewJSONLTimelineSink(timelineBuf)
 		sinkFormat := "JSONL"
-		if strings.HasSuffix(timeline, ".csv") {
+		if strings.HasSuffix(o.timeline, ".csv") {
 			sink = rica.NewCSVTimelineSink(timelineBuf)
 			sinkFormat = "CSV"
 		}
 		fmt.Fprintf(os.Stderr, "timeline: writing %s to %s (%v buckets)\n",
-			sinkFormat, timeline, interval)
-		cfg.Telemetry = &rica.BatchTelemetry{Interval: interval, Sink: sink}
+			sinkFormat, o.timeline, o.interval)
+		cfg.Telemetry = &rica.BatchTelemetry{Interval: o.interval, Sink: sink}
 	}
-	for _, part := range strings.Split(list, ",") {
-		spec := loadSpec(part)
-		if durationSet {
-			spec.Duration = rica.ScenarioDuration(duration)
-		}
-		cfg.Scenarios = append(cfg.Scenarios, spec)
+	for _, part := range strings.Split(o.scenarios, ",") {
+		cfg.Scenarios = append(cfg.Scenarios, o.withDuration(loadSpec(part)))
 	}
-	cfg.Protocols = parseProtocols(protocols)
+	cfg.Protocols = parseProtocols(o.protocols)
 
 	// Open the output before burning batch time on it.
 	var outFile *durable.Pending
-	if out != "" {
-		f, err := createPending(out)
+	if o.out != "" {
+		f, err := createPending(o.out)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -603,7 +670,7 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 	}
 	if res.Restored > 0 {
 		fmt.Fprintf(os.Stderr, "manifest: restored %d of %d cells from %s\n",
-			res.Restored, len(res.Cells), manifest)
+			res.Restored, len(res.Cells), o.manifest)
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "ricasim: interrupted — flushing partial results")
@@ -619,16 +686,17 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 			err = timelineFile.Commit()
 		}
 		if err != nil {
-			fatalf("writing %s: %v", timeline, err)
+			fatalf("writing %s: %v", o.timeline, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", timeline)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", o.timeline)
 	}
 	if res.Poisoned > 0 {
 		fmt.Fprintf(os.Stderr, "ricasim: %d poisoned cell(s) — quarantined, see their error/stack fields in the results\n", res.Poisoned)
 		exitFailed = true // non-zero exit after output is written
 	}
 
-	if outFile != nil {
+	switch {
+	case outFile != nil:
 		if outFormat == "csv" {
 			err = res.WriteCSV(outFile)
 		} else {
@@ -638,25 +706,24 @@ func runBatch(list, protocols string, trials int, seed int64, parallelism int,
 			err = outFile.Commit()
 		}
 		if err != nil {
-			fatalf("writing %s: %v", out, err)
+			fatalf("writing %s: %v", o.out, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", o.out)
 		fmt.Print(res.Table())
-		return interrupted
-	}
-	switch format {
-	case "json":
+	case o.format == "json":
 		if err := res.WriteJSON(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-	case "csv":
+	case o.format == "csv":
 		if err := res.WriteCSV(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 	default:
 		fmt.Print(res.Table())
 	}
-	return interrupted
+	if interrupted {
+		exitCutShort()
+	}
 }
 
 // createPending opens an output that appears under its final name only

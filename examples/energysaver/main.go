@@ -9,23 +9,25 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"rica"
 )
 
 func main() {
+	field, err := rica.PaperField(36, 10, 90*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Transmit energy per protocol — 36 km/h mean, 10 packets/s per flow, 90 s:")
 	fmt.Printf("%-10s%12s%12s%12s%16s%10s\n",
 		"protocol", "control J", "data J", "total J", "J per Mbit", "deliv %")
 	for _, p := range rica.AllProtocols() {
-		s := rica.Simulate(rica.SimConfig{
-			Protocol:     p,
-			MeanSpeedKmh: 36,
-			Rate:         10,
-			Duration:     90 * time.Second,
-			Seed:         11,
-		})
+		s, err := rica.Run(rica.ScenarioRun{Scenario: field, Protocol: p, Seed: 11}, rica.RunOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10s%12.1f%12.1f%12.1f%16.2f%10.1f\n",
 			p.String(),
 			s.Energy.ControlJ,

@@ -7,20 +7,26 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"rica"
 )
 
 func main() {
-	summary, events := rica.SimulateTraced(rica.SimConfig{
-		Protocol:     rica.ProtocolRICA,
-		MeanSpeedKmh: 20,
-		Rate:         10,
-		Duration:     3 * time.Second,
-		Seed:         4,
-		Flows:        []rica.Flow{{Src: 12, Dst: 33, Rate: 10}},
-	}, 4096)
+	field, err := rica.PaperField(20, 10, 3*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
+	field.Traffic.Pairs = []rica.ScenarioPair{{Src: 12, Dst: 33}}
+	rec := rica.NewTraceRecorder(4096)
+	summary, err := rica.Run(rica.ScenarioRun{
+		Scenario: field, Protocol: rica.ProtocolRICA, Seed: 4,
+	}, rica.RunOptions{Trace: rec})
+	if err != nil {
+		log.Fatal(err)
+	}
+	events := rec.Events()
 
 	fmt.Println("First 45 events of a single RICA flow (terminal 12 → 33):")
 	for i, e := range events {

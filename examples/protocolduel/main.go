@@ -7,23 +7,25 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"rica"
 )
 
 func main() {
+	field, err := rica.PaperField(72, 20, 60*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Five-protocol duel: 72 km/h mean speed, 20 packets/s per flow, 60 s, one seed.")
 	fmt.Printf("%-10s%10s%12s%12s%12s%10s%10s\n",
 		"protocol", "deliv %", "delay", "ovh kbps", "link kbps", "CSI hops", "max hops")
 	for _, p := range rica.AllProtocols() {
-		s := rica.Simulate(rica.SimConfig{
-			Protocol:     p,
-			MeanSpeedKmh: 72,
-			Rate:         20,
-			Duration:     60 * time.Second,
-			Seed:         42,
-		})
+		s, err := rica.Run(rica.ScenarioRun{Scenario: field, Protocol: p, Seed: 42}, rica.RunOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10s%10.1f%12v%12.1f%12.0f%10.2f%10d\n",
 			p.String(),
 			s.DeliveryRatio*100,

@@ -5,19 +5,23 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"rica"
 )
 
 func main() {
-	summary := rica.Simulate(rica.SimConfig{
-		Protocol:     rica.ProtocolRICA,
-		MeanSpeedKmh: 36,
-		Rate:         10,
-		Duration:     60 * time.Second,
-		Seed:         1,
-	})
+	field, err := rica.PaperField(36, 10, 60*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
+	summary, err := rica.Run(rica.ScenarioRun{
+		Scenario: field, Protocol: rica.ProtocolRICA, Seed: 1,
+	}, rica.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("RICA, 50 terminals, 36 km/h mean, 10 packets/s per flow, 60 s:")
 	fmt.Printf("  generated packets:   %d\n", summary.Generated)

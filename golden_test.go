@@ -43,14 +43,8 @@ var golden = map[string]string{
 // are outputs of that public format.
 func fingerprint(s rica.Summary) string { return rica.Fingerprint(s) }
 
-func goldenRun(p rica.Protocol, seed int64) rica.Summary {
-	return rica.Simulate(rica.SimConfig{
-		Protocol:     p,
-		MeanSpeedKmh: 36,
-		Rate:         10,
-		Duration:     goldenDuration,
-		Seed:         seed,
-	})
+func goldenRun(tb testing.TB, p rica.Protocol, seed int64) rica.Summary {
+	return mustRun(tb, paperRun(tb, p, 36, 10, goldenDuration, seed), rica.RunOptions{})
 }
 
 // TestGoldenBitIdentical checks every protocol at three seeds against the
@@ -71,7 +65,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 				if !ok {
 					t.Fatalf("no golden fingerprint recorded for %s", name)
 				}
-				if got := fingerprint(goldenRun(p, seed)); got != want {
+				if got := fingerprint(goldenRun(t, p, seed)); got != want {
 					t.Errorf("summary diverged from pre-refactor golden\n got: %s\nwant: %s", got, want)
 				}
 			})
@@ -88,7 +82,7 @@ func TestGoldenGenerate(t *testing.T) {
 	}
 	for _, p := range rica.AllProtocols() {
 		for seed := int64(1); seed <= 3; seed++ {
-			fmt.Printf("GOLDEN\t%s/%d\t%s\n", p, seed, fingerprint(goldenRun(p, seed)))
+			fmt.Printf("GOLDEN\t%s/%d\t%s\n", p, seed, fingerprint(goldenRun(t, p, seed)))
 		}
 	}
 }

@@ -11,7 +11,6 @@ package batch
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -41,7 +40,7 @@ type Config struct {
 	BaseSeed int64
 	// SeedZero forces BaseSeed 0, which the BaseSeed field's zero
 	// sentinel cannot express on its own. Ignored when BaseSeed is
-	// nonzero (mirrors SimConfig.SeedZero).
+	// nonzero.
 	SeedZero bool
 	// Workers caps concurrent cells; 0 means GOMAXPROCS.
 	Workers int
@@ -59,17 +58,6 @@ type Config struct {
 	// the grid executes. Purely additive: per-cell snapshots stay exactly
 	// as deterministic as without a hub.
 	Hub *obs.Hub
-	// CellTimeout, when positive, bounds each cell's wall-clock runtime.
-	// A cell that exceeds it is retried (the attempt's goroutine is
-	// abandoned) up to CellRetries more times with exponential backoff;
-	// if every attempt times out the cell is quarantined as poisoned
-	// (CellResult.Error set) and the rest of the grid keeps running.
-	CellTimeout time.Duration
-	// CellRetries caps extra attempts after a timeout: 0 means the
-	// default (2), negative disables retries. Panics are never retried —
-	// cells are deterministic, so a run that panicked once panics again;
-	// the cell is quarantined immediately with its stack.
-	CellRetries int
 	// Manifest, when set, journals every finished cell to this
 	// append-only JSON-Lines file, fsync'd per line. Re-running the same
 	// grid with the same manifest path resumes it: journaled cells are
@@ -123,7 +111,7 @@ type CellResult struct {
 	// it is deterministic per seed (the process-global pool stats are
 	// deliberately excluded), so it exports byte-identically too.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-	// Error marks a poisoned cell: its run panicked or timed out and was
+	// Error marks a poisoned cell: its run panicked and was
 	// quarantined so the rest of the grid could finish. Poisoned cells
 	// carry no measurements and are excluded from aggregates.
 	Error string `json:"error,omitempty"`
@@ -275,7 +263,7 @@ func Run(cfg Config) (Result, error) {
 				if timelines != nil {
 					tl = &timelines[i]
 				}
-				results[i] = runCellResilient(cells[i], &cfg, tl)
+				results[i] = runCell(cells[i], &cfg, tl)
 				finished[i] = true
 				if man != nil {
 					if err := man.record(i, results[i]); err != nil {
@@ -357,104 +345,34 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// testCellHook, when non-nil, runs at the top of every cell attempt —
-// the tests' injection point for panics and stalls. Never set outside
-// tests.
+// testCellHook, when non-nil, runs at the top of every cell — the tests'
+// injection point for panics. Never set outside tests.
 var testCellHook func(scenarioName string, p protocol.Protocol, seed int64)
 
-// runCellResilient executes one cell under the crash shield: panics are
-// quarantined immediately (deterministic cells panic again on retry),
-// wall-clock timeouts are retried with capped, jittered exponential
-// backoff (see backoff.go) up to the configured attempt budget, then
-// quarantined.
-func runCellResilient(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
-	retries := cfg.CellRetries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
-	var rng *rand.Rand // lazily seeded; most cells never retry
-	for attempt := 0; ; attempt++ {
-		res, timedOut := runCellAttempt(c, cfg, tl)
-		if !timedOut {
-			return res
-		}
-		if attempt >= retries {
-			return poisonCell(c, fmt.Sprintf("timed out after %d attempt(s) of %v", attempt+1, cfg.CellTimeout), "")
-		}
-		if rng == nil {
-			rng = retryRNG(c)
-		}
-		time.Sleep(retryBackoff(attempt, rng))
-	}
-}
-
-// runCellAttempt is one supervised try: the simulation runs in its own
-// goroutine reporting through a buffered channel, so when the deadline
-// fires the supervisor walks away and the abandoned attempt (which
-// cannot be killed) parks its late result harmlessly in the buffer. The
-// timeline lands in an attempt-local variable and is only copied out on
-// success, keeping abandoned attempts from scribbling into shared rows.
-func runCellAttempt(c cell, cfg *Config, tl *timeseries.Timeline) (CellResult, bool) {
-	type outcome struct {
-		res CellResult
-		tl  timeseries.Timeline
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{res: poisonCell(c, fmt.Sprintf("panic: %v", r), string(debug.Stack()))}
+// runCell executes one fully deterministic simulation on the worker's
+// own goroutine; when telemetry is enabled it attaches a fresh per-run
+// collector and stores the finished timeline through tl. A panic is
+// recovered into a quarantine row — grid coordinates for attribution,
+// the panic value, the stack — and the rest of the grid keeps running. Nothing is retried
+// — a deterministic cell that panicked once panics again — and a cell
+// that never returns is not bounded here, because a goroutine cannot be
+// killed: the daemon's -hung-timeout kills the whole worker process and
+// the manifest resumes the grid.
+func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = CellResult{
+				Scenario: c.spec.Name,
+				Protocol: c.protocol.String(),
+				Seed:     c.seed,
+				Error:    fmt.Sprintf("panic: %v", r),
+				Stack:    string(debug.Stack()),
 			}
-		}()
-		if testCellHook != nil {
-			testCellHook(c.spec.Name, c.protocol, c.seed)
 		}
-		var local timeseries.Timeline
-		var lp *timeseries.Timeline
-		if tl != nil {
-			lp = &local
-		}
-		ch <- outcome{res: runCell(c, cfg, lp), tl: local}
 	}()
-	deliver := func(o outcome) (CellResult, bool) {
-		if tl != nil {
-			*tl = o.tl
-		}
-		return o.res, false
+	if testCellHook != nil {
+		testCellHook(c.spec.Name, c.protocol, c.seed)
 	}
-	if cfg.CellTimeout <= 0 {
-		return deliver(<-ch)
-	}
-	timer := time.NewTimer(cfg.CellTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return deliver(o)
-	case <-timer.C:
-		return CellResult{}, true
-	}
-}
-
-// poisonCell builds the quarantine row for a cell that could not be
-// measured: grid coordinates for attribution, the failure, and (for
-// panics) the stack.
-func poisonCell(c cell, reason, stack string) CellResult {
-	return CellResult{
-		Scenario: c.spec.Name,
-		Protocol: c.protocol.String(),
-		Seed:     c.seed,
-		Error:    reason,
-		Stack:    stack,
-	}
-}
-
-// runCell executes one fully deterministic simulation; when telemetry is
-// enabled it attaches a fresh per-run collector and stores the finished
-// timeline through tl.
-func runCell(c cell, cfg *Config, tl *timeseries.Timeline) CellResult {
 	tele, hub := cfg.Telemetry, cfg.Hub
 	wcfg := c.cfg // each cell mutates its own copy
 	wcfg.Seed = c.seed

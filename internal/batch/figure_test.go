@@ -28,7 +28,7 @@ func TestFigureFailsOnPoisonedCell(t *testing.T) {
 	})
 	defer func() {
 		msg := fmt.Sprint(recover())
-		for _, want := range []string{spec.Name + "/AODV seed=8", "injected cell failure", "runCellAttempt"} {
+		for _, want := range []string{spec.Name + "/AODV seed=8", "injected cell failure", "batch.runCell("} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("figure failure lacks %q:\n%s", want, msg)
 			}

@@ -14,7 +14,7 @@ import (
 	"rica/internal/scenario"
 )
 
-// setCellHook installs the test-only per-attempt hook; hook-using tests
+// setCellHook installs the test-only per-cell hook; hook-using tests
 // must not run in parallel with each other.
 func setCellHook(t *testing.T, fn func(scenarioName string, p protocol.Protocol, seed int64)) {
 	t.Helper()
@@ -75,69 +75,6 @@ func TestBatchPanicQuarantine(t *testing.T) {
 		if a.Protocol == "AODV" && a.Trials != 1 {
 			t.Errorf("AODV aggregate counts %d trials, want 1 (poisoned cell excluded)", a.Trials)
 		}
-	}
-}
-
-// TestBatchTimeoutPoison: a cell that stalls past CellTimeout on every
-// attempt is quarantined; retries disabled keeps it to one attempt.
-func TestBatchTimeoutPoison(t *testing.T) {
-	setCellHook(t, func(name string, p protocol.Protocol, seed int64) {
-		if seed == 1 {
-			time.Sleep(2 * time.Second)
-		}
-	})
-	res, err := Run(Config{
-		Scenarios:   scenarioSpecList(t),
-		Protocols:   []protocol.Protocol{protocol.RICA},
-		Trials:      2,
-		Workers:     2,
-		CellTimeout: 100 * time.Millisecond,
-		CellRetries: -1,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Poisoned != 1 {
-		t.Fatalf("Poisoned = %d, want 1", res.Poisoned)
-	}
-	for _, c := range res.Cells {
-		if c.Seed == 1 && !strings.Contains(c.Error, "timed out") {
-			t.Errorf("stalled cell error = %q, want timeout", c.Error)
-		}
-		if c.Seed == 2 && c.Poisoned() {
-			t.Errorf("healthy cell poisoned: %q", c.Error)
-		}
-	}
-}
-
-// TestBatchTimeoutRetry: a cell that stalls only on its first attempt
-// succeeds on the retry.
-func TestBatchTimeoutRetry(t *testing.T) {
-	var attempts atomic.Int32
-	setCellHook(t, func(name string, p protocol.Protocol, seed int64) {
-		if attempts.Add(1) == 1 {
-			time.Sleep(2 * time.Second)
-		}
-	})
-	res, err := Run(Config{
-		Scenarios:   scenarioSpecList(t),
-		Protocols:   []protocol.Protocol{protocol.RICA},
-		Trials:      1,
-		Workers:     1,
-		CellTimeout: 150 * time.Millisecond,
-		CellRetries: 1,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Poisoned != 0 {
-		t.Fatalf("Poisoned = %d, want 0 (retry should have succeeded)", res.Poisoned)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("attempts = %d, want 2", got)
-	}
-	if res.Cells[0].Generated == 0 {
-		t.Error("retried cell carries no measurements")
 	}
 }
 

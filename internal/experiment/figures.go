@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"rica/internal/obs"
 	"rica/internal/protocol"
 )
 
@@ -20,6 +21,9 @@ type Options struct {
 	// Parallelism caps concurrent trials across the grid; 0 means
 	// GOMAXPROCS.
 	Parallelism int
+	// Hub, when non-nil, sees every in-flight cell's live counters (see
+	// batch.Config.Hub); it never changes a figure.
+	Hub *obs.Hub
 }
 
 func (o Options) withDefaults() Options {

@@ -78,6 +78,7 @@ func (o Options) grid(load float64, speeds []float64) map[protocol.Protocol][]Re
 		Trials:    o.Trials,
 		BaseSeed:  o.BaseSeed,
 		Workers:   o.Parallelism,
+		Hub:       o.Hub,
 	}
 	for i, speed := range speeds {
 		spec, err := FieldSpec(speed, load, o.Duration)

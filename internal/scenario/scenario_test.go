@@ -168,7 +168,7 @@ func TestValidateRejects(t *testing.T) {
 
 // TestZeroPauseIsLiteral: "pause": "0s" means continuous motion, not a
 // silent fallback to the paper's 3 s default — the same sentinel trap
-// SimConfig.SeedZero exists to avoid.
+// batch.Config.SeedZero exists to avoid.
 func TestZeroPauseIsLiteral(t *testing.T) {
 	spec := Spec{
 		Name:     "t",

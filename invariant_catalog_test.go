@@ -41,14 +41,10 @@ func TestInvariantCatalog(t *testing.T) {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
 				t.Parallel()
 				run := func() rica.Summary {
-					s, err := rica.SimulateScenario(rica.ScenarioRun{
+					return mustRun(t, rica.ScenarioRun{
 						Scenario: spec, Protocol: p, Seed: 3,
 						MaxDuration: catalogHorizon(spec.Name),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return s
+					}, rica.RunOptions{})
 				}
 				first := run()
 				if err := rica.CheckInvariants(first); err != nil {

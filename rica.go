@@ -13,15 +13,16 @@
 // telemetry timelines for observing transients (route convergence,
 // failure/heal recovery) that end-of-run aggregates hide.
 //
-// Quick start:
+// Quick start — the paper's field (50 terminals on 1 km², ten Poisson
+// flows) at 36 km/h and 10 packets/s per flow, for 60 s:
 //
-//	summary := rica.Simulate(rica.SimConfig{
-//		Protocol:     rica.ProtocolRICA,
-//		MeanSpeedKmh: 36,
-//		Rate:         10,
-//		Duration:     60 * time.Second,
-//		Seed:         1,
-//	})
+//	field, err := rica.PaperField(36, 10, 60*time.Second)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	summary, err := rica.Run(rica.ScenarioRun{
+//		Scenario: field, Protocol: rica.ProtocolRICA, Seed: 1,
+//	}, rica.RunOptions{})
 //	fmt.Printf("delivered %.1f%% with mean delay %v\n",
 //		summary.DeliveryRatio*100, summary.AvgDelay)
 //
@@ -30,24 +31,26 @@
 //	sweep := rica.Sweep(10, rica.Options{Trials: 5})
 //	fmt.Print(sweep.Table(rica.MetricDelay)) // Figure 2(a)
 //
-// Timelines:
+// Timelines — like the packet trace, the live counter registry and the
+// periodic snapshot, an option of the same Run:
 //
-//	summary, tl := rica.SimulateTimeline(rica.SimConfig{
-//		Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 10,
-//		Duration: 60 * time.Second,
-//		Telemetry: &rica.Telemetry{Interval: time.Second},
+//	var sink rica.MemoryTimelineSink
+//	summary, err := rica.Run(run, rica.RunOptions{
+//		Telemetry: &rica.Telemetry{Interval: time.Second, Sink: &sink},
 //	})
-//	for _, p := range tl.Points {
+//	for _, p := range sink.Runs[0].Timeline.Points {
 //		fmt.Printf("t=%gs delivery=%.0f%%\n", p.StartS, p.DeliveryRatio*100)
 //	}
 package rica
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"time"
 
 	"rica/internal/batch"
+	"rica/internal/checkpoint"
 	"rica/internal/experiment"
 	"rica/internal/invariant"
 	"rica/internal/metrics"
@@ -57,7 +60,6 @@ import (
 	"rica/internal/scenario"
 	"rica/internal/timeseries"
 	"rica/internal/trace"
-	"rica/internal/traffic"
 	"rica/internal/world"
 )
 
@@ -82,61 +84,14 @@ func ParseProtocol(name string) (Protocol, error) { return protocol.ParseProtoco
 // Summary is one simulation run's aggregated measurements.
 type Summary = metrics.Summary
 
-// Flow is one unidirectional Poisson data stream between two terminals.
-type Flow = traffic.Flow
-
-// SimConfig describes a single simulation run.
-type SimConfig struct {
-	// Protocol is the routing protocol under test.
-	Protocol Protocol
-	// MeanSpeedKmh is the mean terminal speed in km/h; terminals draw
-	// per-leg speeds uniformly from [0, 2×mean] (the paper's MAXSPEED).
-	MeanSpeedKmh float64
-	// Rate is the per-flow offered load in packets/second.
-	Rate float64
-	// Duration is the simulated horizon. Zero means the paper's 500 s.
-	Duration time.Duration
-	// Seed selects the random universe; equal seeds reproduce bit-equal
-	// runs. The zero value is a sentinel meaning "the library default"
-	// (seed 1), so an omitted Seed stays reproducible; to run the actual
-	// seed 0, set SeedZero.
-	Seed int64
-	// SeedZero forces the run onto seed 0, which the Seed field's zero
-	// sentinel cannot express on its own. Ignored when Seed is nonzero.
-	SeedZero bool
-	// Flows optionally pins the workload; nil draws 10 disjoint random
-	// pairs (the paper's setup).
-	Flows []Flow
-	// BufferCap overrides the per-link data buffer capacity (paper: 10);
-	// zero keeps the default.
-	BufferCap int
-	// Telemetry, when non-nil, collects an interval-bucketed timeline
-	// during the run. Retrieve it with SimulateTimeline, or set
-	// Telemetry.Sink to stream it; plain Simulate discards an unsunk
-	// timeline.
-	Telemetry *Telemetry
-	// Obs, when non-nil, is the observability registry the run counts
-	// into. Its atomic counters may be read concurrently while the run
-	// executes (live heartbeats, the HTTP stats endpoint); attaching one
-	// never changes simulation results. When nil the world creates a
-	// private registry and the end-of-run snapshot still lands on
-	// Summary.Obs.
-	Obs *ObsRegistry
-}
-
-// Telemetry configures per-interval timeline collection for one run.
+// Telemetry asks a run for its per-interval timeline.
 type Telemetry struct {
 	// Interval is the bucket width; zero means one second.
 	Interval time.Duration
-	// Sink, when non-nil, receives the finished timeline after the run
-	// (stamped with the protocol and effective seed).
+	// Sink receives the finished timeline after the run, stamped with the
+	// scenario name, the protocol and the effective seed. Required; use a
+	// MemoryTimelineSink to read the timeline back in process.
 	Sink TimelineSink
-}
-
-// Simulate runs one simulation and returns its measurements.
-func Simulate(cfg SimConfig) Summary {
-	s, _, _ := simulate(cfg, nil)
-	return s
 }
 
 // Timeline types: a Timeline is one run's interval series of
@@ -161,16 +116,13 @@ func NewJSONLTimelineSink(w io.Writer) TimelineSink { return timeseries.NewJSONL
 // w, with a header line first.
 func NewCSVTimelineSink(w io.Writer) TimelineSink { return timeseries.NewCSVSink(w) }
 
-// SimulateTimeline runs one simulation and returns its measurements plus
-// the interval telemetry timeline. A nil cfg.Telemetry behaves like
-// &Telemetry{}: one-second buckets, no sink.
-func SimulateTimeline(cfg SimConfig) (Summary, Timeline) {
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = &Telemetry{}
-	}
-	s, tl, _ := simulate(cfg, nil)
-	return s, tl
-}
+// TraceRecorder is a bounded ring of a run's packet-level events, for
+// debugging and demonstrations; read it back with its Events method.
+type TraceRecorder = trace.Recorder
+
+// NewTraceRecorder builds a recorder keeping the most recent capacity
+// events (capacity 0 counts events and retains none).
+func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
 
 // TraceEvent is one packet-level event from a traced run.
 type TraceEvent = trace.Event
@@ -183,49 +135,6 @@ const (
 	TraceControl     = trace.KindControl
 	TraceControlLost = trace.KindControlLost
 )
-
-// SimulateTraced runs one simulation while recording its packet-level
-// event history (the most recent capacity events; capacity 0 retains
-// nothing), for debugging and demonstrations.
-func SimulateTraced(cfg SimConfig, capacity int) (Summary, []TraceEvent) {
-	rec := trace.NewRecorder(capacity)
-	s, _, _ := simulate(cfg, rec)
-	return s, rec.Events()
-}
-
-func simulate(cfg SimConfig, rec *trace.Recorder) (Summary, Timeline, *trace.Recorder) {
-	wcfg := world.DefaultConfig(cfg.MeanSpeedKmh, cfg.Rate)
-	if cfg.Duration > 0 {
-		wcfg.Duration = cfg.Duration
-	}
-	if cfg.Seed != 0 || cfg.SeedZero {
-		wcfg.Seed = cfg.Seed
-	}
-	if cfg.Flows != nil {
-		wcfg.Flows = cfg.Flows
-	}
-	if cfg.BufferCap > 0 {
-		wcfg.Node.BufferCap = cfg.BufferCap
-	}
-	wcfg.Obs = cfg.Obs
-	if cfg.Telemetry != nil {
-		wcfg.Timeseries = timeseries.NewCollector(cfg.Telemetry.Interval, wcfg.Duration)
-	}
-	wcfg.Trace = rec
-	summary := world.New(wcfg, protocol.Factory(cfg.Protocol, cfg.Rate)).Run()
-	var tl Timeline
-	if cfg.Telemetry != nil {
-		tl = wcfg.Timeseries.Timeline()
-		if cfg.Telemetry.Sink != nil {
-			run := TimelineRun{Protocol: cfg.Protocol.String(), Seed: wcfg.Seed}
-			// The sink's error has nowhere to surface from Simulate's
-			// signature; sinks that can fail belong in batch runs, which
-			// propagate it.
-			_ = cfg.Telemetry.Sink.Emit(run, tl)
-		}
-	}
-	return summary, tl, rec
-}
 
 // Result is one figure point (a protocol × speed × load cell): its
 // per-trial summaries and their across-trial means.
@@ -303,16 +212,33 @@ func LoadScenario(path string) (Scenario, error) {
 	return scenario.ParseJSON(data)
 }
 
+// ScenarioPair pins one flow's endpoints in Scenario.Traffic.Pairs.
+type ScenarioPair = scenario.Pair
+
+// PaperField is the paper's §III.A evaluation environment — 50 terminals
+// roaming 1000 × 1000 m, ten Poisson flows between random disjoint pairs
+// — at one figure point: the paper-baseline builtin with its mean speed
+// (km/h; terminals draw per-leg speeds uniformly from [0, 2×mean]),
+// per-flow load (packets/s) and horizon (zero keeps the paper's 500 s)
+// overridden. It is the spec every figure cell runs; pin the workload
+// with Traffic.Pairs and resize the buffers with BufferCap on the result.
+// The error is the spec validator's.
+func PaperField(speedKmh, load float64, horizon time.Duration) (Scenario, error) {
+	return experiment.FieldSpec(speedKmh, load, horizon)
+}
+
 // ScenarioRun pins one simulation of a compiled scenario: the spec, the
-// protocol under test, and the deterministic coordinates. It is the
-// single-run analogue of a batch cell — SimulateScenario(r) and a
-// 1×1×1 RunBatch cell execute the same configuration.
+// protocol under test, and the deterministic coordinates. It is the only
+// description of a single run — Run(r, RunOptions{}) and a 1×1×1 RunBatch
+// cell execute the same configuration, and a snapshot's recipe is one.
 type ScenarioRun struct {
 	// Scenario is the validated spec to compile and run.
 	Scenario Scenario
 	// Protocol is the routing protocol under test.
 	Protocol Protocol
-	// Seed overrides the scenario's compiled seed when nonzero.
+	// Seed selects the random universe when nonzero; equal seeds
+	// reproduce bit-equal runs. Zero keeps the scenario's compiled seed
+	// (the library default, 1, unless the spec sets one).
 	Seed int64
 	// MaxDuration, when positive, truncates the scenario's horizon — the
 	// fuzzer and the invariant sweep run long catalog entries at short
@@ -320,11 +246,59 @@ type ScenarioRun struct {
 	MaxDuration time.Duration
 }
 
-// config compiles the run into a world configuration.
-func (r ScenarioRun) config() (world.Config, error) {
+// RunOptions attaches observers to one run. Every field is optional and
+// none of them moves the run's Fingerprint: a run observed through any
+// subset dispatches the event sequence of the bare run. All of them are
+// valid on Resume too — a resume replays from t=0, so a timeline or a
+// trace of a resumed run covers the whole run.
+type RunOptions struct {
+	// Telemetry, when non-nil, collects an interval timeline and emits it
+	// to Telemetry.Sink once the run completes.
+	Telemetry *Telemetry
+	// Trace, when non-nil, records the run's packet-level event history.
+	Trace *TraceRecorder
+	// Obs, when non-nil, is the observability registry the run counts
+	// into. Its atomic counters may be read concurrently while the run
+	// executes (live heartbeats, the HTTP stats endpoint). When nil the
+	// world creates a private registry and the end-of-run snapshot still
+	// lands on Summary.Obs.
+	Obs *ObsRegistry
+	// CheckpointPath, when set, has a snapshot written to this file at
+	// every multiple of CheckpointEvery short of the horizon. Writes are
+	// atomic and durable (temp file, fsync, rename, directory fsync), so
+	// a process killed mid-write leaves the previous complete snapshot
+	// intact. Continue a snapshot with Resume.
+	CheckpointPath string
+	// CheckpointEvery is the virtual-time cadence of the snapshots and of
+	// the Stop polls; zero means 10 s of simulated time.
+	CheckpointEvery time.Duration
+	// Stop, when closed mid-run, halts the run at the next cadence
+	// boundary — after that boundary's snapshot, when CheckpointPath is
+	// set — with an ErrInterrupted-wrapped error.
+	Stop <-chan struct{}
+}
+
+// defaultCheckpointEvery is RunOptions.CheckpointEvery's zero value.
+const defaultCheckpointEvery = 10 * time.Second
+
+// Run compiles and executes one scenario run under the given options
+// and returns its measurements. A failing Telemetry.Sink is reported
+// after the run: the returned summary is complete and the error wraps
+// the sink's.
+func Run(r ScenarioRun, o RunOptions) (Summary, error) { return execute(r, o, nil) }
+
+// execute is the one place a single run's world is built and driven:
+// compile, attach the observers, then run horizon-ward in cadence steps
+// — writing a snapshot (when a path is set) and polling Stop at every
+// boundary. A plain run is the same loop with no path and one step to
+// the horizon. Chunked kernel runs dispatch the identical event sequence
+// a single run would, so the summary is bit-identical whatever the
+// cadence. With snap set (Resume) the world first replays to the capture
+// instant and must reproduce the snapshot's digests there.
+func execute(r ScenarioRun, o RunOptions, snap *snapshot) (Summary, error) {
 	wcfg, err := r.Scenario.Compile()
 	if err != nil {
-		return world.Config{}, err
+		return Summary{}, err
 	}
 	if r.Seed != 0 {
 		wcfg.Seed = r.Seed
@@ -332,16 +306,74 @@ func (r ScenarioRun) config() (world.Config, error) {
 	if r.MaxDuration > 0 && r.MaxDuration < wcfg.Duration {
 		wcfg.Duration = r.MaxDuration
 	}
-	return wcfg, nil
-}
-
-// SimulateScenario compiles and executes one scenario run.
-func SimulateScenario(r ScenarioRun) (Summary, error) {
-	wcfg, err := r.config()
-	if err != nil {
-		return Summary{}, err
+	horizon := wcfg.Duration
+	if o.Telemetry != nil {
+		if o.Telemetry.Sink == nil {
+			return Summary{}, fmt.Errorf("rica: Telemetry needs a Sink")
+		}
+		wcfg.Timeseries = timeseries.NewCollector(o.Telemetry.Interval, horizon)
 	}
-	return world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run(), nil
+	wcfg.Trace = o.Trace
+	wcfg.Obs = o.Obs
+	// The decoder has bounded a snapshot's instant by its recorded
+	// horizon; a recorded horizon this binary does not compile from the
+	// recipe would replay to a different end.
+	if snap != nil && snap.horizon != horizon {
+		return Summary{}, fmt.Errorf("%w: snapshot records horizon %v, its recipe compiles to %v", ErrCheckpointCorrupt, snap.horizon, horizon)
+	}
+	var recipe checkpoint.Descriptor
+	if o.CheckpointPath != "" {
+		if recipe, err = r.descriptor(horizon); err != nil {
+			return Summary{}, err
+		}
+	}
+	w := world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate))
+	w.Start()
+	var t time.Duration
+	if snap != nil {
+		t = snap.at
+		w.RunTo(t)
+		if err := verifyReplay(w, snap.sections); err != nil {
+			return Summary{}, err
+		}
+	}
+	every := o.CheckpointEvery
+	if every <= 0 {
+		every = defaultCheckpointEvery
+		if o.CheckpointPath == "" && o.Stop == nil {
+			every = horizon // nothing happens at a boundary: one step
+		}
+	}
+	for t < horizon {
+		t = min(t-t%every+every, horizon)
+		w.RunTo(t)
+		if t == horizon {
+			break // nothing is left to resume, so no snapshot is written
+		}
+		// A failed write is never an interruption, stop signal or not:
+		// there is no snapshot to resume.
+		if o.CheckpointPath != "" {
+			if err := writeSnapshot(w, recipe, o.CheckpointPath, t); err != nil {
+				return Summary{}, err
+			}
+		}
+		select {
+		case <-o.Stop:
+			if o.CheckpointPath != "" {
+				return Summary{}, fmt.Errorf("%w at t=%v (snapshot: %s)", ErrInterrupted, t, o.CheckpointPath)
+			}
+			return Summary{}, fmt.Errorf("%w at t=%v", ErrInterrupted, t)
+		default:
+		}
+	}
+	s := w.Finish()
+	if o.Telemetry != nil {
+		run := TimelineRun{Scenario: r.Scenario.Name, Protocol: r.Protocol.String(), Seed: wcfg.Seed}
+		if err := o.Telemetry.Sink.Emit(run, wcfg.Timeseries.Timeline()); err != nil {
+			return s, fmt.Errorf("rica: timeline sink: %w", err)
+		}
+	}
+	return s, nil
 }
 
 // VerifyScenario executes the run under the full invariant harness: the
@@ -352,14 +384,18 @@ func SimulateScenario(r ScenarioRun) (Summary, error) {
 // process-global packet pool, so concurrent simulations (including
 // t.Parallel tests) poison its baseline.
 func VerifyScenario(r ScenarioRun) (Summary, error) {
-	wcfg, err := r.config()
-	if err != nil {
-		return Summary{}, err
-	}
-	return invariant.Verify(func() Summary {
-		cfg := wcfg // runs must not share mutable state
-		return world.New(cfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate)).Run()
+	var runErr error
+	s, err := invariant.Verify(func() Summary {
+		s, err := Run(r, RunOptions{})
+		if err != nil {
+			runErr = err
+		}
+		return s
 	})
+	if runErr != nil {
+		return Summary{}, runErr
+	}
+	return s, err
 }
 
 // CheckInvariants validates a completed run's conservation laws: every
@@ -367,8 +403,8 @@ func VerifyScenario(r ScenarioRun) (Summary, error) {
 // counted in flight at the horizon; independently maintained ledgers
 // (delay histogram, traffic counters, adversary drops, kernel event
 // counts) agree; the delivery ratio is consistent. A nil error means the
-// summary is self-consistent. Works on any Summary — Simulate or batch
-// cell.
+// summary is self-consistent. Works on any Summary — Run's or a batch
+// cell's.
 func CheckInvariants(s Summary) error { return invariant.CheckSummary(s) }
 
 // Fingerprint renders a Summary into an exact, platform-independent
@@ -408,7 +444,7 @@ type BatchTelemetry = batch.Telemetry
 // BatchConfig.Workers (default: GOMAXPROCS). Cells run deterministic
 // seeds and results are assembled in grid order, so the same scenarios
 // and base seed produce bit-identical exports regardless of parallelism.
-// Crash resilience: a panicking or stalling cell is quarantined (see
+// Crash resilience: a panicking cell is quarantined (see
 // BatchCell.Error) instead of killing the grid, BatchConfig.Manifest
 // journals finished cells durably for resume, and BatchConfig.Stop ends
 // the grid gracefully with ErrBatchInterrupted.
@@ -434,7 +470,7 @@ type (
 )
 
 // NewObsRegistry builds an empty observability registry to pass as
-// SimConfig.Obs (or BatchConfig.Hub attachment) when a caller wants to
+// RunOptions.Obs (or BatchConfig.Hub attachment) when a caller wants to
 // watch counters while a run executes.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 

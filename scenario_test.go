@@ -9,33 +9,6 @@ import (
 	"rica"
 )
 
-// TestSeedZeroRepresentable: SimConfig can request the actual seed-0
-// universe (SeedZero), which must be reproducible and distinct from the
-// default universe the zero-valued Seed field falls back to.
-func TestSeedZeroRepresentable(t *testing.T) {
-	base := rica.SimConfig{
-		Protocol: rica.ProtocolAODV, MeanSpeedKmh: 20, Rate: 10,
-		Duration: 10 * time.Second,
-	}
-	zero := base
-	zero.SeedZero = true
-	a, b := rica.Simulate(zero), rica.Simulate(zero)
-	if a.Generated != b.Generated || a.AvgDelay != b.AvgDelay {
-		t.Fatal("seed-0 runs are not reproducible")
-	}
-	def := base // Seed omitted: the documented default universe (seed 1)
-	d := rica.Simulate(def)
-	if a.Generated == d.Generated && a.AvgDelay == d.AvgDelay && a.Delivered == d.Delivered {
-		t.Error("seed 0 indistinguishable from the default seed — the sentinel still swallows it")
-	}
-	one := base
-	one.Seed = 1
-	e := rica.Simulate(one)
-	if e.Generated != d.Generated || e.AvgDelay != d.AvgDelay {
-		t.Error("omitted seed must keep meaning the default seed 1")
-	}
-}
-
 // TestScenarioCatalogAPI: the public surface exposes the catalog and
 // round-trips specs through JSON.
 func TestScenarioCatalogAPI(t *testing.T) {

@@ -10,12 +10,14 @@ import (
 )
 
 func TestSimulateTimelineConsistentWithSummary(t *testing.T) {
-	cfg := rica.SimConfig{
-		Protocol: rica.ProtocolRICA, MeanSpeedKmh: 36, Rate: 10,
-		Duration: 20 * time.Second, Seed: 2,
-		Telemetry: &rica.Telemetry{Interval: time.Second},
+	var sink rica.MemoryTimelineSink
+	summary := mustRun(t, paperRun(t, rica.ProtocolRICA, 36, 10, 20*time.Second, 2), rica.RunOptions{
+		Telemetry: &rica.Telemetry{Interval: time.Second, Sink: &sink},
+	})
+	if len(sink.Runs) != 1 {
+		t.Fatalf("sink holds %d timelines after one run", len(sink.Runs))
 	}
-	summary, tl := rica.SimulateTimeline(cfg)
+	tl := sink.Runs[0].Timeline
 	if len(tl.Points) < 20 {
 		t.Fatalf("timeline has %d points for a 20 s run at 1 s intervals", len(tl.Points))
 	}
@@ -38,9 +40,7 @@ func TestSimulateTimelineConsistentWithSummary(t *testing.T) {
 func TestSimulateTimelineDeterminism(t *testing.T) {
 	run := func() *bytes.Buffer {
 		var buf bytes.Buffer
-		rica.SimulateTimeline(rica.SimConfig{
-			Protocol: rica.ProtocolAODV, MeanSpeedKmh: 18, Rate: 8,
-			Duration: 10 * time.Second, Seed: 5,
+		mustRun(t, paperRun(t, rica.ProtocolAODV, 18, 8, 10*time.Second, 5), rica.RunOptions{
 			Telemetry: &rica.Telemetry{
 				Interval: 2 * time.Second,
 				Sink:     rica.NewJSONLTimelineSink(&buf),
@@ -55,20 +55,5 @@ func TestSimulateTimelineDeterminism(t *testing.T) {
 	line, _, _ := strings.Cut(a.String(), "\n")
 	if !strings.Contains(line, `"protocol":"AODV"`) || !strings.Contains(line, `"seed":5`) {
 		t.Fatalf("sink row missing run metadata: %s", line)
-	}
-}
-
-func TestSimulateUnaffectedByTelemetry(t *testing.T) {
-	base := rica.SimConfig{
-		Protocol: rica.ProtocolBGCA, MeanSpeedKmh: 36, Rate: 10,
-		Duration: 10 * time.Second, Seed: 4,
-	}
-	plain := rica.Simulate(base)
-	wired := base
-	wired.Telemetry = &rica.Telemetry{Interval: time.Second}
-	observed, _ := rica.SimulateTimeline(wired)
-	if plain.Generated != observed.Generated || plain.Delivered != observed.Delivered ||
-		plain.AvgDelay != observed.AvgDelay || plain.OverheadBps != observed.OverheadBps {
-		t.Fatalf("telemetry perturbed the run: %+v vs %+v", plain, observed)
 	}
 }
