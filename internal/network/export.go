@@ -3,7 +3,7 @@ package network
 import "time"
 
 // This file is the node runtime's checkpoint seam: a read-only skeleton
-// of each terminal's per-neighbour link queues, captured in dense
+// of each terminal's per-neighbour link queues, captured in ascending
 // neighbour-id order so snapshot verification can compare two
 // processes' queue populations byte-for-byte.
 
@@ -25,11 +25,12 @@ type QueueState struct {
 // its head handed to the MAC — is reported).
 func (nd *Node) ExportQueues() []QueueState {
 	var out []QueueState
-	for to, q := range nd.queues {
-		if q == nil || (q.len() == 0 && !q.busy) {
+	for _, hq := range nd.queues {
+		q := hq.q
+		if q.len() == 0 && !q.busy {
 			continue
 		}
-		st := QueueState{To: to, Busy: q.busy}
+		st := QueueState{To: hq.next, Busy: q.busy}
 		for _, it := range q.items[q.head:] {
 			st.Items = append(st.Items, QueuedPacket{PktID: it.id, At: it.at})
 		}

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"rica/internal/channel"
@@ -22,6 +24,13 @@ type NodeConfig struct {
 	// Node.Obs so protocol internals (flood history, SPT rebuilds) can
 	// count into the run's registry. All registry methods are nil-safe.
 	Obs *obs.Registry
+
+	// ForgetAudit, when set, turns on the exactness audit of the attached
+	// agent's bounded flood history (routing.History.Audit): it receives
+	// one count per lookup that missed a record the history had forgotten.
+	// Only the invariant harness sets it; the audit's shadow key set grows
+	// with the horizon, which is what the history itself no longer does.
+	ForgetAudit *uint64
 }
 
 // DefaultNodeConfig returns the paper's settings.
@@ -45,8 +54,8 @@ type Node struct {
 	cfg    NodeConfig
 	agent  Agent
 
-	queues   []*linkQueue // per-neighbour link queues, dense by terminal id
-	drainBuf []queued     // reusable scratch for linkFailed backlog re-presentation
+	queues   []hopQueue // one per next hop ever used, ascending by next
+	drainBuf []queued   // reusable scratch for linkFailed backlog re-presentation
 
 	adv *adversary // nil on honest terminals
 }
@@ -79,7 +88,6 @@ func NewNode(id int, kernel *sim.Kernel, common *mac.CommonChannel, data *mac.Da
 		rng:    rng,
 		rec:    rec,
 		cfg:    cfg,
-		queues: make([]*linkQueue, model.N()),
 	}
 	if rr, ok := rec.(RouteRecorder); ok {
 		nd.routes = rr
@@ -113,6 +121,10 @@ func (nd *Node) SetAdversary(prob float64, from, until time.Duration) {
 // against this method, the same way TableObserver is discovered.
 func (nd *Node) Obs() *obs.Registry { return nd.cfg.Obs }
 
+// ForgetAudit returns the exactness audit's counter (nil outside the
+// invariant harness); routing discovers it the way it discovers Obs.
+func (nd *Node) ForgetAudit() *uint64 { return nd.cfg.ForgetAudit }
+
 // Drain silently releases every data packet still buffered in the link
 // queues and forwards to the agent's DrainPending when it has one. No
 // recorder callbacks run — the world layer calls this after the
@@ -122,10 +134,8 @@ func (nd *Node) Obs() *obs.Registry { return nd.cfg.Obs }
 // "in flight at the horizon" for conservation accounting) and
 // control/relay packets.
 func (nd *Node) Drain() (data, control int) {
-	for _, q := range nd.queues {
-		if q == nil {
-			continue
-		}
+	for _, hq := range nd.queues {
+		q := hq.q
 		for {
 			e, ok := q.pop()
 			if !ok {
@@ -151,10 +161,36 @@ func (nd *Node) Drain() (data, control int) {
 // owns, so the end-of-run drain must not count or release it here (the
 // world consults mac.DataPlane.EachHandedOff and calls this first).
 func (nd *Node) DiscardStaleHead(next int) {
-	if q := nd.queues[next]; q != nil && q.busy {
+	if q := nd.queue(next); q != nil && q.busy {
 		q.pop()
 		q.busy = false
 	}
+}
+
+// hopQueue is one entry of a terminal's queue list: the link queue
+// toward neighbour next. The list holds only next hops the terminal has
+// forwarded to and stays sorted by next, so draining, the backlog sum
+// and the checkpoint export walk it in terminal-id order.
+type hopQueue struct {
+	next int
+	q    *linkQueue
+}
+
+// queueIndex finds next's place in the queue list: the index holding
+// it, or the one it would be inserted at.
+func (nd *Node) queueIndex(next int) (int, bool) {
+	return slices.BinarySearchFunc(nd.queues, next, func(hq hopQueue, next int) int {
+		return cmp.Compare(hq.next, next)
+	})
+}
+
+// queue returns the link queue toward next, or nil when this terminal
+// never forwarded to it.
+func (nd *Node) queue(next int) *linkQueue {
+	if i, ok := nd.queueIndex(next); ok {
+		return nd.queues[i].q
+	}
+	return nil
 }
 
 // Start boots the routing agent.
@@ -276,8 +312,11 @@ func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {
 	if next == nd.id {
 		panic("network: enqueue toward self")
 	}
-	q := nd.queues[next]
-	if q == nil {
+	i, ok := nd.queueIndex(next)
+	var q *linkQueue
+	if ok {
+		q = nd.queues[i].q
+	} else {
 		q = &linkQueue{}
 		// One completion callback per queue, built once: every data send on
 		// this link reuses it, so the steady-state forwarding path does not
@@ -293,7 +332,7 @@ func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {
 				nd.serve(next, q)
 			}
 		}
-		nd.queues[next] = q
+		nd.queues = slices.Insert(nd.queues, i, hopQueue{next, q})
 	}
 	if q.len() >= nd.cfg.BufferCap {
 		nd.rec.DataDropped(pkt, DropCongestion, nd.kernel.Now())
@@ -308,7 +347,7 @@ func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {
 
 // QueueLen reports the backlog toward neighbour next.
 func (nd *Node) QueueLen(next int) int {
-	if q := nd.queues[next]; q != nil {
+	if q := nd.queue(next); q != nil {
 		return q.len()
 	}
 	return 0
@@ -317,10 +356,8 @@ func (nd *Node) QueueLen(next int) int {
 // QueueBacklog implements Env: total packets buffered across all links.
 func (nd *Node) QueueBacklog() int {
 	total := 0
-	for _, q := range nd.queues {
-		if q != nil {
-			total += q.len()
-		}
+	for _, hq := range nd.queues {
+		total += hq.q.len()
 	}
 	return total
 }

@@ -98,6 +98,9 @@ func New(env network.Env, cfg Config, boot *routing.Graph) *Agent {
 		a.obs = op.Obs()
 		a.hist.SetObs(a.obs)
 	}
+	if misses := routing.AuditOf(env); misses != nil {
+		a.hist.Audit(misses)
+	}
 	n := env.NumNodes()
 	a.topo.CopyFrom(boot)
 	self := env.ID()

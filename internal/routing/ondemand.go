@@ -87,6 +87,9 @@ type Core struct {
 	upstream map[FlowKey]upstreamRec
 	delayed  *DelayedSender
 	bcast    uint32
+
+	gatherSweepAt time.Duration                // next sweep of gather: once per history generation
+	gatherSeen    map[packet.FloodKey]struct{} // audit only: every instance ever gathered
 }
 
 type queryState struct {
@@ -95,8 +98,12 @@ type queryState struct {
 	timer   sim.Timer
 }
 
+// gatherState is one flood instance this terminal answers as the
+// query's destination. It outlives the reply so a late copy is not
+// answered twice, and is swept with the flood history (sweepGather).
 type gatherState struct {
 	best    Candidate
+	at      time.Duration // first copy
 	replied bool
 }
 
@@ -138,7 +145,7 @@ func NewCore(env network.Env, cfg CoreConfig) *Core {
 	if op, ok := env.(ObsProvider); ok {
 		hist.SetObs(op.Obs())
 	}
-	return &Core{
+	c := &Core{
 		env:      env,
 		cfg:      cfg,
 		Table:    table,
@@ -149,6 +156,11 @@ func NewCore(env network.Env, cfg CoreConfig) *Core {
 		upstream: make(map[FlowKey]upstreamRec),
 		delayed:  NewDelayedSender(env),
 	}
+	if misses := AuditOf(env); misses != nil {
+		hist.Audit(misses)
+		c.gatherSeen = make(map[packet.FloodKey]struct{})
+	}
+	return c
 }
 
 // Delayed exposes the core's closure-free delayed sender so protocols
@@ -340,10 +352,19 @@ func (c *Core) handleQuery(pkt *packet.Packet, now time.Duration) {
 func (c *Core) gatherAtDestination(pkt *packet.Packet, now time.Duration) {
 	key := pkt.Key()
 	cand := Candidate{From: pkt.From, Metric: pkt.HopCount, GeoHops: pkt.GeoHops, Payload: pkt.Payload}
+	if now >= c.gatherSweepAt {
+		c.sweepGather(now)
+	}
 	gs := c.gather[key]
 	if gs == nil {
-		gs = &gatherState{best: cand}
+		gs = &gatherState{best: cand, at: now}
 		c.gather[key] = gs
+		if c.gatherSeen != nil {
+			if _, forgotten := c.gatherSeen[key]; forgotten {
+				*c.hist.audit.misses++ // a swept instance is being answered again
+			}
+			c.gatherSeen[key] = struct{}{}
+		}
 		if c.cfg.OnQueryAtDestination != nil {
 			c.cfg.OnQueryAtDestination(pkt.Src, pkt, now)
 		}
@@ -361,6 +382,19 @@ func (c *Core) gatherAtDestination(pkt *packet.Packet, now time.Duration) {
 	}
 	if !gs.replied && c.cfg.Better(cand, gs.best) {
 		gs.best = cand
+	}
+}
+
+// sweepGather forgets answered flood instances on the history's terms:
+// run by the first gathered copy of each generation, it drops replied
+// entries first seen more than two HistoryLifetimes ago. Deleting at
+// reply time instead would answer a late copy of the same flood twice.
+func (c *Core) sweepGather(now time.Duration) {
+	c.gatherSweepAt = generationEnd(now)
+	for key, gs := range c.gather {
+		if gs.replied && now-gs.at > 2*HistoryLifetime {
+			delete(c.gather, key)
+		}
 	}
 }
 

@@ -85,19 +85,17 @@ type Agent struct {
 	cfg  Config
 	core *routing.Core
 
-	// Intermediate state: possible downstream per destination, learned
-	// from the first copy of each checking packet. Dense slices indexed
-	// by destination id — every received checking packet writes here, and
-	// a map assignment per copy was a measurable slice of the flood path.
-	cand    []candidate
-	candSet []bool
+	// Per-destination state, for the destinations this terminal has
+	// relayed or gathered checking packets for: as an intermediate, the
+	// possible downstream learned from the best copy of each checking
+	// packet; as a source, when the last one arrived (REER suppression).
+	// A flat probed table — every received checking packet writes here,
+	// and a map assignment per copy was a measurable slice of the flood
+	// path; arrays indexed by terminal id cost 50 B × N per agent.
+	dsts dstTable
 
-	// Source state: per destination, the gathering of checking packets
-	// and the time the last one arrived (REER suppression; dense slices
-	// for the same reason as cand).
-	collect  map[int]*csicCollect
-	lastCSIC []time.Duration
-	csicSeen []bool
+	// Source state: per destination, the gathering of checking packets.
+	collect map[int]*csicCollect
 
 	// Destination state: one checker per incoming flow source.
 	checkers map[int]*checker
@@ -109,6 +107,68 @@ type candidate struct {
 	hop  float64
 	geo  int
 	at   time.Duration
+}
+
+// dstState is what the agent keeps per destination.
+type dstState struct {
+	key      int32 // destination id + 1; 0 marks an empty slot
+	hasCand  bool  // cand is set (intermediate role)
+	seenCSIC bool  // lastCSIC is set (source role)
+	cand     candidate
+	lastCSIC time.Duration
+}
+
+// dstTable is a linear-probed open-addressing table of dstState keyed
+// by destination id, sized by the destinations seen (nothing is ever
+// removed). Pointers it returns are good until the next at call.
+type dstTable struct {
+	slots []dstState
+	used  int
+}
+
+// dstInitSlots sizes a table at first use; it doubles at ~3/4 load.
+const dstInitSlots = 8
+
+// slot returns the index holding dst, or the empty one where it belongs.
+func (t *dstTable) slot(dst int) int {
+	mask := uint32(len(t.slots) - 1)
+	i := uint32(dst) * 0x9E3779B9 >> 16 & mask
+	for {
+		if k := t.slots[i].key; k == int32(dst)+1 || k == 0 {
+			return int(i)
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// find returns dst's state, or nil when there is none.
+func (t *dstTable) find(dst int) *dstState {
+	if t.used == 0 {
+		return nil
+	}
+	if s := &t.slots[t.slot(dst)]; s.key != 0 {
+		return s
+	}
+	return nil
+}
+
+// at returns dst's state, creating it empty on first use.
+func (t *dstTable) at(dst int) *dstState {
+	if t.used*4 >= len(t.slots)*3 { // includes the empty-table case
+		old := t.slots
+		t.slots = make([]dstState, max(2*len(old), dstInitSlots))
+		for i := range old {
+			if old[i].key != 0 {
+				t.slots[t.slot(int(old[i].key)-1)] = old[i]
+			}
+		}
+	}
+	s := &t.slots[t.slot(dst)]
+	if s.key == 0 {
+		s.key = int32(dst) + 1
+		t.used++
+	}
+	return s
 }
 
 type csicCollect struct {
@@ -138,11 +198,7 @@ func New(env network.Env, cfg Config) *Agent {
 	a := &Agent{
 		env:      env,
 		cfg:      cfg,
-		cand:     make([]candidate, env.NumNodes()),
-		candSet:  make([]bool, env.NumNodes()),
 		collect:  make(map[int]*csicCollect),
-		lastCSIC: make([]time.Duration, env.NumNodes()),
-		csicSeen: make([]bool, env.NumNodes()),
 		checkers: make(map[int]*checker),
 	}
 	a.core = routing.NewCore(env, routing.CoreConfig{
@@ -179,8 +235,8 @@ func (a *Agent) RouteData(pkt *packet.Packet, now time.Duration) {
 	if a.core.Forward(pkt, now) {
 		return
 	}
-	if c := a.cand[pkt.Dst]; a.candSet[pkt.Dst] && now-c.at <= time.Duration(candidateLifetime)*a.cfg.CheckInterval {
-		if pkt.Src == a.env.ID() || c.next != pkt.From { // split horizon
+	if d := a.dsts.find(pkt.Dst); d != nil && d.hasCand && now-d.cand.at <= time.Duration(candidateLifetime)*a.cfg.CheckInterval {
+		if c := d.cand; pkt.Src == a.env.ID() || c.next != pkt.From { // split horizon
 			a.core.Table.Install(pkt.Dst, c.next, c.hop, c.geo, now)
 			a.env.EnqueueData(pkt, c.next)
 			return
@@ -233,7 +289,8 @@ func (a *Agent) LinkFailed(next int, pkt *packet.Packet, now time.Duration) {
 // suppressREER reports whether checking packets for dst arrived recently
 // enough that rediscovery is unnecessary.
 func (a *Agent) suppressREER(dst int, now time.Duration) bool {
-	return a.csicSeen[dst] && now-a.lastCSIC[dst] <= 2*a.cfg.CheckInterval
+	d := a.dsts.find(dst)
+	return d != nil && d.seenCSIC && now-d.lastCSIC <= 2*a.cfg.CheckInterval
 }
 
 // --- Destination side: the CSI checker ----------------------------------
@@ -342,8 +399,8 @@ func (a *Agent) handleCSIC(pkt *packet.Packet, now time.Duration) {
 	// next hop toward the destination if the source adopts a route through
 	// us, keeping lazy path activation consistent with the metric the
 	// source compared.
-	a.cand[pkt.Dst] = candidate{next: pkt.From, hop: pkt.HopCount, geo: pkt.GeoHops, at: now}
-	a.candSet[pkt.Dst] = true
+	d := a.dsts.at(pkt.Dst)
+	d.cand, d.hasCand = candidate{next: pkt.From, hop: pkt.HopCount, geo: pkt.GeoHops, at: now}, true
 
 	if pkt.TTL != 0 {
 		pkt.TTL--
@@ -362,8 +419,8 @@ func (a *Agent) handleCSIC(pkt *packet.Packet, now time.Duration) {
 // offered route.
 func (a *Agent) gatherAtSource(pkt *packet.Packet, now time.Duration) {
 	dst := pkt.Dst
-	a.lastCSIC[dst] = now
-	a.csicSeen[dst] = true
+	d := a.dsts.at(dst)
+	d.lastCSIC, d.seenCSIC = now, true
 	cand := candidate{next: pkt.From, hop: pkt.HopCount, geo: pkt.GeoHops, at: now}
 	col := a.collect[dst]
 	if col == nil {
@@ -408,8 +465,8 @@ func (a *Agent) decideRoute(dst int, now time.Duration) {
 // handleRUPD activates this terminal's pending downstream pointer: the
 // source has adopted a route whose first hop is us.
 func (a *Agent) handleRUPD(pkt *packet.Packet, now time.Duration) {
-	if a.candSet[pkt.Dst] {
-		c := a.cand[pkt.Dst]
+	if d := a.dsts.find(pkt.Dst); d != nil && d.hasCand {
+		c := d.cand
 		a.core.Table.Install(pkt.Dst, c.next, c.hop, c.geo, now)
 	}
 }

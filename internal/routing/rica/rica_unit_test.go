@@ -1,6 +1,7 @@
 package rica
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -67,8 +68,64 @@ func TestCSICOnlyImprovedCopiesRebroadcast(t *testing.T) {
 		t.Fatalf("rebroadcasts = %d, want 2 (first + improved)", len(sent))
 	}
 	// The surviving downstream candidate must be the improved one.
-	if c := a.cand[9]; c.next != 4 || c.hop != 1 {
-		t.Fatalf("candidate = %+v, want next 4 hop 1", c)
+	if d := a.dsts.find(9); d == nil || !d.hasCand || d.cand.next != 4 || d.cand.hop != 1 {
+		t.Fatalf("destination state = %+v, want candidate next 4 hop 1", d)
+	}
+}
+
+// TestDstTableMatchesDenseSlices drives the per-destination table and
+// the four terminal-indexed slices it replaced through the same seeded
+// sequence of the agent's three kinds of access — an intermediate
+// storing a candidate, a source stamping a checking packet's arrival,
+// and either role reading — and holds every read to the slices' answer,
+// across growth from empty to every destination of a 500-terminal field.
+func TestDstTableMatchesDenseSlices(t *testing.T) {
+	const n = 500
+	rng := rand.New(rand.NewSource(21))
+	var tab dstTable
+	cand, candSet := make([]candidate, n), make([]bool, n)
+	lastCSIC, csicSeen := make([]time.Duration, n), make([]bool, n)
+	seen := 0
+	for step := 0; step < 10000; step++ {
+		// Few destinations early, all of them by the end: the table is
+		// probed at every size it grows through.
+		dst := rng.Intn(1 + step*n/10000)
+		now := time.Duration(step) * time.Millisecond
+		switch rng.Intn(3) {
+		case 0:
+			c := candidate{next: rng.Intn(n), hop: float64(rng.Intn(40)), geo: rng.Intn(12), at: now}
+			d := tab.at(dst)
+			d.cand, d.hasCand = c, true
+			if !candSet[dst] && !csicSeen[dst] {
+				seen++
+			}
+			cand[dst], candSet[dst] = c, true
+		case 1:
+			d := tab.at(dst)
+			d.lastCSIC, d.seenCSIC = now, true
+			if !candSet[dst] && !csicSeen[dst] {
+				seen++
+			}
+			lastCSIC[dst], csicSeen[dst] = now, true
+		}
+		d := tab.find(dst)
+		if d == nil {
+			if candSet[dst] || csicSeen[dst] {
+				t.Fatalf("step %d: destination %d has state in the slices and none in the table", step, dst)
+			}
+			continue
+		}
+		if d.hasCand != candSet[dst] || d.seenCSIC != csicSeen[dst] ||
+			(d.hasCand && d.cand != cand[dst]) || (d.seenCSIC && d.lastCSIC != lastCSIC[dst]) {
+			t.Fatalf("step %d: destination %d = %+v, slices say cand %+v (%v) lastCSIC %v (%v)",
+				step, dst, *d, cand[dst], candSet[dst], lastCSIC[dst], csicSeen[dst])
+		}
+	}
+	if tab.used != seen {
+		t.Fatalf("table holds %d destinations, %d were written", tab.used, seen)
+	}
+	if len(tab.slots) >= 4*n {
+		t.Fatalf("%d slots for %d destinations: the table is not sized by use", len(tab.slots), seen)
 	}
 }
 

@@ -86,6 +86,22 @@ type ObsProvider interface {
 	Obs() *obs.Registry
 }
 
+// AuditProvider is optionally implemented by network.Env implementations
+// that carry the exactness audit's counter (network.Node, when the
+// invariant harness set NodeConfig.ForgetAudit). Discovered like
+// ObsProvider; no production Env returns non-nil.
+type AuditProvider interface {
+	ForgetAudit() *uint64
+}
+
+// AuditOf returns env's audit counter, or nil when the audit is off.
+func AuditOf(env network.Env) *uint64 {
+	if ap, ok := env.(AuditProvider); ok {
+		return ap.ForgetAudit()
+	}
+	return nil
+}
+
 // Table maps destinations to route entries with idle expiry: an entry not
 // refreshed within the table's timeout is treated as absent, implementing
 // the paper's "original route automatically expires" rule.
@@ -179,31 +195,66 @@ func (t *Table) InvalidateNext(next int) []int {
 	return dsts
 }
 
+// HistoryLifetime is how long a History is guaranteed to find a flood
+// record after the record was last touched: DiscoveryTimeout × (1 +
+// MaxDiscoveryRetries) = PendingLifetime, the instant at which the
+// discovery round a flood belonged to has been given up and the packets
+// that wanted it dropped. No copy, reply or retry of a flood has any use
+// for its record after that (on the congested metro-500 cell the longest
+// gap between two touches of one record is 0.65 s, and the last touch
+// comes at most 0.79 s after the first), which is what RFC 3561's
+// PATH_DISCOVERY_TIME says of an RREQ id.
+const HistoryLifetime = DiscoveryTimeout * (1 + MaxDiscoveryRetries)
+
+// generationEnd returns the end of the HistoryLifetime-long generation
+// now falls in. Generations are cut at multiples of the lifetime, not a
+// lifetime after the last rotation, so however sparse a terminal's calls
+// are, a record untouched for two lifetimes has been retired by then.
+func generationEnd(now time.Duration) time.Duration {
+	return now - now%HistoryLifetime + HistoryLifetime
+}
+
 // History performs duplicate suppression for flood packets and remembers
 // the reverse pointer (the upstream terminal the first copy arrived from),
 // which the RREP later retraces. Records are stored by value: a network
 // sees one new flood instance per received copy of every query round, and
 // boxing each record was the simulator's largest residual allocation.
 //
-// Storage is a linear-probed open-addressing table keyed on flood keys
-// packed into one uint64 — every received flood copy performs at least
-// one history lookup, and the packed probe (a multiply-shift hash, no
-// write barriers, records inline) is the cheapest exact structure for
-// it. Keys that cannot pack (beyond 2^17 terminals or 2^26 flood rounds)
-// spill into an ordinary map; the two tiers partition the key space, so
-// behaviour is identical to a single map.
+// A terminal remembers what it has recently seen, not everything it ever
+// saw. Simulated time is cut into generations of HistoryLifetime; the
+// history keeps the current one and the one before it. Inserts and
+// improving updates go to the current generation, a lookup probes
+// current then previous and carries a previous-generation hit forward,
+// and the first FirstCopy/Improved call of a new generation retires the
+// older table: cleared, never reallocated, so a history at its working
+// size allocates nothing. What is promised:
+//
+//   - a record is found for at least HistoryLifetime after its last
+//     touch (insert, improving update, or any call that found it);
+//   - a record untouched for 2 × HistoryLifetime is gone;
+//   - in between it may be either.
+//
+// The history's clock is the now of its FirstCopy/Improved calls; Lookup
+// carries no time and answers as of the last of them.
+//
+// Each generation is a linear-probed open-addressing table keyed on
+// flood keys packed into one uint64 — every received flood copy performs
+// at least one history lookup, and the packed probe (a multiply-shift
+// hash, no write barriers, records inline) is the cheapest exact
+// structure for it. Keys that cannot pack (beyond 2^17 terminals or 2^26
+// flood rounds) spill into an ordinary map, which never forgets; the two
+// tiers partition the key space.
 type History struct {
-	keys []uint64 // packed keys; 0 marks an empty slot (Kind is never 0)
-	recs []FloodRecord
-	used int
+	cur, prev floodTable
+	rotateAt  time.Duration // end of cur's generation (zero: the first call rotates two empty tables)
 
 	spill map[packet.FloodKey]FloodRecord // unpackable keys only
 
 	// One-entry MRU cache. Flood copies arrive in bursts keyed by the
 	// same instance, and the common case (a non-improving duplicate) is a
 	// pure read — the cache answers it without touching the table. The
-	// table is written through on every update, so the cache is never the
-	// only holder of a record.
+	// current generation is written through on every update and a
+	// rotation empties the cache, so a cached record is always in cur.
 	lastKey packet.FloodKey
 	lastRec FloodRecord
 	lastOK  bool
@@ -211,10 +262,37 @@ type History struct {
 	// obs, when set, counts suppressed flood copies and spill-tier
 	// insertions (nil-safe).
 	obs *obs.Registry
+
+	// audit, when set, is the exactness law's instrument (tests only).
+	audit *forgetAudit
+}
+
+// forgetAudit is an unbounded shadow of every packed key a History ever
+// stored. A lookup that misses both generations but hits the shadow is
+// one the bounded history answered differently from a history that never
+// forgets; the exactness law asserts there are none.
+type forgetAudit struct {
+	seen   map[uint64]struct{}
+	misses *uint64
 }
 
 // SetObs wires the suppression/spill counters into r.
 func (h *History) SetObs(r *obs.Registry) { h.obs = r }
+
+// Audit turns on the exactness audit: from here on every lookup that
+// misses a record this history has forgotten adds one to *misses. The
+// shadow key set it keeps is unbounded, which is the point; only the
+// invariant harness enables it (network.NodeConfig.ForgetAudit).
+func (h *History) Audit(misses *uint64) {
+	h.audit = &forgetAudit{seen: make(map[uint64]struct{}), misses: misses}
+}
+
+// floodTable is one generation: packed keys beside inline records.
+type floodTable struct {
+	keys []uint64 // packed keys; 0 marks an empty slot (Kind is never 0)
+	recs []FloodRecord
+	used int
+}
 
 // historyInitSlots sizes a fresh table; grows by doubling at ~3/4 load.
 const historyInitSlots = 64
@@ -232,31 +310,100 @@ func packKey(k packet.FloodKey) (uint64, bool) {
 }
 
 // find returns the slot holding pk, or the empty slot where it belongs.
-func (h *History) find(pk uint64) int {
-	mask := uint64(len(h.keys) - 1)
+func (t *floodTable) find(pk uint64) int {
+	mask := uint64(len(t.keys) - 1)
 	i := (pk * 0x9E3779B97F4A7C15) >> 32 & mask
 	for {
-		if k := h.keys[i]; k == pk || k == 0 {
+		if k := t.keys[i]; k == pk || k == 0 {
 			return int(i)
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// get looks a key up across both tiers.
-func (h *History) get(key packet.FloodKey) (FloodRecord, bool) {
-	if pk, ok := packKey(key); ok {
-		if len(h.keys) == 0 {
-			return FloodRecord{}, false
-		}
-		i := h.find(pk)
-		return h.recs[i], h.keys[i] == pk
+func (t *floodTable) get(pk uint64) (FloodRecord, bool) {
+	if t.used == 0 {
+		return FloodRecord{}, false
 	}
-	rec, ok := h.spill[key]
-	return rec, ok
+	i := t.find(pk)
+	return t.recs[i], t.keys[i] == pk
 }
 
 // put inserts or overwrites a record.
+func (t *floodTable) put(pk uint64, rec FloodRecord) {
+	if t.used*4 >= len(t.keys)*3 { // includes the empty-table case
+		t.grow()
+	}
+	i := t.find(pk)
+	if t.keys[i] == 0 {
+		t.keys[i] = pk
+		t.used++
+	}
+	t.recs[i] = rec
+}
+
+func (t *floodTable) grow() {
+	oldKeys, oldRecs := t.keys, t.recs
+	n := 2 * len(oldKeys)
+	if n == 0 {
+		n = historyInitSlots
+	}
+	t.keys = make([]uint64, n)
+	t.recs = make([]FloodRecord, n)
+	for i, k := range oldKeys {
+		if k != 0 {
+			j := t.find(k)
+			t.keys[j] = k
+			t.recs[j] = oldRecs[i]
+		}
+	}
+}
+
+// reset empties the table and keeps its storage. Records need no
+// clearing: a slot is live only while its key is.
+func (t *floodTable) reset() {
+	if t.used > 0 {
+		clear(t.keys)
+		t.used = 0
+	}
+}
+
+// rotate begins the generation now falls in: the current table becomes
+// the previous one and the retired previous table, emptied, the current.
+// A history that sat idle through a whole generation retires both.
+func (h *History) rotate(now time.Duration) {
+	h.cur, h.prev = h.prev, h.cur
+	h.cur.reset()
+	if now >= h.rotateAt+HistoryLifetime {
+		h.prev.reset()
+	}
+	h.rotateAt = generationEnd(now)
+	h.lastOK = false
+}
+
+// get looks a key up across both tiers.
+func (h *History) get(key packet.FloodKey) (FloodRecord, bool) {
+	pk, ok := packKey(key)
+	if !ok {
+		rec, ok := h.spill[key]
+		return rec, ok
+	}
+	if rec, ok := h.cur.get(pk); ok {
+		return rec, true
+	}
+	if rec, ok := h.prev.get(pk); ok {
+		h.cur.put(pk, rec) // touched: it lives another generation
+		return rec, true
+	}
+	if h.audit != nil {
+		if _, forgotten := h.audit.seen[pk]; forgotten {
+			*h.audit.misses++
+		}
+	}
+	return FloodRecord{}, false
+}
+
+// put inserts or overwrites a record in the current generation.
 func (h *History) put(key packet.FloodKey, rec FloodRecord) {
 	pk, ok := packKey(key)
 	if !ok {
@@ -267,32 +414,10 @@ func (h *History) put(key packet.FloodKey, rec FloodRecord) {
 		h.spill[key] = rec
 		return
 	}
-	if h.used*4 >= len(h.keys)*3 { // includes the empty-table case
-		h.grow()
+	if h.audit != nil {
+		h.audit.seen[pk] = struct{}{}
 	}
-	i := h.find(pk)
-	if h.keys[i] == 0 {
-		h.keys[i] = pk
-		h.used++
-	}
-	h.recs[i] = rec
-}
-
-func (h *History) grow() {
-	oldKeys, oldRecs := h.keys, h.recs
-	n := 2 * len(oldKeys)
-	if n == 0 {
-		n = historyInitSlots
-	}
-	h.keys = make([]uint64, n)
-	h.recs = make([]FloodRecord, n)
-	for i, k := range oldKeys {
-		if k != 0 {
-			j := h.find(k)
-			h.keys[j] = k
-			h.recs[j] = oldRecs[i]
-		}
-	}
+	h.cur.put(pk, rec)
 }
 
 // FloodRecord is what the history keeps per flood instance.
@@ -315,6 +440,9 @@ func NewHistory() *History {
 // this was the first copy. Duplicate copies return (record, false) with
 // the original record, which callers use for reverse-path forwarding.
 func (h *History) FirstCopy(pkt *packet.Packet, now time.Duration) (FloodRecord, bool) {
+	if now >= h.rotateAt {
+		h.rotate(now)
+	}
 	key := pkt.Key()
 	if h.lastOK && key == h.lastKey {
 		h.obs.Inc(obs.CFloodSuppressed)
@@ -344,6 +472,9 @@ const metricImprovement = 1e-6
 // shortest routes; the metric strictly decreases per terminal, so the
 // flood always terminates.
 func (h *History) Improved(pkt *packet.Packet, now time.Duration) (FloodRecord, bool) {
+	if now >= h.rotateAt {
+		h.rotate(now)
+	}
 	key := pkt.Key()
 	rec, cached := h.lastRec, h.lastOK && key == h.lastKey
 	if !cached {
@@ -369,7 +500,7 @@ func (h *History) Improved(pkt *packet.Packet, now time.Duration) (FloodRecord, 
 	return rec, false
 }
 
-// Lookup fetches the record for a previously seen flood, if any.
+// Lookup fetches the record for a recently seen flood, if any.
 func (h *History) Lookup(key packet.FloodKey) (FloodRecord, bool) {
 	return h.get(key)
 }

@@ -300,61 +300,155 @@ func bruteDistances(g *Graph, src int) []float64 {
 	return dist
 }
 
-// TestHistoryPackedTableMatchesMap drives the open-addressed history and
-// a plain map reference through a randomized flood-copy schedule —
-// including keys that overflow the packed ranges and spill — asserting
-// identical FirstCopy/Improved/Lookup answers throughout.
+// refHistory is the flood history's contract as a plain map: every
+// record it was ever given, and when each was last touched. It decides a
+// call only where the contract does — a packed key touched within
+// HistoryLifetime must be found with exactly this record, one untouched
+// for two lifetimes (or never stored) must be absent, an unpackable key
+// is never forgotten — and in between takes the implementation's word.
+type refHistory struct {
+	recs    map[packet.FloodKey]FloodRecord
+	touched map[packet.FloodKey]time.Duration
+
+	mustFind, mustMiss, either int // how often each verdict was reached
+}
+
+// expect reports what the contract says of key at now: the record, and
+// whether the key must be found, must be absent, or (neither) may be
+// either.
+func (r *refHistory) expect(key packet.FloodKey, now time.Duration) (rec FloodRecord, found, absent bool) {
+	rec, ok := r.recs[key]
+	if !ok {
+		return rec, false, true // never stored
+	}
+	_, packs := packKey(key)
+	switch age := now - r.touched[key]; {
+	case !packs || age <= HistoryLifetime:
+		r.mustFind++
+		return rec, true, false
+	case age >= 2*HistoryLifetime:
+		r.mustMiss++
+		return rec, false, true
+	}
+	r.either++
+	return rec, false, false
+}
+
+// TestHistoryPackedTableMatchesMap is the forgetting law: a seeded loop
+// drives the two-generation history and the plain-map contract through
+// random FirstCopy/Improved/Lookup sequences whose time gaps fall on
+// both sides of HistoryLifetime and of twice it — half the keys revisit
+// a recent flood instance, some overflow the packed ranges and spill —
+// and every answer the contract decides must be the contract's.
 func TestHistoryPackedTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHistory()
-	ref := make(map[packet.FloodKey]FloodRecord)
+	ref := &refHistory{recs: map[packet.FloodKey]FloodRecord{}, touched: map[packet.FloodKey]time.Duration{}}
+	var recent [32]packet.Packet
+	var now time.Duration
 
 	for step := 0; step < 20000; step++ {
+		const L = HistoryLifetime
+		switch g := rng.Intn(100); {
+		case g < 90:
+			now += time.Duration(rng.Int63n(int64(L / 150)))
+		case g < 96:
+			now += time.Duration(rng.Int63n(int64(L / 3)))
+		case g < 98: // around one lifetime
+			now += L*5/6 + time.Duration(rng.Int63n(int64(L/3)))
+		default: // around and beyond two
+			now += L*11/6 + time.Duration(rng.Int63n(int64(L*2/3)))
+		}
 		pkt := &packet.Packet{
 			Type:        packet.Type(1 + rng.Intn(11)),
 			Src:         rng.Intn(200),
 			Dst:         rng.Intn(200),
-			From:        rng.Intn(200),
 			BroadcastID: uint32(rng.Intn(300)),
-			HopCount:    float64(rng.Intn(40)),
-			GeoHops:     rng.Intn(12),
 		}
 		if step%97 == 0 {
 			pkt.Src = 1 << 20 // beyond the packed origin range: spill tier
 		}
+		if step > 0 && rng.Intn(2) == 0 {
+			*pkt = recent[rng.Intn(min(step, len(recent)))] // another copy of a recent flood
+		}
+		pkt.From, pkt.HopCount, pkt.GeoHops = rng.Intn(200), float64(rng.Intn(40)), rng.Intn(12)
+		recent[step%len(recent)] = *pkt
 		key := pkt.Key()
-		now := time.Duration(step) * time.Millisecond
+		fresh := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
 
-		var wantRec FloodRecord
-		var wantNew bool
-		if rec, ok := ref[key]; ok {
-			wantRec, wantNew = rec, false
+		want, found, absent := ref.expect(key, now)
+		improving := rng.Intn(2) == 0
+		var got FloodRecord
+		var isNew bool
+		if improving {
+			got, isNew = h.Improved(pkt, now)
 		} else {
-			wantRec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
-			ref[key] = wantRec
-			wantNew = true
+			got, isNew = h.FirstCopy(pkt, now)
 		}
+		// Where the contract leaves the choice open the history may answer
+		// either way; the reference follows whichever it took.
+		var next FloodRecord
+		ok := false
+		if !absent { // as a history holding want answers
+			exp, expNew := want, false
+			if improving && pkt.HopCount < want.HopCount-metricImprovement {
+				exp, expNew = fresh, true
+			}
+			if got == exp && isNew == expNew {
+				next, ok = exp, true
+			}
+		}
+		if !found && !ok { // as a history that has no record of key answers
+			if got == fresh && isNew {
+				next, ok = fresh, true
+			}
+		}
+		if !ok {
+			t.Fatalf("step %d (t=%v): improving=%v answered (%+v, %v) for %v; the contract (must find %v, must miss %v) holds %+v touched at %v",
+				step, now, improving, got, isNew, key, found, absent, want, ref.touched[key])
+		}
+		want = next
+		ref.recs[key], ref.touched[key] = want, now
 
-		if rng.Intn(2) == 0 {
-			got, first := h.FirstCopy(pkt, now)
-			if first != wantNew || got != wantRec {
-				t.Fatalf("step %d: FirstCopy = (%+v, %v), reference (%+v, %v)", step, got, first, wantRec, wantNew)
-			}
-		} else {
-			wantImproved := wantNew
-			if !wantNew && pkt.HopCount < wantRec.HopCount-metricImprovement {
-				wantRec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
-				ref[key] = wantRec
-				wantImproved = true
-			}
-			got, improved := h.Improved(pkt, now)
-			if improved != wantImproved || got != wantRec {
-				t.Fatalf("step %d: Improved = (%+v, %v), reference (%+v, %v)", step, got, improved, wantRec, wantImproved)
-			}
+		// The record was touched this instant, so Lookup must find it.
+		if got, ok := h.Lookup(key); !ok || got != want {
+			t.Fatalf("step %d (t=%v): Lookup = (%+v, %v), want (%+v, true)", step, now, got, ok, want)
 		}
-		if got, ok := h.Lookup(key); !ok || got != ref[key] {
-			t.Fatalf("step %d: Lookup = (%+v, %v), reference (%+v, true)", step, got, ok, ref[key])
-		}
+	}
+	if ref.mustFind < 1000 || ref.mustMiss < 1000 || ref.either < 1000 {
+		t.Fatalf("schedule decided found %d, forgotten %d, either %d times: too few of one to test the bounds",
+			ref.mustFind, ref.mustMiss, ref.either)
+	}
+}
+
+// TestHistoryRotationAllocatesNothing pins the other half of the design:
+// retiring a generation clears its table and the next one refills it, so
+// a history at its working size never allocates — and its storage is set
+// by what one generation sees, not by how long the run has lasted.
+func TestHistoryRotationAllocatesNothing(t *testing.T) {
+	l := floodLoad{h: NewHistory()}
+	l.run(4 * HistoryLifetime)
+	slots := l.h.slots()
+	if allocs := testing.AllocsPerRun(10, func() { l.run(HistoryLifetime) }); allocs != 0 {
+		t.Fatalf("a generation at working size (one rotation) allocated %v times", allocs)
+	}
+	l.run(100 * HistoryLifetime)
+	if got := l.h.slots(); got != slots {
+		t.Fatalf("storage went from %d to %d slots over 100 more generations of the same load", slots, got)
+	}
+	// 750 new instances per generation: 1024 slots each, where a history
+	// that never forgot would by now hold 86,000 records.
+	if slots > 4096 {
+		t.Fatalf("%d slots for two generations of 750 instances", slots)
+	}
+}
+
+// TestHistoryLifetimeIsTheDiscoveryRound pins why three seconds: it is
+// the instant a discovery round is given up and the packets waiting on
+// it are dropped.
+func TestHistoryLifetimeIsTheDiscoveryRound(t *testing.T) {
+	if history, pending := HistoryLifetime, PendingLifetime; history != pending {
+		t.Fatalf("HistoryLifetime = %v, PendingLifetime = %v", history, pending)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 
 	"rica"
 	"rica/internal/network"
+	"rica/internal/protocol"
+	"rica/internal/world"
 )
 
 // catalogHorizon picks a truncated horizon per scenario so the full
@@ -97,6 +99,50 @@ func TestInvariantCatalog(t *testing.T) {
 				}
 				if name == "byzantine-drop" && p == rica.ProtocolRICA && first.Dropped[network.DropAdversary] == 0 {
 					t.Error("byzantine-drop/RICA recorded no adversary drops; the fifth column is unexercised")
+				}
+			})
+		}
+	}
+}
+
+// TestForgettingIsExact is the exactness law of the bounded flood
+// history: a terminal forgets a flood instance HistoryLifetime after its
+// last touch, and over the scenario catalog × five protocols at each
+// scenario's own horizon it never looks one up again. The audit keeps an
+// unbounded shadow of every key beside each History (and of every
+// instance a destination answered, beside Core's gather sweep) and counts
+// lookups that missed and would have hit; it is wired through
+// world.Config.Node only, so no CLI flag or RunOptions field reaches it.
+// Zero misses means the run is, event for event, the run of a history
+// that never forgets — which is why no golden moved when the history
+// started forgetting.
+func TestForgettingIsExact(t *testing.T) {
+	names := rica.ScenarioNames()
+	if testing.Short() {
+		names = names[:3]
+	}
+	for _, name := range names {
+		spec, err := rica.ScenarioByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rica.AllProtocols() {
+			spec, p := spec, p
+			t.Run(name+"/"+p.String(), func(t *testing.T) {
+				t.Parallel()
+				wcfg, err := spec.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wcfg.Seed = 3
+				var misses uint64
+				wcfg.Node.ForgetAudit = &misses
+				s := world.New(wcfg, protocol.Factory(p, spec.Traffic.Rate)).Run()
+				if misses != 0 {
+					t.Errorf("%d lookups missed a flood record the history had forgotten", misses)
+				}
+				if s.Obs.FloodSuppressed == 0 && wcfg.Duration > 6*time.Second {
+					t.Error("no flood copy was ever suppressed: the history is unexercised")
 				}
 			})
 		}
