@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -53,4 +54,62 @@ func BenchmarkHistorySteadyState(b *testing.B) {
 		l.run(10 * HistoryLifetime)
 	}
 	b.ReportMetric(float64(l.h.slots()), "slots")
+}
+
+// chordRing is the degree-ten graph benchmark/layers times ShortestPaths
+// over: a ring with chords, connected at every n, costs from five values
+// so equal-distance ties are common.
+func chordRing(n int) *Graph {
+	g := NewGraph(n)
+	for u := 0; u < n; u++ {
+		for k := 1; k <= 5; k++ {
+			g.SetEdge(u, (u+k*7)%n, float64(1+(u+k)%5))
+		}
+	}
+	return g
+}
+
+// BenchmarkHop is one forwarding lookup over a view that changed since
+// the last one — what a link-state terminal pays per packet while LSAs
+// arrive faster than packets: the tree is reset and grown as far as the
+// destination. The tree's storage is reused, so the steady state
+// allocates nothing (scripts/alloc_budget.txt holds it to 0).
+func BenchmarkHop(b *testing.B) {
+	for _, n := range []int{50, 500} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := chordRing(n)
+			var t Tree
+			g.Hop(&t, 0, n-1) // sizes the tree's storage
+			sink := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Reset()
+				sink += g.Hop(&t, i%n, (i*31+17)%n)
+			}
+			hopSink = sink
+		})
+	}
+}
+
+var hopSink int
+
+// BenchmarkReplaceNode is one advertisement applied to a view that holds
+// the origin's previous one: the same ten neighbours, one cost changed.
+// Nothing is inserted or removed, so nothing is allocated.
+func BenchmarkReplaceNode(b *testing.B) {
+	const n = 50
+	g := chordRing(n)
+	var links []LinkEntry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := i % n
+		links = linksOf(g, u, links[:0])
+		l := &links[i%len(links)]
+		l.Cost = float64(1 + int(l.Cost)%5)
+		if !g.ReplaceNode(u, links) {
+			b.Fatal("a changed cost changed nothing")
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package routing
 
+import "slices"
+
 // Graph is a weighted adjacency structure over terminals 0..N-1, used by
 // the link-state protocol's per-node topology views. Edge weights are the
 // CSI hop distances of the paper's cost model.
@@ -12,11 +14,10 @@ type Graph struct {
 	n   int
 	adj [][]gedge
 
-	// spt is the reusable ShortestPaths workspace. A link-state terminal
-	// recomputes its tree on every topology change — the single largest
-	// allocation source of the figure pipeline before the scratch was
-	// recycled.
-	spt sptScratch
+	// spt is the reusable ShortestPaths workspace: its queue and visit
+	// set are recycled between calls, the two result slices are the
+	// caller's.
+	spt Tree
 }
 
 // gedge is one directed half of an undirected edge.
@@ -25,9 +26,11 @@ type gedge struct {
 	w  float64
 }
 
-type sptScratch struct {
-	heap []distItem
-	done []bool
+// LinkEntry is one incident link of a terminal, as a link-state
+// advertisement lists it.
+type LinkEntry struct {
+	Neighbor int
+	Cost     float64 // CSI hop distance
 }
 
 // NewGraph returns an empty graph over n terminals.
@@ -99,13 +102,79 @@ func (g *Graph) Edge(u, v int) (float64, bool) {
 	return 0, false
 }
 
-// ClearNode removes every edge incident to u (a terminal whose LSA now
-// advertises a different neighbour set).
+// ClearNode removes every edge incident to u.
 func (g *Graph) ClearNode(u int) {
 	for _, e := range g.adj[u] {
 		g.dropHalf(int(e.to), u)
 	}
 	g.adj[u] = g.adj[u][:0]
+}
+
+// ReplaceNode makes u's incident edges exactly links — a terminal's
+// advertisement replaces whatever the view held for it — and reports
+// whether any edge was added, dropped or re-weighted. An advertisement
+// lists its neighbours in ascending order and differs from the last one
+// by a cost or two, so the list is merged against u's sorted edges and
+// only the edges that differ have their reverse half looked up.
+func (g *Graph) ReplaceNode(u int, links []LinkEntry) bool {
+	if !ascending(u, links) {
+		return g.replaceIrregular(u, links)
+	}
+	old := g.adj[u]
+	changed := false
+	i := 0
+	for _, l := range links {
+		for ; i < len(old) && int(old[i].to) < l.Neighbor; i++ {
+			g.dropHalf(int(old[i].to), u)
+			changed = true
+		}
+		if i < len(old) && int(old[i].to) == l.Neighbor {
+			i++
+			if old[i-1].w == l.Cost {
+				continue // the edge stands as it is
+			}
+		}
+		g.setHalf(l.Neighbor, u, l.Cost) // a new edge, or a new weight
+		changed = true
+	}
+	for ; i < len(old); i++ {
+		g.dropHalf(int(old[i].to), u)
+		changed = true
+	}
+	if changed {
+		old = old[:0]
+		for _, l := range links {
+			old = append(old, gedge{to: int32(l.Neighbor), w: l.Cost})
+		}
+		g.adj[u] = old
+	}
+	return changed
+}
+
+// ascending reports whether links is what ReplaceNode's merge assumes:
+// strictly ascending neighbours other than u, each at a cost SetEdge
+// would install.
+func ascending(u int, links []LinkEntry) bool {
+	prev := -1
+	for _, l := range links {
+		if l.Neighbor <= prev || l.Neighbor == u || !(l.Cost > 0 && l.Cost < InfiniteHops) {
+			return false
+		}
+		prev = l.Neighbor
+	}
+	return true
+}
+
+// replaceIrregular applies a list in any order, with repeats, self-links
+// or removing costs, entry by entry as SetEdge defines them.
+func (g *Graph) replaceIrregular(u int, links []LinkEntry) bool {
+	was := slices.Clone(g.adj[u])
+	g.ClearNode(u)
+	for _, l := range links {
+		g.SetEdge(u, l.Neighbor, l.Cost)
+	}
+	// Edges are symmetric and only u's were touched, so u's list tells.
+	return !slices.Equal(was, g.adj[u])
 }
 
 // CopyFrom replaces g's edges with src's. Both graphs must cover the same
@@ -124,33 +193,75 @@ func (g *Graph) CopyFrom(src *Graph) {
 // importing the channel package here.
 const InfiniteHops = 1e9
 
+// Tree is a shortest-path tree from one terminal over one state of a
+// graph, settled only as far as the lookups made so far needed. The zero
+// value is ready; its storage is reused across resets.
+type Tree struct {
+	src     int
+	started bool
+	next    []int     // first hop from src, final once the terminal is done
+	dist    []float64 // best distance found so far
+	done    []bool    // settled: popped at its final distance
+	heap    distHeap  // the frontier
+}
+
+// Reset forgets the tree: the graph it was grown over has changed.
+func (t *Tree) Reset() { t.started = false }
+
+// start makes t the unsettled tree from src over n terminals.
+func (t *Tree) start(n, src int) {
+	t.next, t.dist = t.next[:0], t.dist[:0]
+	for i := 0; i < n; i++ {
+		t.next = append(t.next, -1)
+		t.dist = append(t.dist, InfiniteHops)
+	}
+	t.dist[src] = 0
+	if cap(t.done) < n {
+		t.done = make([]bool, n)
+	}
+	t.done = t.done[:n]
+	clear(t.done)
+	t.heap = append(t.heap[:0], distItem{node: src, dist: 0})
+	t.src, t.started = src, true
+}
+
+// Hop returns the first hop on a shortest path from src to dst, or -1 if
+// dst is unreachable. t is grown from where the last lookup left it, and
+// only until dst is settled; the caller resets it when g changes.
+func (g *Graph) Hop(t *Tree, src, dst int) int {
+	if !t.started || t.src != src {
+		t.start(g.n, src)
+	}
+	g.settle(t, dst)
+	return t.next[dst]
+}
+
 // ShortestPaths runs Dijkstra from src and returns, for every terminal,
 // the first hop on a shortest path from src (or -1 if unreachable) and the
-// total distance. The next-hop array is what link-state forwarding uses.
-// The two result slices are appended to next and dist (pass buffers from
-// the previous recompute to make the call allocation-free in the steady
-// state); the internal queue and visit set are recycled on the graph.
+// total distance. The two result slices are appended to next and dist
+// (pass buffers from the previous call to make this one allocation-free
+// in the steady state); the queue and visit set are recycled on the graph.
 func (g *Graph) ShortestPaths(src int, next []int, dist []float64) ([]int, []float64) {
-	next = next[:0]
-	dist = dist[:0]
-	for i := 0; i < g.n; i++ {
-		next = append(next, -1)
-		dist = append(dist, InfiniteHops)
-	}
-	dist[src] = 0
+	t := &g.spt
+	t.next, t.dist = next, dist
+	t.start(g.n, src)
+	g.settle(t, -1)
+	next, dist = t.next, t.dist
+	t.next, t.dist = nil, nil
+	return next, dist
+}
 
-	if cap(g.spt.done) < g.n {
-		g.spt.done = make([]bool, g.n)
+// settle grows t until dst is settled, or to exhaustion for a dst no
+// terminal has. A settled terminal's distance and first hop are final —
+// weights are positive and the relaxation strict — so where the loop
+// stops changes no answer it has given or will give.
+func (g *Graph) settle(t *Tree, dst int) {
+	if dst >= 0 && t.done[dst] {
+		return
 	}
-	done := g.spt.done[:g.n]
-	for i := range done {
-		done[i] = false
-	}
-	pq := distHeap(g.spt.heap[:0])
-	pq.push(distItem{node: src, dist: 0})
-	for len(pq) > 0 {
-		it := pq.pop()
-		u := it.node
+	next, dist, done, src := t.next, t.dist, t.done, t.src
+	for len(t.heap) > 0 {
+		u := t.heap.pop().node
 		if done[u] {
 			continue
 		}
@@ -167,12 +278,13 @@ func (g *Graph) ShortestPaths(src int, next []int, dist []float64) ([]int, []flo
 				} else {
 					next[v] = next[u]
 				}
-				pq.push(distItem{node: v, dist: nd})
+				t.heap.push(distItem{node: v, dist: nd})
 			}
 		}
+		if u == dst {
+			return
+		}
 	}
-	g.spt.heap = pq[:0]
-	return next, dist
 }
 
 type distItem struct {

@@ -16,7 +16,7 @@
 package linkstate
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"rica/internal/channel"
@@ -32,28 +32,21 @@ type Config struct {
 	BeaconInterval time.Duration
 	// NeighborTimeout declares a silent neighbour gone.
 	NeighborTimeout time.Duration
-	// MinFloodInterval optionally batches link changes into at most one
-	// LSA per interval. The paper's protocol floods *every* change
-	// immediately (interval 0) — which is precisely what saturates the
-	// common channel and produces the routing loops §III reports. The
-	// knob exists for the damping ablation benchmark.
-	MinFloodInterval time.Duration
 }
 
-// DefaultConfig returns the paper-faithful settings: undamped flooding.
+// DefaultConfig returns the paper-faithful settings. Every link change is
+// flooded at once, undamped — which is precisely what saturates the
+// common channel and produces the routing loops §III reports.
 func DefaultConfig() Config {
 	return Config{
 		BeaconInterval:  time.Second,
 		NeighborTimeout: 3500 * time.Millisecond, // three missed beacons
-
 	}
 }
 
-// LinkEntry is one advertised incident link.
-type LinkEntry struct {
-	Neighbor int
-	Cost     float64 // CSI hop distance
-}
+// LinkEntry is one advertised incident link; an LSA's payload is a
+// []LinkEntry in ascending neighbour order.
+type LinkEntry = routing.LinkEntry
 
 // Agent is one terminal's link-state instance.
 type Agent struct {
@@ -62,20 +55,28 @@ type Agent struct {
 	cfg  Config
 	hist *routing.History
 
-	topo     *routing.Graph // this terminal's view of the network
-	myLinks  map[int]float64
-	lastSeen map[int]time.Duration
-	knownSeq map[int]uint32
+	topo *routing.Graph // this terminal's view of the network
+	// tree is the shortest-path tree over topo from this terminal, grown
+	// as far as the packets routed since the view last changed needed.
+	tree routing.Tree
+	// sptDirty says an event that may have changed the view has not been
+	// followed by a forwarding lookup yet; the first one is counted.
+	sptDirty bool
+
+	myLinks  []LinkEntry     // measured incident links, ascending by neighbour
+	lastSeen []time.Duration // by terminal: its last beacon heard here
+	knownSeq []lsaGen        // by terminal: the newest LSA applied from it
 	seq      uint32
 
-	lastFlood    time.Duration
 	floodPending bool
 	relay        *routing.DelayedSender
 	obs          *obs.Registry
+}
 
-	sptNext  []int
-	sptDist  []float64 // recycled alongside sptNext between recomputes
-	sptDirty bool
+// lsaGen is the generation of the newest LSA applied from one origin.
+type lsaGen struct {
+	seq   uint32
+	known bool
 }
 
 var _ network.Agent = (*Agent)(nil)
@@ -89,9 +90,8 @@ func New(env network.Env, cfg Config, boot *routing.Graph) *Agent {
 		relay:    routing.NewDelayedSender(env),
 		hist:     routing.NewHistory(),
 		topo:     routing.NewGraph(env.NumNodes()),
-		myLinks:  make(map[int]float64),
-		lastSeen: make(map[int]time.Duration),
-		knownSeq: make(map[int]uint32),
+		lastSeen: make([]time.Duration, env.NumNodes()),
+		knownSeq: make([]lsaGen, env.NumNodes()),
 		sptDirty: true,
 	}
 	if op, ok := env.(routing.ObsProvider); ok {
@@ -106,8 +106,7 @@ func New(env network.Env, cfg Config, boot *routing.Graph) *Agent {
 	self := env.ID()
 	for j := 0; j < n; j++ {
 		if w, ok := boot.Edge(self, j); ok {
-			a.myLinks[j] = w
-			a.lastSeen[j] = 0
+			a.myLinks = append(a.myLinks, LinkEntry{Neighbor: j, Cost: w})
 		}
 	}
 	return a
@@ -141,23 +140,26 @@ func (a *Agent) beacon(now time.Duration) {
 
 // sweepSilent removes links whose neighbour has not beaconed lately.
 func (a *Agent) sweepSilent(now time.Duration) {
-	changed := false
-	var gone []int
-	for j := range a.myLinks {
-		if now-a.lastSeen[j] > a.cfg.NeighborTimeout {
-			gone = append(gone, j)
+	heard := a.myLinks[:0]
+	for _, l := range a.myLinks {
+		if now-a.lastSeen[l.Neighbor] > a.cfg.NeighborTimeout {
+			a.topo.RemoveEdge(a.env.ID(), l.Neighbor)
+			continue
 		}
+		heard = append(heard, l)
 	}
-	sort.Ints(gone)
-	for _, j := range gone {
-		delete(a.myLinks, j)
-		a.topo.RemoveEdge(a.env.ID(), j)
-		changed = true
+	if len(heard) == len(a.myLinks) {
+		return
 	}
-	if changed {
-		a.sptDirty = true
-		a.scheduleFlood(now)
-	}
+	a.myLinks = heard
+	a.viewChanged()
+	a.scheduleFlood()
+}
+
+// viewChanged discards what was computed over the view as it was.
+func (a *Agent) viewChanged() {
+	a.tree.Reset()
+	a.sptDirty = true
 }
 
 // HandleControl implements network.Agent.
@@ -181,28 +183,29 @@ func (a *Agent) noteBeacon(from int, now time.Duration) {
 		class = channel.ClassD
 	}
 	cost := class.HopDistance()
-	if prev, ok := a.myLinks[from]; ok && prev == cost {
+	i, ok := slices.BinarySearchFunc(a.myLinks, from, func(l LinkEntry, id int) int { return l.Neighbor - id })
+	switch {
+	case !ok:
+		a.myLinks = slices.Insert(a.myLinks, i, LinkEntry{Neighbor: from, Cost: cost})
+	case a.myLinks[i].Cost == cost:
 		return
+	default:
+		a.myLinks[i].Cost = cost
 	}
-	a.myLinks[from] = cost
 	a.topo.SetEdge(a.env.ID(), from, cost)
-	a.sptDirty = true
-	a.scheduleFlood(now)
+	a.viewChanged()
+	a.scheduleFlood()
 }
 
-// scheduleFlood rate-limits LSA origination to MinFloodInterval.
-func (a *Agent) scheduleFlood(now time.Duration) {
+// scheduleFlood originates an LSA in an event of its own at this
+// instant, one for all the link changes that instant's handlers find.
+func (a *Agent) scheduleFlood() {
 	if a.floodPending {
 		return
 	}
-	wait := a.cfg.MinFloodInterval - (now - a.lastFlood)
-	if wait < 0 {
-		wait = 0
-	}
 	a.floodPending = true
-	a.env.Schedule(wait, func(at time.Duration) {
+	a.env.Schedule(0, func(at time.Duration) {
 		a.floodPending = false
-		a.lastFlood = at
 		a.originateLSA(at)
 	})
 }
@@ -210,15 +213,9 @@ func (a *Agent) scheduleFlood(now time.Duration) {
 // originateLSA floods this terminal's current incident-link list.
 func (a *Agent) originateLSA(now time.Duration) {
 	a.seq++
-	entries := make([]LinkEntry, 0, len(a.myLinks))
-	var nbrs []int
-	for j := range a.myLinks {
-		nbrs = append(nbrs, j)
-	}
-	sort.Ints(nbrs)
-	for _, j := range nbrs {
-		entries = append(entries, LinkEntry{Neighbor: j, Cost: a.myLinks[j]})
-	}
+	// A copy: the packet and its relayed clones outlive later edits of
+	// myLinks in place.
+	entries := slices.Clone(a.myLinks)
 	pkt := packet.Get() // recycled by the MAC layer after the flood airs
 	pkt.CopyFrom(&packet.Packet{
 		Type:        packet.TypeLSA,
@@ -241,8 +238,8 @@ func (a *Agent) handleLSA(pkt *packet.Packet, now time.Duration) {
 	if _, first := a.hist.FirstCopy(pkt, now); !first {
 		return
 	}
-	if prev, ok := a.knownSeq[pkt.Src]; !ok || newerSeq(pkt.BroadcastID, prev) {
-		a.knownSeq[pkt.Src] = pkt.BroadcastID
+	if prev := a.knownSeq[pkt.Src]; !prev.known || newerSeq(pkt.BroadcastID, prev.seq) {
+		a.knownSeq[pkt.Src] = lsaGen{seq: pkt.BroadcastID, known: true}
 		a.applyLSA(pkt)
 	}
 	// Relay the first copy of each generation; duplicates were filtered
@@ -262,29 +259,30 @@ func (a *Agent) applyLSA(pkt *packet.Packet) {
 	if !ok {
 		return
 	}
-	origin := pkt.Src
-	a.topo.ClearNode(origin)
-	for _, e := range entries {
-		a.topo.SetEdge(origin, e.Neighbor, e.Cost)
+	// Every applied LSA counts as touching the view, as it always has
+	// (nextHop); only one that differs from what the view held costs the
+	// tree.
+	if a.topo.ReplaceNode(pkt.Src, entries) {
+		a.tree.Reset()
 	}
 	a.sptDirty = true
 }
 
-// nextHop answers from the cached shortest-path tree, recomputing only
-// when the view changed. A table-driven protocol has no per-destination
-// install/invalidate churn, so each SPT recompute is reported as one
-// route install to telemetry-wired environments — the closest analogue
-// of "the forwarding state changed".
+// nextHop answers from the shortest-path tree over the current view,
+// settled no further than dst (and the lookups before it) required. A
+// table-driven protocol has no per-destination install/invalidate churn,
+// so the first lookup after the view was touched is reported as one SPT
+// recompute and one route install to telemetry-wired environments — the
+// closest analogue of "the forwarding state changed".
 func (a *Agent) nextHop(dst int) int {
 	if a.sptDirty {
-		a.sptNext, a.sptDist = a.topo.ShortestPaths(a.env.ID(), a.sptNext, a.sptDist)
 		a.sptDirty = false
 		a.obs.Inc(obs.CSPTRecomputes)
 		if to, ok := a.env.(routing.TableObserver); ok {
 			to.NoteRouteInstalled()
 		}
 	}
-	return a.sptNext[dst]
+	return a.topo.Hop(&a.tree, a.env.ID(), dst)
 }
 
 // RouteData implements network.Agent: pure Dijkstra forwarding. There is

@@ -4,9 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"rica/internal/batch"
 	"rica/internal/metrics"
 	"rica/internal/network"
+	"rica/internal/protocol"
 	"rica/internal/routing/linkstate"
+	"rica/internal/scenario"
+	"rica/internal/timeseries"
 	"rica/internal/world"
 )
 
@@ -91,5 +95,54 @@ func TestDeterministic(t *testing.T) {
 	b := run(t, 30, 10, 15*time.Second, 7)
 	if a.Delivered != b.Delivered || a.AvgDelay != b.AvgDelay || a.OverheadBps != b.OverheadBps {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestCountersArePinned holds "what is counted is unchanged" by more than
+// the goldens: three catalog scenarios under link state for 20 s, seed 1,
+// must dispatch the events and count the shortest-path recomputes and
+// route installs they did when every recompute built the whole tree (the
+// numbers were taken at PR 21's tree). A recompute is counted when a
+// packet first consults a view an LSA, beacon or sweep touched, and
+// reported once more as a route install to the timeline.
+func TestCountersArePinned(t *testing.T) {
+	want := []struct {
+		scenario                    string
+		events, recomputes, install uint64
+	}{
+		{"dense-urban", 200193, 6524, 6524},
+		{"grid-8x8", 64512, 4240, 4240},
+		{"churn-storm", 74175, 2180, 2180},
+	}
+	var cfg batch.Config
+	for _, w := range want {
+		spec, err := scenario.ByName(w.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Duration = scenario.Duration(20 * time.Second)
+		cfg.Scenarios = append(cfg.Scenarios, spec)
+	}
+	var sink timeseries.MemorySink
+	cfg.Protocols = []protocol.Protocol{protocol.LinkState}
+	cfg.Trials = 1
+	cfg.Telemetry = &batch.Telemetry{Interval: time.Second, Sink: &sink}
+	res, err := batch.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != len(want) || len(sink.Runs) != len(want) {
+		t.Fatalf("%d cells and %d timelines for %d scenarios", len(res.Cells), len(sink.Runs), len(want))
+	}
+	for i, w := range want {
+		cell := res.Cells[i]
+		var installs uint64
+		for _, p := range sink.Runs[i].Timeline.Points {
+			installs += uint64(p.RouteInstalls)
+		}
+		got := [3]uint64{cell.Obs.EventsDispatched, cell.Obs.SPTRecomputes, installs}
+		if pinned := [3]uint64{w.events, w.recomputes, w.install}; got != pinned {
+			t.Errorf("%s: events_dispatched, route_spt_recomputes, route installs = %v, pinned %v", w.scenario, got, pinned)
+		}
 	}
 }

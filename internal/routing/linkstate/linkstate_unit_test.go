@@ -1,11 +1,14 @@
 package linkstate
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"rica/internal/channel"
 	"rica/internal/network"
+	"rica/internal/obs"
 	"rica/internal/packet"
 	"rica/internal/routing"
 	"rica/internal/routing/routingtest"
@@ -174,5 +177,133 @@ func TestOwnLSAEchoIgnored(t *testing.T) {
 	env.Pump(100 * time.Millisecond)
 	if n := len(env.SentOfType(packet.TypeLSA)); n != 0 {
 		t.Fatalf("own echoed LSA relayed %d times", n)
+	}
+}
+
+// countingEnv is the scripted Env with the two optional seams a
+// link-state agent reports through: the obs registry and route-install
+// telemetry.
+type countingEnv struct {
+	*routingtest.Env
+	reg      *obs.Registry
+	installs int
+}
+
+func (e *countingEnv) Obs() *obs.Registry    { return e.reg }
+func (e *countingEnv) NoteRouteInstalled()   { e.installs++ }
+func (e *countingEnv) NoteRouteInvalidated() {}
+
+// TestForwardingFollowsTheViewLaw drives one agent through a seeded
+// 10k-step mix of everything that edits its view — beacons at changing
+// classes, neighbours falling silent and being swept, advertisements
+// from every origin (changed, repeated, out of date) — and after every
+// step routes packets to random destinations. Each must go where a full
+// Dijkstra over a fresh copy of the view sends it, so a tree kept across
+// an edit it should have been reset by shows as a wrong hop; and what is
+// counted must be what was always counted: one recompute and one route
+// install for the first lookup after each beacon-measured change, sweep
+// or applied advertisement, whether or not the view differs for it.
+func TestForwardingFollowsTheViewLaw(t *testing.T) {
+	const n, self = 24, 7
+	rng := rand.New(rand.NewSource(31))
+	boot := routing.NewGraph(n)
+	for i := 0; i < n; i++ {
+		for k := 1; k <= 3; k++ {
+			boot.SetEdge(i, (i+k*5)%n, channel.ClassB.HopDistance())
+		}
+	}
+	env := &countingEnv{Env: routingtest.New(self, n), reg: obs.NewRegistry()}
+	classes := []channel.Class{channel.ClassA, channel.ClassB, channel.ClassC, channel.ClassD}
+	a := New(env, DefaultConfig(), boot)
+	a.Start(env.Now())
+
+	gen := make([]uint32, n)
+	wantCount := 0
+	dirty := true // a fresh agent has consulted nothing yet
+	viewCopy := func() *routing.Graph {
+		g := routing.NewGraph(n)
+		g.CopyFrom(a.topo)
+		return g
+	}
+	kept, swept := 0, 0
+	for step := 0; step < 10_000; step++ {
+		switch k := rng.Intn(10); {
+		case k < 3: // a beacon from anyone, at whatever class the link has now
+			from := rng.Intn(n)
+			if from == self {
+				continue
+			}
+			env.Classes[from] = classes[rng.Intn(len(classes))]
+			before := slices.Clone(a.myLinks)
+			a.HandleControl(&packet.Packet{Type: packet.TypeBeacon, Src: from, From: from, Size: packet.SizeBeacon}, env.Now())
+			if !slices.Equal(before, a.myLinks) {
+				dirty = true
+			}
+		case k < 8: // an advertisement: mostly the origin's last one with a cost changed
+			origin := rng.Intn(n)
+			if origin == self {
+				continue
+			}
+			var entries []LinkEntry
+			for v := 0; v < n; v++ {
+				w, has := a.topo.Edge(origin, v)
+				if has && rng.Intn(6) == 0 {
+					w = classes[rng.Intn(len(classes))].HopDistance()
+				}
+				if has && rng.Intn(12) > 0 || !has && v != origin && rng.Intn(3*n) == 0 {
+					if !has {
+						w = channel.ClassC.HopDistance()
+					}
+					entries = append(entries, LinkEntry{Neighbor: v, Cost: w})
+				}
+			}
+			id := gen[origin] + 1
+			if rng.Intn(5) == 0 && id > 2 {
+				id -= 2 // an out-of-date generation: relayed, never applied
+			} else {
+				gen[origin] = id
+				dirty = true
+				if !viewCopy().ReplaceNode(origin, entries) {
+					kept++
+				}
+			}
+			a.HandleControl(&packet.Packet{Type: packet.TypeLSA, Src: origin, From: origin, To: packet.Broadcast,
+				Size: packet.LSASize(len(entries)), BroadcastID: id, Payload: entries}, env.Now())
+		default: // time passes: beacons go out and silent neighbours are swept
+			links := len(a.myLinks)
+			env.Pump(time.Duration(200+rng.Intn(1500)) * time.Millisecond)
+			if len(a.myLinks) != links {
+				swept++
+				dirty = true
+			}
+		}
+		next, _ := viewCopy().ShortestPaths(self, nil, nil)
+		for k := rng.Intn(3); k > 0; k-- {
+			dst := rng.Intn(n)
+			if dst == self {
+				continue
+			}
+			if dirty {
+				dirty = false
+				wantCount++
+			}
+			env.Reset()
+			a.RouteData(&packet.Packet{Type: packet.TypeData, Src: self, Dst: dst, From: self, Size: packet.SizeData}, env.Now())
+			got := -1
+			if len(env.Enqueues) == 1 {
+				got = env.Enqueues[0].Next
+			} else if len(env.Drops) != 1 || env.Drops[0].Reason != network.DropNoRoute {
+				t.Fatalf("step %d: routing to %d enqueued %d and dropped %+v", step, dst, len(env.Enqueues), env.Drops)
+			}
+			if got != next[dst] {
+				t.Fatalf("step %d: packet for %d sent to %d, Dijkstra over the view says %d", step, dst, got, next[dst])
+			}
+		}
+		if got := env.reg.Counter(obs.CSPTRecomputes); got != uint64(wantCount) || env.installs != wantCount {
+			t.Fatalf("step %d: %d recomputes and %d route installs counted, want %d of each", step, got, env.installs, wantCount)
+		}
+	}
+	if kept < 100 || swept < 20 {
+		t.Fatalf("the walk applied %d advertisements that changed nothing and swept %d times: it is not exercising what it claims", kept, swept)
 	}
 }
