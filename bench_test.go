@@ -224,14 +224,13 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 
 // BenchmarkInstrumentedThroughput is BenchmarkSimulationThroughput with
 // the full observability surface engaged: a caller-supplied registry, a
-// hub aggregating it (the -statsaddr path), and the pool stats callback.
+// hub aggregating it (the -statsaddr path).
 // Its allocation budget in scripts/alloc_budget.txt matches the plain
 // benchmark's — the gate that counters, gauges, and histogram observes
 // stay allocation-free on the hot path.
 func BenchmarkInstrumentedThroughput(b *testing.B) {
 	b.ReportAllocs()
 	hub := rica.NewObsHub()
-	hub.PoolFunc = rica.PoolStats
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {

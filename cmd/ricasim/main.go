@@ -226,7 +226,6 @@ func (o *options) startLiveStats() {
 		return
 	}
 	hub := rica.NewObsHub()
-	hub.PoolFunc = rica.PoolStats
 	o.hub = hub
 	if o.statsAddr != "" {
 		ln, err := net.Listen("tcp", o.statsAddr)
@@ -564,9 +563,8 @@ func listScenarios() {
 }
 
 // runVerify puts every scenario × protocol cell through the invariant
-// harness, one at a time (the pooled-packet leak check needs the process
-// to itself). Each cell simulates twice: once for the ledger checks,
-// once to prove replay determinism. An explicit -duration truncates
+// harness, one at a time. Each cell simulates twice: once for the ledger
+// checks, once to prove replay determinism. An explicit -duration truncates
 // long scenarios; it never extends one.
 func runVerify(o options) {
 	protos := parseProtocols(o.protocols)
@@ -819,14 +817,10 @@ func heartbeat(hub *rica.ObsHub, period time.Duration) {
 	defer tick.Stop()
 	for range tick.C {
 		s := hub.Snapshot()
-		line := fmt.Sprintf("stats: sim=%s events=%d gen=%d dlv=%d p50=%s queue=%d",
+		fmt.Fprintf(os.Stderr, "stats: sim=%s events=%d gen=%d dlv=%d p50=%s queue=%d\n",
 			time.Duration(s.SimNowNs).Round(time.Millisecond),
 			s.EventsDispatched, s.TrafficGenerated, s.DelayCount,
 			time.Duration(s.DelayP50Ns).Round(time.Microsecond), s.QueueDepth)
-		if s.Pool != nil {
-			line += fmt.Sprintf(" pool=%d/hw%d", s.Pool.Live, s.Pool.HighWater)
-		}
-		fmt.Fprintln(os.Stderr, line)
 	}
 }
 

@@ -108,8 +108,7 @@ type CellResult struct {
 	// deterministic, so equal cells export byte-identically.
 	Events uint64 `json:"events"`
 	// Obs is the cell's end-of-run observability snapshot. Every field in
-	// it is deterministic per seed (the process-global pool stats are
-	// deliberately excluded), so it exports byte-identically too.
+	// it is deterministic per seed, so it exports byte-identically too.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 	// Error marks a poisoned cell: its run panicked and was
 	// quarantined so the rest of the grid could finish. Poisoned cells

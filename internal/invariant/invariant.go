@@ -1,10 +1,10 @@
 // Package invariant checks the simulator's conservation laws on any
 // completed run. The checks are deliberately post-hoc — they consume
-// only a metrics.Summary (plus the pooled-packet gauge for leak
-// detection), so the same harness applies to a hand-built world or a
-// compiled scenario. The fuzzer and the catalog sweep both fail through
-// this package, which keeps "the simulation is self-consistent" defined
-// in exactly one place.
+// only a metrics.Summary, so the same harness applies to a hand-built
+// world or a compiled scenario and is safe wherever runs are: in
+// parallel tests, in batch workers. The fuzzer and the catalog sweep
+// both fail through this package, which keeps "the simulation is
+// self-consistent" defined in exactly one place.
 //
 // The laws, in strength order:
 //
@@ -16,11 +16,10 @@
 //     the same events must agree: the delay histogram's sample count is
 //     the delivery count, the traffic layer's generation counter is the
 //     collector's, the adversary-drop counter matches the drop ledger.
-//  3. Replay determinism — running the identical closure twice yields
+//  3. Zero leak — after the end-of-run drain the world's packet arena
+//     has every packet back (Summary.PacketsLeaked is 0).
+//  4. Replay determinism — running the identical closure twice yields
 //     bit-identical fingerprints (checked by Verify).
-//  4. Zero leak — the pooled-packet gauge returns to its pre-run level
-//     once the run completes (checked by Verify; serial use only, since
-//     the gauge is process-global).
 package invariant
 
 import (
@@ -86,8 +85,8 @@ func (vs ViolationSet) Error() string {
 
 // CheckSummary validates every post-hoc invariant a single Summary can
 // witness. A nil error means the run's ledgers are self-consistent. The
-// replay and leak laws need control over execution and are checked by
-// Verify instead.
+// replay law needs control over execution and is checked by Verify
+// instead.
 func CheckSummary(s metrics.Summary) error {
 	var vs ViolationSet
 	fail := func(law, format string, args ...any) {
@@ -143,6 +142,11 @@ func CheckSummary(s metrics.Summary) error {
 		// cannot be negative.
 		fail("packet-conservation", "delivered %d + dropped %d exceeds generated %d",
 			s.Delivered, drops, s.Generated)
+	}
+
+	if s.PacketsLeaked != 0 {
+		fail("zero-leak", "%d packets still checked out of the world's arena after the drain",
+			s.PacketsLeaked)
 	}
 
 	switch {

@@ -163,17 +163,16 @@ func TestVerifyCatchesNondeterminism(t *testing.T) {
 }
 
 func TestVerifyCatchesLeak(t *testing.T) {
-	var leaked *packet.Packet
 	_, err := Verify(func() metrics.Summary {
-		if leaked == nil {
-			leaked = packet.Get() // never released: the gauge stays high
-		}
-		return consistent()
+		arena := packet.NewArena()
+		arena.Get() // never released: what world.Finish would find after its drain
+		s := consistent()
+		s.PacketsLeaked = arena.Live()
+		return s
 	})
 	if err == nil || !strings.Contains(err.Error(), "zero-leak") {
 		t.Fatalf("leaked packet not flagged: %v", err)
 	}
-	leaked.Release() // restore the process-global gauge for other tests
 }
 
 func TestVerifyStopsOnFirstRunViolation(t *testing.T) {

@@ -4,40 +4,21 @@ import (
 	"fmt"
 
 	"rica/internal/metrics"
-	"rica/internal/packet"
 )
 
 // Verify executes run twice and holds the pair to every invariant the
-// harness knows: each summary must pass CheckSummary, the two
-// fingerprints must be bit-identical (replay determinism — run must be a
-// pure function of its captured configuration), and the pooled-packet
-// gauge must return to its pre-call level after each run (zero leak).
-// It returns the first run's summary.
-//
-// The leak check reads the process-global pool gauge, so Verify is
-// serial-use only: calling it concurrently with any other simulation —
-// including via t.Parallel — makes the gauge baseline meaningless.
+// harness knows: each summary must pass CheckSummary (conservation, the
+// ledgers, zero leak) and the two fingerprints must be bit-identical
+// (replay determinism — run must be a pure function of its captured
+// configuration). It returns the first run's summary.
 func Verify(run func() metrics.Summary) (metrics.Summary, error) {
-	baseline := packet.Live()
 	first := run()
 	if err := CheckSummary(first); err != nil {
 		return first, err
 	}
-	if live := packet.Live(); live != baseline {
-		return first, ViolationSet{{
-			Law:    "zero-leak",
-			Detail: fmt.Sprintf("pooled packets live %d → %d after first run", baseline, live),
-		}}
-	}
 	second := run()
 	if err := CheckSummary(second); err != nil {
 		return first, fmt.Errorf("replay run: %w", err)
-	}
-	if live := packet.Live(); live != baseline {
-		return first, ViolationSet{{
-			Law:    "zero-leak",
-			Detail: fmt.Sprintf("pooled packets live %d → %d after replay run", baseline, packet.Live()),
-		}}
 	}
 	if a, b := Fingerprint(first), Fingerprint(second); a != b {
 		return first, ViolationSet{{

@@ -205,9 +205,9 @@ func (c *CommonChannel) Register(id int, h ReceiveFunc) {
 // Delivery is best-effort: collisions and repeated busy channel lose the
 // packet silently, exactly the failure mode ad hoc routing must tolerate.
 //
-// Send takes ownership of pkt: a pooled packet is Released once the
-// transmission completes or is dropped, and every receiver is handed a
-// short-lived pooled copy it must Retain (or Clone) to keep.
+// Send takes ownership of pkt: it is Released once the transmission
+// completes or is dropped, and every receiver is handed a short-lived
+// copy it must Clone to keep.
 func (c *CommonChannel) Send(pkt *packet.Packet) {
 	c.attempt(pkt, 0)
 }
@@ -432,24 +432,18 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 	c.prune(now)
 }
 
-// deliver hands receiver j its own pooled, mutable copy of pkt. The copy
-// is reclaimed as soon as the handler returns — a handler keeping the
-// packet must Retain or Clone it — so the whole fan-out reuses a single
-// channel-local scratch record instead of allocating per receiver (or
-// even cycling the shared pool per receiver).
+// deliver hands receiver j its own mutable copy of pkt. The copy is
+// reused as soon as the handler returns — a handler keeping the packet
+// must Clone it — so the whole fan-out runs on a single channel-local
+// scratch record, drawn once from the arena of the first packet aired,
+// instead of cycling the arena per receiver.
 func (c *CommonChannel) deliver(j int, pkt *packet.Packet, now time.Duration) {
-	cp := c.scratch
-	c.scratch = nil
-	if cp == nil {
-		cp = packet.Get()
-	}
-	cp.CopyFrom(pkt)
-	c.handlers[j](cp, now)
-	if cp.Sole() {
-		c.scratch = cp // nobody retained it: keep it for the next delivery
+	if c.scratch == nil {
+		c.scratch = pkt.Clone()
 	} else {
-		cp.Release()
+		c.scratch.CopyFrom(pkt)
 	}
+	c.handlers[j](c.scratch, now)
 }
 
 // overlaps fills c.obuf with the transmissions relevant to tx's receivers:

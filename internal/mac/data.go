@@ -77,8 +77,8 @@ type exchange struct {
 	from, to int
 	tries    int
 	// pkt is the packet while the sender still owns it; it is dropped at
-	// hand-off, because the receiver may release it (back into a pool
-	// other runs share) at any time after. id and size are kept by value
+	// hand-off, because the receiver may release it — poisoned, then
+	// re-issued — at any time after. id and size are kept by value
 	// so the checkpoint export never has to look through the pointer.
 	pkt   *packet.Packet
 	id    uint64
@@ -212,7 +212,7 @@ func (d *DataPlane) finish(x *exchange, slot int, res SendResult) {
 // airtime). When a run's horizon lands in that window, the sender's link
 // queue still holds a stale head reference to a packet it no longer
 // owns; the end-of-run drain must discard those references instead of
-// releasing them, or the pool sees a double free.
+// releasing them, or the arena sees a double free.
 func (d *DataPlane) EachHandedOff(fn func(from, to int)) {
 	for _, x := range d.x {
 		if x != nil && x.handed {

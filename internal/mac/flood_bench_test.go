@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -37,6 +38,7 @@ func BenchmarkFloodDense(b *testing.B) {
 			}
 			m := channel.NewModel(channel.DefaultConfig(), streams, pos)
 			c := NewCommonChannel(k, m, streams.Stream(0x_3AC0))
+			arena := packet.NewArena() // the world's, which every clone below draws from
 			seen := make([]bool, n)
 			for i := 0; i < n; i++ {
 				i := i
@@ -55,10 +57,10 @@ func BenchmarkFloodDense(b *testing.B) {
 					seen[j] = false
 				}
 				seen[src] = true
-				c.Send(&packet.Packet{
-					Type: packet.TypeRREQ, From: src, To: packet.Broadcast,
-					Size: packet.SizeOf(packet.TypeRREQ),
-				})
+				rreq := arena.Get()
+				rreq.Type, rreq.From, rreq.To = packet.TypeRREQ, src, packet.Broadcast
+				rreq.Size = packet.SizeOf(packet.TypeRREQ)
+				c.Send(rreq)
 				k.RunAll() // drain the whole flood before the next discovery
 			}
 			// Measure the steady state of a run. Every trajectory opens with
@@ -78,6 +80,54 @@ func BenchmarkFloodDense(b *testing.B) {
 				flood(i % n)
 			}
 		})
+	}
+}
+
+// BenchmarkFanOutWarm is the recycler's whole round trip through the MAC
+// layer at steady state: one broadcast from the arena heard by the 49
+// other terminals of a cluster, every one of which Clones the copy it is
+// handed (the keep-it contract) and sends the clone on as a unicast. One
+// scratch record serves the 49 deliveries and the 50 packets of an op
+// come off the free list the last op refilled, so nothing allocates
+// (scripts/alloc_budget.txt holds it to 0): an allocation here is one per
+// receiver of every flood copy in a run.
+func BenchmarkFanOutWarm(b *testing.B) {
+	const n = 50
+	pos := make([]channel.Positioner, n)
+	for i := range pos {
+		pos[i] = fixedPos{X: float64(i % 10 * 20), Y: float64(i / 10 * 20)}
+	}
+	k, m := testSetup(pos...)
+	c := NewCommonChannel(k, m, rand.New(rand.NewSource(1)))
+	arena := packet.NewArena()
+	c.Register(0, func(*packet.Packet, time.Duration) {})
+	for i := 1; i < n; i++ {
+		c.Register(i, func(pkt *packet.Packet, _ time.Duration) {
+			if pkt.To != packet.Broadcast {
+				return
+			}
+			rep := pkt.Clone()
+			rep.From, rep.To = i, 0
+			c.Send(rep)
+		})
+	}
+	op := func() {
+		rreq := arena.Get()
+		rreq.Type, rreq.To = packet.TypeRREQ, packet.Broadcast
+		rreq.Size = packet.SizeOf(packet.TypeRREQ)
+		c.Send(rreq)
+		k.RunAll()
+	}
+	for w := 0; w < 200; w++ { // the kernel's buckets and the channel's lists reach their size
+		op()
+	}
+	if live := arena.Live(); live != 1 {
+		b.Fatalf("%d packets live between broadcasts, want the channel's scratch record alone", live)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 

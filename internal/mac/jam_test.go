@@ -9,9 +9,7 @@ import (
 	"rica/internal/packet"
 )
 
-// jamPkt builds a pooled jam burst from the given terminal — pooled
-// because Jam takes ownership and Releases it when the burst leaves the
-// air, exactly as the world's jam runner does.
+// jamPkt builds a jam burst from the given terminal.
 func jamPkt(from, size int) *packet.Packet {
 	p := packet.Get()
 	p.Type = packet.TypeJam
@@ -29,8 +27,12 @@ func TestJamIsNeverDelivered(t *testing.T) {
 	heard := 0
 	c.Register(0, func(*packet.Packet, time.Duration) { heard++ })
 	c.Register(1, func(*packet.Packet, time.Duration) { heard++ })
-	before := packet.Live()
-	c.Jam(jamPkt(0, packet.SizeJam))
+	// An arena's burst, as the world's jam runner airs: Jam takes
+	// ownership and Releases it when the burst leaves the air.
+	arena := packet.NewArena()
+	burst := arena.Get()
+	burst.CopyFrom(jamPkt(0, packet.SizeJam))
+	c.Jam(burst)
 	k.Run(time.Second)
 	if heard != 0 {
 		t.Errorf("jam burst was delivered %d times; it is pure interference", heard)
@@ -38,8 +40,8 @@ func TestJamIsNeverDelivered(t *testing.T) {
 	if got := reg.Snapshot().JamTransmitted; got != 1 {
 		t.Errorf("JamTransmitted = %d, want 1", got)
 	}
-	if live := packet.Live(); live != before {
-		t.Errorf("jam leaked pooled packets: live %d → %d", before, live)
+	if live := arena.Live(); live != 0 {
+		t.Errorf("jam leaked %d packets", live)
 	}
 }
 

@@ -85,15 +85,14 @@ func TestReceiversGetIndependentCopies(t *testing.T) {
 	c := NewCommonChannel(k, m, rand.New(rand.NewSource(1)))
 	c.Register(0, func(*packet.Packet, time.Duration) {})
 	// Each receiver mutates the copy it is handed. Receiver 1 additionally
-	// Retains its copy (the contract for keeping a packet past the handler
+	// Clones its copy (the contract for keeping a packet past the handler
 	// return); receiver 2's mutation must not reach it.
 	var kept *packet.Packet
 	var seenHops []float64
 	c.Register(1, func(p *packet.Packet, now time.Duration) {
 		seenHops = append(seenHops, p.HopCount)
 		p.HopCount += 5
-		p.Retain()
-		kept = p
+		kept = p.Clone()
 	})
 	c.Register(2, func(p *packet.Packet, now time.Duration) {
 		seenHops = append(seenHops, p.HopCount)
@@ -111,7 +110,7 @@ func TestReceiversGetIndependentCopies(t *testing.T) {
 		}
 	}
 	if kept == nil || kept.HopCount != 5 {
-		t.Fatalf("retained copy HopCount = %v, want the retainer's own mutation 5", kept.HopCount)
+		t.Fatalf("kept copy HopCount = %v, want the keeper's own mutation 5", kept.HopCount)
 	}
 	if orig.HopCount != 0 {
 		t.Fatal("receiver mutation leaked into the original packet")

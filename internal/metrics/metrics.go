@@ -200,6 +200,11 @@ type Summary struct {
 	// throughput figure (deterministic: equal runs report equal counts).
 	// Populated by the world layer, not the collector.
 	Events uint64
+	// PacketsLeaked is how many of the world's arena packets were still
+	// checked out after the end-of-run drain. Zero in a correct run
+	// (invariant.CheckSummary's zero-leak law); no export serialises it
+	// and the fingerprint does not list it. Populated by the world layer.
+	PacketsLeaked int
 	// ThroughputSeries is delivered bits per 4 s bucket converted to bits
 	// per second (Figure 6's curve).
 	ThroughputSeries []float64

@@ -142,6 +142,10 @@ type Env interface {
 	// a0 and a1 back verbatim instead of capturing state in a closure.
 	// Per-packet timers should ride this path; see sim.Kernel.ScheduleArg.
 	ScheduleArg(d time.Duration, fn sim.ArgHandler, a0, a1 int) sim.Timer
+	// NewPacket returns a zeroed packet from the world's arena. Whatever
+	// the agent builds — a flood, a reply, a beacon — starts here and is
+	// recycled by the layer it is handed to.
+	NewPacket() *packet.Packet
 	// SendControl transmits a routing packet on the common channel,
 	// stamping pkt.From with this terminal's id.
 	SendControl(pkt *packet.Packet)

@@ -25,6 +25,11 @@ type NodeConfig struct {
 	// count into the run's registry. All registry methods are nil-safe.
 	Obs *obs.Registry
 
+	// Packets is the world's packet arena, which NewPacket draws from.
+	// world.New sets it; nil (unit tests, fakes) hands out plain
+	// garbage-collected packets.
+	Packets *packet.Arena
+
 	// ForgetAudit, when set, turns on the exactness audit of the attached
 	// agent's bounded flood history (routing.History.Audit): it receives
 	// one count per lookup that missed a record the history had forgotten.
@@ -204,10 +209,10 @@ func (nd *Node) Start() {
 // OriginateData injects a locally generated data packet (the traffic
 // generator's entry point). The packet's Src must be this terminal.
 //
-// The node owns every data packet it carries: a pooled packet is
-// recycled at its terminal sink — delivery at the destination or a
-// recorded drop — after the recorders have read it. Packets built as
-// plain literals (tests) keep GC semantics, as Release is a no-op there.
+// The node owns every data packet it carries: the packet is recycled at
+// its terminal sink — delivery at the destination or a recorded drop —
+// after the recorders have read it. Packets built as plain literals
+// (tests) keep GC semantics, as Release is a no-op there.
 func (nd *Node) OriginateData(pkt *packet.Packet, now time.Duration) {
 	if pkt.Src != nd.id {
 		panic("network: OriginateData with foreign Src")
@@ -267,6 +272,9 @@ func (nd *Node) ScheduleArg(d time.Duration, fn sim.ArgHandler, a0, a1 int) sim.
 	return nd.kernel.ScheduleArg(d, fn, a0, a1)
 }
 
+// NewPacket implements Env.
+func (nd *Node) NewPacket() *packet.Packet { return nd.cfg.Packets.Get() }
+
 // SendControl implements Env.
 func (nd *Node) SendControl(pkt *packet.Packet) {
 	pkt.From = nd.id
@@ -274,7 +282,7 @@ func (nd *Node) SendControl(pkt *packet.Packet) {
 }
 
 // DropData implements Env. The drop is a terminal sink: after the
-// recorders observe the packet it returns to the pool, so agents must
+// recorders observe the packet it returns to the arena, so agents must
 // not touch it after the call (capture any fields they still need
 // first).
 func (nd *Node) DropData(pkt *packet.Packet, reason DropReason) {

@@ -15,11 +15,6 @@ import (
 // Hub aggregates registries for the live surfaces. The zero value is not
 // usable; construct with NewHub. All methods are safe for concurrent use.
 type Hub struct {
-	// PoolFunc, when non-nil, supplies the process-global pooled-packet
-	// stats attached to snapshots. Set it before serving; it is read
-	// without the lock.
-	PoolFunc func() PoolStats
-
 	mu     sync.Mutex
 	active map[*Registry]struct{}
 	done   fold // totals folded in from detached registries
@@ -66,19 +61,13 @@ func (h *Hub) collect() fold {
 	return f
 }
 
-// Snapshot captures the aggregate view, including pool stats when a
-// PoolFunc is installed.
+// Snapshot captures the aggregate view.
 func (h *Hub) Snapshot() Snapshot {
 	if h == nil {
 		return Snapshot{}
 	}
 	f := h.collect()
-	s := f.snapshot()
-	if h.PoolFunc != nil {
-		p := h.PoolFunc()
-		s.Pool = &p
-	}
-	return s
+	return f.snapshot()
 }
 
 // WriteProm writes the aggregate in Prometheus text exposition format
@@ -101,18 +90,7 @@ func (h *Hub) WriteProm(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "rica_sim_now_seconds %g\n", float64(f.simNow)/1e9); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "rica_delay_count %d\nrica_delay_p50_ns %d\nrica_delay_p95_ns %d\n",
-		f.delayCount, f.quantile(0.50), f.quantile(0.95)); err != nil {
-		return err
-	}
-	if h.PoolFunc != nil {
-		p := h.PoolFunc()
-		_, err := fmt.Fprintf(w,
-			"rica_pool_gets_total %d\nrica_pool_releases_total %d\nrica_pool_live %d\nrica_pool_high_water %d\n",
-			p.Gets, p.Releases, p.Live, p.HighWater)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "rica_delay_count %d\nrica_delay_p50_ns %d\nrica_delay_p95_ns %d\n",
+		f.delayCount, f.quantile(0.50), f.quantile(0.95))
+	return err
 }

@@ -302,22 +302,9 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return bucketMid(histBuckets - 1)
 }
 
-// PoolStats is the process-global pooled-packet accounting. It is
-// process-wide, not per-run: parallel batch cells share one pool, so
-// these numbers belong on the live surfaces and the CLI's single-run
-// snapshot, never inside a per-cell deterministic export.
-type PoolStats struct {
-	Gets      uint64 `json:"gets"`
-	Releases  uint64 `json:"releases"`
-	Live      int64  `json:"live"`
-	HighWater int64  `json:"high_water"`
-}
-
 // Snapshot is the deterministic export form: fixed fields only — no
 // maps, no reflection-ordered output — so embedding it in batch results
-// or BENCH JSON never introduces run-to-run noise. Pool is the one
-// exception (process-global, see PoolStats) and is attached only by
-// process-level surfaces.
+// or BENCH JSON never introduces run-to-run noise.
 type Snapshot struct {
 	SimNowNs int64 `json:"sim_now_ns"`
 
@@ -352,8 +339,6 @@ type Snapshot struct {
 	DelayCount uint64 `json:"delay_count"`
 	DelayP50Ns uint64 `json:"delay_p50_ns"`
 	DelayP95Ns uint64 `json:"delay_p95_ns"`
-
-	Pool *PoolStats `json:"pool,omitempty"`
 }
 
 // counter maps a slot to the snapshot's field, in slot order.

@@ -204,13 +204,6 @@ func TestHubFoldsDetached(t *testing.T) {
 	if s := h.Snapshot(); s.EventsDispatched != 16 {
 		t.Fatal("double detach re-folded the registry")
 	}
-	if s := h.Snapshot(); s.Pool != nil {
-		t.Fatal("no PoolFunc: snapshot must omit pool stats")
-	}
-	h.PoolFunc = func() PoolStats { return PoolStats{Gets: 7, Live: 2} }
-	if s := h.Snapshot(); s.Pool == nil || s.Pool.Gets != 7 {
-		t.Fatal("PoolFunc stats missing from snapshot")
-	}
 }
 
 // TestRecordPathsDoNotAllocate is the package-level half of the repo's

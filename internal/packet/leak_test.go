@@ -5,53 +5,41 @@ import (
 	"time"
 
 	"rica"
-	"rica/internal/packet"
 )
 
 // TestNoPooledPacketLeaksAcrossCatalog runs scenario-catalog cells and
-// asserts the process-global pool's live count returns to its baseline:
-// every pooled packet a run got was released by delivery, a recorded
-// drop, MAC recycling, or the end-of-run drain. A positive residue is a
-// genuine leak — some subsystem parked a packet past the horizon without
-// implementing drain. Runs are sequential so the live count is exact.
+// asserts each world's arena has every packet back: what a run got was
+// released by delivery, a recorded drop, MAC recycling, or the
+// end-of-run drain. A residue is a genuine leak — some subsystem parked
+// a packet past the horizon without implementing drain. The count is the
+// world's own, so the cells run in parallel.
 func TestNoPooledPacketLeaksAcrossCatalog(t *testing.T) {
 	names := rica.ScenarioNames()
 	if testing.Short() {
 		names = []string{"chain-10", "partition-heal", "churn-heavy"}
 	}
-	protocols := rica.AllProtocols()
 	for _, name := range names {
-		if name == "metro-500" && testing.Short() {
-			continue
-		}
 		spec, err := rica.ScenarioByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Shorten the horizon: leak detection needs the full lifecycle
-		// (generate, forward, query, drain), not the full duration. The
-		// big fields keep only a few seconds so the catalog stays fast.
-		d := 8 * time.Second
-		if name == "metro-500" {
+		// (generate, forward, query, drain), not the full duration — the
+		// root package's TestForgettingIsExact holds the same law at every
+		// scenario's own horizon.
+		d := 4 * time.Second
+		if name == "metro-500" || name == "gossip-200" {
 			d = 2 * time.Second
 		}
-		spec.Duration = rica.ScenarioDuration(d)
-		for _, p := range protocols {
-			p := p
+		for _, p := range rica.AllProtocols() {
 			t.Run(name+"/"+p.String(), func(t *testing.T) {
-				live0 := packet.Live()
-				_, err := rica.RunBatch(rica.BatchConfig{
-					Scenarios: []rica.Scenario{spec},
-					Protocols: []rica.Protocol{p},
-					Trials:    1,
-					Workers:   1,
-				})
+				t.Parallel()
+				s, err := rica.Run(rica.ScenarioRun{Scenario: spec, Protocol: p, MaxDuration: d}, rica.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if live := packet.Live(); live != live0 {
-					t.Fatalf("run leaked %d pooled packets (live %d → %d)",
-						live-live0, live0, live)
+				if s.PacketsLeaked != 0 {
+					t.Fatalf("run leaked %d packets", s.PacketsLeaked)
 				}
 			})
 		}

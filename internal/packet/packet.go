@@ -11,8 +11,7 @@ package packet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 	"time"
 )
 
@@ -184,121 +183,123 @@ type Packet struct {
 	// Payload carries protocol-specific content (e.g. LSA link lists).
 	Payload any
 
-	// pooled and refs implement the reuse protocol below; they ride along
+	// arena and live implement the reuse protocol below; they ride along
 	// at the end of the struct and are never copied by CopyFrom.
-	pooled bool
-	refs   int32
+	arena *Arena
+	live  bool
 }
 
 // Packet reuse. The broadcast fan-out in the MAC layer hands every
 // receiver its own mutable copy of the on-air packet; at fifty terminals
-// that is the single largest allocation source in a run. Packets therefore
-// come from a pool with a small reference-count protocol:
+// that is the single largest allocation source in a run. Packets are
+// therefore recycled through an Arena, one per world, shaped like the
+// kernel's event pool (DESIGN.md §8): a free list that only the world's
+// own goroutine touches (network.Env's contract), so worlds running side
+// by side share nothing.
 //
-//   - Get returns a zeroed pooled packet holding one reference.
-//   - Clone returns a pooled copy of any packet, holding one reference.
-//   - Release drops a reference; at zero the packet returns to the pool.
-//   - Retain adds a reference — a control handler that wants to keep the
-//     packet it was handed beyond the call must Retain (or Clone) it,
-//     because the MAC layer Releases delivery copies as soon as the
-//     handler returns.
+//   - Arena.Get returns a zeroed packet the arena owns.
+//   - Clone returns a copy of any packet, drawn from that packet's arena.
+//   - Release returns an owned packet to its arena and poisons it.
 //
-// Packets built with a plain composite literal are not pooled: Retain and
-// Release are no-ops on them, so tests and cold paths keep ordinary GC
-// semantics, and a pooled packet that is never Released is simply
-// collected. Only explicitly Released packets are ever reused.
-var pool = sync.Pool{New: func() any { return new(Packet) }}
+// Ownership is a bit, not a count: whoever holds a packet when its path
+// ends Releases it once, and a handler that wants to keep the packet it
+// was handed beyond the call must Clone it, because the MAC layer reuses
+// delivery copies as soon as the handler returns.
+//
+// Packets built with a plain composite literal, by the package-level Get
+// or by a nil *Arena belong to no arena: Release is a no-op on them and
+// their Clones are ordinary allocations, so tests and fakes keep GC
+// semantics without wiring anything.
+type Arena struct {
+	free []*Packet
+	live int
+}
 
-// Pool accounting. The pool is process-global (parallel batch cells and
-// experiment trials share it), so these are process-global atomics: Gets
-// and Releases count checkout/checkin, live is their difference, and
-// highWater tracks the peak of live. A sequential run that drains cleanly
-// ends with Live() == 0; anything else is a leak — a pooled packet whose
-// last reference was never Released.
-var (
-	poolGets     atomic.Uint64
-	poolReleases atomic.Uint64
-	poolLive     atomic.Int64
-	poolHigh     atomic.Int64
-)
+// NewArena returns an empty arena. A world builds exactly one.
+func NewArena() *Arena { return &Arena{} }
 
-// Get returns a zeroed packet from the pool holding one reference.
-// Every packet in the pool is already zeroed — Release clears before
-// Put, and the pool's New starts zero — so only the header is written.
-func Get() *Packet {
-	p := pool.Get().(*Packet)
-	p.pooled = true
-	p.refs = 1
-	poolGets.Add(1)
-	if live := poolLive.Add(1); live > poolHigh.Load() {
-		// Benign race between parallel runs: a concurrent peak may be
-		// recorded slightly low, never high. The sequential paths that
-		// assert on it are exact.
-		poolHigh.Store(live)
+// Get returns a zeroed packet owned by a. On a nil arena it is a plain
+// allocation nobody owns (the nil-receiver idiom of obs.Registry).
+func (a *Arena) Get() *Packet {
+	if a == nil {
+		return new(Packet)
 	}
+	var p *Packet
+	if n := len(a.free); n > 0 {
+		p = a.free[n-1]
+		a.free = a.free[:n-1]
+		*p = Packet{} // wipe the poison
+	} else {
+		p = new(Packet)
+	}
+	p.arena, p.live = a, true
+	a.live++
 	return p
 }
 
-// Live reports how many pooled packets are currently checked out
-// (Get/Clone minus final Release), process-wide.
-func Live() int64 { return poolLive.Load() }
+// Live reports how many of a's packets are checked out (Get and Clone
+// minus Release). A world that drained cleanly ends at zero; anything
+// else is a leak — invariant.CheckSummary's zero-leak law.
+func (a *Arena) Live() int { return a.live }
 
-// PoolStats reports the process-global pool accounting: total checkouts,
-// total checkins (final releases), currently live, and the high-water
-// mark of live.
-func PoolStats() (gets, releases uint64, live, highWater int64) {
-	return poolGets.Load(), poolReleases.Load(), poolLive.Load(), poolHigh.Load()
+// Get returns a zeroed packet that belongs to no arena: the constructor
+// for code with no world behind it.
+func Get() *Packet { return new(Packet) }
+
+// poison is what a released record holds until the arena re-issues it:
+// no field reads as anything a live packet can carry, so a reader
+// holding a stale pointer indexes out of range or drags NaN into the
+// run's fingerprint on every run, not only when the slot happens to have
+// been handed out again.
+var poison = Packet{
+	Type: -1,
+	ID:   math.MaxUint64 - 1,
+	Src:  -2, Dst: -2, From: -2, To: -2, Via: -2,
+	Size:        -1,
+	CreatedAt:   -1,
+	BroadcastID: math.MaxUint32 - 1,
+	TTL:         math.MinInt,
+	HopCount:    math.NaN(),
+	GeoHops:     -1,
+
+	TraversedHops: -1,
+	TraversedBps:  math.NaN(),
+	TraversedCSI:  math.NaN(),
 }
 
 // CopyFrom overwrites p's packet fields with src's, preserving p's own
-// pool membership and reference count.
+// ownership.
 func (p *Packet) CopyFrom(src *Packet) {
-	pooled, refs := p.pooled, p.refs
+	arena, live := p.arena, p.live
 	*p = *src
-	p.pooled, p.refs = pooled, refs
+	p.arena, p.live = arena, live
 }
 
-// Retain adds a reference to a pooled packet; no-op otherwise.
-func (p *Packet) Retain() {
-	if p.pooled {
-		p.refs++
-	}
-}
-
-// Release drops a reference; the last one returns the packet to the pool.
-// Releasing a non-pooled packet is a no-op; releasing a pooled packet more
-// often than it was retained panics, because the slot may already belong
-// to another owner.
+// Release returns the packet to its arena, poisoned; the caller must not
+// touch it afterwards. Releasing a packet no arena owns is a no-op;
+// releasing an owned packet twice panics, because by the time the second
+// Release runs the record may belong to someone else.
 func (p *Packet) Release() {
-	if !p.pooled {
+	a := p.arena
+	if a == nil {
 		return
 	}
-	p.refs--
-	if p.refs > 0 {
-		return
+	if !p.live {
+		panic("packet: Release of an already-released packet")
 	}
-	if p.refs < 0 {
-		panic("packet: Release of an already-freed packet")
-	}
-	poolReleases.Add(1)
-	poolLive.Add(-1)
-	*p = Packet{}
-	pool.Put(p)
+	*p = poison
+	p.arena = a
+	a.live--
+	a.free = append(a.free, p)
 }
-
-// Sole reports whether the caller's reference is the only one on this
-// pooled packet — i.e. nobody Retained it. The MAC delivery loop uses it
-// to keep its working copy as a private scratch instead of cycling it
-// through the shared pool.
-func (p *Packet) Sole() bool { return p.pooled && p.refs == 1 }
 
 // Clone returns a shallow copy; rebroadcast paths copy the packet so each
 // hop can edit TTL/HopCount without aliasing the original. Payload is
 // shared — protocols treat payloads as immutable once attached. The copy
-// is pooled (one reference): callers that hand it to the MAC layer get
-// automatic reuse, and callers that drop it leave it to the collector.
+// comes from p's own arena, so it is recycled when the MAC layer is done
+// with it; the clone of an unowned packet is unowned.
 func (p *Packet) Clone() *Packet {
-	q := Get()
+	q := p.arena.Get()
 	q.CopyFrom(p)
 	return q
 }

@@ -168,7 +168,7 @@ func (a *Agent) Start(time.Duration) {
 
 // beacon broadcasts one associativity beacon and re-arms.
 func (a *Agent) beacon(time.Duration) {
-	b := packet.Get() // recycled by the MAC layer after transmission
+	b := a.env.NewPacket() // recycled by the MAC layer after transmission
 	b.CopyFrom(&packet.Packet{
 		Type: packet.TypeBeacon,
 		Src:  a.env.ID(),

@@ -11,7 +11,7 @@ import (
 )
 
 // airEnv is the scripted Env with the MAC layer's end of a control send:
-// the packet goes back to the pool instead of into a record.
+// the packet goes back to the arena instead of into a record.
 type airEnv struct{ *routingtest.Env }
 
 func (e airEnv) SendControl(pkt *packet.Packet) { pkt.Release() }
@@ -28,6 +28,7 @@ func benchAgent() (*Agent, airEnv, []LinkEntry) {
 		}
 	}
 	env := airEnv{routingtest.New(0, n)}
+	env.Packets = packet.NewArena()
 	a := New(env, DefaultConfig(), boot)
 	var entries []LinkEntry // terminal 25's advertisement
 	for v := 0; v < n; v++ {
@@ -43,16 +44,18 @@ func benchAgent() (*Agent, airEnv, []LinkEntry) {
 // before: the duplicate check, the diff applied to the view, the clone
 // parked behind rebroadcast jitter and its send. Nothing in it allocates
 // in the steady state (scripts/alloc_budget.txt holds it to 0) — the
-// view's edge lists keep their length, the clone is pooled.
+// view's edge lists keep their length, the clone comes off the arena's
+// free list.
 func BenchmarkLinkStateLSA(b *testing.B) {
 	a, env, entries := benchAgent()
 	costs := []float64{channel.ClassA.HopDistance(), channel.ClassC.HopDistance(), channel.ClassD.HopDistance()}
-	lsa := packet.Packet{Type: packet.TypeLSA, Src: 25, From: 18, To: packet.Broadcast,
-		Size: packet.LSASize(len(entries)), Payload: entries}
+	lsa := env.NewPacket() // the MAC's delivery copy, which the relayed clone draws its arena from
+	lsa.CopyFrom(&packet.Packet{Type: packet.TypeLSA, Src: 25, From: 18, To: packet.Broadcast,
+		Size: packet.LSASize(len(entries)), Payload: entries})
 	step := func(i int) {
 		entries[i%len(entries)].Cost = costs[i%len(costs)]
 		lsa.BroadcastID++
-		a.HandleControl(&lsa, env.Now())
+		a.HandleControl(lsa, env.Now())
 		env.Pump(10 * time.Millisecond) // the relay airs
 	}
 	for i := 0; i < 2000; i++ { // twenty simulated seconds: several history generations

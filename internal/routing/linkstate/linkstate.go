@@ -124,7 +124,7 @@ func (a *Agent) Start(time.Duration) {
 
 // beacon broadcasts a probe, sweeps silent neighbours, and re-arms.
 func (a *Agent) beacon(now time.Duration) {
-	b := packet.Get() // recycled by the MAC layer after transmission
+	b := a.env.NewPacket() // recycled by the MAC layer after transmission
 	b.CopyFrom(&packet.Packet{
 		Type: packet.TypeBeacon,
 		Src:  a.env.ID(),
@@ -216,7 +216,7 @@ func (a *Agent) originateLSA(now time.Duration) {
 	// A copy: the packet and its relayed clones outlive later edits of
 	// myLinks in place.
 	entries := slices.Clone(a.myLinks)
-	pkt := packet.Get() // recycled by the MAC layer after the flood airs
+	pkt := a.env.NewPacket() // recycled by the MAC layer after the flood airs
 	pkt.CopyFrom(&packet.Packet{
 		Type:        packet.TypeLSA,
 		Src:         a.env.ID(),

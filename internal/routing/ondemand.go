@@ -251,7 +251,7 @@ func (c *Core) StartQuery(dst int, kind packet.Type, ttl int, now time.Duration)
 
 func (c *Core) sendQuery(dst int, qs *queryState, ttl int) {
 	c.bcast++
-	pkt := packet.Get() // recycled by the MAC layer after the flood airs
+	pkt := c.env.NewPacket() // recycled by the MAC layer after the flood airs
 	pkt.CopyFrom(&packet.Packet{
 		Type:        qs.kind,
 		Src:         c.env.ID(),
@@ -409,7 +409,7 @@ func (c *Core) reply(src int, key packet.FloodKey, gs *gatherState, now time.Dur
 	if key.Type() == packet.TypeLQ {
 		kind = packet.TypeLREP
 	}
-	rep := packet.Get() // recycled by the MAC layer after transmission
+	rep := c.env.NewPacket() // recycled by the MAC layer after transmission
 	rep.CopyFrom(&packet.Packet{
 		Type:        kind,
 		Src:         src,          // travels toward the query's origin
@@ -506,7 +506,7 @@ func (c *Core) SendREER(src, dst int, now time.Duration) {
 	if !ok || now-up.at > upstreamLifetime {
 		return
 	}
-	reer := packet.Get() // recycled by the MAC layer after transmission
+	reer := c.env.NewPacket() // recycled by the MAC layer after transmission
 	reer.CopyFrom(&packet.Packet{
 		Type:      packet.TypeREER,
 		Src:       src,

@@ -362,7 +362,7 @@ func (a *Agent) sendCSIC(ch *checker, now time.Duration) {
 			ttl = a.cfg.TTLSlack + 1
 		}
 	}
-	csic := packet.Get() // recycled by the MAC layer after the flood airs
+	csic := a.env.NewPacket() // recycled by the MAC layer after the flood airs
 	csic.CopyFrom(&packet.Packet{
 		Type:        packet.TypeCSIC,
 		Src:         ch.srcID,   // the flow's source: where the info must arrive
@@ -448,7 +448,7 @@ func (a *Agent) decideRoute(dst int, now time.Duration) {
 	changed := prev == nil || !prev.Valid || prev.Next != col.best.next
 	a.core.Table.Install(dst, col.best.next, col.best.hop, col.best.geo, now)
 	if changed {
-		rupd := packet.Get() // recycled by the MAC layer after transmission
+		rupd := a.env.NewPacket() // recycled by the MAC layer after transmission
 		rupd.CopyFrom(&packet.Packet{
 			Type:      packet.TypeRUPD,
 			Src:       a.env.ID(),

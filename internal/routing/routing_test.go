@@ -454,7 +454,7 @@ func TestHistoryLifetimeIsTheDiscoveryRound(t *testing.T) {
 
 // releasingEnv mimics the production network.Node contract that
 // DropData is a terminal sink: the dropped packet is released back to
-// the pool (where it is zeroed and may be reused immediately).
+// the arena (where it is poisoned and may be re-issued immediately).
 type releasingEnv struct {
 	*routingtest.Env
 }
@@ -468,20 +468,21 @@ func (e releasingEnv) DropData(pkt *packet.Packet, reason network.DropReason) {
 // pooled-packet congestion path: when the pending buffer is already at
 // capacity, Add drops and recycles the incoming packet — the discovery
 // flood must still target the packet's real destination, not whatever a
-// recycled (zeroed) record reports.
+// released (poisoned) record reports.
 func TestBufferAndDiscoverSurvivesCongestionRecycle(t *testing.T) {
 	env := releasingEnv{routingtest.New(3, 10)}
+	env.Packets = packet.NewArena()
 	core := NewCore(env, CoreConfig{Accumulate: func(*packet.Packet) {}})
 
 	const dst = 7
 	for i := 0; i < PendingCap; i++ {
-		filler := packet.Get()
+		filler := env.NewPacket()
 		filler.Type, filler.Src, filler.Dst = packet.TypeData, env.ID(), dst
 		core.BufferAndDiscover(filler, 0)
 	}
 	env.Reset() // keep only the traffic caused by the overflowing packet
 
-	over := packet.Get()
+	over := env.NewPacket()
 	over.Type, over.Src, over.Dst = packet.TypeData, env.ID(), dst
 	core.BufferAndDiscover(over, 0)
 
@@ -491,14 +492,14 @@ func TestBufferAndDiscoverSurvivesCongestionRecycle(t *testing.T) {
 	}
 	// The query toward dst is already outstanding from the fill phase, so
 	// no packet may have been sent at all — and in particular no spurious
-	// RREQ toward terminal 0 (the zero value a recycled packet reports).
+	// RREQ toward whatever a released packet reports.
 	for _, p := range env.Sent {
 		if p.Type == packet.TypeRREQ && p.Dst != dst {
 			t.Fatalf("discovery flood targeted %d, want %d", p.Dst, dst)
 		}
 	}
-	if _, running := core.queries[0]; running {
-		t.Fatal("spurious discovery toward terminal 0 after congestion recycle")
+	if len(core.queries) != 1 {
+		t.Fatalf("spurious discovery after congestion recycle: %d queries running, want 1", len(core.queries))
 	}
 	if _, running := core.queries[dst]; !running {
 		t.Fatal("discovery toward the real destination was lost")

@@ -39,6 +39,9 @@ type Env struct {
 	Classes map[int]channel.Class
 	// Backlog is what QueueBacklog reports.
 	Backlog int
+	// Packets is what NewPacket draws from; nil (the default) hands out
+	// plain garbage-collected packets.
+	Packets *packet.Arena
 
 	Sent     []*packet.Packet
 	Enqueues []Enqueued
@@ -79,6 +82,9 @@ func (e *Env) Schedule(d time.Duration, fn func(now time.Duration)) sim.Timer {
 func (e *Env) ScheduleArg(d time.Duration, fn sim.ArgHandler, a0, a1 int) sim.Timer {
 	return e.Kernel.ScheduleArg(d, fn, a0, a1)
 }
+
+// NewPacket implements network.Env.
+func (e *Env) NewPacket() *packet.Packet { return e.Packets.Get() }
 
 // SendControl implements network.Env.
 func (e *Env) SendControl(pkt *packet.Packet) {

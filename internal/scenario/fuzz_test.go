@@ -15,9 +15,6 @@ import (
 // Validate's job and simply end the case; inputs that parse but violate
 // a simulation invariant (conservation, ledger agreement, replay
 // determinism, packet leak) — or panic — are fuzzing finds.
-//
-// Serial-use only: rica.VerifyScenario reads the process-global packet
-// pool gauge, so nothing here calls t.Parallel.
 
 // verifyUnder runs spec under the invariant harness and fails the test
 // with the offending spec attached.

@@ -147,7 +147,7 @@ func (p *pusher) tick(now time.Duration) {
 		target++
 	}
 	g.nextID++
-	pkt := packet.Get()
+	pkt := g.nodes[p.node].NewPacket()
 	pkt.Type = packet.TypeData
 	pkt.ID = g.nextID
 	pkt.Src = p.node

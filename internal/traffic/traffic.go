@@ -130,7 +130,7 @@ func (r *flowRunner) tick(now time.Duration) {
 	// Pooled: the network layer releases the packet when it is delivered
 	// or dropped, so the steady-state workload recycles a handful of
 	// records instead of allocating one per arrival.
-	pkt := packet.Get()
+	pkt := r.g.nodes[r.f.Src].NewPacket()
 	pkt.Type = packet.TypeData
 	pkt.ID = r.g.nextID
 	pkt.Src = r.f.Src

@@ -225,11 +225,9 @@ func (w *World) encodeTraffic(e *checkpoint.Enc) {
 
 func (w *World) encodeObs(e *checkpoint.Enc) error {
 	snap := w.Obs.Snapshot()
-	// Pool stats are process-global (shared across concurrent runs), and
-	// the effort counters say how the channel layer computed its answers,
+	// The effort counters say how the channel layer computed its answers,
 	// which an optimisation may change; everything else in the snapshot
 	// is deterministic per run and equal across binaries of one format.
-	snap.Pool = nil
 	snap.ZeroEffort()
 	js, err := json.Marshal(&snap)
 	if err != nil {

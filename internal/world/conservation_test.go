@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rica/internal/invariant"
+	"rica/internal/network"
 	"rica/internal/protocol"
 	"rica/internal/traffic"
 	"rica/internal/world"
@@ -26,6 +27,49 @@ func TestConservationInsideAckWindow(t *testing.T) {
 	}
 	if s.Obs.DrainData == 0 {
 		t.Skip("horizon no longer lands with packets in flight; the scenario lost its bite")
+	}
+}
+
+// TestExportsAgreeInsideAckWindow walks a three-terminal relay through
+// two seconds in 100 µs steps and, at every instant, holds the two
+// checkpoint exports that name an in-flight data packet to each other:
+// every exchange the data plane reports is the busy head of its sender's
+// link queue, under the same packet id. Inside the ACK window the
+// receiver already owns that packet — at the destination it has been
+// delivered and released — so an export that read the id through the
+// queue's stale pointer instead of the by-value copy reports the arena's
+// poison. Worlds no longer share packets, so that read is wrong the same
+// way on every run and no replay comparison can see it; this one does.
+func TestExportsAgreeInsideAckWindow(t *testing.T) {
+	cfg := relayConfig(2 * time.Second)
+	w := world.New(cfg, protocol.Factory(protocol.AODV, 10))
+	w.Start()
+	delivered := 0 // instants inside an ACK window whose receiver is the destination
+	for at := time.Duration(0); at <= cfg.Duration && !t.Failed(); at += 100 * time.Microsecond {
+		w.RunTo(at)
+		for _, x := range w.Data.ExportExchanges() {
+			if x.Handed && x.To == cfg.Flows[0].Dst {
+				delivered++
+			}
+			var head *network.QueuedPacket
+			for _, q := range w.Nodes[x.From].ExportQueues() {
+				if q.To == x.To && q.Busy && len(q.Items) > 0 {
+					head = &q.Items[0]
+				}
+			}
+			if head == nil {
+				t.Errorf("t=%v: exchange %d→%d (packet %d) has no busy queue head at its sender", at, x.From, x.To, x.PktID)
+			} else if head.PktID != x.PktID {
+				t.Errorf("t=%v: exchange %d→%d carries packet %d, the sender's queue head says %d (handed off: %v)",
+					at, x.From, x.To, x.PktID, head.PktID, x.Handed)
+			}
+		}
+	}
+	if delivered == 0 {
+		t.Fatal("no step landed inside a delivered packet's ACK window; the walk lost its bite")
+	}
+	if err := invariant.CheckSummary(w.Finish()); err != nil {
+		t.Fatal(err)
 	}
 }
 

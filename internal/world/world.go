@@ -185,6 +185,7 @@ func New(cfg Config, factory AgentFactory) *World {
 		reg = obs.NewRegistry()
 	}
 	cfg.Node.Obs = reg // nodes expose it to their routing agents
+	cfg.Node.Packets = packet.NewArena()
 	kernel.SetObs(reg)
 
 	var mob []*mobility.Node
@@ -352,10 +353,10 @@ func (w *World) BootTopology() *routing.Graph {
 
 // Run starts every terminal and the workload, executes the simulation to
 // the configured horizon, and returns the metrics summary. After the
-// horizon every pooled packet still parked in a MAC slot, link queue,
-// query buffer, or jittered relay is silently drained back to the pool,
-// so a run that ends with packet.Live() above its starting level has
-// found a genuine leak.
+// horizon every packet still parked in a MAC slot, link queue, query
+// buffer, or jittered relay is silently drained back to the world's
+// arena, so a summary whose PacketsLeaked is not zero has found a genuine
+// leak (invariant.CheckSummary's zero-leak law).
 //
 // Run is the composition Start → RunTo(horizon) → Finish; checkpointed
 // runs call the pieces directly so they can stop at instant boundaries
@@ -397,7 +398,7 @@ func (w *World) RunTo(t time.Duration) {
 	w.Kernel.Run(t)
 }
 
-// Finish drains the in-flight population back to the pool and
+// Finish drains the in-flight population back to the arena and
 // assembles the metrics summary. Call once, after RunTo reached the
 // configured horizon.
 func (w *World) Finish() metrics.Summary {
@@ -421,13 +422,14 @@ func (w *World) Finish() metrics.Summary {
 	s := w.Collector.Summary()
 	s.Energy = w.Meter.Stats(s.GoodputBps * w.Cfg.Duration.Seconds())
 	s.Events = w.Kernel.Executed()
+	s.PacketsLeaked = w.Cfg.Node.Packets.Live()
 	snap := w.Obs.Snapshot()
 	s.Obs = &snap
 	return s
 }
 
 // jamRunner drives one Jammer's periodic noise bursts. One bound handler
-// per jammer, one pooled packet per burst (recycled when the burst
+// per jammer, one arena packet per burst (recycled when the burst
 // leaves the air), so an always-on jammer costs the allocator nothing in
 // steady state.
 type jamRunner struct {
@@ -442,7 +444,7 @@ func (r *jamRunner) tick(now time.Duration) {
 	if now >= r.j.Until {
 		return
 	}
-	pkt := packet.Get()
+	pkt := r.w.Nodes[r.j.Node].NewPacket()
 	pkt.Type = packet.TypeJam
 	pkt.Src = r.j.Node
 	pkt.From = r.j.Node

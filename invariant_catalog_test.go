@@ -1,10 +1,13 @@
 package rica_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"rica"
+	"rica/internal/checkpoint"
 	"rica/internal/network"
 	"rica/internal/protocol"
 	"rica/internal/world"
@@ -24,10 +27,8 @@ func catalogHorizon(name string) time.Duration {
 
 // TestInvariantCatalog holds every built-in scenario × protocol cell to
 // the simulation invariants: the run must close its conservation and
-// ledger books and replay bit-identically. The leak law is deliberately
-// not checked here — the golden tests run in parallel in this binary
-// and share the process-global packet pool; the scenario fuzz sweep
-// covers leaks in its own process.
+// ledger books, hand every packet back to its world's arena, and replay
+// bit-identically.
 func TestInvariantCatalog(t *testing.T) {
 	names := rica.ScenarioNames()
 	if testing.Short() {
@@ -141,8 +142,90 @@ func TestForgettingIsExact(t *testing.T) {
 				if misses != 0 {
 					t.Errorf("%d lookups missed a flood record the history had forgotten", misses)
 				}
+				if s.PacketsLeaked != 0 {
+					t.Errorf("%d packets never went back to the arena", s.PacketsLeaked)
+				}
 				if s.Obs.FloodSuppressed == 0 && wcfg.Duration > 6*time.Second {
 					t.Error("no flood copy was ever suppressed: the history is unexercised")
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentWorldsMatchSequential is the law that worlds share
+// nothing: for every catalog scenario × protocol, four worlds started on
+// four goroutines end with the fingerprints and the eight state-section
+// digests of the same four seeds run one after another, and every one of
+// the eight summaries passes CheckInvariants — the zero-leak law
+// included, which is per world and so holds while the others run. Shared
+// mutable state between worlds (a package-level free list, a cache, a
+// counter) shows here as a diverging digest, a leak count, or — the CI
+// job runs this under -race — a data race.
+func TestConcurrentWorldsMatchSequential(t *testing.T) {
+	const worlds = 4
+	names := rica.ScenarioNames()
+	if testing.Short() {
+		names = names[:3]
+	}
+	for _, name := range names {
+		spec, err := rica.ScenarioByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rica.AllProtocols() {
+			t.Run(name+"/"+p.String(), func(t *testing.T) {
+				t.Parallel()
+				// one runs a world to the horizon and returns what it was
+				// there: the state digests, then the summary's fingerprint.
+				one := func(seed int64) (string, error) {
+					wcfg, err := spec.Compile()
+					if err != nil {
+						return "", err
+					}
+					wcfg.Seed = seed
+					wcfg.Duration = min(wcfg.Duration, catalogHorizon(name))
+					w := world.New(wcfg, protocol.Factory(p, spec.Traffic.Rate))
+					w.Start()
+					w.RunTo(wcfg.Duration)
+					secs, err := w.Capture(checkpoint.NewDigestEnc())
+					if err != nil {
+						return "", err
+					}
+					s := w.Finish()
+					if err := rica.CheckInvariants(s); err != nil {
+						return "", err
+					}
+					witness := rica.Fingerprint(s)
+					for _, sec := range secs {
+						witness += fmt.Sprintf(" %s=%x", sec.Tag, sec.Payload)
+					}
+					return witness, nil
+				}
+				var want, got [worlds]string
+				for i := range want {
+					var err error
+					if want[i], err = one(int64(i + 1)); err != nil {
+						t.Fatalf("sequential world, seed %d: %v", i+1, err)
+					}
+				}
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var err error
+						if got[i], err = one(int64(i + 1)); err != nil {
+							t.Errorf("concurrent world, seed %d: %v", i+1, err)
+						}
+					}()
+				}
+				wg.Wait()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("seed %d: a world run beside three others diverged from the same world run alone\n got: %s\nwant: %s",
+							i+1, got[i], want[i])
+					}
 				}
 			})
 		}

@@ -55,7 +55,6 @@ import (
 	"rica/internal/invariant"
 	"rica/internal/metrics"
 	"rica/internal/obs"
-	"rica/internal/packet"
 	"rica/internal/protocol"
 	"rica/internal/scenario"
 	"rica/internal/timeseries"
@@ -378,11 +377,9 @@ func execute(r ScenarioRun, o RunOptions, snap *snapshot) (Summary, error) {
 
 // VerifyScenario executes the run under the full invariant harness: the
 // simulation runs twice and must satisfy packet conservation and the
-// ledger checks (CheckInvariants) on both passes, replay to a
-// bit-identical fingerprint, and return every pooled packet. The first
-// pass's summary is returned. Serial-use only — the leak check reads the
-// process-global packet pool, so concurrent simulations (including
-// t.Parallel tests) poison its baseline.
+// ledger checks (CheckInvariants, the zero-leak law among them) on both
+// passes and replay to a bit-identical fingerprint. The first pass's
+// summary is returned.
 func VerifyScenario(r ScenarioRun) (Summary, error) {
 	var runErr error
 	s, err := invariant.Verify(func() Summary {
@@ -460,13 +457,11 @@ var ErrBatchInterrupted = batch.ErrInterrupted
 // cell's) subsystem counters and delay histogram; an ObsSnapshot is its
 // deterministic export form (attached to Summary.Obs and BatchCell.Obs);
 // an ObsHub aggregates registries across concurrent runs and serves the
-// live JSON/Prometheus surfaces; ObsPoolStats is the process-global
-// pooled-packet accounting.
+// live JSON/Prometheus surfaces.
 type (
-	ObsRegistry  = obs.Registry
-	ObsSnapshot  = obs.Snapshot
-	ObsHub       = obs.Hub
-	ObsPoolStats = obs.PoolStats
+	ObsRegistry = obs.Registry
+	ObsSnapshot = obs.Snapshot
+	ObsHub      = obs.Hub
 )
 
 // NewObsRegistry builds an empty observability registry to pass as
@@ -477,13 +472,3 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 // NewObsHub builds an empty hub. Attach registries (or set
 // BatchConfig.Hub) and serve hub.Handler() for live stats over HTTP.
 func NewObsHub() *ObsHub { return obs.NewHub() }
-
-// PoolStats reports the process-global pooled-packet accounting: total
-// gets and releases, packets currently live outside the pool, and the
-// live high-water mark. Process-wide (parallel runs share one pool), so
-// it belongs on live surfaces and process-level snapshots, never in
-// per-cell deterministic exports. Wire it as ObsHub.PoolFunc.
-func PoolStats() ObsPoolStats {
-	gets, releases, live, high := packet.PoolStats()
-	return ObsPoolStats{Gets: gets, Releases: releases, Live: live, HighWater: high}
-}

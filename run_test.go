@@ -93,7 +93,7 @@ var surface = []string{
 	"AllProtocols", "CheckInvariants", "CheckTimelineInvariants", "Fingerprint",
 	"LoadScenario", "NewCSVTimelineSink", "NewJSONLTimelineSink", "NewObsHub",
 	"NewObsRegistry", "NewTraceRecorder", "PaperField", "ParseProtocol",
-	"ParseScenario", "PoolStats", "Quality", "Resume", "Run", "RunBatch",
+	"ParseScenario", "Quality", "Resume", "Run", "RunBatch",
 	"ScenarioByName", "ScenarioNames", "Series", "Sweep", "VerifyScenario",
 }
 
