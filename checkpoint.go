@@ -3,7 +3,6 @@ package rica
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -33,9 +32,11 @@ import (
 // bit-identical to an uninterrupted run's.
 //
 // ErrInterrupted is returned (wrapped) by Run and Resume when
-// RunOptions.Stop ended the run early; when RunOptions.CheckpointPath
-// is set, the final snapshot has been written there and can be resumed.
-var ErrInterrupted = errors.New("rica: run interrupted")
+// RunOptions.Stop ended the run early — when RunOptions.CheckpointPath
+// is set, the snapshot of the instant it stopped at has been written
+// there and can be resumed — and by RunBatch when BatchConfig.Stop ended
+// the grid.
+var ErrInterrupted = world.ErrInterrupted
 
 // ErrCheckpointCorrupt wraps every snapshot integrity or verification
 // failure, so callers can distinguish damage from I/O errors.

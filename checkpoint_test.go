@@ -44,17 +44,12 @@ func resumeFile(path string, o rica.RunOptions) (rica.Summary, error) {
 }
 
 // snapshotAt runs r to virtual time at — an instant boundary short of
-// the horizon — and returns the snapshot of that instant. It is Run with
-// a checkpoint file in dir, the instant as the cadence, and a stop
-// channel that is closed before the first boundary, so the run writes
-// exactly one snapshot and ends.
+// the horizon — and returns the snapshot of that instant: the one a
+// checkpointed Run of r writes when its Stop ends it there.
 func snapshotAt(dir string, r rica.ScenarioRun, at time.Duration) ([]byte, error) {
 	path := filepath.Join(dir, "at.ckpt")
-	stop := make(chan struct{})
-	close(stop)
-	_, err := rica.Run(r, rica.RunOptions{CheckpointPath: path, CheckpointEvery: at, Stop: stop})
-	if !errors.Is(err, rica.ErrInterrupted) {
-		return nil, fmt.Errorf("run stopped at its first boundary: err = %v, want ErrInterrupted", err)
+	if err := rica.SnapshotAt(r, path, at); err != nil {
+		return nil, err
 	}
 	return os.ReadFile(path)
 }
@@ -188,7 +183,9 @@ func TestRunCheckpointedCompletes(t *testing.T) {
 // TestRunCheckpointedInterruptResume interrupts a run via the stop
 // channel, then resumes its final snapshot and requires the completed
 // fingerprint to equal the uninterrupted run's — the crash-recovery
-// contract end to end.
+// contract end to end. The stop is closed before the run starts, so the
+// kernel stops once the events of t=0 have dispatched and the snapshot
+// is of that instant. (TestCheckpointedStopLaw closes it mid-run.)
 func TestRunCheckpointedInterruptResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interrupt + resume")
@@ -197,7 +194,7 @@ func TestRunCheckpointedInterruptResume(t *testing.T) {
 	r := ckRun(t, "dense-urban", rica.ProtocolBGCA)
 	base := mustRun(t, r, rica.RunOptions{})
 	stop := make(chan struct{})
-	close(stop) // "signal" arrives before the first boundary
+	close(stop) // "signal" arrives before the run starts
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	_, err := rica.Run(r, rica.RunOptions{CheckpointPath: path, CheckpointEvery: time.Second, Stop: stop})
 	if !errors.Is(err, rica.ErrInterrupted) {

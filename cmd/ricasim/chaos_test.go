@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rica/internal/serve"
 )
 
 // TestServeChaosByteIdentical is the service's proof obligation: a grid
@@ -142,6 +146,73 @@ func TestServeChaosByteIdentical(t *testing.T) {
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeDrainStopsInFlightCell: draining a daemon whose worker is in
+// the middle of a long cell — metro-500 × LinkState at its default 60 s,
+// about 17 s of wall time — is a graceful stop, not a kill. The worker
+// stops the cell at its current instant and exits 3 within the drain
+// bound, so Shutdown returns in well under the 10 s DrainTimeout and the
+// job is left interrupted for a restarted daemon to resume.
+func TestServeDrainStopsInFlightCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	bin := ricasimBinary(t)
+	dir := t.TempDir()
+	srv, err := serve.New(serve.Config{Dir: dir, WorkerBin: bin, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Submit(serve.JobSpec{Scenarios: []string{"metro-500"}, Protocols: []string{"LinkState"}, Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The worker's first heartbeat: its cell is running and its signal
+	// handler is installed.
+	workerLog := filepath.Join(dir, "jobs", st.ID, "worker.log")
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if data, _ := os.ReadFile(workerLog); bytes.Contains(data, []byte("stats: sim=")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			srv.Shutdown()
+			t.Fatal("the worker never sent a heartbeat")
+		}
+	}
+	start := time.Now()
+	interrupted := srv.Shutdown()
+	took := time.Since(start)
+	t.Logf("Shutdown returned %v after the drain began", took)
+	if took > 2*time.Second {
+		t.Errorf("Shutdown took %v, want within 2s", took.Round(time.Millisecond))
+	}
+	if !interrupted {
+		t.Error("Shutdown reported nothing interrupted")
+	}
+	j, _ := srv.Job(st.ID)
+	if got := j.State(); got != serve.StateInterrupted {
+		t.Errorf("job is %s after the drain, want interrupted", got)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(events, []byte("worker exit code 3")) || bytes.Contains(events, []byte("worker killed by signal")) {
+		t.Errorf("the drained worker did not exit 3 on its own:\n%s", events)
 	}
 }
 

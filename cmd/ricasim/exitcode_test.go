@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -15,6 +18,10 @@ import (
 // subprocesses: 0 success, 1 error, 3 interrupted-but-resumable, 130
 // forced by a second signal. Schedulers, the serve supervisor, and the
 // CI crash-resume job all dispatch on these numbers, so they are API.
+// The first signal stops the simulation at its current instant, so the
+// interrupted cases also bound the time from signal to exit with a long
+// cell in flight, and check that what the interruption left behind — a
+// snapshot, a manifest — finishes the work with the uninterrupted bytes.
 func TestExitCodeContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -24,12 +31,22 @@ func TestExitCodeContract(t *testing.T) {
 	cases := []struct {
 		name string
 		args func(dir string) []string
-		// signals to deliver after evidence the run is underway; the
-		// second (when present) waits for the drain banner first.
+		// signals to deliver after evidence the run is underway — a
+		// stderr line matching underway, a progress line by default; the
+		// second (when present) waits for the interrupt banner first.
 		signals  int
-		wantCode int
-		wantErr  string // substring required on stderr
-		banErr   string // substring that must not appear on stderr
+		underway string
+		// stallStdout connects stdout to a pipe nobody reads, so the
+		// exported result blocks the process once it fills the pipe.
+		stallStdout bool
+		wantCode    int
+		wantErr     string // substring required on stderr
+		banErr      string // substring that must not appear on stderr
+		// within, when set, bounds the wall time from the first signal to
+		// the exit.
+		within time.Duration
+		// then, when set, checks what the run left in dir.
+		then func(t *testing.T, bin, dir string)
 	}{
 		{
 			name: "success is 0",
@@ -100,15 +117,69 @@ func TestExitCodeContract(t *testing.T) {
 			wantErr:  "interrupted",
 		},
 		{
+			// The first signal's flush is stuck on a full stdout pipe
+			// (a thousand result rows, some 300 KB), so only the second
+			// can end the process.
 			name: "second signal forces 130",
 			args: func(dir string) []string {
-				return []string{"-scenario", "dense-urban", "-protocols", "RICA", "-trials", "50",
-					"-duration", "30s", "-format", "json",
-					"-out", filepath.Join(dir, "out.json")}
+				return []string{"-scenario", "dense-urban", "-protocols", "RICA", "-trials", "1000",
+					"-duration", "30s", "-format", "json"}
 			},
-			signals:  2,
-			wantCode: exitCodeForced,
-			wantErr:  "forced exit",
+			signals:     2,
+			stallStdout: true,
+			wantCode:    exitCodeForced,
+			wantErr:     "forced exit",
+		},
+		{
+			// metro-500 × LinkState spends about 3 s here between the 10 s
+			// snapshot boundaries: a stop honoured only there misses the
+			// bound by seconds.
+			name: "a signal stops a checkpointed run at its instant",
+			args: func(dir string) []string {
+				return append(longCell("-checkpoint", filepath.Join(dir, "run.ckpt")), "-stats", "50ms")
+			},
+			signals:  1,
+			underway: `^stats: sim=[1-9]`,
+			wantCode: exitCodeInterrupted,
+			wantErr:  "resume with",
+			within:   time.Second,
+			then: func(t *testing.T, bin, dir string) {
+				ref := fingerprintLine(t, bin, longCell("-checkpoint", filepath.Join(dir, "ref.ckpt"))...)
+				if got := fingerprintLine(t, bin, "-resume", filepath.Join(dir, "run.ckpt")); got != ref {
+					t.Errorf("resume of the interrupted run printed\n%s\nthe uninterrupted run\n%s", got, ref)
+				}
+			},
+		},
+		{
+			// chain-10 finishes and is journaled; the metro-500 cell is in
+			// flight when the signal lands and is abandoned, not journaled.
+			name: "a signal stops a batch's in-flight cell",
+			args: func(dir string) []string {
+				return stoppedGrid(dir, "m", "out.json")
+			},
+			signals:  1,
+			underway: `^\[1/2\]`,
+			wantCode: exitCodeInterrupted,
+			wantErr:  "interrupted",
+			within:   time.Second,
+			then: func(t *testing.T, bin, dir string) {
+				for _, args := range [][]string{stoppedGrid(dir, "m", "out.json"), stoppedGrid(dir, "ref.m", "ref.json")} {
+					if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+						t.Fatalf("%v: %v\n%s", args, err, out)
+					}
+				}
+				resumed, err := os.ReadFile(filepath.Join(dir, "out.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := os.ReadFile(filepath.Join(dir, "ref.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resumed, ref) {
+					t.Errorf("the manifest re-run exported %d bytes that differ from the uninterrupted grid's %d", len(resumed), len(ref))
+				}
+			},
 		},
 	}
 
@@ -121,6 +192,15 @@ func TestExitCodeContract(t *testing.T) {
 			stderr, err := cmd.StderrPipe()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.stallStdout {
+				r, w, err := os.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				defer w.Close()
+				cmd.Stdout = w
 			}
 			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
@@ -136,13 +216,19 @@ func TestExitCodeContract(t *testing.T) {
 				close(lines)
 			}()
 
+			var signalled time.Time
 			if tc.signals > 0 {
-				// First progress line proves the batch is mid-grid with
-				// the signal handler installed.
-				waitForLine(t, lines, &collected, "[")
+				underway := tc.underway
+				if underway == "" {
+					// The first progress line proves the batch is mid-grid
+					// with the signal handler installed.
+					underway = `^\[`
+				}
+				waitForLine(t, lines, &collected, underway)
 				_ = cmd.Process.Signal(syscall.SIGINT)
+				signalled = time.Now()
 				if tc.signals > 1 {
-					waitForLine(t, lines, &collected, "draining")
+					waitForLine(t, lines, &collected, "interrupt again")
 					_ = cmd.Process.Signal(syscall.SIGINT)
 				}
 			}
@@ -158,6 +244,9 @@ func TestExitCodeContract(t *testing.T) {
 				}
 				code = ee.ExitCode()
 			}
+			if took := time.Since(signalled); tc.within > 0 && took > tc.within {
+				t.Errorf("exited %v after the signal, want within %v", took.Round(time.Millisecond), tc.within)
+			}
 			if code != tc.wantCode {
 				t.Errorf("exit code %d, want %d\nstderr:\n%s", code, tc.wantCode, collected.String())
 			}
@@ -167,27 +256,63 @@ func TestExitCodeContract(t *testing.T) {
 			if tc.banErr != "" && strings.Contains(collected.String(), tc.banErr) {
 				t.Errorf("stderr has %q:\n%s", tc.banErr, collected.String())
 			}
+			if tc.then != nil && code == tc.wantCode {
+				tc.then(t, bin, dir)
+			}
 		})
 	}
 }
 
-// waitForLine reads lines until one contains substr, accumulating them.
-func waitForLine(t *testing.T, lines <-chan string, collected *strings.Builder, substr string) {
+// longCell is the arguments of one single-run metro-500 × LinkState cell
+// at 12 s, the run the signal-latency cases interrupt, with extra
+// appended.
+func longCell(extra ...string) []string {
+	return append([]string{"-scenario", "metro-500", "-protocols", "LinkState", "-duration", "12s"}, extra...)
+}
+
+// stoppedGrid is a two-cell batch whose second cell is long — chain-10
+// then metro-500, LinkState, one worker — journaling to dir/manifest and
+// exporting to dir/out.
+func stoppedGrid(dir, manifest, out string) []string {
+	return []string{"-scenario", "chain-10,metro-500", "-protocols", "LinkState", "-trials", "1",
+		"-duration", "12s", "-parallelism", "1", "-format", "json",
+		"-manifest", filepath.Join(dir, manifest), "-out", filepath.Join(dir, out)}
+}
+
+// fingerprintLine runs a single-run ricasim to completion and returns
+// the fingerprint line it prints first.
+func fingerprintLine(t *testing.T, bin string, args ...string) string {
 	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	line, _, _ := strings.Cut(string(out), "\n")
+	if !strings.HasPrefix(line, "fingerprint: ") {
+		t.Fatalf("%v printed %q, want a fingerprint line first", args, line)
+	}
+	return line
+}
+
+// waitForLine reads lines until one matches the regular expression
+// pattern, accumulating them.
+func waitForLine(t *testing.T, lines <-chan string, collected *strings.Builder, pattern string) {
+	t.Helper()
+	re := regexp.MustCompile(pattern)
 	deadline := time.After(60 * time.Second)
 	for {
 		select {
 		case line, ok := <-lines:
 			if !ok {
-				t.Fatalf("stderr closed before %q appeared:\n%s", substr, collected.String())
+				t.Fatalf("stderr closed before a line matching %q appeared:\n%s", pattern, collected.String())
 			}
 			collected.WriteString(line)
 			collected.WriteByte('\n')
-			if strings.Contains(line, substr) {
+			if re.MatchString(line) {
 				return
 			}
 		case <-deadline:
-			t.Fatalf("no %q line within deadline:\n%s", substr, collected.String())
+			t.Fatalf("no line matching %q within deadline:\n%s", pattern, collected.String())
 		}
 	}
 }
@@ -223,7 +348,7 @@ func TestInterruptedManifestResumes(t *testing.T) {
 		}
 		close(lines)
 	}()
-	waitForLine(t, lines, &collected, "[1/")
+	waitForLine(t, lines, &collected, `^\[1/`)
 	_ = first.Process.Signal(syscall.SIGINT)
 	for range lines {
 	}

@@ -421,17 +421,18 @@ func (f *figureRun) series(load float64) {
 }
 
 // installStopSignal arms graceful interruption for modes that support
-// it: the first SIGINT/SIGTERM closes the returned channel (in-flight
-// work drains, buffers flush, a final snapshot or journal line lands,
-// and the process exits with the distinct interrupted status); a second
-// signal forces an immediate exit.
-func installStopSignal() chan struct{} {
+// it: the first SIGINT/SIGTERM closes the returned channel (every running
+// simulation stops at its current instant, buffers flush, the snapshot of
+// that instant or the journal of the finished cells lands, and the
+// process exits with the distinct interrupted status); a second signal
+// forces an immediate exit.
+func installStopSignal() <-chan struct{} {
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		fmt.Fprintln(os.Stderr, "ricasim: interrupt — draining in-flight work and flushing output; interrupt again to force exit")
+		fmt.Fprintln(os.Stderr, "ricasim: interrupt — stopping at the current instant and flushing output; interrupt again to force exit")
 		close(stop)
 		<-sig
 		fmt.Fprintln(os.Stderr, "ricasim: forced exit")
@@ -662,7 +663,7 @@ func runBatch(o options) {
 	}
 
 	res, err := rica.RunBatch(cfg)
-	interrupted := errors.Is(err, rica.ErrBatchInterrupted)
+	interrupted := errors.Is(err, rica.ErrInterrupted)
 	if err != nil && !interrupted {
 		fatalf("%v", err)
 	}

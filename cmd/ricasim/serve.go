@@ -68,9 +68,10 @@ func serveMain(args []string) {
 	}()
 
 	// The exit-code contract matches the batch CLI: a signal drains
-	// (workers journal in-flight grids) and exits 3 if anything was cut
-	// short — a restarted daemon resumes it — or 0 if the store was
-	// idle; a second signal forces exit 130.
+	// (workers stop at their current instant and journal their finished
+	// cells) and exits 3 if anything was cut short — a restarted daemon
+	// resumes it — or 0 if the store was idle; a second signal forces
+	// exit 130.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	<-sigc

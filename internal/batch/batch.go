@@ -9,10 +9,10 @@
 package batch
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,16 +66,13 @@ type Config struct {
 	// different grid is rejected. Mutually exclusive with Telemetry
 	// (timelines are not journaled).
 	Manifest string
-	// Stop, when non-nil, ends the batch gracefully when closed: no new
-	// cells start, in-flight cells finish (and are journaled), and Run
-	// returns the partial result with an error wrapping ErrInterrupted.
+	// Stop, when non-nil, ends the batch when closed: no new cells start,
+	// and every in-flight cell stops at its kernel's current instant and
+	// is abandoned — neither a result nor journaled nor poisoned. Run
+	// returns the cells that finished with an error wrapping
+	// world.ErrInterrupted; with a manifest, re-running resumes from them.
 	Stop <-chan struct{}
 }
-
-// ErrInterrupted is wrapped by Run's error when Config.Stop ended the
-// batch before every cell ran. The returned Result holds every cell
-// that did finish; with a manifest, re-running resumes from them.
-var ErrInterrupted = errors.New("batch: interrupted")
 
 // Telemetry configures per-cell timeline collection for a batch.
 type Telemetry struct {
@@ -262,8 +259,10 @@ func Run(cfg Config) (Result, error) {
 				if timelines != nil {
 					tl = &timelines[i]
 				}
-				results[i] = runCell(cells[i], &cfg, tl)
-				finished[i] = true
+				results[i], finished[i] = runCell(cells[i], &cfg, tl)
+				if !finished[i] {
+					continue // stopped mid-cell: abandoned
+				}
 				if man != nil {
 					if err := man.record(i, results[i]); err != nil {
 						progress.Lock()
@@ -282,27 +281,20 @@ func Run(cfg Config) (Result, error) {
 		finished[i] = true
 		report(i)
 	}
-	stopped := func() bool {
-		select {
-		case <-cfg.Stop:
-			return true
-		default:
-			return false
-		}
-	}
-	interrupted := false
+dispatch:
 	for i := range cells {
 		if _, ok := restoredCells[i]; ok {
 			continue
 		}
-		if stopped() {
-			interrupted = true
-			break
+		select {
+		case jobs <- i:
+		case <-cfg.Stop:
+			break dispatch
 		}
-		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
+	interrupted := slices.Contains(finished, false)
 
 	res := Result{
 		BaseSeed: baseSeed,
@@ -337,7 +329,7 @@ func Run(cfg Config) (Result, error) {
 	if interrupted {
 		// Partial result: every finished cell is present (and journaled);
 		// aggregates over a half-run grid would mislead, so they stay empty.
-		return res, fmt.Errorf("%w: stopped before the grid completed", ErrInterrupted)
+		return res, fmt.Errorf("%w: stopped before the grid completed", world.ErrInterrupted)
 	}
 
 	res.Aggregates = aggregate(results, len(cfg.Scenarios), len(protocols), trials)
@@ -350,14 +342,15 @@ var testCellHook func(scenarioName string, p protocol.Protocol, seed int64)
 
 // runCell executes one fully deterministic simulation on the worker's
 // own goroutine; when telemetry is enabled it attaches a fresh per-run
-// collector and stores the finished timeline through tl. A panic is
-// recovered into a quarantine row — grid coordinates for attribution,
-// the panic value, the stack — and the rest of the grid keeps running. Nothing is retried
-// — a deterministic cell that panicked once panics again — and a cell
-// that never returns is not bounded here, because a goroutine cannot be
-// killed: the daemon's -hung-timeout kills the whole worker process and
-// the manifest resumes the grid.
-func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult) {
+// collector and stores the finished timeline through tl. It reports
+// false, with no result, when Config.Stop ended the cell before its
+// horizon. A panic is recovered into a quarantine row — grid coordinates
+// for attribution, the panic value, the stack — and the rest of the grid
+// keeps running. Nothing is retried — a deterministic cell that panicked
+// once panics again — and a cell that never returns is not bounded here,
+// because a goroutine cannot be killed: the daemon's -hung-timeout kills
+// the whole worker process and the manifest resumes the grid.
+func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = CellResult{
@@ -367,6 +360,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult) {
 				Error:    fmt.Sprintf("panic: %v", r),
 				Stack:    string(debug.Stack()),
 			}
+			ok = true
 		}
 	}()
 	if testCellHook != nil {
@@ -383,7 +377,13 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult) {
 		hub.Attach(wcfg.Obs)
 		defer hub.Detach(wcfg.Obs)
 	}
-	s := world.New(wcfg, protocol.Factory(c.protocol, c.spec.Traffic.Rate)).Run()
+	wcfg.Stop = cfg.Stop
+	w := world.New(wcfg, protocol.Factory(c.protocol, c.spec.Traffic.Rate))
+	w.Start()
+	if !w.RunTo(wcfg.Duration) {
+		return CellResult{}, false
+	}
+	s := w.Finish()
 	if tele != nil {
 		*tl = wcfg.Timeseries.Timeline()
 	}
@@ -402,7 +402,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult) {
 		Events:       s.Events,
 		Obs:          s.Obs,
 		Summary:      &s,
-	}
+	}, true
 }
 
 // aggregate folds the grid-ordered cell rows into per-(scenario,

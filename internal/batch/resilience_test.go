@@ -12,6 +12,7 @@ import (
 
 	"rica/internal/protocol"
 	"rica/internal/scenario"
+	"rica/internal/world"
 )
 
 // setCellHook installs the test-only per-cell hook; hook-using tests
@@ -124,7 +125,7 @@ func TestBatchManifestResume(t *testing.T) {
 }
 
 // TestBatchInterruptThenManifestResume: Stop ends a batch mid-grid with
-// ErrInterrupted; re-running with the manifest restores exactly the
+// world.ErrInterrupted; re-running with the manifest restores exactly the
 // journaled cells and computes only the remainder.
 func TestBatchInterruptThenManifestResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.manifest")
@@ -144,7 +145,7 @@ func TestBatchInterruptThenManifestResume(t *testing.T) {
 		},
 	}
 	partial, err := Run(cfg)
-	if !errors.Is(err, ErrInterrupted) {
+	if !errors.Is(err, world.ErrInterrupted) {
 		t.Fatalf("interrupted Run err = %v, want ErrInterrupted", err)
 	}
 	journaled := 0

@@ -1,8 +1,8 @@
 package metrics
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -51,12 +51,14 @@ func Mean(xs []float64) float64 {
 
 // Quantile returns the q-quantile (q in [0, 1], nearest-rank on the sorted
 // order) of xs, sorting the slice in place. Zero for an empty slice. The
-// batch engine's cross-trial p50/p95 aggregates are built on it.
-func Quantile(xs []float64, q float64) float64 {
+// batch engine's cross-trial p50/p95 aggregates and the timeline's
+// per-interval delay percentiles are built on it.
+func Quantile[T cmp.Ordered](xs []T, q float64) T {
 	if len(xs) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	sort.Float64s(xs)
+	slices.Sort(xs)
 	if q < 0 {
 		q = 0
 	}

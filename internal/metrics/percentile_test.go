@@ -104,3 +104,25 @@ func TestEnergyStatsTotal(t *testing.T) {
 		t.Fatalf("TotalJ = %v", e.TotalJ())
 	}
 }
+
+// TestQuantileNearestRank: the one exact quantile, for the batch's float
+// aggregates and the timeline's durations alike — nearest rank on the
+// sorted order, q clamped to [0, 1], zero for no samples.
+func TestQuantileNearestRank(t *testing.T) {
+	if Quantile([]time.Duration(nil), 0.5) != 0 || Quantile([]float64{}, 0.95) != 0 {
+		t.Fatal("quantile of no samples is not zero")
+	}
+	durations := []time.Duration{40, 10, 30, 20, 50}
+	floats := []float64{4, 1, 3, 2, 5}
+	for _, c := range []struct {
+		q    float64
+		rank int
+	}{{-1, 0}, {0, 0}, {0.12, 0}, {0.13, 1}, {0.5, 2}, {0.95, 4}, {2, 4}} {
+		if got, want := Quantile(durations, c.q), time.Duration(10*(c.rank+1)); got != want {
+			t.Errorf("Quantile(durations, %g) = %v, want %v", c.q, got, want)
+		}
+		if got, want := Quantile(floats, c.q), float64(c.rank+1); got != want {
+			t.Errorf("Quantile(floats, %g) = %g, want %g", c.q, got, want)
+		}
+	}
+}

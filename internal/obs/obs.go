@@ -177,7 +177,7 @@ func (r *Registry) Observe(h Hist, v uint64) {
 	r.hists[h].Observe(v)
 }
 
-// Histogram exposes a histogram slot for direct reads (quantiles, count).
+// Histogram exposes a histogram slot for direct reads (count, sum).
 // A nil registry returns nil, whose methods are in turn nil-safe.
 func (r *Registry) Histogram(h Hist) *Histogram {
 	if r == nil {
@@ -242,8 +242,9 @@ func bucketMid(idx int) uint64 {
 }
 
 // Histogram is a fixed-size log-bucketed streaming histogram. Observes
-// are one atomic add; quantiles are a scan over the bucket array. All
-// methods are nil-receiver safe.
+// are one atomic add; quantiles are a scan over the bucket array (see
+// fold.quantile, which every export and live surface reads). All methods
+// are nil-receiver safe.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -274,32 +275,6 @@ func (h *Histogram) Sum() uint64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Quantile approximates the q-th quantile (0 ≤ q ≤ 1) using the same
-// nearest-rank convention as the exact timeseries path, returning the
-// midpoint of the bucket holding that rank. Zero when empty. The
-// midpoint is within 1/(2·histSub) ≈ 1.6 % of every sample the bucket
-// absorbed, so the approximation differs from the exact nearest-rank
-// sample by at most ~3.2 % relative (two midpoint half-widths) plus any
-// rank ties.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := uint64(q*float64(n-1) + 0.5) // nearest rank, 0-based
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum > rank {
-			return bucketMid(i)
-		}
-	}
-	return bucketMid(histBuckets - 1)
 }
 
 // Snapshot is the deterministic export form: fixed fields only — no
@@ -439,7 +414,13 @@ func (f *fold) absorb(r *Registry) {
 	}
 }
 
-// quantile is Histogram.Quantile over the folded delay buckets.
+// quantile approximates the q-th quantile (0 ≤ q ≤ 1) of the folded delay
+// buckets with the nearest-rank convention of metrics.Quantile, returning
+// the midpoint of the bucket holding that rank. Zero when empty. The
+// midpoint is within 1/(2·histSub) ≈ 1.6 % of every sample the bucket
+// absorbed, so the approximation differs from the exact nearest-rank
+// sample by at most ~3.2 % relative (two midpoint half-widths) plus any
+// rank ties.
 func (f *fold) quantile(q float64) uint64 {
 	if f.delayCount == 0 {
 		return 0

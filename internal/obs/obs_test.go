@@ -26,7 +26,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(7)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram must read zero")
 	}
 	s := r.Snapshot()
@@ -93,27 +93,30 @@ func TestBucketIdxMonotone(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileError: against random samples, the histogram
-// quantile must stay within the documented relative error of the exact
-// nearest-rank quantile (small values are exact; large ones within
-// ~1/(2·histSub) per midpoint half-width, doubled for rank ties at
-// bucket boundaries, plus slack for adjacent-rank straddles).
+// TestHistogramQuantileError: against random samples, the quantile every
+// export reads (the fold's, over a registry's delay histogram) must stay
+// within the documented relative error of the exact nearest-rank quantile
+// (small values are exact; large ones within ~1/(2·histSub) per midpoint
+// half-width, doubled for rank ties at bucket boundaries, plus slack for
+// adjacent-rank straddles).
 func TestHistogramQuantileError(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		var h Histogram
+		r := NewRegistry()
 		n := 100 + rng.Intn(5000)
 		samples := make([]uint64, n)
 		for i := range samples {
 			// Log-uniform spread over ~9 decades, the shape of delay data.
 			v := uint64(math.Exp(rng.Float64() * 20))
 			samples[i] = v
-			h.Observe(v)
+			r.Observe(HDelayNs, v)
 		}
+		var f fold
+		f.absorb(r)
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 		for _, q := range []float64{0, 0.25, 0.50, 0.95, 0.99, 1} {
 			exact := samples[int(q*float64(n-1)+0.5)]
-			approx := h.Quantile(q)
+			approx := f.quantile(q)
 			if exact < histSmall {
 				if approx != exact {
 					t.Fatalf("q=%g small-value quantile = %d, want exact %d", q, approx, exact)

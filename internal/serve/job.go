@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -146,27 +147,32 @@ type Job struct {
 	Spec JobSpec
 	Dir  string
 
-	mu         sync.Mutex
-	state      State
-	reason     string
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	attempts   int
-	restarts   int
-	restored   int
-	done       int
-	total      int
-	workerPID  int
-	statsURL   string // worker's live-stats base URL, when it told us
-	cancel     bool
-	killWorker func(graceful bool) // set while a worker runs
+	mu        sync.Mutex
+	state     State
+	reason    string
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	attempts  int
+	restarts  int
+	restored  int
+	done      int
+	total     int
+	workerPID int
+	statsURL  string // worker's live-stats base URL, when it told us
+
+	// ctx ends with the job: canceled with errCanceled by DELETE, or with
+	// the daemon's errDraining. Each worker attempt runs under a child of
+	// it, so either cause reaches the running worker.
+	ctx  context.Context
+	stop context.CancelCauseFunc
 
 	events eventLog
 }
 
-func newJob(id, dir string, spec JobSpec, total int) *Job {
+func newJob(parent context.Context, id, dir string, spec JobSpec, total int) *Job {
 	j := &Job{ID: id, Spec: spec, Dir: dir, state: StateQueued, total: total, created: time.Now()}
+	j.ctx, j.stop = context.WithCancelCause(parent)
 	j.events.append(Event{Type: "queued", Total: total})
 	return j
 }
@@ -213,7 +219,6 @@ func (j *Job) setState(s State, reason string) {
 		j.finished = time.Now()
 		j.workerPID = 0
 		j.statsURL = ""
-		j.killWorker = nil
 	}
 	done, total := j.done, j.total
 	j.mu.Unlock()
@@ -224,27 +229,15 @@ func (j *Job) setState(s State, reason string) {
 	j.events.append(Event{Type: typ, Note: reason, Done: done, Total: total})
 }
 
-// cancelRequested reads the cancel flag.
-func (j *Job) cancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancel
-}
-
-// requestCancel marks the job for cancellation and, if a worker is
-// running, kills it. Returns false if the job is already terminal.
+// requestCancel cancels the job's context with errCanceled, which kills
+// a running worker. Returns false if the job is already terminal.
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
-	j.cancel = true
-	kill := j.killWorker
-	j.mu.Unlock()
-	if kill != nil {
-		kill(false)
-	}
+	j.stop(errCanceled)
 	return true
 }
 

@@ -13,19 +13,19 @@ func setProcessGroup(cmd *exec.Cmd) {
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 }
 
-// signalProcess delivers SIGTERM (force=false: ask the worker to drain,
-// journal, and exit 3) or SIGKILL to the whole group (force=true: the
-// hang and cancel paths, where cooperation cannot be assumed).
+// signalProcess delivers SIGTERM (force=false: the drain, where the
+// worker stops at its current instant, journals, and exits 3) or SIGKILL
+// (force=true: the hang and cancel paths, where cooperation cannot be
+// assumed) to the worker's whole process group.
 func signalProcess(cmd *exec.Cmd, force bool) {
 	if cmd.Process == nil {
 		return
 	}
-	pid := cmd.Process.Pid
+	sig := syscall.SIGTERM
 	if force {
-		if err := syscall.Kill(-pid, syscall.SIGKILL); err != nil {
-			_ = cmd.Process.Kill()
-		}
-		return
+		sig = syscall.SIGKILL
 	}
-	_ = syscall.Kill(pid, syscall.SIGTERM)
+	if err := syscall.Kill(-cmd.Process.Pid, sig); err != nil && force {
+		_ = cmd.Process.Kill()
+	}
 }

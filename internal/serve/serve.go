@@ -15,7 +15,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -57,8 +59,9 @@ type Config struct {
 	// stderr output, or a heartbeat whose event counter moved) stalls
 	// this long (default 2m).
 	HungTimeout time.Duration
-	// DrainTimeout bounds how long Shutdown waits for workers to
-	// journal and exit after SIGTERM before force-killing (default 10s).
+	// DrainTimeout bounds how long a drained worker may take to stop,
+	// journal and exit after SIGTERM before it is force-killed (default
+	// 10s).
 	DrainTimeout time.Duration
 	// BackoffBase/BackoffMax shape the restart backoff (defaults 250ms
 	// and 10s; jittered, see restartBackoff).
@@ -108,16 +111,20 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // admission order; shedding walks it oldest-first
-	queue    []string // FIFO of queued job IDs
-	active   int
-	draining bool
-	nextID   int
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []string // admission order; shedding walks it oldest-first
+	queue  []string // FIFO of queued job IDs
+	active int
+	nextID int
+
+	// ctx is the daemon's: every job's context derives from it, and
+	// Shutdown cancels it with errDraining, which is how a drain reaches
+	// the scheduler, a backoff wait and every running worker.
+	ctx   context.Context
+	drain context.CancelCauseFunc
 
 	kick    chan struct{}
-	stop    chan struct{}
 	wg      sync.WaitGroup // job runner goroutines
 	schedWG sync.WaitGroup // the scheduler loop
 
@@ -140,8 +147,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:  cfg,
 		jobs: make(map[string]*Job),
 		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
 	}
+	s.ctx, s.drain = context.WithCancelCause(context.Background())
 	if s.cfg.WorkerCommand == nil {
 		s.cfg.WorkerCommand = func(j *Job) *exec.Cmd {
 			return defaultWorkerCommand(s.cfg.WorkerBin, j)
@@ -192,7 +199,7 @@ func (s *Server) Start() error {
 			s.cfg.Logf("serve: skipping %s: bad job.json", dir)
 			continue
 		}
-		j := newJob(pj.ID, dir, pj.Spec, pj.Total)
+		j := newJob(s.ctx, pj.ID, dir, pj.Spec, pj.Total)
 		if t, err := time.Parse(time.RFC3339, pj.Created); err == nil {
 			j.created = t
 		}
@@ -203,6 +210,7 @@ func (s *Server) Start() error {
 				j.reason = ps.Reason
 				j.done = ps.Done
 				j.finished = j.created
+				j.stop(nil) // a record, not work: nothing will cancel it
 			}
 		}
 		recovered = append(recovered, j)
@@ -243,24 +251,18 @@ func (s *Server) poke() {
 	}
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // scheduler dequeues jobs into the active slots.
 func (s *Server) scheduler() {
 	defer s.schedWG.Done()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-s.kick:
 		}
 		for {
 			s.mu.Lock()
-			if s.draining || s.active >= s.cfg.MaxActive || len(s.queue) == 0 {
+			if s.ctx.Err() != nil || s.active >= s.cfg.MaxActive || len(s.queue) == 0 {
 				s.mu.Unlock()
 				break
 			}
@@ -286,6 +288,7 @@ func (s *Server) scheduler() {
 
 // jobFinished persists the job's final state and frees its slot.
 func (s *Server) jobFinished(j *Job) {
+	j.stop(nil) // releases the job's context; a cause already set stays
 	st := j.Snapshot()
 	s.persistState(j, persistedState{State: st.State, Reason: st.Reason, Done: st.DoneCells})
 	s.cfg.Logf("serve: %s %s (%d/%d cells, %d restarts)%s",
@@ -328,8 +331,13 @@ func IsOverload(err error) bool {
 	return ok
 }
 
-// errDraining is returned by Submit once Shutdown has begun.
-var errDraining = fmt.Errorf("serve: draining, not accepting jobs")
+// The three causes that end a job's or an attempt's context. Submit
+// also returns errDraining once Shutdown has begun.
+var (
+	errDraining = errors.New("serve: draining, not accepting jobs") // Shutdown
+	errCanceled = errors.New("serve: job canceled")                 // DELETE /jobs/{id}
+	errHung     = errors.New("serve: worker hung")                  // liveness clock stalled
+)
 
 // IsDraining reports whether err means the daemon is shutting down.
 func IsDraining(err error) bool { return err == errDraining }
@@ -345,7 +353,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
+	if s.ctx.Err() != nil {
 		s.mu.Unlock()
 		s.countReject()
 		return Status{}, errDraining
@@ -373,7 +381,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 			return Status{}, err
 		}
 	}
-	j := newJob(id, dir, spec, total)
+	j := newJob(s.ctx, id, dir, spec, total)
 	pj := persistedJob{ID: id, Spec: spec, Total: total, Created: j.created.UTC().Format(time.RFC3339)}
 	data, _ := json.MarshalIndent(pj, "", "  ")
 	if err := os.WriteFile(filepath.Join(dir, jobFile), append(data, '\n'), 0o644); err != nil {
@@ -460,7 +468,7 @@ func (s *Server) Cancel(id string) bool {
 	if !j.requestCancel() {
 		return false
 	}
-	// A queued job has no runner to notice the flag; finalize it here.
+	// A queued job has no runner to notice the cancel; finalize it here.
 	s.mu.Lock()
 	for i, qid := range s.queue {
 		if qid == id {
@@ -481,7 +489,7 @@ func (s *Server) Ready() (bool, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.draining:
+	case s.ctx.Err() != nil:
 		return false, "draining"
 	case len(s.queue) >= s.cfg.MaxQueue:
 		return false, "queue full"
@@ -490,63 +498,28 @@ func (s *Server) Ready() (bool, string) {
 	}
 }
 
-// Shutdown drains the daemon: stop admitting, SIGTERM running workers
-// (they journal in-flight grids and exit per the interrupt contract),
-// wait up to DrainTimeout, then force-kill stragglers. Returns true if
-// any job was left interrupted (resumable on restart) — the caller
-// maps that onto the CLI's exit-code contract.
+// Shutdown drains the daemon: stop admitting, and cancel the daemon's
+// context — every running worker gets SIGTERM, stops at its current
+// instant, journals its finished cells and exits (a worker that outlives
+// DrainTimeout is force-killed). Returns once every job runner is done:
+// true if any job was left interrupted (resumable on restart) — the
+// caller maps that onto the CLI's exit-code contract.
 func (s *Server) Shutdown() bool {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.wg.Wait()
-		s.schedWG.Wait()
-		return s.anyInterrupted()
-	}
-	s.draining = true
-	close(s.stop) // scheduler exits; no new jobs dequeue
-	var kills []func(bool)
-	for _, id := range s.queue {
-		if j := s.jobs[id]; j != nil {
-			j.setState(StateInterrupted, "daemon draining")
-			s.persistState(j, persistedState{State: StateInterrupted, Reason: "daemon draining"})
-		}
-	}
-	s.queue = nil
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.killWorker != nil {
-			kills = append(kills, j.killWorker)
-		}
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
-
-	for _, kill := range kills {
-		kill(true) // graceful: SIGTERM, worker journals and exits
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
-		s.cfg.Logf("serve: drain timeout; force-killing workers")
-		s.mu.Lock()
-		for _, j := range s.jobs {
-			j.mu.Lock()
-			kill := j.killWorker
-			j.mu.Unlock()
-			if kill != nil {
-				kill(false)
+	if s.ctx.Err() == nil {
+		s.drain(errDraining)
+		for _, id := range s.queue {
+			if j := s.jobs[id]; j != nil {
+				j.setState(StateInterrupted, "daemon draining")
+				s.persistState(j, persistedState{State: StateInterrupted, Reason: "daemon draining"})
 			}
 		}
-		s.mu.Unlock()
-		<-done
+		s.queue = nil
 	}
+	s.mu.Unlock()
+	// The scheduler first: once it has exited, no job runner is added.
 	s.schedWG.Wait()
+	s.wg.Wait()
 	return s.anyInterrupted()
 }
 

@@ -596,7 +596,7 @@ func TestWorkerLineParsing(t *testing.T) {
 		{"manifest: restored 12 of 30 cells from /tmp/m", workerLine{kind: "restored", restored: 12, total: 30}},
 		{"stats: serving http://127.0.0.1:4311/stats.json and http://127.0.0.1:4311/metrics", workerLine{kind: "statsurl", statsURL: "http://127.0.0.1:4311"}},
 		{"stats: sim=12s events=48211 gen=1200 dlv=1100 p50=80ms queue=3", workerLine{kind: "heartbeat", events: 48211}},
-		{"ricasim: interrupt — draining in-flight work and flushing output; interrupt again to force exit", workerLine{kind: "other"}},
+		{"ricasim: interrupt — stopping at the current instant and flushing output; interrupt again to force exit", workerLine{kind: "other"}},
 		{"wrote /tmp/result.json", workerLine{kind: "other"}},
 	}
 	for _, c := range cases {

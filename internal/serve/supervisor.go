@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,9 +17,9 @@ import (
 // classification: crashes and hangs are transient (the manifest journal
 // makes a retry resume instead of recompute), panics and clean failures
 // are permanent, and interrupts are only legitimate when we asked for
-// them — an exit-code-3 we didn't request means someone signalled the
-// worker externally, which is the chaos-test case, and is healed like a
-// crash.
+// them — an exit-code-3 without a cause on the attempt's context means
+// someone signalled the worker externally, which is the chaos-test case,
+// and is healed like a crash.
 type outcome int
 
 const (
@@ -48,11 +49,11 @@ const (
 func (s *Server) runJob(j *Job) {
 	defer s.jobFinished(j)
 	for {
-		if j.cancelRequested() {
+		switch context.Cause(j.ctx) {
+		case errCanceled:
 			j.setState(StateCanceled, "canceled before start")
 			return
-		}
-		if s.isDraining() {
+		case errDraining:
 			j.setState(StateInterrupted, "daemon draining")
 			return
 		}
@@ -95,8 +96,9 @@ func (s *Server) runJob(j *Job) {
 			atomic.AddInt64(&s.restartsTotal, 1)
 			delay := restartBackoff(n-1, s.cfg.BackoffBase, s.cfg.BackoffMax)
 			j.events.append(Event{Type: "restart", Note: fmt.Sprintf("%s; retry %d in %v", detail, n, delay.Round(time.Millisecond))})
-			if !s.sleepInterruptible(j, delay) {
-				continue // cancel/drain noticed; loop head handles it
+			select {
+			case <-time.After(delay):
+			case <-j.ctx.Done(): // the loop head says why
 			}
 		}
 	}
@@ -119,27 +121,15 @@ func restartBackoff(n int, base, max time.Duration) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)))
 }
 
-// sleepInterruptible waits out a backoff delay, returning early (false)
-// if the job is canceled or the daemon starts draining.
-func (s *Server) sleepInterruptible(j *Job, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if j.cancelRequested() || s.isDraining() {
-			return false
-		}
-		step := time.Until(deadline)
-		if step > 20*time.Millisecond {
-			step = 20 * time.Millisecond
-		}
-		time.Sleep(step)
-	}
-	return true
-}
-
 // runAttempt launches one worker process for the job and supervises it
 // to exit: parse stderr for progress and liveness, detect hangs by
-// heartbeat deadline, and classify the exit.
+// heartbeat deadline, and classify the exit. The attempt's context ends
+// it: a cancel or a drain reaches it from the job's context, a stalled
+// liveness clock cancels it with errHung, and either way the cause
+// signals the worker (see signalWorker) and names the outcome.
 func (s *Server) runAttempt(j *Job) (outcome, string) {
+	ctx, end := context.WithCancelCause(j.ctx)
+	defer end(nil)
 	cmd := s.cfg.WorkerCommand(j)
 	setProcessGroup(cmd)
 
@@ -159,6 +149,12 @@ func (s *Server) runAttempt(j *Job) (outcome, string) {
 	}
 	pid := cmd.Process.Pid
 	fmt.Fprintf(logf, "--- attempt pid=%d ---\n", pid)
+	j.mu.Lock()
+	j.workerPID = pid
+	j.mu.Unlock()
+
+	exited := make(chan struct{})
+	defer context.AfterFunc(ctx, func() { s.signalWorker(cmd, context.Cause(ctx), exited) })()
 
 	// lastLive is the supervisor's liveness clock (unix nanos). Any
 	// stderr line advances it except a heartbeat whose cumulative event
@@ -168,33 +164,9 @@ func (s *Server) runAttempt(j *Job) (outcome, string) {
 	lastLive.Store(time.Now().UnixNano())
 	var lastEvents atomic.Int64
 	lastEvents.Store(-1)
-	var hung atomic.Bool
-	var termSent atomic.Bool // we asked the worker to drain (cancel or daemon drain)
-	var graceSent atomic.Bool
 
-	kill := func(graceful bool) {
-		if graceful {
-			graceSent.Store(true)
-			termSent.Store(true)
-			signalProcess(cmd, false)
-			return
-		}
-		termSent.Store(true)
-		signalProcess(cmd, true)
-	}
-	j.mu.Lock()
-	j.workerPID = pid
-	j.killWorker = kill
-	canceledAlready := j.cancel
-	j.mu.Unlock()
-	if canceledAlready {
-		kill(false)
-	}
-
-	// Hang monitor: if the liveness clock stalls past HungTimeout, kill
-	// the whole process group (SIGKILL — a hung worker may not honor
-	// SIGTERM) and let the classifier report a hang.
-	attemptDone := make(chan struct{})
+	// Hang monitor: if the liveness clock stalls past HungTimeout while
+	// nothing else is ending the attempt, end it with errHung.
 	monitorDone := make(chan struct{})
 	go func() {
 		defer close(monitorDone)
@@ -204,14 +176,15 @@ func (s *Server) runAttempt(j *Job) (outcome, string) {
 		}
 		for {
 			select {
-			case <-attemptDone:
+			case <-exited:
+				return
+			case <-ctx.Done():
 				return
 			case <-time.After(tick):
 			}
 			idle := time.Duration(time.Now().UnixNano() - lastLive.Load())
-			if idle >= s.cfg.HungTimeout && !termSent.Load() {
-				hung.Store(true)
-				signalProcess(cmd, true)
+			if idle >= s.cfg.HungTimeout {
+				end(errHung)
 				return
 			}
 		}
@@ -257,19 +230,40 @@ func (s *Server) runAttempt(j *Job) (outcome, string) {
 	}
 
 	waitErr := cmd.Wait()
-	close(attemptDone)
+	close(exited)
 	<-monitorDone
 	j.mu.Lock()
-	j.killWorker = nil
 	j.workerPID = 0
 	j.statsURL = ""
 	j.mu.Unlock()
 
-	return s.classifyExit(j, waitErr, hung.Load(), termSent.Load(), graceSent.Load())
+	return s.classifyExit(j, waitErr, context.Cause(ctx))
 }
 
-// classifyExit maps a worker's exit status onto the healing policy.
-func (s *Server) classifyExit(j *Job, waitErr error, hung, termSent, graceSent bool) (outcome, string) {
+// signalWorker is how the end of an attempt reaches its worker. A drain
+// asks: SIGTERM, on which the worker stops at its current instant,
+// journals its finished cells and exits 3 — and one still running
+// DrainTimeout later is killed. A cancel or a hang kills the process
+// group outright: a hung worker may not honour SIGTERM, and a canceled
+// job's journal is not wanted.
+func (s *Server) signalWorker(cmd *exec.Cmd, cause error, exited <-chan struct{}) {
+	if cause != errDraining {
+		signalProcess(cmd, true)
+		return
+	}
+	signalProcess(cmd, false)
+	select {
+	case <-exited:
+	case <-time.After(s.cfg.DrainTimeout):
+		s.cfg.Logf("serve: drain timeout; force-killing worker pid %d", cmd.Process.Pid)
+		signalProcess(cmd, true)
+	}
+}
+
+// classifyExit maps a worker's exit status, and the cause that ended
+// its attempt (nil when the worker exited on its own), onto the healing
+// policy.
+func (s *Server) classifyExit(j *Job, waitErr error, cause error) (outcome, string) {
 	code, signaled := exitStatus(waitErr)
 	note := fmt.Sprintf("worker exit code %d", code)
 	if signaled {
@@ -277,18 +271,17 @@ func (s *Server) classifyExit(j *Job, waitErr error, hung, termSent, graceSent b
 	}
 	j.events.append(Event{Type: "worker-exit", Note: note})
 
-	if hung {
+	switch cause {
+	case errHung:
 		atomic.AddInt64(&s.hangsTotal, 1)
 		j.events.append(Event{Type: "hung", Note: fmt.Sprintf("no liveness for %v; process group killed", s.cfg.HungTimeout)})
 		return outcomeHung, "worker hung (heartbeat deadline exceeded)"
-	}
-	if j.cancelRequested() {
+	case errCanceled:
 		return outcomeCanceled, "canceled"
-	}
-	if graceSent {
-		// We sent SIGTERM for a daemon drain; the worker journals and
-		// exits 3 per the contract. Any exit at this point counts.
-		return outcomeInterrupted, "daemon draining (worker journaled in-flight grid)"
+	case errDraining:
+		// The worker stops at its current instant, journals and exits 3
+		// per the contract; any exit at this point counts.
+		return outcomeInterrupted, "daemon draining (worker journaled its finished cells)"
 	}
 
 	switch {
@@ -310,9 +303,6 @@ func (s *Server) classifyExit(j *Job, waitErr error, hung, termSent, graceSent b
 	case code == workerExitError:
 		return outcomeFailed, "worker exited 1 (error or poisoned cells); partial results may be journaled"
 	case code == workerExitInterrupted, code == workerExitForced:
-		if termSent {
-			return outcomeInterrupted, "worker interrupted on request"
-		}
 		// Someone else signalled it; the journal is intact, so heal.
 		atomic.AddInt64(&s.crashesTotal, 1)
 		return outcomeCrash, fmt.Sprintf("worker interrupted externally (exit %d)", code)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -407,26 +408,33 @@ func TestEventDoubleFreePanics(t *testing.T) {
 	k.release(ev)
 }
 
-// TestStopInsideHandlerDuringRun: Stop called from within a handler halts
-// the run after that handler, leaving later events queued and runnable.
+// TestStopInsideHandlerDuringRun: a handler that closes the stop channel
+// halts the run once its instant is done — an event scheduled for that
+// same instant still fires — leaving later events queued and runnable.
 func TestStopInsideHandlerDuringRun(t *testing.T) {
 	k := NewKernel()
+	stop := make(chan struct{})
+	k.SetStop(stop)
 	order := []int{}
 	k.Schedule(time.Millisecond, func(time.Duration) { order = append(order, 1) })
 	k.Schedule(2*time.Millisecond, func(time.Duration) {
 		order = append(order, 2)
-		k.Stop()
+		close(stop)
+		k.Schedule(0, func(time.Duration) { order = append(order, 22) })
 	})
 	k.Schedule(3*time.Millisecond, func(time.Duration) { order = append(order, 3) })
-	k.Run(time.Second)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("events before stop = %v, want [1 2]", order)
+	if k.Run(time.Second) {
+		t.Fatal("Run reported reaching its horizon after a handler closed the stop")
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending() = %d after Stop, want the un-run event", k.Pending())
+	if !slices.Equal(order, []int{1, 2, 22}) {
+		t.Fatalf("events before stop = %v, want [1 2 22]", order)
 	}
+	if k.Pending() != 1 || k.Now() != 2*time.Millisecond {
+		t.Fatalf("Pending() = %d at %v after the stop, want the un-run event at 2ms", k.Pending(), k.Now())
+	}
+	k.SetStop(nil)
 	k.Run(time.Second) // resumable
-	if len(order) != 3 || order[2] != 3 {
+	if len(order) != 4 || order[3] != 3 {
 		t.Fatalf("resume did not fire the remaining event: %v", order)
 	}
 }

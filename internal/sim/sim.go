@@ -46,10 +46,13 @@ const compactMin = 128
 // keeps event ordering exact: there is no floating-point fuzz around
 // simultaneity, and ties are broken by scheduling order.
 type Kernel struct {
-	queue   eventQueue
-	now     time.Duration
-	seq     uint64
-	stopped bool
+	queue eventQueue
+	now   time.Duration
+	seq   uint64
+
+	// stop, once closed, ends Run at the next instant boundary (see
+	// SetStop). Nil never stops.
+	stop <-chan struct{}
 
 	// live counts scheduled events that have neither fired nor been
 	// cancelled; queue.size() − live is the lazily-cancelled backlog.
@@ -82,6 +85,13 @@ func NewKernel() *Kernel {
 // SetObs wires the observability registry. Call before Run; the kernel
 // works identically (and counts nothing) without one.
 func (k *Kernel) SetObs(r *obs.Registry) { k.obs = r }
+
+// SetStop wires the channel whose closing ends Run early. The kernel
+// reads it only when the clock is about to move to a new instant, so a
+// stopped Run has dispatched every event at or before Now() and none
+// after: the instant boundary a checkpoint capture needs. A nil channel
+// never stops.
+func (k *Kernel) SetStop(stop <-chan struct{}) { k.stop = stop }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -254,17 +264,18 @@ func (k *Kernel) dispatch(ev *event) {
 	afn(k.now, a0, a1)
 }
 
-// Run dispatches events until the queue drains, the virtual clock passes
-// until, or Stop is called. Events scheduled exactly at until still run.
-// On return the clock reads until, unless Stop cut the run short (then
-// the time of the last event). A horizon behind the clock is a no-op: the
-// clock never moves backwards, and nothing else is touched.
-func (k *Kernel) Run(until time.Duration) {
+// Run dispatches events until the queue drains or the virtual clock
+// passes until, and reports true; events scheduled exactly at until still
+// run, and the clock then reads until. It reports false when the stop
+// channel (SetStop) was found closed on the way: the clock stays at the
+// instant whose events have all dispatched, and the rest stay queued for
+// a later Run. A horizon behind the clock is a no-op: the clock never
+// moves backwards, and nothing else is touched.
+func (k *Kernel) Run(until time.Duration) bool {
 	if until < k.now {
-		return
+		return true
 	}
-	k.stopped = false
-	for !k.stopped {
+	for {
 		ev := k.queue.pop(k.now, k.recycleFn())
 		if ev == nil {
 			break
@@ -273,27 +284,37 @@ func (k *Kernel) Run(until time.Duration) {
 			// Past the horizon: put it back (its (at, seq) identity is
 			// unchanged, so ordering is unaffected) and stop here.
 			k.queue.unpop(ev)
-			k.now = until
-			return
+			break
+		}
+		if ev.at > k.now && k.stopRequested() {
+			k.queue.unpop(ev)
+			return false
 		}
 		k.dispatch(ev)
 	}
-	if k.now < until && !k.stopped {
-		k.now = until
+	k.now = until
+	return true
+}
+
+// stopRequested polls the stop channel without blocking.
+func (k *Kernel) stopRequested() bool {
+	if k.stop == nil {
+		return false
+	}
+	select {
+	case <-k.stop:
+		return true
+	default:
+		return false
 	}
 }
 
-// RunAll dispatches events until the queue drains or Stop is called.
-// Intended for small tests; production runs should bound time with Run.
+// RunAll dispatches events until the queue drains; it reads no stop
+// channel. Intended for small tests; production runs bound time with Run.
 func (k *Kernel) RunAll() {
-	k.stopped = false
-	for !k.stopped && k.Step() {
+	for k.Step() {
 	}
 }
-
-// Stop makes the active Run/RunAll return after the current event handler
-// finishes. Pending events remain queued.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // noteCancel maintains the live count and compacts the queue when lazily
 // cancelled entries dominate it — without this, a cancel-heavy CSMA

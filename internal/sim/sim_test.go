@@ -219,20 +219,38 @@ func TestExportStateIsLiveScheduleOnly(t *testing.T) {
 	}
 }
 
+// TestStopInterruptsRun: a stop channel closed mid-run ends Run at the
+// instant boundary — every event of the closing instant dispatched, none
+// of the next — reporting false; Run with the channel still closed moves
+// nothing, and Run without it finishes the queue.
 func TestStopInterruptsRun(t *testing.T) {
 	k := NewKernel()
+	stop := make(chan struct{})
+	k.SetStop(stop)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		k.Schedule(time.Duration(i)*time.Second, func(time.Duration) {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
+		at := time.Duration(i) * time.Second
+		for j := 0; j < 2; j++ { // two events per instant
+			k.At(at, func(time.Duration) {
+				count++
+				if count == 5 {
+					close(stop)
+				}
+			})
+		}
 	}
-	k.Run(time.Hour)
-	if count != 3 {
-		t.Fatalf("Stop did not interrupt Run: %d events fired", count)
+	if k.Run(time.Hour) {
+		t.Fatal("Run reported reaching its horizon after the stop closed")
+	}
+	if count != 6 || k.Now() != 3*time.Second || k.Pending() != 14 {
+		t.Fatalf("stopped with %d events fired at %v, %d pending; want 6 at 3s, 14 pending", count, k.Now(), k.Pending())
+	}
+	if k.Run(time.Hour) || count != 6 || k.Now() != 3*time.Second {
+		t.Fatalf("a closed stop let Run move: %d events at %v", count, k.Now())
+	}
+	k.SetStop(nil)
+	if !k.Run(time.Hour) || count != 20 || k.Now() != time.Hour {
+		t.Fatalf("unstopped Run: %d events, clock %v; want 20 at the 1h horizon", count, k.Now())
 	}
 }
 

@@ -20,9 +20,9 @@
 package timeseries
 
 import (
-	"sort"
 	"time"
 
+	"rica/internal/metrics"
 	"rica/internal/network"
 	"rica/internal/packet"
 )
@@ -240,21 +240,10 @@ func (c *Collector) Timeline() Timeline {
 		}
 		if b.delivered > 0 {
 			p.AvgDelayMs = float64(b.delaySum) / float64(b.delivered) / float64(time.Millisecond)
-			p.P50DelayMs = float64(durationQuantile(b.delays, 0.50)) / float64(time.Millisecond)
-			p.P95DelayMs = float64(durationQuantile(b.delays, 0.95)) / float64(time.Millisecond)
+			p.P50DelayMs = float64(metrics.Quantile(b.delays, 0.50)) / float64(time.Millisecond)
+			p.P95DelayMs = float64(metrics.Quantile(b.delays, 0.95)) / float64(time.Millisecond)
 		}
 		tl.Points[i] = p
 	}
 	return tl
-}
-
-// durationQuantile is the nearest-rank q-quantile of samples, sorting the
-// slice in place (mirrors metrics.Quantile for durations).
-func durationQuantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(q*float64(len(samples)-1) + 0.5)
-	return samples[idx]
 }

@@ -6,6 +6,7 @@
 package world
 
 import (
+	"errors"
 	"time"
 
 	"rica/internal/channel"
@@ -101,7 +102,17 @@ type Config struct {
 	// event order and every RNG stream are identical with or without an
 	// external registry attached.
 	Obs *obs.Registry
+	// Stop, once closed, ends RunTo at the kernel's next instant boundary
+	// (see sim.Kernel.SetStop). Like Obs it never feeds back into the
+	// simulation: a run that is not stopped dispatches the events it would
+	// without one.
+	Stop <-chan struct{}
 }
+
+// ErrInterrupted is the one error a run ended by a closed Config.Stop
+// wraps: the single run (rica.Run, rica.Resume) and the grid (batch.Run)
+// both return it.
+var ErrInterrupted = errors.New("rica: run interrupted")
 
 // DefaultConfig returns the paper's simulation environment with the given
 // mean mobile speed (km/h, the figures' x-axis) and traffic load
@@ -187,6 +198,7 @@ func New(cfg Config, factory AgentFactory) *World {
 	cfg.Node.Obs = reg // nodes expose it to their routing agents
 	cfg.Node.Packets = packet.NewArena()
 	kernel.SetObs(reg)
+	kernel.SetStop(cfg.Stop)
 
 	var mob []*mobility.Node
 	var pos []channel.Positioner
@@ -358,11 +370,12 @@ func (w *World) BootTopology() *routing.Graph {
 // arena, so a summary whose PacketsLeaked is not zero has found a genuine
 // leak (invariant.CheckSummary's zero-leak law).
 //
-// Run is the composition Start → RunTo(horizon) → Finish; checkpointed
-// runs call the pieces directly so they can stop at instant boundaries
-// in between. Chunking RunTo never changes results: the kernel queue
-// orders strictly by (at, seq), so Run(t₁); Run(t₂) dispatches the
-// identical sequence one Run(t₂) would.
+// Run is the composition Start → RunTo(horizon) → Finish for a world
+// without a Stop; stoppable and checkpointed runs call the pieces
+// directly so they can end or capture at instant boundaries in between.
+// Chunking RunTo never changes results: the kernel queue orders strictly
+// by (at, seq), so Run(t₁); Run(t₂) dispatches the identical sequence one
+// Run(t₂) would.
 func (w *World) Run() metrics.Summary {
 	w.Start()
 	w.RunTo(w.Cfg.Duration)
@@ -393,9 +406,12 @@ func (w *World) Start() {
 
 // RunTo executes the simulation up to virtual time t (an instant
 // boundary: every event at or before t has dispatched when it returns,
-// and no fan-out is in flight). Calls must be non-decreasing in t.
-func (w *World) RunTo(t time.Duration) {
-	w.Kernel.Run(t)
+// and no fan-out is in flight) and reports true. It reports false when
+// Config.Stop closed first: the world then rests at the earlier instant
+// boundary Kernel.Now(), which a capture may record. Calls must be
+// non-decreasing in t.
+func (w *World) RunTo(t time.Duration) bool {
+	return w.Kernel.Run(t)
 }
 
 // Finish drains the in-flight population back to the arena and

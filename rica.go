@@ -263,17 +263,19 @@ type RunOptions struct {
 	// lands on Summary.Obs.
 	Obs *ObsRegistry
 	// CheckpointPath, when set, has a snapshot written to this file at
-	// every multiple of CheckpointEvery short of the horizon. Writes are
-	// atomic and durable (temp file, fsync, rename, directory fsync), so
-	// a process killed mid-write leaves the previous complete snapshot
-	// intact. Continue a snapshot with Resume.
+	// every multiple of CheckpointEvery short of the horizon, and at the
+	// instant Stop ended the run. Writes are atomic and durable (temp
+	// file, fsync, rename, directory fsync), so a process killed mid-write
+	// leaves the previous complete snapshot intact. Continue a snapshot
+	// with Resume.
 	CheckpointPath string
-	// CheckpointEvery is the virtual-time cadence of the snapshots and of
-	// the Stop polls; zero means 10 s of simulated time.
+	// CheckpointEvery is the virtual-time cadence of the snapshots; zero
+	// means 10 s of simulated time.
 	CheckpointEvery time.Duration
-	// Stop, when closed mid-run, halts the run at the next cadence
-	// boundary — after that boundary's snapshot, when CheckpointPath is
-	// set — with an ErrInterrupted-wrapped error.
+	// Stop, when closed mid-run, halts the run at the kernel's current
+	// instant — every event at or before it dispatched, none after — with
+	// an ErrInterrupted-wrapped error, after writing that instant's
+	// snapshot when CheckpointPath is set.
 	Stop <-chan struct{}
 }
 
@@ -286,18 +288,84 @@ const defaultCheckpointEvery = 10 * time.Second
 // the sink's.
 func Run(r ScenarioRun, o RunOptions) (Summary, error) { return execute(r, o, nil) }
 
-// execute is the one place a single run's world is built and driven:
-// compile, attach the observers, then run horizon-ward in cadence steps
-// — writing a snapshot (when a path is set) and polling Stop at every
-// boundary. A plain run is the same loop with no path and one step to
-// the horizon. Chunked kernel runs dispatch the identical event sequence
-// a single run would, so the summary is bit-identical whatever the
-// cadence. With snap set (Resume) the world first replays to the capture
-// instant and must reproduce the snapshot's digests there.
+// execute is the one place a single run is driven: start its world,
+// then run horizon-ward — in cadence steps writing a snapshot at every
+// boundary when a checkpoint path is set, in one step otherwise. Chunked
+// kernel runs dispatch the identical event sequence a single run would,
+// so the summary is bit-identical whatever the cadence. A closed Stop
+// reaches the kernel wherever it is. With snap set (Resume) the world
+// first replays to the capture instant and must reproduce the snapshot's
+// digests there.
 func execute(r ScenarioRun, o RunOptions, snap *snapshot) (Summary, error) {
-	wcfg, err := r.Scenario.Compile()
+	w, recipe, err := r.start(o)
 	if err != nil {
 		return Summary{}, err
+	}
+	horizon := w.Cfg.Duration
+	// The decoder has bounded a snapshot's instant by its recorded
+	// horizon; a recorded horizon this binary does not compile from the
+	// recipe would replay to a different end.
+	if snap != nil && snap.horizon != horizon {
+		return Summary{}, fmt.Errorf("%w: snapshot records horizon %v, its recipe compiles to %v", ErrCheckpointCorrupt, snap.horizon, horizon)
+	}
+	var t time.Duration
+	if snap != nil {
+		t = snap.at
+		if !w.RunTo(t) {
+			// An unverified replay is not this run's state yet: it is not
+			// written over anything.
+			return Summary{}, fmt.Errorf("%w at t=%v, replaying to the snapshot's t=%v", ErrInterrupted, w.Kernel.Now(), t)
+		}
+		if err := verifyReplay(w, snap.sections); err != nil {
+			return Summary{}, err
+		}
+	}
+	every := horizon
+	if o.CheckpointPath != "" {
+		every = o.CheckpointEvery
+		if every <= 0 {
+			every = defaultCheckpointEvery
+		}
+	}
+	for t < horizon {
+		t = min(t-t%every+every, horizon)
+		if !w.RunTo(t) {
+			at := w.Kernel.Now()
+			if o.CheckpointPath == "" {
+				return Summary{}, fmt.Errorf("%w at t=%v", ErrInterrupted, at)
+			}
+			// A failed write is never an interruption: there is no
+			// snapshot to resume.
+			if err := writeSnapshot(w, recipe, o.CheckpointPath, at); err != nil {
+				return Summary{}, err
+			}
+			return Summary{}, fmt.Errorf("%w at t=%v (snapshot: %s)", ErrInterrupted, at, o.CheckpointPath)
+		}
+		// At the horizon nothing is left to resume, so no snapshot is
+		// written.
+		if t < horizon && o.CheckpointPath != "" {
+			if err := writeSnapshot(w, recipe, o.CheckpointPath, t); err != nil {
+				return Summary{}, err
+			}
+		}
+	}
+	s := w.Finish()
+	if o.Telemetry != nil {
+		run := TimelineRun{Scenario: r.Scenario.Name, Protocol: r.Protocol.String(), Seed: w.Cfg.Seed}
+		if err := o.Telemetry.Sink.Emit(run, w.Cfg.Timeseries.Timeline()); err != nil {
+			return s, fmt.Errorf("rica: timeline sink: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// start compiles the run, attaches o's observers and stop, and builds
+// and starts its world; with o.CheckpointPath set it also returns the
+// recipe the run's snapshots store.
+func (r ScenarioRun) start(o RunOptions) (*world.World, checkpoint.Descriptor, error) {
+	wcfg, err := r.Scenario.Compile()
+	if err != nil {
+		return nil, checkpoint.Descriptor{}, err
 	}
 	if r.Seed != 0 {
 		wcfg.Seed = r.Seed
@@ -305,74 +373,24 @@ func execute(r ScenarioRun, o RunOptions, snap *snapshot) (Summary, error) {
 	if r.MaxDuration > 0 && r.MaxDuration < wcfg.Duration {
 		wcfg.Duration = r.MaxDuration
 	}
-	horizon := wcfg.Duration
 	if o.Telemetry != nil {
 		if o.Telemetry.Sink == nil {
-			return Summary{}, fmt.Errorf("rica: Telemetry needs a Sink")
+			return nil, checkpoint.Descriptor{}, fmt.Errorf("rica: Telemetry needs a Sink")
 		}
-		wcfg.Timeseries = timeseries.NewCollector(o.Telemetry.Interval, horizon)
+		wcfg.Timeseries = timeseries.NewCollector(o.Telemetry.Interval, wcfg.Duration)
 	}
 	wcfg.Trace = o.Trace
 	wcfg.Obs = o.Obs
-	// The decoder has bounded a snapshot's instant by its recorded
-	// horizon; a recorded horizon this binary does not compile from the
-	// recipe would replay to a different end.
-	if snap != nil && snap.horizon != horizon {
-		return Summary{}, fmt.Errorf("%w: snapshot records horizon %v, its recipe compiles to %v", ErrCheckpointCorrupt, snap.horizon, horizon)
-	}
+	wcfg.Stop = o.Stop
 	var recipe checkpoint.Descriptor
 	if o.CheckpointPath != "" {
-		if recipe, err = r.descriptor(horizon); err != nil {
-			return Summary{}, err
+		if recipe, err = r.descriptor(wcfg.Duration); err != nil {
+			return nil, checkpoint.Descriptor{}, err
 		}
 	}
 	w := world.New(wcfg, protocol.Factory(r.Protocol, r.Scenario.Traffic.Rate))
 	w.Start()
-	var t time.Duration
-	if snap != nil {
-		t = snap.at
-		w.RunTo(t)
-		if err := verifyReplay(w, snap.sections); err != nil {
-			return Summary{}, err
-		}
-	}
-	every := o.CheckpointEvery
-	if every <= 0 {
-		every = defaultCheckpointEvery
-		if o.CheckpointPath == "" && o.Stop == nil {
-			every = horizon // nothing happens at a boundary: one step
-		}
-	}
-	for t < horizon {
-		t = min(t-t%every+every, horizon)
-		w.RunTo(t)
-		if t == horizon {
-			break // nothing is left to resume, so no snapshot is written
-		}
-		// A failed write is never an interruption, stop signal or not:
-		// there is no snapshot to resume.
-		if o.CheckpointPath != "" {
-			if err := writeSnapshot(w, recipe, o.CheckpointPath, t); err != nil {
-				return Summary{}, err
-			}
-		}
-		select {
-		case <-o.Stop:
-			if o.CheckpointPath != "" {
-				return Summary{}, fmt.Errorf("%w at t=%v (snapshot: %s)", ErrInterrupted, t, o.CheckpointPath)
-			}
-			return Summary{}, fmt.Errorf("%w at t=%v", ErrInterrupted, t)
-		default:
-		}
-	}
-	s := w.Finish()
-	if o.Telemetry != nil {
-		run := TimelineRun{Scenario: r.Scenario.Name, Protocol: r.Protocol.String(), Seed: wcfg.Seed}
-		if err := o.Telemetry.Sink.Emit(run, wcfg.Timeseries.Timeline()); err != nil {
-			return s, fmt.Errorf("rica: timeline sink: %w", err)
-		}
-	}
-	return s, nil
+	return w, recipe, nil
 }
 
 // VerifyScenario executes the run under the full invariant harness: the
@@ -443,15 +461,12 @@ type BatchTelemetry = batch.Telemetry
 // and base seed produce bit-identical exports regardless of parallelism.
 // Crash resilience: a panicking cell is quarantined (see
 // BatchCell.Error) instead of killing the grid, BatchConfig.Manifest
-// journals finished cells durably for resume, and BatchConfig.Stop ends
-// the grid gracefully with ErrBatchInterrupted.
+// journals finished cells durably for resume, and a closed
+// BatchConfig.Stop ends the grid within one instant of every in-flight
+// cell with an ErrInterrupted-wrapped error: the result holds the cells
+// that finished, and re-running the same grid with the manifest resumes
+// instead of restarting.
 func RunBatch(cfg BatchConfig) (BatchResult, error) { return batch.Run(cfg) }
-
-// ErrBatchInterrupted is wrapped by RunBatch's error when
-// BatchConfig.Stop ended the grid before every cell ran; the partial
-// result's finished cells are journaled when BatchConfig.Manifest is
-// set, so re-running the same grid resumes instead of restarting.
-var ErrBatchInterrupted = batch.ErrInterrupted
 
 // Observability types: an ObsRegistry holds one run's (or one batch
 // cell's) subsystem counters and delay histogram; an ObsSnapshot is its
