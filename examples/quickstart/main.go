@@ -6,6 +6,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"rica"
@@ -32,7 +34,7 @@ func main() {
 		summary.AvgLinkThroughputBps/1000)
 	fmt.Printf("  mean route length:   %.2f hops (%.2f in CSI hop distance)\n",
 		summary.AvgHops, summary.AvgCSIHops)
-	for reason, n := range summary.Dropped {
-		fmt.Printf("  dropped (%s): %d\n", reason, n)
+	for _, reason := range slices.Sorted(maps.Keys(summary.Dropped)) {
+		fmt.Printf("  dropped (%s): %d\n", reason, summary.Dropped[reason])
 	}
 }

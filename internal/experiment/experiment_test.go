@@ -1,7 +1,11 @@
 package experiment
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +22,10 @@ func ciOptions() Options {
 		BaseSeed: 1,
 	}
 }
+
+// ciSweep is the CI-scale mobility sweep at 10 packets/s, simulated once
+// for every test that reads it.
+var ciSweep = sync.OnceValue(func() SweepResult { return Sweep(10, ciOptions()) })
 
 // onePoint runs a one-point grid: protocol p on the paper field at one
 // mean speed and 10 packets/s.
@@ -75,7 +83,7 @@ func TestPaperShapes(t *testing.T) {
 		t.Skip("multi-protocol sweep")
 	}
 	o := ciOptions()
-	sweep := Sweep(10, o)
+	sweep := ciSweep()
 	at := func(p protocol.Protocol, speedIdx int) Averages { return sweep.Cells[p][speedIdx].Mean }
 	const static, mid, fast = 0, 1, 2
 
@@ -186,6 +194,39 @@ func TestPaperShapes(t *testing.T) {
 	tbl := sweep.Table(MetricDelay)
 	if !strings.Contains(tbl, "RICA") || !strings.Contains(tbl, "km/h") {
 		t.Errorf("table rendering broken:\n%s", tbl)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/figures_ci.txt from this build")
+
+// TestFigureBytesPinned pins the bytes of Figures 2–4 at CI scale (an ABI
+// test): the table and the CSV of delay, delivery and overhead over the
+// sweep TestPaperShapes asserts. The fingerprint goldens hold single
+// runs; this holds what a reader of the figures gets from them — the
+// across-trial averaging and the formatting. A change meant to move
+// simulation results re-takes the file with
+// `go test -run TestFigureBytesPinned ./internal/experiment -update`.
+func TestFigureBytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-protocol sweep")
+	}
+	var b strings.Builder
+	for _, m := range []Metric{MetricDelay, MetricDelivery, MetricOverhead} {
+		b.WriteString(ciSweep().Table(m))
+		b.WriteString(ciSweep().CSV(m))
+	}
+	path := filepath.Join("testdata", "figures_ci.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("figures at CI scale differ from %s\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

@@ -24,6 +24,8 @@ package invariant
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,8 +98,8 @@ func CheckSummary(s metrics.Summary) error {
 	if s.Generated < 0 || s.Delivered < 0 {
 		fail("non-negative", "generated=%d delivered=%d", s.Generated, s.Delivered)
 	}
-	for r, n := range s.Dropped {
-		if n < 0 {
+	for _, r := range slices.Sorted(maps.Keys(s.Dropped)) {
+		if n := s.Dropped[r]; n < 0 {
 			fail("non-negative", "drop[%s]=%d", r, n)
 		}
 	}

@@ -79,6 +79,24 @@ func TestCheckSummaryViolations(t *testing.T) {
 	}
 }
 
+// TestCheckSummaryViolationOrder: violations over the drop map come out
+// in drop-reason order, so one summary always reads as one error.
+func TestCheckSummaryViolationOrder(t *testing.T) {
+	s := consistent()
+	s.Dropped[network.DropCongestion] = -1
+	s.Dropped[network.DropNoRoute] = -2
+	s.Dropped[network.DropAdversary] = -3
+	want := CheckSummary(s).Error()
+	if c, n, a := strings.Index(want, "drop[congestion]"), strings.Index(want, "drop[no-route]"), strings.Index(want, "drop[adversary]"); c < 0 || !(c < n && n < a) {
+		t.Fatalf("negative drops out of reason order: %q", want)
+	}
+	for i := range 100 {
+		if got := CheckSummary(s).Error(); got != want {
+			t.Fatalf("call %d reads\n%q\nthe first read\n%q", i+2, got, want)
+		}
+	}
+}
+
 func TestCheckSummaryWithoutObs(t *testing.T) {
 	s := consistent()
 	s.Obs = nil
