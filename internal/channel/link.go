@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"rica/internal/sim"
 )
 
 // Config parameterizes the composite SNR process. DefaultConfig returns
@@ -106,6 +108,11 @@ type Link struct {
 	// twin of memoGen/memoClass.
 	snrGen uint64
 	snr    float64
+
+	// parked names the stream record of a parked link: a model-owned
+	// link whose generator was handed back, so rng is nil (see
+	// Model.parkIdle). Meaningless while rng is set.
+	parked sim.ParkedStream
 }
 
 // NewLink creates a link process with its private random stream. The
@@ -117,13 +124,14 @@ func NewLink(cfg *Config, rng *rand.Rand) *Link {
 	return l
 }
 
-// init draws the zero link's initial state from rng.
+// init resets l to a fresh link on rng and draws its initial state. It
+// overwrites every field, so a record that served another pair carries
+// nothing of it over.
 func (l *Link) init(cfg *Config, rng *rand.Rand) {
 	if rng == nil {
 		panic("channel: NewLink requires a random stream")
 	}
-	l.cfg = cfg
-	l.rng = rng
+	*l = Link{cfg: cfg, rng: rng}
 	l.shadow = rng.NormFloat64() * cfg.ShadowSigma
 	l.fi = rng.NormFloat64()
 	l.fq = rng.NormFloat64()

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"time"
 
 	"rica/internal/geom"
@@ -26,6 +27,27 @@ type Speeder interface {
 // space (see sim.Streams).
 const streamKindChannel = 0x_C4A1
 
+// parkIdleAfter is how long a link may go unadvanced before the next grid
+// rebuild parks it: hands its 4.9 KB generator back and keeps only its
+// header (Model.parkIdle). Parking is exact at any threshold, so the
+// threshold trades only memory against revival work, and it must sit
+// well above any protocol's periodic per-link query: link state's 1 s
+// beacons revive thirteen times as many links at a 1 s threshold as at
+// 10 s. Generator memory barely cares. Measured on the paper's cell
+// (paper-baseline, 1,176 links by 500 s, seed 1; peak RSS on a 2-vCPU
+// box, one reading each):
+//
+//	threshold  RICA: revivals, draws re-stepped, records, RSS   LinkState: revivals, draws, records, RSS
+//	never      0       0        1,176  20.1 MB                   0        0         1,174  27.4 MB
+//	1 s        1,883   9.1 M      390  16.6 MB                   24,665   13.6 M      289  22.6 MB
+//	3 s        1,863   9.0 M      402  16.8 MB                   5,903    2.9 M       357  22.8 MB
+//	10 s       1,764   8.4 M      441  17.3 MB                   1,848    0.85 M      424  23.2 MB
+//
+// A revival costs ≈ 5 µs plus 1 ns per draw re-stepped (BenchmarkLinkRevive),
+// so RICA's at 10 s cost ≈ 17 ms of a 2.5 s run, the longest (30,356
+// draws) ≈ 35 µs.
+const parkIdleAfter = 10 * time.Second
+
 // Model is the full-network channel: one fading Link per unordered
 // terminal pair plus the terminals' positions. It answers the question
 // every layer above asks — "what class is the link between i and j right
@@ -49,6 +71,14 @@ type Model struct {
 	down    func(i int, at time.Duration) bool
 	snap    *snapshot
 	obs     *obs.Registry
+
+	// A link holds a generator from its pair's first query until a grid
+	// rebuild finds it idle for longer than parkAfter; it is then parked
+	// (parkIdle) and its record goes to free, from which the next link
+	// to need a generator — new or revived — takes one.
+	live      []*linkRec
+	free      []*linkRec
+	parkAfter time.Duration
 }
 
 // NewModel builds the channel for n terminals whose positions are given by
@@ -62,15 +92,23 @@ type Model struct {
 // cost of world construction, paid mostly for pairs that never meet.
 func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 	n := len(pos)
-	return &Model{
-		cfg:     cfg,
-		pos:     pos,
-		caps:    resolveCaps(pos),
-		links:   make([]*Link, n*(n-1)/2),
-		streams: streams,
-		snap:    newSnapshot(n, cfg.Range, cfg.Range),
+	m := &Model{
+		cfg:       cfg,
+		pos:       pos,
+		caps:      resolveCaps(pos),
+		links:     make([]*Link, n*(n-1)/2),
+		streams:   streams,
+		snap:      newSnapshot(n, cfg.Range, cfg.Range),
+		parkAfter: parkIdleAfter,
 	}
+	if !streams.CanPark() {
+		m.parkAfter = neverPark
+	}
+	return m
 }
+
+// neverPark is a parkAfter no idle time exceeds.
+const neverPark = time.Duration(math.MaxInt64)
 
 // linkRec is a model-owned link as it is allocated: the fading state up
 // front and, behind it, the storage of the private stream it draws from
@@ -78,20 +116,68 @@ func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 type linkRec struct {
 	Link
 	stream sim.StreamMem
+	idx    int // the pair's triangular index
 }
 
-// linkAt fetches (creating on first use) the fading process of the pair
-// whose triangular index is idx.
+// linkAt fetches the fading process of the pair whose triangular index
+// is idx, with a generator to advance it: created on the pair's first
+// query, revived if it was parked.
 func (m *Model) linkAt(idx, i, j int) *Link {
-	l := m.links[idx]
-	if l == nil {
-		rec := new(linkRec)
+	if l := m.links[idx]; l != nil && l.rng != nil {
+		return l
+	}
+	return m.linkMiss(idx)
+}
+
+// linkMiss gives the pair at idx a live link in a record off the free
+// list (or a new one). A parked pair's header is copied back and its
+// stream revived, so the link resumes exactly where it stopped; a new
+// pair's link is initialized from scratch, whatever the record held.
+func (m *Model) linkMiss(idx int) *Link {
+	var rec *linkRec
+	if k := len(m.free); k > 0 {
+		rec = m.free[k-1]
+		m.free = m.free[:k-1]
+	} else {
+		rec = new(linkRec)
+	}
+	if hdr := m.links[idx]; hdr != nil {
+		rec.Link = *hdr
+		rec.rng = m.streams.Revive(&rec.stream, hdr.parked)
+	} else {
 		rec.init(&m.cfg, m.streams.SeedAt(&rec.stream, streamKindChannel, uint64(idx)))
-		l = &rec.Link
-		m.links[idx] = l
 		m.nlinks++
 	}
-	return l
+	rec.idx = idx
+	m.links[idx] = &rec.Link
+	m.live = append(m.live, rec)
+	return &rec.Link
+}
+
+// parkIdle parks every live link not advanced for longer than parkAfter
+// before at: a standalone copy of its header with no stream takes its
+// place in the pair index, its stream record freezes at its draw count,
+// and its record joins the free list. Every query answered from a header
+// alone (a memo hit, EachLink) reads the same fields as before, and the
+// next one that must advance the link revives it (linkMiss), so parking
+// moves no value — it only bounds generator memory by the pairs in play.
+// The grid rebuild calls it.
+func (m *Model) parkIdle(at time.Duration) {
+	kept := m.live[:0]
+	for _, rec := range m.live {
+		if at-rec.last <= m.parkAfter {
+			kept = append(kept, rec)
+			continue
+		}
+		hdr := new(Link)
+		*hdr = rec.Link
+		hdr.rng = nil
+		hdr.parked = m.streams.Park(&rec.stream)
+		m.links[rec.idx] = hdr
+		m.free = append(m.free, rec)
+	}
+	clear(m.live[len(kept):])
+	m.live = kept
 }
 
 // N reports the number of terminals.
@@ -246,12 +332,13 @@ func (m *Model) Position(i int, at time.Duration) geom.Point {
 }
 
 // LinkCount reports how many links have been created — how many EachLink
-// visits.
+// visits, parked ones included.
 func (m *Model) LinkCount() int { return m.nlinks }
 
 // EachLink visits every lazily-created link in triangular index order
-// (uncreated pairs are skipped), without advancing any of them. The
-// checkpoint capture serializes link states in exactly this order.
+// (uncreated pairs are skipped; a parked link shows its header), without
+// advancing any of them. The checkpoint capture serializes link states
+// in exactly this order.
 func (m *Model) EachLink(fn func(idx int, st LinkState)) {
 	for idx, l := range m.links {
 		if l != nil {

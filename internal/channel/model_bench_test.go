@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -103,6 +104,66 @@ func BenchmarkLinkBirth(b *testing.B) {
 		}
 		m.linkAt(idx, 0, 0)
 		idx++
+	}
+}
+
+// BenchmarkLinkRevive times one parked link's revival — a record off
+// the free list, the header copied back, the generator reseeded and
+// stepped as many times as it had drawn — at three draw counts (the
+// paper's cell revives links at up to 30k). It is in the alloc gate at
+// zero: a revival served from the free list allocates nothing. Every
+// 256 revivals the links are parked again, untimed.
+func BenchmarkLinkRevive(b *testing.B) {
+	for _, draws := range []int{1_000, 10_000, 30_000} {
+		b.Run(fmt.Sprintf("draws=%dk", draws/1000), func(b *testing.B) {
+			const links = 256
+			pos := make([]Positioner, 24) // 276 pairs
+			for i := range pos {
+				pos[i] = fixedPos{X: float64(i)}
+			}
+			m := NewModel(DefaultConfig(), sim.NewStreams(11), pos)
+			for idx := 0; idx < links; idx++ {
+				r := m.linkAt(idx, 0, 0).rng
+				for range draws - 3 { // init drew about three
+					r.Uint64()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			idx := links
+			for i := 0; i < b.N; i++ {
+				if idx == links {
+					b.StopTimer()
+					m.parkIdle(time.Hour)
+					idx = 0
+					b.StartTimer()
+				}
+				m.linkAt(idx, 0, 0)
+				idx++
+			}
+		})
+	}
+}
+
+// BenchmarkParkSweep times what every grid rebuild now adds: the sweep
+// over the live links when none has gone idle, after one NeighborClasses
+// pass over the whole field has given every pair in range its link.
+func BenchmarkParkSweep(b *testing.B) {
+	for _, n := range []int{50, 500} {
+		b.Run(sizeLabel(n), func(b *testing.B) {
+			m := benchModel(n)
+			const at = time.Millisecond
+			var buf []NeighborClass
+			for i := 0; i < n; i++ {
+				buf = m.NeighborClasses(i, at, buf[:0])
+			}
+			b.ReportMetric(float64(len(m.live)), "links")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.parkIdle(at)
+			}
+		})
 	}
 }
 

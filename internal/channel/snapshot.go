@@ -299,7 +299,10 @@ func (m *Model) downAt(s *snapshot, i int, at time.Duration) bool {
 // exact current positions). The index is rebuilt only when the drift
 // budget is exhausted — every maxSlack/vmax of virtual time, not every
 // event — and never in a static field. A rebuild also invalidates the
-// per-node candidate lists derived from the previous build.
+// per-node candidate lists derived from the previous build, and parks
+// the links that have gone idle (Model.parkIdle): its cadence is a
+// sweep often enough to follow the pairs in play and rare enough to cost
+// nothing.
 func (m *Model) gridAt(s *snapshot, at time.Duration) (*geom.Grid, float64) {
 	if s.gridBuilt && at >= s.gridAt {
 		if at == s.gridAt || at < s.gridUntil {
@@ -334,5 +337,6 @@ func (m *Model) gridAt(s *snapshot, at time.Duration) (*geom.Grid, float64) {
 	s.gridUntil = until
 	s.gridVmax = vmax
 	s.candGen++ // candidate lists of the old build are dead
+	m.parkIdle(at)
 	return &s.grid, 0
 }

@@ -138,6 +138,36 @@ func (s *fastSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// skip advances the generator n steps, exactly as n calls of Uint64
+// would, without producing the values. Step i adds vec[tap-i] into
+// vec[feed-i], and feed trails tap by 273 words or leads it by 334, so
+// over at most 273 steps short of a wrap of either cursor the words
+// written are not among those read: such a block is one add of two
+// disjoint slices of the vector, with no wrap check per step. Only a
+// wrapping step goes through Uint64.
+func (s *fastSource) skip(n uint64) {
+	for n > 0 {
+		k := min(s.tap, s.feed, rngTap)
+		if k == 0 {
+			s.Uint64()
+			n--
+			continue
+		}
+		if uint64(k) > n {
+			k = int(n)
+		}
+		t := s.vec[s.tap-k : s.tap]
+		f := s.vec[s.feed-k : s.feed]
+		f = f[:len(t)]
+		for i := range t {
+			f[i] += t[i]
+		}
+		s.tap -= k
+		s.feed -= k
+		n -= uint64(k)
+	}
+}
+
 // Int63 mirrors rngSource.Int63.
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 

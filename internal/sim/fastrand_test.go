@@ -300,3 +300,55 @@ func BenchmarkSourceSeedingFast(b *testing.B) {
 		newFastSource(int64(i + 1))
 	}
 }
+
+// TestParkReviveIsExact: a parked stream revived into memory that has
+// since held another generator is the stream it was. Streams are parked
+// at draw counts on both sides of each wrap of the tap (0, 1, 606, 607,
+// 608, 1214) and at 1,000 random counts; the revived stream and an
+// untouched twin must then agree on the draw count — in the caller's
+// memory and in EachState, while parked and after — and on the next
+// 1,214 draws, the last of which the factory must see through the
+// re-pointed record.
+func TestParkReviveIsExact(t *testing.T) {
+	if !fastSourceOK {
+		t.Skip("replica unverified: streams are never parked") // TestFastSourceVerified reports it
+	}
+	rng := rand.New(rand.NewSource(29))
+	counts := []int{0, 1, rngLen - 1, rngLen, rngLen + 1, 2 * rngLen}
+	for range 1000 {
+		counts = append(counts, rng.Intn(20*rngLen))
+	}
+	for _, k := range counts {
+		seed, kind, index := rng.Int63(), rng.Uint64(), rng.Uint64()
+		parked, plain := NewStreams(seed), NewStreams(seed)
+		var mem, twin StreamMem
+		a := parked.SeedAt(&mem, kind, index)
+		b := plain.SeedAt(&twin, kind, index)
+		for i := 0; i < k; i++ {
+			a.Uint64()
+			b.Uint64()
+		}
+		p := parked.Park(&mem)
+		// Another generator moves through the memory while the stream is
+		// parked, as a recycled record's would.
+		mem.src.Seed(rng.Int63())
+		mem.src.skip(uint64(rng.Intn(3 * rngLen)))
+		if _, d := states(parked); d[0] != uint64(k) {
+			t.Fatalf("parked at %d draws, EachState shows %d", k, d[0])
+		}
+		got := parked.Revive(&mem, p)
+		if mem.src.draws() != twin.src.draws() {
+			t.Fatalf("revived at %d draws: memory holds %d", k, mem.src.draws())
+		}
+		for i := 0; i < 2*rngLen; i++ {
+			if x, y := got.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("revived at %d draws: draw %d after revival is %d, the twin's %d", k, i, x, y)
+			}
+		}
+		_, da := states(parked)
+		_, db := states(plain)
+		if da[0] != db[0] || da[0] != uint64(k+2*rngLen) {
+			t.Fatalf("revived at %d draws, %d more made: EachState shows %d, the twin's %d", k, 2*rngLen, da[0], db[0])
+		}
+	}
+}

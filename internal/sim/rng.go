@@ -22,10 +22,13 @@ type Streams struct {
 	recs []streamRec
 }
 
-// streamRec remembers one created stream.
+// streamRec remembers one created stream. A parked stream has no
+// source: its generator was handed back and n holds the draw count it
+// had, which with the id is all it takes to rebuild it (see Park).
 type streamRec struct {
 	id  uint64
 	src drawSource
+	n   uint64
 }
 
 // NewStreams returns a stream factory for the given trial seed.
@@ -54,6 +57,7 @@ func (s *Streams) Stream(id uint64) *rand.Rand {
 type StreamMem struct {
 	rng rand.Rand
 	src fastSource
+	rec int // the stream's record in its factory
 }
 
 // SeedAt is StreamAt into caller-owned memory: it seeds mem in place as
@@ -74,8 +78,46 @@ func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 	} else {
 		src = newSource(seed)
 	}
+	mem.rec = len(s.recs)
 	s.recs = append(s.recs, streamRec{id: id, src: src})
 	mem.rng = *rand.New(src)
+	return &mem.rng
+}
+
+// CanPark reports whether streams seeded in place can be parked: they
+// can when they ride the replica, whose state is (seed, draws) by
+// construction. The stock source a failed self-check falls back to is
+// never parked.
+func (s *Streams) CanPark() bool { return fastSourceOK }
+
+// ParkedStream names a parked stream's record in its factory.
+type ParkedStream struct{ rec int }
+
+// Park hands back the generator seeded in mem: the stream's record
+// freezes at its current draw count and stops pointing into mem, which
+// the caller may then reuse for any other stream. EachState keeps
+// reporting the frozen count. Revive rebuilds the identical generator.
+// Only for a stream SeedAt put in mem while CanPark holds.
+func (s *Streams) Park(mem *StreamMem) ParkedStream {
+	r := &s.recs[mem.rec]
+	r.n = mem.src.draws()
+	r.src = nil
+	return ParkedStream{mem.rec}
+}
+
+// Revive rebuilds a parked stream in mem and returns the generator
+// living there: reseeded from the record's id and stepped as many times
+// as it had drawn, it is in exactly the state it was parked in — a
+// seeded additive generator stepped n times is in one state — so it
+// draws the values it would have drawn had it never been parked. The
+// record points into mem again; mem must stay put as for SeedAt.
+func (s *Streams) Revive(mem *StreamMem, p ParkedStream) *rand.Rand {
+	r := &s.recs[p.rec]
+	mem.src.Seed(int64(mix(s.seed, r.id)))
+	mem.src.skip(r.n)
+	mem.rec = p.rec
+	r.src = &mem.src
+	mem.rng = *rand.New(&mem.src)
 	return &mem.rng
 }
 
@@ -84,10 +126,15 @@ func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 // values have been drawn from its generator since seeding. The id fixes
 // the seed and a seeded additive generator stepped draws times is in
 // exactly one state, so the pair stands for the generator's cursor and
-// 607-word vector without reading them. No stream advances.
+// 607-word vector without reading them. A parked stream shows the count
+// it was parked at. No stream advances.
 func (s *Streams) EachState(fn func(id, draws uint64)) {
 	for _, rec := range s.recs {
-		fn(rec.id, rec.src.draws())
+		if rec.src == nil {
+			fn(rec.id, rec.n)
+		} else {
+			fn(rec.id, rec.src.draws())
+		}
 	}
 }
 
