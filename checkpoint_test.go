@@ -357,15 +357,13 @@ func TestEffortCountersOutsideWitness(t *testing.T) {
 
 // snapshotGolden is the SHA-256 of the complete snapshot of chain-10
 // under ABR, seed 1, horizon 6 s, captured at t=1 s — re-taken once for
-// RICACKP7, which differs from the RICACKP6 snapshot of the same instant
-// in the magic, the RNGS digest (the section is each stream's id and draw
-// count, no longer its generator's cursor and vector), the OBSC digest
-// (the counters' JSON lost chan_trans_hits and chan_trans_misses with the
-// table they counted; both were zeroed there, but hashed) and the tail
-// CRC only: the other six section digests — LINK, MOBI, MACS and TRAF
-// above all, where the values those streams drew land — were compared
-// against the parent commit's and are equal.
-const snapshotGolden = "f3f3bc0df051e3c20c62f65324183eb8f7c019acfce91ea2e27f5e4915767c14"
+// RICACKP8, which differs from the RICACKP7 snapshot of the same instant
+// in the magic, the OBSC digest (the counters' JSON lost
+// ladder_far_pushes with the queue tier it counted) and the tail CRC
+// only: the other seven section digests — KERN above all, the live
+// schedule the queue holds — were compared against the parent commit's
+// and are equal.
+const snapshotGolden = "4e0ab6a624ff0ce146b393779affbde74f16cadef1ef943f6b677caa5bd3558d"
 
 // TestSnapshotBytesPinned pins the format's bytes (an ABI test): the
 // recipe, the section order and framing, and every value each encoder

@@ -75,7 +75,7 @@ func TestReadRejectsBitFlips(t *testing.T) {
 
 func TestReadRejectsVersionSkew(t *testing.T) {
 	snap := mustWrite(t, sampleSections())
-	for _, magic := range []string{"RICACKP6", "RICACKP8"} { // the previous and the next version
+	for _, magic := range []string{"RICACKP7", "RICACKP9"} { // the previous and the next version
 		skewed := append([]byte(magic), snap[len(Magic):]...)
 		_, err := Read(bytes.NewReader(skewed))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version") {

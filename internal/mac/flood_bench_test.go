@@ -118,7 +118,7 @@ func BenchmarkFanOutWarm(b *testing.B) {
 		c.Send(rreq)
 		k.RunAll()
 	}
-	for w := 0; w < 200; w++ { // the kernel's buckets and the channel's lists reach their size
+	for w := 0; w < 200; w++ { // the kernel's queue and the channel's lists reach their size
 		op()
 	}
 	if live := arena.Live(); live != 1 {

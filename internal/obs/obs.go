@@ -30,8 +30,7 @@ const (
 	CEventsDispatched Counter = iota // handlers actually run
 	CEventsScheduled                 // timers enqueued
 	CTimersCancelled                 // timers annulled before firing
-	CQueueCompactions                // ladder scrubs of cancelled entries
-	CLadderFarPushes                 // events past the ladder horizon (far heap)
+	CQueueCompactions                // sweeps of cancelled entries out of the queue
 	// Channel fast path: the PR 5 caches.
 	CClassHits     // per-instant pair class answered from cache
 	CClassMisses   // pair class derived from fading + quantizer
@@ -89,7 +88,6 @@ var counterNames = [NumCounters]string{
 	CEventsScheduled:  "events_scheduled",
 	CTimersCancelled:  "timers_cancelled",
 	CQueueCompactions: "queue_compactions",
-	CLadderFarPushes:  "ladder_far_pushes",
 	CClassHits:        "chan_class_hits",
 	CClassMisses:      "chan_class_misses",
 	CDistMisses:       "chan_dist_misses",
@@ -287,7 +285,6 @@ type Snapshot struct {
 	EventsScheduled  uint64 `json:"events_scheduled"`
 	TimersCancelled  uint64 `json:"timers_cancelled"`
 	QueueCompactions uint64 `json:"queue_compactions"`
-	LadderFarPushes  uint64 `json:"ladder_far_pushes"`
 
 	ClassHits     uint64 `json:"chan_class_hits"`
 	ClassMisses   uint64 `json:"chan_class_misses"`
@@ -327,8 +324,6 @@ func (s *Snapshot) counter(c Counter) *uint64 {
 		return &s.TimersCancelled
 	case CQueueCompactions:
 		return &s.QueueCompactions
-	case CLadderFarPushes:
-		return &s.LadderFarPushes
 	case CClassHits:
 		return &s.ClassHits
 	case CClassMisses:

@@ -47,15 +47,17 @@ func (k *Kernel) ExportState() KernelState {
 		Live:     k.live,
 		Events:   make([]EventState, 0, k.live),
 	}
-	k.queue.eachLive(func(ev *event) {
-		st.Events = append(st.Events, EventState{
-			At:  ev.at,
-			Seq: ev.seq,
-			Arg: ev.afn != nil,
-			A0:  ev.a0,
-			A1:  ev.a1,
-		})
-	})
+	for _, e := range k.queue {
+		if ev := e.ev; !ev.cancelled {
+			st.Events = append(st.Events, EventState{
+				At:  ev.at,
+				Seq: ev.seq,
+				Arg: ev.afn != nil,
+				A0:  ev.a0,
+				A1:  ev.a1,
+			})
+		}
+	}
 	slices.SortFunc(st.Events, func(a, b EventState) int {
 		if c := cmp.Compare(a.At, b.At); c != 0 {
 			return c
@@ -63,20 +65,4 @@ func (k *Kernel) ExportState() KernelState {
 		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return st
-}
-
-// eachLive visits every queued event that has not been cancelled (both
-// tiers) in arbitrary order.
-func (q *eventQueue) eachLive(fn func(*event)) {
-	visit := func(h entryHeap) {
-		for _, e := range h {
-			if !e.ev.cancelled {
-				fn(e.ev)
-			}
-		}
-	}
-	for i := range q.slots {
-		visit(q.slots[i])
-	}
-	visit(q.far)
 }

@@ -1,13 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"time"
-)
-
-// trailingZeros is bits.TrailingZeros64 under a local name (the bitmap
-// scan reads better with it).
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
+import "time"
 
 // event is a single scheduled callback. Events are ordered by (at, seq):
 // seq is a strictly increasing scheduling counter, so two events scheduled
@@ -42,7 +35,7 @@ type event struct {
 // entry is one queued event with its ordering key inline. Every
 // comparison the queue makes reads the key off the entry itself, so
 // ordering never dereferences an event record: a sift touches the
-// bucket's own contiguous array and nothing else.
+// heap's own contiguous array and nothing else.
 type entry struct {
 	at  time.Duration
 	seq uint64
@@ -59,10 +52,10 @@ func (e entry) less(o entry) bool {
 	return e.seq < o.seq
 }
 
-// entryHeap is a binary min-heap of entries over (at, seq): every ladder
-// bucket is one, and so is the far tier. Hand-rolled (no container/heap
-// interface indirection) because every scheduled event passes through
-// one; sifts move a hole rather than swapping, one store per level.
+// entryHeap is the kernel's pending-event queue: a binary min-heap of
+// entries over (at, seq). Hand-rolled (no container/heap interface
+// indirection) because every scheduled event passes through it; sifts
+// move a hole rather than swapping, one store per level.
 type entryHeap []entry
 
 func (h *entryHeap) push(e entry) {
@@ -117,8 +110,8 @@ func (s entryHeap) down(i int, e entry) {
 
 // dropCancelled filters cancelled entries out in place, handing their
 // records to recycle, and re-establishes the heap invariant over the
-// survivors. It reports how many entries went.
-func (h *entryHeap) dropCancelled(recycle func(*event)) int {
+// survivors.
+func (h *entryHeap) dropCancelled(recycle func(*event)) {
 	s := *h
 	keep := s[:0]
 	for _, e := range s {
@@ -128,7 +121,6 @@ func (h *entryHeap) dropCancelled(recycle func(*event)) int {
 		}
 		keep = append(keep, e)
 	}
-	dropped := len(s) - len(keep)
 	for i := len(keep); i < len(s); i++ {
 		s[i] = entry{}
 	}
@@ -136,190 +128,4 @@ func (h *entryHeap) dropCancelled(recycle func(*event)) int {
 		keep.down(i, keep[i])
 	}
 	*h = keep
-	return dropped
-}
-
-// Ladder-queue geometry. The near tier is a circular array of buckets
-// each spanning 2^ladderShift nanoseconds; together the buckets cover a
-// ~268 ms horizon in front of the clock, which comfortably holds the
-// dense MAC band (backoff slots, control airtimes, ACK timeouts are all
-// single-digit milliseconds). Events beyond the horizon wait in the far
-// heap and migrate into buckets as the clock approaches them — so the
-// far heap only ever sees the sparse far population (beacon intervals,
-// CSI check periods), while the hot band sifts within its own
-// millisecond: O(log k) in one window's occupancy, not in the queue's.
-const (
-	ladderShift   = 20 // bucket width 2^20 ns ≈ 1.05 ms
-	ladderBuckets = 256
-	ladderMask    = ladderBuckets - 1
-)
-
-// ladderWin maps an instant to its bucket window number.
-func ladderWin(t time.Duration) int64 { return int64(t) >> ladderShift }
-
-// eventQueue is the kernel's two-tier pending-event store.
-type eventQueue struct {
-	slots [ladderBuckets]entryHeap
-	// busy is a bitmap of nonempty slots (bit k ↔ slots[k]): pop jumps
-	// over runs of empty windows with a trailing-zeros scan instead of
-	// probing them one by one — the dominant cost of sparse phases.
-	busy [ladderBuckets / 64]uint64
-	// slotCount is how many entries (live + cancelled) sit in slots.
-	slotCount int
-	// minWin is a lower bound on the window number of every slotted
-	// entry; pop scans forward from it and tightens it as windows drain.
-	minWin int64
-	// horizon is the near tier's exclusive upper window bound: every
-	// slotted entry's window is below it and every far entry's at or
-	// above it, so the near tier's minimum is the queue's. It only grows
-	// — with the clock, and past it when migration jumps an empty near
-	// tier forward to the far minimum (after which a Run horizon can leave
-	// the clock far behind the slotted events).
-	horizon int64
-	// far holds entries at or beyond the horizon.
-	far entryHeap
-}
-
-// markBusy/clearBusy maintain the nonempty-slot bitmap.
-func (q *eventQueue) markBusy(slot int64)  { q.busy[slot>>6] |= 1 << (slot & 63) }
-func (q *eventQueue) clearBusy(slot int64) { q.busy[slot>>6] &^= 1 << (slot & 63) }
-
-// nextBusyWin returns the smallest window w' ≥ w whose slot is nonempty,
-// looking one lap ahead at most. The caller guarantees at least one slot
-// is nonempty, so the circular scan finds one; whether the entries in it
-// belong to w' or to a later lap is the caller's check.
-func (q *eventQueue) nextBusyWin(w int64) int64 {
-	slot := w & ladderMask
-	word := slot >> 6
-	// Mask off bits below the starting slot in its word.
-	bits := q.busy[word] >> (slot & 63)
-	if bits != 0 {
-		return w + int64(trailingZeros(bits))
-	}
-	advanced := 64 - (slot & 63) // to the start of the next word
-	for i := int64(1); i <= ladderBuckets/64; i++ {
-		bits = q.busy[(word+i)&(ladderBuckets/64-1)]
-		if bits != 0 {
-			return w + advanced + 64*(i-1) + int64(trailingZeros(bits))
-		}
-	}
-	return w // unreachable under the caller's nonempty guarantee
-}
-
-// size reports queued entries, cancelled ones included.
-func (q *eventQueue) size() int { return q.slotCount + len(q.far) }
-
-// reach moves the horizon up to a full ladder in front of the clock.
-func (q *eventQueue) reach(now time.Duration) {
-	if h := ladderWin(now) + ladderBuckets; h > q.horizon {
-		q.horizon = h
-	}
-}
-
-// push files ev under the current clock reading now.
-func (q *eventQueue) push(ev *event, now time.Duration) {
-	q.reach(now)
-	e := entry{at: ev.at, seq: ev.seq, ev: ev}
-	if w := ladderWin(ev.at); w < q.horizon {
-		q.pushSlot(e, w)
-		return
-	}
-	q.far.push(e)
-}
-
-// unpop puts back the event the last pop returned (Run met its horizon).
-// Its window is below the queue's horizon by the fact that it was
-// slotted, so it goes back into its bucket whatever the clock reads.
-func (q *eventQueue) unpop(ev *event) {
-	q.pushSlot(entry{at: ev.at, seq: ev.seq, ev: ev}, ladderWin(ev.at))
-}
-
-// slotInitCap seeds a bucket's first allocation. Growing a nil slice to
-// useful size costs a ladder of tiny allocations (1, 2, 4, 8 capacities)
-// per active window; starting at the dense-band's typical occupancy
-// makes it one.
-const slotInitCap = 8
-
-func (q *eventQueue) pushSlot(e entry, w int64) {
-	h := &q.slots[w&ladderMask]
-	if *h == nil {
-		*h = make(entryHeap, 0, slotInitCap)
-	}
-	h.push(e)
-	q.markBusy(w & ladderMask)
-	q.slotCount++
-	if w < q.minWin || q.slotCount == 1 {
-		q.minWin = w
-	}
-}
-
-// pop removes and returns the earliest live event in (at, seq) order, or
-// nil when none remain. A cancelled entry is handed to recycle when it
-// surfaces as the queue's minimum — never before, so nothing here walks
-// a bucket.
-func (q *eventQueue) pop(now time.Duration, recycle func(*event)) *event {
-	for {
-		// Also after a cancelled entry emptied the near tier: the far tier
-		// may hold work that now jumps into it.
-		q.migrate(now)
-		if q.slotCount == 0 {
-			return nil
-		}
-		w := q.nextBusyWin(q.minWin)
-		h := &q.slots[w&ladderMask]
-		if ladderWin((*h)[0].at) != w {
-			// The bucket's minimum belongs to a later lap (window
-			// w+k·ladderBuckets maps to the same slot), so nothing of
-			// window w is queued: w+1 is the next lower bound.
-			q.minWin = w + 1
-			continue
-		}
-		e := h.pop()
-		if len(*h) == 0 {
-			q.clearBusy(w & ladderMask)
-		}
-		q.slotCount--
-		q.minWin = w
-		if e.ev.cancelled {
-			recycle(e.ev)
-			continue
-		}
-		return e.ev
-	}
-}
-
-// migrate pulls far entries that fall inside the bucket horizon into the
-// near tier. When the near tier is empty the horizon jumps forward to the
-// heap's minimum, so a sparse far-future schedule never strands events.
-func (q *eventQueue) migrate(now time.Duration) {
-	if len(q.far) == 0 {
-		return
-	}
-	q.reach(now)
-	for len(q.far) > 0 {
-		topWin := ladderWin(q.far[0].at)
-		if q.slotCount == 0 && topWin >= q.horizon {
-			q.horizon = topWin + ladderBuckets
-		}
-		if topWin >= q.horizon {
-			return
-		}
-		q.pushSlot(q.far.pop(), topWin)
-	}
-}
-
-// compact removes every cancelled entry from both tiers, handing each
-// record to recycle, and re-heapifies what it filtered.
-func (q *eventQueue) compact(recycle func(*event)) {
-	for i := range q.slots {
-		h := &q.slots[i]
-		if len(*h) == 0 {
-			continue
-		}
-		q.slotCount -= h.dropCancelled(recycle)
-		if len(*h) == 0 {
-			q.clearBusy(int64(i))
-		}
-	}
-	q.far.dropCancelled(recycle)
 }

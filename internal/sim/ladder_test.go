@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// --- Ladder queue vs reference-heap ordering oracle ----------------------
+// --- Event queue vs reference-sort ordering oracle -----------------------
 
 // refEvent mirrors one scheduled event for the oracle.
 type refEvent struct {
@@ -81,8 +81,8 @@ func (r *ladderRef) check(label string) {
 				label, i, r.got[i].at, r.got[i].seq, expect[i].at, expect[i].seq)
 		}
 	}
-	if r.k.Pending() != 0 || r.k.queue.size() != 0 {
-		r.t.Fatalf("%s: drained kernel reports %d pending, %d queued", label, r.k.Pending(), r.k.queue.size())
+	if r.k.Pending() != 0 || len(r.k.queue) != 0 {
+		r.t.Fatalf("%s: drained kernel reports %d pending, %d queued", label, r.k.Pending(), len(r.k.queue))
 	}
 }
 
@@ -94,13 +94,24 @@ func sortRef(evs []refEvent) {
 	})
 }
 
-// ladderWidth is one bucket's span of virtual time.
-const ladderWidth = time.Duration(1) << ladderShift
+// The schedules below were written against a ring of 256 windows of
+// 2^20 ns (≈ 1 ms) each, the queue the kernel had before it was one heap,
+// and they still cluster at that grain: dense windows, ties inside one,
+// two windows a whole ring apart. The kernel has no windows; these
+// test-local constants keep the schedules as they were.
+const (
+	ladderShift   = 20
+	ladderWidth   = time.Duration(1) << ladderShift
+	ladderBuckets = 256
+)
+
+// ladderWin maps an instant to its window number.
+func ladderWin(t time.Duration) int64 { return int64(t) >> ladderShift }
 
 // TestLadderMatchesReferenceOrder drives the kernel with adversarial
 // schedules and checks the dispatch order against the (at, seq) total
 // order a plain sorted reference produces: the random mix first, then
-// what a heap per bucket can get wrong that a scan could not.
+// dense windows, ties, cancels at the minimum, and Run horizons.
 func TestLadderMatchesReferenceOrder(t *testing.T) {
 	// Dense same-instant bursts, far-future beacons that cross the bucket
 	// horizon, chained scheduling from inside handlers, random cancels.
@@ -192,9 +203,9 @@ func TestLadderMatchesReferenceOrder(t *testing.T) {
 		r.check("same instant")
 	})
 
-	// Cancels that land inside the window being drained, the bucket's
+	// Cancels that land among the instants being drained, the queue's
 	// current minimum included — it must be recycled when it surfaces,
-	// not fired and not left to block the window.
+	// not fired and not left to block the queue.
 	t.Run("cancel in current window", func(t *testing.T) {
 		r := newLadderRef(t)
 		base := 3 * ladderWidth
@@ -222,9 +233,9 @@ func TestLadderMatchesReferenceOrder(t *testing.T) {
 		r.check("cancel in current window")
 	})
 
-	// A near tier holding nothing but cancelled entries empties when they
-	// surface, and the far tier must then jump into it — repeatedly, for
-	// far events more than a ladder apart.
+	// A queue whose front is nothing but cancelled entries recycles them
+	// as they surface, and the far-future events behind them — seconds
+	// and a minute out, two of them tied — then fire in order.
 	t.Run("migration into an empty near tier", func(t *testing.T) {
 		r := newLadderRef(t)
 		for i := 1; i <= 5; i++ {
@@ -236,11 +247,10 @@ func TestLadderMatchesReferenceOrder(t *testing.T) {
 		r.check("migration")
 	})
 
-	// Run meeting its horizon puts the popped event back. The near tier
-	// was empty, so migration had jumped it ten seconds ahead of the
-	// clock: events scheduled next land between the clock and the slotted
-	// siblings, beyond the ladder as the clock sees it, and must still
-	// fire in order.
+	// Run meeting its horizon leaves the next event queued: it peeks and
+	// does not pop. Events scheduled next land between the clock and the
+	// events left queued, among them and behind them, and must still fire
+	// in order.
 	t.Run("horizon re-push", func(t *testing.T) {
 		r := newLadderRef(t)
 		for i := 0; i < 20; i++ {
@@ -264,10 +274,10 @@ func TestLadderMatchesReferenceOrder(t *testing.T) {
 		r.check("horizon re-push")
 	})
 
-	// After such a jump a window right in front of the clock can map to
-	// the slot a window many laps later already occupies. The bucket's
-	// heap orders them correctly; once the early one is gone the bucket's
-	// minimum belongs to a later lap and the scan must pass over it.
+	// Events exactly a whole number of 256-window rings apart, scheduled
+	// after a Run horizon left the clock ten seconds behind the later
+	// ones: the ring shared one slot between such windows, the heap orders
+	// them by (at, seq) like any others.
 	t.Run("later lap sharing a slot", func(t *testing.T) {
 		r := newLadderRef(t)
 		r.after(20*time.Second, nil)
@@ -281,15 +291,12 @@ func TestLadderMatchesReferenceOrder(t *testing.T) {
 		}
 		r.after(time.Duration(early)<<ladderShift+5-r.k.Now(), nil)
 		r.after(time.Duration(early+1)<<ladderShift-r.k.Now(), nil)
-		if n := len(r.k.queue.slots[late&ladderMask]); n != 2 {
-			t.Fatalf("slot %d holds %d entries, want the window-%d and window-%d events together", late&ladderMask, n, early, late)
-		}
 		r.check("later lap")
 	})
 }
 
-// TestLadderFarFutureOnly exercises the horizon-jump path: nothing in the
-// near tier, everything in the overflow heap.
+// TestLadderFarFutureOnly: a queue holding only events minutes to a day
+// ahead of the clock, scheduled out of order, fires them in order.
 func TestLadderFarFutureOnly(t *testing.T) {
 	k := NewKernel()
 	var got []time.Duration
@@ -510,7 +517,7 @@ func TestCancelHeavyLoadCompacts(t *testing.T) {
 		for _, tm := range batch {
 			tm.Cancel()
 		}
-		if size := k.queue.size(); size > 2*compactMin {
+		if size := len(k.queue); size > 2*compactMin {
 			t.Fatalf("round %d: queued %d entries for 1 live event; compaction is not keeping up", round, size)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // other subsystem in this repository: a virtual clock, a cancellable timer
-// facility backed by a two-tier ladder queue, and deterministic
-// per-component random number streams.
+// facility backed by one binary heap, and deterministic per-component
+// random number streams.
 //
 // The kernel is strictly single-goroutine: all events execute sequentially
 // in non-decreasing virtual-time order, with FIFO ordering among events
@@ -46,7 +46,7 @@ const compactMin = 128
 // keeps event ordering exact: there is no floating-point fuzz around
 // simultaneity, and ties are broken by scheduling order.
 type Kernel struct {
-	queue eventQueue
+	queue entryHeap
 	now   time.Duration
 	seq   uint64
 
@@ -55,17 +55,14 @@ type Kernel struct {
 	stop <-chan struct{}
 
 	// live counts scheduled events that have neither fired nor been
-	// cancelled; queue.size() − live is the lazily-cancelled backlog.
+	// cancelled; len(queue) − live is the lazily-cancelled backlog.
 	live int
 
 	// free is the event recycling pool; fresh records come from chunk, a
-	// bump arena refilled eventChunk records at a time. recycle is the
-	// bound method value handed to queue operations (built once to stay
-	// allocation-free).
+	// bump arena refilled eventChunk records at a time.
 	free      []*event
 	chunk     []event
 	chunkUsed int
-	recycle   func(*event)
 
 	// executed counts events dispatched since construction; useful for
 	// progress accounting and for benchmarks.
@@ -152,14 +149,6 @@ func (k *Kernel) release(ev *event) {
 	k.free = append(k.free, ev)
 }
 
-// recycleFn returns the bound release callback, built once.
-func (k *Kernel) recycleFn() func(*event) {
-	if k.recycle == nil {
-		k.recycle = k.release
-	}
-	return k.recycle
-}
-
 // Schedule arranges for h to run delay after the current virtual time and
 // returns a handle that can cancel it. A negative delay is treated as zero:
 // the event fires at the current time, after all previously scheduled
@@ -220,20 +209,33 @@ func (k *Kernel) enqueue(t time.Duration) *event {
 	k.live++
 	k.obs.Inc(obs.CEventsScheduled)
 	k.obs.GaugeAdd(obs.GQueueDepth, 1)
-	if ladderWin(t) >= ladderWin(k.now)+ladderBuckets {
-		k.obs.Inc(obs.CLadderFarPushes)
-	}
-	k.queue.push(ev, k.now)
+	k.queue.push(entry{at: t, seq: ev.seq, ev: ev})
 	return ev
+}
+
+// peek returns the earliest live event, leaving it queued, or nil when
+// none remain. Cancelled entries are recycled as they surface as the
+// queue's minimum — never before, so nothing here searches the heap.
+func (k *Kernel) peek() *event {
+	for len(k.queue) > 0 {
+		ev := k.queue[0].ev
+		if !ev.cancelled {
+			return ev
+		}
+		k.queue.pop()
+		k.release(ev)
+	}
+	return nil
 }
 
 // Step dispatches the single earliest pending event. It reports false when
 // no live events remain.
 func (k *Kernel) Step() bool {
-	ev := k.queue.pop(k.now, k.recycleFn())
+	ev := k.peek()
 	if ev == nil {
 		return false
 	}
+	k.queue.pop()
 	k.dispatch(ev)
 	return true
 }
@@ -276,20 +278,14 @@ func (k *Kernel) Run(until time.Duration) bool {
 		return true
 	}
 	for {
-		ev := k.queue.pop(k.now, k.recycleFn())
-		if ev == nil {
-			break
-		}
-		if ev.at > until {
-			// Past the horizon: put it back (its (at, seq) identity is
-			// unchanged, so ordering is unaffected) and stop here.
-			k.queue.unpop(ev)
+		ev := k.peek()
+		if ev == nil || ev.at > until {
 			break
 		}
 		if ev.at > k.now && k.stopRequested() {
-			k.queue.unpop(ev)
 			return false
 		}
+		k.queue.pop()
 		k.dispatch(ev)
 	}
 	k.now = until
@@ -323,9 +319,9 @@ func (k *Kernel) noteCancel() {
 	k.live--
 	k.obs.Inc(obs.CTimersCancelled)
 	k.obs.GaugeAdd(obs.GQueueDepth, -1)
-	if queued := k.queue.size(); queued >= compactMin && queued-k.live > queued/2 {
+	if queued := len(k.queue); queued >= compactMin && queued-k.live > queued/2 {
 		k.obs.Inc(obs.CQueueCompactions)
-		k.queue.compact(k.recycleFn())
+		k.queue.dropCancelled(k.release)
 	}
 }
 

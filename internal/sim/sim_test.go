@@ -168,15 +168,15 @@ func TestRunBehindClockIsNoOp(t *testing.T) {
 	k.Schedule(5*time.Second, note)
 	k.Schedule(20*time.Second, note)
 	k.Run(10 * time.Second)
-	seq, executed, pending, queued := k.seq, k.Executed(), k.Pending(), k.queue.size()
+	seq, executed, pending, queued := k.seq, k.Executed(), k.Pending(), len(k.queue)
 
 	k.Run(3 * time.Second)
 	if k.Now() != 10*time.Second {
 		t.Fatalf("Run(3s) after Run(10s) left the clock at %v, want 10s", k.Now())
 	}
-	if k.seq != seq || k.Executed() != executed || k.Pending() != pending || k.queue.size() != queued {
+	if k.seq != seq || k.Executed() != executed || k.Pending() != pending || len(k.queue) != queued {
 		t.Fatalf("Run behind the clock moved kernel state: seq %d→%d executed %d→%d pending %d→%d queued %d→%d",
-			seq, k.seq, executed, k.Executed(), pending, k.Pending(), queued, k.queue.size())
+			seq, k.seq, executed, k.Executed(), pending, k.Pending(), queued, len(k.queue))
 	}
 	k.Schedule(time.Second, note)
 	k.Run(30 * time.Second)
@@ -203,7 +203,7 @@ func TestExportStateIsLiveScheduleOnly(t *testing.T) {
 		doomedNear.Cancel()
 		doomedFar.Cancel()
 		if sweep {
-			k.queue.compact(k.recycleFn())
+			k.queue.dropCancelled(k.release)
 		}
 		return k.ExportState()
 	}
@@ -419,10 +419,10 @@ func BenchmarkKernelScheduleAndRun(b *testing.B) {
 // BenchmarkKernelDenseWindow is the kernel at steady state with k events
 // in every 1 ms window — each event, when it fires, files its successor
 // at a pseudo-random offset in the next window — so one op is one pop
-// from, and one push into, a bucket holding ≈ k entries. ns/op must grow
-// like log k (a bucket is a heap), not like k (a scan); the alloc gate
-// holds it at zero allocations, one untimed lap of the ladder having
-// grown every bucket to its working size.
+// from, and one push into, a queue holding ≈ k live entries. ns/op must
+// grow like log k (the queue is a heap), not like k (a scan); the alloc
+// gate holds it at zero allocations, an untimed lap of 257 windows having
+// grown the heap and the record pool to their working size.
 func BenchmarkKernelDenseWindow(b *testing.B) {
 	for _, per := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("k=%d", per), func(b *testing.B) {
