@@ -102,7 +102,7 @@ func parseFlags() options {
 	flag.BoolVar(&o.eventsRate, "events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
 	flag.DurationVar(&o.stats, "stats", 0, "emit a live counter heartbeat to stderr at this period (every mode but -verify; 0 disables)")
 	flag.StringVar(&o.statsAddr, "statsaddr", "", "serve live stats over HTTP on this address (GET /stats.json, /metrics)")
-	flag.StringVar(&o.obsOut, "obs", "", "write the end-of-process observability snapshot (counters + pool stats) to this JSON file")
+	flag.StringVar(&o.obsOut, "obs", "", "write the end-of-process observability snapshot (counters, queue depth, sim clock, delay percentiles) to this JSON file")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
 	flag.StringVar(&o.resumePath, "resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
@@ -248,7 +248,7 @@ func (o *options) startLiveStats() {
 				profileErrf("-obs: %v", err)
 				return
 			}
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			if err := durable.WriteFile(path, append(data, '\n')); err != nil {
 				profileErrf("-obs: %v", err)
 				return
 			}

@@ -325,7 +325,7 @@ func (m *Model) bruteNeighbors(i int, at time.Duration, dst []int) []int {
 	return dst
 }
 
-// Position exposes terminal i's current location (diagnostics, examples).
+// Position exposes terminal i's current location (diagnostics, world.RenderMap).
 func (m *Model) Position(i int, at time.Duration) geom.Point {
 	s := m.sync(at)
 	return m.positionAt(s, i, at)

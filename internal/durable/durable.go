@@ -101,6 +101,20 @@ func (p *Pending) Commit() error {
 	return Rename(p.Name(), p.path)
 }
 
+// WriteFile publishes data at path as one Pending: a reader sees the
+// previous file or all of data, and a crash after it returns keeps data.
+func WriteFile(path string, data []byte) error {
+	p, err := CreatePending(path)
+	if err != nil {
+		return err
+	}
+	defer p.Abort()
+	if _, err := p.Write(data); err != nil {
+		return err
+	}
+	return p.Commit()
+}
+
 // Abort discards the temp file. It is a no-op once Commit has renamed
 // it, so it is safe to defer.
 func (p *Pending) Abort() {

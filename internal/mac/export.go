@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the MAC layer's checkpoint seam. Exports are skeletons:
-// in-flight transmissions and exchanges reference pooled packets and
+// in-flight transmissions and exchanges reference arena packets and
 // pending timers that cannot be serialized directly, so the capture
 // records their identity (slot indices, packet ids, deadlines) — enough
 // for snapshot verification to prove two processes hold the same

@@ -111,9 +111,9 @@ type Agent interface {
 }
 
 // Drainer is the optional end-of-run extension of Agent: agents that
-// park pooled packets (query buffers, delayed relays) implement it to
+// park arena packets (query buffers, delayed relays) implement it to
 // silently release them once the simulation horizon has passed, so the
-// pool's leak accounting comes out exact. DrainPending must not record
+// arena's leak accounting comes out exact. DrainPending must not record
 // drops or send anything — the run is over — and returns how many
 // packets were released, split into end-to-end data packets and
 // control/relay packets: the data count is the invariant harness's

@@ -47,7 +47,7 @@ const (
 	// Traffic and end-of-run accounting.
 	CTrafficGenerated // data packets originated by the workload
 	CGossipInfections // gossip rumor infections (first receipt per terminal × rumor)
-	CDrainReleased    // pooled packets freed by the end-of-run drain
+	CDrainReleased    // packets returned to the world's arena by the end-of-run drain
 	CDrainData        // the data-packet subset of CDrainReleased (in flight at the horizon)
 	// Adversarial tier (PR 8).
 	CAdversaryDrops // transit data packets discarded by byzantine droppers

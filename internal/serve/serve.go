@@ -306,15 +306,10 @@ func reasonSuffix(r string) string {
 	return ": " + r
 }
 
-// persistState writes state.json atomically (temp + rename + dir sync).
+// persistState writes state.json atomically and durably.
 func (s *Server) persistState(j *Job, ps persistedState) {
 	data, _ := json.Marshal(ps)
-	tmp := filepath.Join(j.Dir, stateFile+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		s.cfg.Logf("serve: %s: persist state: %v", j.ID, err)
-		return
-	}
-	if err := durable.Rename(tmp, filepath.Join(j.Dir, stateFile)); err != nil {
+	if err := durable.WriteFile(filepath.Join(j.Dir, stateFile), append(data, '\n')); err != nil {
 		s.cfg.Logf("serve: %s: persist state: %v", j.ID, err)
 	}
 }
@@ -372,22 +367,25 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	s.nextID++
 	s.mu.Unlock()
 
-	dir := filepath.Join(s.cfg.Dir, "jobs", id)
+	// A 202 promises the job survives a power loss: sync the new
+	// directory's entry in jobs/, and write each file through durable.
+	jobs := filepath.Join(s.cfg.Dir, "jobs")
+	dir := filepath.Join(jobs, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Status{}, err
 	}
+	if err := durable.SyncDir(jobs); err != nil {
+		return Status{}, err
+	}
 	for i, raw := range spec.Specs {
-		if err := os.WriteFile(filepath.Join(dir, specFileName(i)), raw, 0o644); err != nil {
+		if err := durable.WriteFile(filepath.Join(dir, specFileName(i)), raw); err != nil {
 			return Status{}, err
 		}
 	}
 	j := newJob(s.ctx, id, dir, spec, total)
 	pj := persistedJob{ID: id, Spec: spec, Total: total, Created: j.created.UTC().Format(time.RFC3339)}
 	data, _ := json.MarshalIndent(pj, "", "  ")
-	if err := os.WriteFile(filepath.Join(dir, jobFile), append(data, '\n'), 0o644); err != nil {
-		return Status{}, err
-	}
-	if err := durable.SyncDir(dir); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, jobFile), append(data, '\n')); err != nil {
 		return Status{}, err
 	}
 

@@ -13,23 +13,11 @@
 // telemetry timelines for observing transients (route convergence,
 // failure/heal recovery) that end-of-run aggregates hide.
 //
-// Quick start — the paper's field (50 terminals on 1 km², ten Poisson
-// flows) at 36 km/h and 10 packets/s per flow, for 60 s:
-//
-//	field, err := rica.PaperField(36, 10, 60*time.Second)
-//	if err != nil {
-//		log.Fatal(err)
-//	}
-//	summary, err := rica.Run(rica.ScenarioRun{
-//		Scenario: field, Protocol: rica.ProtocolRICA, Seed: 1,
-//	}, rica.RunOptions{})
-//	fmt.Printf("delivered %.1f%% with mean delay %v\n",
-//		summary.DeliveryRatio*100, summary.AvgDelay)
-//
-// Figures:
-//
-//	sweep := rica.Sweep(10, rica.Options{Trials: 5})
-//	fmt.Print(sweep.Table(rica.MetricDelay)) // Figure 2(a)
+// The walkthroughs are testable examples whose output go test pins (go
+// test -run Example -v .): ExampleRun is the quick start, one RICA run on
+// the paper's field; ExampleSweep is Figures 2–3 at a reduced scale; seven
+// more cover the protocol duel, energy, file swapping, the batch engine, a
+// failure timeline, a packet trace and the observability hub.
 //
 // Timelines — like the packet trace, the live counter registry and the
 // periodic snapshot, an option of the same Run:

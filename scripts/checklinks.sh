@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # checklinks.sh — fail on broken relative links in the repo's markdown.
 #
-# Scans README.md, DESIGN.md, docs/*.md and examples/README.md for
+# Scans README.md, DESIGN.md and docs/*.md for
 # markdown links, skips absolute URLs and pure in-page anchors, and
 # verifies every relative target exists on disk (resolved against the
 # linking file's directory). Run from the repository root; CI's docs job
@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 files=(README.md DESIGN.md)
-for f in docs/*.md examples/README.md; do
+for f in docs/*.md; do
   [ -e "$f" ] && files+=("$f")
 done
 

@@ -9,13 +9,15 @@
 # docs/OPERATIONS.md, and requires each to select at least one top-level
 # test of `go test -list '.*' ./...` the way -run would: as the whole
 # name or a prefix of it (CI's `TestCheckpointResume` means the three
-# tests that start so). Run from anywhere; CI's docs job runs it beside
-# checklinks.sh.
+# tests that start so). Every Example[A-Z]… name in README.md and
+# docs/*.md must select a testable example the same way, so a walkthrough
+# the docs send a reader to cannot be renamed away under them. Run from
+# anywhere; CI's docs job runs it beside checklinks.sh.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-have=$(go test -list '.*' ./... | grep '^Test' | sort -u)
+have=$(go test -list '.*' ./... | grep -E '^(Test|Example)' | sort -u)
 if [ -z "$have" ]; then
   echo "checktests: go test -list found no tests" >&2
   exit 2
@@ -23,15 +25,18 @@ fi
 
 named=$(
   {
-    grep -e '-run' .github/workflows/ci.yml
-    cat docs/TESTING.md docs/OPERATIONS.md
-  } | grep -o 'Test[A-Z][A-Za-z0-9_]*' | sort -u
+    {
+      grep -e '-run' .github/workflows/ci.yml
+      cat docs/TESTING.md docs/OPERATIONS.md
+    } | grep -o 'Test[A-Z][A-Za-z0-9_]*'
+    cat README.md docs/*.md | grep -o 'Example[A-Z][A-Za-z0-9_]*'
+  } | sort -u
 )
 
 fail=0
 for name in $named; do
   if ! grep -q "^$name" <<< "$have"; then
-    echo "MISSING: $name is named in ci.yml or the docs, and no test starts with it"
+    echo "MISSING: $name is named in ci.yml or the docs, and no test or example starts with it"
     fail=1
   fi
 done
