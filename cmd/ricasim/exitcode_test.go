@@ -96,6 +96,23 @@ func TestExitCodeContract(t *testing.T) {
 			banErr:   "running ",
 		},
 		{
+			// A figure grid is not journaled: refused, not run with the
+			// manifest silently dropped.
+			name: "a figure with -manifest is 1",
+			args: func(dir string) []string {
+				return []string{"-figure", "2a", "-trials", "1", "-duration", "2s", "-speeds", "36",
+					"-manifest", filepath.Join(dir, "m.jsonl")}
+			},
+			wantCode: 1,
+			wantErr:  "-manifest is only supported with -scenario batches",
+			banErr:   "running ",
+			then: func(t *testing.T, _, dir string) {
+				if _, err := os.Stat(filepath.Join(dir, "m.jsonl")); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("a refused figure left a manifest behind: %v", err)
+				}
+			},
+		},
+		{
 			name: "a NaN figure speed is 1",
 			args: func(string) []string {
 				return []string{"-figure", "2a", "-trials", "1", "-duration", "2s", "-speeds=nan"}

@@ -315,6 +315,9 @@ func runFigures(o options) {
 	if o.timeline != "" {
 		fatalf("-timeline is only supported with -scenario batches")
 	}
+	if o.manifest != "" {
+		fatalf("-manifest is only supported with -scenario batches")
+	}
 	f := figureRun{format: o.format, sweeps: map[float64]rica.SweepResult{}, opts: rica.Options{
 		Trials:      o.trials,
 		Duration:    o.duration,

@@ -129,11 +129,17 @@ func (p fixedPos) Position(time.Duration) geom.Point { return geom.Point(p) }
 
 // pacedPos is pinned in place but reports RefSpeed-paced motion, so its
 // links fade at the nominal decorrelation rates. Statistical tests use it
-// to sample the stationary class distribution in reasonable time.
+// to sample the stationary class distribution in reasonable time. It
+// vouches for nothing across instants: both answers go stale at once and
+// it has no drift bound.
 type pacedPos geom.Point
 
 func (p pacedPos) Position(time.Duration) geom.Point { return geom.Point(p) }
-func (p pacedPos) Speed(time.Duration) float64       { return 10 }
+func (p pacedPos) PositionStable(at time.Duration) (geom.Point, time.Duration) {
+	return geom.Point(p), at
+}
+func (p pacedPos) SpeedStable(at time.Duration) (float64, time.Duration) { return 10, at }
+func (p pacedPos) SpeedLimit() float64                                   { return math.Inf(1) }
 
 func newTestModel(points ...geom.Point) *Model {
 	pos := make([]Positioner, len(points))

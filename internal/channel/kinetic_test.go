@@ -36,17 +36,21 @@ func (r *replay) Position(at time.Duration) geom.Point { return r.seek(at).Posit
 func (r *replay) PositionStable(at time.Duration) (geom.Point, time.Duration) {
 	return r.seek(at).PositionStable(at)
 }
+func (r *replay) SpeedStable(at time.Duration) (float64, time.Duration) {
+	return r.seek(at).SpeedStable(at)
+}
 func (r *replay) SpeedLimit() float64 { return r.n.SpeedLimit() }
 
-// unbounded hides a replay's SpeedLimit: the snapshot must then treat it
-// as a mover with no drift bound and never serve it from a stale grid.
+// unbounded hides that a replay is a Mover: the snapshot must then treat
+// it as a plain Positioner with no drift bound and never serve it from a
+// stale grid.
 type unbounded struct{ r *replay }
 
 func (u unbounded) Position(at time.Duration) geom.Point { return u.r.Position(at) }
 
 // kineticField builds n replayable waypoint terminals at the paper's
 // density and default speeds (benchField, 10 m/s, 3 s pauses); terminal
-// nolimit, if in range, is wrapped so it has no SpeedLimit.
+// nolimit, if in range, is wrapped as a plain Positioner.
 func kineticField(seed int64, n, nolimit int) (*Model, []*replay) {
 	mcfg := mobility.Config{Field: benchField(n), MaxSpeed: 10, Pause: 3 * time.Second}
 	reps := make([]*replay, n)

@@ -9,18 +9,38 @@ import (
 	"rica/internal/sim"
 )
 
-// Positioner supplies a terminal's location at a virtual time. Implemented
-// by *mobility.Node; abstracted here so channel tests can use fixed or
-// scripted positions.
+// Positioner supplies a terminal's location at a virtual time. A plain
+// Positioner is taken at its word and nothing more: its position is
+// re-derived at every new instant, its links fade as if it were parked
+// (speed 0), and it has no drift bound, so a spatial grid holding it is
+// rebuilt at every new instant. Terminals that know their kinematics
+// implement Mover.
 type Positioner interface {
 	Position(at time.Duration) geom.Point
 }
 
-// Speeder optionally reports a terminal's instantaneous speed; terminals
-// that implement it (mobility.Node does) drive the Doppler scaling of
-// their links' fading. Positioners without it are treated as parked.
-type Speeder interface {
-	Speed(at time.Duration) float64
+// Mover is a Positioner that reports its kinematics exactly: how long a
+// position and a speed stay valid, and how fast it can ever go. The
+// terminals of a world are Movers (mobility.Node, and the world's pinned
+// terminals); the model resolves the interface once per terminal, so
+// the cache-miss paths pay a nil check, not a type assertion.
+type Mover interface {
+	Positioner
+	// PositionStable reports the position at at, which must equal
+	// Position(at), together with the first instant after at when it
+	// may change: at itself while moving, the end of the pause while
+	// paused, math.MaxInt64 for a terminal that never moves again. The
+	// snapshot keeps a cached position until that boundary.
+	PositionStable(at time.Duration) (geom.Point, time.Duration)
+	// SpeedStable reports the instantaneous speed in m/s at at, which
+	// drives the Doppler scaling of the terminal's links' fading,
+	// together with the first instant it may change.
+	SpeedStable(at time.Duration) (float64, time.Duration)
+	// SpeedLimit is a hard upper bound on the speed over the whole
+	// trajectory. It bounds a terminal's drift from its position in a
+	// stale spatial grid, so widening queries by that slack yields a
+	// guaranteed candidate superset; +Inf forbids stale service.
+	SpeedLimit() float64
 }
 
 // streamKindChannel namespaces link fading streams within a trial's seed
@@ -64,7 +84,7 @@ const parkIdleAfter = 10 * time.Second
 type Model struct {
 	cfg     Config
 	pos     []Positioner
-	caps    []caps  // optional per-terminal capabilities, resolved once
+	movers  []Mover // pos[i] as a Mover, nil where it is a plain Positioner
 	links   []*Link // upper-triangular pair index, created lazily
 	nlinks  int     // how many of them exist
 	streams *sim.Streams
@@ -95,11 +115,14 @@ func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 	m := &Model{
 		cfg:       cfg,
 		pos:       pos,
-		caps:      resolveCaps(pos),
+		movers:    make([]Mover, n),
 		links:     make([]*Link, n*(n-1)/2),
 		streams:   streams,
 		snap:      newSnapshot(n, cfg.Range, cfg.Range),
 		parkAfter: parkIdleAfter,
+	}
+	for i, p := range pos {
+		m.movers[i], _ = p.(Mover)
 	}
 	if !streams.CanPark() {
 		m.parkAfter = neverPark

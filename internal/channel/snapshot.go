@@ -8,72 +8,8 @@ import (
 	"rica/internal/obs"
 )
 
-// Stabler optionally extends Positioner with an exact staleness bound:
-// the first instant after at when Position(at) may change. mobility.Node
-// implements it (next leg/pause boundary), as do pinned terminals
-// (forever). Positioners without it are treated as always in motion, so
-// their cached positions expire at every new virtual instant.
-type Stabler interface {
-	PositionStableUntil(at time.Duration) time.Duration
-}
-
-// PositionStabler fuses Positioner and Stabler into a single call: the
-// position at at together with the first instant it may change. The
-// snapshot prefers it on a cache miss — one trajectory advance and one
-// interface dispatch instead of two — and falls back to the split calls
-// for Positioners that only implement the narrow interfaces. The fused
-// result must equal Position(at) and PositionStableUntil(at) exactly.
-type PositionStabler interface {
-	PositionStable(at time.Duration) (geom.Point, time.Duration)
-}
-
-// SpeedStabler extends Speeder with an exact staleness bound, mirroring
-// PositionStabler: the speed at at and the first instant it may change.
-// Waypoint terminals travel each leg at constant speed and pause at zero
-// speed, so their speed is piecewise constant with known boundaries —
-// which lets the snapshot keep a speed cached across instants instead of
-// re-deriving it per event. The fused result must equal Speed(at).
-type SpeedStabler interface {
-	SpeedStable(at time.Duration) (float64, time.Duration)
-}
-
-// SpeedLimiter optionally extends Positioner with a hard upper bound on
-// instantaneous speed (m/s). The bound lets the snapshot keep serving a
-// stale spatial grid exactly: a terminal can have drifted at most
-// limit·Δt from its indexed position, so widening queries by that slack
-// yields a guaranteed candidate superset. Positioners without a limit
-// (and without a forever-stable position) force a grid rebuild on every
-// new instant, which is simply the pre-grid behaviour.
-type SpeedLimiter interface {
-	SpeedLimit() float64
-}
-
 // foreverStable marks a position with no future staleness boundary.
 const foreverStable = time.Duration(math.MaxInt64)
-
-// caps holds one terminal's optional capabilities, resolved once at
-// model construction so the per-miss hot paths dispatch through a nil
-// check instead of an interface type assertion.
-type caps struct {
-	posStable   PositionStabler
-	stabler     Stabler
-	speeder     Speeder
-	speedStable SpeedStabler
-	limiter     SpeedLimiter
-}
-
-func resolveCaps(pos []Positioner) []caps {
-	cs := make([]caps, len(pos))
-	for i, p := range pos {
-		c := &cs[i]
-		c.posStable, _ = p.(PositionStabler)
-		c.stabler, _ = p.(Stabler)
-		c.speeder, _ = p.(Speeder)
-		c.speedStable, _ = p.(SpeedStabler)
-		c.limiter, _ = p.(SpeedLimiter)
-	}
-	return cs
-}
 
 // snapshot memoizes the kinematic state of one virtual instant —
 // positions, speeds and outage flags — plus a spatial grid over the
@@ -84,11 +20,11 @@ func resolveCaps(pos []Positioner) []caps {
 // class and SNR are memoized per instant too, but on the pair's Link,
 // stamped with this snapshot's gen (see fastpath.go).
 //
-// Positions additionally persist *across* instants while their terminal
-// is paused: the Stabler boundary says exactly when a cached position
-// goes stale, so a static or pausing field rebuilds nothing. Speeds do
-// the same through SpeedStabler — a waypoint terminal's speed is
-// piecewise constant, so its cache entry survives until the next
+// A Mover's positions additionally persist *across* instants while it
+// is paused: its PositionStable boundary says exactly when a cached
+// position goes stale, so a static or pausing field rebuilds nothing.
+// Speeds do the same through SpeedStable — a waypoint terminal's speed
+// is piecewise constant, so its cache entry survives until the next
 // leg/pause boundary. The fading links are deliberately not part of the
 // snapshot — their lazy private streams advance exactly as they would
 // without it, keeping runs bit-identical to the pre-snapshot scan.
@@ -216,7 +152,7 @@ func (m *Model) sync(at time.Duration) *snapshot {
 
 // positionAt returns terminal i's memoized position at instant at,
 // deriving it from the Positioner only when the cache misses. A cached
-// position survives instant changes while its Stabler boundary holds.
+// position survives instant changes while its Mover boundary holds.
 // The hit branch is kept small enough to inline into the range and class
 // probes that dominate the flood hot path.
 func (m *Model) positionAt(s *snapshot, i int, at time.Duration) geom.Point {
@@ -233,14 +169,10 @@ func (m *Model) positionMiss(s *snapshot, i int, at time.Duration) geom.Point {
 	}
 	var p geom.Point
 	var until time.Duration
-	if ps := m.caps[i].posStable; ps != nil {
-		p, until = ps.PositionStable(at) // fused: one trajectory advance
+	if mv := m.movers[i]; mv != nil {
+		p, until = mv.PositionStable(at)
 	} else {
-		p = m.pos[i].Position(at)
-		until = at
-		if st := m.caps[i].stabler; st != nil {
-			until = st.PositionStableUntil(at)
-		}
+		p, until = m.pos[i].Position(at), at // stale at the next instant
 	}
 	s.pos[i] = p
 	s.posGen[i] = s.gen
@@ -262,14 +194,9 @@ func (m *Model) speedMiss(s *snapshot, i int, at time.Duration) float64 {
 		s.speedGen[i] = s.gen // piecewise-constant segment still holds
 		return s.speed[i]
 	}
-	v := 0.0
-	until := at
-	if ss := m.caps[i].speedStable; ss != nil {
-		v, until = ss.SpeedStable(at)
-	} else if sp := m.caps[i].speeder; sp != nil {
-		v = sp.Speed(at)
-	} else {
-		until = foreverStable // no Speeder: parked by definition, forever
+	v, until := 0.0, foreverStable // a plain Positioner is parked, forever
+	if mv := m.movers[i]; mv != nil {
+		v, until = mv.SpeedStable(at)
 	}
 	s.speed[i] = v
 	s.speedGen[i] = s.gen
@@ -323,10 +250,10 @@ func (m *Model) gridAt(s *snapshot, at time.Duration) (*geom.Grid, float64) {
 			until = s.posUntil[i]
 		}
 		if s.posUntil[i] != foreverStable {
-			if sl := m.caps[i].limiter; sl != nil {
-				vmax = math.Max(vmax, sl.SpeedLimit())
+			if mv := m.movers[i]; mv != nil {
+				vmax = math.Max(vmax, mv.SpeedLimit())
 			} else {
-				vmax = math.Inf(1) // unbounded mover: no stale service
+				vmax = math.Inf(1) // no drift bound: no stale service
 			}
 		}
 	}

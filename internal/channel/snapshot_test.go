@@ -9,14 +9,18 @@ import (
 	"rica/internal/sim"
 )
 
-// parked is a Positioner that never moves and says so, like the world
+// parked is a Mover that never moves and says so, like the world
 // package's pinned terminals: the snapshot layer may cache it forever.
 type parked geom.Point
 
 func (p parked) Position(time.Duration) geom.Point { return geom.Point(p) }
-func (p parked) PositionStableUntil(time.Duration) time.Duration {
-	return mobility.StableForever
+func (p parked) PositionStable(time.Duration) (geom.Point, time.Duration) {
+	return geom.Point(p), mobility.StableForever
 }
+func (p parked) SpeedStable(time.Duration) (float64, time.Duration) {
+	return 0, mobility.StableForever
+}
+func (p parked) SpeedLimit() float64 { return 0 }
 
 // TestNeighborsMatchesBruteForce is the refactor's core invariant: the
 // grid-backed Neighbors must return exactly what the retained pre-grid

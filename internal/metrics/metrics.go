@@ -25,8 +25,9 @@ import (
 // "the amount of data reaching destination terminals in every 4 seconds").
 const BucketSize = 4 * time.Second
 
-// Collector accumulates one simulation run's measurements. It implements
-// network.Recorder and is wired to the MAC layer's transmit observers.
+// Collector accumulates one simulation run's measurements. The world's
+// observation seam (the nodes' network.Recorder, and the MAC layer's
+// transmit observers) hands it every event it counts.
 // The zero value is not usable; construct with NewCollector.
 type Collector struct {
 	horizon time.Duration
@@ -67,8 +68,6 @@ type flowStats struct {
 	delaySum             time.Duration
 }
 
-var _ network.Recorder = (*Collector)(nil)
-
 // NewCollector builds a collector for a run lasting horizon.
 func NewCollector(horizon time.Duration) *Collector {
 	nBuckets := int(horizon/BucketSize) + 1
@@ -80,7 +79,7 @@ func NewCollector(horizon time.Duration) *Collector {
 	}
 }
 
-// DataGenerated implements network.Recorder.
+// DataGenerated counts a data packet created at its source.
 func (c *Collector) DataGenerated(pkt *packet.Packet, _ time.Duration) {
 	c.generated++
 	c.flow(pkt).generated++
@@ -97,7 +96,7 @@ func (c *Collector) flow(pkt *packet.Packet) *flowStats {
 	return f
 }
 
-// DataDelivered implements network.Recorder.
+// DataDelivered counts a data packet reaching its destination.
 func (c *Collector) DataDelivered(pkt *packet.Packet, now time.Duration) {
 	c.delivered++
 	delay := now - pkt.CreatedAt
@@ -119,7 +118,7 @@ func (c *Collector) DataDelivered(pkt *packet.Packet, now time.Duration) {
 	}
 }
 
-// DataDropped implements network.Recorder.
+// DataDropped counts a data packet discarded for reason.
 func (c *Collector) DataDropped(pkt *packet.Packet, reason network.DropReason, _ time.Duration) {
 	c.dropped[reason]++
 	c.droppedHops += pkt.TraversedHops

@@ -10,8 +10,9 @@ import (
 
 // TestFusedQueriesMatchSplitQueries walks a trajectory and checks, at
 // every step, that PositionStable and SpeedStable agree exactly with the
-// split Position/PositionStableUntil/Speed calls on the same node (the
-// calls are idempotent at one instant, so interleaving them is safe).
+// plain Position/Speed calls on the same node (the calls are idempotent
+// at one instant, so interleaving them is safe). TestStableUntilIsExact
+// holds the position boundary.
 func TestFusedQueriesMatchSplitQueries(t *testing.T) {
 	cfg := Config{Field: geom.Field{Width: 900, Height: 700}, MaxSpeed: 14, Pause: 2 * time.Second}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -21,11 +22,8 @@ func TestFusedQueriesMatchSplitQueries(t *testing.T) {
 		for k := 0; k < 3000; k++ {
 			at += time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
 			wantPos := n.Position(at)
-			wantUntil := n.PositionStableUntil(at)
-			gotPos, gotUntil := n.PositionStable(at)
-			if gotPos != wantPos || gotUntil != wantUntil {
-				t.Fatalf("seed %d at %v: PositionStable = (%v, %v), split calls say (%v, %v)",
-					seed, at, gotPos, gotUntil, wantPos, wantUntil)
+			if gotPos, _ := n.PositionStable(at); gotPos != wantPos {
+				t.Fatalf("seed %d at %v: PositionStable = %v, Position = %v", seed, at, gotPos, wantPos)
 			}
 			wantSpeed := n.Speed(at)
 			gotSpeed, until := n.SpeedStable(at)

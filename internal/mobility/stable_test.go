@@ -8,7 +8,7 @@ import (
 
 func TestStableUntilStaticForever(t *testing.T) {
 	n := NewNode(testCfg(0), rand.New(rand.NewSource(1)))
-	if got := n.PositionStableUntil(time.Hour); got != StableForever {
+	if _, got := n.PositionStable(time.Hour); got != StableForever {
 		t.Fatalf("static node stable until %v, want forever", got)
 	}
 }
@@ -21,8 +21,7 @@ func TestStableUntilIsExact(t *testing.T) {
 		n := NewNode(testCfg(15), rand.New(rand.NewSource(seed)))
 		probe := NewNode(testCfg(15), rand.New(rand.NewSource(seed))) // twin for lookahead
 		for at := time.Duration(0); at < 5*time.Minute; at += 173 * time.Millisecond {
-			until := n.PositionStableUntil(at)
-			p := n.Position(at)
+			p, until := n.PositionStable(at)
 			if n.Moving(at) {
 				if until != at {
 					t.Fatalf("seed %d: moving at %v but stable until %v", seed, at, until)
@@ -48,7 +47,7 @@ func TestStableUntilIsExact(t *testing.T) {
 func TestStableUntilPauseBoundary(t *testing.T) {
 	n := NewNode(testCfg(15), rand.New(rand.NewSource(3)))
 	at := 500 * time.Millisecond // inside the initial pause [0, 3s)
-	until := n.PositionStableUntil(at)
+	_, until := n.PositionStable(at)
 	if until != 3*time.Second {
 		t.Fatalf("initial pause boundary = %v, want 3s", until)
 	}

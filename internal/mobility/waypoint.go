@@ -19,8 +19,9 @@ import (
 	"rica/internal/geom"
 )
 
-// StableForever is the PositionStableUntil result of a terminal that
-// never moves again: effectively the end of virtual time.
+// StableForever is the staleness boundary (PositionStable, SpeedStable)
+// of a terminal that never moves again: effectively the end of virtual
+// time.
 const StableForever = time.Duration(math.MaxInt64)
 
 // minLegSpeed guards against a uniform draw of (almost) exactly zero, which
@@ -127,34 +128,13 @@ func (n *Node) nextLeg() {
 	n.arrive = n.depart + time.Duration(dist/speed*float64(time.Second))
 }
 
-// PositionStableUntil reports the next leg/pause boundary: the first
-// virtual instant after at when Position may return something different
-// from Position(at). While pausing that is the departure time of the next
-// leg; while moving the position changes continuously, so it is at
-// itself; a static terminal is stable forever. Caching layers (the
-// channel snapshot) use this to know exactly when a memoized position
-// goes stale instead of guessing. Like Position, queries must be
-// non-decreasing in time.
-func (n *Node) PositionStableUntil(at time.Duration) time.Duration {
-	if n.cfg.MaxSpeed <= 0 {
-		return StableForever
-	}
-	n.advanceTo(at)
-	switch {
-	case at < n.depart:
-		return n.depart // pausing ahead of the current leg
-	case at >= n.arrive:
-		return n.arrive + n.cfg.Pause // pausing at the waypoint
-	default:
-		return at // in motion: stale immediately
-	}
-}
-
-// PositionStable reports the terminal's location at at together with its
-// staleness boundary — the fused form of Position plus
-// PositionStableUntil, advancing the trajectory once instead of twice.
-// The two results are exactly those of the split calls; the channel
-// snapshot prefers this entry point on its cache misses. Queries must be
+// PositionStable reports the terminal's location at at, exactly
+// Position(at), together with its staleness boundary: the first virtual
+// instant after at when the position may change. While pausing that is
+// the departure time of the next leg; while moving the position changes
+// continuously, so it is at itself; a static terminal is stable forever.
+// The channel snapshot uses the boundary to know exactly when a memoized
+// position goes stale instead of guessing. Queries must be
 // non-decreasing in time, like Position.
 func (n *Node) PositionStable(at time.Duration) (geom.Point, time.Duration) {
 	if n.cfg.MaxSpeed <= 0 {

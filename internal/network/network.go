@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rica/internal/channel"
+	"rica/internal/obs"
 	"rica/internal/packet"
 	"rica/internal/sim"
 )
@@ -62,23 +63,14 @@ type LinkOracle interface {
 	Class(i, j int, at time.Duration) channel.Class
 }
 
-// Recorder receives the data-plane lifecycle events the metrics layer
-// aggregates. In a world every node's Recorder is the world's observation
-// seam, which hands each event to the attached consumers; metrics.Collector
-// and test fakes implement it directly.
+// Recorder receives the events the metrics and telemetry layers
+// aggregate: the data-plane lifecycle and route-table churn. In a world
+// every node's Recorder is the world's observation seam, which hands each
+// event to the attached consumers; test fakes implement it directly.
 type Recorder interface {
 	DataGenerated(pkt *packet.Packet, now time.Duration)
 	DataDelivered(pkt *packet.Packet, now time.Duration)
 	DataDropped(pkt *packet.Packet, reason DropReason, now time.Duration)
-}
-
-// RouteRecorder is an optional extension of Recorder: a recorder that
-// also implements it receives route-table churn — entries installed and
-// entries invalidated, per terminal — which the timeseries telemetry
-// buckets into per-interval convergence curves. NewNode detects the
-// extension with a type assertion, so plain Recorders (test fakes) pay
-// nothing; the world's observation seam is the one production implementer.
-type RouteRecorder interface {
 	// RouteInstalled reports that terminal node installed or replaced one
 	// route-table entry.
 	RouteInstalled(node int, now time.Duration)
@@ -108,19 +100,14 @@ type Agent interface {
 	// reroute or drop; queued packets behind it are re-presented through
 	// RouteData afterwards.
 	LinkFailed(next int, pkt *packet.Packet, now time.Duration)
-}
-
-// Drainer is the optional end-of-run extension of Agent: agents that
-// park arena packets (query buffers, delayed relays) implement it to
-// silently release them once the simulation horizon has passed, so the
-// arena's leak accounting comes out exact. DrainPending must not record
-// drops or send anything — the run is over — and returns how many
-// packets were released, split into end-to-end data packets and
-// control/relay packets: the data count is the invariant harness's
-// "in flight at the horizon" term in the packet-conservation check
-// (generated == delivered + dropped + data drained). Node.Drain
-// discovers it by type assertion, the same pattern as RouteRecorder.
-type Drainer interface {
+	// DrainPending silently releases the arena packets the agent parks
+	// (query buffers, delayed relays) once the simulation horizon has
+	// passed, so the arena's leak accounting comes out exact. It must not
+	// record drops or send anything — the run is over — and returns how
+	// many packets were released, split into end-to-end data packets and
+	// control/relay packets: the data count is the invariant harness's
+	// "in flight at the horizon" term in the packet-conservation check
+	// (generated == delivered + dropped + data drained).
 	DrainPending() (data, control int)
 }
 
@@ -161,4 +148,18 @@ type Env interface {
 	QueueBacklog() int
 	// Rand is this terminal's private randomness (jitter, backoff).
 	Rand() *rand.Rand
+	// Obs is the run's observability registry, which protocol internals
+	// (flood history, SPT rebuilds) count into; nil counts nothing, as
+	// every registry method is nil-safe.
+	Obs() *obs.Registry
+	// ForgetAudit is the exactness audit's counter for the agent's
+	// bounded flood history (routing.History.Audit), nil when the audit
+	// is off. Only the invariant harness turns it on.
+	ForgetAudit() *uint64
+	// NoteRouteInstalled observes one route-table entry installed or
+	// replaced; the Env forwards it to the run's telemetry.
+	NoteRouteInstalled()
+	// NoteRouteInvalidated observes one route-table entry transitioning
+	// from valid to invalid.
+	NoteRouteInvalidated()
 }

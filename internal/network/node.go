@@ -21,7 +21,7 @@ type NodeConfig struct {
 	BufferLifetime time.Duration
 
 	// Obs, when set, is exposed to the attached routing agent through
-	// Node.Obs so protocol internals (flood history, SPT rebuilds) can
+	// Env.Obs so protocol internals (flood history, SPT rebuilds) can
 	// count into the run's registry. All registry methods are nil-safe.
 	Obs *obs.Registry
 
@@ -55,7 +55,6 @@ type Node struct {
 	model  LinkOracle
 	rng    *rand.Rand
 	rec    Recorder
-	routes RouteRecorder // non-nil only when rec wants route churn
 	cfg    NodeConfig
 	agent  Agent
 
@@ -94,9 +93,6 @@ func NewNode(id int, kernel *sim.Kernel, common *mac.CommonChannel, data *mac.Da
 		rec:    rec,
 		cfg:    cfg,
 	}
-	if rr, ok := rec.(RouteRecorder); ok {
-		nd.routes = rr
-	}
 	common.Register(id, nd.onControl)
 	data.Register(id, nd.onData)
 	return nd
@@ -121,17 +117,15 @@ func (nd *Node) SetAdversary(prob float64, from, until time.Duration) {
 	nd.adv = &adversary{prob: prob, from: from, until: until}
 }
 
-// Obs returns the run's observability registry (nil when none was
-// configured). Routing packages discover it by type-asserting their Env
-// against this method, the same way TableObserver is discovered.
+// Obs implements Env: the run's registry (nil when none was configured).
 func (nd *Node) Obs() *obs.Registry { return nd.cfg.Obs }
 
-// ForgetAudit returns the exactness audit's counter (nil outside the
-// invariant harness); routing discovers it the way it discovers Obs.
+// ForgetAudit implements Env: the exactness audit's counter (nil outside
+// the invariant harness).
 func (nd *Node) ForgetAudit() *uint64 { return nd.cfg.ForgetAudit }
 
 // Drain silently releases every data packet still buffered in the link
-// queues and forwards to the agent's DrainPending when it has one. No
+// queues and then what the agent parks (Agent.DrainPending). No
 // recorder callbacks run — the world layer calls this after the
 // simulation horizon, where recording drops would perturb the metrics.
 // It returns how many packets were let go, split into end-to-end data
@@ -151,12 +145,8 @@ func (nd *Node) Drain() (data, control int) {
 		}
 		q.busy = false
 	}
-	if d, ok := nd.agent.(Drainer); ok {
-		dd, cc := d.DrainPending()
-		data += dd
-		control += cc
-	}
-	return data, control
+	dd, cc := nd.agent.DrainPending()
+	return data + dd, control + cc
 }
 
 // DiscardStaleHead forgets the busy head packet queued toward next
@@ -298,22 +288,13 @@ func (nd *Node) LinkClass(j int) channel.Class {
 // Rand implements Env.
 func (nd *Node) Rand() *rand.Rand { return nd.rng }
 
-// NoteRouteInstalled implements routing.TableObserver: the attached
-// agent's route table installed an entry. Forwarded to the recorder when
-// it implements RouteRecorder, dropped otherwise.
-func (nd *Node) NoteRouteInstalled() {
-	if nd.routes != nil {
-		nd.routes.RouteInstalled(nd.id, nd.kernel.Now())
-	}
-}
+// NoteRouteInstalled implements Env: the attached agent's route table
+// installed an entry, which the recorder receives.
+func (nd *Node) NoteRouteInstalled() { nd.rec.RouteInstalled(nd.id, nd.kernel.Now()) }
 
-// NoteRouteInvalidated implements routing.TableObserver: one of the
-// agent's route entries became invalid.
-func (nd *Node) NoteRouteInvalidated() {
-	if nd.routes != nil {
-		nd.routes.RouteInvalidated(nd.id, nd.kernel.Now())
-	}
-}
+// NoteRouteInvalidated implements Env: one of the agent's route entries
+// became invalid.
+func (nd *Node) NoteRouteInvalidated() { nd.rec.RouteInvalidated(nd.id, nd.kernel.Now()) }
 
 // EnqueueData implements Env: store-and-forward toward neighbour next.
 func (nd *Node) EnqueueData(pkt *packet.Packet, next int) {

@@ -32,6 +32,8 @@ func (r *recorder) DataDelivered(p *packet.Packet, _ time.Duration) {
 func (r *recorder) DataDropped(_ *packet.Packet, reason DropReason, _ time.Duration) {
 	r.dropped[reason]++
 }
+func (r *recorder) RouteInstalled(int, time.Duration)   {}
+func (r *recorder) RouteInvalidated(int, time.Duration) {}
 
 // staticAgent forwards data along a fixed next-hop table.
 type staticAgent struct {
@@ -58,6 +60,7 @@ func (a *staticAgent) LinkFailed(next int, p *packet.Packet, _ time.Duration) {
 	a.failures = append(a.failures, next)
 	a.env.DropData(p, DropLinkBreak)
 }
+func (a *staticAgent) DrainPending() (data, control int) { return 0, 0 }
 
 // chainWorld builds terminals on a line, 150 m apart (adjacent terminals
 // in range, non-adjacent ones not), with static routes between all pairs

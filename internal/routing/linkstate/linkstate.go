@@ -94,11 +94,9 @@ func New(env network.Env, cfg Config, boot *routing.Graph) *Agent {
 		knownSeq: make([]lsaGen, env.NumNodes()),
 		sptDirty: true,
 	}
-	if op, ok := env.(routing.ObsProvider); ok {
-		a.obs = op.Obs()
-		a.hist.SetObs(a.obs)
-	}
-	if misses := routing.AuditOf(env); misses != nil {
+	a.obs = env.Obs()
+	a.hist.SetObs(a.obs)
+	if misses := env.ForgetAudit(); misses != nil {
 		a.hist.Audit(misses)
 	}
 	n := env.NumNodes()
@@ -272,15 +270,13 @@ func (a *Agent) applyLSA(pkt *packet.Packet) {
 // settled no further than dst (and the lookups before it) required. A
 // table-driven protocol has no per-destination install/invalidate churn,
 // so the first lookup after the view was touched is reported as one SPT
-// recompute and one route install to telemetry-wired environments — the
+// recompute and one route install to the environment's telemetry — the
 // closest analogue of "the forwarding state changed".
 func (a *Agent) nextHop(dst int) int {
 	if a.sptDirty {
 		a.sptDirty = false
 		a.obs.Inc(obs.CSPTRecomputes)
-		if to, ok := a.env.(routing.TableObserver); ok {
-			to.NoteRouteInstalled()
-		}
+		a.env.NoteRouteInstalled()
 	}
 	return a.topo.Hop(&a.tree, a.env.ID(), dst)
 }
@@ -307,7 +303,7 @@ func (a *Agent) LinkFailed(next int, pkt *packet.Packet, now time.Duration) {
 	a.env.DropData(pkt, network.DropLinkBreak)
 }
 
-// DrainPending implements network.Drainer: after the horizon, LSA relays
+// DrainPending implements network.Agent: after the horizon, LSA relays
 // still parked behind rebroadcast jitter are silently returned to the
 // pool so end-of-run leak accounting comes out exact. A table-driven
 // protocol parks no data packets, so the data count is always zero.

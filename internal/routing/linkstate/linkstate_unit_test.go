@@ -180,8 +180,8 @@ func TestOwnLSAEchoIgnored(t *testing.T) {
 	}
 }
 
-// countingEnv is the scripted Env with the two optional seams a
-// link-state agent reports through: the obs registry and route-install
+// countingEnv is the scripted Env with the two seams a link-state agent
+// reports through made visible: the obs registry and route-install
 // telemetry.
 type countingEnv struct {
 	*routingtest.Env

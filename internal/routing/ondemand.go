@@ -131,20 +131,10 @@ func NewCore(env network.Env, cfg CoreConfig) *Core {
 		cfg.MaxRetries = MaxDiscoveryRetries
 	}
 	table := NewTable(cfg.RouteIdle)
-	// Env implementations wired for telemetry (network.Node) receive the
-	// table's churn; scripted test envs simply don't implement the
-	// observer and stay unaffected.
-	if to, ok := env.(TableObserver); ok {
-		table.OnInstall = to.NoteRouteInstalled
-		table.OnInvalidate = to.NoteRouteInvalidated
-	}
+	table.OnInstall = env.NoteRouteInstalled
+	table.OnInvalidate = env.NoteRouteInvalidated
 	hist := NewHistory()
-	// The same pattern discovers the run's observability registry: an Env
-	// exposing Obs (network.Node) gets its flood-suppression and
-	// history-spill counts; bare test envs count nothing.
-	if op, ok := env.(ObsProvider); ok {
-		hist.SetObs(op.Obs())
-	}
+	hist.SetObs(env.Obs())
 	c := &Core{
 		env:      env,
 		cfg:      cfg,
@@ -156,7 +146,7 @@ func NewCore(env network.Env, cfg CoreConfig) *Core {
 		upstream: make(map[FlowKey]upstreamRec),
 		delayed:  NewDelayedSender(env),
 	}
-	if misses := AuditOf(env); misses != nil {
+	if misses := env.ForgetAudit(); misses != nil {
 		hist.Audit(misses)
 		c.gatherSeen = make(map[packet.FloodKey]struct{})
 	}
@@ -174,7 +164,7 @@ func (c *Core) Env() network.Env { return c.env }
 // History exposes the flood dedupe table to protocol-specific floods.
 func (c *Core) History() *History { return c.hist }
 
-// DrainPending implements network.Drainer for agents built on the core:
+// DrainPending implements network.Agent for agents built on the core:
 // it silently releases every data packet still parked behind an
 // unanswered route query and every control packet waiting on a jittered
 // rebroadcast. Called only after the simulation horizon, so nothing is

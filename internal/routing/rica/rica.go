@@ -471,7 +471,7 @@ func (a *Agent) handleRUPD(pkt *packet.Packet, now time.Duration) {
 	}
 }
 
-// DrainPending implements network.Drainer: once the simulation horizon
+// DrainPending implements network.Agent: once the simulation horizon
 // has passed, packets parked behind route queries or jittered relays in
 // the shared core are silently released for exact pool-leak accounting.
 func (a *Agent) DrainPending() (data, control int) { return a.core.DrainPending() }

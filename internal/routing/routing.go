@@ -37,8 +37,8 @@ const (
 	PendingCap = 64
 )
 
-// BaseAgent provides no-op implementations of the optional Agent hooks so
-// protocols embed it and override what they need.
+// BaseAgent provides no-op implementations of the Agent hooks a protocol
+// may leave empty, so protocols embed it and override what they need.
 type BaseAgent struct{}
 
 // Start implements network.Agent.
@@ -64,42 +64,6 @@ type Entry struct {
 	GeoHops   int     // geographic length, where known
 	UpdatedAt time.Duration
 	Valid     bool
-}
-
-// TableObserver is optionally implemented by network.Env implementations
-// that want route-table churn forwarded to telemetry (network.Node
-// forwards it to the run's timeseries collector). NewCore wires a
-// conforming Env's methods into the table's churn hooks.
-type TableObserver interface {
-	// NoteRouteInstalled observes one entry installed or replaced.
-	NoteRouteInstalled()
-	// NoteRouteInvalidated observes one entry transitioning valid→invalid.
-	NoteRouteInvalidated()
-}
-
-// ObsProvider is optionally implemented by network.Env implementations
-// that carry the run's observability registry (network.Node). Routing
-// internals discover it by type assertion, exactly like TableObserver;
-// scripted test envs that don't implement it simply count nothing, since
-// every registry method is nil-safe.
-type ObsProvider interface {
-	Obs() *obs.Registry
-}
-
-// AuditProvider is optionally implemented by network.Env implementations
-// that carry the exactness audit's counter (network.Node, when the
-// invariant harness set NodeConfig.ForgetAudit). Discovered like
-// ObsProvider; no production Env returns non-nil.
-type AuditProvider interface {
-	ForgetAudit() *uint64
-}
-
-// AuditOf returns env's audit counter, or nil when the audit is off.
-func AuditOf(env network.Env) *uint64 {
-	if ap, ok := env.(AuditProvider); ok {
-		return ap.ForgetAudit()
-	}
-	return nil
 }
 
 // Table maps destinations to route entries with idle expiry: an entry not

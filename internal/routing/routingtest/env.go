@@ -10,6 +10,7 @@ import (
 
 	"rica/internal/channel"
 	"rica/internal/network"
+	"rica/internal/obs"
 	"rica/internal/packet"
 	"rica/internal/sim"
 )
@@ -110,6 +111,18 @@ func (e *Env) QueueBacklog() int { return e.Backlog }
 
 // Rand implements network.Env.
 func (e *Env) Rand() *rand.Rand { return e.RNG }
+
+// Obs implements network.Env: a scripted terminal counts nothing.
+func (e *Env) Obs() *obs.Registry { return nil }
+
+// ForgetAudit implements network.Env: the audit is off.
+func (e *Env) ForgetAudit() *uint64 { return nil }
+
+// NoteRouteInstalled implements network.Env: churn is not recorded.
+func (e *Env) NoteRouteInstalled() {}
+
+// NoteRouteInvalidated implements network.Env.
+func (e *Env) NoteRouteInvalidated() {}
 
 // SentOfType filters recorded control packets by type.
 func (e *Env) SentOfType(t packet.Type) []*packet.Packet {

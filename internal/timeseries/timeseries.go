@@ -8,12 +8,12 @@
 // around a node failure, a control-channel saturation episode — visible
 // at all.
 //
-// A Collector implements network.Recorder (and the optional
-// network.RouteRecorder extension) plus the control-plane hooks, so the
-// world's observation seam hands it every event the metrics collector
-// sees. Collectors are strictly per-run: they hold no global state, so
-// parallel batch cells each collect independently and the batch engine
-// emits the finished timelines in deterministic grid order.
+// A Collector has a method for every network.Recorder event plus the
+// control-plane hooks, so the world's observation seam hands it every
+// event the metrics collector sees, and route churn besides. Collectors
+// are strictly per-run: they hold no global state, so parallel batch
+// cells each collect independently and the batch engine emits the
+// finished timelines in deterministic grid order.
 //
 // Finished timelines flow into a Sink — JSONL (one object per interval),
 // CSV (one row per interval), or in-memory for programmatic access.
@@ -34,9 +34,9 @@ const DefaultInterval = time.Second
 
 // Collector accumulates one run's events into fixed-width interval
 // buckets. The zero value is not usable; construct with NewCollector.
-// It implements network.Recorder and network.RouteRecorder and exposes
-// the same control-plane hooks as metrics.Collector, so the world wires
-// it alongside (never instead of) the aggregate metrics.
+// The world's observation seam hands it every network.Recorder event and
+// the same control-plane hooks as metrics.Collector, so it runs
+// alongside (never instead of) the aggregate metrics.
 type Collector struct {
 	interval time.Duration
 	buckets  []bucket
@@ -60,11 +60,6 @@ type bucket struct {
 	routeInstalls      int
 	routeInvalidations int
 }
-
-var (
-	_ network.Recorder      = (*Collector)(nil)
-	_ network.RouteRecorder = (*Collector)(nil)
-)
 
 // NewCollector builds a collector bucketing a run of the given horizon
 // into interval-wide buckets. A non-positive interval falls back to
@@ -99,12 +94,12 @@ func (c *Collector) at(now time.Duration) *bucket {
 	return &c.buckets[idx]
 }
 
-// DataGenerated implements network.Recorder.
+// DataGenerated counts a data packet created at its source.
 func (c *Collector) DataGenerated(_ *packet.Packet, now time.Duration) {
 	c.at(now).generated++
 }
 
-// DataDelivered implements network.Recorder.
+// DataDelivered counts a delivery and keeps its delay.
 func (c *Collector) DataDelivered(pkt *packet.Packet, now time.Duration) {
 	b := c.at(now)
 	b.delivered++
@@ -114,7 +109,7 @@ func (c *Collector) DataDelivered(pkt *packet.Packet, now time.Duration) {
 	b.deliveredBits += int64(pkt.Size * 8)
 }
 
-// DataDropped implements network.Recorder. A reason outside the enum is a
+// DataDropped counts a drop under its reason. A reason outside the enum is a
 // bug in the caller and panics rather than vanishing from the books
 // CheckTimeline balances.
 func (c *Collector) DataDropped(_ *packet.Packet, reason network.DropReason, now time.Duration) {
@@ -145,13 +140,13 @@ func (c *Collector) AckTransmitted(sizeBytes int, now time.Duration) {
 	c.at(now).ackBits += int64(sizeBytes * 8)
 }
 
-// RouteInstalled implements network.RouteRecorder: one route-table entry
+// RouteInstalled observes route churn: one route-table entry
 // was installed or replaced somewhere in the network.
 func (c *Collector) RouteInstalled(_ int, now time.Duration) {
 	c.at(now).routeInstalls++
 }
 
-// RouteInvalidated implements network.RouteRecorder: one route-table
+// RouteInvalidated observes route churn: one route-table
 // entry transitioned from valid to invalid (explicit invalidation, a
 // link-break fan-out, or idle expiry).
 func (c *Collector) RouteInvalidated(_ int, now time.Duration) {

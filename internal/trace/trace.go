@@ -133,10 +133,10 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// The event methods below record one Event per observed occurrence. The
-// data-plane three match network.Recorder and the control pair matches
-// the mac.CommonChannel hooks; the world's observation seam calls them
-// alongside the other consumers.
+// The event methods below record one Event per observed occurrence: the
+// data-plane three for network.Recorder's events and the control pair
+// for the mac.CommonChannel hooks. The world's observation seam calls
+// them alongside the other consumers.
 
 func (r *Recorder) recordPacket(kind Kind, node int, pkt *packet.Packet, now time.Duration, detail string) {
 	r.Record(Event{

@@ -135,6 +135,8 @@ type nopRecorder struct{}
 func (nopRecorder) DataGenerated(*packet.Packet, time.Duration)                   {}
 func (nopRecorder) DataDelivered(*packet.Packet, time.Duration)                   {}
 func (nopRecorder) DataDropped(*packet.Packet, network.DropReason, time.Duration) {}
+func (nopRecorder) RouteInstalled(int, time.Duration)                             {}
+func (nopRecorder) RouteInvalidated(int, time.Duration)                           {}
 
 type countingAgent struct {
 	counts []int
@@ -146,6 +148,7 @@ func (a *countingAgent) Start(time.Duration)                           {}
 func (a *countingAgent) HandleControl(*packet.Packet, time.Duration)   {}
 func (a *countingAgent) DataArrived(*packet.Packet, time.Duration)     {}
 func (a *countingAgent) LinkFailed(int, *packet.Packet, time.Duration) {}
+func (a *countingAgent) DrainPending() (data, control int)             { return 0, 0 }
 func (a *countingAgent) RouteData(p *packet.Packet, _ time.Duration) {
 	a.counts[a.id]++
 	a.env.DropData(p, network.DropNoRoute)

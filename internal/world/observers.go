@@ -31,9 +31,6 @@ type observers struct {
 	series    *timeseries.Collector
 }
 
-// NewNode finds route churn by type assertion; losing it would be silent.
-var _ network.RouteRecorder = (*observers)(nil)
-
 // DataGenerated implements network.Recorder.
 func (o *observers) DataGenerated(pkt *packet.Packet, now time.Duration) {
 	o.collector.DataGenerated(pkt, now)
@@ -71,14 +68,14 @@ func (o *observers) DataDropped(pkt *packet.Packet, reason network.DropReason, n
 	}
 }
 
-// RouteInstalled implements network.RouteRecorder.
+// RouteInstalled implements network.Recorder.
 func (o *observers) RouteInstalled(node int, now time.Duration) {
 	if o.series != nil {
 		o.series.RouteInstalled(node, now)
 	}
 }
 
-// RouteInvalidated implements network.RouteRecorder.
+// RouteInvalidated implements network.Recorder.
 func (o *observers) RouteInvalidated(node int, now time.Duration) {
 	if o.series != nil {
 		o.series.RouteInvalidated(node, now)

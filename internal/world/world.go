@@ -471,18 +471,32 @@ func (r *jamRunner) tick(now time.Duration) {
 	r.w.Kernel.Schedule(r.period, r.fire)
 }
 
-// pinned is the Positioner of a scripted static terminal.
+// pinned is the channel.Mover of a scripted static terminal: it never
+// moves, so the channel snapshot layer derives it once and never
+// rebuilds a grid for it.
 type pinned geom.Point
+
+// Both kinds of terminal a world builds are Movers. The channel finds
+// that out by type assertion, where a drifted method still compiles;
+// these guards fail the build instead, and
+// TestGridRebuildsFollowTheSpeedBound holds the assertion at run time.
+var (
+	_ channel.Mover = (*mobility.Node)(nil)
+	_ channel.Mover = pinned{}
+)
 
 // Position implements channel.Positioner.
 func (p pinned) Position(time.Duration) geom.Point { return geom.Point(p) }
 
-// PositionStableUntil implements channel.Stabler: a pinned terminal never
-// moves, so the channel snapshot layer never re-derives it.
-func (p pinned) PositionStableUntil(time.Duration) time.Duration { return mobility.StableForever }
-
-// PositionStable implements channel.PositionStabler (the fused form the
-// snapshot's miss path prefers).
+// PositionStable implements channel.Mover: here, forever.
 func (p pinned) PositionStable(time.Duration) (geom.Point, time.Duration) {
 	return geom.Point(p), mobility.StableForever
 }
+
+// SpeedStable implements channel.Mover: at rest, forever.
+func (p pinned) SpeedStable(time.Duration) (float64, time.Duration) {
+	return 0, mobility.StableForever
+}
+
+// SpeedLimit implements channel.Mover.
+func (p pinned) SpeedLimit() float64 { return 0 }

@@ -17,6 +17,7 @@ func (a *dropAgent) Start(time.Duration)                           {}
 func (a *dropAgent) HandleControl(*packet.Packet, time.Duration)   {}
 func (a *dropAgent) DataArrived(*packet.Packet, time.Duration)     {}
 func (a *dropAgent) LinkFailed(int, *packet.Packet, time.Duration) {}
+func (a *dropAgent) DrainPending() (data, control int)             { return 0, 0 }
 func (a *dropAgent) RouteData(p *packet.Packet, _ time.Duration) {
 	a.env.DropData(p, network.DropNoRoute)
 }
