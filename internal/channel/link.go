@@ -113,6 +113,11 @@ type Link struct {
 	// link whose generator was handed back, so rng is nil (see
 	// Model.parkIdle). Meaningless while rng is set.
 	parked sim.ParkedStream
+
+	// mem is the storage rng draws from while a model-owned link is live
+	// (its record's stream), for Model.Warm to read ahead; nil on a
+	// parked header and on a link built by NewLink.
+	mem *sim.StreamMem
 }
 
 // NewLink creates a link process with its private random stream. The

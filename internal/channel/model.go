@@ -99,6 +99,8 @@ type Model struct {
 	live      []*linkRec
 	free      []*linkRec
 	parkAfter time.Duration
+
+	warmed uint64 // what Warm read, kept so its loads are not dead code
 }
 
 // NewModel builds the channel for n terminals whose positions are given by
@@ -171,6 +173,7 @@ func (m *Model) linkMiss(idx int) *Link {
 		rec.init(&m.cfg, m.streams.SeedAt(&rec.stream, streamKindChannel, uint64(idx)))
 		m.nlinks++
 	}
+	rec.mem = &rec.stream
 	rec.idx = idx
 	m.links[idx] = &rec.Link
 	m.live = append(m.live, rec)
@@ -194,7 +197,7 @@ func (m *Model) parkIdle(at time.Duration) {
 		}
 		hdr := new(Link)
 		*hdr = rec.Link
-		hdr.rng = nil
+		hdr.rng, hdr.mem = nil, nil
 		hdr.parked = m.streams.Park(&rec.stream)
 		m.links[rec.idx] = hdr
 		m.free = append(m.free, rec)

@@ -61,6 +61,13 @@ type LinkOracle interface {
 	// allowed, just slower. Implementations must not consult outage state:
 	// the exact InRange verdict stays with the collision check itself.
 	Interferers(i int, at time.Duration, dst []int) []int
+	// Warm is told, once per broadcast completion and before the first
+	// delivery, the receivers js of i's broadcast, in delivery order:
+	// each of them is about to be handed the packet, and a receiver may
+	// ask Class(j, i, ·). It may read ahead what those first queries will
+	// read, and must change nothing any query can observe; a no-op is a
+	// valid implementation.
+	Warm(i int, js []int)
 }
 
 // ReceiveFunc handles a control packet arriving at a terminal. Each
@@ -421,6 +428,7 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 				w++
 			}
 		}
+		c.model.Warm(tx.from, c.nbuf[:w])
 		for _, j := range c.nbuf[:w] {
 			c.deliver(j, tx.pkt, now)
 		}

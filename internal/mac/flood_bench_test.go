@@ -21,9 +21,24 @@ import (
 // density, so each terminal's neighbourhood (and thus the irreducible
 // delivery work) stays constant while the number of broadcast scans
 // grows with N.
+//
+// In the plain cases a receiver does nothing but relay, so the fading
+// links are never asked about and the channel's link records stay cold.
+// N=500-class has every receiver measure the class of the link each copy
+// arrived over, as a RICA terminal does for every RREQ and CSI-checking
+// copy it hears: the per-receiver fading query that dominates a dense
+// RICA run, and what CommonChannel's warm-up before a fan-out exists for.
 func BenchmarkFloodDense(b *testing.B) {
-	for _, n := range []int{50, 200, 500} {
-		b.Run(floodLabel(n), func(b *testing.B) {
+	for _, bc := range []struct {
+		n       int
+		measure bool
+	}{{50, false}, {200, false}, {500, false}, {500, true}} {
+		n := bc.n
+		label := floodLabel(n)
+		if bc.measure {
+			label += "-class"
+		}
+		b.Run(label, func(b *testing.B) {
 			k := sim.NewKernel()
 			streams := sim.NewStreams(7)
 			side := 1000 * math.Sqrt(float64(n)/50)
@@ -43,6 +58,9 @@ func BenchmarkFloodDense(b *testing.B) {
 			for i := 0; i < n; i++ {
 				i := i
 				c.Register(i, func(pkt *packet.Packet, now time.Duration) {
+					if bc.measure {
+						m.Class(i, pkt.From, now)
+					}
 					if seen[i] {
 						return
 					}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rica/internal/channel"
+	"rica/internal/obs"
 	"rica/internal/packet"
 	"rica/internal/sim"
 )
@@ -18,6 +19,8 @@ import (
 type fakeOracle struct {
 	n   int
 	adj map[[2]int]channel.Class // unordered pair → class; absent = no link
+
+	onWarm func(i int, js []int) // if set, sees every Warm call
 }
 
 func newFakeOracle(n int) *fakeOracle {
@@ -54,6 +57,12 @@ func (f *fakeOracle) Interferers(i int, at time.Duration, dst []int) []int {
 		dst = append(dst, j)
 	}
 	return dst
+}
+
+func (f *fakeOracle) Warm(i int, js []int) {
+	if f.onWarm != nil {
+		f.onWarm(i, js)
+	}
 }
 
 func (f *fakeOracle) Neighbors(i int, at time.Duration, dst []int) []int {
@@ -141,4 +150,103 @@ func TestDataPlaneAgainstFakeOracle(t *testing.T) {
 	if fail == nil || fail.Class != channel.ClassNone {
 		t.Fatalf("unlinked send result = %+v, want failure with no class", results)
 	}
+}
+
+// TestBroadcastWarmsExactlyItsDeliveries is the MAC half of the
+// LinkOracle.Warm contract, over the fake oracle: every broadcast
+// completion whose sender has a neighbour warms once, before its first
+// delivery, with exactly the receivers it then delivers to and in
+// delivery order; a receiver the completion collided at is neither
+// warmed nor delivered to, so a fan-out that collided everywhere warms
+// an empty list. Unicast and jam completions warm nothing. The
+// traffic is lawTraffic's mix — random broadcasts and unicasts, a jammer
+// whose bursts overlap each other — and a quarter of the broadcast
+// deliveries answer with a unicast sent from inside the handler, so
+// sends run in the middle of a fan-out.
+func TestBroadcastWarmsExactlyItsDeliveries(t *testing.T) {
+	const n, jammer = 12, 2
+	const horizon = 4 * time.Second
+	rng := rand.New(rand.NewSource(11))
+	f := newFakeOracle(n)
+	deg := make([]int, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Intn(10) < 3 {
+				f.link(i, j, channel.ClassB)
+				deg[i]++
+				deg[j]++
+			}
+		}
+	}
+	k := sim.NewKernel()
+	c := NewCommonChannel(k, f, rand.New(rand.NewSource(12)))
+	reg := obs.NewRegistry()
+	c.SetObs(reg)
+
+	var (
+		pending        []int // warmed receivers of the fan-out under way, not yet delivered to
+		warmFrom       int
+		warms, partial int
+		broadcasts     int // honest broadcasts aired by a terminal with a neighbour
+		unicasts       int
+	)
+	f.onWarm = func(i int, js []int) {
+		if len(pending) > 0 {
+			t.Fatalf("t=%v: Warm(%d, %v) while %v, warmed by %d's broadcast, still await delivery", k.Now(), i, js, pending, warmFrom)
+		}
+		pending, warmFrom = append(pending[:0], js...), i
+		warms++
+		if len(js) < deg[i] {
+			partial++
+		}
+	}
+	for j := 0; j < n; j++ {
+		c.Register(j, func(pkt *packet.Packet, now time.Duration) {
+			if pkt.To != packet.Broadcast {
+				if len(pending) > 0 {
+					t.Fatalf("t=%v: unicast %d→%d delivered while %v await %d's broadcast", now, pkt.From, j, pending, warmFrom)
+				}
+				unicasts++
+				return
+			}
+			if len(pending) == 0 || pending[0] != j || pkt.From != warmFrom {
+				t.Fatalf("t=%v: broadcast from %d delivered to %d; warmed and undelivered: %v from %d", now, pkt.From, j, pending, warmFrom)
+			}
+			pending = pending[1:]
+			if rng.Intn(4) == 0 {
+				c.Send(ctrlPkt(packet.TypeRREP, j, pkt.From))
+			}
+		})
+	}
+	c.OnTransmit = func(pkt *packet.Packet, from int, _ time.Duration) {
+		if pkt.To == packet.Broadcast && deg[from] > 0 {
+			broadcasts++
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		from := rng.Intn(n)
+		to := packet.Broadcast
+		if rng.Intn(3) == 0 {
+			to = rng.Intn(n)
+		}
+		k.At(time.Duration(rng.Int63n(int64(horizon))), func(time.Duration) {
+			c.Send(ctrlPkt(packet.TypeRREQ, from, to))
+		})
+	}
+	for at := horizon / 10; at < horizon*9/10; at += 1500 * time.Microsecond {
+		k.At(at, func(time.Duration) { c.Jam(jamPkt(jammer, 128)) })
+	}
+	k.Run(horizon + time.Second)
+
+	if len(pending) > 0 {
+		t.Fatalf("receivers %v of %d's broadcast were warmed and never delivered to", pending, warmFrom)
+	}
+	if warms != broadcasts {
+		t.Errorf("%d warms for %d completed broadcasts from terminals with a neighbour, want one each", warms, broadcasts)
+	}
+	if partial < 50 || unicasts < 100 || reg.Snapshot().MACCollisions < 100 {
+		t.Errorf("%d partly collided fan-outs, %d unicast deliveries, %d collisions: the traffic no longer exercises the law",
+			partial, unicasts, reg.Snapshot().MACCollisions)
+	}
+	t.Logf("%d warms (%d partly collided), %d unicast deliveries, %d collisions", warms, partial, unicasts, reg.Snapshot().MACCollisions)
 }

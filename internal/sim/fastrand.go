@@ -138,6 +138,19 @@ func (s *fastSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// peek returns what the next Uint64 will, without stepping: the same
+// cursor walk on copies of tap and feed, and a read of the two words.
+func (s *fastSource) peek() uint64 {
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	return uint64(s.vec[feed] + s.vec[tap])
+}
+
 // skip advances the generator n steps, exactly as n calls of Uint64
 // would, without producing the values. Step i adds vec[tap-i] into
 // vec[feed-i], and feed trails tap by 273 words or leads it by 334, so

@@ -352,3 +352,28 @@ func TestParkReviveIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestPeekIsTheNextDraw: StreamMem.Peek reports the word the stream's
+// next step produces and moves nothing. Over three laps of the tap —
+// both cursors wrap — every Peek must equal the following draw, a second
+// Peek must equal the first, and the draw count must not see the peeks.
+func TestPeekIsTheNextDraw(t *testing.T) {
+	if !fastSourceOK {
+		t.Skip("replica unverified: streams ride the stock source") // TestFastSourceVerified reports it
+	}
+	s := NewStreams(31)
+	var mem StreamMem
+	r := s.SeedAt(&mem, 7, 9)
+	for i := 0; i < 3*rngLen; i++ {
+		p := mem.Peek()
+		if again := mem.Peek(); again != p {
+			t.Fatalf("draw %d: Peek = %d, then %d", i, p, again)
+		}
+		if got := r.Uint64(); got != p {
+			t.Fatalf("draw %d: Peek = %d, the draw %d", i, p, got)
+		}
+		if _, d := states(s); d[0] != uint64(i+1) {
+			t.Fatalf("after %d draws and their peeks EachState shows %d", i+1, d[0])
+		}
+	}
+}

@@ -84,6 +84,17 @@ func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 	return &mem.rng
 }
 
+// Peek reports the word the generator in mem will produce at its next
+// step, without taking the step: it reads the cursor and the two vector
+// words that step adds, and writes nothing. A caller about to draw from
+// a cold stream calls it ahead of time so those reads miss the cache
+// early (channel.Model.Warm). Meaningful only for a stream SeedAt or
+// Revive put in mem while the replica is in use; on any other mem it
+// reads zeroed storage and is just as harmless.
+func (mem *StreamMem) Peek() uint64 {
+	return mem.src.peek()
+}
+
 // CanPark reports whether streams seeded in place can be parked: they
 // can when they ride the replica, whose state is (seed, draws) by
 // construction. The stock source a failed self-check falls back to is
