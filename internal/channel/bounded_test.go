@@ -6,7 +6,6 @@ import (
 
 	"rica/internal/protocol"
 	"rica/internal/scenario"
-	"rica/internal/sim"
 	"rica/internal/world"
 )
 
@@ -19,9 +18,6 @@ import (
 // reads 375 of 780 (0.48), seeds 2–4 0.52–0.56, and the share falls with
 // the horizon (441 of 1,176 at the paper's 500 s).
 func TestGeneratorsFollowPairsInPlay(t *testing.T) {
-	if !sim.NewStreams(0).CanPark() {
-		t.Skip("replica unverified: streams are never parked")
-	}
 	const (
 		horizon        = 100 * time.Second
 		maxRecordShare = 0.65

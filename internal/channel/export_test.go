@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -14,6 +15,9 @@ func (m *Model) LinkAtIndex(idx int) *Link { return m.links[idx] }
 
 // Stream returns the link's private generator.
 func (l *Link) Stream() *rand.Rand { return l.rng }
+
+// neverPark is a parkAfter no idle time exceeds.
+const neverPark = time.Duration(math.MaxInt64)
 
 // SetParkAfter sets how long a link may go unadvanced before a grid
 // rebuild parks it; a negative d never parks.

@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"math"
 	"time"
 
 	"rica/internal/geom"
@@ -126,14 +125,8 @@ func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 	for i, p := range pos {
 		m.movers[i], _ = p.(Mover)
 	}
-	if !streams.CanPark() {
-		m.parkAfter = neverPark
-	}
 	return m
 }
-
-// neverPark is a parkAfter no idle time exceeds.
-const neverPark = time.Duration(math.MaxInt64)
 
 // linkRec is a model-owned link as it is allocated: the fading state up
 // front and, behind it, the storage of the private stream it draws from

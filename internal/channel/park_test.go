@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"rica/internal/sim"
 )
 
 // linkStates collects what EachLink shows, in visit order.
@@ -37,9 +35,6 @@ func streamStates(m *Model, dst [][2]uint64) [][2]uint64 {
 // same (id, draws) for every stream. The walk must both park and revive
 // links often, or it proves nothing.
 func TestParkingIsExact(t *testing.T) {
-	if !sim.NewStreams(0).CanPark() {
-		t.Skip("replica unverified: streams are never parked")
-	}
 	const n = 50
 	steps := 10000
 	if testing.Short() {

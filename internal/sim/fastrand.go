@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"reflect"
-	"unsafe"
-)
+import "math/rand"
 
 // This file makes stream *creation* cheap without changing a single drawn
 // value. math/rand's NewSource seeds a 607-word additive generator by
@@ -16,9 +12,9 @@ import (
 // values are independent modmuls of the same x₀, which the CPU overlaps
 // freely. fastSource reproduces math/rand's rngSource bit-for-bit — the
 // identical vec, tap/feed walk, and Uint64 mixing — so every rand.Rand
-// built on top draws the identical sequence; an init-time self-check
-// verifies this against math/rand itself and silently falls back to the
-// stock source if the replication ever goes stale.
+// built on top draws the identical sequence. It is the only generator
+// streams ride; an init-time self-check against math/rand itself panics
+// rather than let a stale replica draw one value.
 
 const (
 	lcgM = 1<<31 - 1 // Park–Miller modulus (Mersenne prime 2³¹−1)
@@ -39,14 +35,9 @@ const (
 var lcgPow [lcgSteps + 1]int64
 
 // rngCooked is math/rand's additive-entropy table, recovered at init from
-// an observed stdlib source (see recoverCooked); fastSource xors it into
+// a stdlib source's outputs (see recoverCooked); fastSource xors it into
 // the seeded vec exactly as rngSource does.
 var rngCooked [rngLen]uint64
-
-// fastSourceOK reports whether the init-time self-check proved fastSource
-// identical to math/rand's source. When false, Streams falls back to the
-// stock rand.NewSource.
-var fastSourceOK = false
 
 // mulmod returns a·b mod 2³¹−1 for canonical inputs in [0, M). The
 // product fits int64; two shift-and-add folds reduce it (Mersenne
@@ -75,24 +66,27 @@ func lcgSeed0(seed int64) int64 {
 	return seed
 }
 
-// drawSource is a rand.Source64 that knows how many values it has
-// produced since it was seeded. An additive generator seeded with s and
-// stepped k times is in exactly one state, so (seed, draws) names the
-// state a checkpoint would otherwise have to hash word by word.
-type drawSource interface {
-	rand.Source64
-	draws() uint64
+// lcgWord is the LCG part of seeded vec word i: three chain values
+// (bits 40, 20, 0) jumped to from x0 instead of chained.
+func lcgWord(x0 int64, i int) uint64 {
+	base := 20 + 3*i
+	u := uint64(mulmod(lcgPow[base+1], x0)) << 40
+	u ^= uint64(mulmod(lcgPow[base+2], x0)) << 20
+	u ^= uint64(mulmod(lcgPow[base+3], x0))
+	return u
 }
 
 // fastSource is a bit-exact replica of math/rand's rngSource with O(1)-
-// depth seeding.
+// depth seeding. An additive generator seeded with s and stepped k times
+// is in exactly one state, so (seed, draws) names the state a checkpoint
+// would otherwise have to hash word by word.
 type fastSource struct {
 	tap, feed int
 	laps      int // times tap has wrapped: draws = rngLen·laps − tap
 	vec       [rngLen]int64
 }
 
-var _ drawSource = (*fastSource)(nil)
+var _ rand.Source64 = (*fastSource)(nil)
 
 // newFastSource returns a seeded source whose sequence is identical to
 // rand.NewSource(seed)'s.
@@ -103,20 +97,14 @@ func newFastSource(seed int64) *fastSource {
 }
 
 // Seed re-seeds, reproducing rngSource.Seed's vec verbatim: vec[i] mixes
-// three LCG values (bits 40, 20, 0) with the cooked table. The LCG values
-// are jumped to independently instead of chained.
+// three LCG values with the cooked table.
 func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
 	s.laps = 0
 	x0 := lcgSeed0(seed)
-	for i := 0; i < rngLen; i++ {
-		base := 20 + 3*i
-		u := uint64(mulmod(lcgPow[base+1], x0)) << 40
-		u ^= uint64(mulmod(lcgPow[base+2], x0)) << 20
-		u ^= uint64(mulmod(lcgPow[base+3], x0))
-		u ^= rngCooked[i]
-		s.vec[i] = int64(u)
+	for i := range s.vec {
+		s.vec[i] = int64(lcgWord(x0, i) ^ rngCooked[i])
 	}
 }
 
@@ -187,57 +175,28 @@ func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 // draws reports how many steps the generator has taken since Seed.
 func (s *fastSource) draws() uint64 { return uint64(rngLen*s.laps - s.tap) }
 
-// countedSource is the stock math/rand source behind a draw counter: what
-// a stream rides when the replica failed its self-check. The stock
-// source's state cannot be read, but its seed and its step count name it
-// just as well.
-type countedSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countedSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
-func (c *countedSource) Int63() int64    { c.n++; return c.src.Int63() }
-func (c *countedSource) Uint64() uint64  { c.n++; return c.src.Uint64() }
-func (c *countedSource) draws() uint64   { return c.n }
-
-// stdRngLayout mirrors math/rand.rngSource's memory layout, which has
-// been stable since Go 1 (the package's sequences are frozen by the
-// compatibility promise). Used only to observe one seeded vec at init;
-// if the layout or algorithm ever changes, the self-check below fails
-// and fastSource is simply not used.
-type stdRngLayout struct {
-	tap, feed int
-	vec       [rngLen]int64
-}
-
-// recoverCooked derives math/rand's cooked entropy table by seeding one
-// stdlib source and xor-ing out the known LCG contribution.
-func recoverCooked() bool {
-	src := rand.NewSource(1)
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Ptr {
-		return false
+// recoverCooked derives math/rand's cooked entropy table from the first
+// rngLen outputs of one stdlib source, read through its public Uint64.
+// Those steps write each vec word exactly once (feed visits every index
+// in one lap), so the outputs are the vector after them; undoing the
+// steps in reverse, vec[feed] -= vec[tap], gives back the seeded vector,
+// and xor-ing out the known LCG part leaves the table.
+func recoverCooked() {
+	src := rand.NewSource(1).(rand.Source64)
+	s := fastSource{feed: rngLen - rngTap}
+	for range rngLen {
+		s.Uint64() // walks the cursors; the word it writes is replaced
+		s.vec[s.feed] = int64(src.Uint64())
 	}
-	// Refuse the cast outright unless the pointee is at least as large as
-	// the layout we are about to read — the value checks below would
-	// themselves be out-of-bounds reads against a smaller future source.
-	if v.Type().Elem().Size() < unsafe.Sizeof(stdRngLayout{}) {
-		return false
-	}
-	std := (*stdRngLayout)(unsafe.Pointer(v.Pointer()))
-	if std.tap != 0 || std.feed != rngLen-rngTap {
-		return false // not the layout we expect: leave fastSource disabled
+	for range rngLen {
+		s.vec[s.feed] -= s.vec[s.tap]
+		s.tap = (s.tap + 1) % rngLen
+		s.feed = (s.feed + 1) % rngLen
 	}
 	x0 := lcgSeed0(1)
-	for i := 0; i < rngLen; i++ {
-		base := 20 + 3*i
-		u := uint64(mulmod(lcgPow[base+1], x0)) << 40
-		u ^= uint64(mulmod(lcgPow[base+2], x0)) << 20
-		u ^= uint64(mulmod(lcgPow[base+3], x0))
-		rngCooked[i] = uint64(std.vec[i]) ^ u
+	for i := range rngCooked {
+		rngCooked[i] = uint64(s.vec[i]) ^ lcgWord(x0, i)
 	}
-	return true
 }
 
 // verifyFastSource proves the replica on a spread of seeds: every draw of
@@ -262,14 +221,11 @@ func init() {
 		p = mulmod(p, lcgA)
 		lcgPow[k] = p
 	}
-	fastSourceOK = recoverCooked() && verifyFastSource()
-}
-
-// newSource returns the fastest available source for seed whose sequence
-// is bit-identical to rand.NewSource(seed)'s.
-func newSource(seed int64) drawSource {
-	if fastSourceOK {
-		return newFastSource(seed)
+	recoverCooked()
+	// A replica that disagrees with math/rand would move every drawn value
+	// of every run. The Go 1 promise freezes math/rand's seeded sequences,
+	// so a disagreement can only be a bug here, and it stops the program.
+	if !verifyFastSource() {
+		panic("sim: fastSource does not reproduce math/rand's seeded source")
 	}
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
 }

@@ -2,18 +2,23 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
-	"unsafe"
 )
 
-// TestFastSourceVerified asserts the init-time proof ran and passed on
-// this toolchain: if math/rand's source ever changes shape, this fails
-// loudly (and Streams silently falls back to the stock source, so
-// correctness never depended on it).
+// TestFastSourceVerified holds the init-time guard both ways: the
+// self-check passes on this toolchain with the table recovered from
+// math/rand's outputs, and it fails — so init would panic — when one
+// word of that table is wrong.
 func TestFastSourceVerified(t *testing.T) {
-	if !fastSourceOK {
+	if !verifyFastSource() {
 		t.Fatal("fastSource self-check failed: jump-ahead seeding no longer matches math/rand")
+	}
+	const word = rngLen / 2
+	saved := rngCooked[word]
+	defer func() { rngCooked[word] = saved }()
+	rngCooked[word] ^= 1 << 17
+	if verifyFastSource() {
+		t.Fatalf("self-check passed with cooked word %d flipped: the init guard cannot fire", word)
 	}
 }
 
@@ -162,28 +167,27 @@ func TestSeedAtMatchesStreamAt(t *testing.T) {
 	}
 }
 
-// TestSeedAtFallback forces the stock-source path the replica's failed
-// self-check would select: the in-place stream must still draw what
-// StreamAt draws, and the factory is as exportable as any — the stock
-// source rides a draw counter.
+// TestSeedAtFallback is the one-path law: a stream made on the heap by
+// Stream and one seeded in place by SeedAt under the same id are the same
+// generator — draw for draw past two laps of the vector — and EachState
+// lists both, among other streams, in the order they were made, with
+// their draw counts.
 func TestSeedAtFallback(t *testing.T) {
-	want := NewStreams(3).StreamAt(9, 1) // fast replica: identical to stock by TestFastSourceMatchesStdlibDraws
-	defer func(ok bool) { fastSourceOK = ok }(fastSourceOK)
-	fastSourceOK = false
-
 	s := NewStreams(3)
 	var mem StreamMem
-	got := s.SeedAt(&mem, 9, 1)
-	heap := s.Stream(8)
-	heap.Float64()
+	heap := s.Stream(mix(9, 1))
+	s.Stream(8).Float64()
+	inPlace := s.SeedAt(&mem, 9, 1)
 	for k := 0; k < 2*rngLen; k++ {
-		if a, b := got.Uint64(), want.Uint64(); a != b {
-			t.Fatalf("draw %d: fallback in-place Uint64 %d, StreamAt %d", k, a, b)
+		if a, b := heap.Uint64(), inPlace.Uint64(); a != b {
+			t.Fatalf("draw %d: heap Stream %d, in-place SeedAt %d", k, a, b)
 		}
 	}
 	ids, draws := states(s)
-	if len(ids) != 2 || ids[0] != mix(9, 1) || ids[1] != 8 || draws[0] != 2*rngLen || draws[1] != 1 {
-		t.Errorf("fallback factory shows ids %#x draws %v, want [%#x 0x8] [%d 1]", ids, draws, mix(9, 1), 2*rngLen)
+	want := []uint64{mix(9, 1), 8, mix(9, 1)}
+	if len(ids) != 3 || ids[0] != want[0] || ids[1] != want[1] || ids[2] != want[2] ||
+		draws[0] != 2*rngLen || draws[1] != 1 || draws[2] != 2*rngLen {
+		t.Errorf("factory shows ids %#x draws %v, want %#x [%d 1 %d]", ids, draws, want, 2*rngLen, 2*rngLen)
 	}
 }
 
@@ -210,19 +214,9 @@ type genState struct {
 	vec       [rngLen]int64
 }
 
-// stateOf reads the state behind a stream's source: the replica's own
-// fields, or the stock source's through the layout recoverCooked
-// verified at init.
-func stateOf(t *testing.T, src drawSource) genState {
-	switch s := src.(type) {
-	case *fastSource:
-		return genState{s.tap, s.feed, s.vec}
-	case *countedSource:
-		std := (*stdRngLayout)(unsafe.Pointer(reflect.ValueOf(s.src).Pointer()))
-		return genState{std.tap, std.feed, std.vec}
-	}
-	t.Fatalf("unknown source %T", src)
-	return genState{}
+// stateOf reads the state behind a stream's source.
+func stateOf(src *fastSource) genState {
+	return genState{src.tap, src.feed, src.vec}
 }
 
 // TestDrawCountNamesState is the law RNGS rests on: two streams of one
@@ -230,26 +224,19 @@ func stateOf(t *testing.T, src drawSource) genState {
 // same state — cursor and all 607 words — whichever mix of rand.Rand
 // methods moved them (NormFloat64 and Int63n take a data-dependent number
 // of source steps, so calls and draws are different counts). Held over
-// Stream, SeedAt and the counting fallback.
+// Stream and SeedAt.
 func TestDrawCountNamesState(t *testing.T) {
-	if !fastSourceOK {
-		t.Skip("stock source layout unverified") // TestFastSourceVerified reports it
-	}
-	defer func() { fastSourceOK = true }()
 	makers := []struct {
 		name string
-		fast bool
 		make func(s *Streams, kind, index uint64) *rand.Rand
 	}{
-		{"Stream", true, (*Streams).StreamAt},
-		{"SeedAt", true, func(s *Streams, kind, index uint64) *rand.Rand { return s.SeedAt(new(StreamMem), kind, index) }},
-		{"fallback", false, (*Streams).StreamAt},
+		{"Stream", (*Streams).StreamAt},
+		{"SeedAt", func(s *Streams, kind, index uint64) *rand.Rand { return s.SeedAt(new(StreamMem), kind, index) }},
 	}
 	rng := rand.New(rand.NewSource(19))
 	equal := 0
 	for it := 0; it < 10_000; it++ {
 		mk := makers[it%len(makers)]
-		fastSourceOK = mk.fast
 		seed, kind, index := rng.Int63(), rng.Uint64(), rng.Uint64()
 		fa, fb := NewStreams(seed), NewStreams(seed)
 		a, b := mk.make(fa, kind, index), mk.make(fb, kind, index)
@@ -274,7 +261,7 @@ func TestDrawCountNamesState(t *testing.T) {
 			}
 		}
 		_, db := states(fb)
-		same := stateOf(t, fa.recs[0].src) == stateOf(t, fb.recs[0].src)
+		same := stateOf(fa.recs[0].src) == stateOf(fb.recs[0].src)
 		if (da[0] == db[0]) != same {
 			t.Fatalf("%s iter %d (seed %d): draws %d and %d, states equal = %v", mk.name, it, seed, da[0], db[0], same)
 		}
@@ -310,9 +297,6 @@ func BenchmarkSourceSeedingFast(b *testing.B) {
 // 1,214 draws, the last of which the factory must see through the
 // re-pointed record.
 func TestParkReviveIsExact(t *testing.T) {
-	if !fastSourceOK {
-		t.Skip("replica unverified: streams are never parked") // TestFastSourceVerified reports it
-	}
 	rng := rand.New(rand.NewSource(29))
 	counts := []int{0, 1, rngLen - 1, rngLen, rngLen + 1, 2 * rngLen}
 	for range 1000 {
@@ -358,9 +342,6 @@ func TestParkReviveIsExact(t *testing.T) {
 // both cursors wrap — every Peek must equal the following draw, a second
 // Peek must equal the first, and the draw count must not see the peeks.
 func TestPeekIsTheNextDraw(t *testing.T) {
-	if !fastSourceOK {
-		t.Skip("replica unverified: streams ride the stock source") // TestFastSourceVerified reports it
-	}
 	s := NewStreams(31)
 	var mem StreamMem
 	r := s.SeedAt(&mem, 7, 9)

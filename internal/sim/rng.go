@@ -27,7 +27,7 @@ type Streams struct {
 // had, which with the id is all it takes to rebuild it (see Park).
 type streamRec struct {
 	id  uint64
-	src drawSource
+	src *fastSource
 	n   uint64
 }
 
@@ -41,13 +41,10 @@ func NewStreams(seed int64) *Streams {
 // callers should fetch each component's stream exactly once.
 //
 // The generator is math/rand's lagged-Fibonacci source, seeded through
-// the jump-ahead replica in fastrand.go when its init-time verification
-// passed — identical draws, a fraction of the seeding cost that
-// dominates lazy fading-link creation.
+// the jump-ahead replica in fastrand.go — identical draws, a fraction of
+// the seeding cost that dominates lazy fading-link creation.
 func (s *Streams) Stream(id uint64) *rand.Rand {
-	src := newSource(int64(mix(s.seed, id)))
-	s.recs = append(s.recs, streamRec{id: id, src: src})
-	return rand.New(src)
+	return s.seedInto(new(StreamMem), id)
 }
 
 // StreamMem is caller-owned storage for one stream: the generator's
@@ -65,22 +62,19 @@ type StreamMem struct {
 // the same sequence StreamAt(kind, index) draws, the same record in
 // creation order, no allocation. mem must stay where it is for as long
 // as the stream is in use (the returned pointer and the factory's record
-// both alias it). When the fast replica failed its self-check the stream
-// rides a counted stock math/rand source allocated on the side, as
-// Stream's does.
+// both alias it).
 func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
-	id := mix(kind, index)
-	seed := int64(mix(s.seed, id))
-	var src drawSource
-	if fastSourceOK {
-		mem.src.Seed(seed)
-		src = &mem.src
-	} else {
-		src = newSource(seed)
-	}
+	return s.seedInto(mem, mix(kind, index))
+}
+
+// seedInto seeds mem as the stream for component id, records it in
+// creation order and returns the generator living in mem: the one way a
+// stream comes into being, in the caller's memory or on the heap.
+func (s *Streams) seedInto(mem *StreamMem, id uint64) *rand.Rand {
+	mem.src.Seed(int64(mix(s.seed, id)))
 	mem.rec = len(s.recs)
-	s.recs = append(s.recs, streamRec{id: id, src: src})
-	mem.rng = *rand.New(src)
+	s.recs = append(s.recs, streamRec{id: id, src: &mem.src})
+	mem.rng = *rand.New(&mem.src)
 	return &mem.rng
 }
 
@@ -89,17 +83,11 @@ func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 // words that step adds, and writes nothing. A caller about to draw from
 // a cold stream calls it ahead of time so those reads miss the cache
 // early (channel.Model.Warm). Meaningful only for a stream SeedAt or
-// Revive put in mem while the replica is in use; on any other mem it
-// reads zeroed storage and is just as harmless.
+// Revive put in mem; on a zero mem it reads zeroed storage and is just as
+// harmless.
 func (mem *StreamMem) Peek() uint64 {
 	return mem.src.peek()
 }
-
-// CanPark reports whether streams seeded in place can be parked: they
-// can when they ride the replica, whose state is (seed, draws) by
-// construction. The stock source a failed self-check falls back to is
-// never parked.
-func (s *Streams) CanPark() bool { return fastSourceOK }
 
 // ParkedStream names a parked stream's record in its factory.
 type ParkedStream struct{ rec int }
@@ -108,7 +96,7 @@ type ParkedStream struct{ rec int }
 // freezes at its current draw count and stops pointing into mem, which
 // the caller may then reuse for any other stream. EachState keeps
 // reporting the frozen count. Revive rebuilds the identical generator.
-// Only for a stream SeedAt put in mem while CanPark holds.
+// Only for a stream SeedAt or Revive put in mem.
 func (s *Streams) Park(mem *StreamMem) ParkedStream {
 	r := &s.recs[mem.rec]
 	r.n = mem.src.draws()

@@ -15,20 +15,14 @@
 //
 // The walkthroughs are testable examples whose output go test pins (go
 // test -run Example -v .): ExampleRun is the quick start, one RICA run on
-// the paper's field; ExampleSweep is Figures 2–3 at a reduced scale; seven
-// more cover the protocol duel, energy, file swapping, the batch engine, a
-// failure timeline, a packet trace and the observability hub.
+// the paper's field; ExampleSweep is Figures 2–3 at a reduced scale; eight
+// more cover the protocol duel, energy, file swapping, the batch engine,
+// one run's timeline, a failure timeline, a packet trace and the
+// observability hub.
 //
-// Timelines — like the packet trace, the live counter registry and the
-// periodic snapshot, an option of the same Run:
-//
-//	var sink rica.MemoryTimelineSink
-//	summary, err := rica.Run(run, rica.RunOptions{
-//		Telemetry: &rica.Telemetry{Interval: time.Second, Sink: &sink},
-//	})
-//	for _, p := range sink.Runs[0].Timeline.Points {
-//		fmt.Printf("t=%gs delivery=%.0f%%\n", p.StartS, p.DeliveryRatio*100)
-//	}
+// Timelines are, like the packet trace, the live counter registry and the
+// periodic snapshot, an option of the same Run: ExampleRun_timeline
+// buckets one run into intervals through RunOptions.Telemetry.
 package rica
 
 import (
