@@ -83,32 +83,38 @@ type options struct {
 
 func parseFlags() options {
 	var o options
-	flag.StringVar(&o.figure, "figure", "all", "figure to regenerate: 2a..6b or 'all'")
-	flag.IntVar(&o.trials, "trials", 5, "trials per experimental cell (paper: 25)")
-	flag.DurationVar(&o.duration, "duration", 120*time.Second, "simulated time per trial (paper: 500s; scenarios default to their spec)")
-	flag.Int64Var(&o.seed, "seed", 1, "base random seed; trial t uses seed+t")
-	flag.StringVar(&o.speeds, "speeds", "0,12,24,36,48,60,72", "comma-separated mean speeds (km/h)")
-	flag.StringVar(&o.protocols, "protocols", "", "comma-separated protocol subset (default: all five)")
-	flag.StringVar(&o.format, "format", "table", "output format: table, csv, json (batch), or chart (figures 6a/6b)")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "max concurrent trials — whole runs side by side (0 = GOMAXPROCS)")
-	flag.StringVar(&o.scenarios, "scenario", "", "run a batch over comma-separated scenario names and/or JSON spec files")
-	flag.BoolVar(&o.verify, "verify", false, "run each -scenario cell under the invariant harness (conservation, ledger agreement, replay determinism, zero leak) instead of the batch engine; exits 1 on any violation")
-	flag.BoolVar(&o.list, "list-scenarios", false, "print the built-in scenario catalog and exit")
-	flag.StringVar(&o.out, "out", "", "write batch results to this file (.json or .csv; default stdout)")
-	flag.StringVar(&o.timeline, "timeline", "", "write per-interval telemetry for every batch cell to this file (.csv for CSV, anything else for JSONL)")
-	flag.DurationVar(&o.interval, "interval", time.Second, "telemetry bucket width for -timeline")
-	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile taken at exit to this file")
-	flag.BoolVar(&o.eventsRate, "events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
-	flag.DurationVar(&o.stats, "stats", 0, "emit a live counter heartbeat to stderr at this period (every mode but -verify; 0 disables)")
-	flag.StringVar(&o.statsAddr, "statsaddr", "", "serve live stats over HTTP on this address (GET /stats.json, /metrics)")
-	flag.StringVar(&o.obsOut, "obs", "", "write the end-of-process observability snapshot (counters, queue depth, sim clock, delay percentiles) to this JSON file")
-	flag.StringVar(&o.ckptPath, "checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
-	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
-	flag.StringVar(&o.resumePath, "resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
-	flag.StringVar(&o.manifest, "manifest", "", "journal every finished -scenario batch cell to this append-only file (fsync'd per cell); re-running the same grid resumes from it")
+	o.define(flag.CommandLine)
 	flag.Parse()
 	return o
+}
+
+// define registers every ricasim flag on fs, bound to o's fields; the
+// flags table in docs/OPERATIONS.md is held to what it registers.
+func (o *options) define(fs *flag.FlagSet) {
+	fs.StringVar(&o.figure, "figure", "all", "figure to regenerate: 2a..6b or 'all'")
+	fs.IntVar(&o.trials, "trials", 5, "trials per experimental cell (paper: 25)")
+	fs.DurationVar(&o.duration, "duration", 120*time.Second, "simulated time per trial (paper: 500s; scenarios default to their spec)")
+	fs.Int64Var(&o.seed, "seed", 1, "base random seed; trial t uses seed+t")
+	fs.StringVar(&o.speeds, "speeds", "0,12,24,36,48,60,72", "comma-separated mean speeds (km/h)")
+	fs.StringVar(&o.protocols, "protocols", "", "comma-separated protocol subset (default: all five)")
+	fs.StringVar(&o.format, "format", "table", "output format: table, csv, json (batch), or chart (figures 6a/6b)")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "max concurrent trials — whole runs side by side (0 = GOMAXPROCS)")
+	fs.StringVar(&o.scenarios, "scenario", "", "run a batch over comma-separated scenario names and/or JSON spec files")
+	fs.BoolVar(&o.verify, "verify", false, "run each -scenario cell under the invariant harness (conservation, ledger agreement, replay determinism, zero leak) instead of the batch engine; exits 1 on any violation")
+	fs.BoolVar(&o.list, "list-scenarios", false, "print the built-in scenario catalog and exit")
+	fs.StringVar(&o.out, "out", "", "write batch results to this file (.json or .csv; default stdout)")
+	fs.StringVar(&o.timeline, "timeline", "", "write per-interval telemetry for every batch cell to this file (.csv for CSV, anything else for JSONL)")
+	fs.DurationVar(&o.interval, "interval", time.Second, "telemetry bucket width for -timeline")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile taken at exit to this file")
+	fs.BoolVar(&o.eventsRate, "events-per-sec", false, "print kernel throughput (events simulated per wall-clock second) after the run")
+	fs.DurationVar(&o.stats, "stats", 0, "emit a live counter heartbeat to stderr at this period (every mode but -verify; 0 disables)")
+	fs.StringVar(&o.statsAddr, "statsaddr", "", "serve live stats over HTTP on this address (GET /stats.json, /metrics)")
+	fs.StringVar(&o.obsOut, "obs", "", "write the end-of-process observability snapshot (counters, queue depth, sim clock, delay percentiles) to this JSON file")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "run a single -scenario cell writing periodic crash-safe snapshots to this file (atomic rename; resume with -resume); see docs/OPERATIONS.md")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "virtual-time cadence between -checkpoint snapshots")
+	fs.StringVar(&o.resumePath, "resume", "", "resume a snapshot file: rebuild the run, replay to the capture instant, verify every state section against its stored digest, run to the horizon")
+	fs.StringVar(&o.manifest, "manifest", "", "journal every finished -scenario batch cell to this append-only file (fsync'd per cell); re-running the same grid resumes from it")
 }
 
 func main() {

@@ -13,6 +13,32 @@ import (
 	"rica/internal/serve"
 )
 
+// serveOptions is the `ricasim serve` command line.
+type serveOptions struct {
+	addr         string
+	data         string
+	maxActive    int
+	maxQueue     int
+	maxJobs      int
+	maxRestarts  int
+	hungTimeout  time.Duration
+	drainTimeout time.Duration
+}
+
+// define registers every `ricasim serve` flag on fs, bound to o's
+// fields; the flags table in docs/OPERATIONS.md is held to what it
+// registers.
+func (o *serveOptions) define(fs *flag.FlagSet) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7117", "HTTP listen address for the control plane")
+	fs.StringVar(&o.data, "data", "ricasim-serve", "data directory (job specs, manifest journals, results)")
+	fs.IntVar(&o.maxActive, "max-active", 1, "jobs running at once (each worker parallelizes internally)")
+	fs.IntVar(&o.maxQueue, "max-queue", 16, "queued-job bound; submissions past it get 429 + Retry-After")
+	fs.IntVar(&o.maxJobs, "max-jobs", 64, "job store bound; the oldest finished job is shed to admit new work")
+	fs.IntVar(&o.maxRestarts, "max-restarts", 10, "per-job crash/hang healing budget")
+	fs.DurationVar(&o.hungTimeout, "hung-timeout", 2*time.Minute, "kill a worker whose heartbeat stalls this long")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "SIGTERM drain bound before force-killing workers")
+}
+
 // serveMain runs `ricasim serve`: the long-lived self-healing
 // simulation service. Jobs are submitted over HTTP and executed by
 // supervised child workers — each worker is this same binary in batch
@@ -21,29 +47,21 @@ import (
 // an undisturbed run. See docs/OPERATIONS.md, "Service mode".
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("ricasim serve", flag.ExitOnError)
-	var (
-		addr         = fs.String("addr", "127.0.0.1:7117", "HTTP listen address for the control plane")
-		data         = fs.String("data", "ricasim-serve", "data directory (job specs, manifest journals, results)")
-		maxActive    = fs.Int("max-active", 1, "jobs running at once (each worker parallelizes internally)")
-		maxQueue     = fs.Int("max-queue", 16, "queued-job bound; submissions past it get 429 + Retry-After")
-		maxJobs      = fs.Int("max-jobs", 64, "job store bound; the oldest finished job is shed to admit new work")
-		maxRestarts  = fs.Int("max-restarts", 10, "per-job crash/hang healing budget")
-		hungTimeout  = fs.Duration("hung-timeout", 2*time.Minute, "kill a worker whose heartbeat stalls this long")
-		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "SIGTERM drain bound before force-killing workers")
-	)
+	var o serveOptions
+	o.define(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() > 0 {
 		fatalf("serve: unexpected argument %q", fs.Arg(0))
 	}
 
 	srv, err := serve.New(serve.Config{
-		Dir:          *data,
-		MaxActive:    *maxActive,
-		MaxQueue:     *maxQueue,
-		MaxJobs:      *maxJobs,
-		MaxRestarts:  *maxRestarts,
-		HungTimeout:  *hungTimeout,
-		DrainTimeout: *drainTimeout,
+		Dir:          o.data,
+		MaxActive:    o.maxActive,
+		MaxQueue:     o.maxQueue,
+		MaxJobs:      o.maxJobs,
+		MaxRestarts:  o.maxRestarts,
+		HungTimeout:  o.hungTimeout,
+		DrainTimeout: o.drainTimeout,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},
@@ -55,7 +73,7 @@ func serveMain(args []string) {
 		fatalf("serve: %v", err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatalf("serve: %v", err)
 	}

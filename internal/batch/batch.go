@@ -384,6 +384,7 @@ func runCell(c cell, cfg *Config, tl *timeseries.Timeline) (res CellResult, ok b
 		return CellResult{}, false
 	}
 	s := w.Finish()
+	w.Retire()
 	if tele != nil {
 		*tl = wcfg.Timeseries.Timeline()
 	}

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"sync"
 	"time"
 
 	"rica/internal/geom"
@@ -156,7 +157,7 @@ func (m *Model) linkMiss(idx int) *Link {
 	if k := len(m.free); k > 0 {
 		rec = m.free[k-1]
 		m.free = m.free[:k-1]
-	} else {
+	} else if rec, _ = retired.Get().(*linkRec); rec == nil {
 		rec = new(linkRec)
 	}
 	if hdr := m.links[idx]; hdr != nil {
@@ -197,6 +198,27 @@ func (m *Model) parkIdle(at time.Duration) {
 	}
 	clear(m.live[len(kept):])
 	m.live = kept
+}
+
+// retired holds the link records of models that were retired, for the
+// next models this process builds: a record is about 5 KB, almost all of
+// it generator state, and a batch worker running short cells one after
+// another would otherwise allocate (and collect) every cell's records
+// afresh. A record from here is initialized like any free-list record,
+// so nothing of its last pair carries over.
+var retired sync.Pool
+
+// Retire hands the model's link records to the models built after it.
+// The model must not be used again: call it once its world is finished
+// with and nothing will read it.
+func (m *Model) Retire() {
+	for _, rec := range m.live {
+		retired.Put(rec)
+	}
+	for _, rec := range m.free {
+		retired.Put(rec)
+	}
+	m.live, m.free, m.links = nil, nil, nil
 }
 
 // N reports the number of terminals.

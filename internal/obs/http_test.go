@@ -12,8 +12,10 @@ import (
 
 // TestHandlerServesLiveView exercises both endpoints while writer
 // goroutines hammer attached registries and cells attach/detach — the
-// exact shape of a batch run with -statsaddr. Run under -race this is
-// the concurrency proof for the whole live surface.
+// exact shape of a batch run with -statsaddr. Each writer owns its
+// registry and publishes it every 100 records, as a kernel does every
+// 1024 dispatches. Run under -race this is the concurrency proof for the
+// whole live surface.
 func TestHandlerServesLiveView(t *testing.T) {
 	hub := NewHub()
 	srv := httptest.NewServer(hub.Handler())
@@ -40,6 +42,7 @@ func TestHandlerServesLiveView(t *testing.T) {
 					r.Observe(HDelayNs, uint64(seed*1000+j))
 					r.SetSimNow(time.Duration(j) * time.Millisecond)
 				}
+				r.Publish()
 				hub.Detach(r)
 			}
 		}(w)

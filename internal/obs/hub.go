@@ -1,8 +1,9 @@
 // The Hub is the live aggregate view: a process holds one hub, attaches
 // each running world's registry to it, and the heartbeat/HTTP surfaces
-// snapshot the hub instead of any single run. Detaching folds a
-// registry's final totals into the hub so completed batch cells keep
-// counting toward the aggregate.
+// snapshot the hub instead of any single run. The hub reads only what
+// each registry last published. Detaching folds a registry's final
+// totals into the hub so completed batch cells keep counting toward the
+// aggregate.
 
 package obs
 
@@ -37,11 +38,14 @@ func (h *Hub) Attach(r *Registry) {
 }
 
 // Detach removes a registry, folding its final totals into the hub's
-// running aggregate. Safe on a nil hub.
+// running aggregate. It publishes the registry first, so call it from
+// the registry's owner goroutine, once its run has stopped. Safe on a
+// nil hub.
 func (h *Hub) Detach(r *Registry) {
 	if h == nil || r == nil {
 		return
 	}
+	r.Publish()
 	h.mu.Lock()
 	if _, ok := h.active[r]; ok {
 		delete(h.active, r)
@@ -50,7 +54,8 @@ func (h *Hub) Detach(r *Registry) {
 	h.mu.Unlock()
 }
 
-// collect folds the finished totals with every active registry.
+// collect folds the finished totals with every active registry's last
+// publication.
 func (h *Hub) collect() fold {
 	h.mu.Lock()
 	f := h.done

@@ -1,11 +1,12 @@
 // Package obs is the simulator's zero-allocation runtime observability
-// core: a fixed-slot registry of atomic counters, gauges, and log-bucketed
+// core: a fixed-slot registry of counters, gauges, and log-bucketed
 // streaming histograms that every hot subsystem records into without
 // allocating and without perturbing determinism. Counters never consult a
-// RNG and never change event order — they are write-only from the single
-// simulation goroutine and read concurrently (hence the atomics) by the
-// live surfaces: the CLI heartbeat, the HTTP stats endpoint, and the
-// batch progress reporter.
+// RNG and never change event order. Each registry has one writer, the
+// goroutine running its world (the owner): counters, gauges and the
+// clock are plain words it adds to without a lock, and Publish copies
+// them into atomics that the live surfaces (the CLI heartbeat, the HTTP
+// stats endpoint, a batch's Hub) read from other goroutines.
 //
 // All record methods are nil-receiver safe, so a component wired without
 // a registry (the sim.Kernel zero value, a standalone channel model) pays
@@ -111,60 +112,76 @@ var gaugeNames = [NumGauges]string{
 	GQueueDepth: "queue_depth",
 }
 
-// Registry is one simulation run's observability state: every slot is
-// fixed at construction, every record is an atomic on a preallocated
-// array. One registry per world keeps parallel batch cells off each
-// other's cache lines; a Hub folds them for the live aggregate view.
+// Registry is one simulation run's observability state, every slot fixed
+// at construction. It is a single-writer object: the goroutine running
+// the world (the owner) records into plain words and reads them back
+// (Counter, Gauge, SimNow, Snapshot), and Publish copies them into an
+// atomic view, the only part other goroutines may read, through a Hub.
+// The kernel publishes every 1024 dispatches and whenever Run returns, so
+// a live view is at most 1023 events behind a running world and exact
+// once its Run has returned. The delay histogram is atomic throughout:
+// it observes once per delivered packet. One registry per world keeps
+// parallel batch cells off each other's cache lines; a Hub folds them
+// for the live aggregate view.
 type Registry struct {
+	counters [NumCounters]uint64
+	gauges   [NumGauges]int64
+	simNow   int64
+	hists    [NumHists]Histogram
+	pub      published
+}
+
+// published is a registry's view for other goroutines: the owner words
+// as of the last Publish.
+type published struct {
 	counters [NumCounters]atomic.Uint64
 	gauges   [NumGauges]atomic.Int64
-	hists    [NumHists]Histogram
 	simNow   atomic.Int64
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Inc adds one to a counter. Safe on a nil registry.
+// Inc adds one to a counter. Owner only; safe on a nil registry.
 func (r *Registry) Inc(c Counter) {
 	if r == nil {
 		return
 	}
-	r.counters[c].Add(1)
+	r.counters[c]++
 }
 
-// Add adds n to a counter (wrapping modulo 2^64, like any uint64). Safe
-// on a nil registry.
+// Add adds n to a counter (wrapping modulo 2^64, like any uint64). Owner
+// only; safe on a nil registry.
 func (r *Registry) Add(c Counter, n uint64) {
 	if r == nil {
 		return
 	}
-	r.counters[c].Add(n)
+	r.counters[c] += n
 }
 
-// Counter reads a counter. A nil registry reads zero.
+// Counter reads a counter. Owner only; a nil registry reads zero.
 func (r *Registry) Counter(c Counter) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.counters[c].Load()
+	return r.counters[c]
 }
 
-// GaugeAdd moves a gauge by delta (which may be negative). Safe on a nil
-// registry.
+// GaugeAdd moves a gauge by delta (which may be negative). Owner only;
+// safe on a nil registry.
 func (r *Registry) GaugeAdd(g Gauge, delta int64) {
 	if r == nil {
 		return
 	}
-	r.gauges[g].Add(delta)
+	r.gauges[g] += delta
 }
 
-// Gauge reads a gauge. A nil registry reads zero.
+// Gauge reads a gauge. Owner only; a nil registry reads zero.
 func (r *Registry) Gauge(g Gauge) int64 {
 	if r == nil {
 		return 0
 	}
-	return r.gauges[g].Load()
+	return r.gauges[g]
 }
 
 // Observe records a value into a histogram. Safe on a nil registry.
@@ -184,25 +201,43 @@ func (r *Registry) Histogram(h Hist) *Histogram {
 	return &r.hists[h]
 }
 
-// SetSimNow publishes the simulation clock for concurrent readers. The
-// kernel stores it on every dispatch. Safe on a nil registry.
+// SetSimNow records the simulation clock. The kernel stores it on every
+// dispatch. Owner only; safe on a nil registry.
 func (r *Registry) SetSimNow(now time.Duration) {
 	if r == nil {
 		return
 	}
-	r.simNow.Store(int64(now))
+	r.simNow = int64(now)
 }
 
-// SimNow reads the last published simulation instant.
+// SimNow reads the last recorded simulation instant. Owner only.
 func (r *Registry) SimNow() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return time.Duration(r.simNow.Load())
+	return time.Duration(r.simNow)
+}
+
+// Publish copies the counters, the gauges and the clock into the view
+// other goroutines read, one atomic store per slot. Owner only; safe on
+// a nil registry.
+func (r *Registry) Publish() {
+	if r == nil {
+		return
+	}
+	for i := range r.counters {
+		r.pub.counters[i].Store(r.counters[i])
+	}
+	for i := range r.gauges {
+		r.pub.gauges[i].Store(r.gauges[i])
+	}
+	r.pub.simNow.Store(r.simNow)
 }
 
 // Snapshot captures the registry into the deterministic export form.
+// It publishes first, so it reads the owner words. Owner only.
 func (r *Registry) Snapshot() Snapshot {
+	r.Publish()
 	var f fold
 	f.absorb(r)
 	return f.snapshot()
@@ -388,23 +423,24 @@ type fold struct {
 	simNow     int64 // max across registries
 }
 
-// absorb adds one registry's current state into the fold.
+// absorb adds one registry's published state into the fold. Any
+// goroutine may call it.
 func (f *fold) absorb(r *Registry) {
 	if r == nil {
 		return
 	}
 	for i := range f.c {
-		f.c[i] += r.counters[i].Load()
+		f.c[i] += r.pub.counters[i].Load()
 	}
 	for i := range f.g {
-		f.g[i] += r.gauges[i].Load()
+		f.g[i] += r.pub.gauges[i].Load()
 	}
 	h := &r.hists[HDelayNs]
 	for i := range f.delay {
 		f.delay[i] += h.buckets[i].Load()
 	}
 	f.delayCount += h.count.Load()
-	if now := r.simNow.Load(); now > f.simNow {
+	if now := r.pub.simNow.Load(); now > f.simNow {
 		f.simNow = now
 	}
 }

@@ -184,7 +184,9 @@ func TestZeroEffortClearsOnlyEffort(t *testing.T) {
 }
 
 // TestHubFoldsDetached: a detached registry's totals must keep counting
-// toward the hub aggregate, and active registries are read live.
+// toward the hub aggregate, and active registries are read as of their
+// last publication: what the owner recorded since is not in the view
+// until it publishes.
 func TestHubFoldsDetached(t *testing.T) {
 	h := NewHub()
 	a, b := NewRegistry(), NewRegistry()
@@ -194,23 +196,35 @@ func TestHubFoldsDetached(t *testing.T) {
 	b.Add(CEventsDispatched, 5)
 	a.SetSimNow(3 * time.Second)
 	b.SetSimNow(2 * time.Second)
+	if s := h.Snapshot(); s.EventsDispatched != 0 || s.SimNowNs != 0 {
+		t.Fatalf("unpublished aggregate = %d events @%dns, want 0 @0", s.EventsDispatched, s.SimNowNs)
+	}
+	a.Publish()
+	b.Publish()
+	a.Add(CEventsDispatched, 7) // recorded, not yet published
 	if s := h.Snapshot(); s.EventsDispatched != 15 || s.SimNowNs != int64(3*time.Second) {
 		t.Fatalf("live aggregate = %d events @%dns, want 15 @3s", s.EventsDispatched, s.SimNowNs)
 	}
-	h.Detach(a)
-	a.Add(CEventsDispatched, 100) // after detach: frozen totals, not live
+	if got := a.Counter(CEventsDispatched); got != 17 {
+		t.Fatalf("owner read = %d, want 17", got)
+	}
+	h.Detach(a) // publishes the 7
+	a.Add(CEventsDispatched, 100)
+	a.Publish() // after detach: frozen totals, not live
 	b.Add(CEventsDispatched, 1)
-	if s := h.Snapshot(); s.EventsDispatched != 16 {
-		t.Fatalf("post-detach aggregate = %d, want 16", s.EventsDispatched)
+	b.Publish()
+	if s := h.Snapshot(); s.EventsDispatched != 23 {
+		t.Fatalf("post-detach aggregate = %d, want 23", s.EventsDispatched)
 	}
 	h.Detach(a) // double-detach must not re-fold
-	if s := h.Snapshot(); s.EventsDispatched != 16 {
+	if s := h.Snapshot(); s.EventsDispatched != 23 {
 		t.Fatal("double detach re-folded the registry")
 	}
 }
 
 // TestRecordPathsDoNotAllocate is the package-level half of the repo's
-// allocs/op gate: every hot-path record must be allocation-free.
+// allocs/op gate: every hot-path record, and the kernel's Publish, must
+// be allocation-free.
 func TestRecordPathsDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -220,6 +234,7 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 		r.GaugeAdd(GQueueDepth, -1)
 		r.Observe(HDelayNs, 1234567)
 		r.SetSimNow(42 * time.Millisecond)
+		r.Publish()
 	}); n != 0 {
 		t.Fatalf("record paths allocate %.1f allocs/op, want 0", n)
 	}
@@ -227,6 +242,7 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		nilReg.Inc(CEventsDispatched)
 		nilReg.Observe(HDelayNs, 1)
+		nilReg.Publish()
 	}); n != 0 {
 		t.Fatalf("nil-registry paths allocate %.1f allocs/op, want 0", n)
 	}

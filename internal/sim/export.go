@@ -48,7 +48,7 @@ func (k *Kernel) ExportState() KernelState {
 		Events:   make([]EventState, 0, k.live),
 	}
 	for _, e := range k.queue {
-		if ev := e.ev; !ev.cancelled {
+		if ev := k.recs[e.id]; !ev.cancelled {
 			st.Events = append(st.Events, EventState{
 				At:  ev.at,
 				Seq: ev.seq,

@@ -20,6 +20,7 @@ type event struct {
 	at        time.Duration
 	seq       uint64
 	gen       uint32
+	id        uint32 // the record's index in Kernel.recs
 	cancelled bool
 	pooled    bool
 
@@ -35,11 +36,14 @@ type event struct {
 // entry is one queued event with its ordering key inline. Every
 // comparison the queue makes reads the key off the entry itself, so
 // ordering never dereferences an event record: a sift touches the
-// heap's own contiguous array and nothing else.
+// heap's own contiguous array and nothing else. The record is named by
+// its index in Kernel.recs, not by a pointer, so the array holds no
+// pointers: a sift's stores carry no GC write barrier and a collection
+// never scans the queue.
 type entry struct {
 	at  time.Duration
 	seq uint64
-	ev  *event
+	id  uint32
 }
 
 // less orders entries by (at, seq) — the kernel's total dispatch order.
@@ -79,7 +83,6 @@ func (h *entryHeap) pop() entry {
 	top := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = entry{} // drop the vacated cell's record reference
 	s = s[:n]
 	*h = s
 	if n > 0 {
@@ -109,20 +112,17 @@ func (s entryHeap) down(i int, e entry) {
 }
 
 // dropCancelled filters cancelled entries out in place, handing their
-// records to recycle, and re-establishes the heap invariant over the
-// survivors.
-func (h *entryHeap) dropCancelled(recycle func(*event)) {
+// records (recs indexed by entry id) to recycle, and re-establishes the
+// heap invariant over the survivors.
+func (h *entryHeap) dropCancelled(recs []*event, recycle func(*event)) {
 	s := *h
 	keep := s[:0]
 	for _, e := range s {
-		if e.ev.cancelled {
-			recycle(e.ev)
+		if ev := recs[e.id]; ev.cancelled {
+			recycle(ev)
 			continue
 		}
 		keep = append(keep, e)
-	}
-	for i := len(keep); i < len(s); i++ {
-		s[i] = entry{}
 	}
 	for i := len(keep)/2 - 1; i >= 0; i-- {
 		keep.down(i, keep[i])

@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Streams derives independent, deterministic random number streams from a
 // single trial seed. Every stochastic component of the simulator (each
@@ -20,6 +23,9 @@ type Streams struct {
 	// creation is itself simulation work), so the record doubles as the
 	// canonical iteration order for checkpoint capture.
 	recs []streamRec
+
+	// owned is the storage Stream allocated, which Retire hands on.
+	owned []*StreamMem
 }
 
 // streamRec remembers one created stream. A parked stream has no
@@ -44,7 +50,29 @@ func NewStreams(seed int64) *Streams {
 // the jump-ahead replica in fastrand.go — identical draws, a fraction of
 // the seeding cost that dominates lazy fading-link creation.
 func (s *Streams) Stream(id uint64) *rand.Rand {
-	return s.seedInto(new(StreamMem), id)
+	mem, _ := retired.Get().(*StreamMem)
+	if mem == nil {
+		mem = new(StreamMem)
+	}
+	s.owned = append(s.owned, mem)
+	return s.seedInto(mem, id)
+}
+
+// retired holds the storage of retired factories' streams for the next
+// factories this process makes: 5 KB a stream, and a batch worker makes
+// a few hundred streams a cell. Seeding overwrites every word a stream
+// draws from, so nothing of its last use carries over.
+var retired sync.Pool
+
+// Retire hands the storage of every stream Stream made to the factories
+// made after s. No stream s made may be drawn from again, and s must not
+// be used again: call it once the world the streams belong to is
+// finished with.
+func (s *Streams) Retire() {
+	for _, mem := range s.owned {
+		retired.Put(mem)
+	}
+	s.owned, s.recs = nil, nil
 }
 
 // StreamMem is caller-owned storage for one stream: the generator's

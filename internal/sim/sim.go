@@ -58,9 +58,12 @@ type Kernel struct {
 	// cancelled; len(queue) − live is the lazily-cancelled backlog.
 	live int
 
-	// free is the event recycling pool; fresh records come from chunk, a
-	// bump arena refilled eventChunk records at a time.
-	free      []*event
+	// recs holds every event record the kernel has made, indexed by the
+	// record's id: queue entries and the free list name records by id.
+	// free is the recycling pool; fresh records come from chunk, a bump
+	// arena refilled eventChunk records at a time.
+	recs      []*event
+	free      []uint32
 	chunk     []event
 	chunkUsed int
 
@@ -69,10 +72,17 @@ type Kernel struct {
 	executed uint64
 
 	// obs, when set, receives dispatch/schedule/cancel counters and the
-	// published simulation clock. All obs methods are nil-safe, so the
+	// simulation clock, and is published every publishEvery dispatches
+	// and whenever Run returns. All obs methods are nil-safe, so the
 	// zero-value kernel stays ready to use.
 	obs *obs.Registry
 }
+
+// publishEvery is how many dispatches pass between two publications of
+// the registry to its live readers (obs.Registry.Publish): a live view is
+// at most publishEvery-1 events behind a running kernel. It is a power
+// of two, so the test is a mask.
+const publishEvery = 1024
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
@@ -120,10 +130,11 @@ func (k *Kernel) alloc() *event {
 		}
 		ev := &k.chunk[k.chunkUsed]
 		k.chunkUsed++
+		ev.id = uint32(len(k.recs))
+		k.recs = append(k.recs, ev)
 		return ev
 	}
-	ev := k.free[n-1]
-	k.free[n-1] = nil
+	ev := k.recs[k.free[n-1]]
 	k.free = k.free[:n-1]
 	if !ev.pooled {
 		panic("sim: event pool corruption (free-list entry not marked pooled)")
@@ -146,7 +157,7 @@ func (k *Kernel) release(ev *event) {
 	ev.cancelled = false
 	ev.fn = nil
 	ev.afn = nil
-	k.free = append(k.free, ev)
+	k.free = append(k.free, ev.id)
 }
 
 // Schedule arranges for h to run delay after the current virtual time and
@@ -209,7 +220,7 @@ func (k *Kernel) enqueue(t time.Duration) *event {
 	k.live++
 	k.obs.Inc(obs.CEventsScheduled)
 	k.obs.GaugeAdd(obs.GQueueDepth, 1)
-	k.queue.push(entry{at: t, seq: ev.seq, ev: ev})
+	k.queue.push(entry{at: t, seq: ev.seq, id: ev.id})
 	return ev
 }
 
@@ -218,7 +229,7 @@ func (k *Kernel) enqueue(t time.Duration) *event {
 // queue's minimum — never before, so nothing here searches the heap.
 func (k *Kernel) peek() *event {
 	for len(k.queue) > 0 {
-		ev := k.queue[0].ev
+		ev := k.recs[k.queue[0].id]
 		if !ev.cancelled {
 			return ev
 		}
@@ -257,6 +268,9 @@ func (k *Kernel) dispatch(ev *event) {
 	k.obs.Inc(obs.CEventsDispatched)
 	k.obs.GaugeAdd(obs.GQueueDepth, -1)
 	k.obs.SetSimNow(k.now)
+	if k.executed%publishEvery == 0 {
+		k.obs.Publish()
+	}
 	fn, afn, a0, a1 := ev.fn, ev.afn, ev.a0, ev.a1
 	k.release(ev)
 	if fn != nil {
@@ -272,8 +286,10 @@ func (k *Kernel) dispatch(ev *event) {
 // channel (SetStop) was found closed on the way: the clock stays at the
 // instant whose events have all dispatched, and the rest stay queued for
 // a later Run. A horizon behind the clock is a no-op: the clock never
-// moves backwards, and nothing else is touched.
+// moves backwards, and nothing else is touched. However it returns, Run
+// publishes the registry, so a live view is exact between two Runs.
 func (k *Kernel) Run(until time.Duration) bool {
+	defer k.obs.Publish()
 	if until < k.now {
 		return true
 	}
@@ -321,7 +337,7 @@ func (k *Kernel) noteCancel() {
 	k.obs.GaugeAdd(obs.GQueueDepth, -1)
 	if queued := len(k.queue); queued >= compactMin && queued-k.live > queued/2 {
 		k.obs.Inc(obs.CQueueCompactions)
-		k.queue.dropCancelled(k.release)
+		k.queue.dropCancelled(k.recs, k.release)
 	}
 }
 

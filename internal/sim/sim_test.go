@@ -203,7 +203,7 @@ func TestExportStateIsLiveScheduleOnly(t *testing.T) {
 		doomedNear.Cancel()
 		doomedFar.Cancel()
 		if sweep {
-			k.queue.dropCancelled(k.release)
+			k.queue.dropCancelled(k.recs, k.release)
 		}
 		return k.ExportState()
 	}
@@ -380,6 +380,52 @@ func TestStreamsDifferentSeedsDiffer(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("streams for different seeds collided %d/64 times", same)
+	}
+}
+
+// TestRetiredStreamsDrawAfresh is the law behind Streams.Retire: the
+// storage a retired factory hands on seeds into the same generators
+// fresh storage does. A donor factory makes streams, draws from them
+// part of a lap and past a lap of the vector, and retires; a factory on
+// another seed then makes streams, which take the donor's storage, and
+// each must draw what math/rand's own source for its seed draws, past
+// two laps, and be recorded at zero draws. It must take donor storage,
+// or it proves nothing.
+func TestRetiredStreamsDrawAfresh(t *testing.T) {
+	donor := NewStreams(5)
+	given := map[*rand.Rand]bool{}
+	for id := uint64(0); id < 8; id++ {
+		r := donor.Stream(id)
+		for k := uint64(0); k < 100*id+37; k++ {
+			r.Uint64()
+		}
+		given[r] = true
+	}
+	donor.Retire()
+
+	s := NewStreams(77)
+	taken := 0
+	for id := uint64(0); id < 8; id++ {
+		got := s.Stream(id)
+		if given[got] {
+			taken++
+		}
+		want := rand.NewSource(int64(mix(77, id))).(rand.Source64)
+		for k := 0; k < 2*rngLen; k++ {
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("stream %d, draw %d: %d from retired storage, %d from math/rand", id, k, a, b)
+			}
+		}
+	}
+	if taken == 0 {
+		t.Fatal("no stream took the retired factory's storage: the law was not exercised")
+	}
+	var draws []uint64
+	s.EachState(func(_, n uint64) { draws = append(draws, n) })
+	for id, n := range draws {
+		if n != 2*rngLen {
+			t.Errorf("stream %d is recorded at %d draws, want %d", id, n, 2*rngLen)
+		}
 	}
 }
 

@@ -16,6 +16,9 @@ func TestConcurrentReadersWhileAppending(t *testing.T) {
 	const capacity = 64
 	r := NewRecorder(capacity)
 	stop := make(chan struct{})
+	// filled closes once the ring is full: the readers can finish before
+	// the appender has been scheduled long enough to fill it.
+	filled := make(chan struct{})
 
 	var appender sync.WaitGroup
 	appender.Add(1)
@@ -28,6 +31,9 @@ func TestConcurrentReadersWhileAppending(t *testing.T) {
 			default:
 			}
 			r.Record(Event{At: time.Duration(i), Kind: KindGenerated, PacketID: uint64(i)})
+			if i == capacity-1 {
+				close(filled)
+			}
 		}
 	}()
 
@@ -60,6 +66,7 @@ func TestConcurrentReadersWhileAppending(t *testing.T) {
 	}
 
 	readers.Wait()
+	<-filled
 	close(stop)
 	appender.Wait()
 

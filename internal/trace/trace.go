@@ -68,9 +68,12 @@ func (e Event) String() string {
 // events (the total count still counts everything offered).
 //
 // Recorder is safe for concurrent use: the simulation goroutine appends
-// while live observability surfaces (the stats heartbeat, the HTTP
-// snapshot endpoint) read Total and Events. Set Filter before the run
-// starts; it is read under the same lock but not copied.
+// while a caller of the public API may read Total and Events from
+// another goroutine mid-run. No surface of this repository does (the
+// heartbeat and the HTTP endpoint read an obs.Hub); the lock is the
+// API's promise, which TestCheckpointedStopLaw relies on to stop a run
+// at an arbitrary event. Set Filter before the run starts; it is read
+// under the same lock but not copied.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event

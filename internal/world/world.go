@@ -97,10 +97,11 @@ type Config struct {
 	Timeseries *timeseries.Collector
 	// Obs, when non-nil, is the observability registry every subsystem
 	// counts into; when nil, New creates a private one so counters are
-	// always live (they are atomic increments into fixed slots — too cheap
-	// to gate). The registry never feeds back into the simulation, so the
-	// event order and every RNG stream are identical with or without an
-	// external registry attached.
+	// always live (they are plain increments into fixed slots — too cheap
+	// to gate). The world's goroutine is the registry's only writer; the
+	// kernel publishes it for hubs on other goroutines. The registry never
+	// feeds back into the simulation, so the event order and every RNG
+	// stream are identical with or without an external registry attached.
 	Obs *obs.Registry
 	// Stop, once closed, ends RunTo at the kernel's next instant boundary
 	// (see sim.Kernel.SetStop). Like Obs it never feeds back into the
@@ -442,6 +443,17 @@ func (w *World) Finish() metrics.Summary {
 	snap := w.Obs.Snapshot()
 	s.Obs = &snap
 	return s
+}
+
+// Retire hands the world's fading-link records and stream generators to
+// the worlds this process builds after it (channel.Model.Retire,
+// sim.Streams.Retire): a batch worker running short cells one after
+// another then reuses that memory instead of allocating and collecting
+// it again every cell. The world must not be used again; a batch cell
+// retires its world once Finish has returned.
+func (w *World) Retire() {
+	w.Model.Retire()
+	w.Streams.Retire()
 }
 
 // jamRunner drives one Jammer's periodic noise bursts. One bound handler

@@ -239,10 +239,11 @@ type RunOptions struct {
 	// Trace, when non-nil, records the run's packet-level event history.
 	Trace *TraceRecorder
 	// Obs, when non-nil, is the observability registry the run counts
-	// into. Its atomic counters may be read concurrently while the run
-	// executes (live heartbeats, the HTTP stats endpoint). When nil the
-	// world creates a private registry and the end-of-run snapshot still
-	// lands on Summary.Obs.
+	// into. The run's goroutine is its only writer: while the run
+	// executes, read it only through an ObsHub it is attached to, which
+	// sees it at most 1023 events behind and exactly once Run returns.
+	// When nil the world creates a private registry and the end-of-run
+	// snapshot still lands on Summary.Obs.
 	Obs *ObsRegistry
 	// CheckpointPath, when set, has a snapshot written to this file at
 	// every multiple of CheckpointEvery short of the horizon, and at the
@@ -462,8 +463,10 @@ type (
 )
 
 // NewObsRegistry builds an empty observability registry to pass as
-// RunOptions.Obs (or BatchConfig.Hub attachment) when a caller wants to
-// watch counters while a run executes.
+// RunOptions.Obs. A registry has one writer, the goroutine running its
+// world; to watch its counters while the run executes, attach it to an
+// ObsHub and read the hub, which sees what the kernel last published
+// (every 1024 events, and whenever the run stops).
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
 // NewObsHub builds an empty hub. Attach registries (or set

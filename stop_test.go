@@ -14,7 +14,6 @@ import (
 
 	"rica"
 	"rica/internal/checkpoint"
-	"rica/internal/obs"
 )
 
 // TestStopLaw holds the one way a run ends early, in consensus-go's
@@ -61,9 +60,12 @@ func TestStopLaw(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrInterrupted", name, err)
 		}
 	}
-	reg, hub := rica.NewObsRegistry(), rica.NewObsHub()
+	// A running registry is read through a hub of its own: the run's
+	// goroutine is its only writer and publishes it as the kernel goes.
+	reg, runHub, hub := rica.NewObsRegistry(), rica.NewObsHub(), rica.NewObsHub()
+	runHub.Attach(reg)
 	wg.Add(2)
-	go stopMidCell("Run", func() uint64 { return reg.Snapshot().EventsDispatched }, func(stop <-chan struct{}) error {
+	go stopMidCell("Run", func() uint64 { return runHub.Snapshot().EventsDispatched }, func(stop <-chan struct{}) error {
 		_, err := rica.Run(rica.ScenarioRun{Scenario: spec, Protocol: rica.ProtocolLinkState, Seed: 1},
 			rica.RunOptions{Obs: reg, Stop: stop})
 		return err
@@ -111,8 +113,10 @@ func TestStopLaw(t *testing.T) {
 // the events the stopped run had, into the same kernel state — and
 // Resume of that snapshot reaches the uninterrupted fingerprint. A seeded
 // loop over short catalog cells picks the moment as a random count of
-// dispatched events, which a watcher goroutine turns into a closed Stop;
-// a run whose horizon comes first is drawn again.
+// the run's packet-level trace events, which a watcher goroutine reading
+// the run's TraceRecorder (safe to read mid-run, and moved by every
+// event it records) turns into a closed Stop; a run whose horizon comes
+// first is drawn again.
 func TestCheckpointedStopLaw(t *testing.T) {
 	t.Parallel()
 	iterations := 24
@@ -122,7 +126,11 @@ func TestCheckpointedStopLaw(t *testing.T) {
 	names := []string{"chain-10", "dense-urban", "jammer-grid", "partition-heal", "paper-baseline"}
 	protocols := rica.AllProtocols()
 	rng := rand.New(rand.NewSource(25))
-	bare := map[string]rica.Summary{}
+	type bareRun struct {
+		sum    rica.Summary
+		traced uint64 // trace events the whole run records
+	}
+	bare := map[string]bareRun{}
 	stopped := 0
 	for tries := 0; stopped < iterations; tries++ {
 		if tries == 10*iterations {
@@ -131,20 +139,22 @@ func TestCheckpointedStopLaw(t *testing.T) {
 		name, p := names[rng.Intn(len(names))], protocols[rng.Intn(len(protocols))]
 		r := ckRun(t, name, p)
 		key := fmt.Sprintf("%s/%s", name, p)
-		base, ok := bare[key]
+		b, ok := bare[key]
 		if !ok {
-			base = mustRun(t, r, rica.RunOptions{})
-			bare[key] = base
+			tr := rica.NewTraceRecorder(0)
+			b = bareRun{sum: mustRun(t, r, rica.RunOptions{Trace: tr}), traced: tr.Total()}
+			bare[key] = b
 		}
-		after := 1 + uint64(rng.Int63n(int64(base.Events)-1))
+		base := b.sum
+		after := 1 + uint64(rng.Int63n(int64(b.traced)-1))
 
-		reg := rica.NewObsRegistry()
+		reg, tr := rica.NewObsRegistry(), rica.NewTraceRecorder(0)
 		stop, done := make(chan struct{}), make(chan struct{})
 		var watcher sync.WaitGroup
 		watcher.Add(1)
 		go func() {
 			defer watcher.Done()
-			for reg.Counter(obs.CEventsDispatched) < after {
+			for tr.Total() < after {
 				select {
 				case <-done:
 					return
@@ -155,14 +165,14 @@ func TestCheckpointedStopLaw(t *testing.T) {
 			close(stop)
 		}()
 		path := filepath.Join(t.TempDir(), "stopped.ckpt")
-		_, err := rica.Run(r, rica.RunOptions{Obs: reg, CheckpointPath: path, Stop: stop})
+		_, err := rica.Run(r, rica.RunOptions{Obs: reg, Trace: tr, CheckpointPath: path, Stop: stop})
 		close(done)
 		watcher.Wait()
 		if err == nil {
 			continue // the horizon came before the watcher saw the count
 		}
 		if !errors.Is(err, rica.ErrInterrupted) {
-			t.Fatalf("%s stopped after %d events: err = %v, want ErrInterrupted", key, after, err)
+			t.Fatalf("%s stopped after %d trace events: err = %v, want ErrInterrupted", key, after, err)
 		}
 		stopped++
 		snap, err := os.ReadFile(path)
