@@ -396,20 +396,18 @@ func TestSNRDecreasesWithDistance(t *testing.T) {
 }
 
 func TestModelAccessors(t *testing.T) {
-	m := newTestModel(geom.Point{X: 0, Y: 0}, geom.Point{X: 30, Y: 40})
-	if m.N() != 2 {
-		t.Errorf("N = %d, want 2", m.N())
+	// Terminal 1 sits exactly at the 250 m range, terminal 2 just beyond.
+	m := newTestModel(geom.Point{X: 0, Y: 0}, geom.Point{X: 150, Y: 200}, geom.Point{X: 150, Y: 200.001})
+	if m.N() != 3 {
+		t.Errorf("N = %d, want 3", m.N())
 	}
-	if d := m.Distance(0, 1, 0); math.Abs(d-50) > 1e-9 {
-		t.Errorf("Distance = %v, want 50", d)
+	if !m.InRange(0, 1, 0) || !m.InRange(1, 0, 0) {
+		t.Error("InRange(250 m) = false")
 	}
-	if !m.InRange(0, 1, 0) {
-		t.Error("InRange(50 m) = false")
+	if m.InRange(0, 2, 0) {
+		t.Error("InRange(250.0008 m) = true")
 	}
-	if p := m.Position(1, 0); p != (geom.Point{X: 30, Y: 40}) {
-		t.Errorf("Position = %v", p)
-	}
-	if m.Config().Range != 250 {
-		t.Errorf("Config().Range = %v", m.Config().Range)
+	if !m.InRange(1, 1, 0) {
+		t.Error("a terminal does not hear itself")
 	}
 }

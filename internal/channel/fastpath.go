@@ -1,5 +1,5 @@
-// Channel query fast path: per-instant pair memoization, fused neighbour
-// scans and kinetic neighbour lists (DESIGN.md §9).
+// Channel query fast path: per-instant pair memoization, per-build
+// candidate lists and kinetic neighbour lists (DESIGN.md §9).
 //
 // Everything here is bit-identical to the plain query path by
 // construction. The pair memo (a generation stamp and the value, on the
@@ -8,8 +8,8 @@
 // never consumed random draws in the first place, and re-quantizing an
 // unchanged SNR against the hysteresis state the first quantization
 // left behind reproduces the first answer exactly. The
-// fused scans change how candidate pairs are enumerated and where their
-// distances are computed, and the kinetic lists whether a range verdict
+// candidate lists change how neighbour scans enumerate pairs and where
+// their distances are computed, and the kinetic lists whether a range verdict
 // is re-derived or carried over a window in which it cannot change —
 // never which links get advanced at which instants, so every fading
 // stream sees the identical query sequence.
@@ -22,13 +22,6 @@ import (
 	"rica/internal/geom"
 	"rica/internal/obs"
 )
-
-// NeighborClass is one entry of a fused neighbourhood scan: a terminal
-// in radio range together with the current channel class toward it.
-type NeighborClass struct {
-	ID    int
-	Class Class
-}
 
 // distAt derives the exact distance between i and j at the snapshot's
 // instant from their memoized positions. There is no per-pair distance
@@ -218,54 +211,4 @@ func holdFor(margin, vmax float64) time.Duration {
 		return foreverStable / 2
 	}
 	return time.Duration(ns)
-}
-
-// NeighborClasses appends to dst every terminal within radio range of i
-// together with its current channel class, in ascending id order — the
-// fused form of a Neighbors sweep followed by a Class probe per
-// neighbour. One pass over the candidate list performs the range filter,
-// the outage filter, the distance computation, and the class
-// quantization, sharing the per-instant pair memo with the individual
-// query paths.
-//
-// The call advances exactly the links a Neighbors-then-Class loop would
-// advance (every in-range pair with both radios up, at this instant), so
-// use it where that loop is the intended access pattern — topology
-// installation, neighbourhood surveys — not as a drop-in for scans that
-// consult only a subset of the classes.
-func (m *Model) NeighborClasses(i int, at time.Duration, dst []NeighborClass) []NeighborClass {
-	s := m.sync(at)
-	if m.downAt(s, i, at) {
-		return dst
-	}
-	g, slack := m.gridAt(s, at)
-	cands := m.candidates(s, g, i)
-
-	safe := slack + slack*slackEps + slackEps
-	in, out := m.cfg.Range-2*safe, m.cfg.Range+2*safe
-	if slack == 0 {
-		in, out = m.cfg.Range, m.cfg.Range
-	}
-	for _, c := range cands {
-		j := int(c.id)
-		idx := int(c.idx)
-		if c.d > out || m.downAt(s, j, at) {
-			continue
-		}
-		if c.d > in {
-			m.obs.Inc(obs.CAnnulusChecks)
-			if m.distAt(s, i, j, at) > m.cfg.Range {
-				continue
-			}
-		}
-		var cl Class
-		if l := m.links[idx]; l != nil && l.memoGen == s.gen {
-			m.obs.Inc(obs.CClassHits)
-			cl = l.memoClass
-		} else {
-			cl = m.classMiss(s, idx, i, j, at)
-		}
-		dst = append(dst, NeighborClass{ID: j, Class: cl})
-	}
-	return dst
 }

@@ -136,8 +136,9 @@ func buildPair(seed int64, n int, outage func(i int, at time.Duration) bool) (*M
 
 // TestFastPathMatchesUnmemoizedReference drives the memoized/batched
 // query surface and the from-first-principles reference through one
-// randomized schedule: fused NeighborClasses sweeps, individual Class
-// probes, and same-instant re-queries, over a mixed moving/parked field
+// randomized schedule: Neighbors sweeps each followed by the class toward
+// every neighbour, individual Class and InRange probes, and same-instant
+// re-queries, over a mixed moving/parked field
 // with rolling outage windows. Steps are small enough that most sweeps
 // hit the stale-grid (nonzero slack) path, and the walk is long enough
 // for fading to cross quantizer boundaries both ways, exercising the
@@ -152,36 +153,30 @@ func TestFastPathMatchesUnmemoizedReference(t *testing.T) {
 		m, ref := buildPair(seed, n, outage)
 		sched := rand.New(rand.NewSource(seed * 997))
 
-		var ncBuf []NeighborClass
-		var refNbr []int
+		var nbr, refNbr []int
 		for at := time.Duration(0); at <= 30*time.Second; at += time.Duration(50+sched.Intn(250)) * time.Millisecond {
 			i := sched.Intn(n)
 			switch sched.Intn(3) {
-			case 0, 1: // fused sweep, classes included
-				ncBuf = m.NeighborClasses(i, at, ncBuf[:0])
+			case 0, 1: // sweep, classes included
+				nbr = m.Neighbors(i, at, nbr[:0])
 				refNbr = ref.neighbors(i, at, refNbr[:0])
-				if len(ncBuf) != len(refNbr) {
-					t.Fatalf("seed %d at %v: NeighborClasses(%d) ids %v, reference %v",
-						seed, at, i, ncBuf, refNbr)
+				if !sameInts(nbr, refNbr) {
+					t.Fatalf("seed %d at %v: Neighbors(%d) = %v, reference %v", seed, at, i, nbr, refNbr)
 				}
-				for k, nc := range ncBuf {
-					if nc.ID != refNbr[k] {
-						t.Fatalf("seed %d at %v: NeighborClasses(%d)[%d].ID = %d, reference %d",
-							seed, at, i, k, nc.ID, refNbr[k])
-					}
-					want := ref.class(i, nc.ID, at)
-					if nc.Class != want {
+				for _, j := range nbr {
+					got, want := m.Class(i, j, at), ref.class(i, j, at)
+					if got != want {
 						t.Fatalf("seed %d at %v: class(%d,%d) = %v, reference %v",
-							seed, at, i, nc.ID, nc.Class, want)
+							seed, at, i, j, got, want)
 					}
 					// Same-instant re-query must come from the cache and agree.
-					if again := m.Class(i, nc.ID, at); again != nc.Class {
+					if again := m.Class(i, j, at); again != got {
 						t.Fatalf("seed %d at %v: cached re-query Class(%d,%d) = %v, sweep said %v",
-							seed, at, i, nc.ID, again, nc.Class)
+							seed, at, i, j, again, got)
 					}
-					if sym := m.Class(nc.ID, i, at); sym != nc.Class {
+					if sym := m.Class(j, i, at); sym != got {
 						t.Fatalf("seed %d at %v: Class(%d,%d) = %v, symmetric %v",
-							seed, at, nc.ID, i, sym, nc.Class)
+							seed, at, j, i, sym, got)
 					}
 				}
 			case 2: // individual probe of an arbitrary pair
@@ -195,38 +190,9 @@ func TestFastPathMatchesUnmemoizedReference(t *testing.T) {
 					t.Fatalf("seed %d at %v: Class(%d,%d) = %v, reference %v", seed, at, i, j, got, want)
 				}
 				wd := ref.pos(i, at).DistanceTo(ref.pos(j, at))
-				if gd := m.Distance(i, j, at); gd != wd {
-					t.Fatalf("seed %d at %v: Distance(%d,%d) = %v, reference %v", seed, at, i, j, gd, wd)
-				}
 				wantIn := !ref.isDown(i, at) && !ref.isDown(j, at) && wd <= ref.cfg.Range
 				if gi := m.InRange(i, j, at); gi != wantIn {
 					t.Fatalf("seed %d at %v: InRange(%d,%d) = %v, reference %v", seed, at, i, j, gi, wantIn)
-				}
-			}
-		}
-	}
-}
-
-// TestNeighborClassesMatchesNeighborsPlusClass pins the fused sweep to
-// its expansion on the same model: identical id order as Neighbors, and
-// the class of each pair exactly what a following Class probe reports.
-func TestNeighborClassesMatchesNeighborsPlusClass(t *testing.T) {
-	m, _ := buildPair(9, 40, nil)
-	var nc []NeighborClass
-	var ids []int
-	for at := time.Duration(0); at <= 12*time.Second; at += 333 * time.Millisecond {
-		for i := 0; i < 40; i += 7 {
-			nc = m.NeighborClasses(i, at, nc[:0])
-			ids = m.Neighbors(i, at, ids[:0])
-			if len(nc) != len(ids) {
-				t.Fatalf("at %v: fused sweep has %d entries, Neighbors %d", at, len(nc), len(ids))
-			}
-			for k := range ids {
-				if nc[k].ID != ids[k] {
-					t.Fatalf("at %v: fused sweep id[%d] = %d, Neighbors %d", at, k, nc[k].ID, ids[k])
-				}
-				if got := m.Class(i, ids[k], at); got != nc[k].Class {
-					t.Fatalf("at %v: Class(%d,%d) = %v, fused sweep %v", at, i, ids[k], got, nc[k].Class)
 				}
 			}
 		}

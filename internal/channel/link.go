@@ -104,11 +104,6 @@ type Link struct {
 	lastD        float64
 	lastPathLoss float64
 
-	// snrGen/snr are the per-instant memo of Model.SNR, the diagnostics'
-	// twin of memoGen/memoClass.
-	snrGen uint64
-	snr    float64
-
 	// parked names the stream record of a parked link: a model-owned
 	// link whose generator was handed back, so rng is nil (see
 	// Model.parkIdle). Meaningless while rng is set.

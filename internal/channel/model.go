@@ -235,18 +235,10 @@ func (m *Model) SetObs(r *obs.Registry) { m.obs = r }
 // world layer uses this to run scripted node-failure/heal schedules.
 func (m *Model) SetOutage(fn func(i int, at time.Duration) bool) { m.down = fn }
 
-// Down reports whether terminal i's radio is silenced at time at.
-func (m *Model) Down(i int, at time.Duration) bool {
-	return m.down != nil && m.downAt(m.sync(at), i, at)
-}
-
 // pairDown reports whether either endpoint of the pair is silenced.
 func (m *Model) pairDown(s *snapshot, i, j int, at time.Duration) bool {
 	return m.down != nil && (m.downAt(s, i, at) || m.downAt(s, j, at))
 }
-
-// Config returns the model's configuration (a copy).
-func (m *Model) Config() Config { return m.cfg }
 
 // pairIndex maps an unordered pair to its slot in the triangular array.
 func (m *Model) pairIndex(i, j int) int {
@@ -259,14 +251,6 @@ func (m *Model) pairIndex(i, j int) int {
 	n := len(m.pos)
 	// Row-major upper triangle: row i starts after sum_{k<i} (n-1-k) slots.
 	return i*(2*n-i-1)/2 + (j - i - 1)
-}
-
-// Distance reports the current distance between terminals i and j.
-func (m *Model) Distance(i, j int, at time.Duration) float64 {
-	if i == j {
-		return 0
-	}
-	return m.distAt(m.sync(at), i, j, at)
 }
 
 // relSpeed bounds the pair's relative speed by the sum of the terminals'
@@ -288,22 +272,6 @@ func (m *Model) Class(i, j int, at time.Duration) Class {
 		return l.memoClass
 	}
 	return m.classMiss(s, idx, i, j, at)
-}
-
-// SNR reports the instantaneous link SNR in dB (ignoring the range
-// cutoff); exported for diagnostics and tests. Memoized per pair per
-// instant like Class.
-func (m *Model) SNR(i, j int, at time.Duration) float64 {
-	s := m.sync(at)
-	idx := m.pairIndex(i, j)
-	if l := m.links[idx]; l != nil && l.snrGen == s.gen {
-		return l.snr
-	}
-	d := m.distAt(s, i, j, at)
-	l := m.linkAt(idx, i, j)
-	l.snr = l.SNR(d, m.relSpeed(s, i, j, at), at)
-	l.snrGen = s.gen
-	return l.snr
 }
 
 // InRange reports whether i and j are within radio reception range (and
@@ -364,12 +332,6 @@ func (m *Model) bruteNeighbors(i int, at time.Duration, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Position exposes terminal i's current location (diagnostics, world.RenderMap).
-func (m *Model) Position(i int, at time.Duration) geom.Point {
-	s := m.sync(at)
-	return m.positionAt(s, i, at)
 }
 
 // LinkCount reports how many links have been created — how many EachLink

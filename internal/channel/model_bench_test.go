@@ -146,16 +146,20 @@ func BenchmarkLinkRevive(b *testing.B) {
 }
 
 // BenchmarkParkSweep times what every grid rebuild now adds: the sweep
-// over the live links when none has gone idle, after one NeighborClasses
-// pass over the whole field has given every pair in range its link.
+// over the live links when none has gone idle, after one survey of the
+// whole field (each neighbourhood scan followed by the class toward
+// every neighbour) has given every pair in range its link.
 func BenchmarkParkSweep(b *testing.B) {
 	for _, n := range []int{50, 500} {
 		b.Run(sizeLabel(n), func(b *testing.B) {
 			m := benchModel(n)
 			const at = time.Millisecond
-			var buf []NeighborClass
+			var buf []int
 			for i := 0; i < n; i++ {
-				buf = m.NeighborClasses(i, at, buf[:0])
+				buf = m.Neighbors(i, at, buf[:0])
+				for _, j := range buf {
+					m.Class(i, j, at)
+				}
 			}
 			b.ReportMetric(float64(len(m.live)), "links")
 			b.ReportAllocs()

@@ -30,9 +30,9 @@ func streamStates(m *Model, dst [][2]uint64) [][2]uint64 {
 // the other never parking. The field is the paper's density of waypoint
 // terminals, so pairs cross in and out of range; instants only move
 // forward; an outage schedule silences terminals for a second at a time.
-// At every step the two must give the same Class, SNR and neighbourhood
-// answers, show the same state for every link through EachLink, and the
-// same (id, draws) for every stream. The walk must both park and revive
+// At every step the two must give the same Class, InRange and
+// neighbourhood answers, show the same state for every link through
+// EachLink, and the same (id, draws) for every stream. The walk must both park and revive
 // links often, or it proves nothing.
 func TestParkingIsExact(t *testing.T) {
 	const n = 50
@@ -55,7 +55,6 @@ func TestParkingIsExact(t *testing.T) {
 	var (
 		at              time.Duration
 		bufA, bufB      []int
-		ncA, ncB        []NeighborClass
 		stA, stB        []LinkState
 		ixA, ixB        []int
 		rsA, rsB        [][2]uint64
@@ -89,19 +88,28 @@ func TestParkingIsExact(t *testing.T) {
 				t.Fatalf("step %d: Class(%d, %d, %v) = %v parking, %v not", step, i, j, at, a, b)
 			}
 		case 2:
+			// A range check, then the class from the other end.
 			j := pickPartner(i)
-			if a, b := parking.SNR(i, j, at), plain.SNR(i, j, at); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("step %d: SNR(%d, %d, %v) = %v parking, %v not", step, i, j, at, a, b)
+			if a, b := parking.InRange(i, j, at), plain.InRange(i, j, at); a != b {
+				t.Fatalf("step %d: InRange(%d, %d, %v) = %v parking, %v not", step, i, j, at, a, b)
+			}
+			if a, b := parking.Class(j, i, at), plain.Class(j, i, at); a != b {
+				t.Fatalf("step %d: Class(%d, %d, %v) = %v parking, %v not", step, j, i, at, a, b)
 			}
 		case 3:
-			ncA = parking.NeighborClasses(i, at, ncA[:0])
-			ncB = plain.NeighborClasses(i, at, ncB[:0])
-			if len(ncA) != len(ncB) {
-				t.Fatalf("step %d: NeighborClasses(%d, %v) = %v parking, %v not", step, i, at, ncA, ncB)
+			// A topology survey: a neighbourhood scan, then the class toward
+			// each neighbour above i.
+			bufA = parking.Neighbors(i, at, bufA[:0])
+			bufB = plain.Neighbors(i, at, bufB[:0])
+			if !sameInts(bufA, bufB) {
+				t.Fatalf("step %d: Neighbors(%d, %v) = %v parking, %v not", step, i, at, bufA, bufB)
 			}
-			for k := range ncA {
-				if ncA[k] != ncB[k] {
-					t.Fatalf("step %d: NeighborClasses(%d, %v) = %v parking, %v not", step, i, at, ncA, ncB)
+			for _, j := range bufA {
+				if j < i {
+					continue
+				}
+				if a, b := parking.Class(i, j, at), plain.Class(i, j, at); a != b {
+					t.Fatalf("step %d: Class(%d, %d, %v) = %v parking, %v not", step, i, j, at, a, b)
 				}
 			}
 		case 4:

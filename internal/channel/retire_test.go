@@ -3,14 +3,16 @@ package channel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
 // TestRetiredRecordsCarryNothing is the law behind Model.Retire: the
 // link records a retired model hands on serve the next model exactly as
-// fresh ones do. A model of one field walks a seeded run of Class, SNR
-// and neighbourhood queries on fresh records. A donor model of another
+// fresh ones do. A model of one field walks a seeded run of Class
+// queries and neighbourhood scans, each scan followed by the class
+// toward every neighbour, on fresh records. A donor model of another
 // field then fills records of its own, has every memo and state field
 // of each overwritten with junk, and retires. A model of the first
 // field and seed, built after, takes the donor's records and must give
@@ -23,9 +25,9 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 		steps = 1000
 	}
 	type answer struct {
-		class Class
-		snr   uint64
-		nbrs  []NeighborClass
+		class    Class
+		nbrs     []int
+		nclasses []Class
 	}
 	walk := func(m *Model) []answer {
 		rng := rand.New(rand.NewSource(43))
@@ -37,7 +39,11 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			out = append(out, answer{m.Class(i, j, at), math.Float64bits(m.SNR(i, j, at)), m.NeighborClasses(i, at, nil)})
+			a := answer{class: m.Class(i, j, at), nbrs: m.Neighbors(i, at, nil)}
+			for _, k := range a.nbrs {
+				a.nclasses = append(a.nclasses, m.Class(i, k, at))
+			}
+			out = append(out, a)
 		}
 		return out
 	}
@@ -55,7 +61,6 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 			rec.last = -time.Hour
 			rec.shadow, rec.fi, rec.fq = math.NaN(), math.Inf(1), -1e300
 			rec.memoGen, rec.memoClass = 1, ClassNone
-			rec.snrGen, rec.snr = 1, math.NaN()
 			rec.lastClass = Class(0x7f)
 			rec.lastD, rec.lastPathLoss = 1, math.NaN()
 			rec.idx = -1
@@ -67,14 +72,9 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 	got := walk(reused)
 	for k := range want {
 		w, g := want[k], got[k]
-		if w.class != g.class || w.snr != g.snr || len(w.nbrs) != len(g.nbrs) {
-			t.Fatalf("query %d: retired records answer (%v, %x, %v), fresh ones (%v, %x, %v)",
-				k, g.class, g.snr, g.nbrs, w.class, w.snr, w.nbrs)
-		}
-		for i := range w.nbrs {
-			if w.nbrs[i] != g.nbrs[i] {
-				t.Fatalf("query %d: retired records see neighbours %v, fresh ones %v", k, g.nbrs, w.nbrs)
-			}
+		if w.class != g.class || !sameInts(w.nbrs, g.nbrs) || !slices.Equal(w.nclasses, g.nclasses) {
+			t.Fatalf("query %d: retired records answer (%v, %v, %v), fresh ones (%v, %v, %v)",
+				k, g.class, g.nbrs, g.nclasses, w.class, w.nbrs, w.nclasses)
 		}
 	}
 	gotLinks, gotIdx := linkStates(reused, nil, nil)

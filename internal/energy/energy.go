@@ -13,28 +13,18 @@ import (
 	"time"
 
 	"rica/internal/channel"
+	"rica/internal/mac"
 	"rica/internal/metrics"
 	"rica/internal/packet"
 )
 
-// Model holds the radio power parameters.
-type Model struct {
-	// TxPowerW is the transmit power draw in watts while sending.
-	TxPowerW float64
-	// CommonBitrate is the common channel's rate (routing packets).
-	CommonBitrate float64
-}
-
-// DefaultModel uses a 1 W transceiver (typical early-2000s 802.11-class
-// hardware) and the paper's 250 kbps common channel.
-func DefaultModel() Model {
-	return Model{TxPowerW: 1.0, CommonBitrate: 250_000}
-}
+// txPowerW is the transmit power draw in watts while sending: a 1 W
+// transceiver, typical of early-2000s 802.11-class hardware.
+const txPowerW = 1.0
 
 // Meter accumulates transmit energy for one simulation run. Attach its
 // hook methods to the MAC observers, then fold Stats into the summary.
 type Meter struct {
-	model    Model
 	controlJ float64
 	dataJ    float64
 
@@ -43,15 +33,15 @@ type Meter struct {
 }
 
 // NewMeter builds a meter for n terminals.
-func NewMeter(model Model, n int) *Meter {
-	return &Meter{model: model, perNode: make([]float64, n)}
+func NewMeter(n int) *Meter {
+	return &Meter{perNode: make([]float64, n)}
 }
 
 // ControlTransmitted accounts one routing packet on the common channel
 // (mac.CommonChannel.OnTransmit).
 func (m *Meter) ControlTransmitted(pkt *packet.Packet, from int, _ time.Duration) {
-	airtime := float64(pkt.Size*8) / m.model.CommonBitrate
-	j := m.model.TxPowerW * airtime
+	airtime := float64(pkt.Size*8) / mac.CommonBitrate
+	j := txPowerW * airtime
 	m.controlJ += j
 	if from >= 0 && from < len(m.perNode) {
 		m.perNode[from] += j
@@ -67,7 +57,7 @@ func (m *Meter) DataTransmitted(from, to int, class channel.Class, sizeBytes int
 		class = channel.ClassD
 	}
 	airtime := float64(sizeBytes*8) / class.ThroughputBps()
-	j := m.model.TxPowerW * airtime
+	j := txPowerW * airtime
 	m.dataJ += j
 	if from >= 0 && from < len(m.perNode) {
 		m.perNode[from] += j

@@ -9,7 +9,7 @@ import (
 )
 
 func TestControlEnergy(t *testing.T) {
-	m := NewMeter(DefaultModel(), 4)
+	m := NewMeter(4)
 	pkt := &packet.Packet{Type: packet.TypeRREQ, Size: packet.SizeRREQ}
 	m.ControlTransmitted(pkt, 2, 0)
 	// 24 bytes at 250 kbps at 1 W = 192/250000 J.
@@ -28,10 +28,10 @@ func TestControlEnergy(t *testing.T) {
 }
 
 func TestDataEnergyScalesWithClass(t *testing.T) {
-	m := NewMeter(DefaultModel(), 2)
+	m := NewMeter(2)
 	m.DataTransmitted(0, 1, channel.ClassA, packet.SizeData, 0)
 	a := m.Stats(0).DataJ
-	m2 := NewMeter(DefaultModel(), 2)
+	m2 := NewMeter(2)
 	m2.DataTransmitted(0, 1, channel.ClassD, packet.SizeData, 0)
 	d := m2.Stats(0).DataJ
 	if ratio := d / a; math.Abs(ratio-5) > 1e-9 {
@@ -40,10 +40,10 @@ func TestDataEnergyScalesWithClass(t *testing.T) {
 }
 
 func TestBlindTransmissionBilledAtWorstClass(t *testing.T) {
-	m := NewMeter(DefaultModel(), 2)
+	m := NewMeter(2)
 	m.DataTransmitted(0, 1, channel.ClassNone, packet.SizeData, 0)
 	blind := m.Stats(0).DataJ
-	m2 := NewMeter(DefaultModel(), 2)
+	m2 := NewMeter(2)
 	m2.DataTransmitted(0, 1, channel.ClassD, packet.SizeData, 0)
 	if blind != m2.Stats(0).DataJ {
 		t.Fatalf("blind attempt billed %v, want class-D cost %v", blind, m2.Stats(0).DataJ)
@@ -51,7 +51,7 @@ func TestBlindTransmissionBilledAtWorstClass(t *testing.T) {
 }
 
 func TestPerDeliveredBitNormalization(t *testing.T) {
-	m := NewMeter(DefaultModel(), 2)
+	m := NewMeter(2)
 	m.DataTransmitted(0, 1, channel.ClassA, packet.SizeData, 0)
 	s := m.Stats(4096) // one delivered 512-byte packet
 	wantPerBit := s.TotalJ() / 4096
@@ -64,7 +64,7 @@ func TestPerDeliveredBitNormalization(t *testing.T) {
 }
 
 func TestPerNodeCopyIsolated(t *testing.T) {
-	m := NewMeter(DefaultModel(), 2)
+	m := NewMeter(2)
 	m.DataTransmitted(0, 1, channel.ClassA, 100, 0)
 	per := m.PerNode()
 	per[0] = 99

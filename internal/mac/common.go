@@ -25,8 +25,9 @@ import (
 	"rica/internal/sim"
 )
 
-// commonBitrate is the common channel's bandwidth (paper §III.A).
-const commonBitrate = 250_000 // bits/s
+// CommonBitrate is the common channel's bandwidth (paper §III.A), which
+// routing packets are sent at.
+const CommonBitrate = 250_000 // bits/s
 
 // Backoff and retry tuning for the unslotted CSMA/CA. backoffSlot is on
 // the order of one small control packet's airtime.
@@ -244,7 +245,7 @@ func (c *CommonChannel) attempt(pkt *packet.Packet, tries int) {
 
 // airtime is how long a packet of size bytes occupies the common channel.
 func airtime(size int) time.Duration {
-	return time.Duration(float64(size*8) / commonBitrate * float64(time.Second))
+	return time.Duration(float64(size*8) / CommonBitrate * float64(time.Second))
 }
 
 // onAir starts pkt's transmission at now: it records the airtime window

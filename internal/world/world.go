@@ -244,7 +244,7 @@ func New(cfg Config, factory AgentFactory) *World {
 	common.SetObs(reg)
 	data := mac.NewDataPlane(kernel, model)
 	collector := metrics.NewCollector(cfg.Duration)
-	meter := energy.NewMeter(energy.DefaultModel(), cfg.N)
+	meter := energy.NewMeter(cfg.N)
 	var gossip *traffic.Gossip
 	if cfg.Gossip != nil {
 		gossip = traffic.NewGossip(kernel, *cfg.Gossip, streams.Stream(streamKindGossip), reg)
@@ -339,24 +339,23 @@ func (w *World) Gossip() *traffic.Gossip { return w.gossip }
 // weights — the "accurate view of the network topology installed in each
 // mobile terminal" the paper gives the link-state protocol. The snapshot
 // is computed once and shared (it is read-only to agents by convention).
-// Each terminal's edges come from one fused NeighborClasses scan — the
-// range filter and the class quantization happen in a single pass over
-// the channel's spatial index, and the j < i half of each row is answered
-// from the per-instant class cache the j > i half already filled.
+// It is a survey: each terminal's neighbourhood scan, then the class of
+// each link toward a neighbour above it, so every pair in range is
+// measured once, in row-major (i, j) order.
 func (w *World) BootTopology() *routing.Graph {
 	if w.topo0 != nil {
 		return w.topo0
 	}
 	g := routing.NewGraph(w.Cfg.N)
-	var nbuf []channel.NeighborClass
+	var nbuf []int
 	for i := 0; i < w.Cfg.N; i++ {
-		nbuf = w.Model.NeighborClasses(i, 0, nbuf[:0])
-		for _, nc := range nbuf {
-			if nc.ID <= i {
-				continue // each unordered pair recorded once, in (i, j) order
+		nbuf = w.Model.Neighbors(i, 0, nbuf[:0])
+		for _, j := range nbuf {
+			if j < i {
+				continue
 			}
-			if nc.Class.Usable() {
-				g.SetEdge(i, nc.ID, nc.Class.HopDistance())
+			if c := w.Model.Class(i, j, 0); c.Usable() {
+				g.SetEdge(i, j, c.HopDistance())
 			}
 		}
 	}

@@ -65,15 +65,13 @@ func ParseProtocol(name string) (Protocol, error) { return protocol.ParseProtoco
 // Summary is one simulation run's aggregated measurements.
 type Summary = metrics.Summary
 
-// Telemetry asks a run for its per-interval timeline.
-type Telemetry struct {
-	// Interval is the bucket width; zero means one second.
-	Interval time.Duration
-	// Sink receives the finished timeline after the run, stamped with the
-	// scenario name, the protocol and the effective seed. Required; use a
-	// MemoryTimelineSink to read the timeline back in process.
-	Sink TimelineSink
-}
+// Telemetry asks a run for its per-interval timeline: Interval is the
+// bucket width (zero means one second), and Sink, which is required,
+// receives the finished timeline after the run, stamped with the
+// scenario name, the protocol and the effective seed. Use a
+// MemoryTimelineSink to read the timeline back in process. It is the
+// same request a batch takes (BatchTelemetry).
+type Telemetry = batch.Telemetry
 
 // Timeline types: a Timeline is one run's interval series of
 // TimelinePoints; a TimelineSink consumes finished timelines stamped
