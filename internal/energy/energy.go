@@ -27,41 +27,32 @@ const txPowerW = 1.0
 type Meter struct {
 	controlJ float64
 	dataJ    float64
-
-	// PerNode tracks per-terminal totals for fairness analysis.
-	perNode []float64
 }
 
-// NewMeter builds a meter for n terminals.
-func NewMeter(n int) *Meter {
-	return &Meter{perNode: make([]float64, n)}
+// NewMeter builds an empty meter.
+func NewMeter() *Meter {
+	return &Meter{}
 }
 
 // ControlTransmitted accounts one routing packet on the common channel
 // (mac.CommonChannel.OnTransmit).
-func (m *Meter) ControlTransmitted(pkt *packet.Packet, from int, _ time.Duration) {
+func (m *Meter) ControlTransmitted(pkt *packet.Packet, _ int, _ time.Duration) {
 	airtime := float64(pkt.Size*8) / mac.CommonBitrate
 	j := txPowerW * airtime
 	m.controlJ += j
-	if from >= 0 && from < len(m.perNode) {
-		m.perNode[from] += j
-	}
 }
 
 // DataTransmitted accounts one data-channel transmission at the given
 // class (wire to mac.DataPlane.OnDataTransmit). Blind transmissions into
 // a broken link pass ClassNone and are billed at the most robust rate,
 // matching the airtime the MAC actually spends.
-func (m *Meter) DataTransmitted(from, to int, class channel.Class, sizeBytes int, _ time.Duration) {
+func (m *Meter) DataTransmitted(_, _ int, class channel.Class, sizeBytes int, _ time.Duration) {
 	if !class.Usable() {
 		class = channel.ClassD
 	}
 	airtime := float64(sizeBytes*8) / class.ThroughputBps()
 	j := txPowerW * airtime
 	m.dataJ += j
-	if from >= 0 && from < len(m.perNode) {
-		m.perNode[from] += j
-	}
 }
 
 // Stats freezes the totals; deliveredBits normalizes the per-bit cost.
@@ -71,11 +62,4 @@ func (m *Meter) Stats(deliveredBits float64) metrics.EnergyStats {
 		s.PerDeliveredBitJ = s.TotalJ() / deliveredBits
 	}
 	return s
-}
-
-// PerNode returns a copy of the per-terminal energy totals in joules.
-func (m *Meter) PerNode() []float64 {
-	out := make([]float64, len(m.perNode))
-	copy(out, m.perNode)
-	return out
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestControlEnergy(t *testing.T) {
-	m := NewMeter(4)
+	m := NewMeter()
 	pkt := &packet.Packet{Type: packet.TypeRREQ, Size: packet.SizeRREQ}
 	m.ControlTransmitted(pkt, 2, 0)
 	// 24 bytes at 250 kbps at 1 W = 192/250000 J.
@@ -21,17 +21,13 @@ func TestControlEnergy(t *testing.T) {
 	if s.DataJ != 0 {
 		t.Fatalf("DataJ = %v, want 0", s.DataJ)
 	}
-	per := m.PerNode()
-	if math.Abs(per[2]-want) > 1e-12 || per[0] != 0 {
-		t.Fatalf("per-node = %v", per)
-	}
 }
 
 func TestDataEnergyScalesWithClass(t *testing.T) {
-	m := NewMeter(2)
+	m := NewMeter()
 	m.DataTransmitted(0, 1, channel.ClassA, packet.SizeData, 0)
 	a := m.Stats(0).DataJ
-	m2 := NewMeter(2)
+	m2 := NewMeter()
 	m2.DataTransmitted(0, 1, channel.ClassD, packet.SizeData, 0)
 	d := m2.Stats(0).DataJ
 	if ratio := d / a; math.Abs(ratio-5) > 1e-9 {
@@ -40,10 +36,10 @@ func TestDataEnergyScalesWithClass(t *testing.T) {
 }
 
 func TestBlindTransmissionBilledAtWorstClass(t *testing.T) {
-	m := NewMeter(2)
+	m := NewMeter()
 	m.DataTransmitted(0, 1, channel.ClassNone, packet.SizeData, 0)
 	blind := m.Stats(0).DataJ
-	m2 := NewMeter(2)
+	m2 := NewMeter()
 	m2.DataTransmitted(0, 1, channel.ClassD, packet.SizeData, 0)
 	if blind != m2.Stats(0).DataJ {
 		t.Fatalf("blind attempt billed %v, want class-D cost %v", blind, m2.Stats(0).DataJ)
@@ -51,7 +47,7 @@ func TestBlindTransmissionBilledAtWorstClass(t *testing.T) {
 }
 
 func TestPerDeliveredBitNormalization(t *testing.T) {
-	m := NewMeter(2)
+	m := NewMeter()
 	m.DataTransmitted(0, 1, channel.ClassA, packet.SizeData, 0)
 	s := m.Stats(4096) // one delivered 512-byte packet
 	wantPerBit := s.TotalJ() / 4096
@@ -60,15 +56,5 @@ func TestPerDeliveredBitNormalization(t *testing.T) {
 	}
 	if z := m.Stats(0); z.PerDeliveredBitJ != 0 {
 		t.Fatalf("zero delivered bits must not divide: %v", z.PerDeliveredBitJ)
-	}
-}
-
-func TestPerNodeCopyIsolated(t *testing.T) {
-	m := NewMeter(2)
-	m.DataTransmitted(0, 1, channel.ClassA, 100, 0)
-	per := m.PerNode()
-	per[0] = 99
-	if m.PerNode()[0] == 99 {
-		t.Fatal("PerNode returned internal slice")
 	}
 }

@@ -251,10 +251,12 @@ func (h *History) Audit(misses *uint64) {
 	h.audit = &forgetAudit{seen: make(map[uint64]struct{}), misses: misses}
 }
 
-// floodTable is one generation: packed keys beside inline records.
+// floodTable is one generation: packed keys beside the two fields a
+// record holds, in three parallel arrays — 20 bytes a slot.
 type floodTable struct {
 	keys []uint64 // packed keys; 0 marks an empty slot (Kind is never 0)
-	recs []FloodRecord
+	hop  []float64
+	from []int32 // scenario.MaxNodes terminals fit
 	used int
 }
 
@@ -290,7 +292,10 @@ func (t *floodTable) get(pk uint64) (FloodRecord, bool) {
 		return FloodRecord{}, false
 	}
 	i := t.find(pk)
-	return t.recs[i], t.keys[i] == pk
+	if t.keys[i] != pk {
+		return FloodRecord{}, false
+	}
+	return FloodRecord{FirstFrom: int(t.from[i]), HopCount: t.hop[i]}, true
 }
 
 // put inserts or overwrites a record.
@@ -303,28 +308,29 @@ func (t *floodTable) put(pk uint64, rec FloodRecord) {
 		t.keys[i] = pk
 		t.used++
 	}
-	t.recs[i] = rec
+	t.hop[i], t.from[i] = rec.HopCount, int32(rec.FirstFrom)
 }
 
 func (t *floodTable) grow() {
-	oldKeys, oldRecs := t.keys, t.recs
+	oldKeys, oldHop, oldFrom := t.keys, t.hop, t.from
 	n := 2 * len(oldKeys)
 	if n == 0 {
 		n = historyInitSlots
 	}
 	t.keys = make([]uint64, n)
-	t.recs = make([]FloodRecord, n)
+	t.hop = make([]float64, n)
+	t.from = make([]int32, n)
 	for i, k := range oldKeys {
 		if k != 0 {
 			j := t.find(k)
 			t.keys[j] = k
-			t.recs[j] = oldRecs[i]
+			t.hop[j], t.from[j] = oldHop[i], oldFrom[i]
 		}
 	}
 }
 
-// reset empties the table and keeps its storage. Records need no
-// clearing: a slot is live only while its key is.
+// reset empties the table and keeps its storage. The record arrays need
+// no clearing: a slot is live only while its key is.
 func (t *floodTable) reset() {
 	if t.used > 0 {
 		clear(t.keys)
@@ -384,15 +390,15 @@ func (h *History) put(key packet.FloodKey, rec FloodRecord) {
 	h.cur.put(pk, rec)
 }
 
-// FloodRecord is what the history keeps per flood instance.
+// FloodRecord is what the history keeps per flood instance: the reverse
+// hop an RREP retraces and the metric an improving copy must beat.
 type FloodRecord struct {
-	// FirstFrom is the neighbour that delivered the first copy.
+	// FirstFrom is the neighbour that delivered the copy on record (the
+	// first, or the last improving one).
 	FirstFrom int
-	// HopCount and GeoHops are the metrics carried by that first copy
-	// after this terminal's own link was added.
+	// HopCount is the accumulated metric that copy carried after this
+	// terminal's own link was added.
 	HopCount float64
-	GeoHops  int
-	At       time.Duration
 }
 
 // NewHistory returns an empty flood history.
@@ -417,7 +423,7 @@ func (h *History) FirstCopy(pkt *packet.Packet, now time.Duration) (FloodRecord,
 		h.lastKey, h.lastRec, h.lastOK = key, rec, true
 		return rec, false
 	}
-	rec := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
+	rec := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 	h.put(key, rec)
 	h.lastKey, h.lastRec, h.lastOK = key, rec, true
 	return rec, true
@@ -445,14 +451,14 @@ func (h *History) Improved(pkt *packet.Packet, now time.Duration) (FloodRecord, 
 		var ok bool
 		rec, ok = h.get(key)
 		if !ok {
-			rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
+			rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 			h.put(key, rec)
 			h.lastKey, h.lastRec, h.lastOK = key, rec, true
 			return rec, true
 		}
 	}
 	if pkt.HopCount < rec.HopCount-metricImprovement {
-		rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
+		rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 		h.put(key, rec)
 		h.lastKey, h.lastRec, h.lastOK = key, rec, true
 		return rec, true

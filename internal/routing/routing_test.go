@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -371,10 +372,12 @@ func TestHistoryPackedTableMatchesMap(t *testing.T) {
 		if step > 0 && rng.Intn(2) == 0 {
 			*pkt = recent[rng.Intn(min(step, len(recent)))] // another copy of a recent flood
 		}
-		pkt.From, pkt.HopCount, pkt.GeoHops = rng.Intn(200), float64(rng.Intn(40)), rng.Intn(12)
+		// The reverse hop ranges over every terminal id a packed key can
+		// name, so a slot narrower than the id loses some.
+		pkt.From, pkt.HopCount = rng.Intn(1<<17), float64(rng.Intn(40))
 		recent[step%len(recent)] = *pkt
 		key := pkt.Key()
-		fresh := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount, GeoHops: pkt.GeoHops, At: now}
+		fresh := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 
 		want, found, absent := ref.expect(key, now)
 		improving := rng.Intn(2) == 0
@@ -418,6 +421,23 @@ func TestHistoryPackedTableMatchesMap(t *testing.T) {
 	if ref.mustFind < 1000 || ref.mustMiss < 1000 || ref.either < 1000 {
 		t.Fatalf("schedule decided found %d, forgotten %d, either %d times: too few of one to test the bounds",
 			ref.mustFind, ref.mustMiss, ref.either)
+	}
+}
+
+// TestHistorySlotIs20Bytes pins what a terminal pays per flood-history
+// slot: a packed key, the metric an improving copy must beat and the
+// reverse hop, one parallel array each — 8 + 8 + 4 bytes. Every slice in
+// floodTable is counted, so an array added to it is a visible decision.
+func TestHistorySlotIs20Bytes(t *testing.T) {
+	typ := reflect.TypeOf(floodTable{})
+	var slot uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Slice {
+			slot += f.Type.Elem().Size()
+		}
+	}
+	if slot != 20 {
+		t.Errorf("a flood-history slot is %d bytes across floodTable's arrays, want 20", slot)
 	}
 }
 

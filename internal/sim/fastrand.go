@@ -98,14 +98,21 @@ func newFastSource(seed int64) *fastSource {
 
 // Seed re-seeds, reproducing rngSource.Seed's vec verbatim: vec[i] mixes
 // three LCG values with the cooked table.
-func (s *fastSource) Seed(seed int64) {
+func (s *fastSource) Seed(seed int64) { s.seedX0(lcgSeed0(seed)) }
+
+// seedX0 is Seed for the LCG start x0 = lcgSeed0(seed).
+func (s *fastSource) seedX0(x0 int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
 	s.laps = 0
-	x0 := lcgSeed0(seed)
 	for i := range s.vec {
-		s.vec[i] = int64(lcgWord(x0, i) ^ rngCooked[i])
+		s.vec[i] = seedWord(x0, i)
 	}
+}
+
+// seedWord is word i of the vec a seed with LCG start x0 seeds.
+func seedWord(x0 int64, i int) int64 {
+	return int64(lcgWord(x0, i) ^ rngCooked[i])
 }
 
 // Uint64 mirrors rngSource.Uint64: one additive-generator step. The
@@ -199,15 +206,87 @@ func recoverCooked() {
 	}
 }
 
+// stream is a component stream (Streams.Stream): its rand.Rand, and the
+// generator that rand.Rand draws from, which holds no vector until its
+// 274th draw. Step k (from 1) of a fresh generator adds vec[607−k] into
+// vec[334−k]: for k ≤ rngTap the feed cursor walks 333…61 and the tap
+// 606…334, so each step reads two words no earlier step wrote, and draw
+// k is seedWord(334−k) + seedWord(607−k), six jumped-to LCG values. The
+// (rngTap+1)-th draw reads vec[333], which draw 1 wrote: there the
+// stream materialises — it seeds a full fastSource, steps it rngTap
+// times and points its rand.Rand at it, so every later draw is a plain
+// fastSource draw.
+type stream struct {
+	rng  rand.Rand   // draws from the stream while virgin, from full after
+	x0   uint32      // the seed's LCG start, lcgSeed0(seed) < 2³¹−1
+	k    uint32      // draws made while virgin, at most rngTap
+	full *fastSource // the materialised generator; nil while virgin
+}
+
+var _ rand.Source64 = (*stream)(nil)
+
+// newStream returns a virgin stream for seed, drawing what
+// rand.New(rand.NewSource(seed)) draws.
+func newStream(seed int64) *stream {
+	st := &stream{x0: uint32(lcgSeed0(seed))}
+	st.rng = *rand.New(st)
+	return st
+}
+
+// Uint64 is one virgin step; rand.Rand calls it only while the stream is
+// virgin.
+func (st *stream) Uint64() uint64 { return st.step() }
+
+// Int63 mirrors rngSource.Int63.
+func (st *stream) Int63() int64 { return int64(st.step() & rngMask) }
+
+// step takes a virgin step, or materialises the stream when its virgin
+// steps are spent and takes the step on the full generator.
+func (st *stream) step() uint64 {
+	if st.k < rngTap {
+		st.k++
+		x0, k := int64(st.x0), int(st.k)
+		return uint64(seedWord(x0, rngLen-rngTap-k) + seedWord(x0, rngLen-k))
+	}
+	f, _ := retired.Get().(*fastSource)
+	if f == nil {
+		f = new(fastSource)
+	}
+	f.seedX0(int64(st.x0))
+	f.skip(rngTap)
+	st.full = f
+	// No component reads bytes through rand.Rand.Read, whose buffered
+	// bytes this reset would drop.
+	st.rng = *rand.New(f)
+	return f.Uint64()
+}
+
+// Seed re-seeds the stream while it is virgin; once it has materialised,
+// its rand.Rand re-seeds the full generator instead.
+func (st *stream) Seed(seed int64) { st.x0, st.k = uint32(lcgSeed0(seed)), 0 }
+
+// draws reports how many steps the stream has taken since it was seeded.
+func (st *stream) draws() uint64 {
+	if st.full != nil {
+		return st.full.draws()
+	}
+	return uint64(st.k)
+}
+
 // verifyFastSource proves the replica on a spread of seeds: every draw of
-// the first few vec laps must match the stdlib source bit-for-bit.
+// the first few vec laps must match the stdlib source bit-for-bit, and
+// so must every draw a virgin stream makes without its vector — the
+// seed-word identity it rests on. Where a virgin stream hands over to
+// its full generator is plain code, held by TestVirginStreamLaw.
 func verifyFastSource() bool {
 	seeds := []int64{0, 1, 2, -7, seedBase, lcgM, lcgM + 1, 1<<62 + 12345, -1 << 40}
 	for _, seed := range seeds {
 		ref := rand.NewSource(seed).(rand.Source64)
 		got := newFastSource(seed)
+		virgin := newStream(seed)
 		for k := 0; k < 2*rngLen; k++ {
-			if got.Uint64() != ref.Uint64() {
+			want := ref.Uint64()
+			if got.Uint64() != want || k < rngTap && virgin.Uint64() != want {
 				return false
 			}
 		}

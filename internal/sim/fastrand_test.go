@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestFastSourceVerified holds the init-time guard both ways: the
@@ -51,17 +52,22 @@ func TestFastSourceMatchesStdlibDraws(t *testing.T) {
 }
 
 // TestFastSourceReseed checks Seed reuses a source correctly: a reseeded
-// replica must restart the exact stdlib sequence for the new seed.
+// replica must restart the exact stdlib sequence for the new seed, and so
+// must a stream reseeded after it has materialised.
 func TestFastSourceReseed(t *testing.T) {
-	s := newFastSource(1)
-	for k := 0; k < 100; k++ {
-		s.Uint64()
-	}
-	s.Seed(999)
-	ref := rand.NewSource(999).(rand.Source64)
-	for k := 0; k < 1300; k++ {
-		if a, b := s.Uint64(), ref.Uint64(); a != b {
-			t.Fatalf("draw %d after reseed: %d != %d", k, a, b)
+	for _, s := range []interface {
+		Seed(int64)
+		Uint64() uint64
+	}{newFastSource(1), &newStream(1).rng} {
+		for k := 0; k < 2*rngTap; k++ {
+			s.Uint64()
+		}
+		s.Seed(999)
+		ref := rand.NewSource(999).(rand.Source64)
+		for k := 0; k < 1300; k++ {
+			if a, b := s.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("%T: draw %d after reseed: %d != %d", s, k, a, b)
+			}
 		}
 	}
 }
@@ -214,8 +220,18 @@ type genState struct {
 	vec       [rngLen]int64
 }
 
-// stateOf reads the state behind a stream's source.
-func stateOf(src *fastSource) genState {
+// stateOf reads the state of the generator behind a stream's record. A
+// virgin stream holds no vector: its state is a fresh generator's for
+// its seed stepped as many times as it has drawn, built here to compare.
+func stateOf(rec streamRec) genState {
+	src := rec.src
+	if st := rec.st; st != nil {
+		if src = st.full; src == nil {
+			src = new(fastSource)
+			src.seedX0(int64(st.x0))
+			src.skip(uint64(st.k))
+		}
+	}
 	return genState{src.tap, src.feed, src.vec}
 }
 
@@ -261,7 +277,7 @@ func TestDrawCountNamesState(t *testing.T) {
 			}
 		}
 		_, db := states(fb)
-		same := stateOf(fa.recs[0].src) == stateOf(fb.recs[0].src)
+		same := stateOf(fa.recs[0]) == stateOf(fb.recs[0])
 		if (da[0] == db[0]) != same {
 			t.Fatalf("%s iter %d (seed %d): draws %d and %d, states equal = %v", mk.name, it, seed, da[0], db[0], same)
 		}
@@ -355,6 +371,105 @@ func TestPeekIsTheNextDraw(t *testing.T) {
 		}
 		if _, d := states(s); d[0] != uint64(i+1) {
 			t.Fatalf("after %d draws and their peeks EachState shows %d", i+1, d[0])
+		}
+	}
+}
+
+// countedRef is math/rand's own source with a count of its steps.
+type countedRef struct {
+	src rand.Source64
+	n   uint64
+}
+
+func (c *countedRef) Int63() int64    { c.n++; return c.src.Int63() }
+func (c *countedRef) Uint64() uint64  { c.n++; return c.src.Uint64() }
+func (c *countedRef) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
+
+// TestVirginStreamLaw is the law a virgin stream rests on: a stream that
+// holds no vector until its 274th draw draws what math/rand's source for
+// its seed draws, before, across and after that draw, whichever
+// rand.Rand method takes it, and reports the draws made. A seeded loop
+// of 10,000 streams moves each through a random mix of Int63, Uint64,
+// Int63n, Float64 and NormFloat64 to a random step count in 0..2·607,
+// comparing every value with math/rand's. The seeds are random ones and
+// verifyFastSource's edge seeds; every fourth stream is made for such a
+// seed directly, the rest come from Streams.Stream and are counted
+// through EachState. Each method must cross the hand-over to the
+// full generator at least 100 times.
+func TestVirginStreamLaw(t *testing.T) {
+	edge := []int64{0, 1, 2, -7, seedBase, lcgM, lcgM + 1, 1<<62 + 12345, -1 << 40}
+	methods := []string{"Int63", "Uint64", "Int63n", "Float64", "NormFloat64"}
+	var crossed [5]int
+	rng := rand.New(rand.NewSource(41))
+	for it := 0; it < 10_000; it++ {
+		var (
+			seed  int64
+			got   *rand.Rand
+			draws func() uint64
+		)
+		if it%4 == 0 {
+			seed = edge[rng.Intn(len(edge))]
+			st := newStream(seed)
+			got, draws = &st.rng, st.draws
+		} else {
+			s := NewStreams(rng.Int63() - rng.Int63())
+			id := rng.Uint64()
+			seed = int64(mix(s.seed, id))
+			got = s.Stream(id)
+			draws = func() uint64 {
+				_, d := states(s)
+				return d[0]
+			}
+		}
+		ref := &countedRef{src: rand.NewSource(seed).(rand.Source64)}
+		want := rand.New(ref)
+		target := uint64(rng.Intn(2*rngLen + 1))
+		for ref.n < target {
+			m, before := rng.Intn(len(methods)), ref.n
+			var a, b any
+			switch m {
+			case 0:
+				a, b = got.Int63(), want.Int63()
+			case 1:
+				a, b = got.Uint64(), want.Uint64()
+			case 2:
+				n := 1 + rng.Int63n(1<<62)
+				a, b = got.Int63n(n), want.Int63n(n)
+			case 3:
+				a, b = got.Float64(), want.Float64()
+			case 4:
+				a, b = got.NormFloat64(), want.NormFloat64()
+			}
+			if a != b {
+				t.Fatalf("iter %d (seed %d): %s after %d draws = %v, math/rand's %v", it, seed, methods[m], before, a, b)
+			}
+			if before <= rngTap && ref.n > rngTap {
+				crossed[m]++
+			}
+		}
+		if d := draws(); d != ref.n {
+			t.Fatalf("iter %d (seed %d): %d draws made, the stream reports %d", it, seed, ref.n, d)
+		}
+	}
+	for m, n := range crossed {
+		if n < 100 {
+			t.Errorf("%s took the 274th draw %d times: the hand-over is not exercised through it", methods[m], n)
+		}
+	}
+}
+
+// TestVirginStreamLayout pins what a component stream costs before it
+// materialises: beside its rand.Rand, two 32-bit words and the pointer
+// to its future vector, so the stream is one 64-byte cache line on a
+// 64-bit build. A field added to it is a visible decision.
+func TestVirginStreamLayout(t *testing.T) {
+	word := unsafe.Sizeof(uintptr(0))
+	if got, want := unsafe.Sizeof(stream{})-unsafe.Sizeof(rand.Rand{}), 2*4+word; got != want {
+		t.Errorf("a stream keeps %d bytes beside its rand.Rand, want %d", got, want)
+	}
+	if word == 8 {
+		if got := unsafe.Sizeof(stream{}); got != 64 {
+			t.Errorf("a virgin stream is %d bytes, want 64", got)
 		}
 	}
 }

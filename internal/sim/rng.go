@@ -23,17 +23,16 @@ type Streams struct {
 	// creation is itself simulation work), so the record doubles as the
 	// canonical iteration order for checkpoint capture.
 	recs []streamRec
-
-	// owned is the storage Stream allocated, which Retire hands on.
-	owned []*StreamMem
 }
 
-// streamRec remembers one created stream. A parked stream has no
-// source: its generator was handed back and n holds the draw count it
+// streamRec remembers one created stream: one Stream made is st, one
+// seeded in caller-owned memory draws from src. A parked stream has
+// neither: its generator was handed back and n holds the draw count it
 // had, which with the id is all it takes to rebuild it (see Park).
 type streamRec struct {
 	id  uint64
 	src *fastSource
+	st  *stream
 	n   uint64
 }
 
@@ -46,33 +45,34 @@ func NewStreams(seed int64) *Streams {
 // twice with the same id returns two generators with identical sequences;
 // callers should fetch each component's stream exactly once.
 //
-// The generator is math/rand's lagged-Fibonacci source, seeded through
-// the jump-ahead replica in fastrand.go — identical draws, a fraction of
-// the seeding cost that dominates lazy fading-link creation.
+// The generator is math/rand's lagged-Fibonacci source, replicated in
+// fastrand.go — identical draws. It starts virgin, drawing its first
+// rngTap values from the seed alone; only a stream that draws more takes
+// the 607-word vector.
 func (s *Streams) Stream(id uint64) *rand.Rand {
-	mem, _ := retired.Get().(*StreamMem)
-	if mem == nil {
-		mem = new(StreamMem)
-	}
-	s.owned = append(s.owned, mem)
-	return s.seedInto(mem, id)
+	st := newStream(int64(mix(s.seed, id)))
+	s.recs = append(s.recs, streamRec{id: id, st: st})
+	return &st.rng
 }
 
-// retired holds the storage of retired factories' streams for the next
-// factories this process makes: 5 KB a stream, and a batch worker makes
-// a few hundred streams a cell. Seeding overwrites every word a stream
-// draws from, so nothing of its last use carries over.
+// retired holds the vectors of retired factories' materialised streams
+// for the streams this process materialises next: 5 KB a vector, and a
+// batch worker materialises a few hundred a cell. Seeding overwrites
+// every word a stream draws from, so nothing of its last use carries
+// over.
 var retired sync.Pool
 
-// Retire hands the storage of every stream Stream made to the factories
-// made after s. No stream s made may be drawn from again, and s must not
-// be used again: call it once the world the streams belong to is
-// finished with.
+// Retire hands the vector of every stream Stream made that outgrew its
+// virgin steps to the streams materialised after s. No stream s made
+// may be drawn from again, and s must not be used again: call it once
+// the world the streams belong to is finished with.
 func (s *Streams) Retire() {
-	for _, mem := range s.owned {
-		retired.Put(mem)
+	for _, rec := range s.recs {
+		if st := rec.st; st != nil && st.full != nil {
+			retired.Put(st.full)
+		}
 	}
-	s.owned, s.recs = nil, nil
+	s.recs = nil
 }
 
 // StreamMem is caller-owned storage for one stream: the generator's
@@ -92,13 +92,7 @@ type StreamMem struct {
 // as the stream is in use (the returned pointer and the factory's record
 // both alias it).
 func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
-	return s.seedInto(mem, mix(kind, index))
-}
-
-// seedInto seeds mem as the stream for component id, records it in
-// creation order and returns the generator living in mem: the one way a
-// stream comes into being, in the caller's memory or on the heap.
-func (s *Streams) seedInto(mem *StreamMem, id uint64) *rand.Rand {
+	id := mix(kind, index)
 	mem.src.Seed(int64(mix(s.seed, id)))
 	mem.rec = len(s.recs)
 	s.recs = append(s.recs, streamRec{id: id, src: &mem.src})
@@ -157,10 +151,13 @@ func (s *Streams) Revive(mem *StreamMem, p ParkedStream) *rand.Rand {
 // it was parked at. No stream advances.
 func (s *Streams) EachState(fn func(id, draws uint64)) {
 	for _, rec := range s.recs {
-		if rec.src == nil {
-			fn(rec.id, rec.n)
-		} else {
+		switch {
+		case rec.st != nil:
+			fn(rec.id, rec.st.draws())
+		case rec.src != nil:
 			fn(rec.id, rec.src.draws())
+		default:
+			fn(rec.id, rec.n)
 		}
 	}
 }

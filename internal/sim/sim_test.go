@@ -384,37 +384,44 @@ func TestStreamsDifferentSeedsDiffer(t *testing.T) {
 }
 
 // TestRetiredStreamsDrawAfresh is the law behind Streams.Retire: the
-// storage a retired factory hands on seeds into the same generators
+// vectors a retired factory hands on seed into the same generators
 // fresh storage does. A donor factory makes streams, draws from them
-// part of a lap and past a lap of the vector, and retires; a factory on
-// another seed then makes streams, which take the donor's storage, and
-// each must draw what math/rand's own source for its seed draws, past
-// two laps, and be recorded at zero draws. It must take donor storage,
-// or it proves nothing.
+// within their virgin steps, part of a lap and past a lap of the vector,
+// and retires; a factory on another seed then makes streams, which take
+// the donor's vectors when they materialise, and each must draw what
+// math/rand's own source for its seed draws, past two laps, and be
+// recorded at those draws. It must take donor vectors, or it proves
+// nothing.
 func TestRetiredStreamsDrawAfresh(t *testing.T) {
 	donor := NewStreams(5)
-	given := map[*rand.Rand]bool{}
 	for id := uint64(0); id < 8; id++ {
 		r := donor.Stream(id)
 		for k := uint64(0); k < 100*id+37; k++ {
 			r.Uint64()
 		}
-		given[r] = true
+	}
+	given := map[*fastSource]bool{}
+	for _, rec := range donor.recs {
+		if rec.st.full != nil {
+			given[rec.st.full] = true
+		}
 	}
 	donor.Retire()
 
 	s := NewStreams(77)
-	taken := 0
 	for id := uint64(0); id < 8; id++ {
 		got := s.Stream(id)
-		if given[got] {
-			taken++
-		}
 		want := rand.NewSource(int64(mix(77, id))).(rand.Source64)
 		for k := 0; k < 2*rngLen; k++ {
 			if a, b := got.Uint64(), want.Uint64(); a != b {
 				t.Fatalf("stream %d, draw %d: %d from retired storage, %d from math/rand", id, k, a, b)
 			}
+		}
+	}
+	taken := 0
+	for _, rec := range s.recs {
+		if given[rec.st.full] {
+			taken++
 		}
 	}
 	if taken == 0 {

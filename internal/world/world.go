@@ -244,7 +244,7 @@ func New(cfg Config, factory AgentFactory) *World {
 	common.SetObs(reg)
 	data := mac.NewDataPlane(kernel, model)
 	collector := metrics.NewCollector(cfg.Duration)
-	meter := energy.NewMeter(cfg.N)
+	meter := energy.NewMeter()
 	var gossip *traffic.Gossip
 	if cfg.Gossip != nil {
 		gossip = traffic.NewGossip(kernel, *cfg.Gossip, streams.Stream(streamKindGossip), reg)
