@@ -316,8 +316,6 @@ func TestPairIndexBijective(t *testing.T) {
 // query is sized around: a miss lands on the link, and what every query
 // reads — the advance clock, the three process values, the per-instant
 // memo stamp and the stream pointer — must come in with that one line.
-// A model-owned link starts its allocation, so the line is the record's
-// first 64 bytes too.
 func TestLinkHotFieldsShareFirstCacheLine(t *testing.T) {
 	var l Link
 	for _, f := range []struct {
@@ -334,9 +332,6 @@ func TestLinkHotFieldsShareFirstCacheLine(t *testing.T) {
 		if f.off+f.size > 64 {
 			t.Errorf("Link.%s ends at byte %d, outside the first cache line", f.name, f.off+f.size)
 		}
-	}
-	if off := unsafe.Offsetof(linkRec{}.Link); off != 0 {
-		t.Errorf("linkRec puts %d bytes ahead of the link's hot line", off)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // generator, and none should.
 
 // LinkAtIndex returns the fading link at triangular pair index idx, nil
-// if the pair has not met. A parked link's header has no stream.
+// if the pair has not met.
 func (m *Model) LinkAtIndex(idx int) *Link { return m.links[idx] }
 
 // Stream returns the link's private generator.
@@ -28,7 +28,14 @@ func (m *Model) SetParkAfter(d time.Duration) {
 	m.parkAfter = d
 }
 
-// GeneratorRecords reports how many link records, each holding one
-// generator, the model has allocated: those in use and those on its free
-// list.
-func (m *Model) GeneratorRecords() int { return len(m.live) + len(m.free) }
+// HeldVectors reports how many of the model's links have a stream that
+// holds its 607-word vector.
+func (m *Model) HeldVectors() int {
+	n := 0
+	for _, l := range m.links {
+		if l != nil && l.stream.Held() {
+			n++
+		}
+	}
+	return n
+}

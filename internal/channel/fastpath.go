@@ -56,13 +56,13 @@ func (m *Model) classMiss(s *snapshot, idx, i, j int, at time.Duration) Class {
 
 // Warm reads, for each j in js, what the first Class(i, j, ·) of an
 // instant reads from the pair's fading link: the pair's slot, the link
-// header, and for a live link its generator's cursor and the two vector
-// words its next draw adds. A broadcast's receivers each measure the
+// header, and for a link whose stream holds its vector the generator's
+// cursor and the two vector words its next draw adds. A broadcast's receivers each measure the
 // class of the link they heard it over, and at N=500 every one of those
 // links is a cache miss; reading them all before the first delivery lets
 // the misses overlap instead of queueing one per receiver. Warm only
-// reads — a pair never met is not created, a parked link is not revived
-// and nothing advances — so no query, export or capture can tell whether
+// reads — a pair never met is not created, a parked link's vector is not
+// rebuilt and nothing advances — so no query, export or capture can tell whether
 // it ran. What it read is folded into m.warmed so the loads are kept.
 //
 // The generator is reached through the header, so it is read in a second
@@ -78,8 +78,8 @@ func (m *Model) Warm(i int, js []int) {
 		}
 	}
 	for _, j := range js {
-		if l := m.links[m.pairIndex(i, j)]; l != nil && l.mem != nil {
-			sum += l.mem.Peek()
+		if l := m.links[m.pairIndex(i, j)]; l != nil {
+			sum += l.stream.Peek()
 		}
 	}
 	m.warmed += sum

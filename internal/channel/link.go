@@ -77,7 +77,7 @@ func DefaultConfig() Config {
 // three process values, the owning model's per-instant class memo and
 // the stream pointer — sits in the first 64 bytes (held by
 // TestLinkHotFieldsShareFirstCacheLine), and a model-owned link's stream
-// storage follows in the same allocation (linkRec).
+// record follows in the same allocation.
 type Link struct {
 	last time.Duration
 
@@ -104,15 +104,9 @@ type Link struct {
 	lastD        float64
 	lastPathLoss float64
 
-	// parked names the stream record of a parked link: a model-owned
-	// link whose generator was handed back, so rng is nil (see
-	// Model.parkIdle). Meaningless while rng is set.
-	parked sim.ParkedStream
-
-	// mem is the storage rng draws from while a model-owned link is live
-	// (its record's stream), for Model.Warm to read ahead; nil on a
-	// parked header and on a link built by NewLink.
-	mem *sim.StreamMem
+	// stream is the record of a model-owned link's stream, which rng
+	// draws from (Model.linkAt); unused on a link built by NewLink.
+	stream sim.StreamMem
 }
 
 // NewLink creates a link process with its private random stream. The
@@ -124,14 +118,12 @@ func NewLink(cfg *Config, rng *rand.Rand) *Link {
 	return l
 }
 
-// init resets l to a fresh link on rng and draws its initial state. It
-// overwrites every field, so a record that served another pair carries
-// nothing of it over.
+// init sets a new link l on rng and draws its initial state.
 func (l *Link) init(cfg *Config, rng *rand.Rand) {
 	if rng == nil {
 		panic("channel: NewLink requires a random stream")
 	}
-	*l = Link{cfg: cfg, rng: rng}
+	l.cfg, l.rng = cfg, rng
 	l.shadow = rng.NormFloat64() * cfg.ShadowSigma
 	l.fi = rng.NormFloat64()
 	l.fq = rng.NormFloat64()

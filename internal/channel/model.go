@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"sync"
 	"time"
 
 	"rica/internal/geom"
@@ -48,14 +47,15 @@ type Mover interface {
 const streamKindChannel = 0x_C4A1
 
 // parkIdleAfter is how long a link may go unadvanced before the next grid
-// rebuild parks it: hands its 4.9 KB generator back and keeps only its
-// header (Model.parkIdle). Parking is exact at any threshold, so the
-// threshold trades only memory against revival work, and it must sit
-// well above any protocol's periodic per-link query: link state's 1 s
-// beacons revive thirteen times as many links at a 1 s threshold as at
-// 10 s. Generator memory barely cares. Measured on the paper's cell
-// (paper-baseline, 1,176 links by 500 s, seed 1; peak RSS on a 2-vCPU
-// box, one reading each):
+// rebuild parks it: releases its stream's 4.75 KB vector and keeps the
+// rest of the link (Model.parkIdle). Parking is exact at any threshold,
+// so the threshold trades only memory against rebuilding work, and it
+// must sit well above any protocol's periodic per-link query: link
+// state's 1 s beacons rebuild thirteen times as many vectors at a 1 s
+// threshold as at 10 s. Generator memory barely cares. Measured on the
+// paper's cell when a parked link copied its header out and handed its
+// whole record back (paper-baseline, 1,176 links by 500 s, seed 1; peak
+// RSS on a 2-vCPU box, one reading each):
 //
 //	threshold  RICA: revivals, draws re-stepped, records, RSS   LinkState: revivals, draws, records, RSS
 //	never      0       0        1,176  20.1 MB                   0        0         1,174  27.4 MB
@@ -63,9 +63,9 @@ const streamKindChannel = 0x_C4A1
 //	3 s        1,863   9.0 M      402  16.8 MB                   5,903    2.9 M       357  22.8 MB
 //	10 s       1,764   8.4 M      441  17.3 MB                   1,848    0.85 M      424  23.2 MB
 //
-// A revival costs ≈ 5 µs plus 1 ns per draw re-stepped (BenchmarkLinkRevive),
-// so RICA's at 10 s cost ≈ 17 ms of a 2.5 s run, the longest (30,356
-// draws) ≈ 35 µs.
+// A rebuild costs ≈ 3 µs plus 0.5 ns per draw re-stepped
+// (BenchmarkLinkRevive), so RICA's at 10 s come to ≈ 10 ms of a 2.5 s
+// run, the longest (30,356 draws) ≈ 19 µs.
 const parkIdleAfter = 10 * time.Second
 
 // Model is the full-network channel: one fading Link per unordered
@@ -92,12 +92,9 @@ type Model struct {
 	snap    *snapshot
 	obs     *obs.Registry
 
-	// A link holds a generator from its pair's first query until a grid
-	// rebuild finds it idle for longer than parkAfter; it is then parked
-	// (parkIdle) and its record goes to free, from which the next link
-	// to need a generator — new or revived — takes one.
-	live      []*linkRec
-	free      []*linkRec
+	// A link's stream holds its vector from the pair's first query until
+	// a grid rebuild finds the link idle for longer than parkAfter; it
+	// is then parked (parkIdle), and its next draw takes a vector back.
 	parkAfter time.Duration
 
 	warmed uint64 // what Warm read, kept so its loads are not dead code
@@ -129,96 +126,33 @@ func NewModel(cfg Config, streams *sim.Streams, pos []Positioner) *Model {
 	return m
 }
 
-// linkRec is a model-owned link as it is allocated: the fading state up
-// front and, behind it, the storage of the private stream it draws from
-// — one object per pair, so an advance chases no pointer out of it.
-type linkRec struct {
-	Link
-	stream sim.StreamMem
-	idx    int // the pair's triangular index
-}
-
 // linkAt fetches the fading process of the pair whose triangular index
-// is idx, with a generator to advance it: created on the pair's first
-// query, revived if it was parked.
+// is idx, created on the pair's first query: one object, its stream
+// seeded in the link's own record.
 func (m *Model) linkAt(idx, i, j int) *Link {
-	if l := m.links[idx]; l != nil && l.rng != nil {
+	if l := m.links[idx]; l != nil {
 		return l
 	}
-	return m.linkMiss(idx)
+	l := new(Link)
+	l.init(&m.cfg, m.streams.SeedAt(&l.stream, streamKindChannel, uint64(idx)))
+	m.links[idx] = l
+	m.nlinks++
+	return l
 }
 
-// linkMiss gives the pair at idx a live link in a record off the free
-// list (or a new one). A parked pair's header is copied back and its
-// stream revived, so the link resumes exactly where it stopped; a new
-// pair's link is initialized from scratch, whatever the record held.
-func (m *Model) linkMiss(idx int) *Link {
-	var rec *linkRec
-	if k := len(m.free); k > 0 {
-		rec = m.free[k-1]
-		m.free = m.free[:k-1]
-	} else if rec, _ = retired.Get().(*linkRec); rec == nil {
-		rec = new(linkRec)
-	}
-	if hdr := m.links[idx]; hdr != nil {
-		rec.Link = *hdr
-		rec.rng = m.streams.Revive(&rec.stream, hdr.parked)
-	} else {
-		rec.init(&m.cfg, m.streams.SeedAt(&rec.stream, streamKindChannel, uint64(idx)))
-		m.nlinks++
-	}
-	rec.mem = &rec.stream
-	rec.idx = idx
-	m.links[idx] = &rec.Link
-	m.live = append(m.live, rec)
-	return &rec.Link
-}
-
-// parkIdle parks every live link not advanced for longer than parkAfter
-// before at: a standalone copy of its header with no stream takes its
-// place in the pair index, its stream record freezes at its draw count,
-// and its record joins the free list. Every query answered from a header
-// alone (a memo hit, EachLink) reads the same fields as before, and the
-// next one that must advance the link revives it (linkMiss), so parking
-// moves no value — it only bounds generator memory by the pairs in play.
-// The grid rebuild calls it.
+// parkIdle parks every created link not advanced for longer than
+// parkAfter before at: its stream releases its vector and keeps its draw
+// count. Every query answered from the link's fields alone (a memo hit,
+// EachLink) reads what it read before, and the next advance rebuilds the
+// vector in the state it was released in, so parking moves no value —
+// it only bounds generator memory by the pairs in play. The grid
+// rebuild calls it.
 func (m *Model) parkIdle(at time.Duration) {
-	kept := m.live[:0]
-	for _, rec := range m.live {
-		if at-rec.last <= m.parkAfter {
-			kept = append(kept, rec)
-			continue
+	for _, l := range m.links {
+		if l != nil && at-l.last > m.parkAfter {
+			l.stream.Release()
 		}
-		hdr := new(Link)
-		*hdr = rec.Link
-		hdr.rng, hdr.mem = nil, nil
-		hdr.parked = m.streams.Park(&rec.stream)
-		m.links[rec.idx] = hdr
-		m.free = append(m.free, rec)
 	}
-	clear(m.live[len(kept):])
-	m.live = kept
-}
-
-// retired holds the link records of models that were retired, for the
-// next models this process builds: a record is about 5 KB, almost all of
-// it generator state, and a batch worker running short cells one after
-// another would otherwise allocate (and collect) every cell's records
-// afresh. A record from here is initialized like any free-list record,
-// so nothing of its last pair carries over.
-var retired sync.Pool
-
-// Retire hands the model's link records to the models built after it.
-// The model must not be used again: call it once its world is finished
-// with and nothing will read it.
-func (m *Model) Retire() {
-	for _, rec := range m.live {
-		retired.Put(rec)
-	}
-	for _, rec := range m.free {
-		retired.Put(rec)
-	}
-	m.live, m.free, m.links = nil, nil, nil
 }
 
 // N reports the number of terminals.

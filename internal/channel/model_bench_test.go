@@ -79,7 +79,8 @@ func BenchmarkNeighborsBrute(b *testing.B) {
 
 // BenchmarkLinkBirth times the lazy creation of one fading link — stream
 // seeded in place, initial state drawn — and is in the alloc gate for
-// its allocs/op: a link is one object (scripts/alloc_budget.txt). A
+// its allocs/op: a link is one object and its stream's vector another
+// (scripts/alloc_budget.txt). A
 // fresh model every 256 births keeps the live set a few megabytes; its
 // first births are left untimed so that the stream factory's record
 // slice has done its early doublings.
@@ -107,12 +108,12 @@ func BenchmarkLinkBirth(b *testing.B) {
 	}
 }
 
-// BenchmarkLinkRevive times one parked link's revival — a record off
-// the free list, the header copied back, the generator reseeded and
-// stepped as many times as it had drawn — at three draw counts (the
-// paper's cell revives links at up to 30k). It is in the alloc gate at
-// zero: a revival served from the free list allocates nothing. Every
-// 256 revivals the links are parked again, untimed.
+// BenchmarkLinkRevive times one parked link's first draw: the stream
+// takes a vector off the pool, seeds it and steps it as many times as it
+// had drawn, and draws — at three draw counts (the paper's cell parks
+// links at up to 30k). It is in the alloc gate at zero: the vector is
+// one a parked link released. Every 256 first draws the links are
+// parked again, untimed.
 func BenchmarkLinkRevive(b *testing.B) {
 	for _, draws := range []int{1_000, 10_000, 30_000} {
 		b.Run(fmt.Sprintf("draws=%dk", draws/1000), func(b *testing.B) {
@@ -138,15 +139,15 @@ func BenchmarkLinkRevive(b *testing.B) {
 					idx = 0
 					b.StartTimer()
 				}
-				m.linkAt(idx, 0, 0)
+				m.linkAt(idx, 0, 0).rng.Uint64()
 				idx++
 			}
 		})
 	}
 }
 
-// BenchmarkParkSweep times what every grid rebuild now adds: the sweep
-// over the live links when none has gone idle, after one survey of the
+// BenchmarkParkSweep times what every grid rebuild adds: the sweep over
+// the pair index when no link has gone idle, after one survey of the
 // whole field (each neighbourhood scan followed by the class toward
 // every neighbour) has given every pair in range its link.
 func BenchmarkParkSweep(b *testing.B) {
@@ -161,7 +162,7 @@ func BenchmarkParkSweep(b *testing.B) {
 					m.Class(i, j, at)
 				}
 			}
-			b.ReportMetric(float64(len(m.live)), "links")
+			b.ReportMetric(float64(m.LinkCount()), "links")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

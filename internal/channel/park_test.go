@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"rica/internal/sim"
 )
 
 // linkStates collects what EachLink shows, in visit order.
@@ -24,6 +26,24 @@ func streamStates(m *Model, dst [][2]uint64) [][2]uint64 {
 	return dst
 }
 
+// linkOfStream maps the id of each of n terminals' link streams to the
+// link's triangular index, read off a factory that seeds them all.
+func linkOfStream(n int) map[uint64]int {
+	s := sim.NewStreams(0)
+	var mem sim.StreamMem
+	for idx := 0; idx < n*(n-1)/2; idx++ {
+		s.SeedAt(&mem, streamKindChannel, uint64(idx))
+		mem.Release()
+	}
+	of := make(map[uint64]int, n*(n-1)/2)
+	idx := 0
+	s.EachState(func(id, _ uint64) {
+		of[id] = idx
+		idx++
+	})
+	return of
+}
+
 // TestParkingIsExact is the law behind parked links: two models of one
 // field on one seed take the same 10,000 random queries, one parking
 // every link not advanced at the current instant at every grid rebuild,
@@ -32,8 +52,11 @@ func streamStates(m *Model, dst [][2]uint64) [][2]uint64 {
 // forward; an outage schedule silences terminals for a second at a time.
 // At every step the two must give the same Class, InRange and
 // neighbourhood answers, show the same state for every link through
-// EachLink, and the same (id, draws) for every stream. The walk must both park and revive
-// links often, or it proves nothing.
+// EachLink, and the same (id, draws) for every stream. A parked link is
+// one whose stream holds no vector; one parked link drawing again is
+// told by its draw count, since one parked below 273 draws draws from
+// its seed words and takes no vector back. The walk must both park
+// links and draw on parked ones often, or it proves nothing.
 func TestParkingIsExact(t *testing.T) {
 	const n = 50
 	steps := 10000
@@ -58,7 +81,10 @@ func TestParkingIsExact(t *testing.T) {
 		stA, stB        []LinkState
 		ixA, ixB        []int
 		rsA, rsB        [][2]uint64
-		parked          = make([]bool, n*(n-1)/2)
+		linkOf          = linkOfStream(n)
+		recLink         []int // the link of each stream record
+		held            = make([]bool, n*(n-1)/2)
+		parkedAt        = make([]uint64, n*(n-1)/2) // draws at parking, +1; 0 while not parked
 		parks, revivals int
 		pickPartner     = func(i int) int {
 			j := rng.Intn(n - 1)
@@ -152,19 +178,25 @@ func TestParkingIsExact(t *testing.T) {
 				t.Fatalf("step %d: stream %d shows (id, draws) %v parking, %v not", step, k, rsA[k], rsB[k])
 			}
 		}
-		for _, idx := range ixA {
-			now := parking.links[idx].rng == nil
-			switch {
-			case now && !parked[idx]:
-				parks++
-			case !now && parked[idx]:
-				revivals++
+		for k, rs := range rsA {
+			if k == len(recLink) {
+				recLink = append(recLink, linkOf[rs[0]])
+				held[recLink[k]] = true // SeedAt gives a link its vector at birth
 			}
-			parked[idx] = now
+			idx, draws := recLink[k], rs[1]
+			now := parking.links[idx].stream.Held()
+			if held[idx] && !now {
+				parks++
+				parkedAt[idx] = draws + 1
+			} else if parkedAt[idx] != 0 && draws+1 > parkedAt[idx] {
+				revivals++
+				parkedAt[idx] = 0
+			}
+			held[idx] = now
 		}
 	}
 	if parks < steps/10 || revivals < steps/20 {
-		t.Errorf("%d parks and %d revivals in %d steps: the walk no longer exercises parking", parks, revivals, steps)
+		t.Errorf("%d parks and %d parked links drawing again in %d steps: the walk no longer exercises parking", parks, revivals, steps)
 	}
-	t.Logf("%d parks, %d revivals, %d links, %d generator records", parks, revivals, parking.LinkCount(), parking.GeneratorRecords())
+	t.Logf("%d parks, %d parked links drawing again, %d links, %d vectors held", parks, revivals, parking.LinkCount(), parking.HeldVectors())
 }

@@ -3,23 +3,31 @@ package channel
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
 )
 
-// TestRetiredRecordsCarryNothing is the law behind Model.Retire: the
-// link records a retired model hands on serve the next model exactly as
-// fresh ones do. A model of one field walks a seeded run of Class
-// queries and neighbourhood scans, each scan followed by the class
-// toward every neighbour, on fresh records. A donor model of another
-// field then fills records of its own, has every memo and state field
-// of each overwritten with junk, and retires. A model of the first
-// field and seed, built after, takes the donor's records and must give
-// the first model's answers query for query and show the same state for
-// every link. It must take donor records, or it proves nothing.
+// TestRetiredRecordsCarryNothing is the law behind the vector pool: the
+// 607-word vectors a retired world's streams hand on serve the next
+// model exactly as fresh ones do. A model of one field walks a seeded
+// run of Class queries and neighbourhood scans, each scan followed by
+// the class toward every neighbour, on fresh vectors. A donor model of
+// another field then walks its links' streams into vectors of its own
+// and retires its stream factory, as World.Retire does. A model of the
+// first field and seed, built after, takes the donor's vectors for its
+// links and must give the first model's answers query for query and
+// show the same state for every link. It must take donor vectors, or it
+// proves nothing: with the collector held off, so that the pool keeps
+// what it is given, its walk must allocate at least one vector fewer
+// than the fresh model's did.
 func TestRetiredRecordsCarryNothing(t *testing.T) {
-	const n = 50
+	const (
+		n         = 50
+		vectorLen = 4864 // bytes of one vector, TestFastSourceFillsItsSizeClass
+	)
 	steps := 4000
 	if testing.Short() {
 		steps = 1000
@@ -48,54 +56,50 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 		return out
 	}
 
+	// Two collections empty the pool; with the collector off it then
+	// holds exactly what the walks below put in it.
+	emptyPool := func() { runtime.GC(); runtime.GC() }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(walkOn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		walkOn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	emptyPool()
 	fresh, _ := kineticField(31, n, -1)
-	want := walk(fresh)
+	var want []answer
+	freshBytes := allocated(func() { want = walk(fresh) })
 	wantLinks, wantIdx := linkStates(fresh, nil, nil)
 
+	emptyPool()
 	donor, _ := kineticField(47, n, -1)
 	walk(donor)
-	given := map[*linkRec]bool{}
-	for _, recs := range [][]*linkRec{donor.live, donor.free} {
-		for _, rec := range recs {
-			given[rec] = true
-			rec.last = -time.Hour
-			rec.shadow, rec.fi, rec.fq = math.NaN(), math.Inf(1), -1e300
-			rec.memoGen, rec.memoClass = 1, ClassNone
-			rec.lastClass = Class(0x7f)
-			rec.lastD, rec.lastPathLoss = 1, math.NaN()
-			rec.idx = -1
-		}
-	}
-	donor.Retire()
+	donor.streams.Retire()
 
 	reused, _ := kineticField(31, n, -1)
-	got := walk(reused)
+	var got []answer
+	reusedBytes := allocated(func() { got = walk(reused) })
 	for k := range want {
 		w, g := want[k], got[k]
 		if w.class != g.class || !sameInts(w.nbrs, g.nbrs) || !slices.Equal(w.nclasses, g.nclasses) {
-			t.Fatalf("query %d: retired records answer (%v, %v, %v), fresh ones (%v, %v, %v)",
+			t.Fatalf("query %d: retired vectors answer (%v, %v, %v), fresh ones (%v, %v, %v)",
 				k, g.class, g.nbrs, g.nclasses, w.class, w.nbrs, w.nclasses)
 		}
 	}
 	gotLinks, gotIdx := linkStates(reused, nil, nil)
 	if !sameInts(gotIdx, wantIdx) {
-		t.Fatalf("retired records hold links %v, fresh ones %v", gotIdx, wantIdx)
+		t.Fatalf("retired vectors hold links %v, fresh ones %v", gotIdx, wantIdx)
 	}
 	for k := range wantLinks {
 		if gotLinks[k] != wantLinks[k] {
-			t.Fatalf("link %d: retired record shows %+v, fresh one %+v", wantIdx[k], gotLinks[k], wantLinks[k])
+			t.Fatalf("link %d: on a retired vector it shows %+v, on a fresh one %+v", wantIdx[k], gotLinks[k], wantLinks[k])
 		}
 	}
-	taken := 0
-	for _, recs := range [][]*linkRec{reused.live, reused.free} {
-		for _, rec := range recs {
-			if given[rec] {
-				taken++
-			}
-		}
+	if freshBytes < reusedBytes+vectorLen {
+		t.Fatalf("the walk allocated %d bytes on fresh vectors and %d on retired ones: it took none of the donor's", freshBytes, reusedBytes)
 	}
-	if taken == 0 {
-		t.Fatalf("the model took none of the %d retired records: the law was not exercised", len(given))
-	}
-	t.Logf("%d of the model's %d records came from the donor", taken, len(reused.live)+len(reused.free))
+	t.Logf("the model took %d of the donor's vectors", (freshBytes-reusedBytes)/vectorLen)
 }

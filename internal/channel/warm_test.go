@@ -20,8 +20,8 @@ import (
 // time. The two must give the same Class and Neighbors answers at every
 // step, create the same number of links, and show the same state for
 // every link through EachLink and the same (id, draws) for every stream.
-// The walk must warm uncreated, live and parked pairs, or it proves
-// nothing.
+// The walk must warm uncreated, live and parked pairs — a parked link is
+// one whose stream holds no vector — or it proves nothing.
 func TestWarmChangesNothing(t *testing.T) {
 	for _, n := range []int{50, 500} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { warmLaw(t, n) })
@@ -88,7 +88,7 @@ func warmLaw(t *testing.T, n int) {
 			switch l := warm.links[warm.pairIndex(i, j)]; {
 			case l == nil:
 				uncreated++
-			case l.rng == nil:
+			case !l.stream.Held():
 				pkd++
 			default:
 				live++

@@ -79,10 +79,13 @@ func lcgWord(x0 int64, i int) uint64 {
 // fastSource is a bit-exact replica of math/rand's rngSource with O(1)-
 // depth seeding. An additive generator seeded with s and stepped k times
 // is in exactly one state, so (seed, draws) names the state a checkpoint
-// would otherwise have to hash word by word.
+// would otherwise have to hash word by word. The cursors are packed so
+// the whole source is 4,864 bytes, a Go size class on its own
+// (TestFastSourceFillsItsSizeClass); with int cursors it would round up
+// to the 5,376-byte class.
 type fastSource struct {
-	tap, feed int
-	laps      int // times tap has wrapped: draws = rngLen·laps − tap
+	tap, feed int16 // both < rngLen
+	laps      int32 // times tap has wrapped: draws = rngLen·laps − tap
 	vec       [rngLen]int64
 }
 
@@ -162,7 +165,7 @@ func (s *fastSource) skip(n uint64) {
 			continue
 		}
 		if uint64(k) > n {
-			k = int(n)
+			k = int16(n)
 		}
 		t := s.vec[s.tap-k : s.tap]
 		f := s.vec[s.feed-k : s.feed]
@@ -180,7 +183,7 @@ func (s *fastSource) skip(n uint64) {
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // draws reports how many steps the generator has taken since Seed.
-func (s *fastSource) draws() uint64 { return uint64(rngLen*s.laps - s.tap) }
+func (s *fastSource) draws() uint64 { return uint64(rngLen*int64(s.laps) - int64(s.tap)) }
 
 // recoverCooked derives math/rand's cooked entropy table from the first
 // rngLen outputs of one stdlib source, read through its public Uint64.
@@ -206,26 +209,29 @@ func recoverCooked() {
 	}
 }
 
-// stream is a component stream (Streams.Stream): its rand.Rand, and the
-// generator that rand.Rand draws from, which holds no vector until its
-// 274th draw. Step k (from 1) of a fresh generator adds vec[607−k] into
-// vec[334−k]: for k ≤ rngTap the feed cursor walks 333…61 and the tap
-// 606…334, so each step reads two words no earlier step wrote, and draw
-// k is seedWord(334−k) + seedWord(607−k), six jumped-to LCG values. The
-// (rngTap+1)-th draw reads vec[333], which draw 1 wrote: there the
-// stream materialises — it seeds a full fastSource, steps it rngTap
-// times and points its rand.Rand at it, so every later draw is a plain
-// fastSource draw.
+// stream is one stream a Streams hands out (Stream, SeedAt): its
+// rand.Rand, and the generator that rand.Rand draws from, which either
+// holds its 607-word vector (full) or holds none and keeps only its draw
+// count k. A stream without a vector draws on itself. While k < rngTap
+// it needs none: step k (from 1) of a fresh generator adds vec[607−k]
+// into vec[334−k], so for k ≤ rngTap the feed cursor walks 333…61 and
+// the tap 606…334, each step reads two words no earlier step wrote, and
+// draw k is seedWord(334−k) + seedWord(607−k), six jumped-to LCG values.
+// Past that it takes its vector back (hold) and draws from it. A stream
+// from Stream starts with no vector and so holds one only from its
+// 274th draw; one from SeedAt holds its vector from birth.
+// StreamMem.Release drops the vector again and keeps the count, which
+// with the seed is all hold needs to rebuild it.
 type stream struct {
-	rng  rand.Rand   // draws from the stream while virgin, from full after
+	rng  rand.Rand   // draws from the stream without a vector, from full with one
 	x0   uint32      // the seed's LCG start, lcgSeed0(seed) < 2³¹−1
-	k    uint32      // draws made while virgin, at most rngTap
-	full *fastSource // the materialised generator; nil while virgin
+	k    uint64      // draws made, while the stream holds no vector
+	full *fastSource // the vector; nil when the stream holds none
 }
 
 var _ rand.Source64 = (*stream)(nil)
 
-// newStream returns a virgin stream for seed, drawing what
+// newStream returns a stream for seed holding no vector, drawing what
 // rand.New(rand.NewSource(seed)) draws.
 func newStream(seed int64) *stream {
 	st := &stream{x0: uint32(lcgSeed0(seed))}
@@ -233,36 +239,44 @@ func newStream(seed int64) *stream {
 	return st
 }
 
-// Uint64 is one virgin step; rand.Rand calls it only while the stream is
-// virgin.
+// Uint64 is one step of a stream without a vector; rand.Rand calls it
+// only while the stream holds none.
 func (st *stream) Uint64() uint64 { return st.step() }
 
 // Int63 mirrors rngSource.Int63.
 func (st *stream) Int63() int64 { return int64(st.step() & rngMask) }
 
-// step takes a virgin step, or materialises the stream when its virgin
-// steps are spent and takes the step on the full generator.
+// step takes a step from the seed words, or, when those are spent, takes
+// the stream's vector back and steps it.
 func (st *stream) step() uint64 {
 	if st.k < rngTap {
 		st.k++
 		x0, k := int64(st.x0), int(st.k)
 		return uint64(seedWord(x0, rngLen-rngTap-k) + seedWord(x0, rngLen-k))
 	}
+	return st.hold().Uint64()
+}
+
+// hold gives the stream its vector: one off the retired pool or a new
+// one, seeded and stepped k times — a seeded additive generator stepped
+// k times is in exactly one state, so the stream draws on as if it had
+// always held it. Its rand.Rand draws from the vector from then on.
+func (st *stream) hold() *fastSource {
 	f, _ := retired.Get().(*fastSource)
 	if f == nil {
 		f = new(fastSource)
 	}
 	f.seedX0(int64(st.x0))
-	f.skip(rngTap)
+	f.skip(st.k)
 	st.full = f
 	// No component reads bytes through rand.Rand.Read, whose buffered
 	// bytes this reset would drop.
 	st.rng = *rand.New(f)
-	return f.Uint64()
+	return f
 }
 
-// Seed re-seeds the stream while it is virgin; once it has materialised,
-// its rand.Rand re-seeds the full generator instead.
+// Seed re-seeds a stream holding no vector; one that holds its vector is
+// re-seeded through its rand.Rand, which draws from the vector.
 func (st *stream) Seed(seed int64) { st.x0, st.k = uint32(lcgSeed0(seed)), 0 }
 
 // draws reports how many steps the stream has taken since it was seeded.
@@ -270,7 +284,7 @@ func (st *stream) draws() uint64 {
 	if st.full != nil {
 		return st.full.draws()
 	}
-	return uint64(st.k)
+	return st.k
 }
 
 // verifyFastSource proves the replica on a spread of seeds: every draw of

@@ -53,7 +53,7 @@ func TestFastSourceMatchesStdlibDraws(t *testing.T) {
 
 // TestFastSourceReseed checks Seed reuses a source correctly: a reseeded
 // replica must restart the exact stdlib sequence for the new seed, and so
-// must a stream reseeded after it has materialised.
+// must a stream reseeded after it has taken its vector.
 func TestFastSourceReseed(t *testing.T) {
 	for _, s := range []interface {
 		Seed(int64)
@@ -127,7 +127,7 @@ func TestEachStateLendsLiveState(t *testing.T) {
 // draw past two laps of the vector and through the ziggurat — and is
 // recorded like one: EachState shows it in creation order among
 // heap-allocated streams, with the draws made through the caller's
-// memory.
+// memory. Unlike one from Stream, it holds its vector from birth.
 func TestSeedAtMatchesStreamAt(t *testing.T) {
 	inPlace, plain := NewStreams(11), NewStreams(11)
 	type owner struct {
@@ -141,6 +141,10 @@ func TestSeedAtMatchesStreamAt(t *testing.T) {
 	plain.Stream(5)
 	want := plain.StreamAt(0xC4A1, 42)
 	plain.Stream(6)
+	if !own.mem.Held() || inPlace.Held() != 1 || plain.Held() != 0 {
+		t.Fatalf("before any draw: in place holds a vector = %v, factories hold %d and %d, want true, 1 and 0",
+			own.mem.Held(), inPlace.Held(), plain.Held())
+	}
 
 	for k := 0; k < 2*rngLen; k++ {
 		if a, b := got.Uint64(), want.Uint64(); a != b {
@@ -167,9 +171,9 @@ func TestSeedAtMatchesStreamAt(t *testing.T) {
 				i, aID[i], aDraws[i], bID[i], bDraws[i])
 		}
 	}
-	if aDraws[1] < 2*rngLen+1000 || aDraws[1] != own.mem.src.draws() {
+	if aDraws[1] < 2*rngLen+1000 || aDraws[1] != own.mem.st.draws() {
 		t.Errorf("EachState shows %d draws on the in-place stream, the caller's memory holds %d (≥ %d made)",
-			aDraws[1], own.mem.src.draws(), 2*rngLen+1000)
+			aDraws[1], own.mem.st.draws(), 2*rngLen+1000)
 	}
 }
 
@@ -216,21 +220,19 @@ func drawMix(r *rand.Rand, pick int) {
 
 // genState is a generator's whole state as math/rand holds it.
 type genState struct {
-	tap, feed int
+	tap, feed int16
 	vec       [rngLen]int64
 }
 
 // stateOf reads the state of the generator behind a stream's record. A
-// virgin stream holds no vector: its state is a fresh generator's for
-// its seed stepped as many times as it has drawn, built here to compare.
+// stream without a vector is in the state of a fresh generator for its
+// seed stepped as many times as it has drawn, built here to compare.
 func stateOf(rec streamRec) genState {
-	src := rec.src
-	if st := rec.st; st != nil {
-		if src = st.full; src == nil {
-			src = new(fastSource)
-			src.seedX0(int64(st.x0))
-			src.skip(uint64(st.k))
-		}
+	src := rec.st.full
+	if src == nil {
+		src = new(fastSource)
+		src.seedX0(int64(rec.st.x0))
+		src.skip(rec.st.k)
 	}
 	return genState{src.tap, src.feed, src.vec}
 }
@@ -304,52 +306,72 @@ func BenchmarkSourceSeedingFast(b *testing.B) {
 	}
 }
 
-// TestParkReviveIsExact: a parked stream revived into memory that has
-// since held another generator is the stream it was. Streams are parked
-// at draw counts on both sides of each wrap of the tap (0, 1, 606, 607,
-// 608, 1214) and at 1,000 random counts; the revived stream and an
-// untouched twin must then agree on the draw count — in the caller's
-// memory and in EachState, while parked and after — and on the next
-// 1,214 draws, the last of which the factory must see through the
-// re-pointed record.
+// TestParkReviveIsExact: a stream that releases its vector and draws
+// again is the stream it was, whoever took the vector meanwhile. Streams
+// are released at draw counts on both sides of the seed words' end and
+// of each wrap of the tap (0, 1, 272, 273, 274, 606, 607, 608, 1213,
+// 1214, 1215) and at 1,000 random counts, drawn on for a random count
+// and released again, then drawn on for two laps. After each release
+// another stream takes a vector from the pool and moves it. At every
+// point the stream and an untouched twin must agree on each draw and on
+// the count EachState shows, and the stream must hold its vector
+// exactly when it has drawn past the seed words since its last release:
+// one released below 273 draws draws from the seed words again.
 func TestParkReviveIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	counts := []int{0, 1, rngLen - 1, rngLen, rngLen + 1, 2 * rngLen}
+	counts := []int{0, 1, rngTap - 1, rngTap, rngTap + 1, rngLen - 1, rngLen, rngLen + 1, 2*rngLen - 1, 2 * rngLen, 2*rngLen + 1}
 	for range 1000 {
 		counts = append(counts, rng.Intn(20*rngLen))
 	}
+	other := NewStreams(1)
 	for _, k := range counts {
 		seed, kind, index := rng.Int63(), rng.Uint64(), rng.Uint64()
-		parked, plain := NewStreams(seed), NewStreams(seed)
+		released, plain := NewStreams(seed), NewStreams(seed)
 		var mem, twin StreamMem
-		a := parked.SeedAt(&mem, kind, index)
+		a := released.SeedAt(&mem, kind, index)
 		b := plain.SeedAt(&twin, kind, index)
-		for i := 0; i < k; i++ {
-			a.Uint64()
-			b.Uint64()
-		}
-		p := parked.Park(&mem)
-		// Another generator moves through the memory while the stream is
-		// parked, as a recycled record's would.
-		mem.src.Seed(rng.Int63())
-		mem.src.skip(uint64(rng.Intn(3 * rngLen)))
-		if _, d := states(parked); d[0] != uint64(k) {
-			t.Fatalf("parked at %d draws, EachState shows %d", k, d[0])
-		}
-		got := parked.Revive(&mem, p)
-		if mem.src.draws() != twin.src.draws() {
-			t.Fatalf("revived at %d draws: memory holds %d", k, mem.src.draws())
-		}
-		for i := 0; i < 2*rngLen; i++ {
-			if x, y := got.Uint64(), b.Uint64(); x != y {
-				t.Fatalf("revived at %d draws: draw %d after revival is %d, the twin's %d", k, i, x, y)
+		made, since := 0, -1 // since: draws since the last release, -1 before one
+		draw := func(n int, at uint64) {
+			for i := 0; i < n; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("released at %d draws: draw %d after it is %d, the twin's %d", at, i, x, y)
+				}
+			}
+			made += n
+			if since >= 0 {
+				since += n
+			}
+			_, da := states(released)
+			if da[0] != uint64(made) || da[0] != twin.st.draws() {
+				t.Fatalf("released at %d draws, %d made: EachState shows %d, the twin %d", at, made, da[0], twin.st.draws())
+			}
+			if want := since != 0 && made > rngTap || since < 0; mem.Held() != want {
+				t.Fatalf("released at %d draws, %d more made: holds its vector = %v, want %v", at, since, mem.Held(), want)
 			}
 		}
-		_, da := states(parked)
-		_, db := states(plain)
-		if da[0] != db[0] || da[0] != uint64(k+2*rngLen) {
-			t.Fatalf("revived at %d draws, %d more made: EachState shows %d, the twin's %d", k, 2*rngLen, da[0], db[0])
+		release := func() uint64 {
+			at := uint64(made)
+			mem.Release()
+			since = 0
+			if mem.Held() {
+				t.Fatalf("released at %d draws: still holds its vector", at)
+			}
+			// Another stream takes a vector from the pool, most likely the
+			// one just released, and moves it.
+			var scratch StreamMem
+			r := other.SeedAt(&scratch, rng.Uint64(), rng.Uint64())
+			for range rng.Intn(3 * rngLen) {
+				r.Uint64()
+			}
+			scratch.Release()
+			return at
 		}
+		draw(k, 0)
+		at := release()
+		draw(0, at)
+		draw(rng.Intn(2*rngLen), at)
+		at = release()
+		draw(2*rngLen, at)
 	}
 }
 
@@ -372,6 +394,9 @@ func TestPeekIsTheNextDraw(t *testing.T) {
 		if _, d := states(s); d[0] != uint64(i+1) {
 			t.Fatalf("after %d draws and their peeks EachState shows %d", i+1, d[0])
 		}
+	}
+	if mem.Release(); mem.Peek() != 0 {
+		t.Fatal("Peek read ahead on a stream holding no vector")
 	}
 }
 
@@ -458,18 +483,32 @@ func TestVirginStreamLaw(t *testing.T) {
 	}
 }
 
-// TestVirginStreamLayout pins what a component stream costs before it
-// materialises: beside its rand.Rand, two 32-bit words and the pointer
-// to its future vector, so the stream is one 64-byte cache line on a
-// 64-bit build. A field added to it is a visible decision.
+// TestVirginStreamLayout pins what a stream costs while it holds no
+// vector: beside its rand.Rand, the 32-bit LCG start, the 64-bit draw
+// count (a released link stream's count can pass 2³² within
+// scenario.MaxDuration) and the pointer to its vector — 72 bytes on a
+// 64-bit build, the size of the record a fading link embeds. A field
+// added to it is a visible decision.
 func TestVirginStreamLayout(t *testing.T) {
 	word := unsafe.Sizeof(uintptr(0))
-	if got, want := unsafe.Sizeof(stream{})-unsafe.Sizeof(rand.Rand{}), 2*4+word; got != want {
-		t.Errorf("a stream keeps %d bytes beside its rand.Rand, want %d", got, want)
-	}
+	want := unsafe.Sizeof(rand.Rand{}) + 4 + 8 + word
 	if word == 8 {
-		if got := unsafe.Sizeof(stream{}); got != 64 {
-			t.Errorf("a virgin stream is %d bytes, want 64", got)
-		}
+		want = 72 // the count's alignment pads the LCG start
+	}
+	if got := unsafe.Sizeof(stream{}); got != want {
+		t.Errorf("a stream is %d bytes, want %d", got, want)
+	}
+	if got := unsafe.Sizeof(StreamMem{}); got != want {
+		t.Errorf("StreamMem is %d bytes, want the stream's %d", got, want)
+	}
+}
+
+// TestFastSourceFillsItsSizeClass pins the vector a stream holds to
+// 4,864 bytes, a Go size class of its own, on 64- and 32-bit builds
+// alike: packed cursors and the 607 words. With int cursors it was
+// 4,880 bytes, which the allocator rounds up to 5,376.
+func TestFastSourceFillsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(fastSource{}); got != 4864 {
+		t.Errorf("a fastSource is %d bytes, want 4864", got)
 	}
 }

@@ -18,22 +18,17 @@ import (
 type Streams struct {
 	seed uint64
 
-	// recs records every created stream in creation order, each with the
-	// source it draws from. Creation order is deterministic (stream
-	// creation is itself simulation work), so the record doubles as the
-	// canonical iteration order for checkpoint capture.
+	// recs records every created stream in creation order. Creation
+	// order is deterministic (stream creation is itself simulation
+	// work), so the record doubles as the canonical iteration order for
+	// checkpoint capture.
 	recs []streamRec
 }
 
-// streamRec remembers one created stream: one Stream made is st, one
-// seeded in caller-owned memory draws from src. A parked stream has
-// neither: its generator was handed back and n holds the draw count it
-// had, which with the id is all it takes to rebuild it (see Park).
+// streamRec remembers one created stream and the id it was made under.
 type streamRec struct {
-	id  uint64
-	src *fastSource
-	st  *stream
-	n   uint64
+	id uint64
+	st *stream
 }
 
 // NewStreams returns a stream factory for the given trial seed.
@@ -46,100 +41,87 @@ func NewStreams(seed int64) *Streams {
 // callers should fetch each component's stream exactly once.
 //
 // The generator is math/rand's lagged-Fibonacci source, replicated in
-// fastrand.go — identical draws. It starts virgin, drawing its first
-// rngTap values from the seed alone; only a stream that draws more takes
-// the 607-word vector.
+// fastrand.go — identical draws. It starts with no vector, drawing its
+// first rngTap values from the seed alone; only a stream that draws more
+// takes the 607-word vector.
 func (s *Streams) Stream(id uint64) *rand.Rand {
 	st := newStream(int64(mix(s.seed, id)))
 	s.recs = append(s.recs, streamRec{id: id, st: st})
 	return &st.rng
 }
 
-// retired holds the vectors of retired factories' materialised streams
-// for the streams this process materialises next: 5 KB a vector, and a
-// batch worker materialises a few hundred a cell. Seeding overwrites
-// every word a stream draws from, so nothing of its last use carries
-// over.
+// retired holds the vectors streams have let go — released ones, and
+// those of retired factories — for the streams this process gives a
+// vector next: 4.75 KB a vector, and a batch worker hands out a few
+// hundred a cell. Seeding overwrites every word a stream draws from, so
+// nothing of its last use carries over.
 var retired sync.Pool
 
-// Retire hands the vector of every stream Stream made that outgrew its
-// virgin steps to the streams materialised after s. No stream s made
-// may be drawn from again, and s must not be used again: call it once
-// the world the streams belong to is finished with.
+// Retire hands the vector of every stream s made that holds one to the
+// streams that take one after s. No stream s made may be drawn from
+// again, and s must not be used again: call it once the world the
+// streams belong to is finished with.
 func (s *Streams) Retire() {
 	for _, rec := range s.recs {
-		if st := rec.st; st != nil && st.full != nil {
-			retired.Put(st.full)
+		if f := rec.st.full; f != nil {
+			retired.Put(f)
 		}
 	}
 	s.recs = nil
 }
 
-// StreamMem is caller-owned storage for one stream: the generator's
-// 607-word state and the rand.Rand drawing from it, laid out so a
-// component that embeds one keeps its stream in its own allocation
-// instead of two more. The zero value is unseeded; see Streams.SeedAt.
-type StreamMem struct {
-	rng rand.Rand
-	src fastSource
-	rec int // the stream's record in its factory
-}
+// StreamMem is caller-owned storage for one stream: the record Stream
+// would allocate, so a component that embeds one keeps its stream in its
+// own allocation. Its vector is an object of its own, taken and let go
+// as the stream needs it. The zero value is unseeded; see Streams.SeedAt.
+type StreamMem struct{ st stream }
 
 // SeedAt is StreamAt into caller-owned memory: it seeds mem in place as
-// the stream for (kind, index) and returns the generator living in it —
-// the same sequence StreamAt(kind, index) draws, the same record in
-// creation order, no allocation. mem must stay where it is for as long
-// as the stream is in use (the returned pointer and the factory's record
-// both alias it).
+// the stream for (kind, index), gives it its vector at once, and returns
+// the generator living in it — the same sequence StreamAt(kind, index)
+// draws, the same record in creation order. mem must stay where it is
+// for as long as the stream is in use (the returned pointer and the
+// factory's record both alias it).
 func (s *Streams) SeedAt(mem *StreamMem, kind, index uint64) *rand.Rand {
 	id := mix(kind, index)
-	mem.src.Seed(int64(mix(s.seed, id)))
-	mem.rec = len(s.recs)
-	s.recs = append(s.recs, streamRec{id: id, src: &mem.src})
-	mem.rng = *rand.New(&mem.src)
-	return &mem.rng
+	st := &mem.st
+	*st = stream{x0: uint32(lcgSeed0(int64(mix(s.seed, id))))}
+	st.hold()
+	s.recs = append(s.recs, streamRec{id: id, st: st})
+	return &st.rng
 }
 
-// Peek reports the word the generator in mem will produce at its next
-// step, without taking the step: it reads the cursor and the two vector
-// words that step adds, and writes nothing. A caller about to draw from
-// a cold stream calls it ahead of time so those reads miss the cache
-// early (channel.Model.Warm). Meaningful only for a stream SeedAt or
-// Revive put in mem; on a zero mem it reads zeroed storage and is just as
-// harmless.
+// Release hands the stream's vector to the pool the next vectors are
+// taken from and keeps its draw count: the stream holds 72 bytes until
+// its next draw, which rebuilds the vector in the state it was released
+// in, so the stream draws exactly what it would have drawn had it kept
+// it. The generator SeedAt returned stays valid throughout. A stream
+// holding no vector is left as it is.
+func (mem *StreamMem) Release() {
+	st := &mem.st
+	if st.full == nil {
+		return
+	}
+	st.k = st.full.draws()
+	retired.Put(st.full)
+	st.full = nil
+	st.rng = *rand.New(st)
+}
+
+// Held reports whether the stream in mem holds its vector.
+func (mem *StreamMem) Held() bool { return mem.st.full != nil }
+
+// Peek reports the word the stream in mem will produce at its next step,
+// without taking the step: it reads the cursor and the two vector words
+// that step adds, and writes nothing. A caller about to draw from a cold
+// stream calls it ahead of time so those reads miss the cache early
+// (channel.Model.Warm). A stream holding no vector has nothing to read
+// ahead: Peek reports 0.
 func (mem *StreamMem) Peek() uint64 {
-	return mem.src.peek()
-}
-
-// ParkedStream names a parked stream's record in its factory.
-type ParkedStream struct{ rec int }
-
-// Park hands back the generator seeded in mem: the stream's record
-// freezes at its current draw count and stops pointing into mem, which
-// the caller may then reuse for any other stream. EachState keeps
-// reporting the frozen count. Revive rebuilds the identical generator.
-// Only for a stream SeedAt or Revive put in mem.
-func (s *Streams) Park(mem *StreamMem) ParkedStream {
-	r := &s.recs[mem.rec]
-	r.n = mem.src.draws()
-	r.src = nil
-	return ParkedStream{mem.rec}
-}
-
-// Revive rebuilds a parked stream in mem and returns the generator
-// living there: reseeded from the record's id and stepped as many times
-// as it had drawn, it is in exactly the state it was parked in — a
-// seeded additive generator stepped n times is in one state — so it
-// draws the values it would have drawn had it never been parked. The
-// record points into mem again; mem must stay put as for SeedAt.
-func (s *Streams) Revive(mem *StreamMem, p ParkedStream) *rand.Rand {
-	r := &s.recs[p.rec]
-	mem.src.Seed(int64(mix(s.seed, r.id)))
-	mem.src.skip(r.n)
-	mem.rec = p.rec
-	r.src = &mem.src
-	mem.rng = *rand.New(&mem.src)
-	return &mem.rng
+	if f := mem.st.full; f != nil {
+		return f.peek()
+	}
+	return 0
 }
 
 // EachState shows fn the state of every stream created so far, in
@@ -147,19 +129,24 @@ func (s *Streams) Revive(mem *StreamMem, p ParkedStream) *rand.Rand {
 // values have been drawn from its generator since seeding. The id fixes
 // the seed and a seeded additive generator stepped draws times is in
 // exactly one state, so the pair stands for the generator's cursor and
-// 607-word vector without reading them. A parked stream shows the count
-// it was parked at. No stream advances.
+// 607-word vector without reading them, whether the stream holds its
+// vector or not. No stream advances.
 func (s *Streams) EachState(fn func(id, draws uint64)) {
 	for _, rec := range s.recs {
-		switch {
-		case rec.st != nil:
-			fn(rec.id, rec.st.draws())
-		case rec.src != nil:
-			fn(rec.id, rec.src.draws())
-		default:
-			fn(rec.id, rec.n)
+		fn(rec.id, rec.st.draws())
+	}
+}
+
+// Held reports how many of the streams created so far hold their
+// vector.
+func (s *Streams) Held() int {
+	n := 0
+	for _, rec := range s.recs {
+		if rec.st.full != nil {
+			n++
 		}
 	}
+	return n
 }
 
 // Len reports how many streams have been created.

@@ -386,9 +386,9 @@ func TestStreamsDifferentSeedsDiffer(t *testing.T) {
 // TestRetiredStreamsDrawAfresh is the law behind Streams.Retire: the
 // vectors a retired factory hands on seed into the same generators
 // fresh storage does. A donor factory makes streams, draws from them
-// within their virgin steps, part of a lap and past a lap of the vector,
-// and retires; a factory on another seed then makes streams, which take
-// the donor's vectors when they materialise, and each must draw what
+// within their first 273 draws, part of a lap and past a lap of the
+// vector, and retires; a factory on another seed then makes streams,
+// which take the donor's vectors at their 274th draws, and each must draw what
 // math/rand's own source for its seed draws, past two laps, and be
 // recorded at those draws. It must take donor vectors, or it proves
 // nothing.

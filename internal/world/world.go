@@ -444,16 +444,13 @@ func (w *World) Finish() metrics.Summary {
 	return s
 }
 
-// Retire hands the world's fading-link records and stream generators to
-// the worlds this process builds after it (channel.Model.Retire,
-// sim.Streams.Retire): a batch worker running short cells one after
-// another then reuses that memory instead of allocating and collecting
-// it again every cell. The world must not be used again; a batch cell
-// retires its world once Finish has returned.
-func (w *World) Retire() {
-	w.Model.Retire()
-	w.Streams.Retire()
-}
+// Retire hands the 607-word vectors of the world's streams — fading
+// links' and components' alike — to the worlds this process builds
+// after it (sim.Streams.Retire): a batch worker running short cells one
+// after another then reuses that memory instead of allocating and
+// collecting it again every cell. The world must not be used again; a
+// batch cell retires its world once Finish has returned.
+func (w *World) Retire() { w.Streams.Retire() }
 
 // jamRunner drives one Jammer's periodic noise bursts. One bound handler
 // per jammer, one arena packet per burst (recycled when the burst
