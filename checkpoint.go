@@ -16,7 +16,7 @@ import (
 // Checkpoint/resume. A snapshot is a versioned, self-describing binary
 // file (see internal/checkpoint) holding the run's recipe, the capture
 // instant, and one digest per section of the simulation state captured
-// at that instant boundary: the kernel's pending-event skeleton, every
+// at that instant boundary: the kernel's live event schedule, every
 // RNG stream's id and draw count, mobility legs, fading links, in-flight
 // MAC transmissions and exchanges, link queues and route tables,
 // workload cursors, and obs counters. Run writes them (see

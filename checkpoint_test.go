@@ -369,17 +369,30 @@ const snapshotGolden = "4e0ab6a624ff0ce146b393779affbde74f16cadef1ef943f6b677caa
 // recipe, the section order and framing, and every value each encoder
 // feeds its digest, in order and width. Without it an encoder edit first
 // shows as a resume calling an older binary's snapshot corrupt; this
-// fails at the edit and says to bump the magic.
+// fails at the edit and says to bump the magic. chain-10 is static and
+// carries neither gossip nor a jammer, so two more cells hold the
+// branches it leaves empty: gossip-200 under RICA fills MOBI's 200 legs
+// and TRAF's infection bitmap, and jammer-grid under AODV has jam bursts
+// on the air in MACS at the capture instant.
 func TestSnapshotBytesPinned(t *testing.T) {
 	t.Parallel()
-	r := ckRun(t, "chain-10", rica.ProtocolABR)
-	r.Seed = 1
-	if got := fmt.Sprintf("%x", sha256.Sum256(mustSnapshotAt(t, r, time.Second))); got != snapshotGolden {
-		t.Errorf("snapshot of chain-10/ABR/seed 1 at t=1s hashes to\n     %s\nwant %s\n"+
-			"Snapshots written before this change no longer verify against this binary. If the run itself moved "+
-			"(the behaviour goldens fail too) or chain-10's recipe was edited, update the constant; if an encoder, "+
-			"a section or the container changed, bump checkpoint.Magic as well so old snapshots are refused by "+
-			"version instead of reported corrupt.", got, snapshotGolden)
+	for _, c := range []struct {
+		name, want string
+		p          rica.Protocol
+	}{
+		{"chain-10", snapshotGolden, rica.ProtocolABR},
+		{"gossip-200", "81d2906489c4bc145ad8f1ff71b68cdb7779a0b500cb3e904dfd8c024df969ea", rica.ProtocolRICA},
+		{"jammer-grid", "003e5db1eba68403252ce3c511f1421ff449b3bbced09a8a31de8b284e9eaaf4", rica.ProtocolAODV},
+	} {
+		r := ckRun(t, c.name, c.p)
+		r.Seed = 1
+		if got := fmt.Sprintf("%x", sha256.Sum256(mustSnapshotAt(t, r, time.Second))); got != c.want {
+			t.Errorf("snapshot of %s/%s/seed 1 at t=1s hashes to\n     %s\nwant %s\n"+
+				"Snapshots written before this change no longer verify against this binary. If the run itself moved "+
+				"(the behaviour goldens fail too) or the scenario's recipe was edited, update the constant; if an encoder, "+
+				"a section or the container changed, bump checkpoint.Magic as well so old snapshots are refused by "+
+				"version instead of reported corrupt.", c.name, c.p, got, c.want)
+		}
 	}
 }
 

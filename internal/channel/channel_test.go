@@ -232,8 +232,8 @@ func TestMidRangeLinkVisitsAllClasses(t *testing.T) {
 // shadowing variance near σ² over a long horizon, for irregular sampling.
 func TestFadingStationary(t *testing.T) {
 	cfg := DefaultConfig()
-	rng := rand.New(rand.NewSource(42))
-	l := NewLink(&cfg, rng)
+	l := new(Link)
+	l.init(&cfg, rand.New(rand.NewSource(42)))
 	sampler := rand.New(rand.NewSource(7))
 	var sumShadow, sumShadow2 float64
 	n := 0
@@ -375,7 +375,8 @@ func TestSNRDecreasesWithDistance(t *testing.T) {
 	avg := func(d float64) float64 {
 		var sum float64
 		for s := int64(0); s < 200; s++ {
-			l := NewLink(&cfg, rand.New(rand.NewSource(s)))
+			l := new(Link)
+			l.init(&cfg, rand.New(rand.NewSource(s)))
 			sum += l.SNR(d, 10, 0)
 		}
 		return sum / 200

@@ -13,6 +13,9 @@ import (
 // if the pair has not met.
 func (m *Model) LinkAtIndex(idx int) *Link { return m.links[idx] }
 
+// LinkCount reports how many links the model has created.
+func (m *Model) LinkCount() int { return m.nlinks }
+
 // Stream returns the link's private generator.
 func (l *Link) Stream() *rand.Rand { return l.rng }
 

@@ -56,7 +56,8 @@ func (r *refWorld) pairIndex(i, j int) int {
 func (r *refWorld) link(i, j int) *Link {
 	idx := r.pairIndex(i, j)
 	if r.links[idx] == nil {
-		r.links[idx] = NewLink(&r.cfg, r.strms.StreamAt(streamKindChannel, uint64(idx)))
+		r.links[idx] = new(Link)
+		r.links[idx].init(&r.cfg, r.strms.StreamAt(streamKindChannel, uint64(idx)))
 	}
 	return r.links[idx]
 }

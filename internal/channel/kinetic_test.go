@@ -90,9 +90,9 @@ func kineticWalk(m *Model, reps []*replay, seed int64, steps int, check func(i i
 		switch p := rng.Intn(20); {
 		case p < 2: // backwards, by up to 50 ms
 			at -= time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
-		case p < 4: // exactly a leg or pause boundary, if one is near
-			leg := reps[rng.Intn(n)].n.ExportLeg()
-			edge := [...]time.Duration{leg.Depart, leg.Arrive, leg.Arrive + 3*time.Second}[rng.Intn(3)]
+		case p < 4: // exactly the next departure, arrival or end of pause, if one is near
+			r := reps[rng.Intn(n)]
+			_, edge := r.n.SpeedStable(r.last)
 			if edge < at+5*time.Second { // a crawling leg ends hours away
 				at = edge
 			}

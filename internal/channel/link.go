@@ -105,24 +105,13 @@ type Link struct {
 	lastPathLoss float64
 
 	// stream is the record of a model-owned link's stream, which rng
-	// draws from (Model.linkAt); unused on a link built by NewLink.
+	// draws from (Model.linkAt).
 	stream sim.StreamMem
 }
 
-// NewLink creates a link process with its private random stream. The
-// initial state is drawn from the stationary distribution, so t = 0 is not
-// special.
-func NewLink(cfg *Config, rng *rand.Rand) *Link {
-	l := new(Link)
-	l.init(cfg, rng)
-	return l
-}
-
-// init sets a new link l on rng and draws its initial state.
+// init sets a new link l on rng and draws its initial state from the
+// stationary distribution, so t = 0 is not special.
 func (l *Link) init(cfg *Config, rng *rand.Rand) {
-	if rng == nil {
-		panic("channel: NewLink requires a random stream")
-	}
 	l.cfg, l.rng = cfg, rng
 	l.shadow = rng.NormFloat64() * cfg.ShadowSigma
 	l.fi = rng.NormFloat64()
@@ -151,9 +140,9 @@ func (l *Link) advance(at time.Duration, relSpeed float64) {
 	// x' = ρx + sqrt(1-ρ²)·σ·N(0,1), ρ = exp(−dt/τ), τ stretched by
 	// RefSpeed/speedScale.
 	stretch := l.cfg.RefSpeed / speedScale
-	rhoS := math.Exp(-dt.Seconds() / (l.cfg.ShadowTau.Seconds() * stretch))
+	rhoS := exp(-dt.Seconds() / (l.cfg.ShadowTau.Seconds() * stretch))
 	sigS := math.Sqrt(1 - rhoS*rhoS)
-	rhoF := math.Exp(-dt.Seconds() / (l.cfg.FadeTau.Seconds() * stretch))
+	rhoF := exp(-dt.Seconds() / (l.cfg.FadeTau.Seconds() * stretch))
 	sigF := math.Sqrt(1 - rhoF*rhoF)
 	l.shadow = rhoS*l.shadow + sigS*l.cfg.ShadowSigma*l.rng.NormFloat64()
 	l.fi = rhoF*l.fi + sigF*l.rng.NormFloat64()
@@ -217,27 +206,5 @@ func (l *Link) upgradeBoundary(c Class) float64 {
 		return l.cfg.ThresholdC
 	default:
 		return -1e9 // class D has no lower boundary
-	}
-}
-
-// LinkState is the serializable fading state of one pair: the AR(1)
-// shadowing/fading processes, the advance clock, and the quantizer's
-// hysteresis memory. The path-loss memo (lastD/lastPathLoss) is
-// included too — it is deterministic derived state, and including it
-// makes checkpoint verification strict about the memo staying bit-exact.
-type LinkState struct {
-	Last                time.Duration
-	Shadow, FI, FQ      float64
-	LastClass           Class
-	LastD, LastPathLoss float64
-}
-
-// ExportState observes the link without advancing it.
-func (l *Link) ExportState() LinkState {
-	return LinkState{
-		Last:   l.last,
-		Shadow: l.shadow, FI: l.fi, FQ: l.fq,
-		LastClass: l.lastClass,
-		LastD:     l.lastD, LastPathLoss: l.lastPathLoss,
 	}
 }

@@ -3,6 +3,7 @@ package channel
 import (
 	"time"
 
+	"rica/internal/checkpoint"
 	"rica/internal/geom"
 	"rica/internal/obs"
 	"rica/internal/sim"
@@ -143,7 +144,7 @@ func (m *Model) linkAt(idx, i, j int) *Link {
 // parkIdle parks every created link not advanced for longer than
 // parkAfter before at: its stream releases its vector and keeps its draw
 // count. Every query answered from the link's fields alone (a memo hit,
-// EachLink) reads what it read before, and the next advance rebuilds the
+// Capture) reads what it read before, and the next advance rebuilds the
 // vector in the state it was released in, so parking moves no value —
 // it only bounds generator memory by the pairs in play. The grid
 // rebuild calls it.
@@ -268,18 +269,26 @@ func (m *Model) bruteNeighbors(i int, at time.Duration, dst []int) []int {
 	return dst
 }
 
-// LinkCount reports how many links have been created — how many EachLink
-// visits, parked ones included.
-func (m *Model) LinkCount() int { return m.nlinks }
-
-// EachLink visits every lazily-created link in triangular index order
-// (uncreated pairs are skipped; a parked link shows its header), without
-// advancing any of them. The checkpoint capture serializes link states
-// in exactly this order.
-func (m *Model) EachLink(fn func(idx int, st LinkState)) {
+// Capture writes the checkpoint section LINK to e: how many links have
+// been created, then each in triangular index order (uncreated pairs are
+// skipped; a parked link's header is all it reads) as its index and
+// fading state — the advance clock, the shadowing and fading processes,
+// the quantizer's hysteresis memory and the path-loss memo. The memo is
+// deterministic derived state; writing it makes verification strict
+// about it staying bit-exact. No link is advanced.
+func (m *Model) Capture(e *checkpoint.Enc) {
+	e.Int(m.nlinks)
 	for idx, l := range m.links {
-		if l != nil {
-			fn(idx, l.ExportState())
+		if l == nil {
+			continue
 		}
+		e.Int(idx)
+		e.Dur(l.last)
+		e.F64(l.shadow)
+		e.F64(l.fi)
+		e.F64(l.fq)
+		e.Int(int(l.lastClass))
+		e.F64(l.lastD)
+		e.F64(l.lastPathLoss)
 	}
 }

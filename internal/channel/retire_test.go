@@ -19,7 +19,7 @@ import (
 // and retires its stream factory, as World.Retire does. A model of the
 // first field and seed, built after, takes the donor's vectors for its
 // links and must give the first model's answers query for query and
-// show the same state for every link. It must take donor vectors, or it
+// show the same LINK section. It must take donor vectors, or it
 // proves nothing: with the collector held off, so that the pool keeps
 // what it is given, its walk must allocate at least one vector fewer
 // than the fresh model's did.
@@ -72,7 +72,6 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 	fresh, _ := kineticField(31, n, -1)
 	var want []answer
 	freshBytes := allocated(func() { want = walk(fresh) })
-	wantLinks, wantIdx := linkStates(fresh, nil, nil)
 
 	emptyPool()
 	donor, _ := kineticField(47, n, -1)
@@ -89,14 +88,8 @@ func TestRetiredRecordsCarryNothing(t *testing.T) {
 				k, g.class, g.nbrs, g.nclasses, w.class, w.nbrs, w.nclasses)
 		}
 	}
-	gotLinks, gotIdx := linkStates(reused, nil, nil)
-	if !sameInts(gotIdx, wantIdx) {
-		t.Fatalf("retired vectors hold links %v, fresh ones %v", gotIdx, wantIdx)
-	}
-	for k := range wantLinks {
-		if gotLinks[k] != wantLinks[k] {
-			t.Fatalf("link %d: on a retired vector it shows %+v, on a fresh one %+v", wantIdx[k], gotLinks[k], wantLinks[k])
-		}
+	if d := linkDiff(reused, fresh); d != "" {
+		t.Fatalf("the model on retired vectors and the one on fresh vectors differ: %s", d)
 	}
 	if freshBytes < reusedBytes+vectorLen {
 		t.Fatalf("the walk allocated %d bytes on fresh vectors and %d on retired ones: it took none of the donor's", freshBytes, reusedBytes)

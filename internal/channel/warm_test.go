@@ -19,7 +19,8 @@ import (
 // link, and an outage schedule silences terminals for a second at a
 // time. The two must give the same Class and Neighbors answers at every
 // step, create the same number of links, and show the same state for
-// every link through EachLink and the same (id, draws) for every stream.
+// every link in the LINK section they capture and the same (id, draws)
+// for every stream.
 // The walk must warm uncreated, live and parked pairs — a parked link is
 // one whose stream holds no vector — or it proves nothing.
 func TestWarmChangesNothing(t *testing.T) {
@@ -52,8 +53,6 @@ func warmLaw(t *testing.T, n int) {
 	var (
 		at                   time.Duration
 		js, other            []int
-		stA, stB             []LinkState
-		ixA, ixB             []int
 		rsA, rsB             [][2]uint64
 		uncreated, live, pkd int
 	)
@@ -114,15 +113,8 @@ func warmLaw(t *testing.T, n int) {
 		if step%every != 0 && step != steps-1 {
 			continue
 		}
-		stA, ixA = linkStates(warm, stA, ixA)
-		stB, ixB = linkStates(cold, stB, ixB)
-		if len(stA) != len(stB) {
-			t.Fatalf("step %d: EachLink shows %d links warmed, %d not", step, len(stA), len(stB))
-		}
-		for k := range stA {
-			if ixA[k] != ixB[k] || stA[k] != stB[k] {
-				t.Fatalf("step %d: link %d is %+v warmed, link %d %+v not", step, ixA[k], stA[k], ixB[k], stB[k])
-			}
+		if d := linkDiff(warm, cold); d != "" {
+			t.Fatalf("step %d: the warmed model and the cold one differ: %s", step, d)
 		}
 		rsA, rsB = streamStates(warm, rsA), streamStates(cold, rsB)
 		if len(rsA) != len(rsB) {

@@ -2,10 +2,10 @@ package channel_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
-	"rica/internal/channel"
 	"rica/internal/checkpoint"
 	"rica/internal/protocol"
 	"rica/internal/scenario"
@@ -55,13 +55,19 @@ func TestExtraDrawMovesRNGS(t *testing.T) {
 
 	plain, discarded, consumed := build(), build(), build()
 	// A link every world has, last advanced before the capture instant so
-	// a query at the instant has an interval to advance over.
+	// a query at the instant has an interval to advance over, read off
+	// LINK: a link count, then per link its pair index and seven state
+	// words, the advance clock first.
+	payloads, err := plain.CaptureState()
+	if err != nil {
+		t.Fatalf("CaptureState: %v", err)
+	}
 	idx := -1
-	plain.Model.EachLink(func(i int, st channel.LinkState) {
-		if idx < 0 && st.Last < at {
-			idx = i
+	for rec := checkpoint.Find(payloads, checkpoint.TagLink)[8:]; idx < 0 && len(rec) > 0; rec = rec[64:] {
+		if last := time.Duration(binary.LittleEndian.Uint64(rec[8:])); last < at {
+			idx = int(binary.LittleEndian.Uint64(rec))
 		}
-	})
+	}
 	if idx < 0 {
 		t.Fatal("no link last advanced before the capture instant")
 	}

@@ -64,12 +64,12 @@ const tailTag = "TAIL"
 // against.
 const (
 	TagDesc = "DESC" // JSON run descriptor (see Descriptor)
-	TagKern = "KERN" // kernel clock, sequence counter, live-event skeleton
+	TagKern = "KERN" // kernel clock, sequence counter, live schedule
 	TagRNGs = "RNGS" // every RNG stream's (id, draws since seeding), creation order
 	TagMobi = "MOBI" // per-terminal waypoint leg state
 	TagLink = "LINK" // per-pair fading link state, triangular index order
 	TagMACs = "MACS" // common-channel transmissions + data-plane exchanges
-	TagNode = "NODE" // per-terminal link-queue skeletons
+	TagNode = "NODE" // per-terminal link queues and route tables
 	TagTraf = "TRAF" // traffic generator and gossip workload state
 	TagObsC = "OBSC" // observability counter snapshot (JSON)
 )

@@ -79,7 +79,7 @@ type exchange struct {
 	// pkt is the packet while the sender still owns it; it is dropped at
 	// hand-off, because the receiver may release it — poisoned, then
 	// re-issued — at any time after. id and size are kept by value
-	// so the checkpoint export never has to look through the pointer.
+	// so the checkpoint capture never has to look through the pointer.
 	pkt   *packet.Packet
 	id    uint64
 	size  int

@@ -1,13 +1,14 @@
 package mac
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
 	"rica/internal/channel"
+	"rica/internal/checkpoint"
 	"rica/internal/geom"
 	"rica/internal/mobility"
 	"rica/internal/packet"
@@ -56,7 +57,7 @@ func (l *lawChecker) check(now time.Duration) {
 
 	// The air stamps are a function of the captured active list for every
 	// value that can still matter (an end in the future is never pruned),
-	// which is why ExportState has no field for them.
+	// which is why Capture does not write them.
 	n := c.model.N()
 	until := make([]time.Duration, n)
 	var air time.Duration
@@ -225,14 +226,36 @@ func TestAirStampsAgainstFakeOracle(t *testing.T) {
 }
 
 // TestExportStateCapturesNoAirStamp pins the checkpoint seam's shape: the
-// stamps are derived state, so CommonState is what it was before them.
+// air stamps are derived state, so the MACS bytes the common channel
+// writes do not move when only txUntil and airUntil do. A new captured
+// field changes the MACS digest and needs a magic bump.
 func TestExportStateCapturesNoAirStamp(t *testing.T) {
-	typ := reflect.TypeOf(CommonState{})
-	var got []string
-	for i := 0; i < typ.NumField(); i++ {
-		got = append(got, typ.Field(i).Name)
+	const jammer = 2
+	k := sim.NewKernel()
+	f := newFakeOracle(4)
+	f.link(0, 1, channel.ClassB)
+	f.link(1, 2, channel.ClassB)
+	c := NewCommonChannel(k, f, rand.New(rand.NewSource(3)))
+	for i := 0; i < 4; i++ {
+		c.Register(i, func(*packet.Packet, time.Duration) {})
 	}
-	if want := []string{"MaxAir", "Active", "Slots", "Deferred"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("CommonState fields = %v, want %v: a new captured field changes the MACS digest and needs a magic bump", got, want)
+	c.Send(ctrlPkt(packet.TypeRREQ, 0, packet.Broadcast))
+	c.Jam(jamPkt(jammer, 128))
+	k.Run(airtime(128) / 2)
+	macs := func() []byte {
+		var e checkpoint.Enc
+		c.Capture(&e)
+		return e.Cut()
+	}
+	before := macs()
+	if len(before) <= 4*8 {
+		t.Fatalf("MACS is %d bytes: nothing in flight at the capture instant", len(before))
+	}
+	for v := range c.txUntil {
+		c.txUntil[v] += time.Hour
+	}
+	c.airUntil += time.Hour
+	if after := macs(); !bytes.Equal(after, before) {
+		t.Errorf("MACS moved with the air stamps alone:\n before %x\n after  %x", before, after)
 	}
 }

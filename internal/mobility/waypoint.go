@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"time"
 
+	"rica/internal/checkpoint"
 	"rica/internal/geom"
 )
 
@@ -208,23 +209,15 @@ func KmhToMs(kmh float64) float64 { return kmh / 3.6 }
 // MsToKmh converts m/s to km/h.
 func MsToKmh(ms float64) float64 { return ms * 3.6 }
 
-// LegState is the serializable state of a trajectory: the current leg's
-// endpoints and times. Together with the node's RNG stream state it
-// pins the entire future of the trajectory, and checkpoint verification
-// compares it across processes.
-type LegState struct {
-	FromX, FromY   float64
-	ToX, ToY       float64
-	Depart, Arrive time.Duration
-}
-
-// ExportLeg observes the current leg without advancing the trajectory
-// (unlike Position, it never rolls legs forward, so capturing state is
-// guaranteed not to consume RNG draws).
-func (n *Node) ExportLeg() LegState {
-	return LegState{
-		FromX: n.from.X, FromY: n.from.Y,
-		ToX: n.to.X, ToY: n.to.Y,
-		Depart: n.depart, Arrive: n.arrive,
-	}
+// Capture writes the current leg to e for the checkpoint section MOBI:
+// its endpoints and times, which together with the terminal's stream
+// state pin the trajectory's whole future. Unlike Position it never
+// rolls legs forward, so a capture consumes no draw.
+func (n *Node) Capture(e *checkpoint.Enc) {
+	e.F64(n.from.X)
+	e.F64(n.from.Y)
+	e.F64(n.to.X)
+	e.F64(n.to.Y)
+	e.Dur(n.depart)
+	e.Dur(n.arrive)
 }

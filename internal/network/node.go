@@ -165,7 +165,7 @@ func (nd *Node) DiscardStaleHead(next int) {
 // hopQueue is one entry of a terminal's queue list: the link queue
 // toward neighbour next. The list holds only next hops the terminal has
 // forwarded to and stays sorted by next, so draining, the backlog sum
-// and the checkpoint export walk it in terminal-id order.
+// and the checkpoint capture walk it in terminal-id order.
 type hopQueue struct {
 	next int
 	q    *linkQueue
@@ -406,7 +406,7 @@ func (nd *Node) linkFailed(next int, q *linkQueue, failed *packet.Packet) {
 // queued is one buffered data packet with its enqueue time. id is the
 // packet's ID by value: a busy queue's head stays queued through the
 // exchange's ACK window, after the receiver took the packet over (see
-// DiscardStaleHead), and the checkpoint export must not read through
+// DiscardStaleHead), and the checkpoint capture must not read through
 // pkt then.
 type queued struct {
 	pkt *packet.Packet

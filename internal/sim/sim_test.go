@@ -1,14 +1,16 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rica/internal/checkpoint"
 )
 
 func TestKernelZeroValueUsable(t *testing.T) {
@@ -187,12 +189,13 @@ func TestRunBehindClockIsNoOp(t *testing.T) {
 }
 
 // TestExportStateIsLiveScheduleOnly: two kernels holding the same live
-// schedule export the same state, however many lazily-cancelled entries
-// one of them still has physically queued — when the queue drops those is
-// housekeeping, and a snapshot section hashed from the export must not
-// move with it.
+// schedule write the same KERN bytes, however many lazily-cancelled
+// entries one of them still has physically queued — when the queue drops
+// those is housekeeping, and a snapshot section hashed from the capture
+// must not move with it. The bytes are the clock, the counters and the
+// three live events in dispatch order.
 func TestExportStateIsLiveScheduleOnly(t *testing.T) {
-	build := func(sweep bool) KernelState {
+	build := func(sweep bool) []byte {
 		k := NewKernel()
 		noop := func(time.Duration) {}
 		k.Schedule(2*time.Millisecond, noop)
@@ -205,17 +208,34 @@ func TestExportStateIsLiveScheduleOnly(t *testing.T) {
 		if sweep {
 			k.queue.dropCancelled(k.recs, k.release)
 		}
-		return k.ExportState()
+		var e checkpoint.Enc
+		k.Capture(&e)
+		return e.Cut()
 	}
 	lazy, swept := build(false), build(true)
-	if len(lazy.Events) != 3 || lazy.Live != 3 {
-		t.Fatalf("export lists %d events (Live %d), want the 3 live ones", len(lazy.Events), lazy.Live)
+	if !bytes.Equal(lazy, swept) {
+		t.Fatalf("KERN depends on queue housekeeping:\n lazy  %x\n swept %x", lazy, swept)
 	}
-	if !reflect.DeepEqual(lazy, swept) {
-		t.Fatalf("export depends on queue housekeeping:\n lazy  %+v\n swept %+v", lazy, swept)
+	var want checkpoint.Enc
+	want.Dur(0) // now
+	want.U64(5) // seq: five events scheduled
+	want.U64(0) // executed
+	want.Int(3) // live
+	want.Int(3) // events written
+	for _, ev := range []struct {
+		at     time.Duration
+		seq    uint64
+		arg    bool
+		a0, a1 int
+	}{{2 * time.Millisecond, 0, false, 0, 0}, {4 * time.Millisecond, 2, true, 7, 9}, {time.Hour, 4, false, 0, 0}} {
+		want.Dur(ev.at)
+		want.U64(ev.seq)
+		want.Bool(ev.arg)
+		want.Int(ev.a0)
+		want.Int(ev.a1)
 	}
-	if ev := lazy.Events[1]; !ev.Arg || ev.A0 != 7 || ev.A1 != 9 || ev.At != 4*time.Millisecond {
-		t.Fatalf("second live event exported as %+v, want the 4ms ScheduleArg(7, 9)", ev)
+	if w := want.Cut(); !bytes.Equal(lazy, w) {
+		t.Fatalf("KERN of the three live events (the second a ScheduleArg(7, 9) at 4ms)\n got  %x\n want %x", lazy, w)
 	}
 }
 

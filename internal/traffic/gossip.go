@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"rica/internal/checkpoint"
 	"rica/internal/network"
 	"rica/internal/obs"
 	"rica/internal/packet"
@@ -163,20 +164,20 @@ func (p *pusher) tick(now time.Duration) {
 	}
 }
 
-// GossipState is the serializable epidemic state: the infection count,
-// the rumor-payload id cursor, and the flattened infection bitmap
-// (rumor-major). Checkpoint verification compares it across processes.
-type GossipState struct {
-	Count    int
-	NextID   uint64
-	Infected []bool
-}
-
-// ExportState snapshots the epidemic without touching its RNG.
-func (g *Gossip) ExportState() GossipState {
-	st := GossipState{Count: g.count, NextID: g.nextID}
+// Capture writes the epidemic to e for the checkpoint section TRAF: the
+// infection count, the rumor-payload id cursor and the infection bitmap
+// flattened rumor-major, behind its length. Its RNG is not touched.
+func (g *Gossip) Capture(e *checkpoint.Enc) {
+	e.Int(g.count)
+	e.U64(g.nextID)
+	n := 0
 	for _, row := range g.infected {
-		st.Infected = append(st.Infected, row...)
+		n += len(row)
 	}
-	return st
+	e.Int(n)
+	for _, row := range g.infected {
+		for _, b := range row {
+			e.Bool(b)
+		}
+	}
 }

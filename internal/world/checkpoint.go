@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"rica/internal/channel"
 	"rica/internal/checkpoint"
-	"rica/internal/mac"
 	"rica/internal/network"
 	"rica/internal/routing"
 )
@@ -55,15 +53,16 @@ func (w *World) Capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
 	cut := func(tag string) {
 		secs = append(secs, checkpoint.Section{Tag: tag, Payload: e.Cut()})
 	}
-	w.encodeKernel(e)
+	w.Kernel.Capture(e)
 	cut(checkpoint.TagKern)
 	w.encodeRNGs(e)
 	cut(checkpoint.TagRNGs)
 	w.encodeMobility(e)
 	cut(checkpoint.TagMobi)
-	w.encodeLinks(e)
+	w.Model.Capture(e)
 	cut(checkpoint.TagLink)
-	w.encodeMAC(e)
+	w.Common.Capture(e)
+	w.Data.Capture(e)
 	cut(checkpoint.TagMACs)
 	w.encodeNodes(e)
 	cut(checkpoint.TagNode)
@@ -74,22 +73,6 @@ func (w *World) Capture(e *checkpoint.Enc) ([]checkpoint.Section, error) {
 	}
 	cut(checkpoint.TagObsC)
 	return secs, nil
-}
-
-func (w *World) encodeKernel(e *checkpoint.Enc) {
-	st := w.Kernel.ExportState()
-	e.Dur(st.Now)
-	e.U64(st.Seq)
-	e.U64(st.Executed)
-	e.Int(st.Live)
-	e.Int(len(st.Events))
-	for _, ev := range st.Events {
-		e.Dur(ev.At)
-		e.U64(ev.Seq)
-		e.Bool(ev.Arg)
-		e.Int(ev.A0)
-		e.Int(ev.A1)
-	}
 }
 
 // encodeRNGs witnesses every stream by (id, draws): DESC pins the trial
@@ -107,87 +90,19 @@ func (w *World) encodeRNGs(e *checkpoint.Enc) {
 func (w *World) encodeMobility(e *checkpoint.Enc) {
 	e.Int(len(w.Mobility)) // zero for pinned/static topologies
 	for _, n := range w.Mobility {
-		leg := n.ExportLeg()
-		e.F64(leg.FromX)
-		e.F64(leg.FromY)
-		e.F64(leg.ToX)
-		e.F64(leg.ToY)
-		e.Dur(leg.Depart)
-		e.Dur(leg.Arrive)
-	}
-}
-
-func (w *World) encodeLinks(e *checkpoint.Enc) {
-	e.Int(w.Model.LinkCount())
-	w.Model.EachLink(func(idx int, st channel.LinkState) {
-		e.Int(idx)
-		e.Dur(st.Last)
-		e.F64(st.Shadow)
-		e.F64(st.FI)
-		e.F64(st.FQ)
-		e.Int(int(st.LastClass))
-		e.F64(st.LastD)
-		e.F64(st.LastPathLoss)
-	})
-}
-
-func (w *World) encodeMAC(e *checkpoint.Enc) {
-	cs := w.Common.ExportState()
-	e.Dur(cs.MaxAir)
-	e.Int(len(cs.Active))
-	for _, t := range cs.Active {
-		e.Int(t.From)
-		e.Dur(t.Start)
-		e.Dur(t.End)
-		e.Bool(t.Jam)
-		e.U64(t.PktID)
-		e.Int(t.PktType)
-		e.Int(t.Size)
-	}
-	encSlots := func(slots []mac.SlotPacket) {
-		e.Int(len(slots))
-		for _, s := range slots {
-			e.Int(s.Slot)
-			e.U64(s.PktID)
-			e.Int(s.PktType)
-			e.Int(s.Size)
-		}
-	}
-	encSlots(cs.Slots)
-	encSlots(cs.Deferred)
-	xs := w.Data.ExportExchanges()
-	e.Int(len(xs))
-	for _, x := range xs {
-		e.Int(x.Slot)
-		e.Int(x.From)
-		e.Int(x.To)
-		e.Int(x.Tries)
-		e.Int(int(x.Class))
-		e.Bool(x.Handed)
-		e.U64(x.PktID)
-		e.Int(x.Size)
+		n.Capture(e)
 	}
 }
 
 func (w *World) encodeNodes(e *checkpoint.Enc) {
 	e.Int(len(w.Nodes))
 	for id, nd := range w.Nodes {
-		qs := nd.ExportQueues()
 		routes := exportAgentRoutes(nd)
-		if len(qs) == 0 && routes == nil {
+		if nd.Queued() == 0 && routes == nil {
 			continue // keep the payload sparse; id prefixes disambiguate
 		}
 		e.Int(id)
-		e.Int(len(qs))
-		for _, q := range qs {
-			e.Int(q.To)
-			e.Bool(q.Busy)
-			e.Int(len(q.Items))
-			for _, it := range q.Items {
-				e.U64(it.PktID)
-				e.Dur(it.At)
-			}
-		}
+		nd.CaptureQueues(e)
 		e.Int(len(routes))
 		for _, r := range routes {
 			e.Int(r.Dst)
@@ -214,13 +129,7 @@ func (w *World) encodeTraffic(e *checkpoint.Enc) {
 		return
 	}
 	e.Bool(true)
-	gs := w.gossip.ExportState()
-	e.Int(gs.Count)
-	e.U64(gs.NextID)
-	e.Int(len(gs.Infected))
-	for _, b := range gs.Infected {
-		e.Bool(b)
-	}
+	w.gossip.Capture(e)
 }
 
 func (w *World) encodeObs(e *checkpoint.Enc) error {

@@ -1,11 +1,12 @@
 package world_test
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
+	"rica/internal/checkpoint"
 	"rica/internal/invariant"
-	"rica/internal/network"
 	"rica/internal/protocol"
 	"rica/internal/traffic"
 	"rica/internal/world"
@@ -32,12 +33,12 @@ func TestConservationInsideAckWindow(t *testing.T) {
 
 // TestExportsAgreeInsideAckWindow walks a three-terminal relay through
 // two seconds in 100 µs steps and, at every instant, holds the two
-// checkpoint exports that name an in-flight data packet to each other:
-// every exchange the data plane reports is the busy head of its sender's
-// link queue, under the same packet id. Inside the ACK window the
+// captured sections that name an in-flight data packet to each other:
+// every exchange MACS reports is the busy head of its sender's link
+// queue in NODE, under the same packet id. Inside the ACK window the
 // receiver already owns that packet — at the destination it has been
-// delivered and released — so an export that read the id through the
-// queue's stale pointer instead of the by-value copy reports the arena's
+// delivered and released — so a capture that read the id through the
+// queue's stale pointer instead of the by-value copy writes the arena's
 // poison. Worlds no longer share packets, so that read is wrong the same
 // way on every run and no replay comparison can see it; this one does.
 func TestExportsAgreeInsideAckWindow(t *testing.T) {
@@ -47,21 +48,20 @@ func TestExportsAgreeInsideAckWindow(t *testing.T) {
 	delivered := 0 // instants inside an ACK window whose receiver is the destination
 	for at := time.Duration(0); at <= cfg.Duration && !t.Failed(); at += 100 * time.Microsecond {
 		w.RunTo(at)
-		for _, x := range w.Data.ExportExchanges() {
-			if x.Handed && x.To == cfg.Flows[0].Dst {
+		secs, err := w.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads := busyHeads(checkpoint.Find(secs, checkpoint.TagNode))
+		for _, x := range exchanges(checkpoint.Find(secs, checkpoint.TagMACs)) {
+			if x.handed && x.to == cfg.Flows[0].Dst {
 				delivered++
 			}
-			var head *network.QueuedPacket
-			for _, q := range w.Nodes[x.From].ExportQueues() {
-				if q.To == x.To && q.Busy && len(q.Items) > 0 {
-					head = &q.Items[0]
-				}
-			}
-			if head == nil {
-				t.Errorf("t=%v: exchange %d→%d (packet %d) has no busy queue head at its sender", at, x.From, x.To, x.PktID)
-			} else if head.PktID != x.PktID {
+			if head, ok := heads[[2]int{x.from, x.to}]; !ok {
+				t.Errorf("t=%v: exchange %d→%d (packet %d) has no busy queue head at its sender", at, x.from, x.to, x.id)
+			} else if head != x.id {
 				t.Errorf("t=%v: exchange %d→%d carries packet %d, the sender's queue head says %d (handed off: %v)",
-					at, x.From, x.To, x.PktID, head.PktID, x.Handed)
+					at, x.from, x.to, x.id, head, x.handed)
 			}
 		}
 	}
@@ -71,6 +71,71 @@ func TestExportsAgreeInsideAckWindow(t *testing.T) {
 	if err := invariant.CheckSummary(w.Finish()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// capReader reads back the little-endian words a checkpoint.Enc wrote.
+type capReader []byte
+
+func (r *capReader) u64() uint64 {
+	v := binary.LittleEndian.Uint64(*r)
+	*r = (*r)[8:]
+	return v
+}
+
+func (r *capReader) int() int   { return int(r.u64()) }
+func (r *capReader) bool() bool { v := (*r)[0] == 1; *r = (*r)[1:]; return v }
+func (r *capReader) skip(n int) { *r = (*r)[n:] }
+
+// capturedExchange is what MACS says of one data-plane exchange.
+type capturedExchange struct {
+	from, to int
+	handed   bool
+	id       uint64
+}
+
+// exchanges reads the data-plane exchanges off a MACS payload, past the
+// common channel's active list (from, start, end, jam flag and a packet's
+// id, type and size each), its in-flight slots and its deferred slots
+// (a slot index and a packet each).
+func exchanges(macs []byte) []capturedExchange {
+	r := capReader(macs)
+	r.skip(8) // the longest airtime
+	r.skip(r.int() * (3*8 + 1 + 3*8))
+	r.skip(r.int() * 4 * 8)
+	r.skip(r.int() * 4 * 8)
+	xs := make([]capturedExchange, r.int())
+	for k := range xs {
+		r.skip(8) // slot
+		xs[k].from, xs[k].to = r.int(), r.int()
+		r.skip(2 * 8) // tries, class
+		xs[k].handed, xs[k].id = r.bool(), r.u64()
+		r.skip(8) // size
+	}
+	return xs
+}
+
+// busyHeads reads a NODE payload — the terminal count, then each terminal
+// holding a queue or a route as its id, its link queues and its route
+// entries (five words and a valid flag each) — into the id of the head
+// packet of every busy link queue, keyed by (terminal, next hop).
+func busyHeads(node []byte) map[[2]int]uint64 {
+	heads := make(map[[2]int]uint64)
+	r := capReader(node)
+	r.skip(8)
+	for len(r) > 0 {
+		id := r.int()
+		for q := r.int(); q > 0; q-- {
+			to, busy, items := r.int(), r.bool(), r.int()
+			for k := 0; k < items; k++ {
+				if pkt := r.u64(); k == 0 && busy {
+					heads[[2]int{id, to}] = pkt
+				}
+				r.skip(8) // enqueue time
+			}
+		}
+		r.skip(r.int() * (5*8 + 1))
+	}
+	return heads
 }
 
 // TestCatalogSummariesSatisfyInvariants sweeps every adversarial builtin

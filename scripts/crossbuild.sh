@@ -10,6 +10,10 @@
 #   - the JSON export of `-scenario metro-500 -protocols RICA -trials 1
 #     -duration 10s`, except the soft-float build, whose emulated
 #     arithmetic makes that run minutes long
+#   - the `-checkpoint` snapshot of `-scenario paper-baseline -protocols
+#     RICA -duration 20s -checkpoint-every 10s`: the digests of the eight
+#     captured state sections, so the builds agree on the whole simulation
+#     state at an instant and not only on what it prints
 # and every output must be cmp-equal to the v1 binary's. The host must
 # run amd64 v3 code (AVX2, BMI2, FMA) and 386 binaries; a GitHub-hosted
 # ubuntu runner does. docs/OPERATIONS.md ("Which builds are
@@ -46,17 +50,27 @@ metro() { # label, binary, then environment assignments
     -trials 1 -duration 10s -parallelism 1 -format json \
     -out "$work/metro-$label.json" > /dev/null 2>&1
 }
+ckpt() { # label, binary, then environment assignments
+  local label=$1 bin=$2
+  shift 2
+  env "$@" "$work/ricasim-$bin" -scenario paper-baseline -protocols RICA \
+    -duration 20s -checkpoint "$work/ckpt-$label" -checkpoint-every 10s \
+    > /dev/null 2>&1
+}
 for label in v1 v3 386; do
   fig2a "$label" "$label"
   metro "$label" "$label"
+  ckpt "$label" "$label"
 done
 fig2a fma-off v1 GODEBUG=cpu.fma=off
 metro fma-off v1 GODEBUG=cpu.fma=off
+ckpt fma-off v1 GODEBUG=cpu.fma=off
 fig2a 386sf 386sf
+ckpt 386sf 386sf
 
 fail=0
 for label in v3 386 fma-off 386sf; do
-  for out in fig2a-%s.txt metro-%s.json; do
+  for out in fig2a-%s.txt metro-%s.json ckpt-%s; do
     [ -e "$work/$(printf "$out" "$label")" ] || continue # 386sf: figure only
     ref=$(printf "$out" v1)
     got=$(printf "$out" "$label")
@@ -73,4 +87,4 @@ if [ "$fail" -ne 0 ]; then
   echo "crossbuild: outputs differ across builds" >&2
   exit 1
 fi
-echo "crossbuild: figure 2a bytes equal across amd64 v1, amd64 v3, 386, 386 softfloat and cpu.fma=off; metro-500 bytes across all but softfloat"
+echo "crossbuild: figure 2a and paper-baseline snapshot bytes equal across amd64 v1, amd64 v3, 386, 386 softfloat and cpu.fma=off; metro-500 bytes across all but softfloat"
