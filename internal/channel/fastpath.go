@@ -42,13 +42,13 @@ func (m *Model) distAt(s *snapshot, i, j int, at time.Duration) float64 {
 func (m *Model) classMiss(s *snapshot, idx, i, j int, at time.Duration) Class {
 	m.obs.Inc(obs.CClassMisses)
 	d := m.distAt(s, i, j, at)
-	if m.pairDown(s, i, j, at) {
+	if m.pairDown(i, j, at) {
 		// Radio-silent endpoint: feed the link an out-of-range distance so
 		// its fading process still advances in step with real time.
 		d = m.cfg.Range + 1
 	}
 	l := m.linkAt(idx, i, j)
-	c := l.ClassAt(d, m.relSpeed(s, i, j, at), at)
+	c := l.ClassAt(d, m.relSpeed(i, j, at), at)
 	l.memoClass = c
 	l.memoGen = s.gen
 	return c
@@ -86,22 +86,19 @@ func (m *Model) Warm(i int, js []int) {
 }
 
 // candEntry is one candidate of a per-build neighbour list: the
-// terminal, the pair's triangular index (precomputed so the hot walks
-// never re-derive it), and the build-time distance.
+// terminal and the build-time distance.
 type candEntry struct {
-	id  int32
-	idx int32 // triangular pair index of (centre, id)
-	d   float64
+	id int32
+	d  float64
 }
 
 // candidates returns node i's candidate list over the current grid
 // build: every other terminal whose build-time distance from i's
 // build-time position is within candRadius, ascending by id, each with
-// that build-time distance and the pair's link index. The list is
-// computed once per (node, grid build) and reused until the next
-// rebuild — it depends only on the indexed positions, not on the query
-// instant — so repeated neighbour scans between rebuilds skip the
-// bucket walk and sorting entirely.
+// that build-time distance. The list is computed once per (node, grid
+// build) and reused until the next rebuild — it depends only on the
+// indexed positions, not on the query instant — so repeated neighbour
+// scans between rebuilds skip the bucket walk and sorting entirely.
 func (m *Model) candidates(s *snapshot, g *geom.Grid, i int) []candEntry {
 	if s.candStamp[i] == s.candGen {
 		return s.cand[i]
@@ -109,11 +106,10 @@ func (m *Model) candidates(s *snapshot, g *geom.Grid, i int) []candEntry {
 	s.ndBuf = g.NearDist(g.PointAt(i), s.candRadius, s.ndBuf[:0])
 	lst := s.cand[i][:0]
 	for _, c := range s.ndBuf {
-		j := int(c.ID)
-		if j == i {
+		if int(c.ID) == i {
 			continue // the centre is always its own nearest candidate
 		}
-		lst = append(lst, candEntry{id: c.ID, idx: int32(m.pairIndex(i, j)), d: c.D})
+		lst = append(lst, candEntry{id: c.ID, d: c.D})
 	}
 	s.cand[i] = lst
 	s.candStamp[i] = s.candGen
@@ -131,7 +127,7 @@ func (m *Model) candidates(s *snapshot, g *geom.Grid, i int) []candEntry {
 // the node can have crossed the range boundary.
 func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 	s := m.sync(at)
-	if m.downAt(s, i, at) {
+	if m.downAt(i, at) {
 		return dst
 	}
 	g, slack := m.gridAt(s, at)
@@ -144,7 +140,7 @@ func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 		// The indexed positions are the current ones bit-for-bit, so the
 		// recorded build distance is exact — no position derivation at all.
 		for _, c := range cands {
-			if c.d > m.cfg.Range || m.downAt(s, int(c.id), at) {
+			if c.d > m.cfg.Range || m.downAt(int(c.id), at) {
 				continue
 			}
 			dst = append(dst, int(c.id))
@@ -168,7 +164,7 @@ func (m *Model) Neighbors(i int, at time.Duration, dst []int) []int {
 			margin = math.Min(margin, c.d-out)
 			continue
 		}
-		if m.downAt(s, j, at) {
+		if m.downAt(j, at) {
 			continue
 		}
 		if c.d > in {

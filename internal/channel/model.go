@@ -23,7 +23,7 @@ type Positioner interface {
 // position and a speed stay valid, and how fast it can ever go. The
 // terminals of a world are Movers (mobility.Node, and the world's pinned
 // terminals); the model resolves the interface once per terminal, so
-// the cache-miss paths pay a nil check, not a type assertion.
+// a kinematic query pays a nil check, not a type assertion.
 type Mover interface {
 	Positioner
 	// PositionStable reports the position at at, which must equal
@@ -171,8 +171,8 @@ func (m *Model) SetObs(r *obs.Registry) { m.obs = r }
 func (m *Model) SetOutage(fn func(i int, at time.Duration) bool) { m.down = fn }
 
 // pairDown reports whether either endpoint of the pair is silenced.
-func (m *Model) pairDown(s *snapshot, i, j int, at time.Duration) bool {
-	return m.down != nil && (m.downAt(s, i, at) || m.downAt(s, j, at))
+func (m *Model) pairDown(i, j int, at time.Duration) bool {
+	return m.downAt(i, at) || m.downAt(j, at)
 }
 
 // pairIndex maps an unordered pair to its slot in the triangular array.
@@ -190,8 +190,8 @@ func (m *Model) pairIndex(i, j int) int {
 
 // relSpeed bounds the pair's relative speed by the sum of the terminals'
 // own speeds (exact relative velocity is not worth the extra queries).
-func (m *Model) relSpeed(s *snapshot, i, j int, at time.Duration) float64 {
-	return m.speedAt(s, i, at) + m.speedAt(s, j, at)
+func (m *Model) relSpeed(i, j int, at time.Duration) float64 {
+	return m.speedAt(i, at) + m.speedAt(j, at)
 }
 
 // Class reports the channel class between i and j at time at. The link is
@@ -213,7 +213,7 @@ func (m *Model) Class(i, j int, at time.Duration) Class {
 // neither radio is silenced by an outage).
 func (m *Model) InRange(i, j int, at time.Duration) bool {
 	s := m.sync(at)
-	if m.pairDown(s, i, j, at) {
+	if m.pairDown(i, j, at) {
 		return false
 	}
 	if i == j {

@@ -11,21 +11,20 @@ import (
 // foreverStable marks a position with no future staleness boundary.
 const foreverStable = time.Duration(math.MaxInt64)
 
-// snapshot memoizes the kinematic state of one virtual instant —
-// positions, speeds and outage flags — plus a spatial grid over the
-// positions. Every Model query routes through it, so an event that makes
-// many queries at one kernel.Now() (a flood delivery, a carrier-sense
-// sweep, a topology install) derives each terminal's position once
-// instead of once per pair. Everything in it is per terminal: a pair's
-// class and SNR are memoized per instant too, but on the pair's Link,
-// stamped with this snapshot's gen (see fastpath.go).
+// snapshot memoizes the positions of one virtual instant plus a spatial
+// grid over them. Every Model query routes through it, so an event that
+// makes many queries at one kernel.Now() (a flood delivery, a
+// carrier-sense sweep, a topology install) derives each terminal's
+// position once instead of once per pair. Everything in it is per
+// terminal: a pair's class is memoized per instant too, but on the
+// pair's Link, stamped with this snapshot's gen (see fastpath.go).
 //
 // A Mover's positions additionally persist *across* instants while it
 // is paused: its PositionStable boundary says exactly when a cached
 // position goes stale, so a static or pausing field rebuilds nothing.
-// Speeds do the same through SpeedStable — a waypoint terminal's speed
-// is piecewise constant, so its cache entry survives until the next
-// leg/pause boundary. The fading links are deliberately not part of the
+// Speeds and outage flags are asked of the Mover and the outage oracle
+// directly: a per-instant memo of them measured no faster end to end
+// (DESIGN.md §9). The fading links are deliberately not part of the
 // snapshot — their lazy private streams advance exactly as they would
 // without it, keeping runs bit-identical to the pre-snapshot scan.
 type snapshot struct {
@@ -36,14 +35,6 @@ type snapshot struct {
 	posGen   []uint64
 	posAt    []time.Duration // instant each cached position was computed for
 	posUntil []time.Duration // exclusive staleness bound of each position
-
-	speed      []float64
-	speedGen   []uint64
-	speedFrom  []time.Duration // instant each cached speed was computed for
-	speedUntil []time.Duration // exclusive staleness bound of each speed
-
-	down    []bool
-	downGen []uint64
 
 	// Per-node candidate lists over the current grid build (fastpath.go).
 	// candGen identifies the build; a node's list is valid while its stamp
@@ -115,12 +106,6 @@ func newSnapshot(n int, rangeM, cell float64) *snapshot {
 		posGen:     make([]uint64, n),
 		posAt:      make([]time.Duration, n),
 		posUntil:   make([]time.Duration, n),
-		speed:      make([]float64, n),
-		speedGen:   make([]uint64, n),
-		speedFrom:  make([]time.Duration, n),
-		speedUntil: make([]time.Duration, n),
-		down:       make([]bool, n),
-		downGen:    make([]uint64, n),
 
 		cand:      make([][]candEntry, n),
 		candStamp: make([]uint64, n),
@@ -181,41 +166,18 @@ func (m *Model) positionMiss(s *snapshot, i int, at time.Duration) geom.Point {
 	return p
 }
 
-// speedAt returns terminal i's memoized instantaneous speed at at.
-func (m *Model) speedAt(s *snapshot, i int, at time.Duration) float64 {
-	if s.speedGen[i] == s.gen {
-		return s.speed[i]
-	}
-	return m.speedMiss(s, i, at)
-}
-
-func (m *Model) speedMiss(s *snapshot, i int, at time.Duration) float64 {
-	if s.speedGen[i] != 0 && s.speedFrom[i] <= at && at < s.speedUntil[i] {
-		s.speedGen[i] = s.gen // piecewise-constant segment still holds
-		return s.speed[i]
-	}
-	v, until := 0.0, foreverStable // a plain Positioner is parked, forever
+// speedAt returns terminal i's instantaneous speed at at.
+func (m *Model) speedAt(i int, at time.Duration) float64 {
 	if mv := m.movers[i]; mv != nil {
-		v, until = mv.SpeedStable(at)
+		v, _ := mv.SpeedStable(at)
+		return v
 	}
-	s.speed[i] = v
-	s.speedGen[i] = s.gen
-	s.speedFrom[i] = at
-	s.speedUntil[i] = until
-	return v
+	return 0 // a plain Positioner is parked
 }
 
-// downAt returns terminal i's memoized outage flag at at.
-func (m *Model) downAt(s *snapshot, i int, at time.Duration) bool {
-	if m.down == nil {
-		return false
-	}
-	if s.downGen[i] == s.gen {
-		return s.down[i]
-	}
-	s.down[i] = m.down(i, at)
-	s.downGen[i] = s.gen
-	return s.down[i]
+// downAt reports whether terminal i's radio is silenced at at.
+func (m *Model) downAt(i int, at time.Duration) bool {
+	return m.down != nil && m.down(i, at)
 }
 
 // gridAt returns the spatial index together with the query slack that

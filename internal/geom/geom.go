@@ -43,8 +43,10 @@ type Vector struct {
 	X, Y float64
 }
 
-// Length reports the Euclidean norm of v.
-func (v Vector) Length() float64 { return math.Hypot(v.X, v.Y) }
+// Length reports the Euclidean norm of v: its endpoint's distance from
+// the origin, in DistanceTo's arithmetic rather than math.Hypot's, whose
+// 386 build is x87 assembly and would round differently across builds.
+func (v Vector) Length() float64 { return Point(v).DistanceTo(Point{}) }
 
 // Scale returns v multiplied componentwise by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.X * s, v.Y * s} }
@@ -79,5 +81,5 @@ func (f Field) Clamp(p Point) Point {
 }
 
 // Diagonal reports the field's diagonal length, an upper bound on any
-// inter-terminal distance.
-func (f Field) Diagonal() float64 { return math.Hypot(f.Width, f.Height) }
+// inter-terminal distance, in the same arithmetic as Vector.Length.
+func (f Field) Diagonal() float64 { return Point{f.Width, f.Height}.DistanceTo(Point{}) }

@@ -51,8 +51,9 @@ type LinkOracle interface {
 	// dst in ascending order and returns the extended slice. It must
 	// agree with InRange — j appears in Neighbors(i, at, ...) exactly
 	// when InRange(i, j, at) holds and i ≠ j — because the channel's
-	// collision bookkeeping interchanges one neighbourhood scan for many
-	// pairwise probes whichever is cheaper.
+	// collision bookkeeping answers a broadcast's receivers with one
+	// neighbourhood scan per overlapping transmitter and a unicast's
+	// single receiver with pairwise probes.
 	Neighbors(i int, at time.Duration, dst []int) []int
 	// Interferers appends to dst every terminal whose transmission could
 	// reach a terminal that hears i — the CSMA collision-relevance
@@ -343,12 +344,6 @@ func (c *CommonChannel) backoff(tries int) time.Duration {
 	return time.Duration(c.rng.Int63n(int64(window))) + time.Millisecond
 }
 
-// collideScanMin is the (overlaps × receivers) product above which the
-// broadcast collision check switches from pairwise range probes to one
-// neighbourhood scan per overlapping transmitter: a scan costs about as
-// much as a handful of probes.
-const collideScanMin = 16
-
 // senseBusy reports whether terminal from hears an ongoing transmission:
 // its own, or one by a terminal in radio range. Neighbors membership is
 // InRange by the LinkOracle contract, so one neighbourhood walk over the
@@ -399,35 +394,19 @@ func (c *CommonChannel) complete(tx *transmission, now time.Duration) {
 		c.overlaps(tx, now)
 		// Settle the survivor set before any handler runs: handlers may
 		// send synchronously, and the sends' carrier sensing reuses the
-		// scratch this fan-out fills. Small overlap
-		// sets stay on the pairwise probes; storms amortize one scan per
-		// overlapping transmitter across all receivers.
+		// scratch this fan-out fills.
+		c.markCollided(now)
 		w := 0
-		if len(c.obuf)*len(c.nbuf) < collideScanMin {
-			for _, j := range c.nbuf {
-				if c.handlers[j] == nil {
-					continue
-				}
-				if c.collidedAt(j, now) {
-					c.obs.Inc(obs.CMACCollisions)
-					continue
-				}
-				c.nbuf[w] = j
-				w++
+		for _, j := range c.nbuf {
+			if c.handlers[j] == nil {
+				continue
 			}
-		} else {
-			c.markCollided(now)
-			for _, j := range c.nbuf {
-				if c.handlers[j] == nil {
-					continue
-				}
-				if c.colStamp[j] == c.colEpoch {
-					c.obs.Inc(obs.CMACCollisions)
-					continue
-				}
-				c.nbuf[w] = j
-				w++
+			if c.colStamp[j] == c.colEpoch {
+				c.obs.Inc(obs.CMACCollisions)
+				continue
 			}
+			c.nbuf[w] = j
+			w++
 		}
 		c.model.Warm(tx.from, c.nbuf[:w])
 		for _, j := range c.nbuf[:w] {

@@ -49,6 +49,7 @@ type lawChecker struct {
 	exact  bool // the oracle's Interferers keeps everyone: overlap sets must be equal
 	probes int
 	tested int // completions whose overlap set was non-empty
+	ownAir int // receivers collided by their own radio alone: no other overlap reaches them
 }
 
 func (l *lawChecker) check(now time.Duration) {
@@ -117,13 +118,18 @@ func (l *lawChecker) check(now time.Duration) {
 		}
 		c.markCollided(now)
 		for k, j := range recv {
-			want := false
+			own, heard := false, false
 			for _, o := range all {
-				if o.from == j || c.model.InRange(o.from, j, now) {
-					want = true
-					break
+				if o.from == j {
+					own = true
+				} else if c.model.InRange(o.from, j, now) {
+					heard = true
 				}
 			}
+			if own && !heard {
+				l.ownAir++
+			}
+			want := own || heard
 			if stamped := c.colStamp[j] == c.colEpoch; pairwise[k] != want || stamped != want {
 				t.Fatalf("t=%v: receiver %d of %d: collidedAt %v, markCollided %v, every temporal overlap probed pairwise %v",
 					now, j, tx.from, pairwise[k], stamped, want)
@@ -134,21 +140,34 @@ func (l *lawChecker) check(now time.Duration) {
 
 // lawTraffic puts a randomised population on air over horizon: honest
 // broadcasts and unicasts from random terminals (so carrier sense, backoff
-// and retries all run), and a jammer whose bursts outlast their spacing,
-// so each overlaps its own predecessor — and which also sends honestly.
-// Every transmission's completion instant gets a check just before the
-// completion itself runs, plus checks at random instants in between.
+// and retries all run), and a jammer which also sends honestly. In
+// alternate 50 ms windows the jammer's bursts outlast their spacing, so
+// each overlaps its own predecessor. Between trains it jams reactively:
+// a neighbour's transmission draws a burst that starts inside it.
+// Carrier sense keeps honest neighbours off a busy receiver, so only such
+// a burst makes a receiver that is itself on air, with nothing else in
+// earshot. Every transmission's completion instant gets a check just
+// before the completion itself runs, plus checks at random instants in
+// between.
 func lawTraffic(k *sim.Kernel, l *lawChecker, rng *rand.Rand, jammer int, horizon time.Duration) {
 	c, n := l.c, l.c.model.N()
 	for i := 0; i < n; i++ {
 		c.Register(i, func(*packet.Packet, time.Duration) {})
 	}
+	const burst = 128 // 4.1 ms on air, fired every 1.5 ms in a train
+	jam := func(time.Duration) {
+		k.Schedule(airtime(burst), l.check)
+		c.Jam(jamPkt(jammer, burst))
+	}
 	// OnTransmit runs before the channel schedules the completion, so the
 	// check it schedules for the same instant is dispatched first.
-	c.OnTransmit = func(pkt *packet.Packet, _ int, _ time.Duration) {
+	c.OnTransmit = func(pkt *packet.Packet, from int, now time.Duration) {
 		k.Schedule(airtime(pkt.Size), l.check)
+		if from != jammer && c.txUntil[jammer] <= now && c.model.InRange(from, jammer, now) {
+			k.Schedule(airtime(pkt.Size)/2, jam)
+		}
 	}
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < 3000; i++ {
 		from := rng.Intn(n)
 		if i%10 == 0 {
 			from = jammer
@@ -161,14 +180,13 @@ func lawTraffic(k *sim.Kernel, l *lawChecker, rng *rand.Rand, jammer int, horizo
 			c.Send(ctrlPkt(packet.TypeRREQ, from, to))
 		})
 	}
-	const burst = 128 // 4.1 ms on air, fired every 1.5 ms
+	const train = 50 * time.Millisecond
 	for at := horizon / 10; at < horizon*9/10; at += 1500 * time.Microsecond {
-		k.At(at, func(time.Duration) {
-			k.Schedule(airtime(burst), l.check)
-			c.Jam(jamPkt(jammer, burst))
-		})
+		if at/train%2 == 0 {
+			k.At(at, jam)
+		}
 	}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 1000; i++ {
 		k.At(time.Duration(rng.Int63n(int64(horizon))), l.check)
 	}
 	k.Run(horizon + time.Second)
@@ -196,9 +214,12 @@ func TestAirStampsAndOverlapFilterEqualTheScans(t *testing.T) {
 	})
 	c := NewCommonChannel(k, m, streams.Stream(0x_3AC0))
 	l := &lawChecker{t: t, c: c}
-	lawTraffic(k, l, rand.New(rand.NewSource(4)), jammer, 4*time.Second)
+	lawTraffic(k, l, rand.New(rand.NewSource(4)), jammer, 8*time.Second)
 	if l.tested < 500 {
 		t.Errorf("only %d of %d checks saw a completion with temporal overlaps: the traffic no longer exercises the filter", l.tested, l.probes)
+	}
+	if l.ownAir < 100 {
+		t.Errorf("only %d receivers were collided by their own radio alone: the traffic no longer exercises markCollided's self-stamp", l.ownAir)
 	}
 }
 
@@ -219,9 +240,12 @@ func TestAirStampsAgainstFakeOracle(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewCommonChannel(k, f, rand.New(rand.NewSource(9)))
 	l := &lawChecker{t: t, c: c, exact: true}
-	lawTraffic(k, l, rng, jammer, 4*time.Second)
+	lawTraffic(k, l, rng, jammer, 8*time.Second)
 	if l.tested < 500 {
 		t.Errorf("only %d of %d checks saw a completion with temporal overlaps", l.tested, l.probes)
+	}
+	if l.ownAir < 300 {
+		t.Errorf("only %d receivers were collided by their own radio alone", l.ownAir)
 	}
 }
 

@@ -214,15 +214,6 @@ type History struct {
 
 	spill map[packet.FloodKey]FloodRecord // unpackable keys only
 
-	// One-entry MRU cache. Flood copies arrive in bursts keyed by the
-	// same instance, and the common case (a non-improving duplicate) is a
-	// pure read — the cache answers it without touching the table. The
-	// current generation is written through on every update and a
-	// rotation empties the cache, so a cached record is always in cur.
-	lastKey packet.FloodKey
-	lastRec FloodRecord
-	lastOK  bool
-
 	// obs, when set, counts suppressed flood copies and spill-tier
 	// insertions (nil-safe).
 	obs *obs.Registry
@@ -348,7 +339,6 @@ func (h *History) rotate(now time.Duration) {
 		h.prev.reset()
 	}
 	h.rotateAt = generationEnd(now)
-	h.lastOK = false
 }
 
 // get looks a key up across both tiers.
@@ -414,18 +404,12 @@ func (h *History) FirstCopy(pkt *packet.Packet, now time.Duration) (FloodRecord,
 		h.rotate(now)
 	}
 	key := pkt.Key()
-	if h.lastOK && key == h.lastKey {
-		h.obs.Inc(obs.CFloodSuppressed)
-		return h.lastRec, false
-	}
 	if rec, ok := h.get(key); ok {
 		h.obs.Inc(obs.CFloodSuppressed)
-		h.lastKey, h.lastRec, h.lastOK = key, rec, true
 		return rec, false
 	}
 	rec := FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 	h.put(key, rec)
-	h.lastKey, h.lastRec, h.lastOK = key, rec, true
 	return rec, true
 }
 
@@ -446,25 +430,11 @@ func (h *History) Improved(pkt *packet.Packet, now time.Duration) (FloodRecord, 
 		h.rotate(now)
 	}
 	key := pkt.Key()
-	rec, cached := h.lastRec, h.lastOK && key == h.lastKey
-	if !cached {
-		var ok bool
-		rec, ok = h.get(key)
-		if !ok {
-			rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
-			h.put(key, rec)
-			h.lastKey, h.lastRec, h.lastOK = key, rec, true
-			return rec, true
-		}
-	}
-	if pkt.HopCount < rec.HopCount-metricImprovement {
+	rec, ok := h.get(key)
+	if !ok || pkt.HopCount < rec.HopCount-metricImprovement {
 		rec = FloodRecord{FirstFrom: pkt.From, HopCount: pkt.HopCount}
 		h.put(key, rec)
-		h.lastKey, h.lastRec, h.lastOK = key, rec, true
 		return rec, true
-	}
-	if !cached {
-		h.lastKey, h.lastRec, h.lastOK = key, rec, true
 	}
 	h.obs.Inc(obs.CFloodSuppressed)
 	return rec, false
